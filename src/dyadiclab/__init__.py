@@ -1,7 +1,7 @@
 """Numerical laboratory for dyadic harmonic analysis on finite meshes."""
 
 from .grid import (DyadicCube, DyadicSystem, GoodnessParams, common_ancestor,
-                   goodness_bound, goodness_probability, is_good, translate)
+                   goodness_bound, goodness_probability, is_good)
 from .gridfn import (GridFunction, analyze, bmo_norm, cube_average, from_callable,
                      haar_coefficient, haar_eval, haar_function, indicator, lp_norm,
                      pair, random_grid_function, synthesize, zeros)
@@ -12,6 +12,6 @@ __all__ = [
     "SCALAR", "analyze", "bmo_norm", "common_ancestor", "conjugate_exponent",
     "cube_average", "from_callable", "goodness_bound", "goodness_probability",
     "haar_coefficient", "haar_eval", "haar_function", "indicator", "is_good",
-    "lp_norm", "pair", "random_grid_function", "synthesize", "translate",
+    "lp_norm", "pair", "random_grid_function", "synthesize",
     "umd_beta_scalar", "zeros",
 ]

@@ -49,6 +49,15 @@ class DyadicSystem:
         for bits in self.omega:
             if len(bits) != self.d or any(b not in (0, 1) for b in bits):
                 raise ValueError("omega entries must be bits in {0,1}^d")
+        # per-level shift, a prefix sum of the bits from the finest level up;
+        # a plain attribute, so eq, hash and repr see only the fields
+        shift = (0,) * self.d
+        shifts = [shift]
+        for level in range(self.depth, self.min_level, -1):
+            unit = 1 << (self.depth - level)
+            shift = tuple(s + unit * b for s, b in zip(shift, self.bit(level)))
+            shifts.append(shift)
+        object.__setattr__(self, "_shifts", tuple(reversed(shifts)))
 
     @staticmethod
     def random(seed: int, d: int = 1, m_top: int = 0, depth: int = 8) -> "DyadicSystem":
@@ -89,12 +98,12 @@ class DyadicSystem:
             return self.omega[idx]
         return (0,) * self.d
 
-    def shift_cells(self, level: int) -> np.ndarray:
+    def shift_cells(self, level: int) -> tuple:
         """Translation of level-`level` cubes, in finest-cell units."""
-        shift = np.zeros(self.d, dtype=np.int64)
-        for j in range(level + 1, self.depth + 1):
-            shift += (1 << (self.depth - j)) * np.asarray(self.bit(j), dtype=np.int64)
-        return shift
+        if not self.min_level <= level <= self.depth:
+            raise AmbientRangeError(
+                f"level {level} outside [{self.min_level}, {self.depth}]")
+        return self._shifts[level - self.min_level]
 
     def cell_centers(self) -> np.ndarray:
         """Midpoints of all finest cells, shape (cells_per_axis,)*d + (d,)."""
@@ -130,7 +139,7 @@ class DyadicSystem:
             lo_cell, hi_cell = 0, self.cells_per_axis
             if within is not None:
                 lo_cell, hi_cell = within[ax]
-            base = self.origin_cell + int(shift[ax])  # start cell of corner m is m*size + base
+            base = self.origin_cell + shift[ax]  # start cell of corner m is m*size + base
             m_lo = max(ceil_div(lo_cell - size + 1 - base, size),
                        ceil_div(0 - base, size))
             m_hi = min((hi_cell - 1 - base) // size,
@@ -156,13 +165,16 @@ class DyadicCube:
             )
         if len(self.corner) != sysm.d:
             raise AmbientRangeError("corner dimension mismatch")
-        start = self.start_cells()
         size = self.size_cells
-        for ax in range(sysm.d):
-            if start[ax] < 0 or start[ax] + size > sysm.cells_per_axis:
+        base = sysm.origin_cell
+        start = tuple(m * size + base + s
+                      for m, s in zip(self.corner, sysm.shift_cells(self.level)))
+        for s in start:
+            if s < 0 or s + size > sysm.cells_per_axis:
                 raise AmbientRangeError(
                     f"cube level={self.level} corner={self.corner} leaves the ambient"
                 )
+        object.__setattr__(self, "_start", start)
 
     # -- geometry ----------------------------------------------------------
 
@@ -178,28 +190,23 @@ class DyadicCube:
     def size_cells(self) -> int:
         return 1 << (self.system.depth - self.level)
 
-    def start_cells(self) -> np.ndarray:
-        sysm = self.system
-        corner = np.asarray(self.corner, dtype=np.int64)
-        return corner * self.size_cells + sysm.origin_cell + sysm.shift_cells(self.level)
+    def start_cells(self) -> tuple:
+        """First finest cell of the cube along each axis."""
+        return self._start
 
     def cell_slices(self) -> tuple:
-        start = self.start_cells()
         size = self.size_cells
-        return tuple(slice(int(s), int(s) + size) for s in start)
+        return tuple(slice(s, s + size) for s in self.start_cells())
 
     def geometry(self) -> np.ndarray:
         """Translated intervals per axis, shape (d, 2), exact dyadic floats."""
         cell = 2.0**-self.system.depth
-        start = self.start_cells()
-        lo = -(2.0**self.system.m_top) + start * cell
+        lo = -(2.0**self.system.m_top) + np.asarray(self._start, dtype=np.int64) * cell
         return np.stack([lo, lo + self.side], axis=-1)
 
     def contains_cube(self, other: "DyadicCube") -> bool:
-        a, b = self.start_cells(), other.start_cells()
-        return bool(
-            np.all(a <= b) and np.all(b + other.size_cells <= a + self.size_cells)
-        )
+        grow = self.size_cells - other.size_cells
+        return all(0 <= b - a <= grow for a, b in zip(self._start, other._start))
 
     # -- lattice structure (translated nesting) -----------------------------
 
@@ -230,11 +237,6 @@ class DyadicCube:
 
     def key(self) -> tuple:
         return (self.level, self.corner)
-
-
-def translate(cube: DyadicCube) -> np.ndarray:
-    """Geometric realization of a cube under its system's translation."""
-    return cube.geometry()
 
 
 def common_ancestor(a: DyadicCube, b: DyadicCube) -> DyadicCube:
@@ -278,16 +280,6 @@ class GoodnessParams:
             raise ValueError("r must be a positive integer")
 
 
-def _offset_units(cube: DyadicCube, s: int) -> np.ndarray:
-    """Offset of the cube inside its s-generation ancestor, in side units."""
-    sysm = cube.system
-    u = np.zeros(sysm.d, dtype=np.int64)
-    for t in range(s):
-        u += (1 << t) * np.asarray(sysm.bit(cube.level - t), dtype=np.int64)
-    m = np.asarray(cube.corner, dtype=np.int64)
-    return (m - u) % (1 << s)
-
-
 def _gap_range(cube: DyadicCube, params: GoodnessParams) -> range:
     floor = cube.system.min_level
     if params.max_ancestor_level is not None:
@@ -305,9 +297,16 @@ def is_good(cube: DyadicCube, params: GoodnessParams) -> bool:
     gamma-power threshold (evaluated in floating point); near-ties within
     1e-12 count as bad.
     """
+    sysm = cube.system
+    u = (0,) * sysm.d  # bits of the gaps climbed so far, one word per axis
+    t = 0
     for s in _gap_range(cube, params):
-        o = _offset_units(cube, s)
-        dist_units = int(np.min(np.minimum(o, (1 << s) - 1 - o)))
+        while t < s:
+            u = tuple(w + (b << t) for w, b in zip(u, sysm.bit(cube.level - t)))
+            t += 1
+        mod = 1 << s
+        dist_units = min(min(o, mod - 1 - o)
+                         for o in ((m - w) % mod for m, w in zip(cube.corner, u)))
         threshold = 2.0 ** (s * (1.0 - params.gamma))
         if not dist_units > threshold + _GOOD_TIE_TOL:
             return False
@@ -403,9 +402,8 @@ def goodness_position_joint(d: int, level: int, depth: int, m_top: int,
             omega[j + m_top - 1] = tuple((word >> ax) & 1 for ax in range(d))
         sysm = DyadicSystem(d=d, m_top=m_top, depth=depth, omega=tuple(omega))
         cube = sysm.cube(level, (0,) * d)
-        shift = cube.system.shift_cells(level)
         pos = 0
-        for ax in range(d):
-            pos = pos * cells + int(shift[ax]) % cells
+        for shift in sysm.shift_cells(level):
+            pos = pos * cells + shift % cells
         counts[pos, int(is_good(cube, params))] += 1
     return counts

@@ -208,7 +208,7 @@ def shifted_projection(f: GridFunction, root: DyadicCube, gap: int) -> GridFunct
 
 
 def _require_aligned(system: DyadicSystem, level: int):
-    if np.any(system.shift_cells(level)):
+    if any(system.shift_cells(level)):
         raise ValueError(
             f"level {level} of this system is not cell-grid aligned; "
             "use per-cube operations instead"
@@ -250,10 +250,10 @@ class HaarCoefficients:
     def get(self, cube: DyadicCube, eta) -> np.ndarray:
         arr = self.coeffs[cube.level]
         blocks = arr.shape[0]
-        start = cube.start_cells() // cube.size_cells
-        if np.any(start < 0) or np.any(start >= blocks):
+        start = tuple(s // cube.size_cells for s in cube.start_cells())
+        if any(s < 0 or s >= blocks for s in start):
             raise KeyError("cube outside the analyzed range")
-        return arr[tuple(int(s) for s in start)][etas(self.system.d).index(tuple(eta))]
+        return arr[start][etas(self.system.d).index(tuple(eta))]
 
 
 def analyze(f: GridFunction, level_lo: int, level_hi: Optional[int] = None) -> HaarCoefficients:

@@ -92,10 +92,6 @@ class ShiftSpec:
     k_levels: Optional[tuple] = None  # inclusive (lo, hi) for the K sum
 
     @property
-    def complexity(self) -> int:
-        return max(self.i, self.j) + 1
-
-    @property
     def block_gap(self) -> int:
         return max(self.i, self.j) + 1
 

@@ -39,6 +39,7 @@ class SparseFamily:
             self.parents = [None]
             self.children = [[]]
         self._index = {cube.key(): k for k, cube in enumerate(self.cubes)}
+        self._lebesgue = None
 
     def __len__(self):
         return len(self.cubes)
@@ -61,10 +62,13 @@ class SparseFamily:
     # -- measure -------------------------------------------------------------
 
     def density(self) -> np.ndarray:
-        sysm = self.root.system
-        if self.weights is None:
-            return np.ones((sysm.cells_per_axis,) * sysm.d)
-        return self.weights
+        if self.weights is not None:
+            return self.weights
+        if self._lebesgue is None:
+            sysm = self.root.system
+            self._lebesgue = np.ones((sysm.cells_per_axis,) * sysm.d)
+            self._lebesgue.flags.writeable = False
+        return self._lebesgue
 
     def measure(self, cube: DyadicCube) -> float:
         return float(self.density()[cube.cell_slices()].sum()) * self.root.system.cell_volume

@@ -69,6 +69,82 @@ def dense_shift_matrix(spec):
     return total
 
 
+def shift_cells_by_bits(system, level):
+    """Translation of level-`level` cubes, summing the finer bits one by one."""
+    shift = np.zeros(system.d, dtype=np.int64)
+    for j in range(level + 1, system.depth + 1):
+        shift += (1 << (system.depth - j)) * np.asarray(system.bit(j), dtype=np.int64)
+    return shift
+
+
+def start_cells_array(system, level, corner):
+    """First finest cell per axis of the cube with this level and corner."""
+    size = 1 << (system.depth - level)
+    corner = np.asarray(corner, dtype=np.int64)
+    return corner * size + system.origin_cell + shift_cells_by_bits(system, level)
+
+
+def inside_ambient(system, level, corner):
+    start = start_cells_array(system, level, corner)
+    size = 1 << (system.depth - level)
+    return bool(np.all(start >= 0) and np.all(start + size <= system.cells_per_axis))
+
+
+def contains_cube_array(outer, inner):
+    a = start_cells_array(outer.system, outer.level, outer.corner)
+    b = start_cells_array(inner.system, inner.level, inner.corner)
+    return bool(np.all(a <= b) and np.all(b + inner.size_cells <= a + outer.size_cells))
+
+
+def parent_corner_by_cells(cube):
+    """Corner of the level-1 cube covering the cube's first cell."""
+    system, level = cube.system, cube.level - 1
+    size = 1 << (system.depth - level)
+    start = start_cells_array(system, cube.level, cube.corner)
+    base = system.origin_cell + shift_cells_by_bits(system, level)
+    return tuple(int(c) for c in (start - base) // size)
+
+
+def child_corners_by_cells(cube):
+    """Corners of the level+1 cubes that tile the cube, found from cell offsets."""
+    system, level = cube.system, cube.level + 1
+    size = 1 << (system.depth - level)
+    start = start_cells_array(system, cube.level, cube.corner)
+    base = system.origin_cell + shift_cells_by_bits(system, level)
+    corners = []
+    for offs in itertools.product((0, 1), repeat=system.d):
+        rel = start + size * np.asarray(offs, dtype=np.int64) - base
+        assert np.all(rel % size == 0)
+        corners.append(tuple(int(c) for c in rel // size))
+    return sorted(corners)
+
+
+def offset_units(cube, s):
+    """Offset of the cube inside its s-generation ancestor, in side units."""
+    system = cube.system
+    u = np.zeros(system.d, dtype=np.int64)
+    for t in range(s):
+        u += (1 << t) * np.asarray(system.bit(cube.level - t), dtype=np.int64)
+    m = np.asarray(cube.corner, dtype=np.int64)
+    return (m - u) % (1 << s)
+
+
+def is_good_by_offsets(cube, params):
+    """Goodness from per-gap offset arrays, gap by gap from scratch."""
+    floor = cube.system.min_level
+    if params.max_ancestor_level is not None:
+        floor = max(floor, params.max_ancestor_level)
+    s_hi = cube.level - floor
+    if params.max_generations is not None:
+        s_hi = min(s_hi, params.max_generations)
+    for s in range(params.r, s_hi + 1):
+        o = offset_units(cube, s)
+        dist_units = int(np.min(np.minimum(o, (1 << s) - 1 - o)))
+        if not dist_units > 2.0 ** (s * (1.0 - params.gamma)) + 1e-12:
+            return False
+    return True
+
+
 def haar_coefficient_by_eval(f, cube, eta):
     """Coefficient via pointwise Haar values, no pyramid."""
     h = haar_vector(cube, eta)

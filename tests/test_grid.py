@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,33 +9,34 @@ from hypothesis import strategies as st
 from dyadiclab.errors import AmbientRangeError, ResourceLimitError
 from dyadiclab.grid import (DyadicCube, DyadicSystem, GoodnessParams, common_ancestor,
                             goodness_bound, goodness_position_joint,
-                            goodness_probability, goodness_probability_mc, is_good,
-                            translate)
+                            goodness_probability, goodness_probability_mc, is_good)
+
+import oracles
 
 
 def test_translation_of_half_interval():
     system = DyadicSystem(d=1, m_top=0, depth=3, omega=((0,), (1,), (0,)))
     cube = system.cube(1, (0,))
-    assert np.allclose(translate(cube), [[0.25, 0.75]])
+    assert np.allclose(cube.geometry(), [[0.25, 0.75]])
 
 
 def test_translation_identity_when_bits_vanish():
     system = DyadicSystem(d=1, m_top=1, depth=4)
     cube = system.cube(2, (-3,))
-    assert np.allclose(translate(cube), [[-0.75, -0.5]])
+    assert np.allclose(cube.geometry(), [[-0.75, -0.5]])
 
 
 def test_translation_of_quarter_interval():
     system = DyadicSystem(d=1, m_top=0, depth=3, omega=((0,), (0,), (1,)))
     cube = system.cube(2, (0,))
-    assert np.allclose(translate(cube), [[0.125, 0.375]])
+    assert np.allclose(cube.geometry(), [[0.125, 0.375]])
 
 
 def test_translation_uses_strictly_finer_scales_only():
     # bits at the cube's own scale and coarser must not move it
     system = DyadicSystem(d=1, m_top=0, depth=3, omega=((1,), (0,), (0,)))
     cube = system.cube(1, (0,))
-    assert np.allclose(translate(cube), [[0.0, 0.5]])
+    assert np.allclose(cube.geometry(), [[0.0, 0.5]])
 
 
 def test_out_of_ambient_raises():
@@ -84,8 +88,8 @@ def test_translated_nesting_is_consistent(seed, level):
             parent = cube.parent()
         except AmbientRangeError:
             continue  # the parent of a near-edge cube may leave the ambient
-        geo_child = translate(cube)
-        geo_parent = translate(parent)
+        geo_child = cube.geometry()
+        geo_parent = parent.geometry()
         assert geo_parent[0, 0] <= geo_child[0, 0]
         assert geo_child[0, 1] <= geo_parent[0, 1] + 1e-12
         assert any(kid.key() == cube.key() for kid in parent.children())
@@ -203,3 +207,88 @@ def test_position_goodness_factorization_is_exact():
     assert (joint * total == rows * cols).all()
     # positions are uniform
     assert (rows == rows[0]).all()
+
+
+@st.composite
+def translated_systems(draw, levels_1d=5, levels_2d=3):
+    """Random translated systems with at most this many levels below the top."""
+    d = draw(st.sampled_from([1, 2]))
+    m_top = draw(st.integers(0, 2))
+    depth = draw(st.integers(0, (levels_1d if d == 1 else levels_2d) - m_top))
+    return DyadicSystem.random(draw(st.integers(0, 2**20)), d=d, m_top=m_top, depth=depth)
+
+
+def _all_cubes(system):
+    return [cube for level in range(system.min_level, system.depth + 1)
+            for cube in system.cubes_at_level(level)]
+
+
+@given(translated_systems())
+def test_cached_geometry_matches_bitwise_oracle(system):
+    for level in range(system.min_level, system.depth + 1):
+        expected = oracles.shift_cells_by_bits(system, level)
+        assert system.shift_cells(level) == tuple(int(v) for v in expected)
+        cubes = list(system.cubes_at_level(level))
+        # every corner next to the enumerated ones is built iff it is inside
+        corners = np.array([cube.corner for cube in cubes])
+        axes = [range(lo - 1, hi + 2) for lo, hi in zip(corners.min(0), corners.max(0))]
+        for corner in itertools.product(*axes):
+            if oracles.inside_ambient(system, level, corner):
+                assert system.cube(level, corner) in cubes
+            else:
+                with pytest.raises(AmbientRangeError):
+                    system.cube(level, corner)
+        for cube in cubes:
+            start = oracles.start_cells_array(system, level, cube.corner)
+            assert cube.start_cells() == tuple(int(v) for v in start)
+            assert cube.cell_slices() == tuple(slice(int(v), int(v) + cube.size_cells)
+                                               for v in start)
+            if level > system.min_level:
+                corner = oracles.parent_corner_by_cells(cube)
+                if oracles.inside_ambient(system, level - 1, corner):
+                    assert cube.parent().corner == corner
+                else:
+                    with pytest.raises(AmbientRangeError):
+                        cube.parent()
+            if level < system.depth:
+                kids = cube.children()
+                assert sorted(kid.corner for kid in kids) == \
+                    oracles.child_corners_by_cells(cube)
+
+
+@given(translated_systems(), st.integers(0, 2**20))
+def test_contains_cube_matches_array_oracle(system, pick_seed):
+    cubes = _all_cubes(system)
+    rng = random.Random(pick_seed)
+    pairs = [(rng.choice(cubes), rng.choice(cubes)) for _ in range(100)]
+    for cube in cubes:
+        if cube.level < system.depth:
+            pairs += [(cube, kid) for kid in cube.children()]
+            pairs += [(kid, cube) for kid in cube.children()]
+    for outer, inner in pairs:
+        assert outer.contains_cube(inner) == oracles.contains_cube_array(outer, inner)
+
+
+@given(translated_systems(levels_1d=8, levels_2d=5), st.integers(0, 2**20),
+       st.sampled_from([None, 0]))
+def test_is_good_matches_offset_oracle(system, pick_seed, top):
+    cubes = _all_cubes(system)
+    cubes = random.Random(pick_seed).sample(cubes, min(len(cubes), 50))
+    for gamma, r, generations in itertools.product((0.25, 0.5, 0.9), (1, 3, 4),
+                                                   (None, 3)):
+        params = GoodnessParams(gamma=gamma, r=r, max_generations=generations,
+                                max_ancestor_level=top)
+        for cube in cubes:
+            assert is_good(cube, params) == oracles.is_good_by_offsets(cube, params)
+
+
+def test_cached_geometry_stays_out_of_eq_hash_and_repr():
+    system = DyadicSystem.random(3, d=2, m_top=1, depth=3)
+    twin = DyadicSystem(d=2, m_top=1, depth=3, omega=system.omega)
+    assert system == twin and hash(system) == hash(twin)
+    assert "_shifts" not in repr(system)
+    cube = system.cube(1, (0, 0))
+    assert cube == twin.cube(1, (0, 0)) and hash(cube) == hash(twin.cube(1, (0, 0)))
+    assert "_start" not in repr(cube)
+    with pytest.raises(AmbientRangeError):
+        system.shift_cells(system.depth + 1)

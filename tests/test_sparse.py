@@ -266,3 +266,13 @@ def test_export_records_format():
     lines = fam.export_records().strip().splitlines()
     assert lines[0] == "0 0 -1"
     assert lines[1] == "2 0 0"
+
+
+def test_lebesgue_density_is_built_once_and_read_only():
+    family = SparseFamily(ROOT)
+    dens = family.density()
+    assert dens is family.density()
+    assert dens.shape == (SYS.cells_per_axis,) and (dens == 1.0).all()
+    assert not dens.flags.writeable
+    weights = np.linspace(0.5, 1.5, SYS.cells_per_axis)
+    assert SparseFamily(ROOT, weights=weights).density() is weights
