@@ -46,10 +46,27 @@ def _load_config(path: Optional[str]) -> dict:
     for name, overrides in params.items():
         if name not in EXPERIMENTS:
             raise UsageError(f"config params for unknown experiment {name!r}")
-        bad = set(overrides) - set(EXPERIMENTS[name].defaults)
+        if not isinstance(overrides, dict):
+            raise UsageError(f"config params for {name!r} must be an object")
+        defaults = EXPERIMENTS[name].defaults
+        bad = set(overrides) - set(defaults)
         if bad:
             raise UsageError(f"unknown parameters for {name!r}: {sorted(bad)}")
+        for key, value in overrides.items():
+            if not _fits(value, defaults[key]):
+                raise UsageError(f"parameter {key!r} of {name!r} takes "
+                                 f"{type(defaults[key]).__name__}, not "
+                                 f"{type(value).__name__}")
     return doc
+
+
+def _fits(value, default) -> bool:
+    """Int takes int, float takes int or float, list takes list; bool fits none."""
+    if isinstance(value, bool):
+        return isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
 
 
 def _flag_overrides(args, name: str) -> dict:
@@ -155,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="experiment name (repeatable; 'all' for the catalog)")
     runp.add_argument("--seed", type=int, default=None)
     runp.add_argument("--depth", type=int, default=None)
-    runp.add_argument("--dim", type=int, default=None, choices=(1, 2))
     runp.add_argument("--p", action="append", type=float)
     runp.add_argument("--gamma", type=float, default=None)
     runp.add_argument("--r", type=int, default=None)

@@ -92,21 +92,50 @@ def indicator(cube: DyadicCube, space: NormedSpace = SCALAR,
     return GridFunction(cube.system, f, space)
 
 
-def haar_vector(cube: DyadicCube, eta) -> np.ndarray:
-    """Cell array of the L2-normalized Haar function h^eta on `cube`."""
+def haar_block(cube: DyadicCube, eta) -> np.ndarray:
+    """Values of the L2-normalized h^eta on the cube's own cells, shape (size,)*d."""
     sysm = cube.system
     if cube.level >= sysm.depth and any(eta):
         raise MeshDepthError("Haar function needs resolvable children")
-    arr = np.zeros((sysm.cells_per_axis,) * sysm.d)
-    half = cube.size_cells // 2 if cube.size_cells > 1 else 0
     sub = np.ones((cube.size_cells,) * sysm.d)
     for ax, e in enumerate(eta):
         if e:
             idx = [slice(None)] * sysm.d
-            idx[ax] = slice(half, None)
+            idx[ax] = slice(cube.size_cells // 2, None)
             sub[tuple(idx)] *= -1.0
-    arr[cube.cell_slices()] = sub * cube.volume**-0.5
+    return sub * cube.volume**-0.5
+
+
+def haar_vector(cube: DyadicCube, eta) -> np.ndarray:
+    """Cell array of the L2-normalized Haar function h^eta on `cube`."""
+    arr = np.zeros((cube.system.cells_per_axis,) * cube.system.d)
+    arr[cube.cell_slices()] = haar_block(cube, eta)
     return arr
+
+
+def haar_frame(system: DyadicSystem, level_lo: int, level_hi: int,
+               within=None) -> tuple:
+    """(cols, H): the (cube, eta) pairs of levels level_lo..level_hi, cube-major
+    in level and corner order (`within` as in `cubes_at_level`), and H whose
+    column n is haar_vector(*cols[n]) flattened, filled one level at a time
+    from the cubes' start cells, so translated systems work too."""
+    d, shape = system.d, (system.cells_per_axis,) * system.d
+    eta_list = etas(d)
+    per_level = [list(system.cubes_at_level(level, within=within))
+                 for level in range(level_lo, level_hi + 1)]
+    cols = [(cube, eta) for cubes in per_level for cube in cubes for eta in eta_list]
+    H = np.zeros((system.n_cells, len(cols)))
+    first = 0
+    for cubes in filter(None, per_level):
+        size = cubes[0].size_cells
+        starts = np.array([cube.start_cells() for cube in cubes]).T      # (d, n)
+        offsets = np.indices((size,) * d).reshape(d, 1, -1)             # (d, 1, size^d)
+        cells = np.ravel_multi_index(tuple(starts[:, :, None] + offsets), shape)
+        col = first + len(eta_list) * np.arange(len(cubes))[:, None]
+        for k, eta in enumerate(eta_list):
+            H[cells, col + k] = haar_block(cubes[0], eta).reshape(-1)
+        first += len(eta_list) * len(cubes)
+    return cols, H
 
 
 def haar_function(cube: DyadicCube, eta, space: NormedSpace = SCALAR) -> GridFunction:
@@ -153,10 +182,6 @@ def _expand_blocks(blocks: np.ndarray, d: int, factor: int) -> np.ndarray:
 def cube_average(f: GridFunction, cube: DyadicCube) -> np.ndarray:
     view = f.values[cube.cell_slices()]
     return view.reshape(-1, f.space.dim).mean(axis=0)
-
-
-def cube_integral(f: GridFunction, cube: DyadicCube) -> np.ndarray:
-    return cube_average(f, cube) * cube.volume
 
 
 def haar_coefficient(f: GridFunction, cube: DyadicCube, eta) -> np.ndarray:

@@ -25,7 +25,8 @@ from .errors import (DegenerateInputError, InsufficientDataError, MeshDepthError
                      ResourceLimitError)
 from .grid import (DyadicCube, DyadicSystem, GoodnessParams, common_ancestor,
                    goodness_probability, is_good)
-from .gridfn import GridFunction, haar_coefficient, haar_vector, pair
+from .gridfn import (GridFunction, etas, haar_block, haar_coefficient, haar_frame,
+                     haar_vector, pair, shifted_projection)
 from .rng import substream
 from .shifts import ParaproductSpec, apply_averaging, apply_paraproduct
 # -- kernels -------------------------------------------------------------------
@@ -125,6 +126,11 @@ class DiscreteOperator:
         if mat.shape != (n, n):
             raise ValueError(f"matrix must be {n} x {n}")
         object.__setattr__(self, "matrix", mat)
+        # column and row sums as cell arrays, the densities of <1, T .> and
+        # <., T 1>; a plain attribute, so eq and repr see only the fields
+        shape = (self.system.cells_per_axis,) * self.system.d
+        object.__setattr__(self, "_sums", (mat.sum(axis=0).reshape(shape),
+                                           mat.sum(axis=1).reshape(shape)))
 
     def apply(self, f: GridFunction) -> GridFunction:
         flat = f.values.reshape(self.system.n_cells, f.space.dim)
@@ -134,12 +140,25 @@ class DiscreteOperator:
     def adjoint(self) -> "DiscreteOperator":
         return DiscreteOperator(self.system, self.matrix.T.copy())
 
+    def block(self, rows: DyadicCube, cols: DyadicCube) -> np.ndarray:
+        """Couplings from the cells of `cols` to the cells of `rows`, as a matrix."""
+        c, d = self.system.cells_per_axis, self.system.d
+        view = self.matrix.reshape((c,) * 2 * d)[rows.cell_slices() + cols.cell_slices()]
+        return view.reshape(rows.size_cells**d, cols.size_cells**d)
+
 
 def assemble(kernel: CzKernel, system: DyadicSystem, diagonal: float = 0.0,
-             chunk: int = 512) -> DiscreteOperator:
-    """Midpoint-rule discretization; diagonal cells take the free parameter."""
+             chunk: int = 64, cap: int = 1 << 30) -> DiscreteOperator:
+    """Midpoint-rule discretization; diagonal cells take the free parameter.
+
+    Raises ResourceLimitError before allocating when the n_cells^2 float
+    matrix would exceed `cap` bytes.
+    """
+    n = system.n_cells
+    if 8 * n * n > cap:
+        raise ResourceLimitError(
+            f"a {n} x {n} operator needs {8 * n * n} bytes, above the cap {cap}")
     centers = system.cell_centers().reshape(-1, system.d)
-    n = centers.shape[0]
     mat = np.empty((n, n))
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
@@ -156,35 +175,30 @@ def raw_pairing(g: GridFunction, T: DiscreteOperator, f: GridFunction) -> float:
 # -- Haar matrix elements ----------------------------------------------------------
 
 
-def _flat_haar(cube: DyadicCube, eta) -> np.ndarray:
-    return haar_vector(cube, eta).reshape(-1)
-
-
-def _nested_left_vector(J: DyadicCube, etaJ, I: DyadicCube) -> np.ndarray:
-    """1 off the child of J containing I, times (h_J minus its value there)."""
-    child = I.ancestor(I.level - J.level - 1)
-    h = haar_vector(J, etaJ)
-    value = h[tuple(s.start for s in child.cell_slices())]
-    w = h - value
-    w[child.cell_slices()] = 0.0
-    return w.reshape(-1)
-
-
 def matrix_element(T: DiscreteOperator, J: DyadicCube, etaJ,
                    I: DyadicCube, etaI, convention: str = "raw") -> float:
-    """Haar matrix element <h_J, T h_I>, raw or with paraproducts extracted."""
-    vol = T.system.cell_volume
-    if convention == "raw":
-        return float(vol * _flat_haar(J, etaJ) @ (T.matrix @ _flat_haar(I, etaI)))
-    if convention != "paraproduct_extracted":
+    """Haar matrix element <h_J, T h_I>, raw or with paraproducts extracted.
+
+    Reads only the two cubes' cell slices of T.  For nested pairs the
+    extracted element is the raw one less the paraproduct term:
+    h_J(I) <1, T h_I> when J strictly contains I, h_I(J) <h_J, T 1> when
+    I strictly contains J.
+    """
+    if convention not in ("raw", "paraproduct_extracted"):
         raise ValueError(f"unknown convention {convention!r}")
+    vol = T.system.cell_volume
+    hJ, hI = haar_block(J, etaJ), haar_block(I, etaI)
+    raw = vol * float(hJ.reshape(-1) @ T.block(J, I) @ hI.reshape(-1))
+    if convention == "raw":
+        return raw
+    col_sums, row_sums = T._sums
     if J.level < I.level and J.contains_cube(I):
-        left = _nested_left_vector(J, etaJ, I)
-        return float(vol * left @ (T.matrix @ _flat_haar(I, etaI)))
+        hJ_at_I = hJ[tuple(np.subtract(I.start_cells(), J.start_cells()))]
+        return raw - float(hJ_at_I) * vol * float((col_sums[I.cell_slices()] * hI).sum())
     if I.level < J.level and I.contains_cube(J):
-        right = _nested_left_vector(I, etaI, J)
-        return float(vol * _flat_haar(J, etaJ) @ (T.matrix @ right))
-    return float(vol * _flat_haar(J, etaJ) @ (T.matrix @ _flat_haar(I, etaI)))
+        hI_at_J = hI[tuple(np.subtract(J.start_cells(), I.start_cells()))]
+        return raw - float(hI_at_J) * vol * float((row_sums[J.cell_slices()] * hJ).sum())
+    return raw
 
 
 def quadrature_refinement_gap(kernel: CzKernel, system: DyadicSystem,
@@ -206,13 +220,6 @@ def quadrature_refinement_gap(kernel: CzKernel, system: DyadicSystem,
 # -- paraproduct extraction ----------------------------------------------------------
 
 
-def _standard_cubes(system: DyadicSystem, level_lo: int, level_hi: int) -> list:
-    cubes = []
-    for level in range(level_lo, level_hi + 1):
-        cubes.extend(system.cubes_at_level(level))
-    return cubes
-
-
 def extract_paraproducts(T: DiscreteOperator, level_lo: int, level_hi: int) -> tuple:
     """Coefficient tables of the two extracted paraproduct symbols.
 
@@ -220,32 +227,21 @@ def extract_paraproducts(T: DiscreteOperator, level_lo: int, level_hi: int) -> t
     holding <1, T* h_Q> (the symbol tested against the argument's
     averages) and <1, T h_I> (its dual-side partner).
     """
-    sysm = T.system
-    vol = sysm.cell_volume
-    col_sums = vol * T.matrix.sum(axis=0)
-    row_sums = vol * T.matrix.sum(axis=1)
-    toward_argument, toward_dual = {}, {}
-    from .gridfn import etas
-
-    for cube in _standard_cubes(sysm, level_lo, level_hi):
-        for eta in etas(sysm.d):
-            h = _flat_haar(cube, eta)
-            toward_dual[cube.key() + (eta,)] = float(col_sums @ h)   # <1, T h>
-            toward_argument[cube.key() + (eta,)] = float(row_sums @ h)  # <1, T* h>
+    vol = T.system.cell_volume
+    col_sums, row_sums = T._sums
+    cols, H = haar_frame(T.system, level_lo, level_hi)
+    keys = [cube.key() + (eta,) for cube, eta in cols]
+    toward_argument = dict(zip(keys, (vol * (row_sums.reshape(-1) @ H)).tolist()))
+    toward_dual = dict(zip(keys, (vol * (col_sums.reshape(-1) @ H)).tolist()))
     return toward_argument, toward_dual
 
 
 def synthesize_symbol(system: DyadicSystem, table: dict, level_lo: int,
                       level_hi: int) -> GridFunction:
     """Grid function whose Haar coefficients in the range equal the table."""
-    vals = np.zeros((system.cells_per_axis,) * system.d)
-    from .gridfn import etas
-
-    for cube in _standard_cubes(system, level_lo, level_hi):
-        for eta in etas(system.d):
-            coeff = table.get(cube.key() + (eta,), 0.0)
-            if coeff:
-                vals += coeff * haar_vector(cube, eta)
+    cols, H = haar_frame(system, level_lo, level_hi)
+    coeffs = np.array([table.get(cube.key() + (eta,), 0.0) for cube, eta in cols])
+    vals = (H @ coeffs).reshape((system.cells_per_axis,) * system.d)
     return GridFunction(system, vals[..., None])
 
 
@@ -267,36 +263,36 @@ def pairing_decomposition(T: DiscreteOperator, g: GridFunction, f: GridFunction,
     """Raw double Haar sum against its extracted form plus paraproduct terms."""
     sysm = T.system
     vol = sysm.cell_volume
-    from .gridfn import etas
-
-    cubes = _standard_cubes(sysm, level_lo, level_hi)
-    cols = [(cube, eta) for cube in cubes for eta in etas(sysm.d)]
-    H = np.stack([_flat_haar(cube, eta) for cube, eta in cols], axis=1)
-    cf = np.array([haar_coefficient(f, cube, eta)[0] for cube, eta in cols])
-    cg = np.array([haar_coefficient(g, cube, eta)[0] for cube, eta in cols])
-    U = T.matrix @ H
-    V = T.matrix.T @ H
-    elements = vol * (H.T @ U)
+    cols, H = haar_frame(sysm, level_lo, level_hi)
+    cf = vol * (H.T @ f.scalar_values().reshape(-1))
+    cg = vol * (H.T @ g.scalar_values().reshape(-1))
+    elements = vol * (H.T @ (T.matrix @ H))
     raw_sum = float(cg @ elements @ cf)
 
-    ext = elements.copy()
-    index = {key: n for n, key in enumerate(cols)}
-    for nI, (I, etaI) in enumerate(cols):
+    toward_argument, toward_dual = extract_paraproducts(T, level_lo, level_hi)
+    keys = [cube.key() + (eta,) for cube, eta in cols]
+    col_sym = np.array([toward_dual[key] for key in keys])        # <1, T h_I>
+    row_sym = np.array([toward_argument[key] for key in keys])    # <h_I, T 1>
+    # nest[J, I] = h_J(I), the value of h_J at I's first cell, for every
+    # strict ancestor J of I in the range
+    index = {key: n for n, key in enumerate(keys)}
+    firsts = np.ravel_multi_index(np.array([cube.start_cells() for cube, _ in cols]).T,
+                                  (sysm.cells_per_axis,) * sysm.d)
+    outer, inner = [], []
+    for nI, (I, _) in enumerate(cols):
         anc = I
         while anc.level > level_lo:
             anc = anc.parent()
-            for etaJ in etas(sysm.d):
-                nJ = index.get((anc, etaJ))
-                if nJ is None:
-                    continue
-                w = _nested_left_vector(anc, etaJ, I)
-                # inner cube on the argument side: modify the coarse dual factor
-                ext[nJ, nI] = vol * w @ U[:, nI]
-                # inner cube on the dual side: modify the coarse argument factor
-                ext[nI, nJ] = vol * w @ V[:, nI]
+            for eta in etas(sysm.d):
+                outer.append(index[anc.key() + (eta,)])
+                inner.append(nI)
+    nest = np.zeros_like(elements)
+    nest[outer, inner] = H[firsts[inner], outer]
+    # the inner cube on the argument side changes the coarse dual factor,
+    # on the dual side the coarse argument factor
+    ext = elements - nest * col_sym - (nest * row_sym).T
     extracted_sum = float(cg @ ext @ cf)
 
-    toward_argument, toward_dual = extract_paraproducts(T, level_lo, level_hi)
     b_arg = synthesize_symbol(sysm, toward_argument, level_lo, level_hi)
     b_dual = synthesize_symbol(sysm, toward_dual, level_lo, level_hi)
     levels = (level_lo, level_hi)
@@ -308,13 +304,15 @@ def pairing_decomposition(T: DiscreteOperator, g: GridFunction, f: GridFunction,
 
 def full_pairing_sum(T: DiscreteOperator, g: GridFunction, f: GridFunction,
                      level_lo: int, level_hi: int) -> float:
-    """Unrestricted double Haar sum over the given cube levels."""
-    sysm = T.system
-    from .gridfn import etas
+    """Unrestricted double Haar sum over the given cube levels.
 
-    cols = [(cube, eta) for cube in _standard_cubes(sysm, level_lo, level_hi)
-            for eta in etas(sysm.d)]
-    H = np.stack([_flat_haar(cube, eta) for cube, eta in cols], axis=1)
+    Built cube by cube from haar_vector and haar_coefficient, independently
+    of the frames above, as a cross-check of the pairing.
+    """
+    sysm = T.system
+    cols = [(cube, eta) for level in range(level_lo, level_hi + 1)
+            for cube in sysm.cubes_at_level(level) for eta in etas(sysm.d)]
+    H = np.stack([haar_vector(cube, eta).reshape(-1) for cube, eta in cols], axis=1)
     cf = np.array([haar_coefficient(f, cube, eta)[0] for cube, eta in cols])
     cg = np.array([haar_coefficient(g, cube, eta)[0] for cube, eta in cols])
     elements = sysm.cell_volume * (H.T @ (T.matrix @ H))
@@ -344,8 +342,6 @@ def shift_coefficients(T: DiscreteOperator, K: DyadicCube, i: int, j: int,
     gap = max(i, j) + 1
     if K.level + gap > sysm.depth:
         raise MeshDepthError("shift block resolution exceeds the mesh")
-    from .gridfn import etas
-
     b_axis = 1 << gap
     blocks = b_axis**sysm.d
     block_cells = K.size_cells >> gap
@@ -362,7 +358,7 @@ def shift_coefficients(T: DiscreteOperator, K: DyadicCube, i: int, j: int,
         return (axes[0][:, None] * b_axis + axes[1][None, :]).reshape(-1)
 
     def block_values(cube: DyadicCube, eta) -> np.ndarray:
-        h = haar_vector(cube, eta)[cube.cell_slices()]
+        h = haar_block(cube, eta)
         if sysm.d == 1:
             vals = h[::block_cells]
         else:
@@ -392,8 +388,6 @@ def shift_coefficients(T: DiscreteOperator, K: DyadicCube, i: int, j: int,
 def shift_block_apply(T: DiscreteOperator, K: DyadicCube, i: int, j: int,
                       params: GoodnessParams, f: GridFunction) -> GridFunction:
     """Apply project(j) . averaging-block . project(i) with the assembled table."""
-    from .gridfn import shifted_projection
-
     table = shift_coefficients(T, K, i, j, params)
     inner = shifted_projection(f, K, i)
     averaged = apply_averaging(K, table, inner, K.level + max(i, j) + 1)
@@ -450,89 +444,81 @@ def decay_check(T: DiscreteOperator, case: str, i_values: Sequence[int],
 
     One-dimensional scalar kernels only: there each kernel-table point is
     hit by at most one Haar pair, so the sup of |a| over a cube is the
-    max over pairs of |K| |element| / sqrt(|I| |J|).
+    max over pairs of |K| |element| / sqrt(|I| |J|).  Each level's cubes
+    are listed once per call in start-cell order, so a cube's descendants
+    are a contiguous run of them, and goodness is tested once per cube.
     """
     sysm = T.system
     if sysm.d != 1:
         raise ValueError("decay scan implemented for one dimension")
     if case not in DECAY_CASES:
         raise ValueError(f"unknown case {case!r}")
-    vol = sysm.cell_volume
-    mags = []
-    used_i = []
+    nested = case in ("deeply_nested", "shallowly_nested")
+    j = j_disjoint if case in ("far_disjoint", "near_disjoint") else 0
+    eta = (1,)
+    listed = {}   # level -> [cubes, goodness flags once needed]
+
+    def level_list(level: int, goodness: bool = False) -> list:
+        if level not in listed:
+            listed[level] = [list(sysm.cubes_at_level(level)), None]
+        entry = listed[level]
+        if goodness and entry[1] is None:
+            entry[1] = [is_good(cube, params) for cube in entry[0]]
+        return entry
+
+    def descendants(K: DyadicCube, gens: int, goodness: bool = False) -> tuple:
+        # a level's first cube starts less than one side past cell 0, so a
+        # cube's index in the list is its start cell over its side
+        cubes, flags = level_list(K.level + gens, goodness)
+        first = K.start_cells()[0] >> (sysm.depth - K.level - gens)
+        run = slice(first, first + (1 << gens))
+        return cubes[run], flags[run] if goodness else None
+
+    def peak(K: DyadicCube, i: int) -> float:
+        if case == "equal":
+            # |K| * vol_K^{-1} cancels in one dimension
+            return abs(matrix_element(T, K, eta, K, eta))
+        top = 0.0
+        I_cubes, good = descendants(K, i, goodness=True)
+        if nested:
+            for I, ok in zip(I_cubes, good):
+                if ok:
+                    elem = matrix_element(T, K, eta, I, eta, "paraproduct_extracted")
+                    top = max(top, K.volume * abs(elem) * K.volume**-0.5
+                              * I.volume**-0.5)
+            return top
+        # disjoint cases: K is the common ancestor when I and J lie in
+        # different children of K, and a run position p lies in child
+        # p >> (gens - 1); for j = 0, J = K contains every I
+        J_cubes = descendants(K, j)[0] if j else []
+        for p, (I, ok) in enumerate(zip(I_cubes, good)):
+            for q, J in enumerate(J_cubes):
+                if ok and p >> (i - 1) != q >> (j - 1):
+                    elem = matrix_element(T, J, eta, I, eta)
+                    top = max(top, K.volume * abs(elem) * (I.volume * J.volume) ** -0.5)
+        return top
+
+    mags, used_i = [], []
     for i in i_values:
         if not _case_constraints(case, params.r, i):
             continue
-        j = 0 if case in ("deeply_nested", "shallowly_nested") else (
-            0 if case == "equal" else j_disjoint)
         top = 0.0
         for k_level in range(sysm.min_level, sysm.depth - max(i, j)):
-            for K in sysm.cubes_at_level(k_level):
-                top = max(top, _peak_magnitude(T, K, i, j, case, params, vol))
+            for K in level_list(k_level)[0]:
+                top = max(top, peak(K, i))
         if top > 0.0:
             mags.append(top)
             used_i.append(i)
     slope_target = decay_slope_target(case, alpha, params.gamma, sysm.d)
-    if slope_target is not None:
-        if len(used_i) < 3:
-            raise InsufficientDataError(
-                f"case {case}: only {len(used_i)} usable complexities "
-                "(the good-cube family may be empty at these parameters)"
-            )
-        slope = float(np.polyfit(used_i, np.log2(mags), 1)[0])
-    else:
-        if not used_i:
-            raise InsufficientDataError(f"case {case}: no usable complexities")
-        slope = (float(np.polyfit(used_i, np.log2(mags), 1)[0])
-                 if len(used_i) >= 3 else None)
+    if slope_target is not None and len(used_i) < 3:
+        raise InsufficientDataError(
+            f"case {case}: only {len(used_i)} usable complexities "
+            "(the good-cube family may be empty at these parameters)"
+        )
+    if not used_i:
+        raise InsufficientDataError(f"case {case}: no usable complexities")
+    slope = float(np.polyfit(used_i, np.log2(mags), 1)[0]) if len(used_i) >= 3 else None
     return DecayReport(case, tuple(used_i), tuple(mags), slope, slope_target)
-
-
-def _local_haar(cube: DyadicCube, K: DyadicCube) -> np.ndarray:
-    """Haar vector of `cube` restricted to K's cell slice (one dimension)."""
-    rel = cube.start_cells()[0] - K.start_cells()[0]
-    out = np.zeros(K.size_cells)
-    half = cube.size_cells // 2
-    amp = cube.volume**-0.5
-    out[rel:rel + half] = amp
-    out[rel + half:rel + cube.size_cells] = -amp
-    return out
-
-
-def _peak_magnitude(T: DiscreteOperator, K: DyadicCube, i: int, j: int,
-                    case: str, params: GoodnessParams, vol: float) -> float:
-    eta = (1,)
-    if case == "equal":
-        elem = matrix_element(T, K, eta, K, eta, convention="raw")
-        return abs(elem)  # |K| * vol_K^{-1} cancels in one dimension
-    good = [I for I in _descendants(K, i) if is_good(I, params)]
-    if not good:
-        return 0.0
-    ksl = K.cell_slices()[0]
-    HI = np.stack([_local_haar(I, K) for I in good], axis=1)
-    if case in ("deeply_nested", "shallowly_nested"):
-        # the extracted coarse factor reaches outside K, so keep full rows
-        U = T.matrix[:, ksl] @ HI
-        top = 0.0
-        hJ_inf = K.volume**-0.5
-        for n, I in enumerate(good):
-            left = _nested_left_vector(K, eta, I)
-            elem = vol * left @ U[:, n]
-            top = max(top, K.volume * abs(elem) * hJ_inf * I.volume**-0.5)
-        return top
-    # disjoint cases: everything is supported inside K
-    U = T.matrix[ksl, ksl] @ HI
-    top = 0.0
-    for J in _descendants(K, j):
-        hJ = _local_haar(J, K)
-        for n, I in enumerate(good):
-            if J.contains_cube(I) or I.contains_cube(J):
-                continue
-            if common_ancestor(I, J).key() != K.key():
-                continue
-            elem = vol * hJ @ U[:, n]
-            top = max(top, K.volume * abs(elem) * (I.volume * J.volume) ** -0.5)
-    return top
 
 
 # -- weak boundedness -------------------------------------------------------------------
@@ -541,18 +527,11 @@ def _peak_magnitude(T: DiscreteOperator, K: DyadicCube, i: int, j: int,
 def wbp_constants(T: DiscreteOperator) -> dict:
     """Per-cube diagonal averaging quantities and their maximum."""
     sysm = T.system
-    c = sysm.cells_per_axis
     vol = sysm.cell_volume
-    view = T.matrix if sysm.d == 1 else T.matrix.reshape(c, c, c, c)
     values = {}
     for level in range(sysm.min_level, sysm.depth + 1):
         for cube in sysm.cubes_at_level(level):
-            sl = cube.cell_slices()
-            if sysm.d == 1:
-                block = view[sl[0], sl[0]]
-            else:
-                block = view[sl[0], sl[1], sl[0], sl[1]]
-            values[cube.key()] = float(block.sum()) * vol / cube.volume
+            values[cube.key()] = float(T.block(cube, cube).sum()) * vol / cube.volume
     top = max(abs(v) for v in values.values()) if values else 0.0
     return {"per_cube": values, "max": top}
 
@@ -604,7 +583,7 @@ class AveragingIdentityReport:
         return self.residual / scale
 
 
-def _support_box(f: GridFunction, pad: int = 0) -> list:
+def _support_box(f: GridFunction) -> list:
     mask = np.abs(f.values).sum(axis=-1) > 0
     idx = np.nonzero(mask)
     box = []
@@ -612,16 +591,8 @@ def _support_box(f: GridFunction, pad: int = 0) -> list:
         if idx[ax].size == 0:
             box.append((0, 1))
         else:
-            box.append((max(int(idx[ax].min()) - pad, 0),
-                        min(int(idx[ax].max()) + 1 + pad, f.system.cells_per_axis)))
+            box.append((int(idx[ax].min()), int(idx[ax].max()) + 1))
     return box
-
-
-def _relevant_cubes(system: DyadicSystem, box, level_lo: int, level_hi: int) -> list:
-    out = []
-    for level in range(level_lo, level_hi + 1):
-        out.extend(system.cubes_at_level(level, within=box))
-    return out
 
 
 def averaging_identity_residual(T: DiscreteOperator, g: GridFunction,
@@ -666,33 +637,29 @@ def averaging_identity_residual(T: DiscreteOperator, g: GridFunction,
     gbox = _support_box(g)
     box = [(min(a[0], b[0]), max(a[1], b[1])) for a, b in zip(fbox, gbox)]
     vol = base.cell_volume
-    f_flat = f.values.reshape(-1)
-    g_flat = g.values.reshape(-1)
+    n_eta = (1 << base.d) - 1
+    f_flat = f.scalar_values().reshape(-1)
+    g_flat = g.scalar_values().reshape(-1)
+    Tf = T.matrix @ f_flat
+    gT = g_flat @ T.matrix
 
     goodsum = total_sum = coarse = 0.0
     for word in patterns:
-        bits = []
-        for pos in range(base.m_top + base.depth):
-            bits.append(tuple((word >> (pos * base.d + ax)) & 1 for ax in range(base.d)))
-        sysm = DyadicSystem(d=base.d, m_top=base.m_top, depth=base.depth,
-                            omega=tuple(bits))
-        cubes = _relevant_cubes(sysm, box, sysm.min_level, level_hi)
-        if not cubes:
+        bits = tuple(tuple((word >> (pos * base.d + ax)) & 1 for ax in range(base.d))
+                     for pos in range(base.m_top + base.depth))
+        sysm = DyadicSystem(d=base.d, m_top=base.m_top, depth=base.depth, omega=bits)
+        cols, H = haar_frame(sysm, sysm.min_level, level_hi, within=box)
+        if not cols:
             continue
-        from .gridfn import etas
-
-        cols = [(cube, eta) for cube in cubes for eta in etas(base.d)]
-        H = np.stack([_flat_haar(cube, eta) for cube, eta in cols], axis=1)
-        cf = np.array([haar_coefficient(f, cube, eta)[0] for cube, eta in cols])
-        cg = np.array([haar_coefficient(g, cube, eta)[0] for cube, eta in cols])
-        U = T.matrix @ H
-        elements = vol * (H.T @ U)
-        pair_f = vol * (g_flat @ U)           # <g, T h_I> per column
-        pair_g = vol * (H.T @ (T.matrix @ f_flat))  # <h_J, T f> per column
+        cf = vol * (H.T @ f_flat)
+        cg = vol * (H.T @ g_flat)
+        elements = vol * (H.T @ (T.matrix @ H))
+        pair_f = vol * (gT @ H)    # <g, T h_I> per column
+        pair_g = vol * (H.T @ Tf)  # <h_J, T f> per column
         levels = np.array([cube.level for cube, _ in cols])
-        good = np.array([is_good(cube, gp) if cube.level >= floor else False
-                         for cube, _ in cols])
         eligible = levels >= floor
+        good = np.repeat([cube.level >= floor and is_good(cube, gp)
+                          for cube, _ in cols[::n_eta]], n_eta)
         finer_j = levels[:, None] > levels[None, :]      # J strictly finer than I
         finer_eq_i = levels[None, :] >= levels[:, None]  # I at least as fine as J
         # each cube's companion sum keeps the complete coarser-or-equal side

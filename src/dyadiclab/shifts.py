@@ -263,18 +263,29 @@ def operator_ratio(apply_fn, samples, p: float) -> float:
 # -- serialization -----------------------------------------------------------------
 
 
+def _frame_to_doc(system: DyadicSystem, space: NormedSpace) -> dict:
+    """The system and space blocks shared by the spec encoders."""
+    return {
+        "space": {"dim": space.dim, "q": None if space.q == np.inf else space.q},
+        "system": {"d": system.d, "m_top": system.m_top, "depth": system.depth,
+                   "omega": [list(bits) for bits in system.omega]},
+    }
+
+
+def _frame_from_doc(doc: dict) -> tuple:
+    """(system, space) from the blocks written by `_frame_to_doc`."""
+    sys_doc, q = doc["system"], doc["space"]["q"]
+    system = DyadicSystem(d=sys_doc["d"], m_top=sys_doc["m_top"], depth=sys_doc["depth"],
+                          omega=tuple(tuple(bits) for bits in sys_doc["omega"]))
+    return system, NormedSpace(doc["space"]["dim"], np.inf if q is None else q)
+
+
 def shift_spec_to_json(spec: ShiftSpec) -> str:
     doc = {
         "i": spec.i,
         "j": spec.j,
         "levels": list(spec.k_levels) if spec.k_levels else None,
-        "space": {"dim": spec.space.dim, "q": None if spec.space.q == np.inf else spec.space.q},
-        "system": {
-            "d": spec.system.d,
-            "m_top": spec.system.m_top,
-            "depth": spec.system.depth,
-            "omega": [list(b) for b in spec.system.omega],
-        },
+        **_frame_to_doc(spec.system, spec.space),
     }
     if isinstance(spec.kernel, RandomKernel):
         doc["kernel"] = {"seed": spec.kernel.seed, "cap": spec.kernel.cap,
@@ -289,13 +300,7 @@ def shift_spec_to_json(spec: ShiftSpec) -> str:
 
 def shift_spec_from_json(text: str) -> ShiftSpec:
     doc = json.loads(text)
-    sysm = DyadicSystem(
-        d=doc["system"]["d"], m_top=doc["system"]["m_top"],
-        depth=doc["system"]["depth"],
-        omega=tuple(tuple(b) for b in doc["system"]["omega"]),
-    )
-    q = doc["space"]["q"]
-    space = NormedSpace(doc["space"]["dim"], np.inf if q is None else q)
+    sysm, space = _frame_from_doc(doc)
     kern_doc = doc["kernel"]
     if "seed" in kern_doc:
         kernel = RandomKernel(kern_doc["seed"], kern_doc["cap"], kern_doc["matrix_dim"])
@@ -314,28 +319,15 @@ def paraproduct_spec_to_json(spec: ParaproductSpec) -> str:
     doc = {
         "levels": list(spec.levels) if spec.levels else None,
         "root": list(spec.root.key()[1]) + [spec.root.level] if spec.root else None,
-        "space": {"dim": b.space.dim,
-                  "q": None if b.space.q == np.inf else b.space.q},
-        "system": {
-            "d": b.system.d, "m_top": b.system.m_top, "depth": b.system.depth,
-            "omega": [list(bits) for bits in b.system.omega],
-        },
         "symbol": b.values.reshape(-1).tolist(),
+        **_frame_to_doc(b.system, b.space),
     }
     return json.dumps(doc, sort_keys=True)
 
 
 def paraproduct_spec_from_json(text: str) -> ParaproductSpec:
     doc = json.loads(text)
-    sysm = DyadicSystem(
-        d=doc["system"]["d"], m_top=doc["system"]["m_top"],
-        depth=doc["system"]["depth"],
-        omega=tuple(tuple(b) for b in doc["system"]["omega"]),
-    )
-    q = doc["space"]["q"]
-    space = NormedSpace(doc["space"]["dim"], np.inf if q is None else q)
-    from .gridfn import GridFunction
-
+    sysm, space = _frame_from_doc(doc)
     shape = (sysm.cells_per_axis,) * sysm.d + (space.dim,)
     b = GridFunction(sysm, np.asarray(doc["symbol"]).reshape(shape), space)
     root = None

@@ -9,7 +9,12 @@ import itertools
 
 import numpy as np
 
-from dyadiclab.gridfn import haar_vector
+from dyadiclab.grid import DyadicSystem, common_ancestor, goodness_probability, is_good
+from dyadiclab.gridfn import GridFunction, etas, haar_coefficient, haar_vector, pair
+from dyadiclab.representation import (AveragingIdentityReport, DecayReport,
+                                      PairingDecomposition, _case_constraints,
+                                      _support_box, decay_slope_target, raw_pairing)
+from dyadiclab.shifts import ParaproductSpec, apply_paraproduct
 
 
 def brute_rademacher_pnorm(elements, p, norm_fn):
@@ -174,3 +179,229 @@ def decoupled_pnorm_full_product(family, p):
             norms = family.space.norm(cellvals)
             total += prob / n_eps * float((norms**p * h.cell_weights).sum())
     return total ** (1.0 / p)
+
+
+# -- Haar matrix elements from full-length dense vectors ------------------------
+
+
+def flat_haar(cube, eta):
+    return haar_vector(cube, eta).reshape(-1)
+
+
+def nested_left_vector(J, etaJ, I):
+    """1 off the child of J containing I, times (h_J minus its value there)."""
+    child = I.ancestor(I.level - J.level - 1)
+    h = haar_vector(J, etaJ)
+    value = h[tuple(s.start for s in child.cell_slices())]
+    w = h - value
+    w[child.cell_slices()] = 0.0
+    return w.reshape(-1)
+
+
+def matrix_element_dense(T, J, etaJ, I, etaI, convention="raw"):
+    """<h_J, T h_I> from two full-length vectors and a full mat-vec."""
+    vol = T.system.cell_volume
+    if convention == "raw":
+        return float(vol * flat_haar(J, etaJ) @ (T.matrix @ flat_haar(I, etaI)))
+    if convention != "paraproduct_extracted":
+        raise ValueError(f"unknown convention {convention!r}")
+    if J.level < I.level and J.contains_cube(I):
+        left = nested_left_vector(J, etaJ, I)
+        return float(vol * left @ (T.matrix @ flat_haar(I, etaI)))
+    if I.level < J.level and I.contains_cube(J):
+        right = nested_left_vector(I, etaI, J)
+        return float(vol * flat_haar(J, etaJ) @ (T.matrix @ right))
+    return float(vol * flat_haar(J, etaJ) @ (T.matrix @ flat_haar(I, etaI)))
+
+
+# -- paraproduct extraction by stacked Haar vectors ------------------------------
+
+
+def standard_cubes(system, level_lo, level_hi, within=None):
+    return [cube for level in range(level_lo, level_hi + 1)
+            for cube in system.cubes_at_level(level, within=within)]
+
+
+def extract_paraproducts_dense(T, level_lo, level_hi):
+    sysm = T.system
+    vol = sysm.cell_volume
+    col_sums = vol * T.matrix.sum(axis=0)
+    row_sums = vol * T.matrix.sum(axis=1)
+    toward_argument, toward_dual = {}, {}
+    for cube in standard_cubes(sysm, level_lo, level_hi):
+        for eta in etas(sysm.d):
+            h = flat_haar(cube, eta)
+            toward_dual[cube.key() + (eta,)] = float(col_sums @ h)
+            toward_argument[cube.key() + (eta,)] = float(row_sums @ h)
+    return toward_argument, toward_dual
+
+
+def synthesize_symbol_dense(system, table, level_lo, level_hi):
+    vals = np.zeros((system.cells_per_axis,) * system.d)
+    for cube in standard_cubes(system, level_lo, level_hi):
+        for eta in etas(system.d):
+            coeff = table.get(cube.key() + (eta,), 0.0)
+            if coeff:
+                vals += coeff * haar_vector(cube, eta)
+    return GridFunction(system, vals[..., None])
+
+
+def pairing_decomposition_dense(T, g, f, level_lo, level_hi):
+    """Raw and extracted double Haar sums from a stacked frame, one
+    extracted entry per ancestor pair from its own dense vector."""
+    sysm = T.system
+    vol = sysm.cell_volume
+    cols = [(cube, eta) for cube in standard_cubes(sysm, level_lo, level_hi)
+            for eta in etas(sysm.d)]
+    H = np.stack([flat_haar(cube, eta) for cube, eta in cols], axis=1)
+    cf = np.array([haar_coefficient(f, cube, eta)[0] for cube, eta in cols])
+    cg = np.array([haar_coefficient(g, cube, eta)[0] for cube, eta in cols])
+    U = T.matrix @ H
+    V = T.matrix.T @ H
+    elements = vol * (H.T @ U)
+    raw_sum = float(cg @ elements @ cf)
+    ext = elements.copy()
+    index = {key: n for n, key in enumerate(cols)}
+    for nI, (I, etaI) in enumerate(cols):
+        anc = I
+        while anc.level > level_lo:
+            anc = anc.parent()
+            for etaJ in etas(sysm.d):
+                nJ = index[(anc, etaJ)]
+                w = nested_left_vector(anc, etaJ, I)
+                ext[nJ, nI] = vol * w @ U[:, nI]
+                ext[nI, nJ] = vol * w @ V[:, nI]
+    extracted_sum = float(cg @ ext @ cf)
+    toward_argument, toward_dual = extract_paraproducts_dense(T, level_lo, level_hi)
+    b_arg = synthesize_symbol_dense(sysm, toward_argument, level_lo, level_hi)
+    b_dual = synthesize_symbol_dense(sysm, toward_dual, level_lo, level_hi)
+    levels = (level_lo, level_hi)
+    para_arg = pair(g, apply_paraproduct(ParaproductSpec(b_arg, levels), f))
+    para_dual = pair(f, apply_paraproduct(ParaproductSpec(b_dual, levels), g))
+    return PairingDecomposition(raw_pairing(g, T, f), raw_sum, extracted_sum,
+                                para_arg, para_dual)
+
+
+# -- decay scan, cube by cube ---------------------------------------------------
+
+
+def descendants(cube, generations):
+    out = [cube]
+    for _ in range(generations):
+        out = [kid for parent in out for kid in parent.children()]
+    return out
+
+
+def local_haar(cube, K):
+    """Haar vector of `cube` restricted to K's cell slice (one dimension)."""
+    rel = cube.start_cells()[0] - K.start_cells()[0]
+    out = np.zeros(K.size_cells)
+    half = cube.size_cells // 2
+    amp = cube.volume**-0.5
+    out[rel:rel + half] = amp
+    out[rel + half:rel + cube.size_cells] = -amp
+    return out
+
+
+def peak_magnitude(T, K, i, j, case, params):
+    vol = T.system.cell_volume
+    eta = (1,)
+    if case == "equal":
+        return abs(matrix_element_dense(T, K, eta, K, eta))
+    good = [I for I in descendants(K, i) if is_good(I, params)]
+    if not good:
+        return 0.0
+    ksl = K.cell_slices()[0]
+    HI = np.stack([local_haar(I, K) for I in good], axis=1)
+    if case in ("deeply_nested", "shallowly_nested"):
+        U = T.matrix[:, ksl] @ HI
+        top = 0.0
+        for n, I in enumerate(good):
+            elem = vol * nested_left_vector(K, eta, I) @ U[:, n]
+            top = max(top, K.volume * abs(elem) * K.volume**-0.5 * I.volume**-0.5)
+        return top
+    U = T.matrix[ksl, ksl] @ HI
+    top = 0.0
+    for J in descendants(K, j):
+        hJ = local_haar(J, K)
+        for n, I in enumerate(good):
+            if J.contains_cube(I) or I.contains_cube(J):
+                continue
+            if common_ancestor(I, J).key() != K.key():
+                continue
+            elem = vol * hJ @ U[:, n]
+            top = max(top, K.volume * abs(elem) * (I.volume * J.volume) ** -0.5)
+    return top
+
+
+def decay_check_dense(T, case, i_values, params, alpha, j_disjoint=1):
+    """Decay report with every cube rebuilt per K and every pair tested
+    through common_ancestor; raises ValueError for a report it cannot fit."""
+    sysm = T.system
+    mags, used_i = [], []
+    for i in i_values:
+        if not _case_constraints(case, params.r, i):
+            continue
+        j = 0 if case in ("deeply_nested", "shallowly_nested", "equal") else j_disjoint
+        top = 0.0
+        for k_level in range(sysm.min_level, sysm.depth - max(i, j)):
+            for K in sysm.cubes_at_level(k_level):
+                top = max(top, peak_magnitude(T, K, i, j, case, params))
+        if top > 0.0:
+            mags.append(top)
+            used_i.append(i)
+    target = decay_slope_target(case, alpha, params.gamma, sysm.d)
+    if (len(used_i) < 3 and target is not None) or not used_i:
+        raise ValueError("too few usable complexities")
+    slope = (float(np.polyfit(used_i, np.log2(mags), 1)[0])
+             if len(used_i) >= 3 else None)
+    return DecayReport(case, tuple(used_i), tuple(mags), slope, target)
+
+
+# -- averaging identity, one Haar coefficient per column per grid ------------------
+
+
+def averaging_identity_dense(T, g, f, config):
+    """Exhaustive grid average with per-column Haar vectors and coefficients."""
+    base = T.system
+    gp = config.goodness
+    pi = goodness_probability(gp.max_generations, gp, base.d)
+    lhs = raw_pairing(g, T, f)
+    floor = base.min_level + gp.max_generations
+    n_bits = (base.m_top + base.depth) * base.d
+    box = [(min(a[0], b[0]), max(a[1], b[1]))
+           for a, b in zip(_support_box(f), _support_box(g))]
+    vol = base.cell_volume
+    f_flat = f.values.reshape(-1)
+    g_flat = g.values.reshape(-1)
+    goodsum = total_sum = coarse = 0.0
+    for word in range(1 << n_bits):
+        bits = tuple(tuple((word >> (pos * base.d + ax)) & 1 for ax in range(base.d))
+                     for pos in range(base.m_top + base.depth))
+        sysm = DyadicSystem(d=base.d, m_top=base.m_top, depth=base.depth, omega=bits)
+        cols = [(cube, eta)
+                for cube in standard_cubes(sysm, sysm.min_level, base.depth - 1, box)
+                for eta in etas(base.d)]
+        if not cols:
+            continue
+        H = np.stack([flat_haar(cube, eta) for cube, eta in cols], axis=1)
+        cf = np.array([haar_coefficient(f, cube, eta)[0] for cube, eta in cols])
+        cg = np.array([haar_coefficient(g, cube, eta)[0] for cube, eta in cols])
+        U = T.matrix @ H
+        elements = vol * (H.T @ U)
+        pair_f = vol * (g_flat @ U)
+        pair_g = vol * (H.T @ (T.matrix @ f_flat))
+        levels = np.array([cube.level for cube, _ in cols])
+        good = np.array([cube.level >= floor and is_good(cube, gp) for cube, _ in cols])
+        eligible = levels >= floor
+        side_f = cf * (pair_f - cg @ np.where(levels[:, None] > levels[None, :],
+                                              elements, 0.0))
+        side_g = cg * (pair_g - np.where(levels[None, :] >= levels[:, None],
+                                         elements, 0.0) @ cf)
+        goodsum += float(side_f[good & eligible].sum() + side_g[good & eligible].sum())
+        total_sum += float(side_f.sum() + side_g.sum())
+        coarse += float(side_f[~eligible].sum() + side_g[~eligible].sum())
+    n = 1 << n_bits
+    return AveragingIdentityReport(lhs=lhs, rhs=goodsum / n / pi.value, pi_good=pi.value,
+                                   n_samples=n, top_scale_defect=lhs - total_sum / n,
+                                   coarse_share=coarse / n, full_sum_mean=total_sum / n)

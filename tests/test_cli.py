@@ -70,6 +70,38 @@ def test_unknown_parameter_is_usage_error(tmp_path):
     assert main(["run", "--config", str(config)]) == 2
 
 
+@pytest.mark.parametrize("params", [
+    {"matrix-decay": {"depth": "3"}},
+    {"matrix-decay": {"gamma": [0.4]}},
+    {"matrix-decay": {"depth": True}},
+    {"matrix-decay": {"depth": 9.0}},
+    {"haar-completeness": {"tol": "1e-12"}},
+    {"shift-bound": {"p_list": 2.0}},
+    {"goodness": [["extra_gaps", 4]]},
+])
+def test_mistyped_config_parameter_is_one_line_usage_error(tmp_path, capsys, params):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"experiments": list(params), "params": params}))
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_float_parameter_takes_an_int(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "experiments": ["haar-completeness"],
+        "params": {"haar-completeness": {"n_funcs": 2, "depth_1d": 4, "depth_2d": 2,
+                                         "tol": 1}}}))
+    out = tmp_path / "r.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert ",1.0,true," in out.read_text()
+
+
+def test_dim_flag_is_gone():
+    assert main(["run", "--experiment", "goodness", "--dim", "1"]) == 2
+
+
 def test_run_writes_report_and_summary(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(FAST_CONFIG))

@@ -1,15 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadiclab.errors import DegenerateInputError, InsufficientDataError
+import oracles
+from dyadiclab.errors import (AmbientRangeError, DegenerateInputError,
+                              InsufficientDataError, ResourceLimitError)
 from dyadiclab.grid import DyadicSystem, GoodnessParams, common_ancestor, is_good
-from dyadiclab.gridfn import (haar_coefficient, haar_vector, indicator, pair,
+from dyadiclab.gridfn import (etas, haar_coefficient, haar_frame, haar_vector, pair,
                               random_grid_function)
-from dyadiclab.representation import (AveragingIdentityReport, CzKernel,
-                                      DiscreteOperator, RepresentationConfig,
-                                      assemble, averaging_identity_residual,
+from dyadiclab.representation import (DECAY_CASES, DiscreteOperator,
+                                      RepresentationConfig, assemble,
+                                      averaging_identity_residual,
                                       coefficient_rows_to_csv, decay_check,
                                       extract_paraproducts, full_pairing_sum,
                                       gamma_from_epsilon, hilbert_kernel,
@@ -281,3 +285,170 @@ def test_identity_bit_cap_enforced():
     cfg = RepresentationConfig(goodness=gp, exhaustive_bit_cap=4)
     with pytest.raises(ResourceLimitError):
         averaging_identity_residual(T, g, f, cfg)
+
+
+# -- assembly ----------------------------------------------------------------------------
+
+
+def test_assemble_chunking_does_not_change_the_matrix():
+    system = DyadicSystem(d=2, m_top=0, depth=3)
+    kernel = smooth_odd_kernel(0.25, 1.0)
+    whole = assemble(kernel, system, chunk=system.n_cells)
+    assert np.array_equal(assemble(kernel, system).matrix, whole.matrix)
+    assert np.array_equal(assemble(kernel, system, chunk=7).matrix, whole.matrix)
+
+
+def test_assemble_byte_cap_fires_before_allocating():
+    system = DyadicSystem(d=1, m_top=0, depth=4)  # 32 cells: 8192 bytes
+    assert assemble(hilbert_kernel(), system, cap=8 * 32 * 32).matrix.shape == (32, 32)
+    with pytest.raises(ResourceLimitError):
+        assemble(hilbert_kernel(), system, cap=8 * 32 * 32 - 1)
+
+
+# -- fast paths against the dense oracles -------------------------------------------------
+
+
+@st.composite
+def translated_systems(draw):
+    """Random translated systems, d in {1, 2}, m_top in {0, 1, 2}, with at
+    most 64 cells per axis in one dimension and 16 in two."""
+    d = draw(st.sampled_from([1, 2]))
+    m_top = draw(st.integers(0, 2))
+    depth = draw(st.integers(1, (6 if d == 1 else 4) - m_top - 1))
+    return DyadicSystem.random(draw(st.integers(0, 2**20)), d=d, m_top=m_top, depth=depth)
+
+
+def random_operator(system, gen):
+    return DiscreteOperator(system, gen.standard_normal((system.n_cells,) * 2))
+
+
+def random_levels(system, gen):
+    lo = int(gen.integers(system.min_level, system.depth))
+    return lo, int(gen.integers(lo, system.depth))
+
+
+def haar_cubes(system):
+    return [cube for level in range(system.min_level, system.depth)
+            for cube in system.cubes_at_level(level)]
+
+
+@given(translated_systems(), st.integers(0, 2**20))
+@settings(max_examples=30, deadline=None)
+def test_matrix_element_matches_dense_oracle(system, seed):
+    gen = np.random.default_rng(seed)
+    T = random_operator(system, gen)
+    cubes = haar_cubes(system)
+    signs = etas(system.d) + [(0,) * system.d]
+    for _ in range(8):
+        I = cubes[gen.integers(len(cubes))]
+        J = cubes[gen.integers(len(cubes))]
+        if I.level > system.min_level and gen.integers(2):
+            try:  # an ancestor of I, when it stays inside the ambient
+                J = I.ancestor(int(gen.integers(1, I.level - system.min_level + 1)))
+            except AmbientRangeError:
+                pass
+        etaJ, etaI = (signs[k] for k in gen.integers(len(signs), size=2))
+        for A, etaA, B, etaB in ((J, etaJ, I, etaI), (I, etaI, J, etaJ)):
+            for convention in ("raw", "paraproduct_extracted"):
+                want = oracles.matrix_element_dense(T, A, etaA, B, etaB, convention)
+                got = matrix_element(T, A, etaA, B, etaB, convention)
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@given(translated_systems(), st.integers(0, 2**20), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_haar_frame_matches_per_cube_vectors(system, seed, boxed):
+    gen = np.random.default_rng(seed)
+    lo, hi = random_levels(system, gen)
+    within = None
+    if boxed:
+        within = [tuple(sorted(int(x) for x in gen.integers(0, system.cells_per_axis + 1,
+                                                            size=2)))
+                  for _ in range(system.d)]
+    cols, H = haar_frame(system, lo, hi, within)
+    assert cols == [(cube, eta) for cube in oracles.standard_cubes(system, lo, hi, within)
+                    for eta in etas(system.d)]
+    f = random_grid_function(system, seed, label="frame-f")
+    coeffs = system.cell_volume * (H.T @ f.scalar_values().reshape(-1))
+    for n, (cube, eta) in enumerate(cols):
+        assert np.array_equal(H[:, n], haar_vector(cube, eta).reshape(-1))
+        assert coeffs[n] == pytest.approx(haar_coefficient(f, cube, eta)[0], abs=1e-12)
+
+
+@given(translated_systems(), st.integers(0, 2**20))
+@settings(max_examples=20, deadline=None)
+def test_symbol_tables_match_dense_oracle(system, seed):
+    gen = np.random.default_rng(seed)
+    T = random_operator(system, gen)
+    lo, hi = random_levels(system, gen)
+    got = extract_paraproducts(T, lo, hi)
+    want = oracles.extract_paraproducts_dense(T, lo, hi)
+    for table, expect in zip(got, want):
+        assert list(table) == list(expect)
+        assert np.allclose(list(table.values()), list(expect.values()),
+                           rtol=1e-12, atol=1e-12)
+        assert np.allclose(synthesize_symbol(system, table, lo, hi).values,
+                           oracles.synthesize_symbol_dense(system, expect, lo, hi).values,
+                           rtol=1e-12, atol=1e-12)
+
+
+@given(translated_systems(), st.integers(0, 2**20))
+@settings(max_examples=20, deadline=None)
+def test_pairing_decomposition_matches_dense_oracle(system, seed):
+    # the paraproduct terms need cell-aligned levels, so the standard system
+    system = DyadicSystem(d=system.d, m_top=system.m_top, depth=system.depth)
+    gen = np.random.default_rng(seed)
+    T = random_operator(system, gen)
+    lo, hi = random_levels(system, gen)
+    f = random_grid_function(system, seed, label="pd-oracle-f")
+    g = random_grid_function(system, seed, label="pd-oracle-g")
+    got = pairing_decomposition(T, g, f, lo, hi)
+    want = oracles.pairing_decomposition_dense(T, g, f, lo, hi)
+    for field in dataclasses.fields(got):
+        assert getattr(got, field.name) == pytest.approx(getattr(want, field.name),
+                                                         rel=1e-9, abs=1e-9)
+
+
+DECAY_PARAMS = (GoodnessParams(gamma=0.9, r=3), GoodnessParams(gamma=0.4, r=4),
+                GoodnessParams(gamma=0.5, r=3, max_generations=3))
+
+
+@given(st.integers(0, 2), st.integers(3, 7), st.integers(0, 2**20),
+       st.sampled_from(DECAY_CASES), st.sampled_from(DECAY_PARAMS))
+@settings(max_examples=30, deadline=None)
+def test_decay_check_matches_dense_oracle(m_top, depth, seed, case, params):
+    system = DyadicSystem.random(seed, d=1, m_top=m_top, depth=min(depth, 7 - m_top))
+    T = random_operator(system, np.random.default_rng(seed))
+    i_values = range(system.depth + 1)
+    try:
+        want = oracles.decay_check_dense(T, case, i_values, params, alpha=1.0)
+    except ValueError:
+        with pytest.raises(InsufficientDataError):
+            decay_check(T, case, i_values, params, alpha=1.0)
+        return
+    got = decay_check(T, case, i_values, params, alpha=1.0)
+    assert got.i_values == want.i_values
+    assert got.slope_target == want.slope_target
+    assert np.allclose(got.magnitudes, want.magnitudes, rtol=1e-9, atol=1e-12)
+    assert (got.slope is None) == (want.slope is None)
+    if got.slope is not None:
+        assert got.slope == pytest.approx(want.slope, abs=1e-9)
+
+
+@given(st.sampled_from([(1, 1, 3), (1, 2, 3), (1, 3, 2), (2, 0, 2), (2, 1, 2)]),
+       st.integers(0, 2**20))
+@settings(max_examples=10, deadline=None)
+def test_averaging_identity_matches_dense_oracle(shape, seed):
+    d, m_top, depth = shape
+    system = DyadicSystem(d=d, m_top=m_top, depth=depth)
+    T = random_operator(system, np.random.default_rng(seed))
+    sup = system.cube(0, (0,) * d)
+    f = random_grid_function(system, seed, support=sup, mean_zero="global", label="ai-f")
+    g = random_grid_function(system, seed, support=sup, mean_zero="global", label="ai-g")
+    config = RepresentationConfig(goodness=GoodnessParams(gamma=0.5, r=3,
+                                                          max_generations=3))
+    got = averaging_identity_residual(T, g, f, config)
+    want = oracles.averaging_identity_dense(T, g, f, config)
+    for field in dataclasses.fields(got):
+        assert getattr(got, field.name) == pytest.approx(getattr(want, field.name),
+                                                         rel=1e-9, abs=1e-9)

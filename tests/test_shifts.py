@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from dyadiclab.errors import DegenerateInputError
 from dyadiclab.grid import DyadicSystem
-from dyadiclab.gridfn import (cube_average, from_callable, haar_function, haar_vector,
-                              indicator, lp_norm, pair, random_grid_function, zeros)
+from dyadiclab.gridfn import (GridFunction, cube_average, from_callable, haar_function,
+                              haar_vector, indicator, lp_norm, pair, random_grid_function,
+                              zeros)
 from dyadiclab.shifts import (ExplicitKernel, ParaproductSpec, RandomKernel, ShiftSpec,
                               adjoint_spec, apply_averaging, apply_paraproduct,
                               apply_shift, mod_class_partition, operator_ratio,
@@ -201,3 +202,45 @@ def test_shift_spec_json_roundtrip_explicit_tables():
     back = shift_spec_from_json(shift_spec_to_json(spec))
     f = random_grid_function(SYS, 14)
     assert np.abs(apply_shift(back, f).values - apply_shift(spec, f).values).max() == 0.0
+
+
+# JSON text written by the encoders before they shared their system and
+# space helpers; the encoding must not change.
+PINNED_SHIFT_JSON = (
+    '{"i": 1, "j": 0, "kernel": {"cap": 1.0, "matrix_dim": 1, "seed": 5}, '
+    '"levels": [0, 0], "space": {"dim": 2, "q": null}, '
+    '"system": {"d": 1, "depth": 1, "m_top": 1, "omega": [[1], [0]]}}',
+    '{"i": 0, "j": 0, "kernel": {"tables": {"0:0,0": [[0.5]]}}, "levels": null, '
+    '"space": {"dim": 1, "q": 2.0}, '
+    '"system": {"d": 2, "depth": 1, "m_top": 0, "omega": [[0, 1]]}}',
+)
+PINNED_PARAPRODUCT_JSON = (
+    '{"levels": [0, 0], "root": [-1, 0], "space": {"dim": 1, "q": 2.0}, '
+    '"symbol": [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75], '
+    '"system": {"d": 1, "depth": 1, "m_top": 1, "omega": [[1], [0]]}}',
+    '{"levels": null, "root": null, "space": {"dim": 2, "q": 1.5}, '
+    '"symbol": [1.0, -2.0, 0.5, 3.0], '
+    '"system": {"d": 1, "depth": 0, "m_top": 0, "omega": []}}',
+)
+
+
+def test_spec_json_text_is_pinned():
+    from dyadiclab.shifts import paraproduct_spec_from_json, paraproduct_spec_to_json
+
+    translated = DyadicSystem(d=1, m_top=1, depth=1, omega=((1,), (0,)))
+    shifts = (
+        ShiftSpec(1, 0, translated, RandomKernel(5, 1.0), NormedSpace(2, np.inf), (0, 0)),
+        ShiftSpec(0, 0, DyadicSystem(d=2, m_top=0, depth=1, omega=((0, 1),)),
+                  ExplicitKernel({(0, (0, 0)): np.array([[0.5]])}), NormedSpace(1, 2.0)),
+    )
+    for spec, text in zip(shifts, PINNED_SHIFT_JSON):
+        assert shift_spec_to_json(spec) == text
+        assert shift_spec_to_json(shift_spec_from_json(text)) == text
+    symbol = GridFunction(translated, np.arange(8.0).reshape(8, 1) / 4)
+    vector_symbol = GridFunction(DyadicSystem(d=1, m_top=0, depth=0),
+                                 np.array([[1.0, -2.0], [0.5, 3.0]]), NormedSpace(2, 1.5))
+    paraproducts = (ParaproductSpec(symbol, (0, 0), translated.cube(0, (-1,))),
+                    ParaproductSpec(vector_symbol))
+    for spec, text in zip(paraproducts, PINNED_PARAPRODUCT_JSON):
+        assert paraproduct_spec_to_json(spec) == text
+        assert paraproduct_spec_to_json(paraproduct_spec_from_json(text)) == text
