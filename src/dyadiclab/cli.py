@@ -61,11 +61,17 @@ def _load_config(path: Optional[str]) -> dict:
 
 
 def _fits(value, default) -> bool:
-    """Int takes int, float takes int or float, list takes list; bool fits none."""
+    """Int takes int, float takes int or float, bool fits none.  A list takes
+    a list: of the same length, fitting item by item, when the default mixes
+    item types (a record such as [gamma, r]); else each item fits the first."""
     if isinstance(value, bool):
         return isinstance(default, bool)
     if isinstance(default, float):
         return isinstance(value, (int, float))
+    if isinstance(default, list) and isinstance(value, list) and default:
+        if len({type(item) for item in default}) > 1:
+            return len(value) == len(default) and all(map(_fits, value, default))
+        return all(_fits(item, default[0]) for item in value)
     return isinstance(value, type(default))
 
 

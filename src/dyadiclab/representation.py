@@ -115,7 +115,10 @@ def validate_kernel(kernel: CzKernel, d: int, samples: int, seed: int) -> dict:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Dense matrix acting on flattened cell functions; couplings include cell volume."""
+    """Dense matrix acting on flattened cell functions; couplings include cell volume.
+
+    The matrix is made read-only, so the cached sums below cannot go stale.
+    """
 
     system: DyadicSystem
     matrix: np.ndarray
@@ -125,6 +128,7 @@ class DiscreteOperator:
         mat = np.asarray(self.matrix, dtype=float)
         if mat.shape != (n, n):
             raise ValueError(f"matrix must be {n} x {n}")
+        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         # column and row sums as cell arrays, the densities of <1, T .> and
         # <., T 1>; a plain attribute, so eq and repr see only the fields
@@ -147,17 +151,20 @@ class DiscreteOperator:
         return view.reshape(rows.size_cells**d, cols.size_cells**d)
 
 
+_ASSEMBLE_BYTE_CAP = 1 << 30
+
+
 def assemble(kernel: CzKernel, system: DyadicSystem, diagonal: float = 0.0,
-             chunk: int = 64, cap: int = 1 << 30) -> DiscreteOperator:
+             chunk: int = 64) -> DiscreteOperator:
     """Midpoint-rule discretization; diagonal cells take the free parameter.
 
     Raises ResourceLimitError before allocating when the n_cells^2 float
-    matrix would exceed `cap` bytes.
+    matrix would exceed 1 GiB.
     """
     n = system.n_cells
-    if 8 * n * n > cap:
-        raise ResourceLimitError(
-            f"a {n} x {n} operator needs {8 * n * n} bytes, above the cap {cap}")
+    if 8 * n * n > _ASSEMBLE_BYTE_CAP:
+        raise ResourceLimitError(f"a {n} x {n} operator needs {8 * n * n} bytes, "
+                                 f"above the cap {_ASSEMBLE_BYTE_CAP}")
     centers = system.cell_centers().reshape(-1, system.d)
     mat = np.empty((n, n))
     for lo in range(0, n, chunk):
@@ -273,8 +280,8 @@ def pairing_decomposition(T: DiscreteOperator, g: GridFunction, f: GridFunction,
     keys = [cube.key() + (eta,) for cube, eta in cols]
     col_sym = np.array([toward_dual[key] for key in keys])        # <1, T h_I>
     row_sym = np.array([toward_argument[key] for key in keys])    # <h_I, T 1>
-    # nest[J, I] = h_J(I), the value of h_J at I's first cell, for every
-    # strict ancestor J of I in the range
+    # for every strict ancestor J of I in the range, the pair (outer, inner)
+    # = (J, I) and vals = h_J(I), the value of h_J at I's first cell
     index = {key: n for n, key in enumerate(keys)}
     firsts = np.ravel_multi_index(np.array([cube.start_cells() for cube, _ in cols]).T,
                                   (sysm.cells_per_axis,) * sysm.d)
@@ -286,11 +293,12 @@ def pairing_decomposition(T: DiscreteOperator, g: GridFunction, f: GridFunction,
             for eta in etas(sysm.d):
                 outer.append(index[anc.key() + (eta,)])
                 inner.append(nI)
-    nest = np.zeros_like(elements)
-    nest[outer, inner] = H[firsts[inner], outer]
+    vals = H[firsts[inner], outer]
     # the inner cube on the argument side changes the coarse dual factor,
     # on the dual side the coarse argument factor
-    ext = elements - nest * col_sym - (nest * row_sym).T
+    ext = elements.copy()
+    ext[outer, inner] -= vals * col_sym[inner]
+    ext[inner, outer] -= vals * row_sym[inner]
     extracted_sum = float(cg @ ext @ cf)
 
     b_arg = synthesize_symbol(sysm, toward_argument, level_lo, level_hi)
@@ -358,12 +366,7 @@ def shift_coefficients(T: DiscreteOperator, K: DyadicCube, i: int, j: int,
         return (axes[0][:, None] * b_axis + axes[1][None, :]).reshape(-1)
 
     def block_values(cube: DyadicCube, eta) -> np.ndarray:
-        h = haar_block(cube, eta)
-        if sysm.d == 1:
-            vals = h[::block_cells]
-        else:
-            vals = h[::block_cells, ::block_cells].reshape(-1)
-        return vals
+        return haar_block(cube, eta)[(slice(None, None, block_cells),) * sysm.d].reshape(-1)
 
     for I in i_cubes:
         for J in j_cubes:
@@ -378,10 +381,8 @@ def shift_coefficients(T: DiscreteOperator, K: DyadicCube, i: int, j: int,
                                           convention="paraproduct_extracted")
                     if elem == 0.0:
                         continue
-                    rows = block_range(J)
-                    cols_ = block_range(I)
                     outer = np.outer(block_values(J, etaJ), block_values(I, etaI))
-                    table[np.ix_(rows, cols_)] += K.volume * elem * outer
+                    table[np.ix_(block_range(J), block_range(I))] += K.volume * elem * outer
     return table
 
 
@@ -417,13 +418,9 @@ class DecayReport:
 
 
 def _case_constraints(case: str, r: int, i: int) -> bool:
-    if case == "far_disjoint":
+    if case in ("far_disjoint", "deeply_nested"):
         return i > r
-    if case == "near_disjoint":
-        return 1 <= i <= r
-    if case == "deeply_nested":
-        return i > r
-    if case == "shallowly_nested":
+    if case in ("near_disjoint", "shallowly_nested"):
         return 1 <= i <= r
     if case == "equal":
         return i == 0
@@ -586,13 +583,8 @@ class AveragingIdentityReport:
 def _support_box(f: GridFunction) -> list:
     mask = np.abs(f.values).sum(axis=-1) > 0
     idx = np.nonzero(mask)
-    box = []
-    for ax in range(f.system.d):
-        if idx[ax].size == 0:
-            box.append((0, 1))
-        else:
-            box.append((int(idx[ax].min()), int(idx[ax].max()) + 1))
-    return box
+    return [(int(axis.min()), int(axis.max()) + 1) if axis.size else (0, 1)
+            for axis in idx]
 
 
 def averaging_identity_residual(T: DiscreteOperator, g: GridFunction,

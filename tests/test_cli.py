@@ -77,6 +77,11 @@ def test_unknown_parameter_is_usage_error(tmp_path):
     {"matrix-decay": {"depth": 9.0}},
     {"haar-completeness": {"tol": "1e-12"}},
     {"shift-bound": {"p_list": 2.0}},
+    {"shift-bound": {"p_list": ["2"]}},
+    {"goodness": {"cases": [[0.125, "3"]]}},
+    {"goodness": {"cases": [[0.125, 3.5]]}},
+    {"goodness": {"cases": [[0.125]]}},
+    {"goodness": {"cases": [0.125]}},
     {"goodness": [["extra_gaps", 4]]},
 ])
 def test_mistyped_config_parameter_is_one_line_usage_error(tmp_path, capsys, params):
@@ -96,6 +101,18 @@ def test_float_parameter_takes_an_int(tmp_path):
     out = tmp_path / "r.csv"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 0
     assert ",1.0,true," in out.read_text()
+
+
+def test_list_parameters_take_well_typed_items(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "experiments": ["goodness", "condexp-sum"],
+        "params": {"goodness": {"cases": [[0.5, 3]]},
+                   "condexp-sum": {"n_configs": 2, "p_list": [2]}}}))
+    out = tmp_path / "r.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "goodness/gamma=0.5/r=3/" in text and "gamma=0.125" not in text
 
 
 def test_dim_flag_is_gone():

@@ -299,10 +299,18 @@ def test_assemble_chunking_does_not_change_the_matrix():
 
 
 def test_assemble_byte_cap_fires_before_allocating():
-    system = DyadicSystem(d=1, m_top=0, depth=4)  # 32 cells: 8192 bytes
-    assert assemble(hilbert_kernel(), system, cap=8 * 32 * 32).matrix.shape == (32, 32)
+    # 2^14 cells would need a 2 GiB matrix; the cap is checked before any
+    # allocation, so nothing of that size is ever requested
     with pytest.raises(ResourceLimitError):
-        assemble(hilbert_kernel(), system, cap=8 * 32 * 32 - 1)
+        assemble(hilbert_kernel(), DyadicSystem(d=1, m_top=0, depth=13))
+
+
+def test_operator_matrix_is_read_only():
+    # the cached row and column sums would go stale under a write
+    T = assemble(hilbert_kernel(), DyadicSystem(d=1, m_top=0, depth=3))
+    with pytest.raises(ValueError):
+        T.matrix[0, 1] = 1.0
+    assert not DiscreteOperator(SYS, np.eye(N)).matrix.flags.writeable
 
 
 # -- fast paths against the dense oracles -------------------------------------------------
