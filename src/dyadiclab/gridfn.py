@@ -164,12 +164,8 @@ def _block_means(arr: np.ndarray, d: int, factor: int) -> np.ndarray:
     """Means over blocks of `factor` cells per axis; trailing axis kept."""
     if factor == 1:
         return arr
-    n = arr.shape[-1]
-    if d == 1:
-        b = arr.shape[0] // factor
-        return arr.reshape(b, factor, n).mean(axis=1)
-    b = arr.shape[0] // factor
-    return arr.reshape(b, factor, b, factor, n).mean(axis=(1, 3))
+    split = [x for b in arr.shape[:d] for x in (b // factor, factor)]
+    return arr.reshape(*split, arr.shape[-1]).mean(axis=tuple(range(1, 2 * d, 2)))
 
 
 def _expand_blocks(blocks: np.ndarray, d: int, factor: int) -> np.ndarray:
@@ -448,13 +444,23 @@ def to_csv(f: GridFunction) -> str:
 
 
 def from_csv(system: DyadicSystem, text: str, space: NormedSpace = SCALAR) -> GridFunction:
-    lines = [ln for ln in text.strip().splitlines()[1:] if ln]
-    d, n = system.d, space.dim
-    vals = np.zeros((system.cells_per_axis,) * d + (n,))
-    for ln in lines:
+    """Inverse of `to_csv`; every cell must appear exactly once."""
+    d, n, cells = system.d, space.dim, system.cells_per_axis
+    vals = np.zeros((cells,) * d + (n,))
+    seen = np.zeros((cells,) * d, dtype=bool)
+    for row, ln in enumerate(filter(None, text.strip().splitlines()[1:]), start=1):
         parts = ln.split(",")
+        if len(parts) != d + n:
+            raise ValueError(f"csv row {row}: {len(parts)} columns, expected {d + n}")
         idx = tuple(int(x) for x in parts[:d])
+        if not all(0 <= i < cells for i in idx):
+            raise ValueError(f"csv row {row}: cell {idx} outside [0, {cells})")
+        if seen[idx]:
+            raise ValueError(f"csv row {row}: cell {idx} given twice")
+        seen[idx] = True
         vals[idx] = [float(x) for x in parts[d:]]
+    if not seen.all():
+        raise ValueError(f"csv gives {int(seen.sum())} of {seen.size} cells")
     return GridFunction(system, vals, space)
 
 

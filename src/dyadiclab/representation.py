@@ -267,8 +267,15 @@ class PairingDecomposition:
 
 def pairing_decomposition(T: DiscreteOperator, g: GridFunction, f: GridFunction,
                           level_lo: int, level_hi: int) -> PairingDecomposition:
-    """Raw double Haar sum against its extracted form plus paraproduct terms."""
+    """Raw double Haar sum against its extracted form plus paraproduct terms.
+
+    Standard systems only, or any system whose level_lo is cell-aligned (so
+    every finer level is too); a translated level_lo raises ValueError.
+    """
     sysm = T.system
+    if any(sysm.shift_cells(level_lo)):
+        raise ValueError(f"level {level_lo} of this system is translated; "
+                         "pairing_decomposition needs cell-aligned levels")
     vol = sysm.cell_volume
     cols, H = haar_frame(sysm, level_lo, level_hi)
     cf = vol * (H.T @ f.scalar_values().reshape(-1))

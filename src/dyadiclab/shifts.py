@@ -107,6 +107,23 @@ class ShiftSpec:
     def blocks_per_axis(self) -> int:
         return 1 << self.block_gap
 
+    def __post_init__(self):
+        # level -> table stack, filled on first use; not a field, so eq/hash/repr skip it
+        object.__setattr__(self, "_stacks", {})
+
+    def level_tables(self, level: int) -> tuple:
+        """(first cell per axis, cubes per axis, stacked kernel tables) of the level's
+        cubes, in `cubes_at_level` order; each table is drawn or read only once."""
+        if level not in self._stacks:
+            cubes = list(self.system.cubes_at_level(level))
+            first, last = cubes[0].start_cells(), cubes[-1].start_cells()
+            counts = tuple((b - a) // cubes[0].size_cells + 1 for a, b in zip(first, last))
+            blocks = self.blocks_per_axis() ** self.system.d
+            tables = np.stack([self.kernel.table(cube, blocks) for cube in cubes])
+            tables.setflags(write=False)
+            self._stacks[level] = (first, counts, tables)
+        return self._stacks[level]
+
 
 def apply_averaging(cube: DyadicCube, table: np.ndarray, f: GridFunction,
                     block_level: int) -> GridFunction:
@@ -120,73 +137,63 @@ def apply_averaging(cube: DyadicCube, table: np.ndarray, f: GridFunction,
     factor = 1 << (sysm.depth - block_level)
     b_axis = cube.size_cells // factor
     view = f.values[cube.cell_slices()]
-    block_integrals = _block_means(view, d, factor).reshape(-1, n) * (
-        (2.0**-block_level) ** d
-    )
+    block_integrals = _block_means(view, d, factor).reshape(-1, n) * (2.0**-block_level) ** d
     if table.ndim == 2:
         out_blocks = (table @ block_integrals) / cube.volume
     else:
         out_blocks = np.einsum("oibc,ic->ob", table, block_integrals) / cube.volume
     out = np.zeros_like(f.values)
-    shaped = out_blocks.reshape((b_axis,) * d + (n,))
-    out[cube.cell_slices()] = _expand_blocks(shaped, d, factor)
+    out[cube.cell_slices()] = _expand_blocks(out_blocks.reshape((b_axis,) * d + (n,)), d, factor)
     return GridFunction(sysm, out, f.space)
 
 
-def _shift_term_blocks(spec: ShiftSpec, cube: DyadicCube, f_view: np.ndarray) -> np.ndarray:
-    """One K term of the shift, as block values at the kernel resolution."""
-    d, n = spec.system.d, spec.space.dim
-    gap = spec.block_gap
-    b_axis = 1 << gap
-    cell_factor = cube.size_cells >> gap
-
-    def means_at(g: int) -> np.ndarray:
-        return _block_means(f_view, d, cube.size_cells >> g)
-
-    def blocks_at(arr: np.ndarray, g: int) -> np.ndarray:
-        return _expand_blocks(arr, d, 1 << (gap - g))
-
-    proj_in = blocks_at(means_at(spec.i + 1), spec.i + 1) - blocks_at(means_at(spec.i), spec.i)
-    table = spec.kernel.table(cube, b_axis**d)
-    integrals = proj_in.reshape(-1, n) * (cube.volume / b_axis**d)
-    if table.ndim == 2:
-        averaged = (table @ integrals) / cube.volume
-    else:
-        averaged = np.einsum("oibc,ic->ob", table, integrals) / cube.volume
-    averaged = averaged.reshape((b_axis,) * d + (n,))
-
-    def block_group_means(arr: np.ndarray, g: int) -> np.ndarray:
-        return blocks_at(_block_means(arr, d, 1 << (gap - g)), g)
-
-    return block_group_means(averaged, spec.j + 1) - block_group_means(averaged, spec.j)
+def _scale_step(arr: np.ndarray, d: int, side: int, g: int, res: int) -> np.ndarray:
+    """Block means at 2^(g+1) minus at 2^g blocks per cube side, for cubes of
+    `side` cells per axis tiling `arr`, expanded to 2^res blocks per side."""
+    fine = _expand_blocks(_block_means(arr, d, side >> (g + 1)), d, 1 << (res - g - 1))
+    return fine - _expand_blocks(_block_means(arr, d, side >> g), d, 1 << (res - g))
 
 
 def apply_shift(spec: ShiftSpec, f: GridFunction) -> GridFunction:
-    """Sum over cubes K of project(j) . averaging-block(K) . project(i)."""
+    """Sum over cubes K of project(j) . averaging-block(K) . project(i).
+
+    The cubes of a level tile one box of cells, so each level is one pass
+    over that box: the i-side block means, one batched contraction with the
+    level's stacked tables, then the j-side block means of the result.
+    """
     if f.system != spec.system or f.space.dim != spec.space.dim:
         raise ValueError("function does not match the shift's system/space")
-    d = spec.system.d
+    d, n, gap = spec.system.d, spec.space.dim, spec.block_gap
+    b_axis = 1 << gap
+    # box axes (c0, b, c1, b, n) <-> per-cube axes (c0, c1, b, b, n); own inverse for d <= 2
+    order = (*range(0, 2 * d, 2), *range(1, 2 * d, 2), 2 * d)
     out = np.zeros_like(f.values)
     for level in spec.level_range():
-        for cube in spec.system.cubes_at_level(level):
-            view = f.values[cube.cell_slices()]
-            blocks = _shift_term_blocks(spec, cube, view)
-            factor = cube.size_cells >> spec.block_gap
-            out[cube.cell_slices()] += _expand_blocks(blocks, d, factor)
+        start, counts, tables = spec.level_tables(level)
+        size = 1 << (spec.system.depth - level)
+        vol = float(2.0**-level) ** d
+        box = tuple(slice(s, s + c * size) for s, c in zip(start, counts))
+        proj_in = _scale_step(f.values[box], d, size, spec.i, gap)
+        split = [x for c in counts for x in (c, b_axis)] + [n]
+        integrals = (proj_in.reshape(split).transpose(order).reshape(len(tables), -1, n)
+                     * (vol / b_axis**d))
+        if tables.ndim == 3:
+            averaged = (tables @ integrals) / vol
+        else:
+            averaged = np.einsum("koibc,kic->kob", tables, integrals) / vol
+        grid = averaged.reshape(*counts, *(b_axis,) * d, n).transpose(order)
+        proj_out = _scale_step(grid.reshape(proj_in.shape), d, b_axis, spec.j, gap)
+        out[box] += _expand_blocks(proj_out, d, size >> gap)
     return GridFunction(spec.system, out, spec.space)
 
 
 def adjoint_spec(spec: ShiftSpec) -> ShiftSpec:
     """Adjoint shift: parameters swapped, kernels transposed per cube."""
-    blocks = spec.blocks_per_axis() ** spec.system.d
     tables = {}
     for level in spec.level_range():
-        for cube in spec.system.cubes_at_level(level):
-            table = spec.kernel.table(cube, blocks)
-            if table.ndim == 2:
-                tables[cube.key()] = table.T.copy()
-            else:
-                tables[cube.key()] = table.transpose(1, 0, 3, 2).copy()
+        stack = spec.level_tables(level)[2]
+        flipped = np.ascontiguousarray(stack.transpose(0, 2, 1, *range(stack.ndim - 1, 2, -1)))
+        tables.update(zip((c.key() for c in spec.system.cubes_at_level(level)), flipped))
     return ShiftSpec(spec.j, spec.i, spec.system, ExplicitKernel(tables),
                      spec.space, spec.k_levels)
 

@@ -10,7 +10,8 @@ import itertools
 import numpy as np
 
 from dyadiclab.grid import DyadicSystem, common_ancestor, goodness_probability, is_good
-from dyadiclab.gridfn import GridFunction, etas, haar_coefficient, haar_vector, pair
+from dyadiclab.gridfn import (GridFunction, _block_means, _expand_blocks, etas,
+                              haar_coefficient, haar_vector, pair)
 from dyadiclab.representation import (AveragingIdentityReport, DecayReport,
                                       PairingDecomposition, _case_constraints,
                                       _support_box, decay_slope_target, raw_pairing)
@@ -72,6 +73,46 @@ def dense_shift_matrix(spec):
                                          system)
             total += proj_out @ avg @ proj_in
     return total
+
+
+def _shift_term_blocks(spec, cube, f_view):
+    """One K term of the shift, as block values at the kernel resolution."""
+    d, n = spec.system.d, spec.space.dim
+    gap = spec.block_gap
+    b_axis = 1 << gap
+
+    def means_at(g):
+        return _block_means(f_view, d, cube.size_cells >> g)
+
+    def blocks_at(arr, g):
+        return _expand_blocks(arr, d, 1 << (gap - g))
+
+    proj_in = blocks_at(means_at(spec.i + 1), spec.i + 1) - blocks_at(means_at(spec.i), spec.i)
+    table = spec.kernel.table(cube, b_axis**d)
+    integrals = proj_in.reshape(-1, n) * (cube.volume / b_axis**d)
+    if table.ndim == 2:
+        averaged = (table @ integrals) / cube.volume
+    else:
+        averaged = np.einsum("oibc,ic->ob", table, integrals) / cube.volume
+    averaged = averaged.reshape((b_axis,) * d + (n,))
+
+    def block_group_means(arr, g):
+        return blocks_at(_block_means(arr, d, 1 << (gap - g)), g)
+
+    return block_group_means(averaged, spec.j + 1) - block_group_means(averaged, spec.j)
+
+
+def apply_shift_per_cube(spec, f):
+    """The shift cube by cube, drawing each cube's table from the kernel."""
+    d = spec.system.d
+    out = np.zeros_like(f.values)
+    for level in spec.level_range():
+        for cube in spec.system.cubes_at_level(level):
+            view = f.values[cube.cell_slices()]
+            blocks = _shift_term_blocks(spec, cube, view)
+            factor = cube.size_cells >> spec.block_gap
+            out[cube.cell_slices()] += _expand_blocks(blocks, d, factor)
+    return GridFunction(spec.system, out, spec.space)
 
 
 def shift_cells_by_bits(system, level):

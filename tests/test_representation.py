@@ -417,6 +417,26 @@ def test_pairing_decomposition_matches_dense_oracle(system, seed):
                                                          rel=1e-9, abs=1e-9)
 
 
+def test_pairing_decomposition_rejects_translated_levels():
+    translated = DyadicSystem.random(0, d=1, m_top=0, depth=6)
+    assert any(translated.shift_cells(0))
+    gen = np.random.default_rng(0)
+    T = random_operator(translated, gen)
+    f = random_grid_function(translated, 1)
+    with pytest.raises(ValueError, match="translated"):
+        pairing_decomposition(T, f, f, 0, 5)
+    # translated only at coarse scales: the finer levels stay aligned
+    coarse = DyadicSystem(d=1, m_top=1, depth=4, omega=((1,),) + ((0,),) * 4)
+    assert any(coarse.shift_cells(-1)) and not any(coarse.shift_cells(0))
+    T = random_operator(coarse, gen)
+    f, g = random_grid_function(coarse, 3), random_grid_function(coarse, 4)
+    got, want = pairing_decomposition(T, g, f, 0, 3), oracles.pairing_decomposition_dense(
+        T, g, f, 0, 3)
+    for field in dataclasses.fields(got):
+        assert getattr(got, field.name) == pytest.approx(getattr(want, field.name),
+                                                         rel=1e-9, abs=1e-9)
+
+
 DECAY_PARAMS = (GoodnessParams(gamma=0.9, r=3), GoodnessParams(gamma=0.4, r=4),
                 GoodnessParams(gamma=0.5, r=3, max_generations=3))
 

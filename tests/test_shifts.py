@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadiclab.errors import DegenerateInputError
@@ -14,7 +14,7 @@ from dyadiclab.shifts import (ExplicitKernel, ParaproductSpec, RandomKernel, Shi
                               shift_spec_from_json, shift_spec_to_json)
 from dyadiclab.space import SCALAR, NormedSpace
 
-from oracles import dense_averaging_matrix, dense_shift_matrix
+from oracles import apply_shift_per_cube, dense_averaging_matrix, dense_shift_matrix
 
 SYS = DyadicSystem(d=1, m_top=0, depth=6)
 UNIT = SYS.cube(0, (0,))
@@ -244,3 +244,145 @@ def test_spec_json_text_is_pinned():
     for spec, text in zip(paraproducts, PINNED_PARAPRODUCT_JSON):
         assert paraproduct_spec_to_json(spec) == text
         assert paraproduct_spec_to_json(paraproduct_spec_from_json(text)) == text
+
+
+# -- level-batched shift against the per-cube oracle ---------------------------------
+
+
+@st.composite
+def translated_systems(draw, levels_1d=6, levels_2d=3):
+    """Random translated systems with 1..levels_* levels below the top cubes,
+    so every shift with max(i, j) + 1 <= levels fits."""
+    d = draw(st.sampled_from([1, 2]))
+    m_top = draw(st.integers(0, 2))
+    levels = draw(st.integers(max(1, m_top), levels_1d if d == 1 else levels_2d))
+    return DyadicSystem.random(draw(st.integers(0, 2**20)), d=d, m_top=m_top,
+                               depth=levels - m_top)
+
+
+def fitting_pairs(system, cap=None):
+    top = system.depth - system.min_level
+    top = top if cap is None else min(top, cap + 1)
+    return [(i, j) for i in range(top) for j in range(top)]
+
+
+def explicit_tables(spec, gen, matrix_dim=1):
+    """Independent per-cube tables for every cube the shift sums over."""
+    blocks = spec.blocks_per_axis() ** spec.system.d
+    shape = (blocks, blocks) + ((matrix_dim, matrix_dim) if matrix_dim > 1 else ())
+    return {cube.key(): gen.uniform(-1.0, 1.0, size=shape)
+            for level in spec.level_range()
+            for cube in spec.system.cubes_at_level(level)}
+
+
+def assert_matches_per_cube(spec, f, oracle_spec=None):
+    got = apply_shift(spec, f).values
+    want = apply_shift_per_cube(oracle_spec or spec, f).values
+    assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+
+@given(translated_systems(), st.integers(0, 2**20))
+def test_batched_shift_matches_per_cube_oracle(system, seed):
+    f = random_grid_function(system, seed, label="batched-shift-f")
+    for i, j in fitting_pairs(system):
+        assert_matches_per_cube(ShiftSpec(i, j, system, RandomKernel(seed, 1.0)), f)
+
+
+@given(translated_systems(levels_1d=4, levels_2d=2), st.integers(0, 2**20))
+@settings(max_examples=8)
+def test_batched_shift_matches_per_cube_oracle_matrix_kernel(system, seed):
+    space = NormedSpace(2, 2.0)
+    f = random_grid_function(system, seed, space, label="batched-matrix-f")
+    for i, j in fitting_pairs(system, cap=1):
+        kernel = RandomKernel(seed, 0.5, matrix_dim=2, probe_budget=2)
+        assert_matches_per_cube(ShiftSpec(i, j, system, kernel, space), f)
+
+
+@given(translated_systems(), st.integers(0, 2**20), st.sampled_from([(1, 1), (2, 1), (2, 2)]))
+def test_batched_shift_matches_per_cube_oracle_explicit_kernel(system, seed, dims):
+    space_dim, matrix_dim = dims
+    space = NormedSpace(space_dim, 2.0)
+    gen = np.random.default_rng(seed)
+    f = random_grid_function(system, seed, space, label="batched-explicit-f")
+    i, j = (int(x) for x in gen.integers(0, system.depth - system.min_level, size=2))
+    probe = ShiftSpec(i, j, system, RandomKernel(0, 1.0))
+    tables = explicit_tables(probe, gen, matrix_dim)
+    assert_matches_per_cube(ShiftSpec(i, j, system, ExplicitKernel(tables), space), f)
+
+
+@given(translated_systems(), st.integers(0, 2**20))
+def test_batched_shift_matches_per_cube_oracle_k_levels(system, seed):
+    gen = np.random.default_rng(seed)
+    f = random_grid_function(system, seed, label="batched-levels-f")
+    for i, j in fitting_pairs(system):
+        full = ShiftSpec(i, j, system, RandomKernel(seed, 1.0)).level_range()
+        lo = int(gen.integers(full.start, full.stop))
+        hi = int(gen.integers(lo, full.stop))
+        assert_matches_per_cube(
+            ShiftSpec(i, j, system, RandomKernel(seed, 1.0), k_levels=(lo, hi)), f)
+
+
+@given(translated_systems(), st.integers(0, 2**20))
+def test_adjoint_matches_per_cube_transpose(system, seed):
+    f = random_grid_function(system, seed, label="adjoint-f")
+    g = random_grid_function(system, seed, label="adjoint-g")
+    for i, j in fitting_pairs(system, cap=2):
+        spec = ShiftSpec(i, j, system, RandomKernel(seed, 1.0))
+        blocks = spec.blocks_per_axis() ** system.d
+        by_hand = ExplicitKernel({cube.key(): spec.kernel.table(cube, blocks).T
+                                  for level in spec.level_range()
+                                  for cube in system.cubes_at_level(level)})
+        adjoint = adjoint_spec(spec)
+        assert (adjoint.i, adjoint.j, adjoint.k_levels) == (j, i, None)
+        assert_matches_per_cube(adjoint, g, ShiftSpec(j, i, system, by_hand))
+        lhs = pair(g, apply_shift(spec, f))
+        assert lhs == pytest.approx(pair(apply_shift(adjoint, g), f), rel=1e-12, abs=1e-12)
+
+
+def test_adjoint_transposes_matrix_tables_without_redrawing(monkeypatch):
+    space = NormedSpace(2, 2.0)
+    spec = ShiftSpec(1, 0, SYS, RandomKernel(3, 0.5, matrix_dim=2, probe_budget=2), space)
+    probes = []
+    original = RandomKernel.witness_probe
+    monkeypatch.setattr(RandomKernel, "witness_probe",
+                        lambda self, table: probes.append(1) or original(self, table))
+    f = random_grid_function(SYS, 4, space)
+    apply_shift(spec, f)
+    drawn = len(probes)
+    adjoint = adjoint_spec(spec)
+    assert len(probes) == drawn
+    cube = SYS.cube(0, (0,))
+    table = spec.kernel.table(cube, 4)
+    assert np.array_equal(adjoint.kernel.table(cube, 4), table.transpose(1, 0, 3, 2))
+
+
+def test_kernel_tables_drawn_once_per_cube_per_spec(monkeypatch):
+    system = DyadicSystem.random(9, d=2, m_top=1, depth=2)
+    calls = []
+    original = RandomKernel.table
+    monkeypatch.setattr(RandomKernel, "table",
+                        lambda self, cube, blocks: calls.append(cube.key())
+                        or original(self, cube, blocks))
+    spec = ShiftSpec(1, 0, system, RandomKernel(5, 1.0))
+    f = random_grid_function(system, 6)
+    first = apply_shift(spec, f)
+    again = apply_shift(spec, f)
+    adjoint_spec(spec)
+    cubes = [cube.key() for level in spec.level_range()
+             for cube in system.cubes_at_level(level)]
+    assert sorted(calls) == sorted(cubes) and len(set(calls)) == len(calls)
+    assert np.array_equal(first.values, again.values)
+    fresh = apply_shift(ShiftSpec(1, 0, system, RandomKernel(5, 1.0)), f)
+    assert np.array_equal(first.values, fresh.values)
+
+
+def test_table_cache_stays_out_of_eq_hash_and_repr():
+    system = DyadicSystem.random(2, d=1, m_top=1, depth=4)
+    used = ShiftSpec(2, 1, system, RandomKernel(5, 1.0), k_levels=(0, 1))
+    apply_shift(used, random_grid_function(system, 7))
+    twin = ShiftSpec(2, 1, system, RandomKernel(5, 1.0), k_levels=(0, 1))
+    assert used == twin and hash(used) == hash(twin)
+    assert repr(used) == repr(twin) and "_stacks" not in repr(used)
+    assert shift_spec_to_json(used) == shift_spec_to_json(twin)
+    with pytest.raises(ValueError):
+        used.level_tables(0)[2][0, 0, 0] = 1.0
