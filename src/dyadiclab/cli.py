@@ -9,7 +9,6 @@ wall time.  Exit status: 0 all checks pass, 1 a check failed, 2 bad usage.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -25,6 +24,13 @@ CONFIG_KEYS = {"experiments", "seed", "params", "out_csv", "out_json"}
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a one-line usage error, not a usage dump."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -117,22 +123,14 @@ def _run(args) -> int:
         elapsed_ms = int(round((time.perf_counter() - start) * 1000))
         return name, checks, elapsed_ms
 
-    results = []
-    if args.parallel and len(names) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(run_one, names))
-    else:
-        results = [run_one(name) for name in names]
-
     rows = []
     summary = {"seed": seed, "experiments": {}, "all_passed": True}
-    for name, checks, elapsed_ms in results:
+    for name, checks, elapsed_ms in map(run_one, names):
         summary["experiments"][name] = {
             "checks": len(checks),
             "failed": [c.check_id for c in checks if not c.passed],
         }
-        summary["timing_ms"] = summary.get("timing_ms", {})
-        summary["timing_ms"][name] = elapsed_ms
+        summary.setdefault("timing_ms", {})[name] = elapsed_ms
         for check in checks:
             rows.append((check.check_id, _format_row(check, elapsed_ms), check.passed))
             summary["all_passed"] &= check.passed
@@ -167,7 +165,7 @@ def _list(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dyadiclab",
         description="Quantitative checks for dyadic operator inequalities",
     )
@@ -182,23 +180,17 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--gamma", type=float, default=None)
     runp.add_argument("--r", type=int, default=None)
     runp.add_argument("--out", help="CSV report path (JSON summary alongside)")
-    runp.add_argument("--parallel", action="store_true",
-                      help="run independent experiments concurrently")
     listp = sub.add_parser("list", help="print the experiment catalog")
     listp.add_argument("--json", action="store_true", help="emit a JSON array")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        if args.command == "run":
-            return _run(args)
-        return _list(args)
+        args = build_parser().parse_args(argv)
+        return _run(args) if args.command == "run" else _list(args)
+    except SystemExit as exc:  # --help
+        return exc.code or 0
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

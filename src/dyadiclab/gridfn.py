@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 import itertools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,29 +38,31 @@ def _eta_sign(eta, child_offset) -> int:
 
 @dataclass(frozen=True)
 class GridFunction:
+    """Read-only values: a caller's array is copied, an arithmetic result's kept."""
+
     system: DyadicSystem
     values: np.ndarray  # shape (cells,)*d + (space.dim,)
     space: NormedSpace = SCALAR
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+    def __post_init__(self, _fresh: bool):
+        arr = (np.asarray if _fresh else np.array)(self.values, dtype=float)
         expected = (self.system.cells_per_axis,) * self.system.d + (self.space.dim,)
         if arr.shape != expected:
             raise ValueError(f"values shape {arr.shape} != expected {expected}")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
-        return GridFunction(self.system, self.values + other.values, self.space)
+        return GridFunction(self.system, self.values + other.values, self.space, True)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
-        return GridFunction(self.system, self.values - other.values, self.space)
+        return GridFunction(self.system, self.values - other.values, self.space, True)
 
     def __mul__(self, scalar: float) -> "GridFunction":
-        return GridFunction(self.system, self.values * scalar, self.space)
+        return GridFunction(self.system, self.values * scalar, self.space, True)
 
     __rmul__ = __mul__
 
@@ -117,16 +119,23 @@ def haar_frame(system: DyadicSystem, level_lo: int, level_hi: int,
                within=None) -> tuple:
     """(cols, H): the (cube, eta) pairs of levels level_lo..level_hi, cube-major
     in level and corner order (`within` as in `cubes_at_level`), and H whose
-    column n is haar_vector(*cols[n]) flattened, filled one level at a time
-    from the cubes' start cells, so translated systems work too."""
-    d, shape = system.d, (system.cells_per_axis,) * system.d
-    eta_list = etas(d)
+    column n is haar_vector(*cols[n]) flattened (see `fill_haar_frame`)."""
     per_level = [list(system.cubes_at_level(level, within=within))
                  for level in range(level_lo, level_hi + 1)]
-    cols = [(cube, eta) for cubes in per_level for cube in cubes for eta in eta_list]
-    H = np.zeros((system.n_cells, len(cols)))
+    cols = [(cube, eta) for cubes in per_level for cube in cubes for eta in etas(system.d)]
+    return cols, fill_haar_frame(system, per_level)
+
+
+def fill_haar_frame(system: DyadicSystem, blocks) -> np.ndarray:
+    """Frame of the Haar vectors of `blocks`, lists of same-level cubes, with
+    columns cube-major in block order and etas(d) within a cube.  Each block
+    is filled at once from its cubes' start cells, so the cubes may come from
+    differently translated systems on the same cells."""
+    d, shape = system.d, (system.cells_per_axis,) * system.d
+    eta_list = etas(d)
+    H = np.zeros((system.n_cells, len(eta_list) * sum(map(len, blocks))))
     first = 0
-    for cubes in filter(None, per_level):
+    for cubes in filter(None, blocks):
         size = cubes[0].size_cells
         starts = np.array([cube.start_cells() for cube in cubes]).T      # (d, n)
         offsets = np.indices((size,) * d).reshape(d, 1, -1)             # (d, 1, size^d)
@@ -135,7 +144,7 @@ def haar_frame(system: DyadicSystem, level_lo: int, level_hi: int,
         for k, eta in enumerate(eta_list):
             H[cells, col + k] = haar_block(cubes[0], eta).reshape(-1)
         first += len(eta_list) * len(cubes)
-    return cols, H
+    return H
 
 
 def haar_function(cube: DyadicCube, eta, space: NormedSpace = SCALAR) -> GridFunction:

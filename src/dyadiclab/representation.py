@@ -25,8 +25,8 @@ from .errors import (DegenerateInputError, InsufficientDataError, MeshDepthError
                      ResourceLimitError)
 from .grid import (DyadicCube, DyadicSystem, GoodnessParams, common_ancestor,
                    goodness_probability, is_good)
-from .gridfn import (GridFunction, etas, haar_block, haar_coefficient, haar_frame,
-                     haar_vector, pair, shifted_projection)
+from .gridfn import (GridFunction, etas, fill_haar_frame, haar_block, haar_coefficient,
+                     haar_frame, haar_vector, pair, shifted_projection)
 from .rng import substream
 from .shifts import ParaproductSpec, apply_averaging, apply_paraproduct
 # -- kernels -------------------------------------------------------------------
@@ -616,70 +616,82 @@ def averaging_identity_residual(T: DiscreteOperator, g: GridFunction,
     pi = goodness_probability(gens, gp, base.d)
     if pi.good_count == 0:
         raise DegenerateInputError("goodness probability vanishes; cannot normalize")
-    lhs = raw_pairing(g, T, f)
     level_hi = base.depth - 1
     floor = base.min_level + gens
     n_bits = (base.m_top + base.depth) * base.d
 
     if config.sampling == "exhaustive":
         if n_bits > config.exhaustive_bit_cap:
-            raise ResourceLimitError(
-                f"{n_bits} translation bits exceed the exhaustive cap "
-                f"{config.exhaustive_bit_cap}"
-            )
-        patterns = list(range(1 << n_bits))
+            raise ResourceLimitError(f"{n_bits} translation bits exceed the exhaustive "
+                                     f"cap {config.exhaustive_bit_cap}")
+        patterns = range(1 << n_bits)
     else:
-        gen = substream(config.seed, "identity-grids")
-        patterns = [int(x) for x in gen.integers(0, 1 << n_bits, size=config.mc_trials)]
+        patterns = substream(config.seed, "identity-grids").integers(
+            0, 1 << n_bits, size=config.mc_trials).tolist()
 
-    fbox = _support_box(f)
-    gbox = _support_box(g)
-    box = [(min(a[0], b[0]), max(a[1], b[1])) for a, b in zip(fbox, gbox)]
-    vol = base.cell_volume
+    box = [(min(a[0], b[0]), max(a[1], b[1]))
+           for a, b in zip(_support_box(f), _support_box(g))]
     n_eta = (1 << base.d) - 1
-    f_flat = f.scalar_values().reshape(-1)
-    g_flat = g.scalar_values().reshape(-1)
-    Tf = T.matrix @ f_flat
-    gT = g_flat @ T.matrix
-
-    goodsum = total_sum = coarse = 0.0
+    # A level's cubes meeting the box depend only on that level's shift, so
+    # each (level, shift) block gets its frame columns once, over all grids.
+    # A cube's goodness depends only on its level, its corner and the bits
+    # at its level and the gens - 1 coarser ones, so it is memoized on those.
+    blocks, col_level, columns, goodness, grids = [], [], {}, {}, []
     for word in patterns:
         bits = tuple(tuple((word >> (pos * base.d + ax)) & 1 for ax in range(base.d))
                      for pos in range(base.m_top + base.depth))
         sysm = DyadicSystem(d=base.d, m_top=base.m_top, depth=base.depth, omega=bits)
-        cols, H = haar_frame(sysm, sysm.min_level, level_hi, within=box)
-        if not cols:
-            continue
-        cf = vol * (H.T @ f_flat)
-        cg = vol * (H.T @ g_flat)
-        elements = vol * (H.T @ (T.matrix @ H))
-        pair_f = vol * (gT @ H)    # <g, T h_I> per column
-        pair_g = vol * (H.T @ Tf)  # <h_J, T f> per column
-        levels = np.array([cube.level for cube, _ in cols])
+        idx, good = [], []
+        for level in range(sysm.min_level, level_hi + 1):
+            key = (level, sysm.shift_cells(level))
+            if key not in columns:
+                blocks.append(list(sysm.cubes_at_level(level, within=box)))
+                columns[key] = (len(col_level), [cube.corner for cube in blocks[-1]])
+                col_level += [level] * (n_eta * len(blocks[-1]))
+            first, corners = columns[key]
+            window = tuple(sysm.bit(level - t) for t in range(gens))
+            for corner in corners:
+                if (level, corner, window) not in goodness:
+                    goodness[level, corner, window] = (
+                        level >= floor and is_good(sysm.cube(level, corner), gp))
+            idx += range(first, first + n_eta * len(corners))
+            good += [goodness[level, corner, window] for corner in corners
+                     for _ in range(n_eta)]
+        grids.append((np.array(idx, dtype=np.intp), np.array(good, dtype=bool)))
+    n_bytes = 16 * base.n_cells * len(col_level)  # the frame W and T W
+    if n_bytes > _ASSEMBLE_BYTE_CAP:
+        raise ResourceLimitError(f"{len(col_level)} Haar columns of {base.n_cells} cells "
+                                 f"need {n_bytes} bytes, above the cap {_ASSEMBLE_BYTE_CAP}")
+
+    lhs = raw_pairing(g, T, f)
+    vol = base.cell_volume
+    f_flat = f.scalar_values().reshape(-1)
+    g_flat = g.scalar_values().reshape(-1)
+    W = fill_haar_frame(base, blocks)
+    TW = T.matrix @ W
+    col_level = np.array(col_level)
+    cf_all, cg_all = vol * (W.T @ f_flat), vol * (W.T @ g_flat)
+    pair_f_all = vol * (g_flat @ TW)                # <g, T h_I> per column
+    pair_g_all = vol * (W.T @ (T.matrix @ f_flat))  # <h_J, T f> per column
+
+    goodsum = total_sum = coarse = 0.0
+    for idx, good in grids:
+        cf, cg, levels = cf_all[idx], cg_all[idx], col_level[idx]
+        elements = vol * (W[:, idx].T @ TW[:, idx])
         eligible = levels >= floor
-        good = np.repeat([cube.level >= floor and is_good(cube, gp)
-                          for cube, _ in cols[::n_eta]], n_eta)
         finer_j = levels[:, None] > levels[None, :]      # J strictly finer than I
         finer_eq_i = levels[None, :] >= levels[:, None]  # I at least as fine as J
         # each cube's companion sum keeps the complete coarser-or-equal side
-        side_f = cf * (pair_f - cg @ np.where(finer_j, elements, 0.0))
-        side_g = cg * (pair_g - np.where(finer_eq_i, elements, 0.0) @ cf)
-        goodsum += float(side_f[good & eligible].sum()
-                         + side_g[good & eligible].sum())
+        side_f = cf * (pair_f_all[idx] - cg @ np.where(finer_j, elements, 0.0))
+        side_g = cg * (pair_g_all[idx] - np.where(finer_eq_i, elements, 0.0) @ cf)
+        goodsum += float(side_f[good].sum() + side_g[good].sum())
         total_sum += float(side_f.sum() + side_g.sum())
         coarse += float(side_f[~eligible].sum() + side_g[~eligible].sum())
 
     n = len(patterns)
-    rhs = goodsum / n / pi.value
-    return AveragingIdentityReport(
-        lhs=lhs,
-        rhs=rhs,
-        pi_good=pi.value,
-        n_samples=n,
-        top_scale_defect=lhs - total_sum / n,
-        coarse_share=coarse / n,
-        full_sum_mean=total_sum / n,
-    )
+    return AveragingIdentityReport(lhs=lhs, rhs=goodsum / n / pi.value, pi_good=pi.value,
+                                   n_samples=n, top_scale_defect=lhs - total_sum / n,
+                                   coarse_share=coarse / n, full_sum_mean=total_sum / n)
 
 
 # -- exports -------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from dyadiclab.gridfn import (GridFunction, _block_means, _expand_blocks, etas,
 from dyadiclab.representation import (AveragingIdentityReport, DecayReport,
                                       PairingDecomposition, _case_constraints,
                                       _support_box, decay_slope_target, raw_pairing)
+from dyadiclab.rng import substream
 from dyadiclab.shifts import ParaproductSpec, apply_paraproduct
 
 
@@ -403,7 +404,9 @@ def decay_check_dense(T, case, i_values, params, alpha, j_disjoint=1):
 
 
 def averaging_identity_dense(T, g, f, config):
-    """Exhaustive grid average with per-column Haar vectors and coefficients."""
+    """Grid average with per-column Haar vectors and coefficients, one dense
+    frame per sampled grid, over the config's pattern list: every pattern
+    when exhaustive, the seeded draws (repeats included) in mc mode."""
     base = T.system
     gp = config.goodness
     pi = goodness_probability(gp.max_generations, gp, base.d)
@@ -415,8 +418,13 @@ def averaging_identity_dense(T, g, f, config):
     vol = base.cell_volume
     f_flat = f.values.reshape(-1)
     g_flat = g.values.reshape(-1)
+    if config.sampling == "exhaustive":
+        patterns = range(1 << n_bits)
+    else:
+        gen = substream(config.seed, "identity-grids")
+        patterns = gen.integers(0, 1 << n_bits, size=config.mc_trials).tolist()
     goodsum = total_sum = coarse = 0.0
-    for word in range(1 << n_bits):
+    for word in patterns:
         bits = tuple(tuple((word >> (pos * base.d + ax)) & 1 for ax in range(base.d))
                      for pos in range(base.m_top + base.depth))
         sysm = DyadicSystem(d=base.d, m_top=base.m_top, depth=base.depth, omega=bits)
@@ -442,7 +450,7 @@ def averaging_identity_dense(T, g, f, config):
         goodsum += float(side_f[good & eligible].sum() + side_g[good & eligible].sum())
         total_sum += float(side_f.sum() + side_g.sum())
         coarse += float(side_f[~eligible].sum() + side_g[~eligible].sum())
-    n = 1 << n_bits
+    n = len(patterns)
     return AveragingIdentityReport(lhs=lhs, rhs=goodsum / n / pi.value, pi_good=pi.value,
                                    n_samples=n, top_scale_defect=lhs - total_sum / n,
                                    coarse_share=coarse / n, full_sum_mean=total_sum / n)

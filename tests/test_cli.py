@@ -168,15 +168,10 @@ def test_flag_overrides_reach_experiments(tmp_path):
     assert "p=3.0" not in body
 
 
-def test_parallel_flag_matches_sequential(tmp_path):
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps(FAST_CONFIG))
-    seq = tmp_path / "seq.csv"
-    par = tmp_path / "par.csv"
-    assert main(["run", "--config", str(config), "--out", str(seq)]) == 0
-    assert main(["run", "--config", str(config), "--out", str(par),
-                 "--parallel"]) == 0
-    assert strip_runtime(seq.read_text()) == strip_runtime(par.read_text())
+def test_parallel_flag_is_gone(capsys):
+    assert main(["run", "--experiment", "goodness", "--parallel"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unrecognized arguments: --parallel\n"
 
 
 def test_console_entry_point(tmp_path):

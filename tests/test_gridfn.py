@@ -19,6 +19,29 @@ SYS4 = DyadicSystem(d=1, m_top=0, depth=4)
 UNIT = SYS4.cube(0, (0,))
 
 
+# -- grid function values ------------------------------------------------------
+
+
+def test_caller_array_is_copied_once_and_frozen():
+    arr = np.arange(SYS4.cells_per_axis, dtype=float)[:, None]
+    f = GridFunction(SYS4, arr)
+    arr[0] = 99.0
+    assert f.values[0, 0] == 0.0 and not f.values.flags.writeable
+    assert arr.flags.writeable
+    assert GridFunction(SYS4, arr.astype(int)).values.dtype == float
+
+
+def test_arithmetic_results_are_read_only_and_own_their_values():
+    a = random_grid_function(SYS4, 1, space=NormedSpace(2, 2.0))
+    b = random_grid_function(SYS4, 2, space=NormedSpace(2, 2.0))
+    for result, want in ((a + b, a.values + b.values), (a - b, a.values - b.values),
+                         (a * 2.5, 2.5 * a.values), (3.0 * b, 3.0 * b.values)):
+        assert np.array_equal(result.values, want)
+        assert result.space == a.space and not result.values.flags.writeable
+        assert not np.shares_memory(result.values, a.values)
+        assert not np.shares_memory(result.values, b.values)
+
+
 # -- value space axioms --------------------------------------------------------
 
 

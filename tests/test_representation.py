@@ -463,20 +463,55 @@ def test_decay_check_matches_dense_oracle(m_top, depth, seed, case, params):
         assert got.slope == pytest.approx(want.slope, abs=1e-9)
 
 
-@given(st.sampled_from([(1, 1, 3), (1, 2, 3), (1, 3, 2), (2, 0, 2), (2, 1, 2)]),
-       st.integers(0, 2**20))
-@settings(max_examples=10, deadline=None)
-def test_averaging_identity_matches_dense_oracle(shape, seed):
-    d, m_top, depth = shape
+def random_identity_case(d, m_top, depth, seed):
     system = DyadicSystem(d=d, m_top=m_top, depth=depth)
     T = random_operator(system, np.random.default_rng(seed))
     sup = system.cube(0, (0,) * d)
     f = random_grid_function(system, seed, support=sup, mean_zero="global", label="ai-f")
     g = random_grid_function(system, seed, support=sup, mean_zero="global", label="ai-g")
-    config = RepresentationConfig(goodness=GoodnessParams(gamma=0.5, r=3,
-                                                          max_generations=3))
+    return T, f, g
+
+
+def assert_identity_matches_oracle(T, g, f, config):
     got = averaging_identity_residual(T, g, f, config)
     want = oracles.averaging_identity_dense(T, g, f, config)
     for field in dataclasses.fields(got):
         assert getattr(got, field.name) == pytest.approx(getattr(want, field.name),
                                                          rel=1e-9, abs=1e-9)
+
+
+@given(st.sampled_from([(1, 1, 3), (1, 2, 3), (1, 3, 2), (2, 0, 2), (2, 1, 2)]),
+       st.integers(0, 2**20))
+@settings(max_examples=10, deadline=None)
+def test_averaging_identity_matches_dense_oracle(shape, seed):
+    T, f, g = random_identity_case(*shape, seed)
+    config = RepresentationConfig(goodness=GoodnessParams(gamma=0.5, r=3,
+                                                          max_generations=3))
+    assert_identity_matches_oracle(T, g, f, config)
+
+
+@given(st.sampled_from([(1, 1, 3), (1, 2, 3), (2, 3, 1), (2, 2, 2)]),
+       st.integers(0, 2**20))
+@settings(max_examples=8, deadline=None)
+def test_averaging_identity_mc_matches_dense_oracle(shape, seed):
+    # more draws than patterns, so grids repeat; every shape has cubes at or
+    # below the eligibility floor, so goodness flags reach the sums
+    d, m_top, depth = shape
+    T, f, g = random_identity_case(d, m_top, depth, seed)
+    config = RepresentationConfig(
+        goodness=GoodnessParams(gamma=0.5, r=3, max_generations=3), sampling="mc",
+        mc_trials=(1 << (m_top + depth) * d) + 16, seed=seed)
+    assert_identity_matches_oracle(T, g, f, config)
+
+
+def test_identity_column_cap_fires_before_allocating():
+    # a zero-stride matrix stands in for 8192^2 floats; W and T W would need
+    # about 1.8 GiB, so the cap must fire before either is allocated
+    system = DyadicSystem(d=1, m_top=0, depth=12)
+    T = DiscreteOperator(system, np.broadcast_to(0.0, (system.n_cells,) * 2))
+    f = random_grid_function(system, 0, mean_zero="global")
+    config = RepresentationConfig(goodness=GoodnessParams(gamma=0.5, r=3,
+                                                          max_generations=3),
+                                  sampling="mc", mc_trials=4)
+    with pytest.raises(ResourceLimitError, match="above the cap"):
+        averaging_identity_residual(T, f, f, config)
