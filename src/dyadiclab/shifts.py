@@ -1,4 +1,4 @@
-"""Averaging blocks, dyadic shifts, scale-class partitions, and paraproducts.
+"""Averaging blocks, dyadic shifts, and paraproducts.
 
 A shift with parameters (i, j) maps f to the sum over cubes K of
 project-out(j) . average-block(K) . project-in(i), where the per-cube
@@ -23,16 +23,6 @@ from .gridfn import (GridFunction, _block_means, _expand_blocks,
                      conditional_expectation, lp_norm)
 from .rng import substream
 from .space import SCALAR, NormedSpace
-
-
-def mod_class_partition(cubes, classes: int) -> list:
-    """Split cubes into `classes` sub-collections by level mod `classes`."""
-    if classes < 1:
-        raise ValueError("need at least one class")
-    out = [[] for _ in range(classes)]
-    for cube in cubes:
-        out[cube.level % classes].append(cube)
-    return out
 
 
 @dataclass(frozen=True)

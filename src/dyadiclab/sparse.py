@@ -34,6 +34,11 @@ class SparseFamily:
     weights: Optional[np.ndarray] = None               # per-cell density, default 1
 
     def __post_init__(self):
+        if self.weights is not None:
+            shape = (self.root.system.cells_per_axis,) * self.root.system.d
+            w = np.asarray(self.weights)
+            if w.shape != shape or not np.all((0 <= w) & (w < np.inf)):
+                raise ValueError(f"weights must be finite, nonnegative and of shape {shape}")
         if not self.cubes:
             self.cubes = [self.root]
             self.parents = [None]
@@ -138,27 +143,52 @@ class SparseFamily:
         return "\n".join(lines) + "\n"
 
 
+def _level_averages(weights: np.ndarray, norms: np.ndarray, root: DyadicCube):
+    """Yield (level, block averages of `norms` under `weights` in the root's box)
+    from the root's level down.  Each level sums its blocks' own cells in row-major
+    order along one axis, so every average has `SparseFamily.weighted_average`'s bits."""
+    w = weights[root.cell_slices()]
+    wf = w * norms[root.cell_slices()]
+    d = w.ndim
+    axes = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
+    for level in range(root.level, root.system.depth + 1):
+        size = 1 << (root.system.depth - level)
+        n = root.size_cells // size
+        fsum, wsum = (a.reshape((n, size) * d).transpose(axes).reshape((n,) * d + (-1,)).sum(-1)
+                      for a in (wf, w))
+        if np.any(wsum <= 0):
+            raise SparsityError("member with zero measure")
+        yield level, fsum / wsum
+
+
 def build_stopping_family(f: GridFunction, root: DyadicCube,
                           threshold_factor: float = 2.0,
                           weights: Optional[np.ndarray] = None) -> SparseFamily:
-    """Iterated maximal subcubes with |f|-average above factor times the parent's."""
+    """Iterated maximal subcubes with |f|-average above factor times the parent's,
+    found in one sweep from the root's level down in which each cube inherits
+    the label of the minimal member strictly containing it."""
     family = SparseFamily(root, weights=weights)
-    norms = f.space.norm(f.values)[..., None]
-    depth = f.system.depth
-
-    def collect(member_idx: int):
-        base_cube = family.cubes[member_idx]
-        base = family.weighted_average(norms, base_cube)[0]
-        stack = list(base_cube.children()) if base_cube.level < depth else []
-        while stack:
-            cand = stack.pop()
-            if family.weighted_average(norms, cand)[0] > threshold_factor * base:
-                child_idx = family.add(cand, member_idx)
-                collect(child_idx)
-            elif cand.level < depth:
-                stack.extend(cand.children())
-
-    collect(0)
+    sysm = root.system
+    levels = _level_averages(family.density(), f.space.norm(f.values), root)
+    bases = next(levels)[1].reshape(1)
+    labels = np.zeros((1,) * sysm.d, dtype=np.intp)
+    found = []  # (walk key, label, level, block, parent label) per member below the root
+    for level, avg in levels:
+        for ax in range(sysm.d):
+            labels = labels.repeat(2, axis=ax)
+        new = avg > threshold_factor * bases[labels]
+        for block, parent in zip(np.argwhere(new).tolist(), labels[new].tolist()):
+            # ancestor blocks, negated, sort as a depth-first walk taking children last to first
+            key = tuple(tuple(-(i >> b) for i in block) for b in reversed(range(level - root.level)))
+            found.append((key, len(found) + 1, level, block, parent))
+        labels[new] = np.arange(len(bases), len(found) + 1)
+        bases = np.concatenate([bases, avg[new]])
+    index = {0: 0}
+    for _, label, level, block, parent in sorted(found):
+        size = 1 << (sysm.depth - level)
+        corner = [b + (s - sysm.origin_cell - t) // size
+                  for b, s, t in zip(block, root.start_cells(), sysm.shift_cells(level))]
+        index[label] = family.add(sysm.cube(level, corner), index[parent])
     return family
 
 

@@ -17,6 +17,7 @@ from dyadiclab.representation import (AveragingIdentityReport, DecayReport,
                                       _support_box, decay_slope_target, raw_pairing)
 from dyadiclab.rng import substream
 from dyadiclab.shifts import ParaproductSpec, apply_paraproduct
+from dyadiclab.sparse import SparseFamily
 
 
 def brute_rademacher_pnorm(elements, p, norm_fn):
@@ -454,3 +455,26 @@ def averaging_identity_dense(T, g, f, config):
     return AveragingIdentityReport(lhs=lhs, rhs=goodsum / n / pi.value, pi_good=pi.value,
                                    n_samples=n, top_scale_defect=lhs - total_sum / n,
                                    coarse_share=coarse / n, full_sum_mean=total_sum / n)
+
+
+def build_stopping_family_per_cube(f, root, threshold_factor=2.0, weights=None):
+    """Stopping family by a per-cube walk: each member pushes its children and
+    pops one candidate at a time, testing slice averages."""
+    family = SparseFamily(root, weights=weights)
+    norms = f.space.norm(f.values)[..., None]
+    depth = f.system.depth
+
+    def collect(member_idx):
+        base_cube = family.cubes[member_idx]
+        base = family.weighted_average(norms, base_cube)[0]
+        stack = list(base_cube.children()) if base_cube.level < depth else []
+        while stack:
+            cand = stack.pop()
+            if family.weighted_average(norms, cand)[0] > threshold_factor * base:
+                child_idx = family.add(cand, member_idx)
+                collect(child_idx)
+            elif cand.level < depth:
+                stack.extend(cand.children())
+
+    collect(0)
+    return family

@@ -10,7 +10,7 @@ from dyadiclab.gridfn import (GridFunction, cube_average, from_callable, haar_fu
                               zeros)
 from dyadiclab.shifts import (ExplicitKernel, ParaproductSpec, RandomKernel, ShiftSpec,
                               adjoint_spec, apply_averaging, apply_paraproduct,
-                              apply_shift, mod_class_partition, operator_ratio,
+                              apply_shift, operator_ratio,
                               shift_spec_from_json, shift_spec_to_json)
 from dyadiclab.space import SCALAR, NormedSpace
 
@@ -115,16 +115,6 @@ def test_paraproduct_spec_json_roundtrip():
     f = random_grid_function(SYS, 22)
     assert np.abs(apply_paraproduct(back, f).values
                   - apply_paraproduct(spec, f).values).max() == 0.0
-
-
-def test_mod_class_partition():
-    cubes = [SYS.cube(level, (0,)) for level in range(0, 6)]
-    assert [len(c) for c in mod_class_partition(cubes, 1)] == [6]
-    two = mod_class_partition(cubes, 2)
-    assert sorted(c.level for c in two[0]) == [0, 2, 4]
-    assert sorted(c.level for c in two[1]) == [1, 3, 5]
-    three = mod_class_partition(cubes, 3)
-    assert sorted(c.level for c in three[0]) == [0, 3]
 
 
 # -- paraproducts -----------------------------------------------------------------------

@@ -9,9 +9,11 @@ from dyadiclab.gridfn import (GridFunction, haar_function, indicator, lp_norm, p
                               random_grid_function)
 from dyadiclab.rng import substream
 from dyadiclab.space import SCALAR, conjugate_exponent
-from dyadiclab.sparse import (SparseFamily, build_stopping_family, carleson_sum,
-                              project_onto_member, project_onto_member_haar,
+from dyadiclab.sparse import (SparseFamily, _level_averages, build_stopping_family,
+                              carleson_sum, project_onto_member, project_onto_member_haar,
                               pythagoras_check, stopping_control)
+
+from oracles import build_stopping_family_per_cube
 
 SYS = DyadicSystem(d=1, m_top=0, depth=6)
 ROOT = SYS.cube(0, (0,))
@@ -78,6 +80,67 @@ def test_threshold_factor_changes_the_tree():
     assert [c.key() for c in fam3.cubes] == [(0, (0,)), (2, (0,))]
     fam5 = build_stopping_family(f, ROOT, threshold_factor=5.0)
     assert len(fam5) == 1  # no subcube average exceeds five times 1/4
+
+
+# -- the level sweep against the per-cube build -----------------------------------------
+
+
+def _descend(cube, gen, generations):
+    for _ in range(generations):
+        kids = cube.children()
+        cube = kids[int(gen.integers(len(kids)))]
+    return cube
+
+
+@given(st.integers(0, 10**6), st.sampled_from([1, 2]), st.integers(0, 2),
+       st.sampled_from(["top", "child"]), st.sampled_from([1.5, 2.0, 3.0]),
+       st.sampled_from(["lebesgue", "random", "zero-region"]))
+def test_sweep_matches_per_cube_build(seed, d, m_top, root_pick, factor, weight_mode):
+    gen = substream(seed, "sweep-vs-per-cube")
+    depth = int(gen.integers(1, 6 if d == 1 else 4))
+    sysm = DyadicSystem.random(seed, d=d, m_top=m_top, depth=depth)
+    tops = sysm.top_cubes()
+    root = tops[int(gen.integers(len(tops)))]
+    if root_pick == "child":
+        root = _descend(root, gen, 1)
+    f = random_grid_function(sysm, seed, support=root, label="sweep-driver")
+    if gen.integers(2):  # heavier tails give nested members
+        f = GridFunction(sysm, f.values**3, SCALAR)
+    weights = None
+    if weight_mode != "lebesgue":
+        weights = np.exp(gen.uniform(-2.0, 2.0, size=(sysm.cells_per_axis,) * d))
+    if weight_mode == "zero-region":
+        weights[_descend(root, gen, int(gen.integers(0, depth - root.level + 1))).cell_slices()] = 0.0
+        for build in (build_stopping_family, build_stopping_family_per_cube):
+            with pytest.raises(SparsityError, match="zero measure"):
+                build(f, root, factor, weights)
+        return
+    fam = build_stopping_family(f, root, factor, weights)
+    ref = build_stopping_family_per_cube(f, root, factor, weights)
+    assert [c.key() for c in fam.cubes] == [c.key() for c in ref.cubes]
+    assert fam.parents == ref.parents
+    assert fam.children == ref.children
+    assert fam.export_records() == ref.export_records()
+
+
+@pytest.mark.parametrize("d, m_top, depth", [(1, 1, 4), (2, 1, 3)])
+def test_sweep_averages_are_weighted_averages_bit_for_bit(d, m_top, depth):
+    sysm = DyadicSystem.random(5, d=d, m_top=m_top, depth=depth)
+    gen = substream(5, "sweep-bits", d)
+    shape = (sysm.cells_per_axis,) * d
+    weights = np.exp(gen.uniform(-2.0, 2.0, size=shape))
+    norms = np.abs(gen.standard_normal(shape)) ** 3
+    fam = SparseFamily(sysm.top_cubes()[0], weights=weights)
+    for level in range(sysm.min_level, depth + 1):
+        for root in sysm.cubes_at_level(level):
+            box = [(s, s + root.size_cells) for s in root.start_cells()]
+            for sub_level, avg in _level_averages(weights, norms, root):
+                cubes = list(sysm.cubes_at_level(sub_level, within=box))
+                assert len(cubes) == avg.size
+                for cube in cubes:
+                    block = tuple((c - s) // cube.size_cells
+                                  for c, s in zip(cube.start_cells(), root.start_cells()))
+                    assert avg[block] == fam.weighted_average(norms[..., None], cube)[0]
 
 
 # -- Carleson -------------------------------------------------------------------------
@@ -276,3 +339,16 @@ def test_lebesgue_density_is_built_once_and_read_only():
     assert not dens.flags.writeable
     weights = np.linspace(0.5, 1.5, SYS.cells_per_axis)
     assert SparseFamily(ROOT, weights=weights).density() is weights
+
+
+@pytest.mark.parametrize("make_weights", [
+    lambda c: np.ones(c),
+    lambda c: np.ones((c, c + 1)),
+    lambda c: np.full((c, c), np.nan),
+    lambda c: np.full((c, c), np.inf),
+    lambda c: -np.ones((c, c)),
+], ids=["wrong-ndim", "wrong-length", "nan", "inf", "negative"])
+def test_bad_weights_are_rejected(make_weights):
+    sysm = DyadicSystem(d=2, m_top=0, depth=2)
+    with pytest.raises(ValueError, match="weights must be"):
+        SparseFamily(sysm.cube(0, (0, 0)), weights=make_weights(sysm.cells_per_axis))
