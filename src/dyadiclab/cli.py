@@ -3,23 +3,30 @@
 Reports carry one CSV row per check (check_id, anchor, measured, bound,
 pass, seed, runtime_ms) plus a JSON summary.  Identical configuration and
 seed reproduce every column byte for byte except runtime_ms, which is
-wall time.  Exit status: 0 all checks pass, 1 a check failed, 2 bad usage.
+wall time.  Exit status: 0 all checks pass, 1 a check failed, 2 bad usage
+(including a parameter value the library rejects).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from typing import Optional
 
+from .errors import InsufficientDataError, ResourceLimitError
 from .experiments import EXPERIMENTS, run_experiment
 
 CSV_HEADER = "check_id,anchor,measured,bound,pass,seed,runtime_ms"
 
-CONFIG_KEYS = {"experiments", "seed", "params", "out_csv", "out_json"}
+# config key -> a value of the type it takes (see `_fits`)
+CONFIG_KEYS = {"experiments": [""], "seed": 0, "params": {}, "out_csv": "", "out_json": ""}
+
+# what the library raises for a parameter value it cannot run with
+_LIBRARY_ERRORS = (ValueError, ResourceLimitError, InsufficientDataError)
 
 
 class UsageError(Exception):
@@ -43,13 +50,14 @@ def _load_config(path: Optional[str]) -> dict:
         raise UsageError(f"cannot read config {path}: {exc}")
     if not isinstance(doc, dict):
         raise UsageError("config must be a JSON object")
-    unknown = set(doc) - CONFIG_KEYS
+    unknown = set(doc) - set(CONFIG_KEYS)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise UsageError("config 'params' must map experiment names to overrides")
-    for name, overrides in params.items():
+    for key, value in doc.items():
+        if not _fits(value, CONFIG_KEYS[key]):
+            raise UsageError(f"config {key!r} takes {_type_name(CONFIG_KEYS[key])}, "
+                             f"not {_type_name(value)}")
+    for name, overrides in doc.get("params", {}).items():
         if name not in EXPERIMENTS:
             raise UsageError(f"config params for unknown experiment {name!r}")
         if not isinstance(overrides, dict):
@@ -61,9 +69,14 @@ def _load_config(path: Optional[str]) -> dict:
         for key, value in overrides.items():
             if not _fits(value, defaults[key]):
                 raise UsageError(f"parameter {key!r} of {name!r} takes "
-                                 f"{type(defaults[key]).__name__}, not "
-                                 f"{type(value).__name__}")
+                                 f"{_type_name(defaults[key])}, not {_type_name(value)}")
     return doc
+
+
+def _type_name(value) -> str:
+    if isinstance(value, list) and value:
+        return f"list of {type(value[0]).__name__}"
+    return type(value).__name__
 
 
 def _fits(value, default) -> bool:
@@ -101,25 +114,48 @@ def _format_row(check, runtime_ms: int) -> str:
             f"{str(check.passed).lower()},{check.seed},{runtime_ms}")
 
 
+def _check_exponents(name: str, overrides: dict):
+    """Exponents must lie in (1, inf), where the conjugate exponent is finite."""
+    for key in ("p", "p_list"):
+        values = overrides.get(key, [])
+        for p in values if isinstance(values, list) else [values]:
+            if not 1 < p < math.inf:
+                raise UsageError(f"{name}: exponent {key} = {p!r} is outside (1, inf)")
+
+
 def _run(args) -> int:
     config = _load_config(args.config)
     seed = args.seed
     if seed is None:
         seed = config.get("seed")
     if seed is None:
-        seed = int(os.environ.get("DYADICLAB_SEED", "0"))
+        try:
+            seed = int(os.environ.get("DYADICLAB_SEED", "0"))
+        except ValueError:
+            raise UsageError(f"DYADICLAB_SEED must be an integer, "
+                             f"not {os.environ['DYADICLAB_SEED']!r}")
     names = list(args.experiment or config.get("experiments", []))
     if names == ["all"]:
         names = sorted(EXPERIMENTS)
+    overrides = {}
     for name in names:
         if name not in EXPERIMENTS:
             raise UsageError(f"unknown experiment {name!r}; see 'list'")
+        overrides[name] = dict(config.get("params", {}).get(name, {}))
+        overrides[name].update(_flag_overrides(args, name))
+        _check_exponents(name, overrides[name])
+    out_csv = args.out or config.get("out_csv")
+    out_json = out_csv and (config.get("out_json") or os.path.splitext(out_csv)[0] + ".json")
+    for path in filter(None, (out_csv, out_json)):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise UsageError(f"report directory of {path} does not exist")
 
     def run_one(name: str):
-        overrides = dict(config.get("params", {}).get(name, {}))
-        overrides.update(_flag_overrides(args, name))
         start = time.perf_counter()
-        checks = run_experiment(name, seed, overrides)
+        try:
+            checks = run_experiment(name, seed, overrides[name])
+        except _LIBRARY_ERRORS as exc:
+            raise UsageError(f"{name}: {exc}")
         elapsed_ms = int(round((time.perf_counter() - start) * 1000))
         return name, checks, elapsed_ms
 
@@ -136,12 +172,10 @@ def _run(args) -> int:
             summary["all_passed"] &= check.passed
     rows.sort(key=lambda item: item[0])
 
-    out_csv = args.out or config.get("out_csv")
     csv_text = CSV_HEADER + "\n" + "".join(line + "\n" for _, line, _ in rows)
     if out_csv:
         with open(out_csv, "w") as stream:
             stream.write(csv_text)
-        out_json = config.get("out_json") or os.path.splitext(out_csv)[0] + ".json"
         with open(out_json, "w") as stream:
             json.dump(summary, stream, indent=2, sort_keys=True)
             stream.write("\n")

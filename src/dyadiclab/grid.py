@@ -229,12 +229,6 @@ class DyadicCube:
             kids.append(DyadicCube(sysm, self.level + 1, corner))
         return kids
 
-    def ancestor(self, levels_up: int) -> "DyadicCube":
-        cube = self
-        for _ in range(levels_up):
-            cube = cube.parent()
-        return cube
-
     def key(self) -> tuple:
         return (self.level, self.corner)
 

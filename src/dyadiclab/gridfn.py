@@ -7,7 +7,7 @@ so no quadrature error enters anywhere in the package.
 Bulk per-level operations (level means, analyze/synthesize, paraproduct
 support) require the involved levels to be aligned with the cell grid,
 which holds for standard systems at every level.  Per-cube operations
-(averages, Haar coefficients, projections) work in any translated system
+(averages, Haar coefficients) work in any translated system
 because a translated cube's descendants align with the block grid inside
 its own cell slice.
 """
@@ -115,12 +115,11 @@ def haar_vector(cube: DyadicCube, eta) -> np.ndarray:
     return arr
 
 
-def haar_frame(system: DyadicSystem, level_lo: int, level_hi: int,
-               within=None) -> tuple:
+def haar_frame(system: DyadicSystem, level_lo: int, level_hi: int) -> tuple:
     """(cols, H): the (cube, eta) pairs of levels level_lo..level_hi, cube-major
-    in level and corner order (`within` as in `cubes_at_level`), and H whose
-    column n is haar_vector(*cols[n]) flattened (see `fill_haar_frame`)."""
-    per_level = [list(system.cubes_at_level(level, within=within))
+    in level and corner order, and H whose column n is haar_vector(*cols[n])
+    flattened (see `fill_haar_frame`)."""
+    per_level = [list(system.cubes_at_level(level))
                  for level in range(level_lo, level_hi + 1)]
     cols = [(cube, eta) for cubes in per_level for cube in cubes for eta in etas(system.d)]
     return cols, fill_haar_frame(system, per_level)
@@ -204,34 +203,6 @@ def haar_coefficient(f: GridFunction, cube: DyadicCube, eta) -> np.ndarray:
     for offs in itertools.product((0, 1), repeat=d):
         coeff += _eta_sign(eta, offs) * kid_means[offs] * child_vol
     return coeff * cube.volume**-0.5
-
-
-def haar_projection(f: GridFunction, cube: DyadicCube) -> GridFunction:
-    """Difference between child-level and cube-level averages on `cube`."""
-    if cube.level >= f.system.depth:
-        raise MeshDepthError("projection needs resolvable children")
-    d = f.system.d
-    view = f.values[cube.cell_slices()]
-    half = cube.size_cells // 2
-    kid = _expand_blocks(_block_means(view, d, half), d, half)
-    out = np.zeros_like(f.values)
-    out[cube.cell_slices()] = kid - view.reshape(-1, f.space.dim).mean(axis=0)
-    return GridFunction(f.system, out, f.space)
-
-
-def shifted_projection(f: GridFunction, root: DyadicCube, gap: int) -> GridFunction:
-    """Sum of Haar projections over the subcubes `gap` generations below root."""
-    if root.level + gap + 1 > f.system.depth:
-        raise MeshDepthError(f"gap {gap} below level {root.level} leaves the mesh")
-    d = f.system.d
-    view = f.values[root.cell_slices()]
-    fine = root.size_cells >> (gap + 1)
-    coarse = root.size_cells >> gap
-    delta = (_expand_blocks(_block_means(view, d, fine), d, fine)
-             - _expand_blocks(_block_means(view, d, coarse), d, coarse))
-    out = np.zeros_like(f.values)
-    out[root.cell_slices()] = delta
-    return GridFunction(f.system, out, f.space)
 
 
 # -- aligned per-level operations ---------------------------------------------

@@ -100,8 +100,7 @@ def scalar_family(values: Sequence[float], space: NormedSpace = SCALAR) -> Opera
     return OperatorFamily(tuple(float(v) * eye for v in values), space)
 
 
-def rbound_witness(family: OperatorFamily, assignment, p: float,
-                   ensemble: SignEnsemble = EXHAUSTIVE) -> float:
+def rbound_witness(family: OperatorFamily, assignment, p: float) -> float:
     """Ratio of output to input Rademacher p-norms for one assignment.
 
     `assignment` is a sequence of (operator index, element) pairs; any
@@ -112,10 +111,10 @@ def rbound_witness(family: OperatorFamily, assignment, p: float,
     idx = [k for k, _ in assignment]
     elems = np.stack([np.asarray(e, dtype=float) for _, e in assignment])
     outs = np.stack([family.operators[k] @ e for k, e in zip(idx, elems)])
-    den = rademacher_pnorm(elems, p, ensemble, family.space)
+    den = rademacher_pnorm(elems, p, space=family.space)
     if den.value == 0.0:
         raise DegenerateInputError("input Rademacher norm is zero")
-    num = rademacher_pnorm(outs, p, ensemble, family.space)
+    num = rademacher_pnorm(outs, p, space=family.space)
     return num.value / den.value
 
 
@@ -132,7 +131,6 @@ def _power_iteration_vector(op: np.ndarray, gen, iters: int = 12) -> np.ndarray:
 
 
 def rbound_probe(family: OperatorFamily, p: float, budget: int, seed: int,
-                 ensemble: SignEnsemble = EXHAUSTIVE,
                  extra_assignments=()) -> float:
     """Best witness ratio found by a seeded search; monotone in `budget`.
 
@@ -149,7 +147,7 @@ def rbound_probe(family: OperatorFamily, p: float, budget: int, seed: int,
     def try_assignment(assignment):
         nonlocal best
         try:
-            best = max(best, rbound_witness(family, assignment, p, ensemble))
+            best = max(best, rbound_witness(family, assignment, p))
         except DegenerateInputError:
             pass
 

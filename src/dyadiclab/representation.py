@@ -15,7 +15,6 @@ from the integration; symmetrically when J is strictly inside I.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -26,9 +25,9 @@ from .errors import (DegenerateInputError, InsufficientDataError, MeshDepthError
 from .grid import (DyadicCube, DyadicSystem, GoodnessParams, common_ancestor,
                    goodness_probability, is_good)
 from .gridfn import (GridFunction, etas, fill_haar_frame, haar_block, haar_coefficient,
-                     haar_frame, haar_vector, pair, shifted_projection)
+                     haar_frame, haar_vector, pair)
 from .rng import substream
-from .shifts import ParaproductSpec, apply_averaging, apply_paraproduct
+from .shifts import ParaproductSpec, apply_paraproduct
 # -- kernels -------------------------------------------------------------------
 
 
@@ -49,14 +48,6 @@ class CzKernel:
             dist = np.linalg.norm(np.asarray(x) - np.asarray(y), axis=-1)
             vals = np.where(dist <= self.cutoff, vals, 0.0)
         return vals
-
-    def descriptor(self) -> str:
-        return json.dumps(
-            {"name": self.name, "alpha": self.alpha, "c0": self.c0,
-             "c_alpha": self.c_alpha, "cutoff": self.cutoff},
-            sort_keys=True,
-        )
-
 
 def hilbert_kernel(cutoff: Optional[float] = None) -> CzKernel:
     """k(x, y) = 1/(x - y) in one dimension."""
@@ -206,22 +197,6 @@ def matrix_element(T: DiscreteOperator, J: DyadicCube, etaJ,
         hI_at_J = hI[tuple(np.subtract(J.start_cells(), I.start_cells()))]
         return raw - float(hI_at_J) * vol * float((row_sums[J.cell_slices()] * hJ).sum())
     return raw
-
-
-def quadrature_refinement_gap(kernel: CzKernel, system: DyadicSystem,
-                              J: DyadicCube, etaJ, I: DyadicCube, etaI,
-                              diagonal: float = 0.0) -> float:
-    """Difference of the raw element against assembly on a 4x refined mesh.
-
-    A gap above 1e-6 flags the kernel as under-resolved at this mesh.
-    """
-    fine = DyadicSystem(d=system.d, m_top=system.m_top, depth=system.depth + 2,
-                        omega=system.omega)
-    coarse_val = matrix_element(assemble(kernel, system, diagonal), J, etaJ, I, etaI)
-    fj = fine.cube(J.level, J.corner)
-    fi = fine.cube(I.level, I.corner)
-    fine_val = matrix_element(assemble(kernel, fine, diagonal), fj, etaJ, fi, etaI)
-    return abs(coarse_val - fine_val)
 
 
 # -- paraproduct extraction ----------------------------------------------------------
@@ -393,15 +368,6 @@ def shift_coefficients(T: DiscreteOperator, K: DyadicCube, i: int, j: int,
     return table
 
 
-def shift_block_apply(T: DiscreteOperator, K: DyadicCube, i: int, j: int,
-                      params: GoodnessParams, f: GridFunction) -> GridFunction:
-    """Apply project(j) . averaging-block . project(i) with the assembled table."""
-    table = shift_coefficients(T, K, i, j, params)
-    inner = shifted_projection(f, K, i)
-    averaged = apply_averaging(K, table, inner, K.level + max(i, j) + 1)
-    return shifted_projection(averaged, K, j)
-
-
 # -- decay of matrix-element magnitudes ----------------------------------------------
 
 
@@ -545,26 +511,18 @@ def wbp_constants(T: DiscreteOperator) -> dict:
 
 @dataclass(frozen=True)
 class RepresentationConfig:
-    """Goodness data, complexity caps, and the translation sampling plan."""
+    """Goodness data and the translation sampling plan."""
 
     goodness: GoodnessParams
-    epsilon: float = 0.25
-    ij_cap: int = 3
     sampling: str = "exhaustive"     # or "mc"
     mc_trials: int = 256
     seed: int = 0
     exhaustive_bit_cap: int = 20
 
     def __post_init__(self):
-        if not (0 < self.epsilon < 1):
-            raise ValueError("epsilon must lie in (0, 1)")
         if self.goodness.max_generations is None:
             raise ValueError("translated-grid averaging needs a relative "
                              "ancestor truncation (max_generations)")
-
-
-def gamma_from_epsilon(epsilon: float, alpha: float, d: int) -> float:
-    return epsilon * alpha / (alpha + d)
 
 
 @dataclass(frozen=True)
@@ -692,15 +650,3 @@ def averaging_identity_residual(T: DiscreteOperator, g: GridFunction,
     return AveragingIdentityReport(lhs=lhs, rhs=goodsum / n / pi.value, pi_good=pi.value,
                                    n_samples=n, top_scale_defect=lhs - total_sum / n,
                                    coarse_share=coarse / n, full_sum_mean=total_sum / n)
-
-
-# -- exports -------------------------------------------------------------------------
-
-
-def coefficient_rows_to_csv(rows) -> str:
-    """CSV of (i, j, K-level, K-corner, magnitude) coefficient summaries."""
-    lines = ["i,j,k_level,k_corner,magnitude"]
-    for i, j, level, corner, mag in rows:
-        corner_txt = ";".join(str(c) for c in corner)
-        lines.append(f"{i},{j},{level},{corner_txt},{mag!r}")
-    return "\n".join(lines) + "\n"

@@ -17,10 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateInputError, MeshDepthError
+from .errors import MeshDepthError
 from .grid import DyadicCube, DyadicSystem
-from .gridfn import (GridFunction, _block_means, _expand_blocks,
-                     conditional_expectation, lp_norm)
+from .gridfn import GridFunction, _block_means, _expand_blocks, conditional_expectation
 from .rng import substream
 from .space import SCALAR, NormedSpace
 
@@ -113,28 +112,6 @@ class ShiftSpec:
             tables.setflags(write=False)
             self._stacks[level] = (first, counts, tables)
         return self._stacks[level]
-
-
-def apply_averaging(cube: DyadicCube, table: np.ndarray, f: GridFunction,
-                    block_level: int) -> GridFunction:
-    """Averaging block on `cube`: x -> (1_K(x)/|K|) integral of a_K(x, x') f(x').
-
-    `table` is indexed by flattened block pairs (output, input) at
-    `block_level`; scalar tables have shape (B, B), matrix tables
-    (B, B, n, n).
-    """
-    sysm, d, n = f.system, f.system.d, f.space.dim
-    factor = 1 << (sysm.depth - block_level)
-    b_axis = cube.size_cells // factor
-    view = f.values[cube.cell_slices()]
-    block_integrals = _block_means(view, d, factor).reshape(-1, n) * (2.0**-block_level) ** d
-    if table.ndim == 2:
-        out_blocks = (table @ block_integrals) / cube.volume
-    else:
-        out_blocks = np.einsum("oibc,ic->ob", table, block_integrals) / cube.volume
-    out = np.zeros_like(f.values)
-    out[cube.cell_slices()] = _expand_blocks(out_blocks.reshape((b_axis,) * d + (n,)), d, factor)
-    return GridFunction(sysm, out, f.space)
 
 
 def _scale_step(arr: np.ndarray, d: int, side: int, g: int, res: int) -> np.ndarray:
@@ -240,21 +217,6 @@ def apply_paraproduct(spec: ParaproductSpec, f: GridFunction) -> GridFunction:
             term = np.where(mask[..., None], term, 0.0)
         out += term
     return GridFunction(sysm, out, f.space)
-
-
-def operator_ratio(apply_fn, samples, p: float) -> float:
-    """Largest output/input L^p ratio over the given inputs."""
-    best = 0.0
-    seen_nonzero = False
-    for f in samples:
-        den = lp_norm(f, p)
-        if den == 0.0:
-            continue
-        seen_nonzero = True
-        best = max(best, lp_norm(apply_fn(f), p) / den)
-    if not seen_nonzero:
-        raise DegenerateInputError("all sample inputs are zero")
-    return best
 
 
 # -- serialization -----------------------------------------------------------------

@@ -118,10 +118,10 @@ class SparseFamily:
                     break
         return best
 
-    def is_sparse(self, fraction: float = 0.5) -> bool:
-        """Whether every member keeps `fraction` of its measure outside children."""
-        if self.weights is None and fraction == 0.5:
-            # Lebesgue with the standard fraction: exact in integer cell counts
+    def is_sparse(self) -> bool:
+        """Whether every member keeps half of its measure outside children."""
+        if self.weights is None:
+            # Lebesgue: exact in integer cell counts
             for idx in range(len(self)):
                 kept = self.cell_count(self.cubes[idx]) - sum(
                     self.cell_count(self.cubes[c]) for c in self.children[idx]
@@ -130,7 +130,7 @@ class SparseFamily:
                     return False
             return True
         for idx in range(len(self)):
-            if self.exceptional_measure(idx) < fraction * self.measure(self.cubes[idx]) - _EXACT_TOL:
+            if self.exceptional_measure(idx) < 0.5 * self.measure(self.cubes[idx]) - _EXACT_TOL:
                 return False
         return True
 
@@ -220,20 +220,6 @@ def carleson_sum(family: SparseFamily, f: GridFunction, p: float) -> CarlesonRes
     return CarlesonResult(lhs, fnorm, 2.0 * q, 2.0 ** (1.0 / p) * q)
 
 
-def _weighted_haar_projection(family: SparseFamily, f: GridFunction,
-                              cube: DyadicCube) -> np.ndarray:
-    kids = cube.children()
-    out = np.zeros_like(f.values)
-    for kid in kids:
-        out[kid.cell_slices()] = family.weighted_average(f.values, kid)
-    onto = family.weighted_average(f.values, cube)
-    sl = cube.cell_slices()
-    out[sl] -= onto
-    full = np.zeros_like(f.values)
-    full[sl] = out[sl]
-    return full
-
-
 def project_onto_member(family: SparseFamily, member: DyadicCube,
                         f: GridFunction) -> GridFunction:
     """Adapted projection onto one member, in closed form.
@@ -256,25 +242,6 @@ def project_onto_member(family: SparseFamily, member: DyadicCube,
     full = np.zeros_like(f.values)
     full[sl] = out[sl]
     return GridFunction(f.system, full, f.space)
-
-
-def project_onto_member_haar(family: SparseFamily, member: DyadicCube,
-                             f: GridFunction) -> GridFunction:
-    """Same projection computed as the sum over cubes with this minimal member."""
-    idx = family.member_index(member)
-    child_cubes = [family.cubes[c] for c in family.children[idx]]
-    depth = f.system.depth
-    out = np.zeros_like(f.values)
-    stack = [family.cubes[idx]]
-    while stack:
-        cube = stack.pop()
-        if any(kid.contains_cube(cube) or kid.key() == cube.key() for kid in child_cubes):
-            continue
-        if cube.level >= depth:
-            continue
-        out += _weighted_haar_projection(family, f, cube)
-        stack.extend(cube.children())
-    return GridFunction(f.system, out, f.space)
 
 
 def lp_norm_weighted(family: SparseFamily, f: GridFunction, p: float) -> float:

@@ -9,6 +9,7 @@ import itertools
 
 import numpy as np
 
+from dyadiclab.errors import MeshDepthError
 from dyadiclab.grid import DyadicSystem, common_ancestor, goodness_probability, is_good
 from dyadiclab.gridfn import (GridFunction, _block_means, _expand_blocks, etas,
                               haar_coefficient, haar_vector, pair)
@@ -115,6 +116,56 @@ def apply_shift_per_cube(spec, f):
             factor = cube.size_cells >> spec.block_gap
             out[cube.cell_slices()] += _expand_blocks(blocks, d, factor)
     return GridFunction(spec.system, out, spec.space)
+
+
+# -- per-cube projections ----------------------------------------------------------
+
+
+def shifted_projection(f, root, gap):
+    """Sum of Haar projections over the subcubes `gap` generations below root."""
+    if root.level + gap + 1 > f.system.depth:
+        raise MeshDepthError(f"gap {gap} below level {root.level} leaves the mesh")
+    d = f.system.d
+    view = f.values[root.cell_slices()]
+    fine = root.size_cells >> (gap + 1)
+    coarse = root.size_cells >> gap
+    delta = (_expand_blocks(_block_means(view, d, fine), d, fine)
+             - _expand_blocks(_block_means(view, d, coarse), d, coarse))
+    out = np.zeros_like(f.values)
+    out[root.cell_slices()] = delta
+    return GridFunction(f.system, out, f.space)
+
+
+def _weighted_haar_projection(family, f, cube):
+    kids = cube.children()
+    out = np.zeros_like(f.values)
+    for kid in kids:
+        out[kid.cell_slices()] = family.weighted_average(f.values, kid)
+    onto = family.weighted_average(f.values, cube)
+    sl = cube.cell_slices()
+    out[sl] -= onto
+    full = np.zeros_like(f.values)
+    full[sl] = out[sl]
+    return full
+
+
+def project_onto_member_haar(family, member, f):
+    """`sparse.project_onto_member` as the sum of measure-weighted Haar
+    projections over the cubes with this minimal member."""
+    idx = family.member_index(member)
+    child_cubes = [family.cubes[c] for c in family.children[idx]]
+    depth = f.system.depth
+    out = np.zeros_like(f.values)
+    stack = [family.cubes[idx]]
+    while stack:
+        cube = stack.pop()
+        if any(kid.contains_cube(cube) or kid.key() == cube.key() for kid in child_cubes):
+            continue
+        if cube.level >= depth:
+            continue
+        out += _weighted_haar_projection(family, f, cube)
+        stack.extend(cube.children())
+    return GridFunction(f.system, out, f.space)
 
 
 def shift_cells_by_bits(system, level):
@@ -233,7 +284,9 @@ def flat_haar(cube, eta):
 
 def nested_left_vector(J, etaJ, I):
     """1 off the child of J containing I, times (h_J minus its value there)."""
-    child = I.ancestor(I.level - J.level - 1)
+    child = I
+    while child.level > J.level + 1:
+        child = child.parent()
     h = haar_vector(J, etaJ)
     value = h[tuple(s.start for s in child.cell_slices())]
     w = h - value

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
+from dyadiclab import cli
 from dyadiclab.cli import main
-from dyadiclab.experiments import EXPERIMENTS
+from dyadiclab.experiments import EXPERIMENTS, Check
 
 FAST_CONFIG = {
     "experiments": ["goodness", "condexp-sum", "pythagoras"],
@@ -90,6 +91,108 @@ def test_mistyped_config_parameter_is_one_line_usage_error(tmp_path, capsys, par
     assert main(["run", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def assert_one_error_line(capsys, prefix="error: "):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.fixture
+def no_experiment_runs(monkeypatch):
+    """Replaces the runner; the test fails if any experiment starts."""
+    def refuse(name, seed, overrides):
+        raise AssertionError(f"{name} ran")
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+
+
+@pytest.mark.parametrize("doc", [
+    {"experiments": ["goodness"], "seed": 1.5},
+    {"experiments": ["goodness"], "seed": "x"},
+    {"experiments": ["goodness"], "seed": True},
+    {"experiments": "stopping"},
+    {"experiments": [["stopping"]]},
+    {"experiments": ["goodness"], "out_csv": 5},
+    {"experiments": ["goodness"], "out_json": ["a.json"]},
+    {"experiments": ["goodness"], "params": [["goodness", {}]]},
+])
+def test_mistyped_config_key_is_one_line_usage_error(tmp_path, capsys, no_experiment_runs,
+                                                     doc):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config)]) == 2
+    assert_one_error_line(capsys, "error: config ")
+
+
+def test_bad_seed_environment_is_usage_error(monkeypatch, capsys, no_experiment_runs):
+    monkeypatch.setenv("DYADICLAB_SEED", "abc")
+    assert main(["run", "--experiment", "goodness"]) == 2
+    assert_one_error_line(capsys, "error: DYADICLAB_SEED ")
+
+
+@pytest.mark.parametrize("option", ["--out", "--config"])
+def test_missing_report_directory_fails_before_running(tmp_path, capsys,
+                                                       no_experiment_runs, option):
+    target = str(tmp_path / "missing" / "report.csv")
+    argv = ["run", "--experiment", "goodness"]
+    if option == "--out":
+        argv += ["--out", target]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"out_csv": str(tmp_path / "r.csv"),
+                                      "out_json": target}))
+        argv += ["--config", str(config)]
+    assert main(argv) == 2
+    assert_one_error_line(capsys)
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--experiment", "carleson", "--p", "nan"],
+    ["--experiment", "paraproduct", "--p", "1"],
+    ["--experiment", "paraproduct", "--p", "0.5"],
+    ["--experiment", "stein", "--p", "inf"],
+    ["--experiment", "stein", "--p", "2", "--p", "-3"],
+])
+def test_exponent_flag_outside_one_to_infinity_is_usage_error(capsys, no_experiment_runs,
+                                                              argv):
+    assert main(["run", *argv]) == 2
+    assert_one_error_line(capsys, f"error: {argv[1]}: exponent p_list = ")
+
+
+@pytest.mark.parametrize("params", [
+    {"condexp-sum": {"p_list": [2.0, 1.0]}},
+    {"decoupling": {"p_list": [0.0]}},
+    {"rbound-calculus": {"p": 1}},
+    {"rbound-calculus": {"p": -2.0}},
+])
+def test_config_exponent_outside_one_to_infinity_is_usage_error(tmp_path, capsys,
+                                                                no_experiment_runs, params):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"experiments": list(params), "params": params}))
+    assert main(["run", "--config", str(config)]) == 2
+    assert_one_error_line(capsys, f"error: {next(iter(params))}: exponent ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--experiment", "matrix-decay", "--depth", "-1"],
+    ["--experiment", "matrix-decay", "--gamma", "2"],
+    ["--experiment", "matrix-decay", "--r", "0"],
+    ["--experiment", "shift-bound", "--depth", "2"],
+    ["--experiment", "pythagoras", "--depth", "0"],
+    ["--experiment", "matrix-decay", "--r", "9"],
+    ["--experiment", "averaging-identity", "--depth", "30"],
+])
+def test_rejected_parameter_value_is_one_line_usage_error(capsys, argv):
+    assert main(["run", *argv]) == 2
+    assert_one_error_line(capsys, f"error: {argv[1]}: ")
+
+
+def test_failed_check_still_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_experiment", lambda name, seed, overrides: [
+        Check("goodness/forced", "anchor", 2.0, 1.0, False, seed)])
+    assert main(["run", "--experiment", "goodness"]) == 1
+    assert capsys.readouterr().err == "FAIL goodness/forced\n"
 
 
 def test_float_parameter_takes_an_int(tmp_path):

@@ -7,13 +7,12 @@ from dyadiclab.errors import MeshDepthError
 from dyadiclab.grid import DyadicSystem
 from dyadiclab.gridfn import (GridFunction, analyze, bmo_norm, conditional_expectation,
                               cube_average, from_bytes, from_callable, from_csv,
-                              haar_coefficient, haar_eval, haar_function,
-                              haar_projection, indicator, level_means, lp_norm, pair,
-                              random_grid_function, shifted_projection, synthesize,
-                              to_bytes, to_csv, zeros)
+                              haar_coefficient, haar_eval, haar_function, haar_vector,
+                              indicator, level_means, lp_norm, pair, random_grid_function,
+                              synthesize, to_bytes, to_csv, zeros)
 from dyadiclab.space import SCALAR, NormedSpace
 
-from oracles import haar_coefficient_by_eval
+from oracles import haar_coefficient_by_eval, shifted_projection
 
 SYS4 = DyadicSystem(d=1, m_top=0, depth=4)
 UNIT = SYS4.cube(0, (0,))
@@ -159,7 +158,7 @@ def test_coefficient_lookup_matches_per_cube_value():
         haar_coefficient(f, cube, (1,))[0], abs=1e-13)
 
 
-# -- projections ----------------------------------------------------------------------
+# -- projections (the per-cube oracle) -------------------------------------------------
 
 
 def test_projection_examples():
@@ -172,8 +171,8 @@ def test_projection_examples():
 
 def test_zero_gap_projection_is_haar_projection():
     f = random_grid_function(SYS4, 2)
-    assert np.abs(shifted_projection(f, UNIT, 0).values
-                  - haar_projection(f, UNIT).values).max() < 1e-14
+    haar = haar_coefficient(f, UNIT, (1,))[0] * haar_vector(UNIT, (1,))
+    assert np.abs(shifted_projection(f, UNIT, 0).values[..., 0] - haar).max() < 1e-14
 
 
 def test_projection_of_constant_vanishes():
@@ -213,7 +212,7 @@ def test_projection_telescoping_under_root(seed):
     for level in range(root.level, system.depth):
         for cube in system.cubes_at_level(level):
             if root.contains_cube(cube):
-                total = total + haar_projection(f, cube)
+                total = total + shifted_projection(f, cube, 0)
     expected = f.values - cube_average(f, root) * indicator(root).values
     assert np.abs(total.values - expected).max() < 1e-12
 

@@ -9,19 +9,17 @@ import oracles
 from dyadiclab.errors import (AmbientRangeError, DegenerateInputError,
                               InsufficientDataError, ResourceLimitError)
 from dyadiclab.grid import DyadicSystem, GoodnessParams, common_ancestor, is_good
-from dyadiclab.gridfn import (etas, haar_coefficient, haar_frame, haar_vector, pair,
-                              random_grid_function)
+from dyadiclab.gridfn import (etas, fill_haar_frame, haar_coefficient, haar_frame,
+                              haar_vector, pair, random_grid_function)
 from dyadiclab.representation import (DECAY_CASES, DiscreteOperator,
                                       RepresentationConfig, assemble,
-                                      averaging_identity_residual,
-                                      coefficient_rows_to_csv, decay_check,
+                                      averaging_identity_residual, decay_check,
                                       extract_paraproducts, full_pairing_sum,
-                                      gamma_from_epsilon, hilbert_kernel,
-                                      matrix_element, pairing_decomposition,
-                                      quadrature_refinement_gap, raw_pairing,
-                                      shift_block_apply, shift_coefficients,
-                                      smooth_odd_kernel, synthesize_symbol,
-                                      validate_kernel, wbp_constants)
+                                      hilbert_kernel, matrix_element,
+                                      pairing_decomposition, raw_pairing,
+                                      shift_coefficients, smooth_odd_kernel,
+                                      synthesize_symbol, validate_kernel, wbp_constants)
+from dyadiclab.shifts import ExplicitKernel, ShiftSpec, apply_shift
 
 SYS = DyadicSystem(d=1, m_top=0, depth=6)
 N = SYS.n_cells
@@ -32,10 +30,6 @@ def test_kernel_standard_estimates_sampled():
     assert report["decay_ok"] and report["holder_ok"]
     report = validate_kernel(smooth_odd_kernel(0.25, 1.0), 1, samples=4000, seed=1)
     assert report["decay_ok"]
-
-
-def test_gamma_from_epsilon():
-    assert gamma_from_epsilon(0.25, 1.0, 1) == pytest.approx(0.125)
 
 
 def test_zero_operator_elements():
@@ -58,8 +52,12 @@ def test_hilbert_element_against_refined_quadrature():
     kernel = hilbert_kernel()
     J = system.cube(1, (1,))
     I = system.cube(3, (0,))
-    gap = quadrature_refinement_gap(kernel, system, J, (1,), I, (1,))
-    assert gap < 1e-6  # resolved at this depth for this separated pair
+    fine = DyadicSystem(d=1, m_top=0, depth=system.depth + 2)  # 4x refined mesh
+    coarse_val = matrix_element(assemble(kernel, system), J, (1,), I, (1,))
+    fine_val = matrix_element(assemble(kernel, fine), fine.cube(J.level, J.corner), (1,),
+                              fine.cube(I.level, I.corner), (1,))
+    # resolved at this depth for this separated pair
+    assert abs(coarse_val - fine_val) < 1e-6
 
 
 def test_extracted_convention_drops_the_host_child():
@@ -139,6 +137,15 @@ def test_symbol_synthesis_matches_table():
 PERMISSIVE = GoodnessParams(gamma=0.4, r=1, max_generations=2)
 
 
+def coefficient_shift(T, K, i, j, params):
+    """The (i, j) shift whose only nonzero table is K's, from `shift_coefficients`."""
+    blocks = (1 << (max(i, j) + 1)) ** T.system.d
+    tables = {cube.key(): np.zeros((blocks, blocks))
+              for cube in T.system.cubes_at_level(K.level)}
+    tables[K.key()] = shift_coefficients(T, K, i, j, params)
+    return ShiftSpec(i, j, T.system, ExplicitKernel(tables), k_levels=(K.level, K.level))
+
+
 @given(st.integers(0, 10**6), st.sampled_from([(0, 0), (1, 0), (2, 1), (1, 2)]))
 @settings(max_examples=10)
 def test_shift_coefficients_reproduce_partial_pairing(seed, ij):
@@ -147,7 +154,7 @@ def test_shift_coefficients_reproduce_partial_pairing(seed, ij):
     K = SYS.cube(0, (0,))
     f = random_grid_function(SYS, seed, label="sc-f")
     g = random_grid_function(SYS, seed, label="sc-g")
-    lhs = pair(g, shift_block_apply(T, K, i, j, PERMISSIVE, f))
+    lhs = pair(g, apply_shift(coefficient_shift(T, K, i, j, PERMISSIVE), f))
     total = 0.0
     level_i = [K]
     for _ in range(i):
@@ -262,12 +269,6 @@ def test_degenerate_goodness_rejected():
         averaging_identity_residual(T, g, f, RepresentationConfig(goodness=gp))
 
 
-def test_coefficient_csv():
-    text = coefficient_rows_to_csv([(1, 0, 2, (3,), 0.5)])
-    assert text.splitlines()[0] == "i,j,k_level,k_corner,magnitude"
-    assert text.splitlines()[1] == "1,0,2,3,0.5"
-
-
 def test_identity_monte_carlo_sampling_mode():
     system, T, f, g = make_identity_setup(4)
     gp = GoodnessParams(gamma=0.5, r=3, max_generations=3)
@@ -352,7 +353,10 @@ def test_matrix_element_matches_dense_oracle(system, seed):
         J = cubes[gen.integers(len(cubes))]
         if I.level > system.min_level and gen.integers(2):
             try:  # an ancestor of I, when it stays inside the ambient
-                J = I.ancestor(int(gen.integers(1, I.level - system.min_level + 1)))
+                anc = I
+                for _ in range(int(gen.integers(1, I.level - system.min_level + 1))):
+                    anc = anc.parent()
+                J = anc
             except AmbientRangeError:
                 pass
         etaJ, etaI = (signs[k] for k in gen.integers(len(signs), size=2))
@@ -369,11 +373,16 @@ def test_haar_frame_matches_per_cube_vectors(system, seed, boxed):
     gen = np.random.default_rng(seed)
     lo, hi = random_levels(system, gen)
     within = None
-    if boxed:
+    if boxed:  # the frame of the cubes meeting a cell box, as the averaging identity uses
         within = [tuple(sorted(int(x) for x in gen.integers(0, system.cells_per_axis + 1,
                                                             size=2)))
                   for _ in range(system.d)]
-    cols, H = haar_frame(system, lo, hi, within)
+        blocks = [list(system.cubes_at_level(level, within=within))
+                  for level in range(lo, hi + 1)]
+        cols = [(cube, eta) for cubes in blocks for cube in cubes for eta in etas(system.d)]
+        H = fill_haar_frame(system, blocks)
+    else:
+        cols, H = haar_frame(system, lo, hi)
     assert cols == [(cube, eta) for cube in oracles.standard_cubes(system, lo, hi, within)
                     for eta in etas(system.d)]
     f = random_grid_function(system, seed, label="frame-f")

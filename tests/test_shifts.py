@@ -3,42 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadiclab.errors import DegenerateInputError
 from dyadiclab.grid import DyadicSystem
 from dyadiclab.gridfn import (GridFunction, cube_average, from_callable, haar_function,
-                              haar_vector, indicator, lp_norm, pair, random_grid_function,
-                              zeros)
+                              haar_vector, indicator, lp_norm, pair, random_grid_function)
 from dyadiclab.shifts import (ExplicitKernel, ParaproductSpec, RandomKernel, ShiftSpec,
-                              adjoint_spec, apply_averaging, apply_paraproduct,
-                              apply_shift, operator_ratio,
+                              adjoint_spec, apply_paraproduct, apply_shift,
                               shift_spec_from_json, shift_spec_to_json)
 from dyadiclab.space import SCALAR, NormedSpace
 
-from oracles import apply_shift_per_cube, dense_averaging_matrix, dense_shift_matrix
+from oracles import apply_shift_per_cube, dense_shift_matrix
 
 SYS = DyadicSystem(d=1, m_top=0, depth=6)
 UNIT = SYS.cube(0, (0,))
-
-
-def test_constant_kernel_is_the_average():
-    f = random_grid_function(SYS, 1)
-    out = apply_averaging(UNIT, np.ones((4, 4)), f, 2)
-    expected = cube_average(f, UNIT) * indicator(UNIT).values
-    assert np.abs(out.values - expected).max() < 1e-14
-
-
-def test_zero_kernel_is_zero():
-    f = random_grid_function(SYS, 1)
-    assert np.abs(apply_averaging(UNIT, np.zeros((4, 4)), f, 2).values).max() == 0.0
-
-
-def test_sign_kernel_matches_dense_oracle():
-    centers = np.arange(4)
-    table = np.sign(centers[:, None] - centers[None, :]).astype(float)
-    f = indicator(SYS.cube(1, (0,)))
-    out = apply_averaging(UNIT, table, f, 2)
-    dense = dense_averaging_matrix(UNIT, table, 2, SYS)
-    assert np.abs(out.values[..., 0] - dense @ f.values[..., 0]).max() < 1e-14
 
 
 def test_shift_of_constant_vanishes():
@@ -162,17 +138,7 @@ def test_matrix_symbol_acts_on_vectors():
     assert out.values.shape == f.values.shape
 
 
-# -- ratios and serialization --------------------------------------------------------------
-
-
-def test_operator_ratio_homogeneous_and_degenerate():
-    spec = ShiftSpec(1, 0, SYS, RandomKernel(11, 1.0))
-    f = random_grid_function(SYS, 12)
-    ratio_one = operator_ratio(lambda h: apply_shift(spec, h), [f], 2.0)
-    ratio_two = operator_ratio(lambda h: apply_shift(spec, h), [2.0 * f], 2.0)
-    assert ratio_one == pytest.approx(ratio_two)
-    with pytest.raises(DegenerateInputError):
-        operator_ratio(lambda h: h, [zeros(SYS)], 2.0)
+# -- serialization ---------------------------------------------------------------------
 
 
 def test_shift_spec_json_roundtrip_random_kernel():

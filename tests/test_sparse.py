@@ -10,10 +10,10 @@ from dyadiclab.gridfn import (GridFunction, haar_function, indicator, lp_norm, p
 from dyadiclab.rng import substream
 from dyadiclab.space import SCALAR, conjugate_exponent
 from dyadiclab.sparse import (SparseFamily, _level_averages, build_stopping_family,
-                              carleson_sum, project_onto_member, project_onto_member_haar,
-                              pythagoras_check, stopping_control)
+                              carleson_sum, project_onto_member, pythagoras_check,
+                              stopping_control)
 
-from oracles import build_stopping_family_per_cube
+from oracles import build_stopping_family_per_cube, project_onto_member_haar
 
 SYS = DyadicSystem(d=1, m_top=0, depth=6)
 ROOT = SYS.cube(0, (0,))
