@@ -4,7 +4,8 @@ Reports carry one CSV row per check (check_id, anchor, measured, bound,
 pass, seed, runtime_ms) plus a JSON summary.  Identical configuration and
 seed reproduce every column byte for byte except runtime_ms, which is
 wall time.  Exit status: 0 all checks pass, 1 a check failed, 2 bad usage
-(including a parameter value the library rejects).
+(including an empty or repeated experiment selection, a flag that no
+selected experiment takes and a parameter value the library rejects).
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ CSV_HEADER = "check_id,anchor,measured,bound,pass,seed,runtime_ms"
 
 # config key -> a value of the type it takes (see `_fits`)
 CONFIG_KEYS = {"experiments": [""], "seed": 0, "params": {}, "out_csv": "", "out_json": ""}
+
+# run flag -> the experiment parameter it sets
+_FLAG_PARAMS = {"depth": "depth", "p": "p_list", "gamma": "gamma", "r": "r"}
 
 # what the library raises for a parameter value it cannot run with
 _LIBRARY_ERRORS = (ValueError, ResourceLimitError, InsufficientDataError)
@@ -94,17 +98,18 @@ def _fits(value, default) -> bool:
     return isinstance(value, type(default))
 
 
-def _flag_overrides(args, name: str) -> dict:
-    defaults = EXPERIMENTS[name].defaults
-    overrides = {}
-    if args.depth is not None and "depth" in defaults:
-        overrides["depth"] = args.depth
-    if args.p and "p_list" in defaults:
-        overrides["p_list"] = list(args.p)
-    if args.gamma is not None and "gamma" in defaults:
-        overrides["gamma"] = args.gamma
-    if args.r is not None and "r" in defaults:
-        overrides["r"] = args.r
+def _flag_overrides(args, names: list) -> dict:
+    """Per selected experiment, the flags it takes; a flag none takes is an error."""
+    overrides = {name: {} for name in names}
+    for flag, key in _FLAG_PARAMS.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        takers = [name for name in names if key in EXPERIMENTS[name].defaults]
+        if not takers:
+            raise UsageError(f"no selected experiment takes --{flag}")
+        for name in takers:
+            overrides[name][key] = value
     return overrides
 
 
@@ -137,12 +142,16 @@ def _run(args) -> int:
     names = list(args.experiment or config.get("experiments", []))
     if names == ["all"]:
         names = sorted(EXPERIMENTS)
-    overrides = {}
-    for name in names:
+    if not names:
+        raise UsageError("no experiment selected; see 'list'")
+    for k, name in enumerate(names):
         if name not in EXPERIMENTS:
             raise UsageError(f"unknown experiment {name!r}; see 'list'")
-        overrides[name] = dict(config.get("params", {}).get(name, {}))
-        overrides[name].update(_flag_overrides(args, name))
+        if name in names[:k]:
+            raise UsageError(f"experiment {name!r} is selected twice")
+    overrides = _flag_overrides(args, names)
+    for name in names:
+        overrides[name] = {**config.get("params", {}).get(name, {}), **overrides[name]}
         _check_exponents(name, overrides[name])
     out_csv = args.out or config.get("out_csv")
     out_json = out_csv and (config.get("out_json") or os.path.splitext(out_csv)[0] + ".json")

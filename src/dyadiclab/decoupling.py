@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AdaptednessError, ResourceLimitError
+from .rademacher import sign_patterns
 from .rng import substream
 from .space import SCALAR, NormedSpace
 
@@ -32,7 +33,11 @@ _TOL = 1e-12
 
 @dataclass(frozen=True)
 class AtomHierarchy:
-    """Refining partitions of weighted ground cells, as index lists per atom."""
+    """Refining partitions of weighted ground cells, as index lists per atom.
+
+    Each level lists its atoms in ascending order of their cell tuples, so
+    `children_of` gives every atom's children in one canonical order.
+    """
 
     cell_weights: np.ndarray
     levels: tuple  # levels[l] is a tuple of atoms; an atom is a tuple of cell indices
@@ -47,6 +52,8 @@ class AtomHierarchy:
             seen = [c for atom in atoms for c in atom]
             if sorted(seen) != sorted(ground):
                 raise ValueError("each level must partition the ground set")
+            if list(atoms) != sorted(atoms):
+                raise ValueError("each level must list its atoms in ascending cell order")
         for lo, hi in zip(self.levels, self.levels[1:]):
             for child in hi:
                 if not any(set(child) <= set(parent) for parent in lo):
@@ -171,13 +178,11 @@ def construct_uv(family: AdaptedFamily) -> UVTables:
 
     On the child pair (A, B) the two parts are (val_A + val_B)/2 and
     (val_A - val_B)/2; their sum restores the difference evaluated in the
-    base variable and their difference the decoupled copy.  Children are
-    ordered lexicographically by their cell lists.
+    base variable and their difference the decoupled copy.
     """
     sym, skew = {}, {}
     for (level, atom, kids) in family.hierarchy.active_atoms():
-        order = sorted(range(len(kids)), key=lambda k: kids[k])
-        vals = np.asarray(family.values[(level, atom)])[order]
+        vals = np.asarray(family.values[(level, atom)])
         a = vals[:, None, :]
         b = vals[None, :, :]
         sym[(level, atom)] = (a + b) / 2.0
@@ -196,8 +201,7 @@ def check_mds(uv: UVTables, test_functions: int = 20, seed: int = 0) -> float:
     dim = uv.family.space.dim
     worst = 0.0
     for (level, atom, kids) in h.active_atoms():
-        kids_sorted = sorted(kids)
-        mu = np.array([h.atom_weight(k) for k in kids_sorted])
+        mu = np.array([h.atom_weight(k) for k in kids])
         nu = mu / mu.sum()
         u = uv.symmetric[(level, atom)]
         v = uv.antisymmetric[(level, atom)]
@@ -219,8 +223,7 @@ def recovery_violation(uv: UVTables) -> float:
     worst = 0.0
     h = uv.family.hierarchy
     for (level, atom, kids) in h.active_atoms():
-        order = sorted(range(len(kids)), key=lambda k: kids[k])
-        vals = np.asarray(uv.family.values[(level, atom)])[order]
+        vals = np.asarray(uv.family.values[(level, atom)])
         u = uv.symmetric[(level, atom)]
         v = uv.antisymmetric[(level, atom)]
         recon = u + v  # value on (A, B) must be the base value on A
@@ -239,69 +242,38 @@ def plain_pnorm(family: AdaptedFamily, p: float) -> float:
 
 
 def decoupled_pnorm(family: AdaptedFamily, p: float,
-                    y_mode: str = "exhaustive", trials: int = 2000, seed: int = 0,
-                    chain_cap: int = 1_000_000) -> tuple:
+                    chain_cap: int = 1_000_000) -> float:
     """Randomized-sign decoupled norm, with independent per-atom coordinates.
 
-    Returns (value, stderr); stderr is None in exhaustive mode.  Only the
-    chain of atoms through each ground cell enters the integrand, so the
-    expectation is exact per cell whenever the chain's product of child
-    counts stays below `chain_cap`.
+    Only the chain of atoms through each ground cell enters the integrand,
+    so the expectation is exact per cell whenever the chain's product of
+    child counts stays below `chain_cap` and its length within the sign
+    enumeration cap.
     """
     h = family.hierarchy
     space = family.space
     total = 0.0
-    if y_mode == "exhaustive":
-        for cell in range(h.n_cells):
-            chain = h.chain_through(cell)
-            if not chain:
-                continue
-            counts = [len(kids) for (_, _, kids) in chain]
-            if int(np.prod(counts)) > chain_cap:
-                raise ResourceLimitError("chain product exceeds the exhaustive cap")
-            tables, probs = [], []
-            for (level, atom, kids) in chain:
-                kids_sorted = sorted(kids)
-                vals = np.asarray(family.values[(level, atom)])
-                order = sorted(range(len(kids)), key=lambda k: kids[k])
-                tables.append(vals[order])
-                mu = np.array([h.atom_weight(k) for k in kids_sorted])
-                probs.append(mu / mu.sum())
-            signs = 1.0 - 2.0 * (
-                (np.arange(1 << len(chain))[:, None] >> np.arange(len(chain))[None, :]) & 1
-            )
-            acc = 0.0
-            for choice in itertools.product(*[range(c) for c in counts]):
-                prob = float(np.prod([pr[c] for pr, c in zip(probs, choice)]))
-                stack = np.stack([tab[c] for tab, c in zip(tables, choice)])
-                sums = signs @ stack
-                acc += prob * float((space.norm(sums) ** p).mean())
-            total += acc * h.cell_weights[cell]
-        return total ** (1.0 / p), None
-    if y_mode != "mc":
-        raise ValueError("y_mode must be 'exhaustive' or 'mc'")
-    gen = substream(seed, "decoupled-mc")
-    samples = np.zeros(trials)
-    actives = h.active_atoms()
-    for t in range(trials):
-        choice = {}
-        for (level, atom, kids) in actives:
-            kids_sorted = sorted(kids)
-            mu = np.array([h.atom_weight(k) for k in kids_sorted])
-            choice[(level, atom)] = int(gen.choice(len(kids_sorted), p=mu / mu.sum()))
-        eps = {key: 1.0 - 2.0 * int(gen.integers(0, 2))
-               for key in ((lv, at) for (lv, at, _) in actives)}
-        cellvals = np.zeros((h.n_cells, space.dim))
-        for (level, atom, kids) in actives:
-            kids_sorted = sorted(kids)
-            vals = np.asarray(family.values[(level, atom)])
-            order = sorted(range(len(kids)), key=lambda k: kids[k])
-            v = vals[order][choice[(level, atom)]]
-            cellvals[list(atom)] += eps[(level, atom)] * v
-        samples[t] = float((space.norm(cellvals) ** p * h.cell_weights).sum())
-    mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / np.sqrt(trials))
-    return mean ** (1.0 / p), stderr
+    for cell in range(h.n_cells):
+        chain = h.chain_through(cell)
+        if not chain:
+            continue
+        counts = [len(kids) for (_, _, kids) in chain]
+        if int(np.prod(counts)) > chain_cap:
+            raise ResourceLimitError("chain product exceeds the exhaustive cap")
+        signs = sign_patterns(len(chain))
+        tables, probs = [], []
+        for (level, atom, kids) in chain:
+            tables.append(np.asarray(family.values[(level, atom)]))
+            mu = np.array([h.atom_weight(k) for k in kids])
+            probs.append(mu / mu.sum())
+        acc = 0.0
+        for choice in itertools.product(*[range(c) for c in counts]):
+            prob = float(np.prod([pr[c] for pr, c in zip(probs, choice)]))
+            stack = np.stack([tab[c] for tab, c in zip(tables, choice)])
+            sums = signs @ stack
+            acc += prob * float((space.norm(sums) ** p).mean())
+        total += acc * h.cell_weights[cell]
+    return total ** (1.0 / p)
 
 
 # -- sums of independent conditional expectations -----------------------------------

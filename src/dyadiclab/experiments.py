@@ -271,7 +271,7 @@ def run_decoupling(params: dict, seed: int) -> list:
         uv = dec.construct_uv(family)
         worst_mds = max(worst_mds, dec.check_mds(uv, params["mds_tests"], fam_seed))
         for p in params["p_list"]:
-            decoupled, _ = dec.decoupled_pnorm(family, p)
+            decoupled = dec.decoupled_pnorm(family, p)
             plain = dec.plain_pnorm(family, p)
             if decoupled == 0.0 and plain == 0.0:
                 continue
@@ -493,7 +493,7 @@ def run_averaging_identity(params: dict, seed: int) -> list:
     g = random_grid_function(sysm, seed, support=sup, mean_zero="global", label="avg-g")
     gp = GoodnessParams(gamma=params["gamma"], r=params["r"],
                         max_generations=params["r"])
-    cfg = rep.RepresentationConfig(goodness=gp, seed=seed)
+    cfg = rep.RepresentationConfig(goodness=gp)
     report = rep.averaging_identity_residual(T, g, f, cfg)
     sanity = abs(rep.full_pairing_sum(T, g, f, sysm.min_level, sysm.depth - 1)
                  - report.lhs)

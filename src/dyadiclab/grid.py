@@ -359,15 +359,6 @@ def goodness_probability(max_gap: int, params: GoodnessParams, d: int = 1,
     return GoodnessProbability(int(good.sum()), good.size, goodness_bound(params, d))
 
 
-def goodness_probability_mc(max_gap: int, params: GoodnessParams, d: int,
-                            trials: int, seed: int) -> GoodnessProbability:
-    """Monte Carlo fallback for goodness probabilities beyond the cap."""
-    gen = substream(seed, "goodness-mc", max_gap, params.r)
-    u = gen.integers(0, 1 << max_gap, size=(d, trials), dtype=np.int64)
-    good = _good_mask(u, (0,) * d, range(params.r, max_gap + 1), params.gamma)
-    return GoodnessProbability(int(good.sum()), trials, goodness_bound(params, d))
-
-
 def goodness_position_joint(d: int, level: int, depth: int, m_top: int,
                             params: GoodnessParams, cap: int = 1 << 20) -> np.ndarray:
     """Joint counts of (translated position, goodness) by full bit enumeration.

@@ -22,22 +22,6 @@ from .space import SCALAR, NormedSpace, umd_beta_scalar
 EXHAUSTIVE_CAP = 20
 
 
-@dataclass(frozen=True)
-class SignEnsemble:
-    """Exhaustive sign enumeration (count <= 20) or seeded Monte Carlo."""
-
-    mode: str = "exhaustive"
-    trials: int = 4096
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("exhaustive", "mc"):
-            raise ValueError("mode must be 'exhaustive' or 'mc'")
-
-
-EXHAUSTIVE = SignEnsemble("exhaustive")
-
-
 def sign_patterns(n: int) -> np.ndarray:
     """All 2^n sign patterns as a (2^n, n) array of +-1."""
     if n > EXHAUSTIVE_CAP:
@@ -50,30 +34,20 @@ def sign_patterns(n: int) -> np.ndarray:
 class RademacherNorm:
     value: float
     power_mean: float
-    power_stderr: Optional[float] = None  # None for exhaustive evaluation
 
 
 def rademacher_pnorm(elements: np.ndarray, p: float,
-                     ensemble: SignEnsemble = EXHAUSTIVE,
                      space: NormedSpace = None) -> RademacherNorm:
-    """(E |sum_n eps_n e_n|^p)^(1/p) over unbiased independent signs."""
+    """(E |sum_n eps_n e_n|^p)^(1/p) over all 2^n sign patterns."""
     elements = np.atleast_2d(np.asarray(elements, dtype=float))
     n = elements.shape[0]
     if n < 1:
         raise DegenerateInputError("need at least one element")
     if space is None:
         space = NormedSpace(elements.shape[1], 2.0)
-    if ensemble.mode == "exhaustive":
-        signs = sign_patterns(n)
-        powers = space.norm(signs @ elements) ** p
-        mean = float(powers.mean())
-        return RademacherNorm(mean ** (1.0 / p), mean, None)
-    gen = substream(ensemble.seed, "rademacher-pnorm", n)
-    signs = 1.0 - 2.0 * gen.integers(0, 2, size=(ensemble.trials, n))
-    powers = space.norm(signs @ elements) ** p
+    powers = space.norm(sign_patterns(n) @ elements) ** p
     mean = float(powers.mean())
-    stderr = float(powers.std(ddof=1) / np.sqrt(ensemble.trials))
-    return RademacherNorm(mean ** (1.0 / p), mean, stderr)
+    return RademacherNorm(mean ** (1.0 / p), mean)
 
 
 @dataclass(frozen=True)
@@ -232,7 +206,6 @@ def umd_probe(space: NormedSpace, p: float, depth: int, seed: int,
         raise ResourceLimitError("martingale depth capped at 10")
     n = space.dim
     npts = 1 << depth
-    coords = ((np.arange(npts)[:, None] >> np.arange(depth)[None, :]) & 1) * -2.0 + 1.0
     patterns = sign_patterns(depth)
     best = 0.0
     for m in range(martingales):
@@ -241,7 +214,7 @@ def umd_probe(space: NormedSpace, p: float, depth: int, seed: int,
         for k in range(depth):
             table = gen.standard_normal((1 << k, n))
             history = (np.arange(npts) % (1 << k)) if k else np.zeros(npts, dtype=int)
-            diffs[k] = coords[:, k:k + 1] * table[history]
+            diffs[k] = patterns[:, k:k + 1] * table[history]
         base = space.norm(diffs.sum(axis=0))
         den = float((base**p).mean() ** (1.0 / p))
         if den == 0.0:

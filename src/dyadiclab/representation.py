@@ -1,6 +1,6 @@
 """Singular kernels on the mesh, Haar matrix elements, and grid averaging.
 
-A kernel operator is discretized by midpoint sampling on cell pairs, so
+A kernel operator is discretized by its values at cell-pair midpoints, so
 the discrete couplings are themselves admissible kernel values and the
 decay estimates for Haar matrix elements apply verbatim to the discrete
 sums.  Diagonal cells are never computed from the kernel; they are a
@@ -511,12 +511,9 @@ def wbp_constants(T: DiscreteOperator) -> dict:
 
 @dataclass(frozen=True)
 class RepresentationConfig:
-    """Goodness data and the translation sampling plan."""
+    """Goodness data and the cap on enumerated translation bits."""
 
     goodness: GoodnessParams
-    sampling: str = "exhaustive"     # or "mc"
-    mc_trials: int = 256
-    seed: int = 0
     exhaustive_bit_cap: int = 20
 
     def __post_init__(self):
@@ -557,7 +554,7 @@ def averaging_identity_residual(T: DiscreteOperator, g: GridFunction,
                                 ) -> AveragingIdentityReport:
     """Grid-averaged good-pair sums against the plain pairing.
 
-    For each sampled translation, every cube deep enough to carry a full
+    For each translation, every cube deep enough to carry a full
     goodness bit window contributes, when good, its Haar coefficient times
     the complete companion sum over the coarser-or-equal scales (realized
     through the direct pairing with the operator, so the companion side is
@@ -578,14 +575,10 @@ def averaging_identity_residual(T: DiscreteOperator, g: GridFunction,
     floor = base.min_level + gens
     n_bits = (base.m_top + base.depth) * base.d
 
-    if config.sampling == "exhaustive":
-        if n_bits > config.exhaustive_bit_cap:
-            raise ResourceLimitError(f"{n_bits} translation bits exceed the exhaustive "
-                                     f"cap {config.exhaustive_bit_cap}")
-        patterns = range(1 << n_bits)
-    else:
-        patterns = substream(config.seed, "identity-grids").integers(
-            0, 1 << n_bits, size=config.mc_trials).tolist()
+    if n_bits > config.exhaustive_bit_cap:
+        raise ResourceLimitError(f"{n_bits} translation bits exceed the exhaustive "
+                                 f"cap {config.exhaustive_bit_cap}")
+    patterns = range(1 << n_bits)
 
     box = [(min(a[0], b[0]), max(a[1], b[1]))
            for a, b in zip(_support_box(f), _support_box(g))]
@@ -606,6 +599,11 @@ def averaging_identity_residual(T: DiscreteOperator, g: GridFunction,
                 blocks.append(list(sysm.cubes_at_level(level, within=box)))
                 columns[key] = (len(col_level), [cube.corner for cube in blocks[-1]])
                 col_level += [level] * (n_eta * len(blocks[-1]))
+                n_bytes = 16 * base.n_cells * len(col_level)  # the frame W and T W
+                if n_bytes > _ASSEMBLE_BYTE_CAP:
+                    raise ResourceLimitError(
+                        f"{len(col_level)} Haar columns of {base.n_cells} cells "
+                        f"need {n_bytes} bytes, above the cap {_ASSEMBLE_BYTE_CAP}")
             first, corners = columns[key]
             window = tuple(sysm.bit(level - t) for t in range(gens))
             for corner in corners:
@@ -616,10 +614,6 @@ def averaging_identity_residual(T: DiscreteOperator, g: GridFunction,
             good += [goodness[level, corner, window] for corner in corners
                      for _ in range(n_eta)]
         grids.append((np.array(idx, dtype=np.intp), np.array(good, dtype=bool)))
-    n_bytes = 16 * base.n_cells * len(col_level)  # the frame W and T W
-    if n_bytes > _ASSEMBLE_BYTE_CAP:
-        raise ResourceLimitError(f"{len(col_level)} Haar columns of {base.n_cells} cells "
-                                 f"need {n_bytes} bytes, above the cap {_ASSEMBLE_BYTE_CAP}")
 
     lhs = raw_pairing(g, T, f)
     vol = base.cell_volume

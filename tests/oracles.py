@@ -16,7 +16,6 @@ from dyadiclab.gridfn import (GridFunction, _block_means, _expand_blocks, etas,
 from dyadiclab.representation import (AveragingIdentityReport, DecayReport,
                                       PairingDecomposition, _case_constraints,
                                       _support_box, decay_slope_target, raw_pairing)
-from dyadiclab.rng import substream
 from dyadiclab.shifts import ParaproductSpec, apply_paraproduct
 from dyadiclab.sparse import SparseFamily
 
@@ -459,8 +458,7 @@ def decay_check_dense(T, case, i_values, params, alpha, j_disjoint=1):
 
 def averaging_identity_dense(T, g, f, config):
     """Grid average with per-column Haar vectors and coefficients, one dense
-    frame per sampled grid, over the config's pattern list: every pattern
-    when exhaustive, the seeded draws (repeats included) in mc mode."""
+    frame per translated grid, over every translation-bit pattern."""
     base = T.system
     gp = config.goodness
     pi = goodness_probability(gp.max_generations, gp, base.d)
@@ -472,11 +470,7 @@ def averaging_identity_dense(T, g, f, config):
     vol = base.cell_volume
     f_flat = f.values.reshape(-1)
     g_flat = g.values.reshape(-1)
-    if config.sampling == "exhaustive":
-        patterns = range(1 << n_bits)
-    else:
-        gen = substream(config.seed, "identity-grids")
-        patterns = gen.integers(0, 1 << n_bits, size=config.mc_trials).tolist()
+    patterns = range(1 << n_bits)
     goodsum = total_sum = coarse = 0.0
     for word in patterns:
         bits = tuple(tuple((word >> (pos * base.d + ax)) & 1 for ax in range(base.d))

@@ -46,14 +46,6 @@ def test_catalog_json_mode(capsys):
     assert all(e["anchor"] for e in entries)
 
 
-def test_empty_experiment_list_is_a_passing_run(tmp_path):
-    config = tmp_path / "empty.json"
-    config.write_text(json.dumps({"experiments": []}))
-    out = tmp_path / "report.csv"
-    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-    assert out.read_text().strip() == "check_id,anchor,measured,bound,pass,seed,runtime_ms"
-
-
 def test_unknown_experiment_is_usage_error():
     assert main(["run", "--experiment", "nope"]) == 2
 
@@ -186,6 +178,44 @@ def test_config_exponent_outside_one_to_infinity_is_usage_error(tmp_path, capsys
 def test_rejected_parameter_value_is_one_line_usage_error(capsys, argv):
     assert main(["run", *argv]) == 2
     assert_one_error_line(capsys, f"error: {argv[1]}: ")
+
+
+def test_no_experiment_is_usage_error(capsys, no_experiment_runs):
+    assert main(["run"]) == 2
+    assert_one_error_line(capsys, "error: no experiment selected")
+
+
+def test_empty_experiment_list_is_usage_error(tmp_path, capsys, no_experiment_runs):
+    config = tmp_path / "empty.json"
+    config.write_text(json.dumps({"experiments": []}))
+    out = tmp_path / "report.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert_one_error_line(capsys, "error: no experiment selected")
+    assert not out.exists()
+
+
+def test_repeated_experiment_is_usage_error(capsys, no_experiment_runs):
+    assert main(["run", "--experiment", "stein", "--experiment", "stein"]) == 2
+    assert_one_error_line(capsys, "error: experiment 'stein' is selected twice")
+
+
+@pytest.mark.parametrize("flag", [["--depth", "-1"], ["--gamma", "2"], ["--r", "0"],
+                                  ["--p", "2"]])
+def test_flag_no_selected_experiment_takes_is_usage_error(capsys, no_experiment_runs, flag):
+    assert main(["run", "--experiment", "goodness", *flag]) == 2
+    assert_one_error_line(capsys, f"error: no selected experiment takes {flag[0]}")
+
+
+def test_flag_reaches_only_the_selected_experiments_that_take_it(monkeypatch):
+    seen = {}
+
+    def record(name, seed, overrides):
+        seen[name] = overrides
+        return []
+    monkeypatch.setattr(cli, "run_experiment", record)
+    assert main(["run", "--experiment", "stopping", "--experiment", "goodness",
+                 "--depth", "5"]) == 0
+    assert seen == {"stopping": {"depth": 5}, "goodness": {}}
 
 
 def test_failed_check_still_exits_one(monkeypatch, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dyadiclab.errors import AmbientRangeError, ResourceLimitError
 from dyadiclab.grid import (DyadicCube, DyadicSystem, GoodnessParams, common_ancestor,
                             goodness_bound, goodness_position_joint,
-                            goodness_probability, goodness_probability_mc, is_good)
+                            goodness_probability, is_good)
 
 import oracles
 
@@ -180,13 +180,6 @@ def test_goodness_probability_beats_positive_bound():
 def test_goodness_probability_cap():
     with pytest.raises(ResourceLimitError):
         goodness_probability(30, GoodnessParams(gamma=0.5, r=3), 1, cap=1 << 10)
-
-
-def test_goodness_probability_mc_close_to_exact():
-    params = GoodnessParams(gamma=0.5, r=4)
-    exact = goodness_probability(8, params, 1).value
-    mc = goodness_probability_mc(8, params, 1, trials=20000, seed=3).value
-    assert abs(mc - exact) < 0.02
 
 
 def test_goodness_probability_two_dimensional():
