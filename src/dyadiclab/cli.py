@@ -5,7 +5,8 @@ pass, seed, runtime_ms) plus a JSON summary.  Identical configuration and
 seed reproduce every column byte for byte except runtime_ms, which is
 wall time.  Exit status: 0 all checks pass, 1 a check failed, 2 bad usage
 (including an empty or repeated experiment selection, a flag that no
-selected experiment takes and a parameter value the library rejects).
+selected experiment takes, more than one --p for an experiment with a
+scalar exponent and a parameter value the library rejects).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ CSV_HEADER = "check_id,anchor,measured,bound,pass,seed,runtime_ms"
 # config key -> a value of the type it takes (see `_fits`)
 CONFIG_KEYS = {"experiments": [""], "seed": 0, "params": {}, "out_csv": "", "out_json": ""}
 
-# run flag -> the experiment parameter it sets
-_FLAG_PARAMS = {"depth": "depth", "p": "p_list", "gamma": "gamma", "r": "r"}
+# run flag -> the experiment parameters it sets; a scalar p takes a single --p
+_FLAG_PARAMS = {"depth": ("depth",), "p": ("p_list", "p"), "gamma": ("gamma",), "r": ("r",)}
 
 # what the library raises for a parameter value it cannot run with
 _LIBRARY_ERRORS = (ValueError, ResourceLimitError, InsufficientDataError)
@@ -101,15 +102,18 @@ def _fits(value, default) -> bool:
 def _flag_overrides(args, names: list) -> dict:
     """Per selected experiment, the flags it takes; a flag none takes is an error."""
     overrides = {name: {} for name in names}
-    for flag, key in _FLAG_PARAMS.items():
+    for flag, keys in _FLAG_PARAMS.items():
         value = getattr(args, flag)
         if value is None:
             continue
-        takers = [name for name in names if key in EXPERIMENTS[name].defaults]
+        takers = [(name, key) for name in names for key in keys
+                  if key in EXPERIMENTS[name].defaults]
         if not takers:
             raise UsageError(f"no selected experiment takes --{flag}")
-        for name in takers:
-            overrides[name][key] = value
+        for name, key in takers:
+            if key == "p" and len(value) > 1:
+                raise UsageError(f"{name} takes a single --p, not {len(value)}")
+            overrides[name][key] = value[0] if key == "p" else value
     return overrides
 
 

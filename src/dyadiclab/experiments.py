@@ -576,6 +576,11 @@ EXPERIMENTS = {
 }
 
 
+# count -> its least value that still measures something (lists must not be empty)
+_LEAST = {"n_funcs": 1, "n_pairs": 1, "n_families": 1, "n_configs": 1, "kernels_per_ij": 1,
+          "inputs_per_kernel": 1, "ij_cap": 0}
+
+
 def run_experiment(name: str, seed: int, overrides: Optional[dict] = None) -> list:
     exp = EXPERIMENTS[name]
     params = dict(exp.defaults)
@@ -583,4 +588,9 @@ def run_experiment(name: str, seed: int, overrides: Optional[dict] = None) -> li
         if key not in params:
             raise KeyError(f"unknown parameter {key!r} for experiment {name!r}")
         params[key] = value
+    # haar-completeness runs n_funcs // 2 functions per space
+    least = {**_LEAST, "n_funcs": 2} if name == "haar-completeness" else _LEAST
+    for key, value in params.items():
+        if value == [] or key in least and value < least[key]:
+            raise ValueError(f"{key} = {value!r} measures nothing")
     return exp.runner(params, seed)

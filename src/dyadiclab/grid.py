@@ -109,10 +109,7 @@ class DyadicSystem:
         """Midpoints of all finest cells, shape (cells_per_axis,)*d + (d,)."""
         side = 2.0**-self.depth
         axis = -(2.0**self.m_top) + side * (np.arange(self.cells_per_axis) + 0.5)
-        if self.d == 1:
-            return axis[:, None]
-        xx, yy = np.meshgrid(axis, axis, indexing="ij")
-        return np.stack([xx, yy], axis=-1)
+        return np.stack(np.meshgrid(*(axis,) * self.d, indexing="ij"), axis=-1)
 
     # -- cube construction -------------------------------------------------
 

@@ -14,6 +14,7 @@ its own cell slice.
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 from dataclasses import InitVar, dataclass
@@ -34,6 +35,11 @@ def etas(d: int) -> list:
 
 def _eta_sign(eta, child_offset) -> int:
     return -1 if sum(e * c for e, c in zip(eta, child_offset)) % 2 else 1
+
+
+def _child_signs(d: int) -> np.ndarray:
+    """Signs of h^eta on the children: rows etas(d), columns children row-major."""
+    return np.array([[_eta_sign(eta, kid) for kid in [(0,) * d, *etas(d)]] for eta in etas(d)])
 
 
 @dataclass(frozen=True)
@@ -176,6 +182,32 @@ def _block_means(arr: np.ndarray, d: int, factor: int) -> np.ndarray:
     return arr.reshape(*split, arr.shape[-1]).mean(axis=tuple(range(1, 2 * d, 2)))
 
 
+@functools.lru_cache(maxsize=None)
+def _regroup(shape: tuple, d: int, size: int, inverse: bool) -> tuple:
+    """(first shape, axis order, final shape) of `_blocks` on cells of `shape`, or of
+    `_unblocks` back to them; cached, as shifts and sweeps reuse a few shapes."""
+    counts, rest = tuple(c // size for c in shape[:d]), shape[d:]
+    split = sum(((c, size) for c in counts), ()) + rest
+    order = (*range(0, 2 * d, 2), *range(1, 2 * d, 2), *range(2 * d, len(split)))
+    if inverse:
+        return tuple(split[k] for k in order), tuple(map(order.index, range(len(order)))), shape
+    return split, order, counts + (size**d,) + rest
+
+
+def _blocks(arr: np.ndarray, d: int, size: int) -> np.ndarray:
+    """Cells regrouped per block of `size` cells per axis: shape (blocks per
+    axis)*d + (size**d,) + trailing axes, row-major within a block."""
+    first, order, final = _regroup(arr.shape, d, size, False)
+    return arr.reshape(first).transpose(order).reshape(final)
+
+
+def _unblocks(blocks: np.ndarray, d: int, size: int) -> np.ndarray:
+    """Inverse of `_blocks`."""
+    shape = tuple(c * size for c in blocks.shape[:d]) + blocks.shape[d + 1:]
+    first, order, final = _regroup(shape, d, size, True)
+    return blocks.reshape(first).transpose(order).reshape(final)
+
+
 def _expand_blocks(blocks: np.ndarray, d: int, factor: int) -> np.ndarray:
     out = blocks
     for ax in range(d):
@@ -264,58 +296,30 @@ def analyze(f: GridFunction, level_lo: int, level_hi: Optional[int] = None) -> H
         level_hi = sysm.depth - 1
     if not (sysm.min_level <= level_lo <= level_hi <= sysm.depth - 1):
         raise MeshDepthError("analysis range outside the mesh")
-    d, n = sysm.d, f.space.dim
-    eta_list = etas(d)
+    d, signs = sysm.d, _child_signs(sysm.d)
     means = level_means(f, level_hi + 1)
     coeffs = {}
     for level in range(level_hi, level_lo - 1, -1):
         _require_aligned(sysm, level)
-        b = means.shape[0] // 2
-        if d == 1:
-            kids = means.reshape(b, 2, n)
-            parent = kids.mean(axis=1)
-        else:
-            kids = means.reshape(b, 2, b, 2, n).transpose(0, 2, 1, 3, 4)
-            parent = kids.mean(axis=(2, 3))
+        kids = _blocks(means, d, 2)
         scale = 2.0 ** (-level * d / 2.0) / 2**d  # |I|^{1/2} * 2^{-d}
-        level_coeffs = np.zeros((b,) * d + (len(eta_list), n))
-        for idx, eta in enumerate(eta_list):
-            acc = np.zeros((b,) * d + (n,))
-            for offs in itertools.product((0, 1), repeat=d):
-                sel = kids[..., offs[0], :] if d == 1 else kids[..., offs[0], offs[1], :]
-                acc += _eta_sign(eta, offs) * sel
-            level_coeffs[..., idx, :] = acc * scale
-        coeffs[level] = level_coeffs
-        means = parent
+        # child by child, every eta at once: (blocks)*d + (eta, component)
+        coeffs[level] = sum(s[:, None] * kids[..., k, None, :]
+                            for k, s in enumerate(signs.T)) * scale
+        means = _block_means(means, d, 2)
     return HaarCoefficients(sysm, f.space, level_lo, level_hi, coeffs, means)
 
 
 def synthesize(hc: HaarCoefficients) -> GridFunction:
     """Exact inverse of analyze: coarse averages plus all Haar layers."""
-    sysm, d, n = hc.system, hc.system.d, hc.space.dim
-    eta_list = etas(d)
+    sysm, d, signs = hc.system, hc.system.d, _child_signs(hc.system.d)
     means = hc.coarse
     for level in range(hc.level_lo, hc.level_hi + 1):
-        b = means.shape[0]
         scale = 2.0 ** (level * d / 2.0)  # |I|^{-1/2}
-        if d == 1:
-            kids = np.repeat(means.reshape(b, 1, n), 2, axis=1)
-        else:
-            kids = np.repeat(
-                np.repeat(means.reshape(b, 1, b, 1, n), 2, axis=1), 2, axis=3
-            ).transpose(0, 2, 1, 3, 4)
-        for offs in itertools.product((0, 1), repeat=d):
-            delta = np.zeros((b,) * d + (n,))
-            for idx, eta in enumerate(eta_list):
-                delta += _eta_sign(eta, offs) * hc.coeffs[level][..., idx, :]
-            if d == 1:
-                kids[:, offs[0], :] += scale * delta
-            else:
-                kids[:, :, offs[0], offs[1], :] += scale * delta
-        if d == 1:
-            means = kids.reshape(2 * b, n)
-        else:
-            means = kids.transpose(0, 2, 1, 3, 4).reshape(2 * b, 2 * b, n)
+        layer = hc.coeffs[level]
+        # eta by eta, every child at once: (blocks)*d + (child, component)
+        delta = sum(s[:, None] * layer[..., e, None, :] for e, s in enumerate(signs))
+        means = _unblocks(means[..., None, :] + scale * delta, d, 2)
     factor = 1 << (sysm.depth - hc.level_hi - 1)
     return GridFunction(sysm, _expand_blocks(means, d, factor), hc.space)
 
@@ -366,6 +370,8 @@ def random_grid_function(system: DyadicSystem, seed: int, space: NormedSpace = S
     mean_zero: None, "global", or "per_top" (zero average on each
     top-level cube of the system, hence also globally).
     """
+    if mean_zero not in (None, "global", "per_top"):
+        raise ValueError(f"mean_zero must be None, 'global' or 'per_top', not {mean_zero!r}")
     gen = substream(seed, label)
     shape = (system.cells_per_axis,) * system.d + (space.dim,)
     vals = np.zeros(shape)
@@ -411,11 +417,7 @@ def to_csv(f: GridFunction) -> str:
     val_cols = ",".join(f"v{k}" for k in range(n))
     out.write(f"{idx_cols},{val_cols}\n")
     flat = f.values.reshape(-1, n)
-    for pos, row in enumerate(flat):
-        if d == 1:
-            idx = (pos,)
-        else:
-            idx = divmod(pos, f.system.cells_per_axis)
+    for idx, row in zip(np.ndindex(*f.values.shape[:d]), flat):
         out.write(",".join(str(i) for i in idx))
         out.write(",")
         out.write(",".join(repr(float(v)) for v in row))

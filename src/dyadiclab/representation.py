@@ -342,10 +342,8 @@ def shift_coefficients(T: DiscreteOperator, K: DyadicCube, i: int, j: int,
     def block_range(cube: DyadicCube) -> np.ndarray:
         rel = [(a - k) // block_cells for a, k in zip(cube.start_cells(), K.start_cells())]
         span = cube.size_cells // block_cells
-        axes = [np.arange(r, r + span) for r in rel]
-        if sysm.d == 1:
-            return axes[0]
-        return (axes[0][:, None] * b_axis + axes[1][None, :]).reshape(-1)
+        axes = np.ix_(*(np.arange(r, r + span) for r in rel))
+        return np.ravel_multi_index(axes, (b_axis,) * sysm.d).reshape(-1)
 
     def block_values(cube: DyadicCube, eta) -> np.ndarray:
         return haar_block(cube, eta)[(slice(None, None, block_cells),) * sysm.d].reshape(-1)

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import MeshDepthError
 from .grid import DyadicCube, DyadicSystem
-from .gridfn import GridFunction, _block_means, _expand_blocks, conditional_expectation
+from .gridfn import (GridFunction, _block_means, _blocks, _expand_blocks, _unblocks,
+                     conditional_expectation)
 from .rng import substream
 from .space import SCALAR, NormedSpace
 
@@ -132,8 +133,6 @@ def apply_shift(spec: ShiftSpec, f: GridFunction) -> GridFunction:
         raise ValueError("function does not match the shift's system/space")
     d, n, gap = spec.system.d, spec.space.dim, spec.block_gap
     b_axis = 1 << gap
-    # box axes (c0, b, c1, b, n) <-> per-cube axes (c0, c1, b, b, n); own inverse for d <= 2
-    order = (*range(0, 2 * d, 2), *range(1, 2 * d, 2), 2 * d)
     out = np.zeros_like(f.values)
     for level in spec.level_range():
         start, counts, tables = spec.level_tables(level)
@@ -141,15 +140,13 @@ def apply_shift(spec: ShiftSpec, f: GridFunction) -> GridFunction:
         vol = float(2.0**-level) ** d
         box = tuple(slice(s, s + c * size) for s, c in zip(start, counts))
         proj_in = _scale_step(f.values[box], d, size, spec.i, gap)
-        split = [x for c in counts for x in (c, b_axis)] + [n]
-        integrals = (proj_in.reshape(split).transpose(order).reshape(len(tables), -1, n)
-                     * (vol / b_axis**d))
+        integrals = _blocks(proj_in, d, b_axis).reshape(len(tables), -1, n) * (vol / b_axis**d)
         if tables.ndim == 3:
             averaged = (tables @ integrals) / vol
         else:
             averaged = np.einsum("koibc,kic->kob", tables, integrals) / vol
-        grid = averaged.reshape(*counts, *(b_axis,) * d, n).transpose(order)
-        proj_out = _scale_step(grid.reshape(proj_in.shape), d, b_axis, spec.j, gap)
+        grid = _unblocks(averaged.reshape(*counts, -1, n), d, b_axis)
+        proj_out = _scale_step(grid, d, b_axis, spec.j, gap)
         out[box] += _expand_blocks(proj_out, d, size >> gap)
     return GridFunction(spec.system, out, spec.space)
 

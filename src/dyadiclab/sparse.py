@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AdaptednessError, SparsityError
 from .grid import DyadicCube
-from .gridfn import GridFunction
+from .gridfn import GridFunction, _blocks
 from .space import conjugate_exponent
 
 _EXACT_TOL = 1e-12
@@ -149,13 +149,9 @@ def _level_averages(weights: np.ndarray, norms: np.ndarray, root: DyadicCube):
     order along one axis, so every average has `SparseFamily.weighted_average`'s bits."""
     w = weights[root.cell_slices()]
     wf = w * norms[root.cell_slices()]
-    d = w.ndim
-    axes = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
     for level in range(root.level, root.system.depth + 1):
         size = 1 << (root.system.depth - level)
-        n = root.size_cells // size
-        fsum, wsum = (a.reshape((n, size) * d).transpose(axes).reshape((n,) * d + (-1,)).sum(-1)
-                      for a in (wf, w))
+        fsum, wsum = (_blocks(a, w.ndim, size).sum(-1) for a in (wf, w))
         if np.any(wsum <= 0):
             raise SparsityError("member with zero measure")
         yield level, fsum / wsum

@@ -8,7 +8,6 @@ of truth, so every criterion here is also reproducible via `dyadiclab run`.
 import json
 import time
 
-import numpy as np
 import pytest
 
 from dyadiclab.cli import main as cli_main

@@ -206,16 +206,68 @@ def test_flag_no_selected_experiment_takes_is_usage_error(capsys, no_experiment_
     assert_one_error_line(capsys, f"error: no selected experiment takes {flag[0]}")
 
 
-def test_flag_reaches_only_the_selected_experiments_that_take_it(monkeypatch):
+@pytest.fixture
+def recorded_runs(monkeypatch):
+    """Replaces the runner; maps each experiment that ran to its overrides."""
     seen = {}
 
     def record(name, seed, overrides):
         seen[name] = overrides
         return []
     monkeypatch.setattr(cli, "run_experiment", record)
+    return seen
+
+
+def test_flag_reaches_only_the_selected_experiments_that_take_it(recorded_runs):
     assert main(["run", "--experiment", "stopping", "--experiment", "goodness",
                  "--depth", "5"]) == 0
-    assert seen == {"stopping": {"depth": 5}, "goodness": {}}
+    assert recorded_runs == {"stopping": {"depth": 5}, "goodness": {}}
+
+
+def test_single_p_flag_sets_a_scalar_exponent(recorded_runs):
+    assert main(["run", "--experiment", "rbound-calculus", "--p", "3"]) == 0
+    assert recorded_runs == {"rbound-calculus": {"p": 3.0}}
+    assert main(["run", "--experiment", "all", "--p", "3"]) == 0
+    assert recorded_runs["rbound-calculus"] == {"p": 3.0}
+    assert recorded_runs["stein"] == {"p_list": [3.0]}
+
+
+def test_repeated_p_flag_with_a_scalar_exponent_is_usage_error(capsys, no_experiment_runs):
+    assert main(["run", "--experiment", "stein", "--experiment", "rbound-calculus",
+                 "--p", "2", "--p", "3"]) == 2
+    assert_one_error_line(capsys, "error: rbound-calculus takes a single --p, not 2")
+
+
+def run_with_params(tmp_path, params) -> int:
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"experiments": list(params), "params": params}))
+    return main(["run", "--config", str(config)])
+
+
+@pytest.mark.parametrize("name, key", [
+    ("carleson", "n_funcs"), ("paraproduct", "n_pairs"), ("pythagoras", "n_families"),
+    ("stein", "n_configs"), ("shift-bound", "kernels_per_ij"),
+    ("shift-bound", "inputs_per_kernel"),
+])
+def test_trial_count_below_one_is_usage_error(tmp_path, capsys, name, key):
+    assert run_with_params(tmp_path, {name: {key: 0}}) == 2
+    assert_one_error_line(capsys, f"error: {name}: {key} = 0 measures nothing")
+
+
+def test_haar_completeness_needs_two_functions(tmp_path, capsys):
+    assert run_with_params(tmp_path, {"haar-completeness": {"n_funcs": 1}}) == 2
+    assert_one_error_line(capsys, "error: haar-completeness: n_funcs = 1 measures nothing")
+
+
+def test_negative_ij_cap_is_usage_error(tmp_path, capsys):
+    assert run_with_params(tmp_path, {"shift-bound": {"ij_cap": -1}}) == 2
+    assert_one_error_line(capsys, "error: shift-bound: ij_cap = -1 measures nothing")
+
+
+@pytest.mark.parametrize("name, key", [("condexp-sum", "p_list"), ("goodness", "cases")])
+def test_empty_list_parameter_is_usage_error(tmp_path, capsys, name, key):
+    assert run_with_params(tmp_path, {name: {key: []}}) == 2
+    assert_one_error_line(capsys, f"error: {name}: {key} = [] measures nothing")
 
 
 def test_failed_check_still_exits_one(monkeypatch, capsys):

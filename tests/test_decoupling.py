@@ -9,7 +9,7 @@ from dyadiclab.decoupling import (AdaptedFamily, AtomHierarchy, FiniteProbSpace,
                                   random_hierarchy, recovery_violation)
 from dyadiclab.errors import AdaptednessError, ResourceLimitError
 from dyadiclab.rng import substream
-from dyadiclab.space import SCALAR, NormedSpace, umd_beta_scalar
+from dyadiclab.space import NormedSpace, umd_beta_scalar
 
 from oracles import decoupled_pnorm_full_product
 

@@ -3,13 +3,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from dyadiclab.errors import AmbientRangeError, ResourceLimitError
-from dyadiclab.grid import (DyadicCube, DyadicSystem, GoodnessParams, common_ancestor,
-                            goodness_bound, goodness_position_joint,
-                            goodness_probability, is_good)
+from dyadiclab.grid import (DyadicSystem, GoodnessParams, common_ancestor, goodness_bound,
+                            goodness_position_joint, goodness_probability, is_good)
 
 import oracles
 

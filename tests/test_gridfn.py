@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from dyadiclab.errors import MeshDepthError
 from dyadiclab.grid import DyadicSystem
 from dyadiclab.gridfn import (GridFunction, analyze, bmo_norm, conditional_expectation,
-                              cube_average, from_bytes, from_callable, from_csv,
+                              cube_average, etas, from_bytes, from_callable, from_csv,
                               haar_coefficient, haar_eval, haar_function, haar_vector,
                               indicator, level_means, lp_norm, pair, random_grid_function,
                               synthesize, to_bytes, to_csv, zeros)
-from dyadiclab.space import SCALAR, NormedSpace
+from dyadiclab.space import NormedSpace
 
 from oracles import haar_coefficient_by_eval, shifted_projection
 
@@ -158,6 +158,18 @@ def test_coefficient_lookup_matches_per_cube_value():
         haar_coefficient(f, cube, (1,))[0], abs=1e-13)
 
 
+@pytest.mark.parametrize("d, m_top", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_every_analyzed_coefficient_matches_its_cube(d, m_top):
+    system = DyadicSystem(d=d, m_top=m_top, depth=4 if d == 1 else 3)
+    f = random_grid_function(system, 17, NormedSpace(3, 2.0))
+    hc = analyze(f, system.min_level)
+    for level in range(system.min_level, system.depth):
+        for cube in system.cubes_at_level(level):
+            for eta in etas(d):
+                assert hc.get(cube, eta) == pytest.approx(haar_coefficient(f, cube, eta),
+                                                          abs=1e-12)
+
+
 # -- projections (the per-cube oracle) -------------------------------------------------
 
 
@@ -250,6 +262,11 @@ def test_bmo_examples():
 
 
 # -- serialization -----------------------------------------------------------------------
+
+
+def test_unknown_mean_zero_is_rejected():
+    with pytest.raises(ValueError, match="mean_zero"):
+        random_grid_function(SYS4, 0, mean_zero="pertop")
 
 
 def test_csv_roundtrip():

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from dyadiclab.grid import DyadicSystem
 from dyadiclab.gridfn import (GridFunction, cube_average, from_callable, haar_function,
-                              haar_vector, indicator, lp_norm, pair, random_grid_function)
+                              haar_vector, indicator, pair, random_grid_function)
 from dyadiclab.shifts import (ExplicitKernel, ParaproductSpec, RandomKernel, ShiftSpec,
                               adjoint_spec, apply_paraproduct, apply_shift,
                               shift_spec_from_json, shift_spec_to_json)
-from dyadiclab.space import SCALAR, NormedSpace
+from dyadiclab.space import NormedSpace
 
 from oracles import apply_shift_per_cube, dense_shift_matrix
 
