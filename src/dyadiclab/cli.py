@@ -20,7 +20,7 @@ import time
 from typing import Optional
 
 from .errors import InsufficientDataError, ResourceLimitError
-from .experiments import EXPERIMENTS, run_experiment
+from .experiments import EXPERIMENTS, resolve_params, run_experiment
 
 CSV_HEADER = "check_id,anchor,measured,bound,pass,seed,runtime_ms"
 
@@ -157,6 +157,10 @@ def _run(args) -> int:
     for name in names:
         overrides[name] = {**config.get("params", {}).get(name, {}), **overrides[name]}
         _check_exponents(name, overrides[name])
+        try:
+            resolve_params(name, overrides[name])
+        except ValueError as exc:
+            raise UsageError(f"{name}: {exc}")
     out_csv = args.out or config.get("out_csv")
     out_json = out_csv and (config.get("out_json") or os.path.splitext(out_csv)[0] + ".json")
     for path in filter(None, (out_csv, out_json)):

@@ -18,6 +18,7 @@ exactly per cell without materializing the full product space.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,7 +37,8 @@ class AtomHierarchy:
     """Refining partitions of weighted ground cells, as index lists per atom.
 
     Each level lists its atoms in ascending order of their cell tuples, so
-    `children_of` gives every atom's children in one canonical order.
+    every atom's children come in that one order.  The hierarchy is indexed
+    once, when it is made.
     """
 
     cell_weights: np.ndarray
@@ -47,17 +49,32 @@ class AtomHierarchy:
         if np.any(w <= 0):
             raise ValueError("ground-cell weights must be positive")
         object.__setattr__(self, "cell_weights", w)
-        ground = frozenset(range(w.size))
+        owners = []  # owners[l][cell] is the index of the level-l atom holding the cell
         for atoms in self.levels:
             seen = [c for atom in atoms for c in atom]
-            if sorted(seen) != sorted(ground):
+            if sorted(seen) != list(range(w.size)):
                 raise ValueError("each level must partition the ground set")
             if list(atoms) != sorted(atoms):
                 raise ValueError("each level must list its atoms in ascending cell order")
-        for lo, hi in zip(self.levels, self.levels[1:]):
-            for child in hi:
-                if not any(set(child) <= set(parent) for parent in lo):
+            owner = np.empty(w.size, dtype=np.intp)
+            for k, atom in enumerate(atoms):
+                owner[list(atom)] = k
+            owners.append(owner)
+        # plain attributes, so eq and repr see only the fields: the active atoms,
+        # and per level above the finest, each cell's atom as an index into them
+        active, chains = [], []
+        for level, owner in enumerate(owners[:-1]):
+            kids = [[] for _ in self.levels[level]]
+            for child in self.levels[level + 1]:
+                parents = set(owner[list(child)])
+                if len(parents) != 1:
                     raise ValueError("levels must refine")
+                kids[parents.pop()].append(child)
+            chains.append(owner + len(active))
+            active += [(level, atom, ch, np.array([self.atom_weight(k) for k in ch]))
+                       for atom, ch in zip(self.levels[level], kids)]
+        object.__setattr__(self, "_active", tuple(active))
+        object.__setattr__(self, "_chains", chains)
 
     @property
     def n_cells(self) -> int:
@@ -66,31 +83,17 @@ class AtomHierarchy:
     def atom_weight(self, atom) -> float:
         return float(self.cell_weights[list(atom)].sum())
 
-    def children_of(self, level: int, atom) -> list:
-        cells = set(atom)
-        return [a for a in self.levels[level + 1] if set(a) <= cells]
-
-    def active_atoms(self) -> list:
-        """(level, atom, children) triples for atoms that are refined below."""
-        out = []
-        for level in range(len(self.levels) - 1):
-            for atom in self.levels[level]:
-                out.append((level, atom, self.children_of(level, atom)))
-        return out
+    def active_atoms(self) -> tuple:
+        """(level, atom, children, child masses) of every atom above the finest level,
+        coarse to fine; atoms with a single child are included."""
+        return self._active
 
     def chain_through(self, cell: int) -> list:
-        """Active atoms containing a ground cell, coarse to fine."""
-        chain = []
-        for level in range(len(self.levels) - 1):
-            for atom in self.levels[level]:
-                if cell in atom:
-                    chain.append((level, atom, self.children_of(level, atom)))
-                    break
-        return chain
+        """The active atoms containing a ground cell, coarse to fine."""
+        return [self._active[chain[cell]] for chain in self._chains]
 
 
-def random_hierarchy(seed: int, depth: int = 3, max_children: int = 4,
-                     weight_spread: float = 1.0) -> AtomHierarchy:
+def random_hierarchy(seed: int, depth: int = 3, max_children: int = 4) -> AtomHierarchy:
     """Seeded hierarchy: the root splits recursively into 1..max_children parts."""
     gen = substream(seed, "atom-hierarchy")
     leaf_counter = itertools.count()
@@ -120,7 +123,7 @@ def random_hierarchy(seed: int, depth: int = 3, max_children: int = 4,
                 nxt.extend(node)
         frontier = nxt
     n_cells = next(leaf_counter)
-    weights = np.exp(gen.uniform(-weight_spread, weight_spread, size=n_cells))
+    weights = np.exp(gen.uniform(-1.0, 1.0, size=n_cells))
     return AtomHierarchy(weights, tuple(levels))
 
 
@@ -133,11 +136,10 @@ class AdaptedFamily:
     space: NormedSpace = SCALAR
 
     def __post_init__(self):
-        for (level, atom, kids) in self.hierarchy.active_atoms():
+        for (level, atom, kids, masses) in self.hierarchy.active_atoms():
             vals = np.asarray(self.values[(level, atom)], dtype=float)
             if vals.shape != (len(kids), self.space.dim):
                 raise AdaptednessError("wrong table shape for an atom")
-            masses = np.array([self.hierarchy.atom_weight(k) for k in kids])
             if np.any(np.abs(masses @ vals) > _TOL * max(1.0, np.abs(vals).max())):
                 raise AdaptednessError("nonzero weighted mean on an atom")
 
@@ -145,7 +147,7 @@ class AdaptedFamily:
         """The plain sum over atoms, as one value per ground cell."""
         h = self.hierarchy
         out = np.zeros((h.n_cells, self.space.dim))
-        for (level, atom, kids) in h.active_atoms():
+        for (level, atom, kids, _) in h.active_atoms():
             vals = self.values[(level, atom)]
             for kid, v in zip(kids, vals):
                 out[list(kid)] += v
@@ -156,9 +158,8 @@ def random_adapted_family(hierarchy: AtomHierarchy, seed: int,
                           space: NormedSpace = SCALAR) -> AdaptedFamily:
     gen = substream(seed, "adapted-family")
     values = {}
-    for (level, atom, kids) in hierarchy.active_atoms():
+    for (level, atom, kids, masses) in hierarchy.active_atoms():
         vals = gen.standard_normal((len(kids), space.dim))
-        masses = np.array([hierarchy.atom_weight(k) for k in kids])
         vals -= (masses @ vals) / masses.sum()
         values[(level, atom)] = vals
     return AdaptedFamily(hierarchy, values, space)
@@ -181,7 +182,7 @@ def construct_uv(family: AdaptedFamily) -> UVTables:
     base variable and their difference the decoupled copy.
     """
     sym, skew = {}, {}
-    for (level, atom, kids) in family.hierarchy.active_atoms():
+    for (level, atom, _, _) in family.hierarchy.active_atoms():
         vals = np.asarray(family.values[(level, atom)])
         a = vals[:, None, :]
         b = vals[None, :, :]
@@ -200,8 +201,7 @@ def check_mds(uv: UVTables, test_functions: int = 20, seed: int = 0) -> float:
     h = uv.family.hierarchy
     dim = uv.family.space.dim
     worst = 0.0
-    for (level, atom, kids) in h.active_atoms():
-        mu = np.array([h.atom_weight(k) for k in kids])
+    for (level, atom, _, mu) in h.active_atoms():
         nu = mu / mu.sum()
         u = uv.symmetric[(level, atom)]
         v = uv.antisymmetric[(level, atom)]
@@ -222,7 +222,7 @@ def recovery_violation(uv: UVTables) -> float:
     """Max deviation of (symmetric + antisymmetric) from the base difference."""
     worst = 0.0
     h = uv.family.hierarchy
-    for (level, atom, kids) in h.active_atoms():
+    for (level, atom, _, _) in h.active_atoms():
         vals = np.asarray(uv.family.values[(level, atom)])
         u = uv.symmetric[(level, atom)]
         v = uv.antisymmetric[(level, atom)]
@@ -257,15 +257,12 @@ def decoupled_pnorm(family: AdaptedFamily, p: float,
         chain = h.chain_through(cell)
         if not chain:
             continue
-        counts = [len(kids) for (_, _, kids) in chain]
-        if int(np.prod(counts)) > chain_cap:
+        counts = [len(kids) for (_, _, kids, _) in chain]
+        if math.prod(counts) > chain_cap:
             raise ResourceLimitError("chain product exceeds the exhaustive cap")
         signs = sign_patterns(len(chain))
-        tables, probs = [], []
-        for (level, atom, kids) in chain:
-            tables.append(np.asarray(family.values[(level, atom)]))
-            mu = np.array([h.atom_weight(k) for k in kids])
-            probs.append(mu / mu.sum())
+        tables = [np.asarray(family.values[(level, atom)]) for (level, atom, _, _) in chain]
+        probs = [mu / mu.sum() for (_, _, _, mu) in chain]
         acc = 0.0
         for choice in itertools.product(*[range(c) for c in counts]):
             prob = float(np.prod([pr[c] for pr, c in zip(probs, choice)]))

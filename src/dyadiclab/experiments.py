@@ -581,9 +581,10 @@ _LEAST = {"n_funcs": 1, "n_pairs": 1, "n_families": 1, "n_configs": 1, "kernels_
           "inputs_per_kernel": 1, "ij_cap": 0}
 
 
-def run_experiment(name: str, seed: int, overrides: Optional[dict] = None) -> list:
-    exp = EXPERIMENTS[name]
-    params = dict(exp.defaults)
+def resolve_params(name: str, overrides: Optional[dict] = None) -> dict:
+    """The experiment's defaults with `overrides` merged in; raises ValueError
+    for a count or list that measures nothing."""
+    params = dict(EXPERIMENTS[name].defaults)
     for key, value in (overrides or {}).items():
         if key not in params:
             raise KeyError(f"unknown parameter {key!r} for experiment {name!r}")
@@ -593,4 +594,8 @@ def run_experiment(name: str, seed: int, overrides: Optional[dict] = None) -> li
     for key, value in params.items():
         if value == [] or key in least and value < least[key]:
             raise ValueError(f"{key} = {value!r} measures nothing")
-    return exp.runner(params, seed)
+    return params
+
+
+def run_experiment(name: str, seed: int, overrides: Optional[dict] = None) -> list:
+    return EXPERIMENTS[name].runner(resolve_params(name, overrides), seed)

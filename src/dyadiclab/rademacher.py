@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,14 +30,7 @@ def sign_patterns(n: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
-@dataclass(frozen=True)
-class RademacherNorm:
-    value: float
-    power_mean: float
-
-
-def rademacher_pnorm(elements: np.ndarray, p: float,
-                     space: NormedSpace = None) -> RademacherNorm:
+def rademacher_pnorm(elements: np.ndarray, p: float, space: NormedSpace = None) -> float:
     """(E |sum_n eps_n e_n|^p)^(1/p) over all 2^n sign patterns."""
     elements = np.atleast_2d(np.asarray(elements, dtype=float))
     n = elements.shape[0]
@@ -46,8 +39,7 @@ def rademacher_pnorm(elements: np.ndarray, p: float,
     if space is None:
         space = NormedSpace(elements.shape[1], 2.0)
     powers = space.norm(sign_patterns(n) @ elements) ** p
-    mean = float(powers.mean())
-    return RademacherNorm(mean ** (1.0 / p), mean)
+    return float(powers.mean()) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -56,7 +48,6 @@ class OperatorFamily:
 
     operators: tuple
     space: NormedSpace
-    labels: tuple = ()
 
     def __post_init__(self):
         ops = tuple(np.asarray(op, dtype=float) for op in self.operators)
@@ -86,10 +77,9 @@ def rbound_witness(family: OperatorFamily, assignment, p: float) -> float:
     elems = np.stack([np.asarray(e, dtype=float) for _, e in assignment])
     outs = np.stack([family.operators[k] @ e for k, e in zip(idx, elems)])
     den = rademacher_pnorm(elems, p, space=family.space)
-    if den.value == 0.0:
+    if den == 0.0:
         raise DegenerateInputError("input Rademacher norm is zero")
-    num = rademacher_pnorm(outs, p, space=family.space)
-    return num.value / den.value
+    return rademacher_pnorm(outs, p, space=family.space) / den
 
 
 def _power_iteration_vector(op: np.ndarray, gen, iters: int = 12) -> np.ndarray:
@@ -151,45 +141,34 @@ class SteinResult:
     ratio: float
     bound: float
 
-    @property
-    def passed(self) -> bool:
-        return self.ratio <= self.bound + 1e-9
 
-
-def stein_check(fs: Sequence[GridFunction], levels: Sequence[int], p: float,
-                beta_ref: Optional[float] = None,
-                signs: Optional[Sequence[int]] = None) -> SteinResult:
-    """Randomized ratio of conditioned to raw sums against a reference constant.
+def stein_check(fs: Sequence[GridFunction], levels: Sequence[int], p: float) -> SteinResult:
+    """Randomized ratio of conditioned to raw sums against the scalar beta_p.
 
     Computes (E_eps ||sum_k eps_k E[f_k | level_k]||_p^p)^(1/p) divided by
     the same expression without the conditioning, with exhaustive signs.
-    If a fixed `signs` pattern is supplied, the numerator expectation is
-    replaced by that single pattern (a witness of the left side).
+    The reference constant is known only for scalar functions.
     """
     if len(fs) != len(levels):
         raise ValueError("one conditioning level per function")
-    if beta_ref is None:
-        if fs[0].space.dim != 1:
-            raise ValueError("beta_ref is required for non-scalar spaces")
-        beta_ref = umd_beta_scalar(p)
+    if fs[0].space.dim != 1:
+        raise ValueError("the reference constant is known only for scalar spaces")
     sysm, space = fs[0].system, fs[0].space
     cond = np.stack([conditional_expectation(f, lv).values for f, lv in zip(fs, levels)])
     raw = np.stack([f.values for f in fs])
     patterns = sign_patterns(len(fs))
 
-    def randomized(stack: np.ndarray, pats: np.ndarray) -> float:
-        combo = np.tensordot(pats, stack, axes=(1, 0))
+    def randomized(stack: np.ndarray) -> float:
+        combo = np.tensordot(patterns, stack, axes=(1, 0))
         norms = space.norm(combo)
-        powers = (norms**p).reshape(pats.shape[0], -1).sum(axis=1) * sysm.cell_volume
+        powers = (norms**p).reshape(patterns.shape[0], -1).sum(axis=1) * sysm.cell_volume
         return float(powers.mean() ** (1.0 / p))
 
-    num_pats = (np.asarray(signs, dtype=float)[None, :]
-                if signs is not None else patterns)
-    num = randomized(cond, num_pats)
-    den = randomized(raw, patterns)
+    num = randomized(cond)
+    den = randomized(raw)
     if den == 0.0:
         raise DegenerateInputError("zero input family")
-    return SteinResult(num / den, beta_ref)
+    return SteinResult(num / den, umd_beta_scalar(p))
 
 
 # -- unconditionality probe -------------------------------------------------------
@@ -261,12 +240,8 @@ def averaging_check(pointwise: Sequence[np.ndarray], weights: Sequence[np.ndarra
               for ls, w in zip(pointwise, weights)),
         space,
     )
-    flat_ops, flat_idx = [], {}
-    for s, ls in enumerate(pointwise):
-        for x in range(npts):
-            flat_idx[(s, x)] = len(flat_ops)
-            flat_ops.append(ls[x])
-    pw_family = OperatorFamily(tuple(flat_ops), space)
+    # pointwise operator x of family s is member s * npts + x
+    pw_family = OperatorFamily(tuple(op for ls in pointwise for op in ls), space)
 
     witness = rbound_witness(averaged, assignment, p)
     derived = []
@@ -274,7 +249,7 @@ def averaging_check(pointwise: Sequence[np.ndarray], weights: Sequence[np.ndarra
     es = [np.asarray(e, dtype=float) for _, e in assignment]
     scaled = [max(masses[k], 1e-300) * e for k, e in zip(ks, es)]
     for xs in itertools.product(range(npts), repeat=len(ks)):
-        derived.append([(flat_idx[(k, x)], e) for k, x, e in zip(ks, xs, scaled)])
+        derived.append([(k * npts + x, e) for k, x, e in zip(ks, xs, scaled)])
     probe = rbound_probe(pw_family, p, probe_budget, seed, extra_assignments=derived)
     return CalculusCheck(witness, probe)
 

@@ -250,10 +250,33 @@ def haar_coefficient_by_eval(f, cube, eta):
         f.system.cell_volume
 
 
+def children_by_scan(h, level, atom):
+    """The next level's atoms inside `atom`, by set inclusion, in level order."""
+    cells = set(atom)
+    return [a for a in h.levels[level + 1] if set(a) <= cells]
+
+
+def active_atoms_by_scan(h):
+    """(level, atom, children) for every atom above the finest level."""
+    return [(level, atom, children_by_scan(h, level, atom))
+            for level in range(len(h.levels) - 1) for atom in h.levels[level]]
+
+
+def chain_through_by_scan(h, cell):
+    """(level, atom, children) for the atoms holding `cell`, coarse to fine."""
+    chain = []
+    for level in range(len(h.levels) - 1):
+        for atom in h.levels[level]:
+            if cell in atom:
+                chain.append((level, atom, children_by_scan(h, level, atom)))
+                break
+    return chain
+
+
 def decoupled_pnorm_full_product(family, p):
     """Decoupled norm by enumerating the full product space of child choices."""
     h = family.hierarchy
-    actives = h.active_atoms()
+    actives = active_atoms_by_scan(h)
     choice_space = [range(len(kids)) for (_, _, kids) in actives]
     total = 0.0
     n_eps = 1 << len(actives)

@@ -270,6 +270,12 @@ def test_empty_list_parameter_is_usage_error(tmp_path, capsys, name, key):
     assert_one_error_line(capsys, f"error: {name}: {key} = [] measures nothing")
 
 
+def test_every_selected_experiment_is_checked_before_any_runs(tmp_path, capsys,
+                                                              no_experiment_runs):
+    assert run_with_params(tmp_path, {"decoupling": {}, "carleson": {"n_funcs": 0}}) == 2
+    assert_one_error_line(capsys, "error: carleson: n_funcs = 0 measures nothing")
+
+
 def test_failed_check_still_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_experiment", lambda name, seed, overrides: [
         Check("goodness/forced", "anchor", 2.0, 1.0, False, seed)])

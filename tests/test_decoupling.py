@@ -11,7 +11,7 @@ from dyadiclab.errors import AdaptednessError, ResourceLimitError
 from dyadiclab.rng import substream
 from dyadiclab.space import NormedSpace, umd_beta_scalar
 
-from oracles import decoupled_pnorm_full_product
+from oracles import active_atoms_by_scan, chain_through_by_scan, decoupled_pnorm_full_product
 
 TWO = AtomHierarchy(np.array([1.0, 1.0]), (((0, 1),), ((0,), (1,))))
 
@@ -176,3 +176,62 @@ def test_long_single_child_chain_hits_the_sign_cap():
 def test_atoms_out_of_cell_order_are_rejected():
     with pytest.raises(ValueError, match="ascending cell order"):
         AtomHierarchy(np.ones(2), (((0, 1),), ((1,), (0,))))
+
+
+# -- the indexed hierarchy against the set-scan walk ----------------------------------
+
+
+def long_chain_hierarchy():
+    """256 unit cells; cell 0's atom splits off 15 singletons at each of 17 levels."""
+    return AtomHierarchy(np.ones(256), tuple(
+        ((0, *range(15 * lv + 1, 256)),) + tuple((c,) for c in range(1, 15 * lv + 1))
+        for lv in range(18)))
+
+
+HAND_BUILT = [
+    TWO,
+    AtomHierarchy(np.array([2.0, 1.0, 1.0]), (((0, 1, 2),), ((0,), (1,), (2,)))),
+    AtomHierarchy(np.ones(4), (((0, 1), (2, 3)), ((0,), (1,), (2,), (3,)))),
+    AtomHierarchy(np.array([0.5, 2.0, 1.0]), (((0, 1, 2),), ((0, 2), (1,)), ((0,), (1,), (2,)))),
+    AtomHierarchy(np.ones(3), (((0, 1, 2),),)),
+    long_chain_hierarchy(),
+]
+
+
+def assert_matches_scan(h):
+    stored = h.active_atoms()
+    scanned = active_atoms_by_scan(h)
+    assert [(lv, atom, list(kids)) for lv, atom, kids, _ in stored] == scanned
+    for (_, _, kids, masses) in stored:
+        assert np.array_equal(masses, np.array([h.atom_weight(k) for k in kids]))
+    for cell in range(h.n_cells):
+        chain = [(lv, atom, list(kids)) for lv, atom, kids, _ in h.chain_through(cell)]
+        assert chain == chain_through_by_scan(h, cell)
+
+
+@pytest.mark.parametrize("h", HAND_BUILT)
+def test_hand_built_hierarchies_match_the_scan(h):
+    assert_matches_scan(h)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 4), st.integers(1, 4))
+def test_random_hierarchies_match_the_scan(seed, depth, max_children):
+    assert_matches_scan(random_hierarchy(seed, depth=depth, max_children=max_children))
+
+
+@pytest.mark.parametrize("weights, levels, match", [
+    ([1.0, 0.0], (((0, 1),),), "positive"),
+    ([1.0, 1.0, 1.0], (((0, 1),),), "partition"),
+    ([1.0, 1.0], (((0, 1),), ((0,), (0, 1))), "partition"),
+    ([1.0] * 4, (((0, 1), (2, 3)), ((0,), (1, 2), (3,))), "refine"),
+])
+def test_malformed_hierarchies_are_rejected(weights, levels, match):
+    with pytest.raises(ValueError, match=match):
+        AtomHierarchy(np.array(weights), levels)
+
+
+def test_chain_product_cap_does_not_wrap():
+    # cell 0's chain has 17 atoms of 16 children: 16**17 wraps to 0 in int64
+    fam = random_adapted_family(long_chain_hierarchy(), 0)
+    with pytest.raises(ResourceLimitError, match="chain product"):
+        decoupled_pnorm(fam, 2.0)

@@ -16,22 +16,20 @@ from oracles import brute_rademacher_pnorm
 
 
 def test_two_equal_scalars_p2():
-    res = rademacher_pnorm(np.array([[1.0], [1.0]]), 2)
-    assert res.value == pytest.approx(np.sqrt(2.0))
+    assert rademacher_pnorm(np.array([[1.0], [1.0]]), 2) == pytest.approx(np.sqrt(2.0))
 
 
 def test_sup_norm_basis_vectors():
     space = NormedSpace(2, np.inf)
-    res = rademacher_pnorm(np.eye(2), 2, space=space)
-    assert res.value == pytest.approx(1.0)
+    assert rademacher_pnorm(np.eye(2), 2, space=space) == pytest.approx(1.0)
 
 
 def test_two_equal_scalars_p4_matches_bruteforce():
     oracle = brute_rademacher_pnorm([np.array([1.0]), np.array([1.0])], 4,
                                     lambda v: abs(v[0]))
     res = rademacher_pnorm(np.array([[1.0], [1.0]]), 4)
-    assert res.value == pytest.approx(oracle)
-    assert res.value == pytest.approx(8.0**0.25)
+    assert res == pytest.approx(oracle)
+    assert res == pytest.approx(8.0**0.25)
 
 
 @given(st.integers(0, 10**6), st.integers(1, 6), st.sampled_from([1.5, 2.0, 3.0]))
@@ -40,7 +38,7 @@ def test_exhaustive_matches_bruteforce(seed, n, p):
     elements = gen.standard_normal((n, 3))
     space = NormedSpace(3, 2.0)
     oracle = brute_rademacher_pnorm(list(elements), p, space.norm)
-    assert rademacher_pnorm(elements, p, space=space).value == pytest.approx(oracle)
+    assert rademacher_pnorm(elements, p, space=space) == pytest.approx(oracle)
 
 
 def test_exhaustive_cap():
@@ -112,7 +110,7 @@ SYS = DyadicSystem(d=1, m_top=0, depth=5)
 
 def test_single_level_contraction():
     f = random_grid_function(SYS, 4)
-    res = stein_check([f], [2], 2.0, signs=[1])
+    res = stein_check([f], [2], 2.0)
     assert res.ratio <= 1.0 + 1e-12
 
 
@@ -133,6 +131,12 @@ def test_stein_ratio_below_scalar_bound(seed, p):
     res = stein_check(fs, levels, p)
     assert res.bound == pytest.approx(umd_beta_scalar(p))
     assert res.ratio <= res.bound + 1e-9
+
+
+def test_stein_check_rejects_non_scalar_functions():
+    f = random_grid_function(SYS, 4, space=NormedSpace(2, 2.0))
+    with pytest.raises(ValueError, match="scalar"):
+        stein_check([f], [2], 2.0)
 
 
 # -- unconditionality probe ---------------------------------------------------------------
@@ -202,4 +206,4 @@ def test_custom_norm_table():
     res = rademacher_pnorm(np.eye(2), 2, space=space)
     oracle = brute_rademacher_pnorm([np.eye(2)[0], np.eye(2)[1]], 2,
                                     lambda v: max(abs(v[0]), 2 * abs(v[1])))
-    assert res.value == pytest.approx(oracle)
+    assert res == pytest.approx(oracle)
