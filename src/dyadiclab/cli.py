@@ -3,35 +3,29 @@
 Reports carry one CSV row per check (check_id, anchor, measured, bound,
 pass, seed, runtime_ms) plus a JSON summary.  Identical configuration and
 seed reproduce every column byte for byte except runtime_ms, which is
-wall time.  Exit status: 0 all checks pass, 1 a check failed, 2 bad usage
-(including an empty or repeated experiment selection, a flag that no
-selected experiment takes, more than one --p for an experiment with a
-scalar exponent and a parameter value the library rejects).
+wall time.  Exit status: 0 all checks pass, 1 a check failed, 2 bad usage,
+found before any experiment runs where the parameter table of
+`experiments` can tell, else when the library rejects a value.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 from typing import Optional
 
 from .errors import InsufficientDataError, ResourceLimitError
-from .experiments import EXPERIMENTS, resolve_params, run_experiment
+from .experiments import EXPERIMENTS, is_kind, resolve_params, run_experiment
 
 CSV_HEADER = "check_id,anchor,measured,bound,pass,seed,runtime_ms"
 
-# config key -> a value of the type it takes (see `_fits`)
-CONFIG_KEYS = {"experiments": [""], "seed": 0, "params": {}, "out_csv": "", "out_json": ""}
-
-# run flag -> the experiment parameters it sets; a scalar p takes a single --p
-_FLAG_PARAMS = {"depth": ("depth",), "p": ("p_list", "p"), "gamma": ("gamma",), "r": ("r",)}
-
-# what the library raises for a parameter value it cannot run with
-_LIBRARY_ERRORS = (ValueError, ResourceLimitError, InsufficientDataError)
+# config key -> (type spec, see `is_kind`; what it takes)
+CONFIG_KEYS = {"experiments": ([str], "a list of names"), "seed": (int, "an integer"),
+               "params": (dict, "an object"), "out_csv": (str, "a path"),
+               "out_json": (str, "a path")}
 
 
 class UsageError(Exception):
@@ -55,65 +49,37 @@ def _load_config(path: Optional[str]) -> dict:
         raise UsageError(f"cannot read config {path}: {exc}")
     if not isinstance(doc, dict):
         raise UsageError("config must be a JSON object")
-    unknown = set(doc) - set(CONFIG_KEYS)
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
     for key, value in doc.items():
-        if not _fits(value, CONFIG_KEYS[key]):
-            raise UsageError(f"config {key!r} takes {_type_name(CONFIG_KEYS[key])}, "
-                             f"not {_type_name(value)}")
+        if key not in CONFIG_KEYS:
+            raise UsageError(f"unknown config key {key!r}")
+        spec, what = CONFIG_KEYS[key]
+        if not is_kind(value, spec):
+            raise UsageError(f"config {key!r} takes {what}, not {value!r}")
     for name, overrides in doc.get("params", {}).items():
         if name not in EXPERIMENTS:
             raise UsageError(f"config params for unknown experiment {name!r}")
         if not isinstance(overrides, dict):
             raise UsageError(f"config params for {name!r} must be an object")
-        defaults = EXPERIMENTS[name].defaults
-        bad = set(overrides) - set(defaults)
-        if bad:
-            raise UsageError(f"unknown parameters for {name!r}: {sorted(bad)}")
-        for key, value in overrides.items():
-            if not _fits(value, defaults[key]):
-                raise UsageError(f"parameter {key!r} of {name!r} takes "
-                                 f"{_type_name(defaults[key])}, not {_type_name(value)}")
     return doc
 
 
-def _type_name(value) -> str:
-    if isinstance(value, list) and value:
-        return f"list of {type(value[0]).__name__}"
-    return type(value).__name__
-
-
-def _fits(value, default) -> bool:
-    """Int takes int, float takes int or float, bool fits none.  A list takes
-    a list: of the same length, fitting item by item, when the default mixes
-    item types (a record such as [gamma, r]); else each item fits the first."""
-    if isinstance(value, bool):
-        return isinstance(default, bool)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    if isinstance(default, list) and isinstance(value, list) and default:
-        if len({type(item) for item in default}) > 1:
-            return len(value) == len(default) and all(map(_fits, value, default))
-        return all(_fits(item, default[0]) for item in value)
-    return isinstance(value, type(default))
-
-
 def _flag_overrides(args, names: list) -> dict:
-    """Per selected experiment, the flags it takes; a flag none takes is an error."""
+    """Per selected experiment, the flags its parameter table gives it; a flag
+    none takes is an error, and a list flag sets a scalar from one value only."""
     overrides = {name: {} for name in names}
-    for flag, keys in _FLAG_PARAMS.items():
+    for flag in ("depth", "p", "gamma", "r"):
         value = getattr(args, flag)
         if value is None:
             continue
-        takers = [(name, key) for name in names for key in keys
-                  if key in EXPERIMENTS[name].defaults]
+        takers = [(name, key, param) for name in names
+                  for key, param in EXPERIMENTS[name].params.items() if param.flag == flag]
         if not takers:
             raise UsageError(f"no selected experiment takes --{flag}")
-        for name, key in takers:
-            if key == "p" and len(value) > 1:
-                raise UsageError(f"{name} takes a single --p, not {len(value)}")
-            overrides[name][key] = value[0] if key == "p" else value
+        for name, key, param in takers:
+            single = isinstance(value, list) and param.kind != "exponent list"
+            if single and len(value) > 1:
+                raise UsageError(f"{name} takes a single --{flag}, not {len(value)}")
+            overrides[name][key] = value[0] if single else value
     return overrides
 
 
@@ -123,20 +89,9 @@ def _format_row(check, runtime_ms: int) -> str:
             f"{str(check.passed).lower()},{check.seed},{runtime_ms}")
 
 
-def _check_exponents(name: str, overrides: dict):
-    """Exponents must lie in (1, inf), where the conjugate exponent is finite."""
-    for key in ("p", "p_list"):
-        values = overrides.get(key, [])
-        for p in values if isinstance(values, list) else [values]:
-            if not 1 < p < math.inf:
-                raise UsageError(f"{name}: exponent {key} = {p!r} is outside (1, inf)")
-
-
 def _run(args) -> int:
     config = _load_config(args.config)
-    seed = args.seed
-    if seed is None:
-        seed = config.get("seed")
+    seed = config.get("seed") if args.seed is None else args.seed
     if seed is None:
         try:
             seed = int(os.environ.get("DYADICLAB_SEED", "0"))
@@ -154,9 +109,9 @@ def _run(args) -> int:
         if name in names[:k]:
             raise UsageError(f"experiment {name!r} is selected twice")
     overrides = _flag_overrides(args, names)
-    for name in names:
-        overrides[name] = {**config.get("params", {}).get(name, {}), **overrides[name]}
-        _check_exponents(name, overrides[name])
+    params = config.get("params", {})
+    for name in dict.fromkeys([*names, *params]):  # config params of unselected ones too
+        overrides[name] = {**params.get(name, {}), **overrides.get(name, {})}
         try:
             resolve_params(name, overrides[name])
         except ValueError as exc:
@@ -167,29 +122,23 @@ def _run(args) -> int:
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise UsageError(f"report directory of {path} does not exist")
 
-    def run_one(name: str):
+    rows = []  # (check, runtime_ms)
+    summary = {"seed": seed, "experiments": {}, "timing_ms": {}}
+    for name in names:
         start = time.perf_counter()
         try:
             checks = run_experiment(name, seed, overrides[name])
-        except _LIBRARY_ERRORS as exc:
+        except (ValueError, ResourceLimitError, InsufficientDataError) as exc:  # library rejects
             raise UsageError(f"{name}: {exc}")
         elapsed_ms = int(round((time.perf_counter() - start) * 1000))
-        return name, checks, elapsed_ms
+        summary["experiments"][name] = {"checks": len(checks),
+                                        "failed": [c.check_id for c in checks if not c.passed]}
+        summary["timing_ms"][name] = elapsed_ms
+        rows += [(check, elapsed_ms) for check in checks]
+    rows.sort(key=lambda row: row[0].check_id)
+    summary["all_passed"] = all(check.passed for check, _ in rows)
 
-    rows = []
-    summary = {"seed": seed, "experiments": {}, "all_passed": True}
-    for name, checks, elapsed_ms in map(run_one, names):
-        summary["experiments"][name] = {
-            "checks": len(checks),
-            "failed": [c.check_id for c in checks if not c.passed],
-        }
-        summary.setdefault("timing_ms", {})[name] = elapsed_ms
-        for check in checks:
-            rows.append((check.check_id, _format_row(check, elapsed_ms), check.passed))
-            summary["all_passed"] &= check.passed
-    rows.sort(key=lambda item: item[0])
-
-    csv_text = CSV_HEADER + "\n" + "".join(line + "\n" for _, line, _ in rows)
+    csv_text = CSV_HEADER + "\n" + "".join(_format_row(*row) + "\n" for row in rows)
     if out_csv:
         with open(out_csv, "w") as stream:
             stream.write(csv_text)
@@ -198,14 +147,15 @@ def _run(args) -> int:
             stream.write("\n")
     else:
         sys.stdout.write(csv_text)
-    for _, line, passed in rows:
-        if not passed:
-            sys.stderr.write(f"FAIL {line.split(',')[0]}\n")
+    for check, _ in rows:
+        if not check.passed:
+            sys.stderr.write(f"FAIL {check.check_id}\n")
     return 0 if summary["all_passed"] else 1
 
 
 def _list(args) -> int:
-    entries = [{"name": name, "anchor": exp.anchor}
+    entries = [{"name": name, "anchor": exp.anchor, "rules": [text for text, _ in exp.rules],
+                "params": {key: vars(param) for key, param in exp.params.items()}}
                for name, exp in sorted(EXPERIMENTS.items())]
     if args.json:
         sys.stdout.write(json.dumps(entries, indent=2, sort_keys=True) + "\n")
@@ -216,10 +166,8 @@ def _list(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="dyadiclab",
-        description="Quantitative checks for dyadic operator inequalities",
-    )
+    parser = _Parser(prog="dyadiclab",
+                     description="Quantitative checks for dyadic operator inequalities")
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run experiments and write a report")
     runp.add_argument("--config", help="JSON configuration file")

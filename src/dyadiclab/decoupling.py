@@ -95,6 +95,9 @@ class AtomHierarchy:
 
 def random_hierarchy(seed: int, depth: int = 3, max_children: int = 4) -> AtomHierarchy:
     """Seeded hierarchy: the root splits recursively into 1..max_children parts."""
+    if depth < 0 or max_children < 1:
+        raise ValueError(f"a hierarchy needs depth >= 0 and max_children >= 1, "
+                         f"not {depth} and {max_children}")
     gen = substream(seed, "atom-hierarchy")
     leaf_counter = itertools.count()
 
@@ -140,7 +143,7 @@ class AdaptedFamily:
             vals = np.asarray(self.values[(level, atom)], dtype=float)
             if vals.shape != (len(kids), self.space.dim):
                 raise AdaptednessError("wrong table shape for an atom")
-            if np.any(np.abs(masses @ vals) > _TOL * max(1.0, np.abs(vals).max())):
+            if np.any(np.abs(masses @ vals / masses.sum()) > _TOL * max(1.0, np.abs(vals).max())):
                 raise AdaptednessError("nonzero weighted mean on an atom")
 
     def cell_sum(self) -> np.ndarray:

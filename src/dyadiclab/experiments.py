@@ -82,8 +82,7 @@ def run_shift_bound(params: dict, seed: int) -> list:
     raw_max = {p: 0.0 for p in params["p_list"]}
     for i, j in itertools.product(range(cap + 1), repeat=2):
         for k in range(params["kernels_per_ij"]):
-            kernel_seed = int(substream(seed, "shift-kernel-seed", i, j, k)
-                              .integers(0, 2**31))
+            kernel_seed = int(substream(seed, "shift-kernel-seed", i, j, k).integers(0, 2**31))
             spec = ShiftSpec(i, j, sysm, RandomKernel(kernel_seed, 1.0))
             for m in range(params["inputs_per_kernel"]):
                 f = random_grid_function(sysm, seed, label=f"shift-in-{i}-{j}-{k}-{m}")
@@ -96,14 +95,10 @@ def run_shift_bound(params: dict, seed: int) -> list:
                     bound = 4.0 * (max(i, j) + 1) * umd_beta_scalar(p) ** 2
                     raw_max[p] = max(raw_max[p], ratio)
                     worst[p] = max(worst[p], ratio / bound)
-    rows = []
-    for p in params["p_list"]:
-        rows.append(_check(f"shift-bound/p={p}/normalized", ANCHOR_SHIFT, worst[p],
-                           1.0, seed))
-        rows.append(Check(f"shift-bound/p={p}/max-ratio", ANCHOR_SHIFT,
-                          raw_max[p], 4.0 * (cap + 1) * umd_beta_scalar(p) ** 2,
-                          True, seed))
-    return rows
+    return [row for p in params["p_list"] for row in (
+        _check(f"shift-bound/p={p}/normalized", ANCHOR_SHIFT, worst[p], 1.0, seed),
+        Check(f"shift-bound/p={p}/max-ratio", ANCHOR_SHIFT, raw_max[p],
+              4.0 * (cap + 1) * umd_beta_scalar(p) ** 2, True, seed))]
 
 
 ANCHOR_PARA = ("||Pi_b f||_p <= 12 p p' (max{p,p'}-1) ||b||_BMO_p ||f||_p "
@@ -150,23 +145,14 @@ def run_carleson(params: dict, seed: int) -> list:
                 continue
             worst[p] = max(worst[p], res.ratio / res.stated_bound)
             worst_proof[p] = max(worst_proof[p], res.ratio / res.proof_bound)
-    rows = []
-    for p in params["p_list"]:
-        rows.append(_check(f"carleson/p={p}/vs-stated", ANCHOR_CARLESON,
-                           worst[p], 1.0, seed))
-        rows.append(_check(f"carleson/p={p}/vs-proof-constant", ANCHOR_CARLESON,
-                           worst_proof[p], 1.0, seed))
-    return rows
+    return [row for p in params["p_list"] for row in (
+        _check(f"carleson/p={p}/vs-stated", ANCHOR_CARLESON, worst[p], 1.0, seed),
+        _check(f"carleson/p={p}/vs-proof-constant", ANCHOR_CARLESON, worst_proof[p], 1.0,
+               seed))]
 
 
 ANCHOR_PYTH = ("||sum f_S||_p <= 3p (sum ||f_S||_p^p)^{1/p}; reverse <= 6p' given "
                "zero means or scalar nonnegativity, and fails without them")
-
-
-def _random_sparse_family(sysm: DyadicSystem, seed: int, tag: str):
-    root = sysm.cube(0, (0,))
-    driver = random_grid_function(sysm, seed, support=root, label=f"pyth-driver-{tag}")
-    return sparse.build_stopping_family(driver, root)
 
 
 def _random_adapted_functions(family, seed: int, tag: str, mode: str) -> list:
@@ -181,42 +167,33 @@ def _random_adapted_functions(family, seed: int, tag: str, mode: str) -> list:
             vals[family.cubes[child].cell_slices()] = gen.standard_normal()
         if mode == "reverse_nonneg":
             vals = np.abs(vals)
-        f = GridFunction(sysm, vals, SCALAR)
         if mode == "reverse_cancellative":
             cube = family.cubes[idx]
-            avg = family.weighted_average(f.values, cube)
-            vals = np.array(f.values)
-            sl = cube.cell_slices()
-            vals[sl] -= avg
-            f = GridFunction(sysm, vals, SCALAR)
-        out.append(f)
+            vals[cube.cell_slices()] -= family.weighted_average(vals, cube)
+        out.append(GridFunction(sysm, vals, SCALAR))
     return out
 
 
 def run_pythagoras(params: dict, seed: int) -> list:
     sysm = DyadicSystem(d=1, m_top=0, depth=params["depth"])
-    worst = {("direct", p): 0.0 for p in params["p_list"]}
-    worst.update({("reverse_cancellative", p): 0.0 for p in params["p_list"]})
-    worst.update({("reverse_nonneg", p): 0.0 for p in params["p_list"]})
+    root = sysm.cube(0, (0,))
+    modes = ("direct", "reverse_cancellative", "reverse_nonneg")
+    worst = {(mode, p): 0.0 for mode in modes for p in params["p_list"]}
     for k in range(params["n_families"]):
-        family = _random_sparse_family(sysm, seed, str(k))
-        for mode in ("direct", "reverse_cancellative", "reverse_nonneg"):
+        driver = random_grid_function(sysm, seed, support=root, label=f"pyth-driver-{k}")
+        family = sparse.build_stopping_family(driver, root)
+        for mode in modes:
             fs = _random_adapted_functions(family, seed, f"{k}-{mode}", mode)
             for p in params["p_list"]:
                 res = sparse.pythagoras_check(family, fs, p, mode)
-                if mode == "direct":
-                    if res.power_sum_root > 0:
-                        worst[(mode, p)] = max(worst[(mode, p)],
-                                               res.direct_ratio / res.direct_bound)
-                elif res.sum_norm > 0:
-                    worst[(mode, p)] = max(worst[(mode, p)],
-                                           res.reverse_ratio / res.reverse_bound)
-    rows = []
-    for (mode, p), val in sorted(worst.items()):
-        rows.append(_check(f"pythagoras/{mode}/p={p}", ANCHOR_PYTH, val, 1.0, seed))
+                if mode == "direct" and res.power_sum_root > 0:
+                    worst[mode, p] = max(worst[mode, p], res.direct_ratio / res.direct_bound)
+                elif mode != "direct" and res.sum_norm > 0:
+                    worst[mode, p] = max(worst[mode, p], res.reverse_ratio / res.reverse_bound)
+    rows = [_check(f"pythagoras/{mode}/p={p}", ANCHOR_PYTH, val, 1.0, seed)
+            for (mode, p), val in sorted(worst.items())]
 
     # the sharp counterexample: equal and opposite halves kill the sum
-    root = sysm.cube(0, (0,))
     half = sysm.cube(1, (0,))
     family = sparse.SparseFamily(root)
     family.add(half, 0)
@@ -246,14 +223,13 @@ def run_stopping(params: dict, seed: int) -> list:
         ctrl = sparse.stopping_control(fam, f)
         worst_q = max(worst_q, ctrl["max_q_over_member"])
         worst_child = max(worst_child, ctrl["max_child_over_parent"])
-    rows = [
+    return [
         _check("stopping/sparse-exact", ANCHOR_STOP, 0.0 if all_sparse else 1.0,
                0.0, seed, slack=0.0),
         _check("stopping/average-control", ANCHOR_STOP, worst_q, 2.0, seed, slack=1e-12),
         _check("stopping/child-control", ANCHOR_STOP, worst_child,
                2.0 * 2**sysm.d, seed, slack=1e-12),
     ]
-    return rows
 
 
 ANCHOR_DECOUPLE = ("beta^{-1} (E||sum eps 1_K f_K(y_K)||_p^p)^{1/p} <= ||sum f_K||_p "
@@ -319,8 +295,7 @@ def run_stein(params: dict, seed: int) -> list:
     for k in range(params["n_configs"]):
         gen = substream(seed, "stein-config", k)
         n = int(gen.integers(1, params["max_levels"] + 1))
-        levels = sorted(int(x) for x in gen.integers(sysm.min_level, sysm.depth + 1,
-                                                     size=n))
+        levels = sorted(int(x) for x in gen.integers(sysm.min_level, sysm.depth + 1, size=n))
         fs = [random_grid_function(sysm, seed, label=f"stein-{k}-{m}") for m in range(n)]
         for p in params["p_list"]:
             res = stein_check(fs, levels, p)
@@ -358,10 +333,8 @@ def run_rbound_calculus(params: dict, seed: int) -> list:
         if res.probe > 0:
             worst_avg = max(worst_avg, res.witness / res.probe)
 
-        left = OperatorFamily(tuple(gen.standard_normal((dim, dim))
-                                    for _ in range(n_ops)), space)
-        right = OperatorFamily(tuple(gen.standard_normal((dim, dim))
-                                     for _ in range(n_ops)), space)
+        left = OperatorFamily(tuple(gen.standard_normal((dim, dim)) for _ in range(n_ops)), space)
+        right = OperatorFamily(tuple(gen.standard_normal((dim, dim)) for _ in range(n_ops)), space)
         tri_assign = [((int(gen.integers(0, n_ops)), int(gen.integers(0, n_ops))),
                        gen.standard_normal(dim)) for _ in range(n_assign)]
         tri = triangle_check(left, right, tri_assign, p,
@@ -399,17 +372,12 @@ def run_goodness(params: dict, seed: int) -> list:
             spread = max(spread, abs(alt.value - res.value))
         rows.append(_check(f"goodness/{case}/base-independence", ANCHOR_GOOD,
                            spread, 0.0, seed, slack=0.0))
-        gens = min(max_gap, r + 1)
-        level = params["factor_level"]
-        depth = params["factor_depth"]
+        gens, level = min(max_gap, r + 1), params["factor_level"]
         joint = goodness_position_joint(
-            1, level, depth, m_top=gens - level,
-            params=GoodnessParams(gamma=gamma, r=r, max_generations=gens),
-        )
-        total = joint.sum()
-        rowsum = joint.sum(axis=1, keepdims=True)
-        colsum = joint.sum(axis=0, keepdims=True)
-        gap = np.abs(joint * total - rowsum * colsum).max()
+            1, level, params["factor_depth"], m_top=gens - level,
+            params=GoodnessParams(gamma=gamma, r=r, max_generations=gens))
+        gap = np.abs(joint * joint.sum() - joint.sum(axis=1, keepdims=True)
+                     * joint.sum(axis=0, keepdims=True)).max()
         rows.append(_check(f"goodness/{case}/factorization", ANCHOR_GOOD,
                            float(gap), 0.0, seed, slack=0.0))
     return rows
@@ -424,15 +392,13 @@ def run_matrix_decay(params: dict, seed: int) -> list:
     T = rep.assemble(rep.hilbert_kernel(), sysm)
     gp = GoodnessParams(gamma=params["gamma"], r=params["r"])
     alpha = 1.0
-    i_decay = range(params["i_lo"], params["i_hi"] + 1)
-    i_bounded = range(1, params["r"] + 1)
     rows = []
-    for case, i_range in (("far_disjoint", i_decay), ("deeply_nested", i_decay)):
-        report = rep.decay_check(T, case, i_range, gp, alpha)
+    for case in ("far_disjoint", "deeply_nested"):
+        report = rep.decay_check(T, case, range(params["i_lo"], params["i_hi"] + 1), gp, alpha)
         rows.append(_check(f"matrix-decay/{case}/slope", ANCHOR_DECAY,
                            report.slope, report.slope_target, seed))
     for case in ("near_disjoint", "shallowly_nested"):
-        report = rep.decay_check(T, case, i_bounded, gp, alpha)
+        report = rep.decay_check(T, case, range(1, params["r"] + 1), gp, alpha)
         spread = max(report.magnitudes) / min(report.magnitudes)
         rows.append(_check(f"matrix-decay/{case}/bounded-spread", ANCHOR_DECAY,
                            spread, params["bounded_spread"], seed))
@@ -471,13 +437,12 @@ def run_paraproduct_extraction(params: dict, seed: int) -> list:
         res = rep.pairing_decomposition(T, g, f, sysm.min_level, sysm.depth - 1)
         worst = max(worst, res.identity_residual)
         worst_raw = max(worst_raw, abs(res.raw_sum - res.lhs))
-    rows = [
+    return [
         _check("paraproduct-extraction/identity", ANCHOR_EXTRACT, worst,
                params["tol"], seed, slack=0.0),
         _check("paraproduct-extraction/raw-equals-pairing", ANCHOR_EXTRACT,
                worst_raw, params["tol"], seed, slack=0.0),
     ]
-    return rows
 
 
 ANCHOR_AVG = ("<g, Tf> = pi_good^{-1} E_omega sum over pairs with good smaller cube "
@@ -510,90 +475,168 @@ def run_averaging_identity(params: dict, seed: int) -> list:
     ]
 
 
-# -- registry -------------------------------------------------------------------------
+# -- parameter table ----------------------------------------------------------------
+
+
+def is_kind(value, spec) -> bool:
+    """Whether `value` has type `spec`: int (not bool), float (int or float), str,
+    dict, [spec] (a list of such) or a tuple of specs (a record, as a list)."""
+    if isinstance(spec, list):
+        return isinstance(value, list) and all(is_kind(item, spec[0]) for item in value)
+    if isinstance(spec, tuple):
+        return (isinstance(value, list) and len(value) == len(spec)
+                and all(map(is_kind, value, spec)))
+    types = (int, float) if spec is float else spec
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+_OUTSIDE = "{key} = {x!r} is outside {range}"
+# kind -> (type spec, message for a value or list item outside the range)
+KINDS = {"int": (int, _OUTSIDE), "count": (int, "{key} = {x!r} measures nothing"),
+         "float": (float, _OUTSIDE), "exponent": (float, "exponent " + _OUTSIDE),
+         "exponent list": ([float], "exponent " + _OUTSIDE),
+         "[gamma, r] list": ([(float, int)], "{key} has {x!r}, outside {range}")}
+
+
+def _inside(x, interval: str) -> bool:
+    """Whether `x` lies in `interval`, such as "(0, 1]"; a record lies in a
+    product such as "(0, 1) x [1, inf)" field by field."""
+    if " x " in interval:
+        return all(map(_inside, x, interval.split(" x ")))
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return (lo <= x if interval[0] == "[" else lo < x) and \
+        (x <= hi if interval[-1] == "]" else x < hi)
+
+
+@dataclass(frozen=True)
+class Param:
+    """A parameter's default, kind (see KINDS), allowed range of the value or of
+    each list item, and the run flag that sets it.  A count's range starts at
+    the least value that still measures something."""
+    default: object
+    kind: str = "int"
+    range: str = "(-inf, inf)"
+    flag: Optional[str] = None
+
+
+def _count(default: int, least: int = 1) -> Param:
+    return Param(default, "count", f"[{least}, inf)")
+
+
+def _depth(default: int, least: int = 0) -> Param:
+    return Param(default, "int", f"[{least}, inf)", "depth")
+
+
+P_LIST = Param([1.5, 2.0, 3.0], "exponent list", "(1, inf)", "p")
 
 
 @dataclass(frozen=True)
 class Experiment:
+    """A runner with its parameter table and cross-parameter rules: (text, test)
+    pairs, each test taking the parameters its argument names name."""
     name: str
     anchor: str
-    defaults: dict
+    params: dict
     runner: Callable
+    rules: tuple = ()
 
 
 EXPERIMENTS = {
     exp.name: exp
     for exp in (
         Experiment("haar-completeness", ANCHOR_HAAR,
-                   {"n_funcs": 100, "depth_1d": 10, "depth_2d": 5, "tol": 1e-12},
+                   {"n_funcs": _count(100, least=2), "depth_1d": Param(10, range="[1, inf)"),
+                    "depth_2d": Param(5, range="[1, inf)"),
+                    "tol": Param(1e-12, "float", "[0, inf)")},
                    run_haar_completeness),
         Experiment("shift-bound", ANCHOR_SHIFT,
-                   {"depth": 7, "ij_cap": 3, "p_list": [1.5, 2.0, 3.0],
-                    "kernels_per_ij": 13, "inputs_per_kernel": 20},
-                   run_shift_bound),
+                   {"depth": _depth(7, least=1), "ij_cap": _count(3, least=0), "p_list": P_LIST,
+                    "kernels_per_ij": _count(13), "inputs_per_kernel": _count(20)},
+                   run_shift_bound, (("ij_cap < depth", lambda ij_cap, depth: ij_cap < depth),)),
         Experiment("paraproduct", ANCHOR_PARA,
-                   {"depth": 8, "n_pairs": 100, "p_list": [1.5, 2.0, 3.0]},
+                   {"depth": _depth(8, least=1), "n_pairs": _count(100), "p_list": P_LIST},
                    run_paraproduct),
         Experiment("carleson", ANCHOR_CARLESON,
-                   {"depth": 7, "n_funcs": 100, "p_list": [1.5, 2.0, 3.0],
-                    "weighted_share": 0.2},
+                   {"depth": _depth(7), "n_funcs": _count(100), "p_list": P_LIST,
+                    "weighted_share": Param(0.2, "float", "[0, 1]")},
                    run_carleson),
         Experiment("pythagoras", ANCHOR_PYTH,
-                   {"depth": 6, "n_families": 100, "p_list": [1.5, 2.0, 3.0]},
+                   {"depth": _depth(6, least=1), "n_families": _count(100), "p_list": P_LIST},
                    run_pythagoras),
-        Experiment("stopping", ANCHOR_STOP,
-                   {"depth": 7, "n_funcs": 100},
+        Experiment("stopping", ANCHOR_STOP, {"depth": _depth(7), "n_funcs": _count(100)},
                    run_stopping),
+        # one child per atom, or no atom below the root, leaves every table zero
         Experiment("decoupling", ANCHOR_DECOUPLE,
-                   {"n_families": 50, "depth": 3, "max_children": 4,
-                    "p_list": [2.0, 3.0], "mds_tests": 20},
+                   {"n_families": _count(50), "depth": _depth(3, least=1),
+                    "max_children": _count(4, least=2), "mds_tests": _count(20),
+                    "p_list": Param([2.0, 3.0], "exponent list", "(1, inf)", "p")},
                    run_decoupling),
-        Experiment("condexp-sum", ANCHOR_CONDEXP,
-                   {"n_configs": 100, "p_list": [1.5, 2.0, 3.0]},
+        Experiment("condexp-sum", ANCHOR_CONDEXP, {"n_configs": _count(100), "p_list": P_LIST},
                    run_condexp_sum),
         Experiment("stein", ANCHOR_STEIN,
-                   {"depth": 6, "n_configs": 100, "p_list": [1.5, 2.0, 3.0],
-                    "max_levels": 5},
+                   {"depth": _depth(6), "n_configs": _count(100), "p_list": P_LIST,
+                    "max_levels": _count(5)},
                    run_stein),
         Experiment("rbound-calculus", ANCHOR_RCALC,
-                   {"n_configs": 100, "p": 2.0, "probe_budget": 60},
+                   {"n_configs": _count(100), "p": Param(2.0, "exponent", "(1, inf)", "p"),
+                    "probe_budget": _count(60)},
                    run_rbound_calculus),
         Experiment("goodness", ANCHOR_GOOD,
-                   {"cases": [[0.125, 3], [0.125, 10], [0.5, 3], [0.5, 10]],
-                    "extra_gaps": 4, "factor_level": 2, "factor_depth": 4},
-                   run_goodness),
+                   {"cases": Param([[0.125, 3], [0.125, 10], [0.5, 3], [0.5, 10]],
+                                   "[gamma, r] list", "(0, 1) x [1, inf)"),
+                    "extra_gaps": Param(4, range="[0, inf)"), "factor_level": Param(2),
+                    "factor_depth": Param(4, range="[0, inf)")},
+                   run_goodness,
+                   (("factor_level <= min(factor_depth, r + extra_gaps, r + 1) for each case",
+                     lambda factor_level, factor_depth, extra_gaps, cases: all(
+                         factor_level <= min(factor_depth, r + extra_gaps, r + 1)
+                         for _, r in cases)),)),
         Experiment("matrix-decay", ANCHOR_DECAY,
-                   {"depth": 10, "gamma": 0.4, "r": 4, "i_lo": 5, "i_hi": 9,
-                    "bounded_spread": 4.0},
-                   run_matrix_decay),
+                   {"depth": _depth(10), "gamma": Param(0.4, "float", "(0, 1)", "gamma"),
+                    "r": Param(4, "int", "[1, inf)", "r"), "i_lo": Param(5, range="[0, inf)"),
+                    "i_hi": Param(9, range="[0, inf)"),
+                    "bounded_spread": Param(4.0, "float", "[1, inf)")},
+                   run_matrix_decay, (("i_lo <= i_hi", lambda i_lo, i_hi: i_lo <= i_hi),)),
         Experiment("paraproduct-extraction", ANCHOR_EXTRACT,
-                   {"depth": 6, "n_pairs": 50, "tol": 1e-10},
+                   {"depth": _depth(6, least=1), "n_pairs": _count(50),
+                    "tol": Param(1e-10, "float", "[0, inf)")},
                    run_paraproduct_extraction),
         Experiment("averaging-identity", ANCHOR_AVG,
-                   {"depth": 4, "m_top": 4, "gamma": 0.5, "r": 3, "tol": 1e-2},
-                   run_averaging_identity),
+                   {"depth": _depth(4, least=1), "m_top": Param(4, range="[0, inf)"),
+                    "gamma": Param(0.5, "float", "(0, 1)", "gamma"),
+                    "r": Param(3, "int", "[1, inf)", "r"),
+                    "tol": Param(1e-2, "float", "[0, inf)")},
+                   # else no Haar level reaches the goodness floor -m_top + r: nothing is summed
+                   run_averaging_identity, (("r < depth + m_top",
+                                             lambda r, depth, m_top: r < depth + m_top),)),
     )
 }
 
 
-# count -> its least value that still measures something (lists must not be empty)
-_LEAST = {"n_funcs": 1, "n_pairs": 1, "n_families": 1, "n_configs": 1, "kernels_per_ij": 1,
-          "inputs_per_kernel": 1, "ij_cap": 0}
-
-
 def resolve_params(name: str, overrides: Optional[dict] = None) -> dict:
-    """The experiment's defaults with `overrides` merged in; raises ValueError
-    for a count or list that measures nothing."""
-    params = dict(EXPERIMENTS[name].defaults)
-    for key, value in (overrides or {}).items():
-        if key not in params:
-            raise KeyError(f"unknown parameter {key!r} for experiment {name!r}")
-        params[key] = value
-    # haar-completeness runs n_funcs // 2 functions per space
-    least = {**_LEAST, "n_funcs": 2} if name == "haar-completeness" else _LEAST
-    for key, value in params.items():
-        if value == [] or key in least and value < least[key]:
-            raise ValueError(f"{key} = {value!r} measures nothing")
+    """The experiment's defaults with `overrides` merged in; ValueError names an unknown
+    parameter, a value of the wrong kind or outside its range, or a broken rule."""
+    table = EXPERIMENTS[name].params
+    unknown = set(overrides or {}) - set(table)
+    if unknown:
+        raise ValueError(f"unknown parameters {sorted(unknown)}")
+    params = {key: param.default for key, param in table.items()}
+    params.update(overrides or {})
+    for key, param in table.items():
+        spec, outside = KINDS[param.kind]
+        value = params[key]
+        if not is_kind(value, spec):
+            raise ValueError(f"{key} takes {param.kind}, not {value!r}")
+        if value == []:
+            raise ValueError(f"{key} = [] measures nothing")
+        for x in value if isinstance(spec, list) else [value]:
+            if not _inside(x, param.range):
+                raise ValueError(outside.format(key=key, x=x, range=param.range))
+    for text, test in EXPERIMENTS[name].rules:
+        names = test.__code__.co_varnames[:test.__code__.co_argcount]
+        if not test(*(params[key] for key in names)):
+            got = ", ".join(f"{key} = {params[key]!r}" for key in names)
+            raise ValueError(f"needs {text}, not {got}")
     return params
 
 

@@ -28,6 +28,7 @@ from .errors import AmbientRangeError, ResourceLimitError
 from .rng import substream
 
 _GOOD_TIE_TOL = 1e-12
+MESH_CELL_BITS = 24  # a system has at most 2^24 finest cells
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,9 @@ class DyadicSystem:
             raise ValueError("only d in {1, 2} is supported")
         if self.depth < 0 or self.m_top < 0:
             raise ValueError("depth and m_top must be nonnegative")
+        cells_log2 = self.d * (self.m_top + 1 + self.depth)  # checked before any allocation
+        if cells_log2 > MESH_CELL_BITS:
+            raise ResourceLimitError(f"a mesh of 2^{cells_log2} cells exceeds 2^{MESH_CELL_BITS}")
         if len(self.omega) > self.m_top + self.depth:
             raise ValueError("too many translation bits for the level range")
         for bits in self.omega:

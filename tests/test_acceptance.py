@@ -17,6 +17,11 @@ from dyadiclab.grid import DyadicSystem, GoodnessParams
 from dyadiclab.representation import assemble, decay_check, hilbert_kernel
 
 
+# trial counts of the determinism criterion; every other criterion runs at defaults
+DETERMINISM_PARAMS = {"rbound-calculus": {"n_configs": 30}, "decoupling": {"n_families": 20},
+                      "carleson": {"n_funcs": 30}}
+
+
 def report(criterion: str, passed: bool, detail: str):
     status = "PASS" if passed else "FAIL"
     print(f"[acceptance] {criterion}: {status} ({detail})")
@@ -136,9 +141,7 @@ def test_criterion_14_determinism(tmp_path):
         "experiments": ["goodness", "rbound-calculus", "averaging-identity",
                         "decoupling", "carleson"],
         "seed": 7,
-        "params": {"rbound-calculus": {"n_configs": 30},
-                   "decoupling": {"n_families": 20},
-                   "carleson": {"n_funcs": 30}},
+        "params": DETERMINISM_PARAMS,
     }))
 
     def one(tag):

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 
 from dyadiclab import cli
 from dyadiclab.cli import main
-from dyadiclab.experiments import EXPERIMENTS, Check
+from dyadiclab.experiments import EXPERIMENTS, KINDS, Check
 
 FAST_CONFIG = {
     "experiments": ["goodness", "condexp-sum", "pythagoras"],
@@ -44,6 +45,10 @@ def test_catalog_json_mode(capsys):
                      "paraproduct-extraction", "averaging-identity"):
         assert expected in names
     assert all(e["anchor"] for e in entries)
+    decay = next(e for e in entries if e["name"] == "matrix-decay")
+    assert decay["params"]["gamma"] == {"default": 0.4, "kind": "float", "range": "(0, 1)",
+                                        "flag": "gamma"}
+    assert decay["rules"] == ["i_lo <= i_hi"]
 
 
 def test_unknown_experiment_is_usage_error():
@@ -174,10 +179,92 @@ def test_config_exponent_outside_one_to_infinity_is_usage_error(tmp_path, capsys
     ["--experiment", "pythagoras", "--depth", "0"],
     ["--experiment", "matrix-decay", "--r", "9"],
     ["--experiment", "averaging-identity", "--depth", "30"],
+    ["--experiment", "stopping", "--depth", "40"],
+    ["--experiment", "paraproduct", "--depth", "30"],
 ])
 def test_rejected_parameter_value_is_one_line_usage_error(capsys, argv):
     assert main(["run", *argv]) == 2
     assert_one_error_line(capsys, f"error: {argv[1]}: ")
+
+
+def test_mesh_over_the_cell_cap_is_one_line_usage_error(tmp_path, capsys):
+    assert run_with_params(tmp_path, {"haar-completeness": {"depth_2d": 16}}) == 2
+    assert_one_error_line(capsys, "error: haar-completeness: a mesh of 2^34 cells exceeds ")
+
+
+def test_flag_value_is_checked_for_every_selected_experiment_before_any_runs(
+        capsys, no_experiment_runs):
+    assert main(["run", "--experiment", "decoupling", "--experiment", "matrix-decay",
+                 "--gamma", "2"]) == 2
+    assert_one_error_line(capsys, "error: matrix-decay: gamma = 2.0 is outside (0, 1)\n")
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"decoupling": {"mds_tests": 0}}, "mds_tests = 0 measures nothing"),
+    ({"carleson": {"weighted_share": 2.0}}, "weighted_share = 2.0 is outside [0, 1]"),
+    ({"carleson": {"weighted_share": -1.0}}, "weighted_share = -1.0 is outside [0, 1]"),
+    ({"haar-completeness": {"tol": -1.0}}, "tol = -1.0 is outside [0, inf)"),
+    ({"decoupling": {"depth": -2}}, "depth = -2 is outside [1, inf)"),
+    ({"decoupling": {"max_children": 0}}, "max_children = 0 measures nothing"),
+    ({"stein": {"max_levels": 0}}, "max_levels = 0 measures nothing"),
+    ({"goodness": {"factor_level": 9}},
+     "needs factor_level <= min(factor_depth, r + extra_gaps, r + 1) for each case, "
+     "not factor_level = 9, factor_depth = 4, extra_gaps = 4, cases = "),
+    ({"goodness": {"factor_level": 4, "cases": [[0.5, 3]], "extra_gaps": 0}},
+     "needs factor_level <= min("),
+    ({"matrix-decay": {"i_lo": 9, "i_hi": 5}}, "needs i_lo <= i_hi, not i_lo = 9, i_hi = 5"),
+    ({"shift-bound": {"depth": 3}}, "needs ij_cap < depth, not ij_cap = 3, depth = 3"),
+    ({"averaging-identity": {"depth": 1, "m_top": 0}},
+     "needs r < depth + m_top, not r = 3, depth = 1, m_top = 0"),
+    ({"paraproduct-extraction": {"depth": 0}}, "depth = 0 is outside [1, inf)"),
+    ({"goodness": {"cases": [[0.5, 3, 1]]}}, "cases takes [gamma, r] list, not [[0.5, 3, 1]]"),
+    ({"goodness": {"cases": [[1.5, 3]]}}, "cases has [1.5, 3], outside (0, 1) x [1, inf)"),
+    ({"goodness": {"bogus": 1}}, "unknown parameters ['bogus']"),
+])
+def test_value_the_table_rejects_fails_before_any_run(tmp_path, capsys, no_experiment_runs,
+                                                      params, message):
+    assert run_with_params(tmp_path, params) == 2
+    assert_one_error_line(capsys, f"error: {next(iter(params))}: {message}")
+
+
+def values_outside_each_range():
+    """(experiment, parameter, value) just outside each finite end of every range
+    in the parameter table, per field of a record."""
+    for name, exp in sorted(EXPERIMENTS.items()):
+        for key, param in exp.params.items():
+            spec = KINDS[param.kind][0]
+            item = spec[0] if isinstance(spec, list) else spec
+            for field, interval in enumerate(param.range.split(" x ")):
+                lo, hi = (float(end) for end in interval[1:-1].split(","))
+                ends = [(lo, interval[0] == "["), (hi, interval[-1] == "]")]
+                for sign, (end, closed) in zip((-1, 1), ends):
+                    if math.isinf(end):
+                        continue
+                    bad = (end + sign if closed else end)
+                    bad = int(bad) if (item[field] if isinstance(item, tuple) else item) is int \
+                        else float(bad)
+                    if isinstance(item, tuple):
+                        bad = [*param.default[0][:field], bad, *param.default[0][field + 1:]]
+                    value = [bad] if isinstance(spec, list) else bad
+                    yield pytest.param(name, key, value, id=f"{name}-{key}-{value}".replace(" ", ""))
+
+
+OUTSIDE = list(values_outside_each_range())
+
+
+def test_every_parameter_but_factor_level_has_a_range():
+    # factor_level may be negative; rules bound it above by factor_depth and r
+    ranged = {case.values[:2] for case in OUTSIDE}
+    every = {(name, key) for name, exp in EXPERIMENTS.items() for key in exp.params}
+    assert every - ranged == {("goodness", "factor_level")}
+
+
+@pytest.mark.parametrize("name, key, value", OUTSIDE)
+def test_value_outside_its_range_fails_before_any_run(tmp_path, capsys, no_experiment_runs,
+                                                      name, key, value):
+    assert run_with_params(tmp_path, {name: {key: value}}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}: ") and f"{key} " in err and err.count("\n") == 1
 
 
 def test_no_experiment_is_usage_error(capsys, no_experiment_runs):

@@ -53,6 +53,26 @@ def test_non_cancellative_family_rejected():
         AdaptedFamily(TWO, {(0, (0, 1)): np.array([[1.0], [1.0]])})
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_adaptedness_does_not_depend_on_the_weight_scale(scale):
+    # centring leaves a rounding residue in the weighted sum that grows with
+    # the weights; the weighted mean stays at rounding size
+    hierarchy = AtomHierarchy(np.array([0.3, 0.7, 1.1, 1.9]) * scale,
+                              (((0, 1, 2, 3),), ((0,), (1,), (2,), (3,))))
+    masses = hierarchy.cell_weights
+    vals = np.random.default_rng(5).standard_normal((4, 1))
+    centred = vals - masses @ vals / masses.sum()
+    AdaptedFamily(hierarchy, {(0, (0, 1, 2, 3)): centred})
+    with pytest.raises(AdaptednessError, match="nonzero weighted mean"):
+        AdaptedFamily(hierarchy, {(0, (0, 1, 2, 3)): centred + 1e-3})
+
+
+@pytest.mark.parametrize("depth, max_children", [(-1, 4), (-2, 4), (3, 0), (3, -1)])
+def test_random_hierarchy_rejects_a_shape_it_cannot_build(depth, max_children):
+    with pytest.raises(ValueError, match="needs depth >= 0 and max_children >= 1"):
+        random_hierarchy(0, depth=depth, max_children=max_children)
+
+
 def test_mds_checks_vanish_on_symmetric_case():
     uv = construct_uv(two_child_family())
     assert check_mds(uv, 10, seed=0) == 0.0

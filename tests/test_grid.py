@@ -7,10 +7,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dyadiclab.errors import AmbientRangeError, ResourceLimitError
-from dyadiclab.grid import (DyadicSystem, GoodnessParams, common_ancestor, goodness_bound,
-                            goodness_position_joint, goodness_probability, is_good)
+from dyadiclab.grid import (MESH_CELL_BITS, DyadicSystem, GoodnessParams, common_ancestor,
+                            goodness_bound, goodness_position_joint, goodness_probability,
+                            is_good)
 
 import oracles
+
+
+def test_mesh_cell_cap_fires_before_any_allocation():
+    assert DyadicSystem(d=1, depth=MESH_CELL_BITS - 1).n_cells == 1 << MESH_CELL_BITS
+    assert DyadicSystem(d=2, m_top=1, depth=MESH_CELL_BITS // 2 - 2).n_cells == 1 << MESH_CELL_BITS
+    for shape in ({"d": 1, "depth": MESH_CELL_BITS}, {"d": 2, "depth": MESH_CELL_BITS // 2},
+                  {"d": 1, "m_top": 3, "depth": MESH_CELL_BITS - 3}, {"d": 1, "depth": 10**9}):
+        with pytest.raises(ResourceLimitError, match="cells exceeds 2"):
+            DyadicSystem(**shape)
 
 
 def test_translation_of_half_interval():
