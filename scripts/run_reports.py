@@ -5,7 +5,8 @@ Usage:
     python3 scripts/run_reports.py [--seed N] [--out DIR] [--fast]
 
 --fast shrinks trial counts for a quick smoke run; without it the
-defaults reproduce the acceptance-scale sweeps (a few minutes).
+defaults reproduce the acceptance-scale sweeps (a few minutes).  After the
+run it prints each experiment's wall time (`timing_ms` of the JSON summary).
 """
 
 import argparse
@@ -55,6 +56,10 @@ def main() -> int:
     finally:
         os.unlink(config_path)
     print(f"report: {out_csv} (exit {code})")
+    if code in (0, 1):  # the run finished and wrote its JSON summary
+        with open(os.path.splitext(out_csv)[0] + ".json") as stream:
+            for name, ms in json.load(stream)["timing_ms"].items():
+                print(f"timing_ms {name}: {ms}")
     return code
 
 

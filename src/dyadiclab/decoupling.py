@@ -30,6 +30,8 @@ from .rng import substream
 from .space import SCALAR, NormedSpace
 
 _TOL = 1e-12
+# the most child-choice tuples one ground cell's chain may take
+_CHAIN_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -94,20 +96,27 @@ class AtomHierarchy:
 
 
 def random_hierarchy(seed: int, depth: int = 3, max_children: int = 4) -> AtomHierarchy:
-    """Seeded hierarchy: the root splits recursively into 1..max_children parts."""
+    """Seeded hierarchy: the root splits recursively into 1..max_children parts.
+
+    Raises ResourceLimitError, while the tree is drawn, once one root-to-leaf
+    product of child counts passes the chain cap that `decoupled_pnorm` enforces.
+    """
     if depth < 0 or max_children < 1:
         raise ValueError(f"a hierarchy needs depth >= 0 and max_children >= 1, "
                          f"not {depth} and {max_children}")
     gen = substream(seed, "atom-hierarchy")
     leaf_counter = itertools.count()
 
-    def split(node_depth: int) -> list:
+    def split(node_depth: int, choices: int) -> list:
         if node_depth == depth:
             return [next(leaf_counter)]
         k = int(gen.integers(1, max_children + 1))
-        return [split(node_depth + 1) for _ in range(k)]
+        if choices * k > _CHAIN_CAP:
+            raise ResourceLimitError(f"a root-to-leaf product of child counts passes "
+                                     f"the chain cap {_CHAIN_CAP}")
+        return [split(node_depth + 1, choices * k) for _ in range(k)]
 
-    tree = split(0)
+    tree = split(0, 1)
 
     def flatten(node) -> tuple:
         if isinstance(node, int):
@@ -221,21 +230,6 @@ def check_mds(uv: UVTables, test_functions: int = 20, seed: int = 0) -> float:
     return worst
 
 
-def recovery_violation(uv: UVTables) -> float:
-    """Max deviation of (symmetric + antisymmetric) from the base difference."""
-    worst = 0.0
-    h = uv.family.hierarchy
-    for (level, atom, _, _) in h.active_atoms():
-        vals = np.asarray(uv.family.values[(level, atom)])
-        u = uv.symmetric[(level, atom)]
-        v = uv.antisymmetric[(level, atom)]
-        recon = u + v  # value on (A, B) must be the base value on A
-        worst = max(worst, float(np.abs(recon - vals[:, None, :]).max()))
-        decoupled = u - v  # value on (A, B) must be the base value on B
-        worst = max(worst, float(np.abs(decoupled - vals[None, :, :]).max()))
-    return worst
-
-
 def plain_pnorm(family: AdaptedFamily, p: float) -> float:
     """L^p(mu) norm of the plain sum of the adapted functions."""
     h = family.hierarchy
@@ -244,13 +238,12 @@ def plain_pnorm(family: AdaptedFamily, p: float) -> float:
     return float((norms**p * h.cell_weights).sum() ** (1.0 / p))
 
 
-def decoupled_pnorm(family: AdaptedFamily, p: float,
-                    chain_cap: int = 1_000_000) -> float:
+def decoupled_pnorm(family: AdaptedFamily, p: float) -> float:
     """Randomized-sign decoupled norm, with independent per-atom coordinates.
 
     Only the chain of atoms through each ground cell enters the integrand,
     so the expectation is exact per cell whenever the chain's product of
-    child counts stays below `chain_cap` and its length within the sign
+    child counts stays within `_CHAIN_CAP` and its length within the sign
     enumeration cap.
     """
     h = family.hierarchy
@@ -261,7 +254,7 @@ def decoupled_pnorm(family: AdaptedFamily, p: float,
         if not chain:
             continue
         counts = [len(kids) for (_, _, kids, _) in chain]
-        if math.prod(counts) > chain_cap:
+        if math.prod(counts) > _CHAIN_CAP:
             raise ResourceLimitError("chain product exceeds the exhaustive cap")
         signs = sign_patterns(len(chain))
         tables = [np.asarray(family.values[(level, atom)]) for (level, atom, _, _) in chain]

@@ -23,7 +23,7 @@ from .grid import (DyadicSystem, GoodnessParams, goodness_position_joint,
                    goodness_probability)
 from .gridfn import (GridFunction, analyze, bmo_norm, indicator, lp_norm,
                      random_grid_function, synthesize)
-from .rademacher import (OperatorFamily, averaging_check, stein_check,
+from .rademacher import (EXHAUSTIVE_CAP, OperatorFamily, averaging_check, stein_check,
                          triangle_check)
 from .rng import substream
 from .shifts import (ParaproductSpec, RandomKernel, ShiftSpec, apply_paraproduct,
@@ -565,9 +565,11 @@ EXPERIMENTS = {
                    run_pythagoras),
         Experiment("stopping", ANCHOR_STOP, {"depth": _depth(7), "n_funcs": _count(100)},
                    run_stopping),
-        # one child per atom, or no atom below the root, leaves every table zero
+        # one child per atom, or no atom below the root, leaves every table zero;
+        # a cell's chain holds `depth` atoms, and each needs its own sign
         Experiment("decoupling", ANCHOR_DECOUPLE,
-                   {"n_families": _count(50), "depth": _depth(3, least=1),
+                   {"n_families": _count(50),
+                    "depth": Param(3, "int", f"[1, {EXHAUSTIVE_CAP}]", "depth"),
                     "max_children": _count(4, least=2), "mds_tests": _count(20),
                     "p_list": Param([2.0, 3.0], "exponent list", "(1, inf)", "p")},
                    run_decoupling),

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateInputError, ResourceLimitError
 from .gridfn import GridFunction, conditional_expectation
 from .rng import substream
-from .space import SCALAR, NormedSpace, umd_beta_scalar
+from .space import NormedSpace, umd_beta_scalar
 
 EXHAUSTIVE_CAP = 20
 
@@ -30,16 +30,24 @@ def sign_patterns(n: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
+def sign_average(elements: np.ndarray, p: float, space: NormedSpace) -> np.ndarray:
+    """Mean of |sum_n eps_n x_n|^p over all 2^n sign patterns, per leading index.
+
+    `elements` has shape (..., n, dim); the result has shape (...).
+    """
+    elements = np.asarray(elements, dtype=float)
+    powers = space.norm(sign_patterns(elements.shape[-2]) @ elements) ** p
+    return powers.mean(axis=-1)
+
+
 def rademacher_pnorm(elements: np.ndarray, p: float, space: NormedSpace = None) -> float:
     """(E |sum_n eps_n e_n|^p)^(1/p) over all 2^n sign patterns."""
     elements = np.atleast_2d(np.asarray(elements, dtype=float))
-    n = elements.shape[0]
-    if n < 1:
+    if elements.shape[0] < 1:
         raise DegenerateInputError("need at least one element")
     if space is None:
         space = NormedSpace(elements.shape[1], 2.0)
-    powers = space.norm(sign_patterns(n) @ elements) ** p
-    return float(powers.mean()) ** (1.0 / p)
+    return float(sign_average(elements, p, space)) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -60,9 +68,14 @@ class OperatorFamily:
         return len(self.operators)
 
 
-def scalar_family(values: Sequence[float], space: NormedSpace = SCALAR) -> OperatorFamily:
-    eye = np.eye(space.dim)
-    return OperatorFamily(tuple(float(v) * eye for v in values), space)
+def _witness_ratios(family: OperatorFamily, ks, elems, p: float) -> list:
+    """Witness ratios of equal-length assignments, given as operator indices
+    (batch, n) and elements (batch, n, dim); None where the input norm is zero."""
+    elems = np.asarray(elems, dtype=float)
+    outs = (np.asarray(family.operators)[np.asarray(ks)] @ elems[..., None])[..., 0]
+    num, den = sign_average(np.stack([outs, elems]), p, family.space)
+    return [float(a) ** (1.0 / p) / float(b) ** (1.0 / p) if b != 0.0 else None
+            for a, b in zip(num, den)]
 
 
 def rbound_witness(family: OperatorFamily, assignment, p: float) -> float:
@@ -73,13 +86,11 @@ def rbound_witness(family: OperatorFamily, assignment, p: float) -> float:
     """
     if len(assignment) == 0:
         raise DegenerateInputError("assignment must be nonempty")
-    idx = [k for k, _ in assignment]
     elems = np.stack([np.asarray(e, dtype=float) for _, e in assignment])
-    outs = np.stack([family.operators[k] @ e for k, e in zip(idx, elems)])
-    den = rademacher_pnorm(elems, p, space=family.space)
-    if den == 0.0:
+    ratio, = _witness_ratios(family, [[k for k, _ in assignment]], elems[None], p)
+    if ratio is None:
         raise DegenerateInputError("input Rademacher norm is zero")
-    return rademacher_pnorm(outs, p, space=family.space) / den
+    return ratio
 
 
 def _power_iteration_vector(op: np.ndarray, gen, iters: int = 12) -> np.ndarray:
@@ -101,36 +112,31 @@ def rbound_probe(family: OperatorFamily, p: float, budget: int, seed: int,
     The search always evaluates canonical single-operator witnesses
     (basis vectors plus a power-iteration direction per operator) and
     then `budget` random assignments from per-trial substreams, so a
-    larger budget extends, never replaces, a smaller one.
+    larger budget extends, never replaces, a smaller one.  Assignments of
+    one length are scored together; empty and zero-norm ones are skipped.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     dim = family.space.dim
-    best = 0.0
+    groups = {}  # assignment length -> [(operator indices, elements)]
 
-    def try_assignment(assignment):
-        nonlocal best
-        try:
-            best = max(best, rbound_witness(family, assignment, p))
-        except DegenerateInputError:
-            pass
+    def add(ks, es):
+        if len(ks):
+            groups.setdefault(len(ks), []).append((ks, es))
 
     for k, op in enumerate(family.operators):
-        for ax in range(dim):
-            e = np.zeros(dim)
-            e[ax] = 1.0
-            try_assignment([(k, e)])
-        v = _power_iteration_vector(op, substream(seed, "probe-power", k))
-        try_assignment([(k, v)])
+        for e in np.eye(dim):
+            add([k], e[None])
+        add([k], _power_iteration_vector(op, substream(seed, "probe-power", k))[None])
     for t in range(budget):
         gen = substream(seed, "probe-trial", t)
         n = int(gen.integers(1, 5))  # repeats of operators are valid witnesses
-        ks = gen.integers(0, len(family), size=n)
-        es = gen.standard_normal((n, dim))
-        try_assignment(list(zip(ks.tolist(), es)))
+        add(gen.integers(0, len(family), size=n), gen.standard_normal((n, dim)))
     for assignment in extra_assignments:
-        try_assignment(assignment)
-    return best
+        add([k for k, _ in assignment], [e for _, e in assignment])
+    ratios = [r for group in groups.values()
+              for r in _witness_ratios(family, *zip(*group), p) if r is not None]
+    return max([0.0, *ratios])
 
 
 # -- conditional-expectation (Stein) probe --------------------------------------
@@ -153,19 +159,11 @@ def stein_check(fs: Sequence[GridFunction], levels: Sequence[int], p: float) -> 
         raise ValueError("one conditioning level per function")
     if fs[0].space.dim != 1:
         raise ValueError("the reference constant is known only for scalar spaces")
-    sysm, space = fs[0].system, fs[0].space
-    cond = np.stack([conditional_expectation(f, lv).values for f, lv in zip(fs, levels)])
-    raw = np.stack([f.values for f in fs])
-    patterns = sign_patterns(len(fs))
-
-    def randomized(stack: np.ndarray) -> float:
-        combo = np.tensordot(patterns, stack, axes=(1, 0))
-        norms = space.norm(combo)
-        powers = (norms**p).reshape(patterns.shape[0], -1).sum(axis=1) * sysm.cell_volume
-        return float(powers.mean() ** (1.0 / p))
-
-    num = randomized(cond)
-    den = randomized(raw)
+    # (conditioned or raw, cell, function, value), averaged over signs per cell
+    stacks = np.array([[conditional_expectation(f, lv).values for f, lv in zip(fs, levels)],
+                       [f.values for f in fs]]).reshape(2, len(fs), -1).swapaxes(1, 2)[..., None]
+    powers = sign_average(stacks, p, fs[0].space).sum(axis=1) * fs[0].system.cell_volume
+    num, den = (float(x) ** (1.0 / p) for x in powers)
     if den == 0.0:
         raise DegenerateInputError("zero input family")
     return SteinResult(num / den, umd_beta_scalar(p))

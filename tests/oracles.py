@@ -13,10 +13,13 @@ from dyadiclab.errors import MeshDepthError
 from dyadiclab.grid import DyadicSystem, common_ancestor, goodness_probability, is_good
 from dyadiclab.gridfn import (GridFunction, _block_means, _expand_blocks, etas,
                               haar_coefficient, haar_vector, pair)
+from dyadiclab.rademacher import OperatorFamily, _power_iteration_vector
 from dyadiclab.representation import (AveragingIdentityReport, DecayReport,
                                       PairingDecomposition, _case_constraints,
                                       _support_box, decay_slope_target, raw_pairing)
+from dyadiclab.rng import substream
 from dyadiclab.shifts import ParaproductSpec, apply_paraproduct
+from dyadiclab.space import SCALAR
 from dyadiclab.sparse import SparseFamily
 
 
@@ -30,6 +33,52 @@ def brute_rademacher_pnorm(elements, p, norm_fn):
         total += float(norm_fn(vec)) ** p
         count += 1
     return (total / count) ** (1.0 / p)
+
+
+def _signed_sum_pnorm(elements, p, space):
+    """(E |sum_n eps_n e_n|^p)^(1/p) from an explicitly listed sign table."""
+    n = len(elements)
+    signs = np.array([[1.0 - 2.0 * ((r >> j) & 1) for j in range(n)] for r in range(1 << n)])
+    return float((space.norm(signs @ np.stack(elements)) ** p).mean()) ** (1.0 / p)
+
+
+def per_assignment_rbound_probe(family, p, budget, seed, extra_assignments=()):
+    """`rademacher.rbound_probe` scoring one assignment at a time, in draw order."""
+    dim = family.space.dim
+    best = 0.0
+
+    def try_assignment(assignment):
+        nonlocal best
+        if len(assignment) == 0:
+            return
+        elems = [np.asarray(e, dtype=float) for _, e in assignment]
+        den = _signed_sum_pnorm(elems, p, family.space)
+        if den != 0.0:
+            outs = [family.operators[k] @ e for (k, _), e in zip(assignment, elems)]
+            best = max(best, _signed_sum_pnorm(outs, p, family.space) / den)
+
+    for k, op in enumerate(family.operators):
+        for ax in range(dim):
+            e = np.zeros(dim)
+            e[ax] = 1.0
+            try_assignment([(k, e)])
+        v = _power_iteration_vector(op, substream(seed, "probe-power", k))
+        try_assignment([(k, v)])
+    for t in range(budget):
+        gen = substream(seed, "probe-trial", t)
+        n = int(gen.integers(1, 5))
+        ks = gen.integers(0, len(family), size=n)
+        es = gen.standard_normal((n, dim))
+        try_assignment(list(zip(ks.tolist(), es)))
+    for assignment in extra_assignments:
+        try_assignment(assignment)
+    return best
+
+
+def scalar_family(values, space=SCALAR):
+    """Multiples of the identity on `space`, one operator per value."""
+    eye = np.eye(space.dim)
+    return OperatorFamily(tuple(float(v) * eye for v in values), space)
 
 
 def dense_projection_matrix(root, gap, n_cells):
@@ -271,6 +320,19 @@ def chain_through_by_scan(h, cell):
                 chain.append((level, atom, children_by_scan(h, level, atom)))
                 break
     return chain
+
+
+def recovery_violation(uv):
+    """Max deviation of (symmetric + antisymmetric) from the base difference,
+    and of (symmetric - antisymmetric) from the decoupled copy."""
+    worst = 0.0
+    for (level, atom, _, _) in uv.family.hierarchy.active_atoms():
+        vals = np.asarray(uv.family.values[(level, atom)])
+        u = uv.symmetric[(level, atom)]
+        v = uv.antisymmetric[(level, atom)]
+        worst = max(worst, float(np.abs(u + v - vals[:, None, :]).max()),
+                    float(np.abs(u - v - vals[None, :, :]).max()))
+    return worst
 
 
 def decoupled_pnorm_full_product(family, p):

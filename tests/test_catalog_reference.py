@@ -4,7 +4,8 @@
 `scripts/run_reports.py --fast --seed 7`.  Every row must keep its check id,
 anchor, pass flag and seed, and its measured value and bound up to rounding
 in the last bits (relative 1e-12, absolute 1e-12); runtime_ms is wall time
-and is not compared.
+and is not compared.  The script also prints one `timing_ms` line per
+experiment.
 """
 
 import csv
@@ -12,6 +13,8 @@ import math
 import os
 import subprocess
 import sys
+
+from dyadiclab.experiments import EXPERIMENTS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REFERENCE = os.path.join(ROOT, "tests", "data", "catalog_fast_seed7.csv")
@@ -29,6 +32,9 @@ def test_fast_catalog_matches_reference(tmp_path):
                            "--fast", "--seed", "7", "--out", str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    timing = [line.split()[1] for line in proc.stdout.splitlines()
+              if line.startswith("timing_ms ")]
+    assert timing == [f"{name}:" for name in sorted(EXPERIMENTS)]
     got, want = read_rows(tmp_path / "catalog.csv"), read_rows(REFERENCE)
     assert [row["check_id"] for row in got] == [row["check_id"] for row in want]
     for a, b in zip(got, want):

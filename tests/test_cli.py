@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -192,6 +193,17 @@ def test_mesh_over_the_cell_cap_is_one_line_usage_error(tmp_path, capsys):
     assert_one_error_line(capsys, "error: haar-completeness: a mesh of 2^34 cells exceeds ")
 
 
+@pytest.mark.parametrize("depth", [13, 16, 20])
+def test_deep_decoupling_stops_at_the_chain_cap_within_seconds(capsys, depth):
+    # the sign cap admits these depths, but some chain of the first hierarchy
+    # drawn has more child-choice tuples than the exact evaluation allows
+    start = time.perf_counter()
+    assert main(["run", "--experiment", "decoupling", "--depth", str(depth)]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert_one_error_line(capsys, "error: decoupling: a root-to-leaf product of child counts "
+                                  "passes the chain cap ")
+
+
 def test_flag_value_is_checked_for_every_selected_experiment_before_any_runs(
         capsys, no_experiment_runs):
     assert main(["run", "--experiment", "decoupling", "--experiment", "matrix-decay",
@@ -204,7 +216,7 @@ def test_flag_value_is_checked_for_every_selected_experiment_before_any_runs(
     ({"carleson": {"weighted_share": 2.0}}, "weighted_share = 2.0 is outside [0, 1]"),
     ({"carleson": {"weighted_share": -1.0}}, "weighted_share = -1.0 is outside [0, 1]"),
     ({"haar-completeness": {"tol": -1.0}}, "tol = -1.0 is outside [0, inf)"),
-    ({"decoupling": {"depth": -2}}, "depth = -2 is outside [1, inf)"),
+    ({"decoupling": {"depth": -2}}, "depth = -2 is outside [1, 20]"),
     ({"decoupling": {"max_children": 0}}, "max_children = 0 measures nothing"),
     ({"stein": {"max_levels": 0}}, "max_levels = 0 measures nothing"),
     ({"goodness": {"factor_level": 9}},

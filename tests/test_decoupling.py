@@ -1,17 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyadiclab import decoupling
 from dyadiclab.decoupling import (AdaptedFamily, AtomHierarchy, FiniteProbSpace,
                                   check_mds, condexp_sum_check, construct_uv,
                                   decoupled_pnorm, plain_pnorm, random_adapted_family,
-                                  random_hierarchy, recovery_violation)
+                                  random_hierarchy)
 from dyadiclab.errors import AdaptednessError, ResourceLimitError
 from dyadiclab.rng import substream
 from dyadiclab.space import NormedSpace, umd_beta_scalar
 
-from oracles import active_atoms_by_scan, chain_through_by_scan, decoupled_pnorm_full_product
+from oracles import (active_atoms_by_scan, chain_through_by_scan,
+                     decoupled_pnorm_full_product, recovery_violation)
 
 TWO = AtomHierarchy(np.array([1.0, 1.0]), (((0, 1),), ((0,), (1,))))
 
@@ -177,15 +181,36 @@ def test_random_products_are_contractive(seed, p):
     assert ratio <= 1.0 + 1e-12
 
 
-def test_exhaustive_cap_on_chain_products():
+def test_exhaustive_cap_on_chain_products(monkeypatch):
     hierarchy = random_hierarchy(1, depth=3, max_children=4)
     fam = random_adapted_family(hierarchy, 1)
+    monkeypatch.setattr(decoupling, "_CHAIN_CAP", 1)
     with pytest.raises(ResourceLimitError):
-        decoupled_pnorm(fam, 2.0, chain_cap=1)
+        decoupled_pnorm(fam, 2.0)
+
+
+def largest_chain_product(h):
+    return max(math.prod(len(kids) for (_, _, kids, _) in h.chain_through(cell))
+               for cell in range(h.n_cells))
+
+
+@given(st.integers(0, 10**6), st.integers(1, 4), st.integers(2, 4), st.integers(1, 40))
+def test_hierarchy_draw_stops_at_the_chain_cap(seed, depth, max_children, cap):
+    # below the cap the draw is unchanged; past it, the draw raises
+    uncapped = random_hierarchy(seed, depth=depth, max_children=max_children)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decoupling, "_CHAIN_CAP", cap)
+        if largest_chain_product(uncapped) > cap:
+            with pytest.raises(ResourceLimitError, match="root-to-leaf product"):
+                random_hierarchy(seed, depth=depth, max_children=max_children)
+        else:
+            capped = random_hierarchy(seed, depth=depth, max_children=max_children)
+            assert capped.levels == uncapped.levels
+            assert np.array_equal(capped.cell_weights, uncapped.cell_weights)
 
 
 def test_long_single_child_chain_hits_the_sign_cap():
-    # every child count is 1, so the chain product passes chain_cap, but
+    # every child count is 1, so the chain product stays within _CHAIN_CAP, but
     # 2^21 sign patterns exceed the enumeration cap
     hierarchy = random_hierarchy(0, depth=21, max_children=1)
     fam = random_adapted_family(hierarchy, 0)

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 from dyadiclab.errors import DegenerateInputError, ResourceLimitError
 from dyadiclab.grid import DyadicSystem
 from dyadiclab.gridfn import random_grid_function
+from dyadiclab import rademacher
 from dyadiclab.rademacher import (OperatorFamily, averaging_check, rademacher_pnorm,
-                                  rbound_probe, rbound_witness, scalar_family,
-                                  sign_patterns, stein_check, triangle_check, umd_probe)
+                                  rbound_probe, rbound_witness, sign_patterns, stein_check,
+                                  triangle_check, umd_probe)
 from dyadiclab.rng import substream
 from dyadiclab.space import SCALAR, NormedSpace, umd_beta_scalar
 
-from oracles import brute_rademacher_pnorm
+from oracles import brute_rademacher_pnorm, per_assignment_rbound_probe, scalar_family
 
 
 def test_two_equal_scalars_p2():
@@ -100,6 +101,55 @@ def test_probe_monotone_in_budget():
                             NormedSpace(3, 3.0))
     values = [rbound_probe(family, 2, budget, seed=5) for budget in (1, 5, 20, 60)]
     assert values == sorted(values)
+
+
+WEIGHTED_SUP = NormedSpace(2, norm_fn=lambda v: np.maximum(np.abs(v[..., 0]),
+                                                           2.0 * np.abs(v[..., 1])))
+
+
+@st.composite
+def probe_cases(draw):
+    """A family, exponent, budget, seed and extra assignments for one probe."""
+    space = draw(st.one_of(
+        st.builds(NormedSpace, st.integers(1, 3), st.sampled_from([1.0, 2.0, 3.0, np.inf])),
+        st.just(WEIGHTED_SUP)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = [gen.standard_normal((space.dim, space.dim)) for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        ops.append(np.zeros((space.dim, space.dim)))
+    if draw(st.booleans()):
+        ops.append(ops[0])
+    extra = [[(int(gen.integers(0, len(ops))), gen.standard_normal(space.dim))
+              for _ in range(draw(st.integers(0, 4)))] for _ in range(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        extra.append([(0, np.zeros(space.dim))])
+    return (OperatorFamily(tuple(ops), space), draw(st.sampled_from([1.5, 2.0, 3.0])),
+            draw(st.integers(1, 30)), draw(st.integers(0, 10**6)), extra)
+
+
+@given(probe_cases())
+def test_grouped_probe_matches_the_per_assignment_probe(case):
+    family, p, budget, seed, extra = case
+    want = per_assignment_rbound_probe(family, p, budget, seed, extra)
+    assert rbound_probe(family, p, budget, seed, extra) == pytest.approx(want, rel=1e-15,
+                                                                         abs=0.0)
+
+
+def test_probe_builds_one_sign_array_per_assignment_length(monkeypatch):
+    gen = np.random.default_rng(4)
+    family = OperatorFamily(tuple(gen.standard_normal((3, 3)) for _ in range(3)),
+                            NormedSpace(3, 2.0))
+    extra = [[(0, gen.standard_normal(3))] * 5, []]
+    lengths = {1, 5} | {int(substream(9, "probe-trial", t).integers(1, 5)) for t in range(30)}
+    built = []
+
+    def counting(n):
+        built.append(n)
+        return sign_patterns(n)
+
+    monkeypatch.setattr(rademacher, "sign_patterns", counting)
+    rbound_probe(family, 2.0, 30, 9, extra_assignments=extra)
+    assert sorted(built) == sorted(lengths)
 
 
 # -- conditional expectations -----------------------------------------------------------
