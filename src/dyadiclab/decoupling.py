@@ -25,13 +25,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AdaptednessError, ResourceLimitError
-from .rademacher import sign_patterns
+from .rademacher import EXHAUSTIVE_CAP, sign_patterns
 from .rng import substream
 from .space import SCALAR, NormedSpace
 
 _TOL = 1e-12
 # the most child-choice tuples one ground cell's chain may take
 _CHAIN_CAP = 1_000_000
+# the most child-choice tuples times sign patterns one cell may take: 8^4, the
+# largest a depth-4 hierarchy with at most 4 children per atom can reach
+_CELL_WORK_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -242,20 +245,29 @@ def decoupled_pnorm(family: AdaptedFamily, p: float) -> float:
     """Randomized-sign decoupled norm, with independent per-atom coordinates.
 
     Only the chain of atoms through each ground cell enters the integrand,
-    so the expectation is exact per cell whenever the chain's product of
-    child counts stays within `_CHAIN_CAP` and its length within the sign
-    enumeration cap.
+    so the expectation is exact per cell.  A cell costs its chain's child-
+    choice tuples times its 2^(chain length) sign patterns; every chain is
+    checked against the caps on both, and on their product, before any
+    cell is evaluated.
     """
     h = family.hierarchy
     space = family.space
+    chains = [h.chain_through(cell) for cell in range(h.n_cells)]
+    for chain in chains:
+        choices = math.prod(len(kids) for (_, _, kids, _) in chain)
+        if choices > _CHAIN_CAP:
+            raise ResourceLimitError("chain product exceeds the exhaustive cap")
+        if len(chain) > EXHAUSTIVE_CAP:
+            raise ResourceLimitError(f"exhaustive signs capped at {EXHAUSTIVE_CAP}, "
+                                     f"got {len(chain)}")
+        if choices << len(chain) > _CELL_WORK_CAP:
+            raise ResourceLimitError(f"a chain of {len(chain)} atoms and {choices} child "
+                                     f"choices passes the cell work cap {_CELL_WORK_CAP}")
     total = 0.0
-    for cell in range(h.n_cells):
-        chain = h.chain_through(cell)
+    for cell, chain in enumerate(chains):
         if not chain:
             continue
         counts = [len(kids) for (_, _, kids, _) in chain]
-        if math.prod(counts) > _CHAIN_CAP:
-            raise ResourceLimitError("chain product exceeds the exhaustive cap")
         signs = sign_patterns(len(chain))
         tables = [np.asarray(family.values[(level, atom)]) for (level, atom, _, _) in chain]
         probs = [mu / mu.sum() for (_, _, _, mu) in chain]

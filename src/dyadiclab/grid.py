@@ -124,10 +124,19 @@ class DyadicSystem:
         return list(self.cubes_at_level(self.min_level))
 
     def cubes_at_level(self, level: int, within=None) -> Iterator["DyadicCube"]:
-        """All level-`level` cubes inside the ambient cube.
+        """All level-`level` cubes inside the ambient cube, corners in row-major order.
 
         `within` optionally restricts to cubes meeting a cell box, given as
         per-axis (lo, hi) cell index pairs.
+        """
+        for corner in itertools.product(*self.corner_ranges(level, within)):
+            yield DyadicCube(self, level, corner)
+
+    def corner_ranges(self, level: int, within=None) -> list:
+        """Per-axis corner ranges of the cubes that `cubes_at_level` lists.
+
+        The cubes of one axis range are consecutive, so they tile one cell
+        run: corner m starts at cell m * size + origin_cell + shift.
         """
         size = 1 << (self.depth - level)
         shift = self.shift_cells(level)
@@ -146,8 +155,7 @@ class DyadicSystem:
             m_hi = min((hi_cell - 1 - base) // size,
                        (self.cells_per_axis - size - base) // size)
             ranges.append(range(m_lo, m_hi + 1))
-        for corner in itertools.product(*ranges):
-            yield DyadicCube(self, level, corner)
+        return ranges
 
 
 @dataclass(frozen=True)
@@ -275,11 +283,11 @@ class GoodnessParams:
             raise ValueError("r must be a positive integer")
 
 
-def _gap_range(cube: DyadicCube, params: GoodnessParams) -> range:
-    floor = cube.system.min_level
+def _gap_range(system: DyadicSystem, level: int, params: GoodnessParams) -> range:
+    floor = system.min_level
     if params.max_ancestor_level is not None:
         floor = max(floor, params.max_ancestor_level)
-    s_hi = cube.level - floor
+    s_hi = level - floor
     if params.max_generations is not None:
         s_hi = min(s_hi, params.max_generations)
     return range(params.r, s_hi + 1)
@@ -295,7 +303,7 @@ def is_good(cube: DyadicCube, params: GoodnessParams) -> bool:
     sysm = cube.system
     u = (0,) * sysm.d  # bits of the gaps climbed so far, one word per axis
     t = 0
-    for s in _gap_range(cube, params):
+    for s in _gap_range(sysm, cube.level, params):
         while t < s:
             u = tuple(w + (b << t) for w, b in zip(u, sysm.bit(cube.level - t)))
             t += 1
@@ -324,16 +332,29 @@ class GoodnessProbability:
         return self.good_count / self.total
 
 
-def _good_mask(u_flat: np.ndarray, corner: Sequence[int], gaps: range,
-               gamma: float) -> np.ndarray:
-    """Vectorized goodness over enumerated top-gap offsets, one axis per row."""
-    good = np.ones(u_flat.shape[1], dtype=bool)
-    m = np.asarray(corner, dtype=np.int64)[:, None]
+def _good_mask(u: np.ndarray, corners: np.ndarray, gaps: range, gamma: float) -> np.ndarray:
+    """Vectorized goodness of corners against ancestor bit words, one axis per
+    row; the two (d, n) arrays broadcast, so either may be a single column."""
+    good = np.ones(np.broadcast_shapes(u.shape, corners.shape)[1], dtype=bool)
     for s in gaps:
-        o = (m - u_flat) % (1 << s)
+        o = (corners - u) % (1 << s)
         dist = np.minimum(o, (1 << s) - 1 - o).min(axis=0)
         good &= dist > 2.0 ** (s * (1.0 - gamma)) + _GOOD_TIE_TOL
     return good
+
+
+def good_mask(system: DyadicSystem, level: int, params: GoodnessParams) -> np.ndarray:
+    """`is_good` of every cube of `cubes_at_level(level)`, in that order.
+
+    The cubes of a level share their ancestors' bits, so one bit word per
+    axis, tested against every corner at once, gives the same flags.
+    """
+    gaps = _gap_range(system, level, params)
+    axes = np.meshgrid(*system.corner_ranges(level), indexing="ij")
+    corners = np.array([axis.ravel() for axis in axes], dtype=np.int64)
+    u = [sum(system.bit(level - t)[ax] << t for t in range(max(gaps, default=0)))
+         for ax in range(system.d)]
+    return _good_mask(np.array(u, dtype=np.int64)[:, None], corners, gaps, params.gamma)
 
 
 def goodness_probability(max_gap: int, params: GoodnessParams, d: int = 1,
@@ -352,11 +373,11 @@ def goodness_probability(max_gap: int, params: GoodnessParams, d: int = 1,
         raise ResourceLimitError(
             f"enumeration of 2^{n_bits} bit patterns exceeds cap {cap}"
         )
-    corner = tuple(base_corner) if base_corner is not None else (0,) * d
+    corner = np.array(base_corner if base_corner is not None else (0,) * d, dtype=np.int64)
     axes = [np.arange(1 << max_gap, dtype=np.int64)] * d
     grids = np.meshgrid(*axes, indexing="ij")
     u_flat = np.stack([g.ravel() for g in grids], axis=0)
-    good = _good_mask(u_flat, corner, range(params.r, max_gap + 1), params.gamma)
+    good = _good_mask(u_flat, corner[:, None], range(params.r, max_gap + 1), params.gamma)
     return GoodnessProbability(int(good.sum()), good.size, goodness_bound(params, d))
 
 

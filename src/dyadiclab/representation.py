@@ -15,15 +15,16 @@ from the integration; symmetrically when J is strictly inside I.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (DegenerateInputError, InsufficientDataError, MeshDepthError,
-                     ResourceLimitError)
-from .grid import (DyadicCube, DyadicSystem, GoodnessParams, common_ancestor,
-                   goodness_probability, is_good)
+from .errors import DegenerateInputError, InsufficientDataError, ResourceLimitError
+from .grid import (DyadicCube, DyadicSystem, GoodnessParams, good_mask, goodness_probability,
+                   is_good)
 from .gridfn import (GridFunction, etas, fill_haar_frame, haar_block, haar_coefficient,
                      haar_frame, haar_vector, pair)
 from .rng import substream
@@ -309,63 +310,6 @@ def full_pairing_sum(T: DiscreteOperator, g: GridFunction, f: GridFunction,
     return float(cg @ elements @ cf)
 
 
-# -- assembled shift coefficients ------------------------------------------------------
-
-
-def _descendants(cube: DyadicCube, generations: int) -> list:
-    out = [cube]
-    for _ in range(generations):
-        out = [kid for parent in out for kid in parent.children()]
-    return out
-
-
-def shift_coefficients(T: DiscreteOperator, K: DyadicCube, i: int, j: int,
-                       params: GoodnessParams) -> np.ndarray:
-    """Kernel table of the (i, j) shift block at K, from Haar matrix elements.
-
-    Blocks live max(i, j) + 1 generations below K; entry (output block,
-    input block) sums |K| h_J(out) h_I(in) <h_J, T h_I> over the pairs
-    whose minimal common ancestor is K, with the smaller cube good and
-    nested pairs taken in the extracted convention.
-    """
-    sysm = T.system
-    gap = max(i, j) + 1
-    if K.level + gap > sysm.depth:
-        raise MeshDepthError("shift block resolution exceeds the mesh")
-    b_axis = 1 << gap
-    blocks = b_axis**sysm.d
-    block_cells = K.size_cells >> gap
-    table = np.zeros((blocks, blocks))
-    i_cubes = _descendants(K, i)
-    j_cubes = _descendants(K, j)
-
-    def block_range(cube: DyadicCube) -> np.ndarray:
-        rel = [(a - k) // block_cells for a, k in zip(cube.start_cells(), K.start_cells())]
-        span = cube.size_cells // block_cells
-        axes = np.ix_(*(np.arange(r, r + span) for r in rel))
-        return np.ravel_multi_index(axes, (b_axis,) * sysm.d).reshape(-1)
-
-    def block_values(cube: DyadicCube, eta) -> np.ndarray:
-        return haar_block(cube, eta)[(slice(None, None, block_cells),) * sysm.d].reshape(-1)
-
-    for I in i_cubes:
-        for J in j_cubes:
-            smaller = I if i >= j else J
-            if not is_good(smaller, params):
-                continue
-            if common_ancestor(I, J).key() != K.key():
-                continue
-            for etaI in etas(sysm.d):
-                for etaJ in etas(sysm.d):
-                    elem = matrix_element(T, J, etaJ, I, etaI,
-                                          convention="paraproduct_extracted")
-                    if elem == 0.0:
-                        continue
-                    outer = np.outer(block_values(J, etaJ), block_values(I, etaI))
-                    table[np.ix_(block_range(J), block_range(I))] += K.volume * elem * outer
-    return table
-
-
 # -- decay of matrix-element magnitudes ----------------------------------------------
 
 
@@ -406,15 +350,45 @@ def decay_slope_target(case: str, alpha: float, gamma: float, d: int) -> Optiona
     return None
 
 
+def _diagonal_blocks(T: DiscreteOperator, level: int) -> tuple:
+    """(box, view): the cell slices per axis that the level's cubes tile, and
+    each cube's block of T against itself as one strided view of T, of shape
+    (cubes per axis)*d + (cells per side)*2d, in `cubes_at_level` order."""
+    sysm = T.system
+    size = 1 << (sysm.depth - level)
+    ranges = sysm.corner_ranges(level)
+    box = tuple(slice(r.start * size + sysm.origin_cell + s, r.stop * size + sysm.origin_cell + s)
+                for r, s in zip(ranges, sysm.shift_cells(level)))
+    split = sum(((len(r), size) for r in ranges), ())
+    view = T.matrix.reshape((sysm.cells_per_axis,) * 2 * sysm.d)[box + box]
+    d = sysm.d  # one cube index (a, b) and one cell index per axis, rows then columns
+    return box, np.einsum(f"{'aibj'[:2 * d]}{'apbq'[:2 * d]}->{'ab'[:d]}{'ij'[:d]}{'pq'[:d]}",
+                          view.reshape(split + split))
+
+
+def _haar_pattern(system: DyadicSystem, level: int) -> np.ndarray:
+    """haar_block of any one-dimensional level-`level` cube."""
+    size = 1 << (system.depth - level)
+    return np.repeat((1.0, -1.0), size // 2) * (2.0**-level) ** -0.5
+
+
 def decay_check(T: DiscreteOperator, case: str, i_values: Sequence[int],
-                params: GoodnessParams, alpha: float, j_disjoint: int = 1) -> DecayReport:
+                params: GoodnessParams, alpha: float) -> DecayReport:
     """Per-complexity peak coefficient magnitudes and their fitted decay slope.
 
     One-dimensional scalar kernels only: there each kernel-table point is
-    hit by at most one Haar pair, so the sup of |a| over a cube is the
-    max over pairs of |K| |element| / sqrt(|I| |J|).  Each level's cubes
-    are listed once per call in start-cell order, so a cube's descendants
-    are a contiguous run of them, and goodness is tested once per cube.
+    hit by at most one Haar pair, so the sup of |a| over a cube K is the
+    max over pairs of |K| |element| / sqrt(|I| |J|).
+
+    The scan runs per K-level on the level's diagonal blocks of T, one
+    strided view.  It contracts them once with h_K (nested, J = K) or with
+    the h_J of K's two children (disjoint); each i then contracts K's 2^i
+    descendant cell runs with the level-(k+i) Haar pattern, subtracts the
+    paraproduct term h_K(I) <1, T h_I> when nested, and keeps the pairs with
+    a good I (`good_mask`) and, when disjoint, I outside J's child of K.
+    The equal case stays on `matrix_element`, one call per cube: for an odd
+    kernel <h_K, T h_K> vanishes, so its value is rounding noise that any
+    other summation order would change.
     """
     sysm = T.system
     if sysm.d != 1:
@@ -422,49 +396,40 @@ def decay_check(T: DiscreteOperator, case: str, i_values: Sequence[int],
     if case not in DECAY_CASES:
         raise ValueError(f"unknown case {case!r}")
     nested = case in ("deeply_nested", "shallowly_nested")
-    j = j_disjoint if case in ("far_disjoint", "near_disjoint") else 0
-    eta = (1,)
-    listed = {}   # level -> [cubes, goodness flags once needed]
+    j = 1 if case in ("far_disjoint", "near_disjoint") else 0
+    vol, col_sums = sysm.cell_volume, T._sums[0]
 
-    def level_list(level: int, goodness: bool = False) -> list:
-        if level not in listed:
-            listed[level] = [list(sysm.cubes_at_level(level)), None]
-        entry = listed[level]
-        if goodness and entry[1] is None:
-            entry[1] = [is_good(cube, params) for cube in entry[0]]
-        return entry
+    @functools.cache
+    def level_rows(k: int) -> tuple:
+        """The level's cell run and its diagonal blocks contracted with h_K or the h_J."""
+        (box,), blocks = _diagonal_blocks(T, k)
+        if nested:
+            return box, _haar_pattern(sysm, k) @ blocks
+        halves = blocks.reshape(len(blocks), 2, -1, blocks.shape[-1])
+        return box, _haar_pattern(sysm, k + 1) @ halves
 
-    def descendants(K: DyadicCube, gens: int, goodness: bool = False) -> tuple:
-        # a level's first cube starts less than one side past cell 0, so a
-        # cube's index in the list is its start cell over its side
-        cubes, flags = level_list(K.level + gens, goodness)
-        first = K.start_cells()[0] >> (sysm.depth - K.level - gens)
-        run = slice(first, first + (1 << gens))
-        return cubes[run], flags[run] if goodness else None
-
-    def peak(K: DyadicCube, i: int) -> float:
+    def peak(k: int, i: int) -> float:
         if case == "equal":
             # |K| * vol_K^{-1} cancels in one dimension
-            return abs(matrix_element(T, K, eta, K, eta))
-        top = 0.0
-        I_cubes, good = descendants(K, i, goodness=True)
+            eta = (1,)
+            return max(abs(matrix_element(T, K, eta, K, eta)) for K in sysm.cubes_at_level(k))
+        box, rows = level_rows(k)
+        n_runs, side = len(rows) << i, 1 << (sysm.depth - k - i)
+        kv, iv, h_i = 2.0**-k, 2.0**-(k + i), _haar_pattern(sysm, k + i)
+        elem = vol * (rows.reshape(rows.shape[:-1] + (1 << i, side)) @ h_i)
+        # a level's first cube starts less than one side past cell 0, so a
+        # cube's index in the level is its start cell over its side
+        good = good_mask(sysm, k + i, params)[box.start // side:][:n_runs].reshape(-1, 1 << i)
+        pos = np.arange(1 << i)  # I's place in K's run; it lies in child pos >> (i - 1)
         if nested:
-            for I, ok in zip(I_cubes, good):
-                if ok:
-                    elem = matrix_element(T, K, eta, I, eta, "paraproduct_extracted")
-                    top = max(top, K.volume * abs(elem) * K.volume**-0.5
-                              * I.volume**-0.5)
-            return top
-        # disjoint cases: K is the common ancestor when I and J lie in
-        # different children of K, and a run position p lies in child
-        # p >> (gens - 1); for j = 0, J = K contains every I
-        J_cubes = descendants(K, j)[0] if j else []
-        for p, (I, ok) in enumerate(zip(I_cubes, good)):
-            for q, J in enumerate(J_cubes):
-                if ok and p >> (i - 1) != q >> (j - 1):
-                    elem = matrix_element(T, J, eta, I, eta)
-                    top = max(top, K.volume * abs(elem) * (I.volume * J.volume) ** -0.5)
-        return top
+            h_k_at_i = np.where(pos >> (i - 1) == 0, kv**-0.5, -kv**-0.5)
+            para = (col_sums[box].reshape(-1, 1 << i, side) * h_i).sum(-1)
+            elem = elem - h_k_at_i * vol * para
+            scaled = kv * np.abs(elem) * kv**-0.5 * iv**-0.5
+        else:
+            scaled = kv * np.abs(elem) * (iv * 2.0**-(k + 1)) ** -0.5
+            good = good[:, None, :] & (pos >> (i - 1) != np.arange(2)[:, None])
+        return float(np.max(scaled, where=good, initial=0.0))
 
     mags, used_i = [], []
     for i in i_values:
@@ -472,8 +437,7 @@ def decay_check(T: DiscreteOperator, case: str, i_values: Sequence[int],
             continue
         top = 0.0
         for k_level in range(sysm.min_level, sysm.depth - max(i, j)):
-            for K in level_list(k_level)[0]:
-                top = max(top, peak(K, i))
+            top = max(top, peak(k_level, i))
         if top > 0.0:
             mags.append(top)
             used_i.append(i)
@@ -493,13 +457,14 @@ def decay_check(T: DiscreteOperator, case: str, i_values: Sequence[int],
 
 
 def wbp_constants(T: DiscreteOperator) -> dict:
-    """Per-cube diagonal averaging quantities and their maximum."""
+    """Per-cube diagonal averaging quantities and their maximum, one level at a time."""
     sysm = T.system
     vol = sysm.cell_volume
     values = {}
     for level in range(sysm.min_level, sysm.depth + 1):
-        for cube in sysm.cubes_at_level(level):
-            values[cube.key()] = float(T.block(cube, cube).sum()) * vol / cube.volume
+        sums = _diagonal_blocks(T, level)[1].sum(axis=tuple(range(sysm.d, 3 * sysm.d)))
+        keys = ((level, corner) for corner in itertools.product(*sysm.corner_ranges(level)))
+        values.update(zip(keys, (sums.ravel() * vol / (2.0**-level) ** sysm.d).tolist()))
     top = max(abs(v) for v in values.values()) if values else 0.0
     return {"per_cube": values, "max": top}
 

@@ -12,11 +12,12 @@ import numpy as np
 from dyadiclab.errors import MeshDepthError
 from dyadiclab.grid import DyadicSystem, common_ancestor, goodness_probability, is_good
 from dyadiclab.gridfn import (GridFunction, _block_means, _expand_blocks, etas,
-                              haar_coefficient, haar_vector, pair)
+                              haar_block, haar_coefficient, haar_vector, pair)
 from dyadiclab.rademacher import OperatorFamily, _power_iteration_vector
 from dyadiclab.representation import (AveragingIdentityReport, DecayReport,
                                       PairingDecomposition, _case_constraints,
-                                      _support_box, decay_slope_target, raw_pairing)
+                                      _support_box, decay_slope_target, matrix_element,
+                                      raw_pairing)
 from dyadiclab.rng import substream
 from dyadiclab.shifts import ParaproductSpec, apply_paraproduct
 from dyadiclab.space import SCALAR
@@ -462,7 +463,7 @@ def pairing_decomposition_dense(T, g, f, level_lo, level_hi):
                                 para_arg, para_dual)
 
 
-# -- decay scan, cube by cube ---------------------------------------------------
+# -- decay scan and shift coefficients, cube by cube ---------------------------------
 
 
 def descendants(cube, generations):
@@ -470,6 +471,50 @@ def descendants(cube, generations):
     for _ in range(generations):
         out = [kid for parent in out for kid in parent.children()]
     return out
+
+
+def shift_coefficients(T, K, i, j, params):
+    """Kernel table of the (i, j) shift block at K, from Haar matrix elements.
+
+    Blocks live max(i, j) + 1 generations below K; entry (output block,
+    input block) sums |K| h_J(out) h_I(in) <h_J, T h_I> over the pairs
+    whose minimal common ancestor is K, with the smaller cube good and
+    nested pairs taken in the extracted convention.
+    """
+    sysm = T.system
+    gap = max(i, j) + 1
+    if K.level + gap > sysm.depth:
+        raise MeshDepthError("shift block resolution exceeds the mesh")
+    b_axis = 1 << gap
+    blocks = b_axis**sysm.d
+    block_cells = K.size_cells >> gap
+    table = np.zeros((blocks, blocks))
+
+    def block_range(cube):
+        rel = [(a - k) // block_cells for a, k in zip(cube.start_cells(), K.start_cells())]
+        span = cube.size_cells // block_cells
+        axes = np.ix_(*(np.arange(r, r + span) for r in rel))
+        return np.ravel_multi_index(axes, (b_axis,) * sysm.d).reshape(-1)
+
+    def block_values(cube, eta):
+        return haar_block(cube, eta)[(slice(None, None, block_cells),) * sysm.d].reshape(-1)
+
+    for I in descendants(K, i):
+        for J in descendants(K, j):
+            smaller = I if i >= j else J
+            if not is_good(smaller, params):
+                continue
+            if common_ancestor(I, J).key() != K.key():
+                continue
+            for etaI in etas(sysm.d):
+                for etaJ in etas(sysm.d):
+                    elem = matrix_element(T, J, etaJ, I, etaI,
+                                          convention="paraproduct_extracted")
+                    if elem == 0.0:
+                        continue
+                    outer = np.outer(block_values(J, etaJ), block_values(I, etaI))
+                    table[np.ix_(block_range(J), block_range(I))] += K.volume * elem * outer
+    return table
 
 
 def local_haar(cube, K):
@@ -514,7 +559,7 @@ def peak_magnitude(T, K, i, j, case, params):
     return top
 
 
-def decay_check_dense(T, case, i_values, params, alpha, j_disjoint=1):
+def decay_check_dense(T, case, i_values, params, alpha):
     """Decay report with every cube rebuilt per K and every pair tested
     through common_ancestor; raises ValueError for a report it cannot fit."""
     sysm = T.system
@@ -522,7 +567,7 @@ def decay_check_dense(T, case, i_values, params, alpha, j_disjoint=1):
     for i in i_values:
         if not _case_constraints(case, params.r, i):
             continue
-        j = 0 if case in ("deeply_nested", "shallowly_nested", "equal") else j_disjoint
+        j = 0 if case in ("deeply_nested", "shallowly_nested", "equal") else 1
         top = 0.0
         for k_level in range(sysm.min_level, sysm.depth - max(i, j)):
             for K in sysm.cubes_at_level(k_level):
@@ -536,6 +581,18 @@ def decay_check_dense(T, case, i_values, params, alpha, j_disjoint=1):
     slope = (float(np.polyfit(used_i, np.log2(mags), 1)[0])
              if len(used_i) >= 3 else None)
     return DecayReport(case, tuple(used_i), tuple(mags), slope, target)
+
+
+def wbp_constants_per_cube(T):
+    """`representation.wbp_constants` summing each cube's own cell block of T."""
+    sysm = T.system
+    values = {}
+    for level in range(sysm.min_level, sysm.depth + 1):
+        for cube in sysm.cubes_at_level(level):
+            block = T.matrix.reshape((sysm.cells_per_axis,) * 2 * sysm.d)[
+                cube.cell_slices() * 2]
+            values[cube.key()] = float(block.sum()) * sysm.cell_volume / cube.volume
+    return {"per_cube": values, "max": max(abs(v) for v in values.values())}
 
 
 # -- averaging identity, one Haar coefficient per column per grid ------------------

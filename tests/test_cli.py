@@ -204,6 +204,15 @@ def test_deep_decoupling_stops_at_the_chain_cap_within_seconds(capsys, depth):
                                   "passes the chain cap ")
 
 
+def test_decoupling_past_the_cell_work_cap_stops_within_seconds(capsys):
+    # depth 9 passes the chain and sign caps, but a cell's choices times signs
+    # pass the work cap, which is checked before any cell is evaluated
+    start = time.perf_counter()
+    assert main(["run", "--experiment", "decoupling", "--depth", "9"]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert_one_error_line(capsys, "error: decoupling: a chain of 9 atoms and ")
+
+
 def test_flag_value_is_checked_for_every_selected_experiment_before_any_runs(
         capsys, no_experiment_runs):
     assert main(["run", "--experiment", "decoupling", "--experiment", "matrix-decay",

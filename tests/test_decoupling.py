@@ -189,6 +189,20 @@ def test_exhaustive_cap_on_chain_products(monkeypatch):
         decoupled_pnorm(fam, 2.0)
 
 
+def test_cell_work_cap_fires_before_any_cell_is_evaluated(monkeypatch):
+    hierarchy = random_hierarchy(1, depth=3, max_children=4)
+    fam = random_adapted_family(hierarchy, 1)
+    choices = largest_chain_product(hierarchy)
+    monkeypatch.setattr(decoupling, "_CELL_WORK_CAP", (choices << 3) - 1)  # 3 atoms a chain
+
+    def evaluated(n):
+        raise AssertionError("a cell was evaluated before the caps were checked")
+
+    monkeypatch.setattr(decoupling, "sign_patterns", evaluated)
+    with pytest.raises(ResourceLimitError, match=f"3 atoms and {choices} child choices"):
+        decoupled_pnorm(fam, 2.0)
+
+
 def largest_chain_product(h):
     return max(math.prod(len(kids) for (_, _, kids, _) in h.chain_through(cell))
                for cell in range(h.n_cells))

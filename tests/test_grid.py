@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from dyadiclab.errors import AmbientRangeError, ResourceLimitError
 from dyadiclab.grid import (MESH_CELL_BITS, DyadicSystem, GoodnessParams, common_ancestor,
-                            goodness_bound, goodness_position_joint, goodness_probability,
-                            is_good)
+                            good_mask, goodness_bound, goodness_position_joint,
+                            goodness_probability, is_good)
 
 import oracles
 
@@ -138,6 +138,35 @@ def test_vacuous_goodness_when_no_ancestor_is_eligible():
     system = DyadicSystem(d=1, m_top=0, depth=3)
     params = GoodnessParams(gamma=0.5, r=5)
     assert is_good(system.cube(2, (1,)), params)
+
+
+# gamma = 1/2 and 3/4 make the threshold 2^(s(1-gamma)) an integer at even gaps
+# and at gaps divisible by 4, so a cell distance can tie it
+MASK_PARAMS = (GoodnessParams(gamma=0.5, r=2), GoodnessParams(gamma=0.75, r=1),
+               GoodnessParams(gamma=0.4, r=1, max_ancestor_level=0),
+               GoodnessParams(gamma=0.5, r=1, max_ancestor_level=-1, max_generations=4),
+               GoodnessParams(gamma=0.3, r=2, max_generations=3))
+
+
+@given(st.integers(1, 2), st.integers(0, 2), st.integers(0, 6), st.integers(0, 2**20),
+       st.sampled_from(MASK_PARAMS))
+def test_good_mask_matches_is_good_per_cube(d, m_top, depth, seed, params):
+    system = DyadicSystem.random(seed, d=d, m_top=m_top, depth=min(depth, 8 // d - m_top))
+    for level in range(system.min_level, system.depth + 1):
+        mask = good_mask(system, level, params)
+        assert mask.dtype == bool
+        assert mask.tolist() == [is_good(cube, params) for cube in system.cubes_at_level(level)]
+
+
+def test_good_mask_counts_a_tie_as_bad():
+    # at level 4 the gap-4 ancestor is the unit cube, whose threshold is 2^2:
+    # corner 4 sits exactly 4 cells from its left edge, corner 5 beyond it
+    system = DyadicSystem(d=1, m_top=0, depth=4)
+    params = GoodnessParams(gamma=0.5, r=4, max_ancestor_level=0)
+    mask = good_mask(system, 4, params)
+    corners = [cube.corner[0] for cube in system.cubes_at_level(4)]
+    assert not mask[corners.index(4)] and mask[corners.index(5)]
+    assert not is_good(system.cube(4, (4,)), params) and is_good(system.cube(4, (5,)), params)
 
 
 def test_analytic_bound_value():

@@ -17,8 +17,8 @@ from dyadiclab.representation import (DECAY_CASES, DiscreteOperator,
                                       extract_paraproducts, full_pairing_sum,
                                       hilbert_kernel, matrix_element,
                                       pairing_decomposition, raw_pairing,
-                                      shift_coefficients, smooth_odd_kernel,
-                                      synthesize_symbol, validate_kernel, wbp_constants)
+                                      smooth_odd_kernel, synthesize_symbol,
+                                      validate_kernel, wbp_constants)
 from dyadiclab.shifts import ExplicitKernel, ShiftSpec, apply_shift
 
 SYS = DyadicSystem(d=1, m_top=0, depth=6)
@@ -138,11 +138,11 @@ PERMISSIVE = GoodnessParams(gamma=0.4, r=1, max_generations=2)
 
 
 def coefficient_shift(T, K, i, j, params):
-    """The (i, j) shift whose only nonzero table is K's, from `shift_coefficients`."""
+    """The (i, j) shift whose only nonzero table is K's, from `oracles.shift_coefficients`."""
     blocks = (1 << (max(i, j) + 1)) ** T.system.d
     tables = {cube.key(): np.zeros((blocks, blocks))
               for cube in T.system.cubes_at_level(K.level)}
-    tables[K.key()] = shift_coefficients(T, K, i, j, params)
+    tables[K.key()] = oracles.shift_coefficients(T, K, i, j, params)
     return ShiftSpec(i, j, T.system, ExplicitKernel(tables), k_levels=(K.level, K.level))
 
 
@@ -177,8 +177,8 @@ def test_shift_coefficients_reproduce_partial_pairing(seed, ij):
 
 def test_empty_good_set_gives_zero_table():
     T = assemble(hilbert_kernel(), SYS)
-    table = shift_coefficients(T, SYS.cube(0, (0,)), 4, 1,
-                               GoodnessParams(gamma=0.125, r=3))
+    table = oracles.shift_coefficients(T, SYS.cube(0, (0,)), 4, 1,
+                                       GoodnessParams(gamma=0.125, r=3))
     assert np.abs(table).max() == 0.0
 
 
@@ -221,6 +221,18 @@ def test_wbp_identity_and_zero():
 def test_wbp_antisymmetric_kernel_vanishes():
     T = assemble(hilbert_kernel(), SYS)
     assert wbp_constants(T)["max"] < 1e-12
+
+
+@given(st.integers(1, 2), st.integers(0, 2), st.integers(0, 4), st.integers(0, 2**20))
+@settings(max_examples=30, deadline=None)
+def test_wbp_constants_match_per_cube_oracle(d, m_top, depth, seed):
+    system = DyadicSystem.random(seed, d=d, m_top=m_top, depth=min(depth, 6 // d - m_top))
+    T = random_operator(system, np.random.default_rng(seed))
+    got, want = wbp_constants(T), oracles.wbp_constants_per_cube(T)
+    assert list(got["per_cube"]) == list(want["per_cube"])
+    for key, value in want["per_cube"].items():
+        assert got["per_cube"][key] == pytest.approx(value, rel=1e-12, abs=1e-12)
+    assert got["max"] == pytest.approx(want["max"], rel=1e-12, abs=1e-12)
 
 
 # -- averaging identity ----------------------------------------------------------------------
