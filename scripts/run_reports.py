@@ -5,7 +5,7 @@ Usage:
     python3 scripts/run_reports.py [--seed N] [--out DIR] [--fast]
 
 --fast shrinks trial counts for a quick smoke run; without it the
-defaults reproduce the acceptance-scale sweeps (a few minutes).  After the
+defaults reproduce the acceptance-scale sweeps (10-15 s on 2 vCPUs).  After the
 run it prints each experiment's wall time (`timing_ms` of the JSON summary).
 """
 

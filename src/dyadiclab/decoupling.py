@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AdaptednessError, ResourceLimitError
-from .rademacher import EXHAUSTIVE_CAP, sign_patterns
+from .rademacher import EXHAUSTIVE_CAP, sign_average
 from .rng import substream
 from .space import SCALAR, NormedSpace
 
@@ -51,8 +51,8 @@ class AtomHierarchy:
 
     def __post_init__(self):
         w = np.asarray(self.cell_weights, dtype=float)
-        if np.any(w <= 0):
-            raise ValueError("ground-cell weights must be positive")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise ValueError("ground-cell weights must be finite and positive")
         object.__setattr__(self, "cell_weights", w)
         owners = []  # owners[l][cell] is the index of the level-l atom holding the cell
         for atoms in self.levels:
@@ -211,10 +211,13 @@ def check_mds(uv: UVTables, test_functions: int = 20, seed: int = 0) -> float:
 
     Per atom: the symmetric table must integrate to zero against the
     product factor, and the antisymmetric table must kill every function
-    of the symmetric one (random polynomial test functions).
+    of the symmetric one (random polynomial test functions, drawn once per level).
     """
     h = uv.family.hierarchy
     dim = uv.family.space.dim
+    gens = [[substream(seed, "mds-test", level, t) for t in range(test_functions)]
+            for level in range(len(h.levels) - 1)]
+    tests = [[(gen.standard_normal(dim), gen.standard_normal(4)) for gen in row] for row in gens]
     worst = 0.0
     for (level, atom, _, mu) in h.active_atoms():
         nu = mu / mu.sum()
@@ -222,10 +225,7 @@ def check_mds(uv: UVTables, test_functions: int = 20, seed: int = 0) -> float:
         v = uv.antisymmetric[(level, atom)]
         weight = mu[:, None] * nu[None, :]
         worst = max(worst, float(np.abs(np.tensordot(weight, u, axes=([0, 1], [0, 1]))).max()))
-        for t in range(test_functions):
-            gen = substream(seed, "mds-test", level, t)
-            proj = gen.standard_normal(dim)
-            coef = gen.standard_normal(4)
+        for proj, coef in tests[level]:
             z = u @ proj
             phi = coef[0] + coef[1] * z + coef[2] * z**2 + coef[3] * z**3
             integrals = np.tensordot(weight * phi, v, axes=([0, 1], [0, 1]))
@@ -244,16 +244,17 @@ def plain_pnorm(family: AdaptedFamily, p: float) -> float:
 def decoupled_pnorm(family: AdaptedFamily, p: float) -> float:
     """Randomized-sign decoupled norm, with independent per-atom coordinates.
 
-    Only the chain of atoms through each ground cell enters the integrand,
-    so the expectation is exact per cell.  A cell costs its chain's child-
-    choice tuples times its 2^(chain length) sign patterns; every chain is
-    checked against the caps on both, and on their product, before any
-    cell is evaluated.
+    Only the chain of atoms through a ground cell enters the integrand, and
+    cells with the same atom at the last active level share it, so the
+    expectation is exact per chain.  A chain costs its child-choice tuples
+    times 2^(chain length) sign patterns; every chain is checked against the
+    caps on both, and on their product, before any is evaluated in one batch.
     """
     h = family.hierarchy
-    space = family.space
-    chains = [h.chain_through(cell) for cell in range(h.n_cells)]
-    for chain in chains:
+    last = h._chains[-1] if h._chains else np.zeros(0, dtype=np.intp)
+    _, firsts = np.unique(last, return_index=True)
+    chains = {int(last[cell]): h.chain_through(cell) for cell in np.sort(firsts)}
+    for chain in chains.values():
         choices = math.prod(len(kids) for (_, _, kids, _) in chain)
         if choices > _CHAIN_CAP:
             raise ResourceLimitError("chain product exceeds the exhaustive cap")
@@ -263,21 +264,20 @@ def decoupled_pnorm(family: AdaptedFamily, p: float) -> float:
         if choices << len(chain) > _CELL_WORK_CAP:
             raise ResourceLimitError(f"a chain of {len(chain)} atoms and {choices} child "
                                      f"choices passes the cell work cap {_CELL_WORK_CAP}")
-    total = 0.0
-    for cell, chain in enumerate(chains):
-        if not chain:
-            continue
-        counts = [len(kids) for (_, _, kids, _) in chain]
-        signs = sign_patterns(len(chain))
-        tables = [np.asarray(family.values[(level, atom)]) for (level, atom, _, _) in chain]
-        probs = [mu / mu.sum() for (_, _, _, mu) in chain]
+    expectation = {}
+    for key, chain in chains.items():
+        # every child-choice tuple, in itertools.product order
+        choice = np.indices([len(kids) for (_, _, kids, _) in chain]).reshape(len(chain), -1)
+        elements = np.stack([np.asarray(family.values[(level, atom)])[c]
+                             for (level, atom, _, _), c in zip(chain, choice)], axis=1)
+        probs = np.prod([(mu / mu.sum())[c] for (_, _, _, mu), c in zip(chain, choice)], axis=0)
         acc = 0.0
-        for choice in itertools.product(*[range(c) for c in counts]):
-            prob = float(np.prod([pr[c] for pr, c in zip(probs, choice)]))
-            stack = np.stack([tab[c] for tab, c in zip(tables, choice)])
-            sums = signs @ stack
-            acc += prob * float((space.norm(sums) ** p).mean())
-        total += acc * h.cell_weights[cell]
+        for prob, mean in zip(probs.tolist(), sign_average(elements, p, family.space).tolist()):
+            acc += prob * mean
+        expectation[key] = acc
+    total = 0.0
+    for key, weight in zip(last.tolist(), h.cell_weights.tolist()):
+        total += expectation[key] * weight
     return total ** (1.0 / p)
 
 
@@ -292,8 +292,8 @@ class FiniteProbSpace:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("weights must be nonnegative with positive total")
+        if not np.all(np.isfinite(w)) or np.any(w < 0) or w.sum() <= 0:
+            raise ValueError("weights must be finite and nonnegative with positive total")
         object.__setattr__(self, "weights", w / w.sum())
 
     @property

@@ -13,7 +13,7 @@ from dyadiclab.errors import MeshDepthError
 from dyadiclab.grid import DyadicSystem, common_ancestor, goodness_probability, is_good
 from dyadiclab.gridfn import (GridFunction, _block_means, _expand_blocks, etas,
                               haar_block, haar_coefficient, haar_vector, pair)
-from dyadiclab.rademacher import OperatorFamily, _power_iteration_vector
+from dyadiclab.rademacher import OperatorFamily, _power_iteration_vector, sign_patterns
 from dyadiclab.representation import (AveragingIdentityReport, DecayReport,
                                       PairingDecomposition, _case_constraints,
                                       _support_box, decay_slope_target, matrix_element,
@@ -357,6 +357,26 @@ def decoupled_pnorm_full_product(family, p):
                 cellvals[list(atom)] += eps[t] * val
             norms = family.space.norm(cellvals)
             total += prob / n_eps * float((norms**p * h.cell_weights).sum())
+    return total ** (1.0 / p)
+
+
+def decoupled_pnorm_per_choice(family, p):
+    """Decoupled norm cell by cell, one signed sum per child-choice tuple."""
+    h = family.hierarchy
+    total = 0.0
+    for cell in range(h.n_cells):
+        chain = h.chain_through(cell)
+        if not chain:
+            continue
+        signs = sign_patterns(len(chain))
+        tables = [np.asarray(family.values[(level, atom)]) for (level, atom, _, _) in chain]
+        probs = [mu / mu.sum() for (_, _, _, mu) in chain]
+        acc = 0.0
+        for choice in itertools.product(*[range(len(kids)) for (_, _, kids, _) in chain]):
+            prob = float(np.prod([pr[c] for pr, c in zip(probs, choice)]))
+            stack = np.stack([tab[c] for tab, c in zip(tables, choice)])
+            acc += prob * float((family.space.norm(signs @ stack) ** p).mean())
+        total += acc * h.cell_weights[cell]
     return total ** (1.0 / p)
 
 

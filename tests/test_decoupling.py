@@ -11,11 +11,13 @@ from dyadiclab.decoupling import (AdaptedFamily, AtomHierarchy, FiniteProbSpace,
                                   decoupled_pnorm, plain_pnorm, random_adapted_family,
                                   random_hierarchy)
 from dyadiclab.errors import AdaptednessError, ResourceLimitError
+from dyadiclab.rademacher import sign_average
 from dyadiclab.rng import substream
-from dyadiclab.space import NormedSpace, umd_beta_scalar
+from dyadiclab.space import SCALAR, NormedSpace, umd_beta_scalar
 
 from oracles import (active_atoms_by_scan, chain_through_by_scan,
-                     decoupled_pnorm_full_product, recovery_violation)
+                     decoupled_pnorm_full_product, decoupled_pnorm_per_choice,
+                     recovery_violation)
 
 TWO = AtomHierarchy(np.array([1.0, 1.0]), (((0, 1),), ((0,), (1,))))
 
@@ -107,22 +109,64 @@ def test_disjoint_atoms_change_nothing():
     assert dec == pytest.approx(plain_pnorm(fam, 2.0))
 
 
+def test_hierarchy_without_active_atoms_has_zero_norms():
+    fam = AdaptedFamily(AtomHierarchy(np.ones(3), (((0, 1, 2),),)), {})
+    assert decoupled_pnorm(fam, 2.0) == 0.0
+    assert plain_pnorm(fam, 2.0) == 0.0
+
+
 def test_zero_family_norms():
     fam = AdaptedFamily(TWO, {(0, (0, 1)): np.zeros((2, 1))})
     assert decoupled_pnorm(fam, 3.0) == 0.0
     assert plain_pnorm(fam, 3.0) == 0.0
 
 
-@given(st.integers(0, 500))
+@given(st.integers(0, 500), st.sampled_from([1.5, 2.0, 3.0]))
 @settings(max_examples=15)
-def test_decoupled_norm_matches_full_product_oracle(seed):
+def test_decoupled_norm_matches_full_product_oracle(seed, p):
     hierarchy = random_hierarchy(seed, depth=2, max_children=3)
     if len(hierarchy.active_atoms()) > 5:
         return
     fam = random_adapted_family(hierarchy, seed)
-    fast = decoupled_pnorm(fam, 3.0)
-    oracle = decoupled_pnorm_full_product(fam, 3.0)
+    fast = decoupled_pnorm(fam, p)
+    oracle = decoupled_pnorm_full_product(fam, p)
     assert fast == pytest.approx(oracle, rel=1e-10)
+
+
+SPACES = [SCALAR, NormedSpace(2, 1.0), NormedSpace(2, 2.0), NormedSpace(3, np.inf)]
+
+
+@given(st.integers(0, 10**6), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from(SPACES))
+@settings(max_examples=40, deadline=None)
+def test_decoupled_norm_equals_the_per_choice_oracle(seed, depth, max_children, p, space):
+    fam = random_adapted_family(random_hierarchy(seed, depth=depth, max_children=max_children),
+                                seed, space)
+    assert decoupled_pnorm(fam, p) == decoupled_pnorm_per_choice(fam, p)
+
+
+# cells 0 and 1 share a chain, as do cells 3 and 4; the level-1 atom (3, 4) has one child
+SHARED_CHAINS = AtomHierarchy(np.array([0.5, 1.5, 1.0, 2.0, 0.25]), (
+    ((0, 1, 2, 3, 4),),
+    ((0, 1, 2), (3, 4)),
+    ((0, 1), (2,), (3, 4)),
+    ((0,), (1,), (2,), (3,), (4,))))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("space", SPACES)
+def test_shared_chains_are_evaluated_once_each(monkeypatch, p, space):
+    fam = random_adapted_family(SHARED_CHAINS, 3, space)
+    calls = []
+
+    def counted(elements, *args):
+        calls.append(elements.shape)
+        return sign_average(elements, *args)
+
+    monkeypatch.setattr(decoupling, "sign_average", counted)
+    assert decoupled_pnorm(fam, p) == decoupled_pnorm_per_choice(fam, p)
+    # one call per level-2 atom, each over its chain's child-choice tuples
+    assert calls == [(8, 3, space.dim), (4, 3, space.dim), (4, 3, space.dim)]
 
 
 @given(st.integers(0, 10**6))
@@ -195,10 +239,10 @@ def test_cell_work_cap_fires_before_any_cell_is_evaluated(monkeypatch):
     choices = largest_chain_product(hierarchy)
     monkeypatch.setattr(decoupling, "_CELL_WORK_CAP", (choices << 3) - 1)  # 3 atoms a chain
 
-    def evaluated(n):
-        raise AssertionError("a cell was evaluated before the caps were checked")
+    def evaluated(*args):
+        raise AssertionError("a chain was evaluated before the caps were checked")
 
-    monkeypatch.setattr(decoupling, "sign_patterns", evaluated)
+    monkeypatch.setattr(decoupling, "sign_average", evaluated)
     with pytest.raises(ResourceLimitError, match=f"3 atoms and {choices} child choices"):
         decoupled_pnorm(fam, 2.0)
 
@@ -283,10 +327,18 @@ def test_random_hierarchies_match_the_scan(seed, depth, max_children):
     ([1.0, 1.0, 1.0], (((0, 1),),), "partition"),
     ([1.0, 1.0], (((0, 1),), ((0,), (0, 1))), "partition"),
     ([1.0] * 4, (((0, 1), (2, 3)), ((0,), (1, 2), (3,))), "refine"),
+    ([np.nan, 1.0], (((0, 1),),), "finite"),
+    ([np.inf, 1.0], (((0, 1),),), "finite"),
 ])
 def test_malformed_hierarchies_are_rejected(weights, levels, match):
     with pytest.raises(ValueError, match=match):
         AtomHierarchy(np.array(weights), levels)
+
+
+@pytest.mark.parametrize("weights", [[np.inf, 1.0], [np.nan, 1.0], [-np.inf, 1.0]])
+def test_probability_space_rejects_non_finite_weights(weights):
+    with pytest.raises(ValueError, match="must be finite and nonnegative"):
+        FiniteProbSpace(np.array(weights))
 
 
 def test_chain_product_cap_does_not_wrap():
