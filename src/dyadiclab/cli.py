@@ -121,6 +121,8 @@ def _run(args) -> int:
     for path in filter(None, (out_csv, out_json)):
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise UsageError(f"report directory of {path} does not exist")
+        if os.path.isdir(path):
+            raise UsageError(f"report path {path} is a directory")
 
     rows = []  # (check, runtime_ms)
     summary = {"seed": seed, "experiments": {}, "timing_ms": {}}

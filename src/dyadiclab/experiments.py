@@ -157,11 +157,12 @@ ANCHOR_PYTH = ("||sum f_S||_p <= 3p (sum ||f_S||_p^p)^{1/p}; reverse <= 6p' give
 
 def _random_adapted_functions(family, seed: int, tag: str, mode: str) -> list:
     sysm = family.root.system
+    owner = family.owner()
     out = []
     for idx in range(len(family)):
         gen = substream(seed, "pyth-member", tag, idx)
         vals = np.zeros((sysm.cells_per_axis,) * sysm.d + (1,))
-        mask = family.exceptional_mask(idx)
+        mask = owner == idx  # the member's cells outside its stopping children
         vals[mask] = gen.standard_normal((int(mask.sum()), 1))
         for child in family.children[idx]:
             vals[family.cubes[child].cell_slices()] = gen.standard_normal()

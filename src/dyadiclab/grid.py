@@ -53,13 +53,13 @@ class DyadicSystem:
         for bits in self.omega:
             if len(bits) != self.d or any(b not in (0, 1) for b in bits):
                 raise ValueError("omega entries must be bits in {0,1}^d")
-        # per-level shift, a prefix sum of the bits from the finest level up;
+        # per-level shift, a prefix sum of the bits from the finest level up (the
+        # bits of level depth - k count 2^k cells, unsampled fine scales none);
         # a plain attribute, so eq, hash and repr see only the fields
         shift = (0,) * self.d
-        shifts = [shift]
-        for level in range(self.depth, self.min_level, -1):
-            unit = 1 << (self.depth - level)
-            shift = tuple(s + unit * b for s, b in zip(shift, self.bit(level)))
+        shifts = [shift] * (self.m_top + self.depth - len(self.omega) + 1)
+        for k, bits in enumerate(reversed(self.omega), start=len(shifts) - 1):
+            shift = tuple(s + (b << k) for s, b in zip(shift, bits))
             shifts.append(shift)
         object.__setattr__(self, "_shifts", tuple(reversed(shifts)))
 
@@ -174,7 +174,7 @@ class DyadicCube:
             )
         if len(self.corner) != sysm.d:
             raise AmbientRangeError("corner dimension mismatch")
-        size = self.size_cells
+        size = 1 << (sysm.depth - self.level)
         base = sysm.origin_cell
         start = tuple(m * size + base + s
                       for m, s in zip(self.corner, sysm.shift_cells(self.level)))
@@ -183,7 +183,9 @@ class DyadicCube:
                 raise AmbientRangeError(
                     f"cube level={self.level} corner={self.corner} leaves the ambient"
                 )
+        # plain attributes, so eq, hash and repr see only the fields
         object.__setattr__(self, "_start", start)
+        object.__setattr__(self, "size_cells", size)  # side in finest cells
 
     # -- geometry ----------------------------------------------------------
 
@@ -195,17 +197,18 @@ class DyadicCube:
     def volume(self) -> float:
         return self.side**self.system.d
 
-    @property
-    def size_cells(self) -> int:
-        return 1 << (self.system.depth - self.level)
-
     def start_cells(self) -> tuple:
         """First finest cell of the cube along each axis."""
         return self._start
 
     def cell_slices(self) -> tuple:
-        size = self.size_cells
-        return tuple(slice(s, s + size) for s in self.start_cells())
+        """Per-axis slices of the cube's cells, built on first use and kept."""
+        try:
+            return self._slices
+        except AttributeError:
+            object.__setattr__(self, "_slices", tuple(slice(s, s + self.size_cells)
+                                                      for s in self._start))
+            return self._slices
 
     def geometry(self) -> np.ndarray:
         """Translated intervals per axis, shape (d, 2), exact dyadic floats."""
@@ -215,7 +218,10 @@ class DyadicCube:
 
     def contains_cube(self, other: "DyadicCube") -> bool:
         grow = self.size_cells - other.size_cells
-        return all(0 <= b - a <= grow for a, b in zip(self._start, other._start))
+        for a, b in zip(self._start, other._start):
+            if not 0 <= b - a <= grow:
+                return False
+        return True
 
     # -- lattice structure (translated nesting) -----------------------------
 

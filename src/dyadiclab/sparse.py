@@ -45,6 +45,7 @@ class SparseFamily:
             self.children = [[]]
         self._index = {cube.key(): k for k, cube in enumerate(self.cubes)}
         self._lebesgue = None
+        self._owner = None
 
     def __len__(self):
         return len(self.cubes)
@@ -62,6 +63,7 @@ class SparseFamily:
         self.children.append([])
         self.children[parent].append(idx)
         self._index[cube.key()] = idx
+        self._owner = None
         return idx
 
     # -- measure -------------------------------------------------------------
@@ -90,14 +92,23 @@ class SparseFamily:
             raise SparsityError("member with zero measure")
         return (w[:, None] * v).sum(axis=0) / total
 
+    def owner(self) -> np.ndarray:
+        """Index of the minimal member holding each cell, -1 off the root.
+
+        Members are painted in member order (a parent before its children);
+        the read-only array is kept until the next `add`.
+        """
+        if self._owner is None:
+            sysm = self.root.system
+            self._owner = np.full((sysm.cells_per_axis,) * sysm.d, -1, dtype=np.intp)
+            for idx, cube in enumerate(self.cubes):
+                self._owner[cube.cell_slices()] = idx
+            self._owner.flags.writeable = False
+        return self._owner
+
     def exceptional_mask(self, idx: int) -> np.ndarray:
         """Cells of member `idx` outside all of its stopping children."""
-        sysm = self.root.system
-        mask = np.zeros((sysm.cells_per_axis,) * sysm.d, dtype=bool)
-        mask[self.cubes[idx].cell_slices()] = True
-        for child in self.children[idx]:
-            mask[self.cubes[child].cell_slices()] = False
-        return mask
+        return self.owner() == idx
 
     def exceptional_measure(self, idx: int) -> float:
         dens = self.density()
@@ -143,18 +154,31 @@ class SparseFamily:
         return "\n".join(lines) + "\n"
 
 
-def _level_averages(weights: np.ndarray, norms: np.ndarray, root: DyadicCube):
-    """Yield (level, block averages of `norms` under `weights` in the root's box)
-    from the root's level down.  Each level sums its blocks' own cells in row-major
-    order along one axis, so every average has `SparseFamily.weighted_average`'s bits."""
+def _level_sums(weights: np.ndarray, norms: np.ndarray, root: DyadicCube):
+    """Yield (level, block sums of `weights * norms`, block sums of `weights`) in
+    the root's box from the root's level down.  Each level sums its blocks' own
+    cells in row-major order along one axis, so a block's quotient has
+    `SparseFamily.weighted_average`'s bits."""
     w = weights[root.cell_slices()]
     wf = w * norms[root.cell_slices()]
     for level in range(root.level, root.system.depth + 1):
         size = 1 << (root.system.depth - level)
-        fsum, wsum = (_blocks(a, w.ndim, size).sum(-1) for a in (wf, w))
+        yield (level, *(_blocks(a, w.ndim, size).sum(-1) for a in (wf, w)))
+
+
+def _level_averages(weights: np.ndarray, norms: np.ndarray, root: DyadicCube):
+    """Yield (level, block averages) as `_level_sums` orders them; any block
+    without measure raises."""
+    for level, fsum, wsum in _level_sums(weights, norms, root):
         if np.any(wsum <= 0):
             raise SparsityError("member with zero measure")
         yield level, fsum / wsum
+
+
+def _block(root: DyadicCube, cube: DyadicCube) -> tuple:
+    """Index of `cube` among the blocks of its level in the root's box."""
+    return tuple((s - r) // cube.size_cells
+                 for s, r in zip(cube.start_cells(), root.start_cells()))
 
 
 def build_stopping_family(f: GridFunction, root: DyadicCube,
@@ -204,64 +228,64 @@ def carleson_sum(family: SparseFamily, f: GridFunction, p: float) -> CarlesonRes
     """Embedding sum (sum_S <|f|>_S^p mu(S))^(1/p) against the L^p(mu) norm."""
     if not family.is_sparse():
         raise SparsityError("the Carleson embedding requires a sparse family")
-    norms = f.space.norm(f.values)[..., None]
+    norms = f.space.norm(f.values)
+    dens = family.density()
+    sums = {level: pair for level, *pair in _level_sums(dens, norms, family.root)}
     total = 0.0
     for cube in family.cubes:
-        avg = family.weighted_average(norms, cube)[0]
-        total += avg**p * family.measure(cube)
+        block = _block(family.root, cube)
+        fsum, wsum = (a[block] for a in sums[cube.level])
+        if wsum <= 0:
+            raise SparsityError("member with zero measure")
+        total += (fsum / wsum) ** p * family.measure(cube)
     lhs = total ** (1.0 / p)
-    dens = family.density()
-    fnorm = float(((norms[..., 0] ** p) * dens).sum() * f.system.cell_volume) ** (1.0 / p)
+    fnorm = float(((norms ** p) * dens).sum() * f.system.cell_volume) ** (1.0 / p)
     q = conjugate_exponent(p)
     return CarlesonResult(lhs, fnorm, 2.0 * q, 2.0 ** (1.0 / p) * q)
 
 
-def project_onto_member(family: SparseFamily, member: DyadicCube,
-                        f: GridFunction) -> GridFunction:
-    """Adapted projection onto one member, in closed form.
-
-    Equals the sum of measure-weighted Haar projections over the cubes
-    whose minimal member is the given one; the closed form is: children
-    averages on children, f itself on the exceptional set, minus the
-    member average everywhere on the member.
-    """
-    idx = family.member_index(member)
-    cube = family.cubes[idx]
-    out = np.zeros_like(f.values)
-    sl = cube.cell_slices()
-    mask = family.exceptional_mask(idx)
-    out[mask] = f.values[mask]
-    for child in family.children[idx]:
-        kid = family.cubes[child]
-        out[kid.cell_slices()] = family.weighted_average(f.values, kid)
-    out[sl] -= family.weighted_average(f.values, cube)
-    full = np.zeros_like(f.values)
-    full[sl] = out[sl]
-    return GridFunction(f.system, full, f.space)
-
-
-def lp_norm_weighted(family: SparseFamily, f: GridFunction, p: float) -> float:
+def _lp_norms_weighted(family: SparseFamily, norms: np.ndarray, p: float) -> list:
+    """L^p(mu) norm of each row of `norms`: one row per function, its cells after."""
     dens = family.density()
-    norms = f.space.norm(f.values)
+    rows = norms.reshape(len(norms), -1)
     if p == np.inf:
-        return float(norms[dens > 0].max()) if np.any(dens > 0) else 0.0
-    return float(((norms**p) * dens).sum() * f.system.cell_volume) ** (1.0 / p)
+        live = dens.reshape(-1) > 0
+        return [float(row[live].max()) if live.any() else 0.0 for row in rows]
+    sums = ((norms**p) * dens).reshape(len(norms), -1).sum(axis=1)
+    return [float(s * family.root.system.cell_volume) ** (1.0 / p) for s in sums]
 
 
-def validate_adapted(family: SparseFamily, fs: Sequence[GridFunction]):
-    """Each function must vanish off its member and be constant on its children."""
+def _rows_any(bad: np.ndarray) -> np.ndarray:
+    """Per member (first axis), whether any of its entries is True."""
+    return bad.reshape(len(bad), -1).any(axis=1)
+
+
+def validate_adapted(family: SparseFamily, fs: Sequence[GridFunction]) -> np.ndarray:
+    """Each function must vanish off its member and be constant on its children.
+
+    The first member that fails raises, its support tested before its
+    children.  Returns the values stacked along a new first axis.
+    """
     if len(fs) != len(family):
         raise AdaptednessError("one function per family member required")
     for idx, f in enumerate(fs):
-        cube = family.cubes[idx]
-        mask = np.zeros(f.values.shape[:-1], dtype=bool)
-        mask[cube.cell_slices()] = True
-        if np.any(np.abs(f.values[~mask]) > _EXACT_TOL):
-            raise AdaptednessError(f"member {idx}: function not supported on its cube")
+        if f.space != fs[0].space:
+            raise AdaptednessError(f"member {idx}: value space differs from member 0's")
+    values = np.stack([f.values for f in fs])
+    inside = np.zeros(values.shape[:-1], dtype=bool)
+    anchors = values.copy()  # each child's first cell, spread over the child
+    for idx, cube in enumerate(family.cubes):
+        inside[(idx, *cube.cell_slices())] = True
         for child in family.children[idx]:
-            vals = f.values[family.cubes[child].cell_slices()].reshape(-1, f.space.dim)
-            if np.any(np.abs(vals - vals[0]) > _EXACT_TOL):
-                raise AdaptednessError(f"member {idx}: not constant on a stopping child")
+            kid = family.cubes[child]
+            anchors[(idx, *kid.cell_slices())] = values[(idx, *kid.start_cells())]
+    off_support = _rows_any((np.abs(values) > _EXACT_TOL).any(axis=-1) & ~inside)
+    not_constant = _rows_any(np.abs(values - anchors) > _EXACT_TOL)
+    for idx in np.flatnonzero(off_support | not_constant)[:1]:
+        what = ("function not supported on its cube" if off_support[idx]
+                else "not constant on a stopping child")
+        raise AdaptednessError(f"member {idx}: {what}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -295,25 +319,30 @@ def pythagoras_check(family: SparseFamily, fs: Sequence[GridFunction], p: float,
     """
     if mode not in ("direct", "reverse_cancellative", "reverse_nonneg"):
         raise ValueError(f"unknown mode {mode!r}")
-    validate_adapted(family, fs)
-    dens = family.density()
-    cellvol = family.root.system.cell_volume
+    values = validate_adapted(family, fs)
+    space = fs[0].space
     if mode == "reverse_cancellative":
-        for idx, f in enumerate(fs):
-            integral = (f.values * dens[..., None]).reshape(-1, f.space.dim).sum(axis=0)
-            if np.any(np.abs(integral) * cellvol > 1e-9):
-                raise AdaptednessError(f"member {idx}: nonzero integral")
+        integrals = (values * family.density()[..., None]).reshape(len(fs), -1, space.dim)
+        bad = np.abs(integrals.sum(axis=1)) * family.root.system.cell_volume > 1e-9
+        for idx in np.flatnonzero(_rows_any(bad))[:1]:
+            raise AdaptednessError(f"member {idx}: nonzero integral")
     if mode == "reverse_nonneg":
-        for idx, f in enumerate(fs):
-            if f.space.dim != 1 or np.any(f.values < -_EXACT_TOL):
-                raise AdaptednessError(f"member {idx}: not scalar nonnegative")
-    total = fs[0]
-    for f in fs[1:]:
-        total = total + f
-    sum_norm = lp_norm_weighted(family, total, p)
-    powers = sum(lp_norm_weighted(family, f, p) ** p for f in fs)
+        bad = _rows_any(values < -_EXACT_TOL) | (space.dim != 1)
+        for idx in np.flatnonzero(bad)[:1]:
+            raise AdaptednessError(f"member {idx}: not scalar nonnegative")
+    sum_norm, *norms = _lp_norms_weighted(
+        family, space.norm(np.concatenate([values.sum(axis=0)[None], values])), p)
+    powers = sum(norm**p for norm in norms)
     return PythagorasResult(sum_norm, powers ** (1.0 / p),
                             3.0 * p, 6.0 * conjugate_exponent(p))
+
+
+def _worse(worst, avg, base):
+    """`worst` updated by the ratio avg / base; a positive average over a zero
+    base is infinite."""
+    if base > 0:
+        return max(worst, avg / base)
+    return np.inf if avg > 0 else worst
 
 
 def stopping_control(family: SparseFamily, f: GridFunction) -> dict:
@@ -321,31 +350,24 @@ def stopping_control(family: SparseFamily, f: GridFunction) -> dict:
 
     Returns the max of <|f|>_Q / <|f|>_{minimal member containing Q} and
     the max of <|f|>_{S'} / <|f|>_S over stopping children (the latter is
-    bounded by factor * 2^d for the Lebesgue measure).
+    bounded by factor * 2^d for the Lebesgue measure).  Each member's
+    average is taken once, and every subcube's comes from one level sweep.
     """
-    norms = f.space.norm(f.values)[..., None]
+    norms = f.space.norm(f.values)
+    averages = dict(_level_averages(family.density(), norms, family.root))
+    bases = [family.weighted_average(norms[..., None], cube)[0] for cube in family.cubes]
 
     worst_q = 0.0
     stack = [family.root]
     while stack:
         cube = stack.pop()
-        member = family.cubes[family.locate(cube)]
-        base = family.weighted_average(norms, member)[0]
-        avg = family.weighted_average(norms, cube)[0]
-        if base > 0:
-            worst_q = max(worst_q, avg / base)
-        elif avg > 0:
-            worst_q = np.inf
+        avg = averages[cube.level][_block(family.root, cube)]
+        worst_q = _worse(worst_q, avg, bases[family.locate(cube)])
         if cube.level < f.system.depth:
             stack.extend(cube.children())
 
     worst_child = 0.0
-    for idx in range(len(family)):
-        base = family.weighted_average(norms, family.cubes[idx])[0]
+    for idx, base in enumerate(bases):
         for child in family.children[idx]:
-            avg = family.weighted_average(norms, family.cubes[child])[0]
-            if base > 0:
-                worst_child = max(worst_child, avg / base)
-            elif avg > 0:
-                worst_child = np.inf
+            worst_child = _worse(worst_child, bases[child], base)
     return {"max_q_over_member": worst_q, "max_child_over_parent": worst_child}

@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from dyadiclab.errors import MeshDepthError
+from dyadiclab.errors import AdaptednessError, MeshDepthError, SparsityError
 from dyadiclab.grid import DyadicSystem, common_ancestor, goodness_probability, is_good
 from dyadiclab.gridfn import (GridFunction, _block_means, _expand_blocks, etas,
                               haar_block, haar_coefficient, haar_vector, pair)
@@ -20,8 +20,8 @@ from dyadiclab.representation import (AveragingIdentityReport, DecayReport,
                                       raw_pairing)
 from dyadiclab.rng import substream
 from dyadiclab.shifts import ParaproductSpec, apply_paraproduct
-from dyadiclab.space import SCALAR
-from dyadiclab.sparse import SparseFamily
+from dyadiclab.space import SCALAR, conjugate_exponent
+from dyadiclab.sparse import _EXACT_TOL, CarlesonResult, PythagorasResult, SparseFamily
 
 
 def brute_rademacher_pnorm(elements, p, norm_fn):
@@ -199,7 +199,7 @@ def _weighted_haar_projection(family, f, cube):
 
 
 def project_onto_member_haar(family, member, f):
-    """`sparse.project_onto_member` as the sum of measure-weighted Haar
+    """`project_onto_member` as the sum of measure-weighted Haar
     projections over the cubes with this minimal member."""
     idx = family.member_index(member)
     child_cubes = [family.cubes[c] for c in family.children[idx]]
@@ -687,3 +687,128 @@ def build_stopping_family_per_cube(f, root, threshold_factor=2.0, weights=None):
 
     collect(0)
     return family
+
+
+def exceptional_mask_per_cube(family, idx):
+    """`SparseFamily.exceptional_mask` painting the member, then clearing each child."""
+    sysm = family.root.system
+    mask = np.zeros((sysm.cells_per_axis,) * sysm.d, dtype=bool)
+    mask[family.cubes[idx].cell_slices()] = True
+    for child in family.children[idx]:
+        mask[family.cubes[child].cell_slices()] = False
+    return mask
+
+
+def validate_adapted_per_cube(family, fs):
+    """`sparse.validate_adapted` testing one member, then each of its children, at a time."""
+    if len(fs) != len(family):
+        raise AdaptednessError("one function per family member required")
+    for idx, f in enumerate(fs):
+        cube = family.cubes[idx]
+        mask = np.zeros(f.values.shape[:-1], dtype=bool)
+        mask[cube.cell_slices()] = True
+        if np.any(np.abs(f.values[~mask]) > _EXACT_TOL):
+            raise AdaptednessError(f"member {idx}: function not supported on its cube")
+        for child in family.children[idx]:
+            vals = f.values[family.cubes[child].cell_slices()].reshape(-1, f.space.dim)
+            if np.any(np.abs(vals - vals[0]) > _EXACT_TOL):
+                raise AdaptednessError(f"member {idx}: not constant on a stopping child")
+
+
+def carleson_sum_per_cube(family, f, p):
+    """`sparse.carleson_sum` with one slice average per member."""
+    if not family.is_sparse():
+        raise SparsityError("the Carleson embedding requires a sparse family")
+    norms = f.space.norm(f.values)[..., None]
+    total = 0.0
+    for cube in family.cubes:
+        avg = family.weighted_average(norms, cube)[0]
+        total += avg**p * family.measure(cube)
+    lhs = total ** (1.0 / p)
+    dens = family.density()
+    fnorm = float(((norms[..., 0] ** p) * dens).sum() * f.system.cell_volume) ** (1.0 / p)
+    q = conjugate_exponent(p)
+    return CarlesonResult(lhs, fnorm, 2.0 * q, 2.0 ** (1.0 / p) * q)
+
+
+def stopping_control_per_cube(family, f):
+    """`sparse.stopping_control` taking two slice averages at every subcube of the root."""
+    norms = f.space.norm(f.values)[..., None]
+
+    worst_q = 0.0
+    stack = [family.root]
+    while stack:
+        cube = stack.pop()
+        member = family.cubes[family.locate(cube)]
+        base = family.weighted_average(norms, member)[0]
+        avg = family.weighted_average(norms, cube)[0]
+        if base > 0:
+            worst_q = max(worst_q, avg / base)
+        elif avg > 0:
+            worst_q = np.inf
+        if cube.level < f.system.depth:
+            stack.extend(cube.children())
+
+    worst_child = 0.0
+    for idx in range(len(family)):
+        base = family.weighted_average(norms, family.cubes[idx])[0]
+        for child in family.children[idx]:
+            avg = family.weighted_average(norms, family.cubes[child])[0]
+            if base > 0:
+                worst_child = max(worst_child, avg / base)
+            elif avg > 0:
+                worst_child = np.inf
+    return {"max_q_over_member": worst_q, "max_child_over_parent": worst_child}
+
+
+def project_onto_member(family, member, f):
+    """Adapted projection onto one member, in closed form.
+
+    Equals the sum of measure-weighted Haar projections over the cubes
+    whose minimal member is the given one; the closed form is: children
+    averages on children, f itself on the exceptional set, minus the
+    member average everywhere on the member.
+    """
+    idx = family.member_index(member)
+    cube = family.cubes[idx]
+    out = np.zeros_like(f.values)
+    sl = cube.cell_slices()
+    mask = exceptional_mask_per_cube(family, idx)
+    out[mask] = f.values[mask]
+    for child in family.children[idx]:
+        kid = family.cubes[child]
+        out[kid.cell_slices()] = family.weighted_average(f.values, kid)
+    out[sl] -= family.weighted_average(f.values, cube)
+    full = np.zeros_like(f.values)
+    full[sl] = out[sl]
+    return GridFunction(f.system, full, f.space)
+
+
+def _lp_norm_weighted(family, f, p):
+    dens = family.density()
+    norms = f.space.norm(f.values)
+    if p == np.inf:
+        return float(norms[dens > 0].max()) if np.any(dens > 0) else 0.0
+    return float(((norms**p) * dens).sum() * f.system.cell_volume) ** (1.0 / p)
+
+
+def pythagoras_check_per_member(family, fs, p, mode="direct"):
+    """`sparse.pythagoras_check` testing, summing and measuring one function at a time."""
+    validate_adapted_per_cube(family, fs)
+    dens = family.density()
+    cellvol = family.root.system.cell_volume
+    if mode == "reverse_cancellative":
+        for idx, f in enumerate(fs):
+            integral = (f.values * dens[..., None]).reshape(-1, f.space.dim).sum(axis=0)
+            if np.any(np.abs(integral) * cellvol > 1e-9):
+                raise AdaptednessError(f"member {idx}: nonzero integral")
+    if mode == "reverse_nonneg":
+        for idx, f in enumerate(fs):
+            if f.space.dim != 1 or np.any(f.values < -_EXACT_TOL):
+                raise AdaptednessError(f"member {idx}: not scalar nonnegative")
+    total = fs[0]
+    for f in fs[1:]:
+        total = total + f
+    sum_norm = _lp_norm_weighted(family, total, p)
+    powers = sum(_lp_norm_weighted(family, f, p) ** p for f in fs)
+    return PythagorasResult(sum_norm, powers ** (1.0 / p), 3.0 * p, 6.0 * conjugate_exponent(p))

@@ -145,6 +145,18 @@ def test_missing_report_directory_fails_before_running(tmp_path, capsys,
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("which", ["csv", "json"])
+def test_report_path_that_is_a_directory_fails_before_running(tmp_path, capsys,
+                                                              no_experiment_runs, which):
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "report.json").mkdir()
+    argv = ["run", "--experiment", "goodness", "--out"]
+    argv.append(str(tmp_path / ("taken" if which == "csv" else "report.csv")))
+    assert main(argv) == 2
+    assert_one_error_line(capsys, "error: report path ")
+    assert not (tmp_path / "report.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--experiment", "carleson", "--p", "nan"],
     ["--experiment", "paraproduct", "--p", "1"],

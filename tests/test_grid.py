@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import numpy as np
@@ -269,10 +270,12 @@ def test_cached_geometry_matches_bitwise_oracle(system):
             else:
                 with pytest.raises(AmbientRangeError):
                     system.cube(level, corner)
+        size = 1 << (system.depth - level)
         for cube in cubes:
             start = oracles.start_cells_array(system, level, cube.corner)
             assert cube.start_cells() == tuple(int(v) for v in start)
-            assert cube.cell_slices() == tuple(slice(int(v), int(v) + cube.size_cells)
+            assert cube.size_cells == size
+            assert cube.cell_slices() == tuple(slice(int(v), int(v) + size)
                                                for v in start)
             if level > system.min_level:
                 corner = oracles.parent_corner_by_cells(cube)
@@ -285,6 +288,16 @@ def test_cached_geometry_matches_bitwise_oracle(system):
                 kids = cube.children()
                 assert sorted(kid.corner for kid in kids) == \
                     oracles.child_corners_by_cells(cube)
+
+
+@given(translated_systems(), st.integers(0, 8))
+def test_shifts_of_a_short_omega_match_bitwise_oracle(system, keep):
+    """Scales past the end of omega carry zero bits."""
+    short = DyadicSystem(d=system.d, m_top=system.m_top, depth=system.depth,
+                         omega=system.omega[:keep])
+    for level in range(short.min_level, short.depth + 1):
+        expected = oracles.shift_cells_by_bits(short, level)
+        assert short.shift_cells(level) == tuple(int(v) for v in expected)
 
 
 @given(translated_systems(), st.integers(0, 2**20))
@@ -323,3 +336,31 @@ def test_cached_geometry_stays_out_of_eq_hash_and_repr():
     assert "_start" not in repr(cube)
     with pytest.raises(AmbientRangeError):
         system.shift_cells(system.depth + 1)
+
+
+def test_cube_identity_is_its_fields_before_and_after_cached_geometry():
+    system = DyadicSystem(d=1, m_top=1, depth=2, omega=((1,), (0,), (1,)))
+    assert repr(system) == "DyadicSystem(d=1, m_top=1, depth=2, omega=((1,), (0,), (1,)))"
+    assert hash(system) == hash((1, 1, 2, ((1,), (0,), (1,))))
+    cube = system.cube(0, (0,))
+    fresh = system.cube(0, (0,))
+    cube.cell_slices()  # builds the slices on one of the two only
+    assert repr(cube) == repr(fresh) == f"DyadicCube(system={system!r}, level=0, corner=(0,))"
+    assert cube == fresh and hash(cube) == hash(fresh) == hash((system, 0, (0,)))
+    assert cube != system.cube(0, (-1,)) and cube != system.cube(1, (0,))
+
+
+@given(translated_systems(), st.integers(0, 2**20), st.booleans())
+def test_pickled_cubes_and_systems_round_trip(system, pick_seed, sliced):
+    cube = random.Random(pick_seed).choice(_all_cubes(system))
+    if sliced:
+        cube.cell_slices()
+    twin = pickle.loads(pickle.dumps(cube))
+    assert twin == cube and hash(twin) == hash(cube) and repr(twin) == repr(cube)
+    assert twin.system == system and hash(twin.system) == hash(system)
+    for level in range(system.min_level, system.depth + 1):
+        assert twin.system.shift_cells(level) == system.shift_cells(level)
+    assert twin.start_cells() == cube.start_cells() and twin.size_cells == cube.size_cells
+    assert twin.cell_slices() == cube.cell_slices()
+    if cube.level < system.depth:
+        assert twin.children() == cube.children()

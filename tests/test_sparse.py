@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,15 +10,18 @@ from dyadiclab.grid import DyadicSystem
 from dyadiclab.gridfn import (GridFunction, haar_function, indicator, lp_norm, pair,
                               random_grid_function)
 from dyadiclab.rng import substream
-from dyadiclab.space import SCALAR, conjugate_exponent
+from dyadiclab.space import SCALAR, NormedSpace, conjugate_exponent
 from dyadiclab.sparse import (SparseFamily, _level_averages, build_stopping_family,
-                              carleson_sum, project_onto_member, pythagoras_check,
-                              stopping_control)
+                              carleson_sum, pythagoras_check, stopping_control,
+                              validate_adapted)
 
-from oracles import build_stopping_family_per_cube, project_onto_member_haar
+import oracles
+from oracles import (build_stopping_family_per_cube, project_onto_member,
+                     project_onto_member_haar)
 
 SYS = DyadicSystem(d=1, m_top=0, depth=6)
 ROOT = SYS.cube(0, (0,))
+MODES = ("direct", "reverse_cancellative", "reverse_nonneg")
 
 
 def random_family(seed, weights=None):
@@ -141,6 +146,190 @@ def test_sweep_averages_are_weighted_averages_bit_for_bit(d, m_top, depth):
                     block = tuple((c - s) // cube.size_cells
                                   for c, s in zip(cube.start_cells(), root.start_cells()))
                     assert avg[block] == fam.weighted_average(norms[..., None], cube)[0]
+
+
+# -- the family-wide fast paths against their per-cube oracles ----------------------------
+
+
+def _outcome(fn, *args):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (AdaptednessError, SparsityError) as exc:
+        return type(exc), str(exc)
+
+
+def _translated_family(seed, d, m_top, root_pick, weighted, dim=1):
+    """A stopping family on a random translated system, with the driver that built it.
+
+    The root is a top cube or one 1 to depth + m_top generations below it; the
+    measure is Lebesgue or a random density; the driver's cube makes nested members.
+    """
+    gen = substream(seed, "fast-vs-per-cube")
+    depth = int(gen.integers(1, 6 if d == 1 else 4))
+    sysm = DyadicSystem.random(seed, d=d, m_top=m_top, depth=depth)
+    tops = sysm.top_cubes()
+    root = tops[int(gen.integers(len(tops)))]
+    if root_pick == "below":
+        root = _descend(root, gen, int(gen.integers(1, depth + m_top + 1)))
+    space = SCALAR if dim == 1 else NormedSpace(dim, 2.0)
+    f = random_grid_function(sysm, seed, space, support=root, label="fast-driver")
+    f = GridFunction(sysm, f.values**3, space)
+    weights = None
+    if weighted:
+        weights = np.exp(gen.uniform(-2.0, 2.0, size=(sysm.cells_per_axis,) * d))
+    return build_stopping_family(f, root, weights=weights), f
+
+
+FAMILIES = (st.integers(0, 10**6), st.sampled_from([1, 2]), st.integers(0, 2),
+            st.sampled_from(["top", "below"]), st.booleans(), st.sampled_from([1, 2]))
+
+
+@given(*FAMILIES)
+def test_stopping_control_matches_per_cube_walk(seed, d, m_top, root_pick, weighted, dim):
+    fam, f = _translated_family(seed, d, m_top, root_pick, weighted, dim)
+    assert stopping_control(fam, f) == oracles.stopping_control_per_cube(fam, f)
+
+
+@given(*FAMILIES)
+def test_carleson_sum_matches_per_cube_averages(seed, d, m_top, root_pick, weighted, dim):
+    fam, f = _translated_family(seed, d, m_top, root_pick, weighted, dim)
+    for p in (1.5, 2.0, 3.0):
+        assert (_outcome(carleson_sum, fam, f, p)
+                == _outcome(oracles.carleson_sum_per_cube, fam, f, p))
+
+
+@given(*FAMILIES)
+def test_exceptional_masks_match_per_cube_painting(seed, d, m_top, root_pick, weighted, dim):
+    fam, _ = _translated_family(seed, d, m_top, root_pick, weighted, dim)
+    for idx in range(len(fam)):
+        assert np.array_equal(fam.exceptional_mask(idx),
+                              oracles.exceptional_mask_per_cube(fam, idx))
+
+
+def _adapted(fam, space, gen, mode):
+    """Random functions adapted to the family: free on each member's exceptional
+    cells, one random vector on each of its children, zero elsewhere; then made
+    nonnegative or centred on the member as the mode asks."""
+    sysm = fam.root.system
+    out = []
+    for idx in range(len(fam)):
+        vals = np.zeros((sysm.cells_per_axis,) * sysm.d + (space.dim,))
+        mask = oracles.exceptional_mask_per_cube(fam, idx)
+        vals[mask] = gen.standard_normal((int(mask.sum()), space.dim))
+        for child in fam.children[idx]:
+            vals[fam.cubes[child].cell_slices()] = gen.standard_normal(space.dim)
+        if mode == "reverse_nonneg":
+            vals = np.abs(vals)
+        if mode == "reverse_cancellative":
+            cube = fam.cubes[idx]
+            vals[cube.cell_slices()] -= fam.weighted_average(vals, cube)
+        out.append(vals)
+    return out
+
+
+def _break(fam, values, gen):
+    """Spoil one member's function off its cube or, if it has children, inside one
+    of them, by a visible amount or by one below the tolerance."""
+    idx = int(gen.integers(len(fam)))
+    parents = [k for k in range(len(fam)) if fam.children[k]]
+    if parents and gen.integers(2):
+        idx = parents[int(gen.integers(len(parents)))]
+        kids = [fam.cubes[c] for c in fam.children[idx]]
+        kid = kids[int(gen.integers(len(kids)))]
+        cells = np.argwhere(np.ones((kid.size_cells,) * fam.root.system.d, dtype=bool))
+        cells = cells[1:] + np.array(kid.start_cells())  # all but the first cell
+    else:
+        outside = np.ones(values[idx].shape[:-1], dtype=bool)
+        outside[fam.cubes[idx].cell_slices()] = False
+        cells = np.argwhere(outside)
+    if len(cells):
+        cell = tuple(cells[int(gen.integers(len(cells)))])
+        size = 1e-2 if gen.integers(4) else 5e-13
+        values[idx][cell + (int(gen.integers(values[idx].shape[-1])),)] += size
+
+
+@given(*FAMILIES, st.sampled_from(MODES), st.integers(0, 3))
+def test_adapted_checks_fail_like_per_cube_checks(seed, d, m_top, root_pick, weighted,
+                                                  dim, mode, n_breaks):
+    fam, f = _translated_family(seed, d, m_top, root_pick, weighted, dim)
+    gen = substream(seed, "break-adapted")
+    values = _adapted(fam, f.space, gen, mode)
+    for _ in range(n_breaks):
+        _break(fam, values, gen)
+    fs = [GridFunction(fam.root.system, v, f.space) for v in values]
+    fast = _outcome(validate_adapted, fam, fs)
+    slow = _outcome(oracles.validate_adapted_per_cube, fam, fs)
+    if slow is None:
+        assert np.array_equal(fast, np.stack(values))
+    else:
+        assert fast == slow
+    for check_mode, p in itertools.product(MODES, (1.5, 2.0, 3.0)):
+        assert (_outcome(pythagoras_check, fam, fs, p, check_mode)
+                == _outcome(oracles.pythagoras_check_per_member, fam, fs, p, check_mode))
+
+
+def _chain_family():
+    """ROOT, its left half and that half's left quarter, each the next one's parent."""
+    fam = SparseFamily(ROOT)
+    fam.add(SYS.cube(1, (0,)), 0)
+    fam.add(SYS.cube(2, (0,)), 1)
+    return fam
+
+
+@pytest.mark.parametrize("spoil, message", [
+    ({1: "uneven", 2: "outside"}, "member 1: not constant on a stopping child"),
+    ({1: "outside", 0: "uneven"}, "member 0: not constant on a stopping child"),
+    ({2: "outside", 1: "both"}, "member 1: function not supported on its cube"),
+])
+def test_first_failing_member_and_its_support_come_first(spoil, message):
+    fam = _chain_family()
+    values = [indicator(cube).values.copy() for cube in fam.cubes]
+    for idx, how in spoil.items():
+        if how in ("uneven", "both"):  # the last cell of the member's child
+            values[idx][fam.cubes[fam.children[idx][0]].cell_slices()[0].stop - 1] += 1.0
+        if how in ("outside", "both"):  # the cell just right of the member
+            values[idx][fam.cubes[idx].cell_slices()[0].stop] += 1.0
+    fs = [GridFunction(SYS, v, SCALAR) for v in values]
+    for check in (validate_adapted, oracles.validate_adapted_per_cube):
+        with pytest.raises(AdaptednessError) as err:
+            check(fam, fs)
+        assert str(err.value) == message
+
+
+def test_adapted_sum_adds_members_in_member_order():
+    """On the quarter, 1 + 1e-16 - 1 is 0 left to right but 1.1e-16 right to left;
+    on the rest of the half the sum is 1 - 1."""
+    fam = _chain_family()
+    half, quarter = (indicator(cube).values for cube in fam.cubes[1:])
+    middle = -half
+    middle[fam.cubes[2].cell_slices()] = 1e-16
+    fs = [GridFunction(SYS, v, SCALAR) for v in (half, middle, -quarter)]
+    assert pythagoras_check(fam, fs, 2.0).sum_norm == 0.0
+    assert oracles.pythagoras_check_per_member(fam, fs, 2.0).sum_norm == 0.0
+
+
+def test_validate_adapted_rejects_mixed_value_spaces():
+    fam = SparseFamily(ROOT)
+    fam.add(SYS.cube(1, (0,)), 0)
+    fs = [indicator(ROOT), GridFunction(SYS, indicator(SYS.cube(1, (0,))).values,
+                                        NormedSpace(1, 1.0))]
+    with pytest.raises(AdaptednessError, match="member 1: value space differs"):
+        validate_adapted(fam, fs)
+
+
+def test_add_after_a_cached_owner_array_updates_exceptional_masks():
+    fam = SparseFamily(ROOT)
+    assert np.array_equal(fam.exceptional_mask(0), indicator(ROOT).values[:, 0] == 1.0)
+    owner = fam.owner()
+    assert not owner.flags.writeable and fam.owner() is owner
+    for cube, parent in ((SYS.cube(1, (1,)), 0), (SYS.cube(3, (4,)), 1), (SYS.cube(2, (0,)), 0)):
+        fam.add(cube, parent)
+        assert (fam.owner()[cube.cell_slices()] == len(fam) - 1).all()
+        for idx in range(len(fam)):
+            assert np.array_equal(fam.exceptional_mask(idx),
+                                  oracles.exceptional_mask_per_cube(fam, idx))
+    assert fam.exceptional_mask(1).sum() == 32 - 8
 
 
 # -- Carleson -------------------------------------------------------------------------
