@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import AdaptednessError, ResourceLimitError
 from .rademacher import EXHAUSTIVE_CAP, sign_average
-from .rng import substream
+from .rng import substream, substreams
 from .space import SCALAR, NormedSpace
 
 _TOL = 1e-12
@@ -215,9 +215,11 @@ def check_mds(uv: UVTables, test_functions: int = 20, seed: int = 0) -> float:
     """
     h = uv.family.hierarchy
     dim = uv.family.space.dim
-    gens = [[substream(seed, "mds-test", level, t) for t in range(test_functions)]
-            for level in range(len(h.levels) - 1)]
-    tests = [[(gen.standard_normal(dim), gen.standard_normal(4)) for gen in row] for row in gens]
+    levels = range(len(h.levels) - 1)
+    gens = substreams(seed, [("mds-test", level, t) for level in levels
+                             for t in range(test_functions)])
+    drawn = [(gen.standard_normal(dim), gen.standard_normal(4)) for gen in gens]
+    tests = [drawn[level * test_functions:(level + 1) * test_functions] for level in levels]
     worst = 0.0
     for (level, atom, _, mu) in h.active_atoms():
         nu = mu / mu.sum()

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ResourceLimitError
 from .gridfn import GridFunction, conditional_expectation
-from .rng import substream
+from .rng import substream, substreams
 from .space import NormedSpace, umd_beta_scalar
 
 EXHAUSTIVE_CAP = 20
@@ -124,12 +124,13 @@ def rbound_probe(family: OperatorFamily, p: float, budget: int, seed: int,
         if len(ks):
             groups.setdefault(len(ks), []).append((ks, es))
 
+    gens = substreams(seed, [("probe-power", k) for k in range(len(family))]
+                      + [("probe-trial", t) for t in range(budget)])
     for k, op in enumerate(family.operators):
         for e in np.eye(dim):
             add([k], e[None])
-        add([k], _power_iteration_vector(op, substream(seed, "probe-power", k))[None])
-    for t in range(budget):
-        gen = substream(seed, "probe-trial", t)
+        add([k], _power_iteration_vector(op, next(gens))[None])
+    for gen in gens:
         n = int(gen.integers(1, 5))  # repeats of operators are valid witnesses
         add(gen.integers(0, len(family), size=n), gen.standard_normal((n, dim)))
     for assignment in extra_assignments:

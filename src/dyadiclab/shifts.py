@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -21,8 +21,12 @@ from .errors import MeshDepthError
 from .grid import DyadicCube, DyadicSystem
 from .gridfn import (GridFunction, _block_means, _blocks, _expand_blocks, _unblocks,
                      conditional_expectation)
-from .rng import substream
+from .rng import substream, substreams
 from .space import SCALAR, NormedSpace
+
+
+def _kernel_labels(cube: DyadicCube) -> tuple:
+    return ("shift-kernel", cube.level, *cube.corner)
 
 
 @dataclass(frozen=True)
@@ -35,8 +39,11 @@ class RandomKernel:
     matrix_dim: int = 1
     probe_budget: int = 12
 
-    def table(self, cube: DyadicCube, blocks: int) -> np.ndarray:
-        gen = substream(self.seed, "shift-kernel", cube.level, *cube.corner)
+    def table(self, cube: DyadicCube, blocks: int, gen=None) -> np.ndarray:
+        """The cube's table, drawn from `gen` if given: its stream already keyed,
+        from `streams`.  Without it the stream is keyed here, one cube at a time."""
+        if gen is None:
+            gen = substream(self.seed, *_kernel_labels(cube))
         if self.matrix_dim == 1:
             return gen.uniform(-self.cap, self.cap, size=(blocks, blocks))
         raw = gen.uniform(-1.0, 1.0,
@@ -45,6 +52,10 @@ class RandomKernel:
         if probe > 0:
             raw *= self.cap / probe
         return raw
+
+    def streams(self, cubes) -> Iterator[np.random.Generator]:
+        """The cubes' kernel streams, keyed in one batch (see `rng.substreams`)."""
+        return substreams(self.seed, [_kernel_labels(cube) for cube in cubes])
 
     def witness_probe(self, table: np.ndarray) -> float:
         """Best witness ratio found for the block family of one table."""
@@ -103,16 +114,32 @@ class ShiftSpec:
 
     def level_tables(self, level: int) -> tuple:
         """(first cell per axis, cubes per axis, stacked kernel tables) of the level's
-        cubes, in `cubes_at_level` order; each table is drawn or read only once."""
+        cubes, in `cubes_at_level` order; each table is drawn or read only once.
+        The first call for a level of `level_range` draws every level of the range."""
         if level not in self._stacks:
-            cubes = list(self.system.cubes_at_level(level))
+            try:
+                levels = self.level_range()
+            except MeshDepthError:
+                levels = range(0)
+            self._fill(levels if level in levels else (level,))
+        return self._stacks[level]
+
+    def _fill(self, levels):
+        """Draw or read the tables of `levels`, random ones from one batch of streams."""
+        per_level = [list(self.system.cubes_at_level(level)) for level in levels]
+        blocks = self.blocks_per_axis() ** self.system.d
+        if isinstance(self.kernel, RandomKernel):
+            # one shared generator, re-keyed by next(): each table is drawn before the next key
+            gens = self.kernel.streams([cube for row in per_level for cube in row])
+            draw = lambda cube: self.kernel.table(cube, blocks, next(gens))
+        else:
+            draw = lambda cube: self.kernel.table(cube, blocks)
+        for level, cubes in zip(levels, per_level):
             first, last = cubes[0].start_cells(), cubes[-1].start_cells()
             counts = tuple((b - a) // cubes[0].size_cells + 1 for a, b in zip(first, last))
-            blocks = self.blocks_per_axis() ** self.system.d
-            tables = np.stack([self.kernel.table(cube, blocks) for cube in cubes])
+            tables = np.stack([draw(cube) for cube in cubes])
             tables.setflags(write=False)
             self._stacks[level] = (first, counts, tables)
-        return self._stacks[level]
 
 
 def _scale_step(arr: np.ndarray, d: int, side: int, g: int, res: int) -> np.ndarray:

@@ -336,6 +336,31 @@ def recovery_violation(uv):
     return worst
 
 
+def check_mds_per_stream(uv, test_functions, seed):
+    """`decoupling.check_mds` with one `substream` per (level, test function)."""
+    h = uv.family.hierarchy
+    dim = uv.family.space.dim
+    tests = {}
+    for level in range(len(h.levels) - 1):
+        tests[level] = []
+        for t in range(test_functions):
+            gen = substream(seed, "mds-test", level, t)
+            tests[level].append((gen.standard_normal(dim), gen.standard_normal(4)))
+    worst = 0.0
+    for (level, atom, _, mu) in h.active_atoms():
+        nu = mu / mu.sum()
+        u = uv.symmetric[(level, atom)]
+        v = uv.antisymmetric[(level, atom)]
+        weight = mu[:, None] * nu[None, :]
+        worst = max(worst, float(np.abs(np.tensordot(weight, u, axes=([0, 1], [0, 1]))).max()))
+        for proj, coef in tests[level]:
+            z = u @ proj
+            phi = coef[0] + coef[1] * z + coef[2] * z**2 + coef[3] * z**3
+            integrals = np.tensordot(weight * phi, v, axes=([0, 1], [0, 1]))
+            worst = max(worst, float(np.abs(integrals).max()))
+    return worst
+
+
 def decoupled_pnorm_full_product(family, p):
     """Decoupled norm by enumerating the full product space of child choices."""
     h = family.hierarchy

@@ -15,7 +15,7 @@ from dyadiclab.rademacher import sign_average
 from dyadiclab.rng import substream
 from dyadiclab.space import SCALAR, NormedSpace, umd_beta_scalar
 
-from oracles import (active_atoms_by_scan, chain_through_by_scan,
+from oracles import (active_atoms_by_scan, chain_through_by_scan, check_mds_per_stream,
                      decoupled_pnorm_full_product, decoupled_pnorm_per_choice,
                      recovery_violation)
 
@@ -82,6 +82,13 @@ def test_random_hierarchy_rejects_a_shape_it_cannot_build(depth, max_children):
 def test_mds_checks_vanish_on_symmetric_case():
     uv = construct_uv(two_child_family())
     assert check_mds(uv, 10, seed=0) == 0.0
+
+
+@given(st.integers(0, 10**6), st.sampled_from([1, 2]), st.integers(0, 5))
+def test_mds_checks_match_one_stream_per_test_function(seed, dim, test_functions):
+    hierarchy = random_hierarchy(seed, depth=3, max_children=4)
+    uv = construct_uv(random_adapted_family(hierarchy, seed, NormedSpace(dim, 2.0)))
+    assert check_mds(uv, test_functions, seed) == check_mds_per_stream(uv, test_functions, seed)
 
 
 @given(st.integers(0, 10**6))

@@ -317,8 +317,8 @@ def test_kernel_tables_drawn_once_per_cube_per_spec(monkeypatch):
     calls = []
     original = RandomKernel.table
     monkeypatch.setattr(RandomKernel, "table",
-                        lambda self, cube, blocks: calls.append(cube.key())
-                        or original(self, cube, blocks))
+                        lambda self, cube, blocks, *gen: calls.append(cube.key())
+                        or original(self, cube, blocks, *gen))
     spec = ShiftSpec(1, 0, system, RandomKernel(5, 1.0))
     f = random_grid_function(system, 6)
     first = apply_shift(spec, f)
