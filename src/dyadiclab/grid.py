@@ -248,21 +248,6 @@ class DyadicCube:
         return (self.level, self.corner)
 
 
-def common_ancestor(a: DyadicCube, b: DyadicCube) -> DyadicCube:
-    """Minimal cube of the shared system containing both `a` and `b`."""
-    if a.system != b.system:
-        raise ValueError("cubes belong to different systems")
-    while a.level > b.level:
-        a = a.parent()
-    while b.level > a.level:
-        b = b.parent()
-    while a.corner != b.corner:
-        if a.level <= a.system.min_level:
-            raise AmbientRangeError("no common ancestor inside the ambient")
-        a, b = a.parent(), b.parent()
-    return a
-
-
 # -- goodness ---------------------------------------------------------------
 
 

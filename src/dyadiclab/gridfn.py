@@ -105,13 +105,18 @@ def haar_block(cube: DyadicCube, eta) -> np.ndarray:
     sysm = cube.system
     if cube.level >= sysm.depth and any(eta):
         raise MeshDepthError("Haar function needs resolvable children")
-    sub = np.ones((cube.size_cells,) * sysm.d)
+    return _haar_values(sysm.d, cube.level, cube.size_cells, eta)
+
+
+def _haar_values(d: int, level: int, size: int, eta) -> np.ndarray:
+    """`haar_block` of a level-`level` cube of `size` cells per side."""
+    sub = np.ones((size,) * d)
     for ax, e in enumerate(eta):
         if e:
-            idx = [slice(None)] * sysm.d
-            idx[ax] = slice(cube.size_cells // 2, None)
+            idx = [slice(None)] * d
+            idx[ax] = slice(size // 2, None)
             sub[tuple(idx)] *= -1.0
-    return sub * cube.volume**-0.5
+    return sub * ((2.0**-level) ** d) ** -0.5
 
 
 def haar_vector(cube: DyadicCube, eta) -> np.ndarray:
@@ -125,30 +130,32 @@ def haar_frame(system: DyadicSystem, level_lo: int, level_hi: int) -> tuple:
     """(cols, H): the (cube, eta) pairs of levels level_lo..level_hi, cube-major
     in level and corner order, and H whose column n is haar_vector(*cols[n])
     flattened (see `fill_haar_frame`)."""
-    per_level = [list(system.cubes_at_level(level))
-                 for level in range(level_lo, level_hi + 1)]
+    levels = range(level_lo, level_hi + 1)
+    per_level = [list(system.cubes_at_level(level)) for level in levels]
     cols = [(cube, eta) for cubes in per_level for cube in cubes for eta in etas(system.d)]
-    return cols, fill_haar_frame(system, per_level)
+    starts = [np.array([cube.start_cells() for cube in cubes], dtype=np.intp)
+              .reshape(-1, system.d).T for cubes in per_level]
+    return cols, fill_haar_frame(system, list(zip(levels, starts)))
 
 
 def fill_haar_frame(system: DyadicSystem, blocks) -> np.ndarray:
-    """Frame of the Haar vectors of `blocks`, lists of same-level cubes, with
-    columns cube-major in block order and etas(d) within a cube.  Each block
-    is filled at once from its cubes' start cells, so the cubes may come from
-    differently translated systems on the same cells."""
+    """Frame of the Haar vectors of `blocks`, (level, starts) pairs where
+    starts, shape (d, n), holds the first cell per axis of n level-`level`
+    cubes.  Columns are cube-major in block order, etas(d) within a cube.
+    Each block is filled at once, so its cubes may lie in differently
+    translated systems on the same cells."""
     d, shape = system.d, (system.cells_per_axis,) * system.d
     eta_list = etas(d)
-    H = np.zeros((system.n_cells, len(eta_list) * sum(map(len, blocks))))
+    H = np.zeros((system.n_cells, len(eta_list) * sum(starts.shape[1] for _, starts in blocks)))
     first = 0
-    for cubes in filter(None, blocks):
-        size = cubes[0].size_cells
-        starts = np.array([cube.start_cells() for cube in cubes]).T      # (d, n)
+    for level, starts in blocks:
+        size, n = 1 << (system.depth - level), starts.shape[1]
         offsets = np.indices((size,) * d).reshape(d, 1, -1)             # (d, 1, size^d)
         cells = np.ravel_multi_index(tuple(starts[:, :, None] + offsets), shape)
-        col = first + len(eta_list) * np.arange(len(cubes))[:, None]
+        col = first + len(eta_list) * np.arange(n)[:, None]
         for k, eta in enumerate(eta_list):
-            H[cells, col + k] = haar_block(cubes[0], eta).reshape(-1)
-        first += len(eta_list) * len(cubes)
+            H[cells, col + k] = _haar_values(d, level, size, eta).reshape(-1)
+        first += len(eta_list) * n
     return H
 
 

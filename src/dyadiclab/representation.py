@@ -133,9 +133,6 @@ class DiscreteOperator:
         out = self.matrix @ flat
         return GridFunction(self.system, out.reshape(f.values.shape), f.space)
 
-    def adjoint(self) -> "DiscreteOperator":
-        return DiscreteOperator(self.system, self.matrix.T.copy())
-
     def block(self, rows: DyadicCube, cols: DyadicCube) -> np.ndarray:
         """Couplings from the cells of `cols` to the cells of `rows`, as a matrix."""
         c, d = self.system.cells_per_axis, self.system.d
@@ -298,7 +295,9 @@ def full_pairing_sum(T: DiscreteOperator, g: GridFunction, f: GridFunction,
     """Unrestricted double Haar sum over the given cube levels.
 
     Built cube by cube from haar_vector and haar_coefficient, independently
-    of the frames above, as a cross-check of the pairing.
+    of the frames above, as a cross-check of the pairing.  The coefficients
+    are summed against the Haar vectors before T applies, so no matrix of
+    elements is formed.
     """
     sysm = T.system
     cols = [(cube, eta) for level in range(level_lo, level_hi + 1)
@@ -306,8 +305,7 @@ def full_pairing_sum(T: DiscreteOperator, g: GridFunction, f: GridFunction,
     H = np.stack([haar_vector(cube, eta).reshape(-1) for cube, eta in cols], axis=1)
     cf = np.array([haar_coefficient(f, cube, eta)[0] for cube, eta in cols])
     cg = np.array([haar_coefficient(g, cube, eta)[0] for cube, eta in cols])
-    elements = sysm.cell_volume * (H.T @ (T.matrix @ H))
-    return float(cg @ elements @ cf)
+    return sysm.cell_volume * float((H @ cg) @ (T.matrix @ (H @ cf)))
 
 
 # -- decay of matrix-element magnitudes ----------------------------------------------
@@ -474,7 +472,12 @@ def wbp_constants(T: DiscreteOperator) -> dict:
 
 @dataclass(frozen=True)
 class RepresentationConfig:
-    """Goodness data and the cap on enumerated translation bits."""
+    """Goodness data and the cap on enumerated translation bits.
+
+    The averaging identity covers all 2^n translated grids, n the
+    (m_top + depth) * d translation bits, as 2^n coarsest-level blocks, and
+    raises ResourceLimitError when n exceeds `exhaustive_bit_cap`.
+    """
 
     goodness: GoodnessParams
     exhaustive_bit_cap: int = 20
@@ -512,6 +515,39 @@ def _support_box(f: GridFunction) -> list:
             for axis in idx]
 
 
+def _corner_bounds(system: DyadicSystem, level: int, box) -> tuple:
+    """(lo, hi), each of shape (d, 2^(depth - level)): along each axis and for
+    each translation s of the level by 0 <= s < 2^(depth - level) cells, the
+    first and last corner of the level's cubes meeting the cell box, by
+    `corner_ranges`' formula; hi < lo where no cube meets it."""
+    size = 1 << (system.depth - level)
+    base = system.origin_cell + np.arange(size)
+    lo_cell, hi_cell = np.array(box).T[..., None]
+    lo = np.maximum(-((base + size - 1 - lo_cell) // size), -(base // size))
+    hi = np.minimum((hi_cell - 1 - base) // size,
+                    (system.cells_per_axis - size - base) // size)
+    return lo, hi
+
+
+def _good_counts(base: DyadicSystem, level: int, gp: GoodnessParams, ranges: list) -> np.ndarray:
+    """For each level-`level` cube of the per-axis corner ranges, how many of
+    the 2^(d max_generations) patterns of its goodness window (the bits at
+    `level` and the coarser scales `is_good` reads) make it good.  One system
+    per pattern has only those bits set; `is_good` runs once per cube and
+    pattern."""
+    d, gens = base.d, gp.max_generations
+    counts = np.zeros([len(r) for r in ranges], dtype=np.int64)
+    corners = list(itertools.product(*ranges))
+    for word in range(1 << (d * gens)):
+        omega = [(0,) * d] * (base.m_top + base.depth)
+        for t in range(gens):  # the bits of scale level - t
+            omega[level - t + base.m_top - 1] = tuple((word >> (t * d + ax)) & 1
+                                                      for ax in range(d))
+        sysm = DyadicSystem(d=d, m_top=base.m_top, depth=base.depth, omega=tuple(omega))
+        counts += np.reshape([is_good(sysm.cube(level, c), gp) for c in corners], counts.shape)
+    return counts
+
+
 def averaging_identity_residual(T: DiscreteOperator, g: GridFunction,
                                 f: GridFunction, config: RepresentationConfig
                                 ) -> AveragingIdentityReport:
@@ -527,6 +563,14 @@ def averaging_identity_residual(T: DiscreteOperator, g: GridFunction,
     pairing exactly up to two reported remainders: the product of the two
     top-scale averages and the pairs whose smaller cube sits below the
     eligibility floor.
+
+    The average is taken over blocks, not grids.  A block is a level and
+    its shift s; s fixes every finer level's shift (s mod that level's
+    side), so both companion sums of a block's columns depend on the block
+    alone, and the block lies in a share 2^(-d (depth - level)) of the
+    grids.  A column's goodness depends only on its window bits, coarser
+    than s, so it enters as the share of window patterns that make its
+    cube good.
     """
     base = T.system
     gp = config.goodness
@@ -534,76 +578,88 @@ def averaging_identity_residual(T: DiscreteOperator, g: GridFunction,
     pi = goodness_probability(gens, gp, base.d)
     if pi.good_count == 0:
         raise DegenerateInputError("goodness probability vanishes; cannot normalize")
-    level_hi = base.depth - 1
-    floor = base.min_level + gens
     n_bits = (base.m_top + base.depth) * base.d
-
     if n_bits > config.exhaustive_bit_cap:
         raise ResourceLimitError(f"{n_bits} translation bits exceed the exhaustive "
                                  f"cap {config.exhaustive_bit_cap}")
-    patterns = range(1 << n_bits)
 
+    d, vol, n_eta = base.d, base.cell_volume, (1 << base.d) - 1
+    levels = range(base.min_level, base.depth)
+    floor = base.min_level + gens
     box = [(min(a[0], b[0]), max(a[1], b[1]))
            for a, b in zip(_support_box(f), _support_box(g))]
-    n_eta = (1 << base.d) - 1
-    # A level's cubes meeting the box depend only on that level's shift, so
-    # each (level, shift) block gets its frame columns once, over all grids.
-    # A cube's goodness depends only on its level, its corner and the bits
-    # at its level and the gens - 1 coarser ones, so it is memoized on those.
-    blocks, col_level, columns, goodness, grids = [], [], {}, {}, []
-    for word in patterns:
-        bits = tuple(tuple((word >> (pos * base.d + ax)) & 1 for ax in range(base.d))
-                     for pos in range(base.m_top + base.depth))
-        sysm = DyadicSystem(d=base.d, m_top=base.m_top, depth=base.depth, omega=bits)
-        idx, good = [], []
-        for level in range(sysm.min_level, level_hi + 1):
-            key = (level, sysm.shift_cells(level))
-            if key not in columns:
-                blocks.append(list(sysm.cubes_at_level(level, within=box)))
-                columns[key] = (len(col_level), [cube.corner for cube in blocks[-1]])
-                col_level += [level] * (n_eta * len(blocks[-1]))
-                n_bytes = 16 * base.n_cells * len(col_level)  # the frame W and T W
-                if n_bytes > _ASSEMBLE_BYTE_CAP:
-                    raise ResourceLimitError(
-                        f"{len(col_level)} Haar columns of {base.n_cells} cells "
-                        f"need {n_bytes} bytes, above the cap {_ASSEMBLE_BYTE_CAP}")
-            first, corners = columns[key]
-            window = tuple(sysm.bit(level - t) for t in range(gens))
-            for corner in corners:
-                if (level, corner, window) not in goodness:
-                    goodness[level, corner, window] = (
-                        level >= floor and is_good(sysm.cube(level, corner), gp))
-            idx += range(first, first + n_eta * len(corners))
-            good += [goodness[level, corner, window] for corner in corners
-                     for _ in range(n_eta)]
-        grids.append((np.array(idx, dtype=np.intp), np.array(good, dtype=bool)))
+    bounds = [_corner_bounds(base, level, box) for level in levels]
+    # a block has the product over axes of its corner counts; over all
+    # shifts, that sums to the product of the per-axis sums
+    n_cubes = [int(np.prod(np.maximum(hi - lo + 1, 0).sum(axis=1))) for lo, hi in bounds]
+    n_cols = n_eta * sum(n_cubes)
+    # W and T W, up to 16 vectors per column, a chain pair per level on the stack
+    n_bytes = 8 * (n_cols * (2 * base.n_cells + 16) + 2 * base.n_cells * (len(levels) + 2))
+    if n_bytes > _ASSEMBLE_BYTE_CAP:
+        raise ResourceLimitError(
+            f"{n_cols} Haar columns of {base.n_cells} cells "
+            f"need {n_bytes} bytes, above the cap {_ASSEMBLE_BYTE_CAP}")
+
+    # the columns level by level, blocks in row-major shift order, cubes in
+    # row-major corner order, etas within a cube
+    starts, good, block_cols, first = [], np.zeros(n_cols), {}, 0
+    for level, (lo, hi) in zip(levels, bounds):
+        size, level_first = 1 << (base.depth - level), first
+        lo, hi = lo.tolist(), hi.tolist()
+        corners, shifts = [], []
+        for s in itertools.product(range(size), repeat=d):
+            block = list(itertools.product(*(range(lo[ax][t], hi[ax][t] + 1)
+                                             for ax, t in enumerate(s))))
+            block_cols[level, s] = slice(first, first + n_eta * len(block))
+            first += n_eta * len(block)
+            corners += block
+            shifts += [s] * len(block)
+        corners = np.array(corners, dtype=np.intp).reshape(-1, d)
+        shifts = np.array(shifts, dtype=np.intp).reshape(-1, d)
+        starts.append((level, (corners * size + base.origin_cell + shifts).T))
+        if level >= floor and len(corners):
+            low = corners.min(axis=0)
+            ranges = [range(a, b + 1) for a, b in zip(low, corners.max(axis=0))]
+            counts = _good_counts(base, level, gp, ranges)[tuple((corners - low).T)]
+            good[level_first:first] = np.repeat(counts, n_eta)
 
     lhs = raw_pairing(g, T, f)
-    vol = base.cell_volume
     f_flat = f.scalar_values().reshape(-1)
     g_flat = g.scalar_values().reshape(-1)
-    W = fill_haar_frame(base, blocks)
+    W = fill_haar_frame(base, starts)
     TW = T.matrix @ W
-    col_level = np.array(col_level)
-    cf_all, cg_all = vol * (W.T @ f_flat), vol * (W.T @ g_flat)
-    pair_f_all = vol * (g_flat @ TW)                # <g, T h_I> per column
-    pair_g_all = vol * (W.T @ (T.matrix @ f_flat))  # <h_J, T f> per column
+    cf, cg = vol * (W.T @ f_flat), vol * (W.T @ g_flat)
+    pair_f = vol * (g_flat @ TW)                # <g, T h_I> per column
+    pair_g = vol * (W.T @ (T.matrix @ f_flat))  # <h_J, T f> per column
 
-    goodsum = total_sum = coarse = 0.0
-    for idx, good in grids:
-        cf, cg, levels = cf_all[idx], cg_all[idx], col_level[idx]
-        elements = vol * (W[:, idx].T @ TW[:, idx])
-        eligible = levels >= floor
-        finer_j = levels[:, None] > levels[None, :]      # J strictly finer than I
-        finer_eq_i = levels[None, :] >= levels[:, None]  # I at least as fine as J
-        # each cube's companion sum keeps the complete coarser-or-equal side
-        side_f = cf * (pair_f_all[idx] - cg @ np.where(finer_j, elements, 0.0))
-        side_g = cg * (pair_g_all[idx] - np.where(finer_eq_i, elements, 0.0) @ cf)
-        goodsum += float(side_f[good].sum() + side_g[good].sum())
-        total_sum += float(side_f.sum() + side_g.sum())
-        coarse += float(side_f[~eligible].sum() + side_g[~eligible].sum())
+    # From the finest level to the coarsest: block (level, s) is the finer
+    # chain of the 2^d blocks (level - 1, s + t 2^(depth - level)), t in
+    # {0, 1}^d.  An entry carries its strictly finer chain's sum of cg h_J
+    # and its own and finer chain's sum of cf T h_I, as cell vectors.
+    dot_f, dot_g = np.empty(n_cols), np.empty(n_cols)
+    zero = np.zeros(base.n_cells)
+    stack = [(level, s, zero, zero) for level in levels[-1:]  # the finest, if any
+             for s in itertools.product(range(2), repeat=d)]
+    while stack:
+        level, s, chain_g, chain_tf = stack.pop()
+        cols = block_cols[level, s]
+        w, tw = W[:, cols], TW[:, cols]
+        chain_tf = chain_tf + tw @ cf[cols]
+        dot_f[cols] = chain_g @ tw
+        dot_g[cols] = chain_tf @ w
+        if level > base.min_level:
+            chain_g = chain_g + w @ cg[cols]
+            side = 1 << (base.depth - level)
+            stack += [(level - 1, tuple(a + b * side for a, b in zip(s, t)), chain_g, chain_tf)
+                      for t in itertools.product((0, 1), repeat=d)]
 
-    n = len(patterns)
-    return AveragingIdentityReport(lhs=lhs, rhs=goodsum / n / pi.value, pi_good=pi.value,
-                                   n_samples=n, top_scale_defect=lhs - total_sum / n,
-                                   coarse_share=coarse / n, full_sum_mean=total_sum / n)
+    # each column's companion sums, weighted by its block's share of the grids
+    weight = np.repeat([2.0 ** (-d * (base.depth - level)) for level in levels],
+                       [n_eta * n for n in n_cubes])
+    sides = weight * (cf * (pair_f - vol * dot_f) + cg * (pair_g - vol * dot_g))
+    total = float(sides.sum())
+    coarse = float(sides[:n_eta * sum(n_cubes[:floor - base.min_level])].sum())
+    goodsum = float(sides @ good) / (1 << (d * gens))
+    return AveragingIdentityReport(lhs=lhs, rhs=goodsum / pi.value, pi_good=pi.value,
+                                   n_samples=1 << n_bits, top_scale_defect=lhs - total,
+                                   coarse_share=coarse, full_sum_mean=total)

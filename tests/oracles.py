@@ -9,10 +9,12 @@ import itertools
 
 import numpy as np
 
-from dyadiclab.errors import AdaptednessError, MeshDepthError, SparsityError
-from dyadiclab.grid import DyadicSystem, common_ancestor, goodness_probability, is_good
+from dyadiclab.errors import (AdaptednessError, AmbientRangeError, MeshDepthError,
+                              SparsityError)
+from dyadiclab.grid import DyadicSystem, goodness_probability, is_good
 from dyadiclab.gridfn import (GridFunction, _block_means, _expand_blocks, etas,
-                              haar_block, haar_coefficient, haar_vector, pair)
+                              fill_haar_frame, haar_block, haar_coefficient, haar_vector,
+                              pair)
 from dyadiclab.rademacher import OperatorFamily, _power_iteration_vector, sign_patterns
 from dyadiclab.representation import (AveragingIdentityReport, DecayReport,
                                       PairingDecomposition, _case_constraints,
@@ -215,6 +217,22 @@ def project_onto_member_haar(family, member, f):
         out += _weighted_haar_projection(family, f, cube)
         stack.extend(cube.children())
     return GridFunction(f.system, out, f.space)
+
+
+def common_ancestor(a, b):
+    """Minimal cube of the shared system containing both `a` and `b`, by
+    climbing parents."""
+    if a.system != b.system:
+        raise ValueError("cubes belong to different systems")
+    while a.level > b.level:
+        a = a.parent()
+    while b.level > a.level:
+        b = b.parent()
+    while a.corner != b.corner:
+        if a.level <= a.system.min_level:
+            raise AmbientRangeError("no common ancestor inside the ambient")
+        a, b = a.parent(), b.parent()
+    return a
 
 
 def shift_cells_by_bits(system, level):
@@ -685,6 +703,79 @@ def averaging_identity_dense(T, g, f, config):
         goodsum += float(side_f[good & eligible].sum() + side_g[good & eligible].sum())
         total_sum += float(side_f.sum() + side_g.sum())
         coarse += float(side_f[~eligible].sum() + side_g[~eligible].sum())
+    n = len(patterns)
+    return AveragingIdentityReport(lhs=lhs, rhs=goodsum / n / pi.value, pi_good=pi.value,
+                                   n_samples=n, top_scale_defect=lhs - total_sum / n,
+                                   coarse_share=coarse / n, full_sum_mean=total_sum / n)
+
+
+def averaging_identity_per_grid(T, g, f, config):
+    """`representation.averaging_identity_residual` grid by grid: one system
+    per translation-bit pattern, its cubes walked level by level, goodness
+    memoized on a cube's level, corner and window bits, and one elements
+    product per grid over the frame columns of that grid's blocks."""
+    base = T.system
+    gp = config.goodness
+    gens = gp.max_generations
+    pi = goodness_probability(gens, gp, base.d)
+    level_hi = base.depth - 1
+    floor = base.min_level + gens
+    n_bits = (base.m_top + base.depth) * base.d
+    patterns = range(1 << n_bits)
+    box = [(min(a[0], b[0]), max(a[1], b[1]))
+           for a, b in zip(_support_box(f), _support_box(g))]
+    n_eta = (1 << base.d) - 1
+    # each (level, shift) block gets its frame columns once, over all grids
+    blocks, col_level, columns, goodness, grids = [], [], {}, {}, []
+    for word in patterns:
+        bits = tuple(tuple((word >> (pos * base.d + ax)) & 1 for ax in range(base.d))
+                     for pos in range(base.m_top + base.depth))
+        sysm = DyadicSystem(d=base.d, m_top=base.m_top, depth=base.depth, omega=bits)
+        idx, good = [], []
+        for level in range(sysm.min_level, level_hi + 1):
+            key = (level, sysm.shift_cells(level))
+            if key not in columns:
+                blocks.append((level, list(sysm.cubes_at_level(level, within=box))))
+                columns[key] = (len(col_level), [cube.corner for cube in blocks[-1][1]])
+                col_level += [level] * (n_eta * len(blocks[-1][1]))
+            first, corners = columns[key]
+            window = tuple(sysm.bit(level - t) for t in range(gens))
+            for corner in corners:
+                if (level, corner, window) not in goodness:
+                    goodness[level, corner, window] = (
+                        level >= floor and is_good(sysm.cube(level, corner), gp))
+            idx += range(first, first + n_eta * len(corners))
+            good += [goodness[level, corner, window] for corner in corners
+                     for _ in range(n_eta)]
+        grids.append((np.array(idx, dtype=np.intp), np.array(good, dtype=bool)))
+
+    lhs = raw_pairing(g, T, f)
+    vol = base.cell_volume
+    f_flat = f.scalar_values().reshape(-1)
+    g_flat = g.scalar_values().reshape(-1)
+    W = fill_haar_frame(base, [
+        (level, np.array([cube.start_cells() for cube in cubes], dtype=np.intp)
+         .reshape(-1, base.d).T) for level, cubes in blocks])
+    TW = T.matrix @ W
+    col_level = np.array(col_level)
+    cf_all, cg_all = vol * (W.T @ f_flat), vol * (W.T @ g_flat)
+    pair_f_all = vol * (g_flat @ TW)                # <g, T h_I> per column
+    pair_g_all = vol * (W.T @ (T.matrix @ f_flat))  # <h_J, T f> per column
+
+    goodsum = total_sum = coarse = 0.0
+    for idx, good in grids:
+        cf, cg, levels = cf_all[idx], cg_all[idx], col_level[idx]
+        elements = vol * (W[:, idx].T @ TW[:, idx])
+        eligible = levels >= floor
+        finer_j = levels[:, None] > levels[None, :]      # J strictly finer than I
+        finer_eq_i = levels[None, :] >= levels[:, None]  # I at least as fine as J
+        # each cube's companion sum keeps the complete coarser-or-equal side
+        side_f = cf * (pair_f_all[idx] - cg @ np.where(finer_j, elements, 0.0))
+        side_g = cg * (pair_g_all[idx] - np.where(finer_eq_i, elements, 0.0) @ cf)
+        goodsum += float(side_f[good].sum() + side_g[good].sum())
+        total_sum += float(side_f.sum() + side_g.sum())
+        coarse += float(side_f[~eligible].sum() + side_g[~eligible].sum())
+
     n = len(patterns)
     return AveragingIdentityReport(lhs=lhs, rhs=goodsum / n / pi.value, pi_good=pi.value,
                                    n_samples=n, top_scale_defect=lhs - total_sum / n,

@@ -8,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dyadiclab.errors import AmbientRangeError, ResourceLimitError
-from dyadiclab.grid import (MESH_CELL_BITS, DyadicSystem, GoodnessParams, common_ancestor,
-                            good_mask, goodness_bound, goodness_position_joint,
-                            goodness_probability, is_good)
+from dyadiclab.grid import (MESH_CELL_BITS, DyadicSystem, GoodnessParams, good_mask,
+                            goodness_bound, goodness_position_joint, goodness_probability,
+                            is_good)
 
 import oracles
 
@@ -74,20 +74,20 @@ def test_common_ancestor_of_adjacent_siblings():
     system = DyadicSystem(d=1, m_top=0, depth=4)
     left = system.cube(2, (0,))
     right = system.cube(2, (1,))
-    assert common_ancestor(left, right).key() == (1, (0,))
+    assert oracles.common_ancestor(left, right).key() == (1, (0,))
 
 
 def test_common_ancestor_of_nested_pair_is_the_larger():
     system = DyadicSystem(d=1, m_top=0, depth=4)
     small = system.cube(3, (2,))
     large = system.cube(1, (0,))
-    assert common_ancestor(small, large).key() == large.key()
+    assert oracles.common_ancestor(small, large).key() == large.key()
 
 
 def test_common_ancestor_missing_raises():
     system = DyadicSystem(d=1, m_top=0, depth=3)
     with pytest.raises(AmbientRangeError):
-        common_ancestor(system.cube(1, (-1,)), system.cube(1, (0,)))
+        oracles.common_ancestor(system.cube(1, (-1,)), system.cube(1, (0,)))
 
 
 @given(st.integers(0, 2**20), st.integers(0, 3))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from dyadiclab.errors import (AmbientRangeError, DegenerateInputError,
                               InsufficientDataError, ResourceLimitError)
-from dyadiclab.grid import DyadicSystem, GoodnessParams, common_ancestor, is_good
+from dyadiclab.grid import DyadicCube, DyadicSystem, GoodnessParams, is_good
 from dyadiclab.gridfn import (etas, fill_haar_frame, haar_coefficient, haar_frame,
                               haar_vector, pair, random_grid_function)
 from dyadiclab.representation import (DECAY_CASES, DiscreteOperator,
@@ -167,7 +167,7 @@ def test_shift_coefficients_reproduce_partial_pairing(seed, ij):
             smaller = I if i >= j else J
             if not is_good(smaller, PERMISSIVE):
                 continue
-            if common_ancestor(I, J).key() != K.key():
+            if oracles.common_ancestor(I, J).key() != K.key():
                 continue
             elem = matrix_element(T, J, (1,), I, (1,), "paraproduct_extracted")
             total += (haar_coefficient(g, J, (1,))[0] * elem
@@ -383,7 +383,10 @@ def test_haar_frame_matches_per_cube_vectors(system, seed, boxed):
         blocks = [list(system.cubes_at_level(level, within=within))
                   for level in range(lo, hi + 1)]
         cols = [(cube, eta) for cubes in blocks for cube in cubes for eta in etas(system.d)]
-        H = fill_haar_frame(system, blocks)
+        H = fill_haar_frame(system, [
+            (level, np.array([cube.start_cells() for cube in cubes], dtype=np.intp)
+             .reshape(-1, system.d).T)
+            for level, cubes in zip(range(lo, hi + 1), blocks)])
     else:
         cols, H = haar_frame(system, lo, hi)
     assert cols == [(cube, eta) for cube in oracles.standard_cubes(system, lo, hi, within)
@@ -507,14 +510,56 @@ def test_averaging_identity_matches_dense_oracle(shape, seed):
     assert_identity_matches_oracle(T, g, f, config)
 
 
-def test_identity_column_cap_fires_before_allocating():
-    # a zero-stride matrix stands in for 8192^2 floats; the 4096 grids' Haar
-    # columns would need gigabytes, so the cap must fire during the walk,
-    # before W or T W is allocated
+@pytest.mark.parametrize("shape", [(1, 1, 3), (1, 2, 3), (1, 3, 2), (1, 4, 4), (1, 5, 4),
+                                   (2, 0, 2), (2, 1, 2), (2, 3, 1), (2, 2, 2)],
+                         ids="d{0[0]}-m_top{0[1]}-depth{0[2]}".format)
+@pytest.mark.parametrize("kind", ["smooth", "random"])
+@given(st.integers(0, 2**20))
+@settings(max_examples=2, deadline=None)
+def test_averaging_identity_matches_per_grid_oracle(shape, kind, seed):
+    T, f, g = random_identity_case(*shape, seed)
+    if kind == "smooth":
+        T = assemble(smooth_odd_kernel(0.25, 1.0), T.system)
+    config = RepresentationConfig(goodness=GoodnessParams(gamma=0.5, r=3,
+                                                          max_generations=3))
+    got = averaging_identity_residual(T, g, f, config)
+    want = oracles.averaging_identity_per_grid(T, g, f, config)
+    for field in dataclasses.fields(got):
+        assert getattr(got, field.name) == pytest.approx(getattr(want, field.name), rel=0,
+                                                         abs=1e-12 * abs(want.lhs))
+
+
+def identity_cap_case():
+    # a zero-stride matrix stands in for 8192^2 floats; the Haar columns of
+    # the 4096 grids' blocks would need gigabytes
     system = DyadicSystem(d=1, m_top=0, depth=12)
     T = DiscreteOperator(system, np.broadcast_to(0.0, (system.n_cells,) * 2))
     f = random_grid_function(system, 0, mean_zero="global")
     config = RepresentationConfig(goodness=GoodnessParams(gamma=0.5, r=3,
                                                           max_generations=3))
+    return T, f, config
+
+
+def test_identity_column_cap_fires_before_allocating():
+    T, f, config = identity_cap_case()
     with pytest.raises(ResourceLimitError, match="above the cap"):
         averaging_identity_residual(T, f, f, config)
+
+
+def test_identity_column_cap_fires_before_any_system_is_built(monkeypatch):
+    # the columns are counted from per-axis corner ranges, so no system or
+    # cube, of a grid or of a goodness window, is built before the cap fires
+    T, f, config = identity_cap_case()
+    built = []
+
+    def counting(init):
+        def wrapper(self):
+            built.append(type(self).__name__)
+            init(self)
+        return wrapper
+
+    for cls in (DyadicSystem, DyadicCube):
+        monkeypatch.setattr(cls, "__post_init__", counting(cls.__post_init__))
+    with pytest.raises(ResourceLimitError, match="above the cap"):
+        averaging_identity_residual(T, f, f, config)
+    assert built == []
