@@ -45,7 +45,7 @@ def _load_config(path: Optional[str]) -> dict:
     try:
         with open(path) as stream:
             doc = json.load(stream)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or an over-long int
         raise UsageError(f"cannot read config {path}: {exc}")
     if not isinstance(doc, dict):
         raise UsageError("config must be a JSON object")
@@ -98,6 +98,8 @@ def _run(args) -> int:
         except ValueError:
             raise UsageError(f"DYADICLAB_SEED must be an integer, "
                              f"not {os.environ['DYADICLAB_SEED']!r}")
+    if not 0 <= seed < 2**63:  # the random streams key on 63 bits of the seed
+        raise UsageError(f"seed {seed} is outside [0, 2^63)")
     names = list(args.experiment or config.get("experiments", []))
     if names == ["all"]:
         names = sorted(EXPERIMENTS)

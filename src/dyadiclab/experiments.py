@@ -25,7 +25,7 @@ from .gridfn import (GridFunction, analyze, bmo_norm, indicator, lp_norm,
                      random_grid_function, synthesize)
 from .rademacher import (EXHAUSTIVE_CAP, OperatorFamily, averaging_check, stein_check,
                          triangle_check)
-from .rng import substream
+from .rng import substream, substreams
 from .shifts import (ParaproductSpec, RandomKernel, ShiftSpec, apply_paraproduct,
                      apply_shift)
 from .space import SCALAR, NormedSpace, conjugate_exponent, umd_beta_scalar
@@ -129,8 +129,9 @@ ANCHOR_CARLESON = "(sum_S <|f|>_S^p mu(S))^{1/p} <= 2 p' ||f||_Lp(mu) for sparse
 def run_carleson(params: dict, seed: int) -> list:
     sysm = DyadicSystem(d=1, m_top=0, depth=params["depth"])
     root = sysm.cube(0, (0,))
-    worst = {p: 0.0 for p in params["p_list"]}
-    worst_proof = {p: 0.0 for p in params["p_list"]}
+    p_list = params["p_list"]
+    worst = {p: 0.0 for p in p_list}
+    worst_proof = {p: 0.0 for p in p_list}
     n_weighted = int(params["n_funcs"] * params["weighted_share"])
     for k in range(params["n_funcs"]):
         f = random_grid_function(sysm, seed, support=root, label=f"carleson-f-{k}")
@@ -139,13 +140,12 @@ def run_carleson(params: dict, seed: int) -> list:
             gen = substream(seed, "carleson-weights", k)
             weights = np.exp(gen.uniform(-1.0, 1.0, size=(sysm.cells_per_axis,)))
         fam = sparse.build_stopping_family(f, root, weights=weights)
-        for p in params["p_list"]:
-            res = sparse.carleson_sum(fam, f, p)
+        for p, res in zip(p_list, sparse.carleson_sum(fam, f, p_list)):
             if res.fnorm == 0.0:
                 continue
             worst[p] = max(worst[p], res.ratio / res.stated_bound)
             worst_proof[p] = max(worst_proof[p], res.ratio / res.proof_bound)
-    return [row for p in params["p_list"] for row in (
+    return [row for p in p_list for row in (
         _check(f"carleson/p={p}/vs-stated", ANCHOR_CARLESON, worst[p], 1.0, seed),
         _check(f"carleson/p={p}/vs-proof-constant", ANCHOR_CARLESON, worst_proof[p], 1.0,
                seed))]
@@ -155,12 +155,13 @@ ANCHOR_PYTH = ("||sum f_S||_p <= 3p (sum ||f_S||_p^p)^{1/p}; reverse <= 6p' give
                "zero means or scalar nonnegativity, and fails without them")
 
 
-def _random_adapted_functions(family, seed: int, tag: str, mode: str) -> list:
+def _random_adapted_functions(family, gens, mode: str) -> list:
+    """One random function adapted to each member, drawn in full from the next
+    generator of the iterator `gens` before the next is taken."""
     sysm = family.root.system
     owner = family.owner()
     out = []
-    for idx in range(len(family)):
-        gen = substream(seed, "pyth-member", tag, idx)
+    for idx, gen in zip(range(len(family)), gens):
         vals = np.zeros((sysm.cells_per_axis,) * sysm.d + (1,))
         mask = owner == idx  # the member's cells outside its stopping children
         vals[mask] = gen.standard_normal((int(mask.sum()), 1))
@@ -179,14 +180,18 @@ def run_pythagoras(params: dict, seed: int) -> list:
     sysm = DyadicSystem(d=1, m_top=0, depth=params["depth"])
     root = sysm.cube(0, (0,))
     modes = ("direct", "reverse_cancellative", "reverse_nonneg")
-    worst = {(mode, p): 0.0 for mode in modes for p in params["p_list"]}
-    for k in range(params["n_families"]):
-        driver = random_grid_function(sysm, seed, support=root, label=f"pyth-driver-{k}")
-        family = sparse.build_stopping_family(driver, root)
+    p_list = params["p_list"]
+    worst = {(mode, p): 0.0 for mode in modes for p in p_list}
+    families = [sparse.build_stopping_family(
+        random_grid_function(sysm, seed, support=root, label=f"pyth-driver-{k}"), root)
+        for k in range(params["n_families"])]
+    gens = substreams(seed, [("pyth-member", f"{k}-{mode}", idx)
+                             for k, family in enumerate(families) for mode in modes
+                             for idx in range(len(family))])
+    for family in families:
         for mode in modes:
-            fs = _random_adapted_functions(family, seed, f"{k}-{mode}", mode)
-            for p in params["p_list"]:
-                res = sparse.pythagoras_check(family, fs, p, mode)
+            fs = _random_adapted_functions(family, gens, mode)
+            for p, res in zip(p_list, sparse.pythagoras_check(family, fs, p_list, mode)):
                 if mode == "direct" and res.power_sum_root > 0:
                     worst[mode, p] = max(worst[mode, p], res.direct_ratio / res.direct_bound)
                 elif mode != "direct" and res.sum_norm > 0:
@@ -200,7 +205,7 @@ def run_pythagoras(params: dict, seed: int) -> list:
     family.add(half, 0)
     f_root = indicator(half)
     f_half = GridFunction(sysm, -indicator(half).values, SCALAR)
-    res = sparse.pythagoras_check(family, [f_root, f_half], 2.0, "direct")
+    res, = sparse.pythagoras_check(family, [f_root, f_half], [2.0], "direct")
     rows.append(_check("pythagoras/counterexample/sum-norm", ANCHOR_PYTH,
                        res.sum_norm, 0.0, seed, slack=0.0))
     rows.append(_check("pythagoras/counterexample/power-sum", ANCHOR_PYTH,

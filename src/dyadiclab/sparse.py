@@ -224,34 +224,50 @@ class CarlesonResult:
         return self.lhs / self.fnorm if self.fnorm else 0.0
 
 
-def carleson_sum(family: SparseFamily, f: GridFunction, p: float) -> CarlesonResult:
-    """Embedding sum (sum_S <|f|>_S^p mu(S))^(1/p) against the L^p(mu) norm."""
+def _exponents(ps) -> list:
+    """The exponents of `ps` as a list; each must lie in (1, inf)."""
+    ps = list(ps)
+    for p in ps:
+        if not 1.0 < p < np.inf:
+            raise ValueError(f"exponent {p!r} is outside (1, inf)")
+    return ps
+
+
+def carleson_sum(family: SparseFamily, f: GridFunction, ps: Sequence[float]) -> list:
+    """Embedding sum (sum_S <|f|>_S^p mu(S))^(1/p) against the L^p(mu) norm,
+    one `CarlesonResult` per exponent of `ps`.
+
+    Sparsity, the level sweep and each member's average and measure are
+    taken once; each exponent then sums its terms in member order.
+    """
+    ps = _exponents(ps)
     if not family.is_sparse():
         raise SparsityError("the Carleson embedding requires a sparse family")
     norms = f.space.norm(f.values)
     dens = family.density()
     sums = {level: pair for level, *pair in _level_sums(dens, norms, family.root)}
-    total = 0.0
+    terms = []  # (average, measure) per member
     for cube in family.cubes:
         block = _block(family.root, cube)
         fsum, wsum = (a[block] for a in sums[cube.level])
         if wsum <= 0:
             raise SparsityError("member with zero measure")
-        total += (fsum / wsum) ** p * family.measure(cube)
-    lhs = total ** (1.0 / p)
-    fnorm = float(((norms ** p) * dens).sum() * f.system.cell_volume) ** (1.0 / p)
-    q = conjugate_exponent(p)
-    return CarlesonResult(lhs, fnorm, 2.0 * q, 2.0 ** (1.0 / p) * q)
+        terms.append((fsum / wsum, family.measure(cube)))
+    results = []
+    for p in ps:
+        total = 0.0
+        for avg, mu in terms:
+            total += avg ** p * mu
+        fnorm = float(((norms ** p) * dens).sum() * f.system.cell_volume) ** (1.0 / p)
+        q = conjugate_exponent(p)
+        results.append(CarlesonResult(total ** (1.0 / p), fnorm,
+                                      2.0 * q, 2.0 ** (1.0 / p) * q))
+    return results
 
 
 def _lp_norms_weighted(family: SparseFamily, norms: np.ndarray, p: float) -> list:
     """L^p(mu) norm of each row of `norms`: one row per function, its cells after."""
-    dens = family.density()
-    rows = norms.reshape(len(norms), -1)
-    if p == np.inf:
-        live = dens.reshape(-1) > 0
-        return [float(row[live].max()) if live.any() else 0.0 for row in rows]
-    sums = ((norms**p) * dens).reshape(len(norms), -1).sum(axis=1)
+    sums = ((norms**p) * family.density()).reshape(len(norms), -1).sum(axis=1)
     return [float(s * family.root.system.cell_volume) ** (1.0 / p) for s in sums]
 
 
@@ -308,17 +324,20 @@ class PythagorasResult:
         return self.power_sum_root / self.sum_norm
 
 
-def pythagoras_check(family: SparseFamily, fs: Sequence[GridFunction], p: float,
-                     mode: str = "direct") -> PythagorasResult:
-    """Compare the norm of the adapted sum with the l^p sum of member norms.
+def pythagoras_check(family: SparseFamily, fs: Sequence[GridFunction], ps: Sequence[float],
+                     mode: str = "direct") -> list:
+    """Compare the norm of the adapted sum with the l^p sum of member norms,
+    one `PythagorasResult` per exponent of `ps`.
 
     Modes: 'direct' imposes only adaptedness; 'reverse_cancellative'
     additionally requires zero member integrals, 'reverse_nonneg' scalar
     nonnegative members.  The direct ratio is bounded by 3p and, under
-    either reverse hypothesis, the reverse ratio by 6p'.
+    either reverse hypothesis, the reverse ratio by 6p'.  The hypotheses
+    and the pointwise norms are taken once for all exponents.
     """
     if mode not in ("direct", "reverse_cancellative", "reverse_nonneg"):
         raise ValueError(f"unknown mode {mode!r}")
+    ps = _exponents(ps)
     values = validate_adapted(family, fs)
     space = fs[0].space
     if mode == "reverse_cancellative":
@@ -330,11 +349,14 @@ def pythagoras_check(family: SparseFamily, fs: Sequence[GridFunction], p: float,
         bad = _rows_any(values < -_EXACT_TOL) | (space.dim != 1)
         for idx in np.flatnonzero(bad)[:1]:
             raise AdaptednessError(f"member {idx}: not scalar nonnegative")
-    sum_norm, *norms = _lp_norms_weighted(
-        family, space.norm(np.concatenate([values.sum(axis=0)[None], values])), p)
-    powers = sum(norm**p for norm in norms)
-    return PythagorasResult(sum_norm, powers ** (1.0 / p),
-                            3.0 * p, 6.0 * conjugate_exponent(p))
+    norms = space.norm(np.concatenate([values.sum(axis=0)[None], values]))
+    results = []
+    for p in ps:
+        sum_norm, *member_norms = _lp_norms_weighted(family, norms, p)
+        powers = sum(norm**p for norm in member_norms)
+        results.append(PythagorasResult(sum_norm, powers ** (1.0 / p),
+                                        3.0 * p, 6.0 * conjugate_exponent(p)))
+    return results
 
 
 def _worse(worst, avg, base):

@@ -903,8 +903,6 @@ def project_onto_member(family, member, f):
 def _lp_norm_weighted(family, f, p):
     dens = family.density()
     norms = f.space.norm(f.values)
-    if p == np.inf:
-        return float(norms[dens > 0].max()) if np.any(dens > 0) else 0.0
     return float(((norms**p) * dens).sum() * f.system.cell_volume) ** (1.0 / p)
 
 
@@ -928,3 +926,24 @@ def pythagoras_check_per_member(family, fs, p, mode="direct"):
     sum_norm = _lp_norm_weighted(family, total, p)
     powers = sum(_lp_norm_weighted(family, f, p) ** p for f in fs)
     return PythagorasResult(sum_norm, powers ** (1.0 / p), 3.0 * p, 6.0 * conjugate_exponent(p))
+
+
+def random_adapted_functions_per_stream(family, seed, tag, mode):
+    """`experiments._random_adapted_functions` keying one `substream` per member."""
+    sysm = family.root.system
+    owner = family.owner()
+    out = []
+    for idx in range(len(family)):
+        gen = substream(seed, "pyth-member", tag, idx)
+        vals = np.zeros((sysm.cells_per_axis,) * sysm.d + (1,))
+        mask = owner == idx  # the member's cells outside its stopping children
+        vals[mask] = gen.standard_normal((int(mask.sum()), 1))
+        for child in family.children[idx]:
+            vals[family.cubes[child].cell_slices()] = gen.standard_normal()
+        if mode == "reverse_nonneg":
+            vals = np.abs(vals)
+        if mode == "reverse_cancellative":
+            cube = family.cubes[idx]
+            vals[cube.cell_slices()] -= family.weighted_average(vals, cube)
+        out.append(GridFunction(sysm, vals, SCALAR))
+    return out

@@ -128,6 +128,39 @@ def test_bad_seed_environment_is_usage_error(monkeypatch, capsys, no_experiment_
     assert_one_error_line(capsys, "error: DYADICLAB_SEED ")
 
 
+@pytest.mark.parametrize("source", ["flag", "config", "environment"])
+@pytest.mark.parametrize("seed", [-1, 2**63, 10**23])
+def test_seed_outside_63_bits_is_usage_error(tmp_path, monkeypatch, capsys,
+                                             no_experiment_runs, source, seed):
+    """The streams key on 63 bits of the seed, so -1 and 2^63 - 1 used to draw alike."""
+    argv = ["run", "--experiment", "goodness"]
+    if source == "flag":
+        argv += ["--seed", str(seed)]
+    elif source == "config":
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": seed}))
+        argv += ["--config", str(config)]
+    else:
+        monkeypatch.setenv("DYADICLAB_SEED", str(seed))
+    assert main(argv) == 2
+    assert_one_error_line(capsys, f"error: seed {seed} is outside [0, 2^63)")
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 - 1])
+def test_seeds_at_the_ends_of_the_range_run(monkeypatch, capsys, seed):
+    monkeypatch.setattr(cli, "run_experiment", lambda name, seed, overrides: [
+        Check("goodness/forced", "anchor", 0.0, 1.0, True, seed)])
+    assert main(["run", "--experiment", "goodness", "--seed", str(seed)]) == 0
+    assert f",true,{seed}," in capsys.readouterr().out
+
+
+def test_config_int_too_long_to_parse_is_usage_error(tmp_path, capsys, no_experiment_runs):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"seed": ' + "9" * 5000 + "}")
+    assert main(["run", "--experiment", "goodness", "--config", str(config)]) == 2
+    assert_one_error_line(capsys, "error: cannot read config ")
+
+
 @pytest.mark.parametrize("option", ["--out", "--config"])
 def test_missing_report_directory_fails_before_running(tmp_path, capsys,
                                                        no_experiment_runs, option):

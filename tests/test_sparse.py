@@ -1,15 +1,17 @@
-import itertools
+import collections
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dyadiclab import sparse
 from dyadiclab.errors import AdaptednessError, SparsityError
+from dyadiclab.experiments import _random_adapted_functions
 from dyadiclab.grid import DyadicSystem
 from dyadiclab.gridfn import (GridFunction, haar_function, indicator, lp_norm, pair,
                               random_grid_function)
-from dyadiclab.rng import substream
+from dyadiclab.rng import substream, substreams
 from dyadiclab.space import SCALAR, NormedSpace, conjugate_exponent
 from dyadiclab.sparse import (SparseFamily, _level_averages, build_stopping_family,
                               carleson_sum, pythagoras_check, stopping_control,
@@ -22,6 +24,7 @@ from oracles import (build_stopping_family_per_cube, project_onto_member,
 SYS = DyadicSystem(d=1, m_top=0, depth=6)
 ROOT = SYS.cube(0, (0,))
 MODES = ("direct", "reverse_cancellative", "reverse_nonneg")
+PS = (1.5, 2.0, 3.0)
 
 
 def random_family(seed, weights=None):
@@ -159,6 +162,18 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _assert_per_exponent(fast, slow):
+    """`fast(PS)` against `slow(p)` at each p of PS: the same result at every p
+    or, where the oracle fails, one raise with its type and message."""
+    got = _outcome(fast, PS)
+    want = [_outcome(slow, p) for p in PS]
+    if any(isinstance(w, tuple) for w in want):
+        assert want == [want[0]] * len(PS)  # the oracle fails alike at every p
+        assert got == want[0]
+    else:
+        assert got == want
+
+
 def _translated_family(seed, d, m_top, root_pick, weighted, dim=1):
     """A stopping family on a random translated system, with the driver that built it.
 
@@ -194,9 +209,8 @@ def test_stopping_control_matches_per_cube_walk(seed, d, m_top, root_pick, weigh
 @given(*FAMILIES)
 def test_carleson_sum_matches_per_cube_averages(seed, d, m_top, root_pick, weighted, dim):
     fam, f = _translated_family(seed, d, m_top, root_pick, weighted, dim)
-    for p in (1.5, 2.0, 3.0):
-        assert (_outcome(carleson_sum, fam, f, p)
-                == _outcome(oracles.carleson_sum_per_cube, fam, f, p))
+    _assert_per_exponent(lambda ps: carleson_sum(fam, f, ps),
+                         lambda p: oracles.carleson_sum_per_cube(fam, f, p))
 
 
 @given(*FAMILIES)
@@ -264,9 +278,75 @@ def test_adapted_checks_fail_like_per_cube_checks(seed, d, m_top, root_pick, wei
         assert np.array_equal(fast, np.stack(values))
     else:
         assert fast == slow
-    for check_mode, p in itertools.product(MODES, (1.5, 2.0, 3.0)):
-        assert (_outcome(pythagoras_check, fam, fs, p, check_mode)
-                == _outcome(oracles.pythagoras_check_per_member, fam, fs, p, check_mode))
+    for check_mode in MODES:
+        _assert_per_exponent(
+            lambda ps: pythagoras_check(fam, fs, ps, check_mode),
+            lambda p: oracles.pythagoras_check_per_member(fam, fs, p, check_mode))
+
+
+@given(*FAMILIES[:5])
+def test_batched_member_draws_match_one_stream_per_member(seed, d, m_top, root_pick,
+                                                          weighted):
+    """The pythagoras run keys every member row of all its families in one batch."""
+    fams = [_translated_family(seed + k, d, m_top, root_pick, weighted)[0] for k in range(2)]
+    gens = substreams(seed, [("pyth-member", f"{k}-{mode}", idx) for k, fam in enumerate(fams)
+                             for mode in MODES for idx in range(len(fam))])
+    for k, fam in enumerate(fams):
+        for mode in MODES:
+            batched = _random_adapted_functions(fam, gens, mode)
+            single = oracles.random_adapted_functions_per_stream(fam, seed, f"{k}-{mode}", mode)
+            assert len(batched) == len(single) == len(fam)
+            for a, b in zip(batched, single):
+                assert np.array_equal(a.values, b.values)
+    assert next(gens, None) is None
+
+
+def _count_calls(monkeypatch, counts, owner, name):
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Calls of each exponent-free step of `carleson_sum` and `pythagoras_check`."""
+    counts = collections.Counter()
+    for owner, name in ((SparseFamily, "is_sparse"), (SparseFamily, "measure"),
+                        (sparse, "_level_sums"), (sparse, "validate_adapted"),
+                        (NormedSpace, "norm")):
+        _count_calls(monkeypatch, counts, owner, name)
+    return counts
+
+
+def test_exponent_free_work_is_done_once_per_call(calls):
+    fam, driver = random_family(11)
+    fs = make_adapted(fam, 11, "reverse_cancellative")
+    calls.clear()
+    assert len(carleson_sum(fam, driver, PS)) == len(PS)
+    assert calls == {"is_sparse": 1, "_level_sums": 1, "measure": len(fam), "norm": 1}
+    calls.clear()
+    assert len(pythagoras_check(fam, fs, PS, "reverse_cancellative")) == len(PS)
+    assert calls == {"validate_adapted": 1, "norm": 1}
+
+
+@pytest.mark.parametrize("ps", [[np.inf], [0.5], [1.0], [-2.0], [np.nan], [2.0, np.inf]])
+def test_exponents_outside_one_to_infinity_are_rejected_before_any_work(calls, ps):
+    """At p = inf these members of sup norm 5 and 7 used to give a power sum of 1."""
+    half = SYS.cube(1, (0,))
+    fam = SparseFamily(ROOT)
+    fam.add(half, 0)
+    outer = 5.0 * (indicator(ROOT).values - indicator(half).values)
+    fs = [GridFunction(SYS, outer, SCALAR), GridFunction(SYS, 7.0 * indicator(half).values,
+                                                         SCALAR)]
+    bad = next(p for p in ps if not 1.0 < p < np.inf)
+    for call in (lambda: carleson_sum(fam, fs[1], ps), lambda: pythagoras_check(fam, fs, ps)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"exponent {bad!r} is outside (1, inf)"
+    assert not calls
 
 
 def _chain_family():
@@ -305,7 +385,7 @@ def test_adapted_sum_adds_members_in_member_order():
     middle = -half
     middle[fam.cubes[2].cell_slices()] = 1e-16
     fs = [GridFunction(SYS, v, SCALAR) for v in (half, middle, -quarter)]
-    assert pythagoras_check(fam, fs, 2.0).sum_norm == 0.0
+    assert pythagoras_check(fam, fs, [2.0])[0].sum_norm == 0.0
     assert oracles.pythagoras_check_per_member(fam, fs, 2.0).sum_norm == 0.0
 
 
@@ -337,7 +417,7 @@ def test_add_after_a_cached_owner_array_updates_exceptional_masks():
 
 def test_carleson_single_member():
     fam = SparseFamily(ROOT)
-    res = carleson_sum(fam, indicator(ROOT), 3.0)
+    res, = carleson_sum(fam, indicator(ROOT), [3.0])
     assert res.lhs == pytest.approx(1.0)
     assert res.ratio == pytest.approx(1.0)
 
@@ -345,7 +425,7 @@ def test_carleson_single_member():
 def test_carleson_hand_computed_example():
     f = indicator(SYS.cube(2, (0,)))
     fam = build_stopping_family(f, ROOT)
-    res = carleson_sum(fam, f, 2.0)
+    res, = carleson_sum(fam, f, [2.0])
     assert res.lhs**2 == pytest.approx(5.0 / 16.0)
     assert res.ratio == pytest.approx(np.sqrt(5.0) / 2.0)
     assert res.ratio <= res.stated_bound
@@ -354,7 +434,7 @@ def test_carleson_hand_computed_example():
 def test_carleson_zero_function():
     fam = SparseFamily(ROOT)
     zero = GridFunction(SYS, np.zeros((SYS.cells_per_axis, 1)), SCALAR)
-    assert carleson_sum(fam, zero, 2.0).lhs == 0.0
+    assert carleson_sum(fam, zero, [2.0])[0].lhs == 0.0
 
 
 def test_carleson_rejects_non_sparse_family():
@@ -362,13 +442,13 @@ def test_carleson_rejects_non_sparse_family():
     for corner in (0, 1):
         fam.add(SYS.cube(1, (corner,)), 0)  # children exhaust the root
     with pytest.raises(SparsityError):
-        carleson_sum(fam, indicator(ROOT), 2.0)
+        carleson_sum(fam, indicator(ROOT), [2.0])
 
 
 @given(st.integers(0, 10**6), st.sampled_from([1.5, 2.0, 3.0]))
 def test_carleson_bound_on_random_families(seed, p):
     fam, driver = random_family(seed)
-    res = carleson_sum(fam, driver, p)
+    res, = carleson_sum(fam, driver, [p])
     if res.fnorm > 0:
         assert res.ratio <= 2.0 ** (1.0 / p) * conjugate_exponent(p) + 1e-9
 
@@ -379,7 +459,7 @@ def test_carleson_with_random_weights(seed):
     weights = np.exp(gen.uniform(-1.0, 1.0, size=SYS.cells_per_axis))
     fam, driver = random_family(seed, weights=weights)
     assert fam.is_sparse()
-    res = carleson_sum(fam, driver, 2.0)
+    res, = carleson_sum(fam, driver, [2.0])
     if res.fnorm > 0:
         assert res.ratio <= res.stated_bound + 1e-9
 
@@ -472,7 +552,7 @@ def make_adapted(fam, seed, mode):
 def test_single_member_ratios_are_one():
     fam = SparseFamily(ROOT)
     f = random_grid_function(SYS, 3, support=ROOT)
-    res = pythagoras_check(fam, [f], 2.0)
+    res, = pythagoras_check(fam, [f], [2.0])
     assert res.direct_ratio == pytest.approx(1.0)
     assert res.reverse_ratio == pytest.approx(1.0)
 
@@ -482,33 +562,33 @@ def test_counterexample_reproduces_exactly():
     fam = SparseFamily(ROOT)
     fam.add(half, 0)
     fs = [indicator(half), GridFunction(SYS, -indicator(half).values, SCALAR)]
-    res = pythagoras_check(fam, fs, 2.0, "direct")
+    res, = pythagoras_check(fam, fs, [2.0], "direct")
     assert res.sum_norm == 0.0
     assert res.power_sum_root**2 == pytest.approx(2 * 0.5)  # two times |S_-|
     assert res.reverse_ratio == np.inf
     for mode in ("reverse_cancellative", "reverse_nonneg"):
         with pytest.raises(AdaptednessError):
-            pythagoras_check(fam, fs, 2.0, mode)
+            pythagoras_check(fam, fs, [2.0], mode)
 
 
 def test_adaptedness_is_enforced():
     fam = SparseFamily(ROOT)
     stray = indicator(SYS.cube(1, (-1,)))  # supported off the root
     with pytest.raises(AdaptednessError):
-        pythagoras_check(fam, [stray], 2.0)
+        pythagoras_check(fam, [stray], [2.0])
 
 
 @given(st.integers(0, 10**6), st.sampled_from([1.5, 2.0, 3.0]))
 def test_direct_and_reverse_bounds(seed, p):
     fam, _ = random_family(seed)
-    direct = pythagoras_check(fam, make_adapted(fam, seed, "direct"), p, "direct")
+    direct, = pythagoras_check(fam, make_adapted(fam, seed, "direct"), [p], "direct")
     assert direct.direct_ratio <= direct.direct_bound + 1e-9
-    cancel = pythagoras_check(fam, make_adapted(fam, seed, "reverse_cancellative"),
-                              p, "reverse_cancellative")
+    cancel, = pythagoras_check(fam, make_adapted(fam, seed, "reverse_cancellative"),
+                               [p], "reverse_cancellative")
     if cancel.sum_norm > 0:
         assert cancel.reverse_ratio <= cancel.reverse_bound + 1e-9
-    nonneg = pythagoras_check(fam, make_adapted(fam, seed, "reverse_nonneg"),
-                              p, "reverse_nonneg")
+    nonneg, = pythagoras_check(fam, make_adapted(fam, seed, "reverse_nonneg"),
+                               [p], "reverse_nonneg")
     if nonneg.sum_norm > 0:
         assert nonneg.reverse_ratio <= nonneg.reverse_bound + 1e-9
 
