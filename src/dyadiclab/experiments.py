@@ -434,13 +434,15 @@ def run_paraproduct_extraction(params: dict, seed: int) -> list:
     kernel = rep.smooth_odd_kernel(0.25, 1.0)
     T = rep.assemble(kernel, sysm)
     sup = sysm.cube(0, (0,))
-    worst = worst_raw = 0.0
+    pairs = []
     for k in range(params["n_pairs"]):
         f = random_grid_function(sysm, seed, support=sup, mean_zero="per_top",
                                  label=f"extract-f-{k}")
         g = random_grid_function(sysm, seed, support=sup, mean_zero="per_top",
                                  label=f"extract-g-{k}")
-        res = rep.pairing_decomposition(T, g, f, sysm.min_level, sysm.depth - 1)
+        pairs.append((g, f))
+    worst = worst_raw = 0.0
+    for res in rep.pairing_decomposition(T, pairs, sysm.min_level, sysm.depth - 1):
         worst = max(worst, res.identity_residual)
         worst_raw = max(worst_raw, abs(res.raw_sum - res.lhs))
     return [

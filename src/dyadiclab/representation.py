@@ -216,15 +216,6 @@ def extract_paraproducts(T: DiscreteOperator, level_lo: int, level_hi: int) -> t
     return toward_argument, toward_dual
 
 
-def synthesize_symbol(system: DyadicSystem, table: dict, level_lo: int,
-                      level_hi: int) -> GridFunction:
-    """Grid function whose Haar coefficients in the range equal the table."""
-    cols, H = haar_frame(system, level_lo, level_hi)
-    coeffs = np.array([table.get(cube.key() + (eta,), 0.0) for cube, eta in cols])
-    vals = (H @ coeffs).reshape((system.cells_per_axis,) * system.d)
-    return GridFunction(system, vals[..., None])
-
-
 @dataclass(frozen=True)
 class PairingDecomposition:
     lhs: float
@@ -238,23 +229,38 @@ class PairingDecomposition:
         return abs(self.raw_sum - self.extracted_sum - self.para_argument - self.para_dual)
 
 
-def pairing_decomposition(T: DiscreteOperator, g: GridFunction, f: GridFunction,
-                          level_lo: int, level_hi: int) -> PairingDecomposition:
-    """Raw double Haar sum against its extracted form plus paraproduct terms.
+def pairing_decomposition(T: DiscreteOperator, pairs: Sequence, level_lo: int,
+                          level_hi: int) -> list:
+    """Raw double Haar sum against its extracted form plus paraproduct terms,
+    one PairingDecomposition per (g, f) in `pairs`, in order.
 
+    The operator-only work is done once per call: the Haar frame, the
+    matrix of elements, the two symbol tables and their grid functions,
+    and the ancestor nest of the extracted convention.  Each pair then
+    takes its coefficients and sums exactly as a one-pair call would.
     Standard systems only, or any system whose level_lo is cell-aligned (so
     every finer level is too); a translated level_lo raises ValueError.
+    Raises ResourceLimitError, before building anything, when the two
+    frames and the two element matrices would pass the assembly byte cap.
     """
     sysm = T.system
     if any(sysm.shift_cells(level_lo)):
         raise ValueError(f"level {level_lo} of this system is translated; "
                          "pairing_decomposition needs cell-aligned levels")
+    # the frame and T.matrix @ H, n_cells x n_cols each, and the elements and
+    # their extracted copy, n_cols x n_cols each; cubes counted from corner ranges
+    n_cubes = sum(int(np.prod([len(r) for r in sysm.corner_ranges(level)]))
+                  for level in range(level_lo, level_hi + 1))
+    n_cells, n_cols = sysm.n_cells, len(etas(sysm.d)) * n_cubes
+    n_bytes = 8 * (2 * n_cells * n_cols + 2 * n_cols * n_cols)
+    if n_bytes > _ASSEMBLE_BYTE_CAP:
+        raise ResourceLimitError(f"{n_cols} Haar columns of {n_cells} cells need {n_bytes} "
+                                 f"bytes, above the cap {_ASSEMBLE_BYTE_CAP}")
+    if not pairs:
+        return []
     vol = sysm.cell_volume
     cols, H = haar_frame(sysm, level_lo, level_hi)
-    cf = vol * (H.T @ f.scalar_values().reshape(-1))
-    cg = vol * (H.T @ g.scalar_values().reshape(-1))
     elements = vol * (H.T @ (T.matrix @ H))
-    raw_sum = float(cg @ elements @ cf)
 
     toward_argument, toward_dual = extract_paraproducts(T, level_lo, level_hi)
     keys = [cube.key() + (eta,) for cube, eta in cols]
@@ -279,15 +285,21 @@ def pairing_decomposition(T: DiscreteOperator, g: GridFunction, f: GridFunction,
     ext = elements.copy()
     ext[outer, inner] -= vals * col_sym[inner]
     ext[inner, outer] -= vals * row_sym[inner]
-    extracted_sum = float(cg @ ext @ cf)
 
-    b_arg = synthesize_symbol(sysm, toward_argument, level_lo, level_hi)
-    b_dual = synthesize_symbol(sysm, toward_dual, level_lo, level_hi)
-    levels = (level_lo, level_hi)
-    para_arg = pair(g, apply_paraproduct(ParaproductSpec(b_arg, levels), f))
-    para_dual = pair(f, apply_paraproduct(ParaproductSpec(b_dual, levels), g))
-    return PairingDecomposition(raw_pairing(g, T, f), raw_sum, extracted_sum,
-                                para_arg, para_dual)
+    # the symbols whose Haar coefficients in the range are the two tables
+    shape = (sysm.cells_per_axis,) * sysm.d + (1,)
+    arg_spec = ParaproductSpec(GridFunction(sysm, (H @ row_sym).reshape(shape)),
+                               (level_lo, level_hi))
+    dual_spec = ParaproductSpec(GridFunction(sysm, (H @ col_sym).reshape(shape)),
+                                (level_lo, level_hi))
+    out = []
+    for g, f in pairs:
+        cf = vol * (H.T @ f.scalar_values().reshape(-1))
+        cg = vol * (H.T @ g.scalar_values().reshape(-1))
+        out.append(PairingDecomposition(
+            raw_pairing(g, T, f), float(cg @ elements @ cf), float(cg @ ext @ cf),
+            pair(g, apply_paraproduct(arg_spec, f)), pair(f, apply_paraproduct(dual_spec, g))))
+    return out
 
 
 def full_pairing_sum(T: DiscreteOperator, g: GridFunction, f: GridFunction,

@@ -228,9 +228,13 @@ def apply_paraproduct(spec: ParaproductSpec, f: GridFunction) -> GridFunction:
         mask = np.zeros(f.values.shape[:-1], dtype=bool)
         mask[spec.root.cell_slices()] = True
     out = np.zeros_like(f.values)
-    for level in spec.level_range():
-        proj = (conditional_expectation(b, level + 1).values
-                - conditional_expectation(b, level).values)
+    levels = spec.level_range()
+    # each level's finer expectation of the symbol is the next level's coarser one
+    coarse = conditional_expectation(b, levels.start).values if levels else None
+    for level in levels:
+        fine = conditional_expectation(b, level + 1).values
+        proj = fine - coarse
+        coarse = fine
         avg = conditional_expectation(f, level).values
         if matrix_symbol:
             term = np.einsum("...bc,...c->...b",

@@ -12,14 +12,14 @@ import numpy as np
 from dyadiclab.errors import (AdaptednessError, AmbientRangeError, MeshDepthError,
                               SparsityError)
 from dyadiclab.grid import DyadicSystem, goodness_probability, is_good
-from dyadiclab.gridfn import (GridFunction, _block_means, _expand_blocks, etas,
-                              fill_haar_frame, haar_block, haar_coefficient, haar_vector,
-                              pair)
+from dyadiclab.gridfn import (GridFunction, _block_means, _expand_blocks,
+                              conditional_expectation, etas, fill_haar_frame, haar_block,
+                              haar_coefficient, haar_frame, haar_vector, pair)
 from dyadiclab.rademacher import OperatorFamily, _power_iteration_vector, sign_patterns
 from dyadiclab.representation import (AveragingIdentityReport, DecayReport,
                                       PairingDecomposition, _case_constraints,
-                                      _support_box, decay_slope_target, matrix_element,
-                                      raw_pairing)
+                                      _support_box, decay_slope_target,
+                                      extract_paraproducts, matrix_element, raw_pairing)
 from dyadiclab.rng import substream
 from dyadiclab.shifts import ParaproductSpec, apply_paraproduct
 from dyadiclab.space import SCALAR, conjugate_exponent
@@ -167,6 +167,32 @@ def apply_shift_per_cube(spec, f):
             factor = cube.size_cells >> spec.block_gap
             out[cube.cell_slices()] += _expand_blocks(blocks, d, factor)
     return GridFunction(spec.system, out, spec.space)
+
+
+def apply_paraproduct_per_level(spec, f):
+    """The paraproduct with both conditional expectations of the symbol
+    taken afresh at every level."""
+    b, sysm = spec.b, spec.b.system
+    n = f.space.dim
+    matrix_symbol = b.space.dim == n * n and n > 1
+    mask = None
+    if spec.root is not None:
+        mask = np.zeros(f.values.shape[:-1], dtype=bool)
+        mask[spec.root.cell_slices()] = True
+    out = np.zeros_like(f.values)
+    for level in spec.level_range():
+        proj = (conditional_expectation(b, level + 1).values
+                - conditional_expectation(b, level).values)
+        avg = conditional_expectation(f, level).values
+        if matrix_symbol:
+            term = np.einsum("...bc,...c->...b",
+                             proj.reshape(proj.shape[:-1] + (n, n)), avg)
+        else:
+            term = proj * avg
+        if mask is not None:
+            term = np.where(mask[..., None], term, 0.0)
+        out += term
+    return GridFunction(sysm, out, f.space)
 
 
 # -- per-cube projections ----------------------------------------------------------
@@ -522,6 +548,59 @@ def pairing_decomposition_dense(T, g, f, level_lo, level_hi):
     levels = (level_lo, level_hi)
     para_arg = pair(g, apply_paraproduct(ParaproductSpec(b_arg, levels), f))
     para_dual = pair(f, apply_paraproduct(ParaproductSpec(b_dual, levels), g))
+    return PairingDecomposition(raw_pairing(g, T, f), raw_sum, extracted_sum,
+                                para_arg, para_dual)
+
+
+def synthesize_symbol(system, table, level_lo, level_hi):
+    """Grid function whose Haar coefficients in the range equal the table,
+    from its own per-level Haar frame."""
+    cols, H = haar_frame(system, level_lo, level_hi)
+    coeffs = np.array([table.get(cube.key() + (eta,), 0.0) for cube, eta in cols])
+    vals = (H @ coeffs).reshape((system.cells_per_axis,) * system.d)
+    return GridFunction(system, vals[..., None])
+
+
+def pairing_decomposition_per_pair(T, g, f, level_lo, level_hi):
+    """`representation.pairing_decomposition` for one (g, f), redoing the
+    frame, the elements, the symbol tables and the ancestor nest."""
+    sysm = T.system
+    if any(sysm.shift_cells(level_lo)):
+        raise ValueError(f"level {level_lo} of this system is translated; "
+                         "pairing_decomposition needs cell-aligned levels")
+    vol = sysm.cell_volume
+    cols, H = haar_frame(sysm, level_lo, level_hi)
+    cf = vol * (H.T @ f.scalar_values().reshape(-1))
+    cg = vol * (H.T @ g.scalar_values().reshape(-1))
+    elements = vol * (H.T @ (T.matrix @ H))
+    raw_sum = float(cg @ elements @ cf)
+
+    toward_argument, toward_dual = extract_paraproducts(T, level_lo, level_hi)
+    keys = [cube.key() + (eta,) for cube, eta in cols]
+    col_sym = np.array([toward_dual[key] for key in keys])
+    row_sym = np.array([toward_argument[key] for key in keys])
+    index = {key: n for n, key in enumerate(keys)}
+    firsts = np.ravel_multi_index(np.array([cube.start_cells() for cube, _ in cols]).T,
+                                  (sysm.cells_per_axis,) * sysm.d)
+    outer, inner = [], []
+    for nI, (I, _) in enumerate(cols):
+        anc = I
+        while anc.level > level_lo:
+            anc = anc.parent()
+            for eta in etas(sysm.d):
+                outer.append(index[anc.key() + (eta,)])
+                inner.append(nI)
+    vals = H[firsts[inner], outer]
+    ext = elements.copy()
+    ext[outer, inner] -= vals * col_sym[inner]
+    ext[inner, outer] -= vals * row_sym[inner]
+    extracted_sum = float(cg @ ext @ cf)
+
+    b_arg = synthesize_symbol(sysm, toward_argument, level_lo, level_hi)
+    b_dual = synthesize_symbol(sysm, toward_dual, level_lo, level_hi)
+    levels = (level_lo, level_hi)
+    para_arg = pair(g, apply_paraproduct_per_level(ParaproductSpec(b_arg, levels), f))
+    para_dual = pair(f, apply_paraproduct_per_level(ParaproductSpec(b_dual, levels), g))
     return PairingDecomposition(raw_pairing(g, T, f), raw_sum, extracted_sum,
                                 para_arg, para_dual)
 

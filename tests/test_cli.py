@@ -436,6 +436,17 @@ def test_failed_check_still_exits_one(monkeypatch, capsys):
     assert capsys.readouterr().err == "FAIL goodness/forced\n"
 
 
+def test_pairing_frames_past_the_byte_cap_are_usage_error(monkeypatch, capsys):
+    # at depth 4 the 32 x 32 operator fits under this cap, but its 30 Haar
+    # columns' frames and element matrices do not (the real cap is passed the
+    # same way at depth 12, where they would take about 2 GiB)
+    from dyadiclab import representation
+
+    monkeypatch.setattr(representation, "_ASSEMBLE_BYTE_CAP", 8 * 32 * 32)
+    assert main(["run", "--experiment", "paraproduct-extraction", "--depth", "4"]) == 2
+    assert_one_error_line(capsys, "error: paraproduct-extraction: 30 Haar columns of 32 cells")
+
+
 def test_float_parameter_takes_an_int(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({

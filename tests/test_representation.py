@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from dyadiclab import representation
 from dyadiclab.errors import (AmbientRangeError, DegenerateInputError,
                               InsufficientDataError, ResourceLimitError)
 from dyadiclab.grid import DyadicCube, DyadicSystem, GoodnessParams, is_good
@@ -17,8 +18,7 @@ from dyadiclab.representation import (DECAY_CASES, DiscreteOperator,
                                       extract_paraproducts, full_pairing_sum,
                                       hilbert_kernel, matrix_element,
                                       pairing_decomposition, raw_pairing,
-                                      smooth_odd_kernel, synthesize_symbol,
-                                      validate_kernel, wbp_constants)
+                                      smooth_odd_kernel, validate_kernel, wbp_constants)
 from dyadiclab.shifts import ExplicitKernel, ShiftSpec, apply_shift
 
 SYS = DyadicSystem(d=1, m_top=0, depth=6)
@@ -115,7 +115,7 @@ def test_pairing_decomposition_identity(seed):
     sup = SYS.cube(0, (0,))
     f = random_grid_function(SYS, seed, support=sup, mean_zero="per_top", label="pd-f")
     g = random_grid_function(SYS, seed, support=sup, mean_zero="per_top", label="pd-g")
-    res = pairing_decomposition(T, g, f, SYS.min_level, SYS.depth - 1)
+    [res] = pairing_decomposition(T, [(g, f)], SYS.min_level, SYS.depth - 1)
     assert abs(res.raw_sum - res.lhs) < 1e-10
     assert res.identity_residual < 1e-10
 
@@ -123,7 +123,7 @@ def test_pairing_decomposition_identity(seed):
 def test_symbol_synthesis_matches_table():
     T = assemble(smooth_odd_kernel(0.25, 1.0), SYS)
     toward_argument, _ = extract_paraproducts(T, 0, 3)
-    b = synthesize_symbol(SYS, toward_argument, 0, 3)
+    b = oracles.synthesize_symbol(SYS, toward_argument, 0, 3)
     for level in range(0, 4):
         for cube in SYS.cubes_at_level(level):
             key = cube.key() + ((1,),)
@@ -410,7 +410,7 @@ def test_symbol_tables_match_dense_oracle(system, seed):
         assert list(table) == list(expect)
         assert np.allclose(list(table.values()), list(expect.values()),
                            rtol=1e-12, atol=1e-12)
-        assert np.allclose(synthesize_symbol(system, table, lo, hi).values,
+        assert np.allclose(oracles.synthesize_symbol(system, table, lo, hi).values,
                            oracles.synthesize_symbol_dense(system, expect, lo, hi).values,
                            rtol=1e-12, atol=1e-12)
 
@@ -425,7 +425,7 @@ def test_pairing_decomposition_matches_dense_oracle(system, seed):
     lo, hi = random_levels(system, gen)
     f = random_grid_function(system, seed, label="pd-oracle-f")
     g = random_grid_function(system, seed, label="pd-oracle-g")
-    got = pairing_decomposition(T, g, f, lo, hi)
+    [got] = pairing_decomposition(T, [(g, f)], lo, hi)
     want = oracles.pairing_decomposition_dense(T, g, f, lo, hi)
     for field in dataclasses.fields(got):
         assert getattr(got, field.name) == pytest.approx(getattr(want, field.name),
@@ -439,17 +439,100 @@ def test_pairing_decomposition_rejects_translated_levels():
     T = random_operator(translated, gen)
     f = random_grid_function(translated, 1)
     with pytest.raises(ValueError, match="translated"):
-        pairing_decomposition(T, f, f, 0, 5)
+        pairing_decomposition(T, [(f, f)], 0, 5)
     # translated only at coarse scales: the finer levels stay aligned
     coarse = DyadicSystem(d=1, m_top=1, depth=4, omega=((1,),) + ((0,),) * 4)
     assert any(coarse.shift_cells(-1)) and not any(coarse.shift_cells(0))
     T = random_operator(coarse, gen)
     f, g = random_grid_function(coarse, 3), random_grid_function(coarse, 4)
-    got, want = pairing_decomposition(T, g, f, 0, 3), oracles.pairing_decomposition_dense(
-        T, g, f, 0, 3)
+    [got] = pairing_decomposition(T, [(g, f)], 0, 3)
+    want = oracles.pairing_decomposition_dense(T, g, f, 0, 3)
     for field in dataclasses.fields(got):
         assert getattr(got, field.name) == pytest.approx(getattr(want, field.name),
                                                          rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def aligned_from(draw, systems=translated_systems()):
+    """A system of `translated_systems`' shapes, standard or translated only at
+    the levels above a drawn level_lo, with levels lo <= hi."""
+    base = draw(systems)
+    lo = draw(st.integers(base.min_level, base.depth - 1))
+    hi = draw(st.integers(lo, base.depth - 1))
+    if draw(st.booleans()):
+        omega = ()
+    else:
+        # the bit of scale j moves the levels coarser than j only
+        scales = range(base.min_level + 1, base.depth + 1)
+        omega = tuple(bits if j <= lo else (0,) * base.d for j, bits in zip(scales, base.omega))
+    system = DyadicSystem(d=base.d, m_top=base.m_top, depth=base.depth, omega=omega)
+    assert not any(system.shift_cells(lo))
+    return system, lo, hi
+
+
+@given(aligned_from(), st.integers(1, 4), st.integers(0, 2**20))
+@settings(max_examples=30, deadline=None)
+def test_batched_pairs_match_one_call_per_pair(case, n_pairs, seed):
+    system, lo, hi = case
+    T = random_operator(system, np.random.default_rng(seed))
+    pairs = [(random_grid_function(system, seed, label=f"batch-g-{k}"),
+              random_grid_function(system, seed, label=f"batch-f-{k}"))
+             for k in range(n_pairs)]
+    got = pairing_decomposition(T, pairs, lo, hi)
+    assert len(got) == n_pairs
+    for res, (g, f) in zip(got, pairs):
+        want = oracles.pairing_decomposition_per_pair(T, g, f, lo, hi)
+        for field in dataclasses.fields(res):
+            assert getattr(res, field.name) == getattr(want, field.name), field.name
+
+
+def count_calls(monkeypatch, counts, owner, name):
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("n_pairs", [1, 5])
+def test_operator_work_is_done_once_per_call(monkeypatch, n_pairs):
+    system = DyadicSystem(d=1, m_top=1, depth=4)
+    lo, hi = 0, 3
+    T = random_operator(system, np.random.default_rng(0))
+    pairs = [(random_grid_function(system, k, label="count-g"),
+              random_grid_function(system, k, label="count-f")) for k in range(n_pairs)]
+    counts = {}
+    for name in ("extract_paraproducts", "haar_frame"):
+        count_calls(monkeypatch, counts, representation, name)
+    count_calls(monkeypatch, counts, DyadicCube, "parent")
+    assert len(pairing_decomposition(T, pairs, lo, hi)) == n_pairs
+    # one walk: every cube of the range climbs once to level lo
+    walk = sum(len(list(system.cubes_at_level(level))) * (level - lo)
+               for level in range(lo, hi + 1))
+    assert counts == {"extract_paraproducts": 1, "haar_frame": 2, "parent": walk}
+
+
+def test_no_pairs_give_no_results():
+    T = random_operator(SYS, np.random.default_rng(0))
+    assert pairing_decomposition(T, [], 0, 3) == []
+
+
+def test_pairing_byte_cap_fires_before_any_frame(monkeypatch):
+    # 32 cells and 30 Haar columns: the operator's 8 * 32^2 bytes pass the
+    # cap, the frames' and elements' 8 * (2*32*30 + 2*30^2) do not
+    system = DyadicSystem(d=1, m_top=0, depth=4)
+    T = assemble(smooth_odd_kernel(0.25, 1.0), system)
+    f = random_grid_function(system, 0)
+    monkeypatch.setattr(representation, "_ASSEMBLE_BYTE_CAP", 8 * (2 * 32 * 30 + 2 * 30 * 30) - 1)
+    counts = {}
+    for name in ("extract_paraproducts", "haar_frame"):
+        count_calls(monkeypatch, counts, representation, name)
+    with pytest.raises(ResourceLimitError, match="30 Haar columns of 32 cells"):
+        pairing_decomposition(T, [(f, f)], 0, 3)
+    assert counts == {}
+    monkeypatch.setattr(representation, "_ASSEMBLE_BYTE_CAP", 8 * (2 * 32 * 30 + 2 * 30 * 30))
+    assert len(pairing_decomposition(T, [(f, f)], 0, 3)) == 1
 
 
 DECAY_PARAMS = (GoodnessParams(gamma=0.9, r=3), GoodnessParams(gamma=0.4, r=4),

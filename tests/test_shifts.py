@@ -11,7 +11,7 @@ from dyadiclab.shifts import (ExplicitKernel, ParaproductSpec, RandomKernel, Shi
                               shift_spec_from_json, shift_spec_to_json)
 from dyadiclab.space import NormedSpace
 
-from oracles import apply_shift_per_cube, dense_shift_matrix
+from oracles import apply_paraproduct_per_level, apply_shift_per_cube, dense_shift_matrix
 
 SYS = DyadicSystem(d=1, m_top=0, depth=6)
 UNIT = SYS.cube(0, (0,))
@@ -136,6 +136,46 @@ def test_matrix_symbol_acts_on_vectors():
     f = random_grid_function(SYS, 9, space)
     out = apply_paraproduct(ParaproductSpec(b), f)
     assert out.values.shape == f.values.shape
+
+
+@given(st.integers(0, 2**20), st.sampled_from([1, 2]), st.integers(0, 2),
+       st.sampled_from(["scalar", "matrix"]), st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_paraproduct_matches_per_level_expectations(seed, d, m_top, symbol, with_levels,
+                                                     with_root):
+    system = DyadicSystem(d=d, m_top=m_top, depth=(4 if d == 1 else 3) - m_top)
+    gen = np.random.default_rng(seed)
+    n = 2 if symbol == "matrix" else 1
+    b = random_grid_function(system, seed, NormedSpace(n * n, 2.0), label="pp-b")
+    f = random_grid_function(system, seed, NormedSpace(n, 2.0), label="pp-f")
+    levels = None
+    if with_levels:
+        lo = int(gen.integers(system.min_level, system.depth))
+        levels = (lo, int(gen.integers(lo - 1, system.depth)))  # hi < lo: no level
+    root = None
+    if with_root:
+        level = int(gen.integers(system.min_level, system.depth + 1))
+        cubes = list(system.cubes_at_level(level))
+        root = cubes[gen.integers(len(cubes))]
+    spec = ParaproductSpec(b, levels, root)
+    assert np.array_equal(apply_paraproduct(spec, f).values,
+                          apply_paraproduct_per_level(spec, f).values)
+
+
+def test_paraproduct_takes_each_symbol_expectation_once(monkeypatch):
+    import dyadiclab.shifts as shifts
+
+    calls = []
+    inner = shifts.conditional_expectation
+
+    def counted(g, level):
+        calls.append(level)
+        return inner(g, level)
+    monkeypatch.setattr(shifts, "conditional_expectation", counted)
+    b, f = random_grid_function(SYS, 1), random_grid_function(SYS, 2)
+    apply_paraproduct(ParaproductSpec(b, levels=(1, 4)), f)
+    # the symbol at levels 1..5, each once, and the argument at levels 1..4
+    assert len(calls) == 2 * 4 + 1 and sorted(set(calls)) == [1, 2, 3, 4, 5]
 
 
 # -- serialization ---------------------------------------------------------------------
