@@ -112,9 +112,8 @@ def run_paraproduct(params: dict, seed: int) -> list:
         b = random_grid_function(sysm, seed, label=f"para-b-{k}")
         f = random_grid_function(sysm, seed, label=f"para-f-{k}")
         out = apply_paraproduct(ParaproductSpec(b), f)
-        for p in params["p_list"]:
+        for p, bmo in zip(params["p_list"], bmo_norm(b, params["p_list"])):
             den = lp_norm(f, p)
-            bmo = bmo_norm(b, p)
             if den == 0.0 or bmo == 0.0:
                 continue
             bound = 12.0 * p * conjugate_exponent(p) * umd_beta_scalar(p) * bmo

@@ -127,10 +127,23 @@ class DyadicSystem:
         """All level-`level` cubes inside the ambient cube, corners in row-major order.
 
         `within` optionally restricts to cubes meeting a cell box, given as
-        per-axis (lo, hi) cell index pairs.
+        per-axis (lo, hi) cell index pairs.  The corners come from
+        `corner_ranges`, so they are in range by construction: each cube is
+        built from its start cells, m * size + origin_cell + shift, without the
+        checks of `DyadicCube(...)`.
         """
-        for corner in itertools.product(*self.corner_ranges(level, within)):
-            yield DyadicCube(self, level, corner)
+        ranges = self.corner_ranges(level, within)
+        size = 1 << (self.depth - level)
+        bases = [self.origin_cell + s for s in self.shift_cells(level)]
+        starts = [range(r.start * size + base, r.stop * size + base, size)
+                  for r, base in zip(ranges, bases)]
+        new = object.__new__
+        for corner, start in zip(itertools.product(*ranges), itertools.product(*starts)):
+            cube = new(DyadicCube)
+            # the fields and the geometry `__post_init__` would set
+            cube.__dict__.update(system=self, level=level, corner=corner, _start=start,
+                                 size_cells=size)
+            yield cube
 
     def corner_ranges(self, level: int, within=None) -> list:
         """Per-axis corner ranges of the cubes that `cubes_at_level` lists.

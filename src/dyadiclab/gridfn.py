@@ -182,11 +182,16 @@ def haar_eval(cube: DyadicCube, eta, points) -> np.ndarray:
 
 
 def _block_means(arr: np.ndarray, d: int, factor: int) -> np.ndarray:
-    """Means over blocks of `factor` cells per axis; trailing axis kept."""
+    """Means over blocks of `factor` cells per axis; trailing axis kept.
+
+    The block sum divided by the cell count, which is what `ndarray.mean`
+    computes, without its wrapper.
+    """
     if factor == 1:
         return arr
     split = [x for b in arr.shape[:d] for x in (b // factor, factor)]
-    return arr.reshape(*split, arr.shape[-1]).mean(axis=tuple(range(1, 2 * d, 2)))
+    sums = np.add.reduce(arr.reshape(*split, arr.shape[-1]), axis=tuple(range(1, 2 * d, 2)))
+    return sums / factor**d
 
 
 @functools.lru_cache(maxsize=None)
@@ -348,20 +353,23 @@ def pair(g: GridFunction, f: GridFunction) -> float:
     return float((g.values * f.values).sum() * f.system.cell_volume)
 
 
-def bmo_norm(b: GridFunction, p: float) -> float:
-    """Supremum over all system cubes of the p-mean oscillation."""
-    sysm = b.system
-    best = 0.0
+def bmo_norm(b: GridFunction, ps) -> list:
+    """Supremum over all system cubes of the p-mean oscillation, one value per
+    exponent of the list `ps` (inf allowed).  Each level's deviations from the
+    cube means are computed once, for every exponent."""
+    sysm, d = b.system, b.system.d
+    best = [0.0] * len(ps)
     for level in range(sysm.min_level, sysm.depth + 1):
         _require_aligned(sysm, level)
         factor = 1 << (sysm.depth - level)
-        means = _expand_blocks(_block_means(b.values, sysm.d, factor), sysm.d, factor)
+        means = _expand_blocks(_block_means(b.values, d, factor), d, factor)
         dev = b.space.norm(b.values - means)
-        if p == np.inf:
-            val = float(dev.max())
-        else:
-            val = float(_block_means((dev**p)[..., None], sysm.d, factor).max()) ** (1.0 / p)
-        best = max(best, val)
+        for k, p in enumerate(ps):
+            if p == np.inf:
+                val = float(dev.max())
+            else:
+                val = float(_block_means((dev**p)[..., None], d, factor).max()) ** (1.0 / p)
+            best[k] = max(best[k], val)
     return best
 
 

@@ -40,16 +40,6 @@ def sign_average(elements: np.ndarray, p: float, space: NormedSpace) -> np.ndarr
     return powers.mean(axis=-1)
 
 
-def rademacher_pnorm(elements: np.ndarray, p: float, space: NormedSpace = None) -> float:
-    """(E |sum_n eps_n e_n|^p)^(1/p) over all 2^n sign patterns."""
-    elements = np.atleast_2d(np.asarray(elements, dtype=float))
-    if elements.shape[0] < 1:
-        raise DegenerateInputError("need at least one element")
-    if space is None:
-        space = NormedSpace(elements.shape[1], 2.0)
-    return float(sign_average(elements, p, space)) ** (1.0 / p)
-
-
 @dataclass(frozen=True)
 class OperatorFamily:
     """A finite family of real matrices acting on one normed space."""

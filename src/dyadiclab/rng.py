@@ -8,7 +8,9 @@ The streams are pinned to NumPy's `SeedSequence` hash (NEP 19) and its
 `Philox`: a stream is `Philox(SeedSequence([seed, *label ints]))`, which
 is fixed by the key `SeedSequence(...).generate_state(2, uint64)` and a
 zero counter.  `substreams` computes those keys for many label rows at
-once and re-keys one `Philox`, drawing exactly what `substream` draws.
+once and re-keys one `Philox`, drawing exactly what `substream` draws;
+`array_substreams` does the same for rows of integer labels held in one
+array.  Both pack their rows into one uint64 array for `_pack_keys`.
 `tests/test_rng.py::test_pinned_key` guards the pin: it fails loudly if
 a NumPy release changes its seeding.
 """
@@ -110,39 +112,49 @@ def _keys(words: np.ndarray, count: np.ndarray) -> np.ndarray:
     return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
 
 
-def _substream_keys(seed: int, label_rows) -> np.ndarray:
-    """(rows, 2) uint64 Philox keys of `substream(seed, *row)` for each row,
-    from one `_keys` call.
+def _pack_keys(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """(rows, 2) uint64 Philox keys of `SeedSequence(values[r, :lengths[r]])` for
+    each row r of `values`, a (rows, width) uint64 array of 63-bit ints.
 
     SeedSequence makes one uint32 word of an int below 2^32 and two of a
     larger one; each row's words are packed to the left of one array.
     """
+    rows, width = values.shape
+    high = values >> np.uint64(32)
+    # low and high word of each int, and which of them SeedSequence keeps
+    words = np.stack([values & np.uint64(_MASK32), high], axis=2).reshape(rows, 2 * width)
+    kept = np.stack([np.arange(width) < lengths[:, None], high != 0],
+                    axis=2).reshape(rows, 2 * width)
+    count = kept.sum(axis=1)
+    packed = np.zeros((rows, int(count.max(initial=1))), dtype=np.uint32)
+    packed[np.nonzero(kept)[0], np.cumsum(kept, axis=1)[kept] - 1] = words[kept]
+    return _keys(packed, count)
+
+
+def _substream_keys(seed: int, label_rows) -> np.ndarray:
+    """(rows, 2) uint64 Philox keys of `substream(seed, *row)` for each row."""
     seed = int(seed) & _MASK
     rows = [[seed, *map(_label_int, row)] for row in label_rows]
     lengths = np.array([len(ints) for ints in rows], dtype=np.intp)
     width = int(lengths.max(initial=1))
     values = np.array([ints + [0] * (width - len(ints)) for ints in rows],
                       dtype=np.uint64).reshape(len(rows), width)
-    high = values >> np.uint64(32)
-    # low and high word of each int, and which of them SeedSequence keeps
-    words = np.stack([values & np.uint64(_MASK32), high], axis=2).reshape(len(rows), 2 * width)
-    kept = np.stack([np.arange(width) < lengths[:, None], high != 0],
-                    axis=2).reshape(len(rows), 2 * width)
-    count = kept.sum(axis=1)
-    packed = np.zeros((len(rows), int(count.max(initial=1))), dtype=np.uint32)
-    packed[np.nonzero(kept)[0], np.cumsum(kept, axis=1)[kept] - 1] = words[kept]
-    return _keys(packed, count)
+    return _pack_keys(values, lengths)
 
 
-def substreams(seed: int, label_rows):
-    """For each row, a generator that draws exactly what `substream(seed, *row)`
-    draws, keyed for all rows at once.
+def _array_keys(seed: int, labels: tuple, ints: np.ndarray) -> np.ndarray:
+    """(rows, 2) uint64 Philox keys of `substream(seed, *labels, *row)` for each
+    row of the (rows, k) integer array `ints`, masked to 63 bits as arrays."""
+    ints = np.asarray(ints, dtype=np.int64)
+    head = [int(seed) & _MASK, *map(_label_int, labels)]
+    values = np.empty((len(ints), len(head) + ints.shape[1]), dtype=np.uint64)
+    values[:, :len(head)] = head
+    values[:, len(head):] = ints & _MASK
+    return _pack_keys(values, np.full(len(ints), values.shape[1], dtype=np.intp))
 
-    One Philox generator is re-keyed and yielded for every row, so a caller
-    must finish drawing from one row before taking the next; the generator
-    must not be kept.
-    """
-    keys = _substream_keys(seed, label_rows)
+
+def _rekeyed(keys: np.ndarray):
+    """One Philox generator, re-keyed to each key in turn and yielded."""
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bits)
     zero = np.zeros(4, dtype=np.uint64)
@@ -153,3 +165,21 @@ def substreams(seed: int, label_rows):
         inner["key"] = key
         bits.state = state
         yield gen
+
+
+def substreams(seed: int, label_rows):
+    """For each row, a generator that draws exactly what `substream(seed, *row)`
+    draws, keyed for all rows at once.
+
+    One Philox generator is re-keyed and yielded for every row, so a caller
+    must finish drawing from one row before taking the next; the generator
+    must not be kept.
+    """
+    return _rekeyed(_substream_keys(seed, label_rows))
+
+
+def array_substreams(seed: int, labels: tuple, ints):
+    """`substreams` of the rows `(*labels, *row)` for each row of the (rows, k)
+    integer array `ints`: the shared labels are hashed once and the integer
+    labels are keyed as one array, with no label tuple per row."""
+    return _rekeyed(_array_keys(seed, labels, ints))

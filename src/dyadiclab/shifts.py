@@ -21,12 +21,22 @@ from .errors import MeshDepthError
 from .grid import DyadicCube, DyadicSystem
 from .gridfn import (GridFunction, _block_means, _blocks, _expand_blocks, _unblocks,
                      conditional_expectation)
-from .rng import substream, substreams
+from .rng import array_substreams, substream
 from .space import SCALAR, NormedSpace
 
 
-def _kernel_labels(cube: DyadicCube) -> tuple:
-    return ("shift-kernel", cube.level, *cube.corner)
+_KERNEL_LABEL = "shift-kernel"  # a table's stream is keyed (seed, label, level, *corner)
+
+
+def _level_corners(level: int, axes) -> np.ndarray:
+    """(level, *corner) rows of the cubes whose per-axis corner ranges are `axes`,
+    in `cubes_at_level` order (row-major)."""
+    d = len(axes)
+    rows = np.empty(tuple(map(len, axes)) + (1 + d,), dtype=np.int64)
+    rows[..., 0] = level
+    for ax, r in enumerate(axes):  # each axis's corners, broadcast over the later axes
+        rows[..., 1 + ax] = np.arange(r.start, r.stop).reshape((-1,) + (1,) * (d - 1 - ax))
+    return rows.reshape(-1, 1 + d)
 
 
 @dataclass(frozen=True)
@@ -43,7 +53,7 @@ class RandomKernel:
         """The cube's table, drawn from `gen` if given: its stream already keyed,
         from `streams`.  Without it the stream is keyed here, one cube at a time."""
         if gen is None:
-            gen = substream(self.seed, *_kernel_labels(cube))
+            gen = substream(self.seed, _KERNEL_LABEL, cube.level, *cube.corner)
         if self.matrix_dim == 1:
             return gen.uniform(-self.cap, self.cap, size=(blocks, blocks))
         raw = gen.uniform(-1.0, 1.0,
@@ -53,9 +63,10 @@ class RandomKernel:
             raw *= self.cap / probe
         return raw
 
-    def streams(self, cubes) -> Iterator[np.random.Generator]:
-        """The cubes' kernel streams, keyed in one batch (see `rng.substreams`)."""
-        return substreams(self.seed, [_kernel_labels(cube) for cube in cubes])
+    def streams(self, corners: np.ndarray) -> Iterator[np.random.Generator]:
+        """The kernel streams of the cubes whose (level, *corner) are the rows of
+        `corners`, keyed in one batch (see `rng.array_substreams`)."""
+        return array_substreams(self.seed, (_KERNEL_LABEL,), corners)
 
     def witness_probe(self, table: np.ndarray) -> float:
         """Best witness ratio found for the block family of one table."""
@@ -75,10 +86,10 @@ class ExplicitKernel:
     tables: dict
 
     def table(self, cube: DyadicCube, blocks: int) -> np.ndarray:
-        arr = np.asarray(self.tables[cube.key()], dtype=float)
-        if arr.shape[0] != blocks:
-            raise ValueError(f"kernel table for {cube.key()} has wrong block count")
-        return arr
+        try:
+            return np.asarray(self.tables[cube.key()], dtype=float)
+        except KeyError:
+            raise ValueError(f"no kernel table for cube {cube.key()}") from None
 
 
 @dataclass(frozen=True)
@@ -125,21 +136,32 @@ class ShiftSpec:
         return self._stacks[level]
 
     def _fill(self, levels):
-        """Draw or read the tables of `levels`, random ones from one batch of streams."""
-        per_level = [list(self.system.cubes_at_level(level)) for level in levels]
-        blocks = self.blocks_per_axis() ** self.system.d
+        """Draw or read the tables of `levels`, random ones from one batch of streams
+        keyed by one (level, *corner) array.  A given table must be scalar,
+        (blocks, blocks), or for a space of dim n > 1 a matrix one, (blocks, blocks, n, n)."""
+        sysm = self.system
+        blocks = self.blocks_per_axis() ** sysm.d
+        axes = [sysm.corner_ranges(level) for level in levels]
         if isinstance(self.kernel, RandomKernel):
             # one shared generator, re-keyed by next(): each table is drawn before the next key
-            gens = self.kernel.streams([cube for row in per_level for cube in row])
+            gens = self.kernel.streams(np.concatenate(list(map(_level_corners, levels, axes))))
             draw = lambda cube: self.kernel.table(cube, blocks, next(gens))
         else:
-            draw = lambda cube: self.kernel.table(cube, blocks)
-        for level, cubes in zip(levels, per_level):
-            first, last = cubes[0].start_cells(), cubes[-1].start_cells()
-            counts = tuple((b - a) // cubes[0].size_cells + 1 for a, b in zip(first, last))
+            n = self.space.dim
+            shapes = {(blocks, blocks)} | ({(blocks, blocks, n, n)} if n > 1 else set())
+
+            def draw(cube):
+                table = self.kernel.table(cube, blocks)
+                if table.shape not in shapes:
+                    raise ValueError(f"kernel table for cube {cube.key()} has shape "
+                                     f"{table.shape}, expected one of {sorted(shapes)}")
+                return table
+
+        for level, ranges in zip(levels, axes):
+            cubes = list(sysm.cubes_at_level(level))
             tables = np.stack([draw(cube) for cube in cubes])
             tables.setflags(write=False)
-            self._stacks[level] = (first, counts, tables)
+            self._stacks[level] = (cubes[0].start_cells(), tuple(map(len, ranges)), tables)
 
 
 def _scale_step(arr: np.ndarray, d: int, side: int, g: int, res: int) -> np.ndarray:

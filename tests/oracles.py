@@ -9,20 +9,21 @@ import itertools
 
 import numpy as np
 
-from dyadiclab.errors import (AdaptednessError, AmbientRangeError, MeshDepthError,
-                              SparsityError)
+from dyadiclab.errors import (AdaptednessError, AmbientRangeError, DegenerateInputError,
+                              MeshDepthError, SparsityError)
 from dyadiclab.grid import DyadicSystem, goodness_probability, is_good
 from dyadiclab.gridfn import (GridFunction, _block_means, _expand_blocks,
                               conditional_expectation, etas, fill_haar_frame, haar_block,
                               haar_coefficient, haar_frame, haar_vector, pair)
-from dyadiclab.rademacher import OperatorFamily, _power_iteration_vector, sign_patterns
+from dyadiclab.rademacher import (OperatorFamily, _power_iteration_vector, sign_average,
+                                  sign_patterns)
 from dyadiclab.representation import (AveragingIdentityReport, DecayReport,
                                       PairingDecomposition, _case_constraints,
                                       _support_box, decay_slope_target,
                                       extract_paraproducts, matrix_element, raw_pairing)
 from dyadiclab.rng import substream
 from dyadiclab.shifts import ParaproductSpec, apply_paraproduct
-from dyadiclab.space import SCALAR, conjugate_exponent
+from dyadiclab.space import SCALAR, NormedSpace, conjugate_exponent
 from dyadiclab.sparse import _EXACT_TOL, CarlesonResult, PythagorasResult, SparseFamily
 
 
@@ -36,6 +37,17 @@ def brute_rademacher_pnorm(elements, p, norm_fn):
         total += float(norm_fn(vec)) ** p
         count += 1
     return (total / count) ** (1.0 / p)
+
+
+def rademacher_pnorm(elements, p, space=None):
+    """(E |sum_n eps_n e_n|^p)^(1/p) over all 2^n sign patterns, as a float,
+    from `rademacher.sign_average`."""
+    elements = np.atleast_2d(np.asarray(elements, dtype=float))
+    if elements.shape[0] < 1:
+        raise DegenerateInputError("need at least one element")
+    if space is None:
+        space = NormedSpace(elements.shape[1], 2.0)
+    return float(sign_average(elements, p, space)) ** (1.0 / p)
 
 
 def _signed_sum_pnorm(elements, p, space):
@@ -193,6 +205,37 @@ def apply_paraproduct_per_level(spec, f):
             term = np.where(mask[..., None], term, 0.0)
         out += term
     return GridFunction(sysm, out, f.space)
+
+
+# -- block means and mean oscillation ----------------------------------------------
+
+
+def block_means_by_mean(arr, d, factor):
+    """`gridfn._block_means` by `ndarray.mean` over the block axes."""
+    if factor == 1:
+        return arr
+    split = [x for b in arr.shape[:d] for x in (b // factor, factor)]
+    return arr.reshape(*split, arr.shape[-1]).mean(axis=tuple(range(1, 2 * d, 2)))
+
+
+def bmo_norm_per_exponent(b, p):
+    """`gridfn.bmo_norm` of one exponent, each level's deviations taken afresh,
+    with `block_means_by_mean`."""
+    sysm = b.system
+    best = 0.0
+    for level in range(sysm.min_level, sysm.depth + 1):
+        if any(sysm.shift_cells(level)):
+            raise ValueError(f"level {level} of this system is not cell-grid aligned")
+        factor = 1 << (sysm.depth - level)
+        means = _expand_blocks(block_means_by_mean(b.values, sysm.d, factor), sysm.d, factor)
+        dev = b.space.norm(b.values - means)
+        if p == np.inf:
+            val = float(dev.max())
+        else:
+            val = float(block_means_by_mean((dev**p)[..., None], sysm.d, factor).max()) \
+                ** (1.0 / p)
+        best = max(best, val)
+    return best
 
 
 # -- per-cube projections ----------------------------------------------------------

@@ -8,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dyadiclab.errors import AmbientRangeError, ResourceLimitError
-from dyadiclab.grid import (MESH_CELL_BITS, DyadicSystem, GoodnessParams, good_mask,
-                            goodness_bound, goodness_position_joint, goodness_probability,
-                            is_good)
+from dyadiclab.grid import (MESH_CELL_BITS, DyadicCube, DyadicSystem, GoodnessParams,
+                            good_mask, goodness_bound, goodness_position_joint,
+                            goodness_probability, is_good)
 
 import oracles
 
@@ -288,6 +288,48 @@ def test_cached_geometry_matches_bitwise_oracle(system):
                 kids = cube.children()
                 assert sorted(kid.corner for kid in kids) == \
                     oracles.child_corners_by_cells(cube)
+
+
+@given(translated_systems(), st.data())
+def test_listed_cubes_equal_constructed_cubes(system, data):
+    """`cubes_at_level` builds its cubes from start cells, not through
+    `DyadicCube(...)`: both give the same cubes, with or without `within`."""
+    cells = system.cells_per_axis
+    for level in range(system.min_level, system.depth + 1):
+        box = data.draw(st.none() | st.tuples(*[
+            st.tuples(st.integers(0, cells - 1), st.integers(1, cells))
+            .map(sorted).filter(lambda lo_hi: lo_hi[0] < lo_hi[1]).map(tuple)
+            for _ in range(system.d)]))
+        listed = list(system.cubes_at_level(level, within=box))
+        ranges = system.corner_ranges(level, within=box)
+        assert [cube.corner for cube in listed] == list(itertools.product(*ranges))
+        for cube in listed:
+            built = DyadicCube(system, level, cube.corner)
+            assert cube == built and hash(cube) == hash(built) and repr(cube) == repr(built)
+            assert type(cube.corner) is tuple and all(type(m) is int for m in cube.corner)
+            assert cube.start_cells() == built.start_cells()
+            assert cube.size_cells == built.size_cells
+            assert cube.cell_slices() == built.cell_slices()
+        if box is not None:  # the cubes of the whole level that meet the box
+            assert listed == [cube for cube in system.cubes_at_level(level)
+                              if all(s < hi and s + cube.size_cells > lo
+                                     for s, (lo, hi) in zip(cube.start_cells(), box))]
+
+
+@given(translated_systems())
+def test_out_of_range_cubes_still_raise(system):
+    for level in range(system.min_level, system.depth + 1):
+        ranges = system.corner_ranges(level)
+        for ax in range(system.d):
+            for m in (ranges[ax].start - 1, ranges[ax].stop):
+                corner = tuple(m if k == ax else r.start for k, r in enumerate(ranges))
+                with pytest.raises(AmbientRangeError, match="leaves the ambient"):
+                    DyadicCube(system, level, corner)
+        with pytest.raises(AmbientRangeError, match="corner dimension"):
+            DyadicCube(system, level, (0,) * (system.d + 1))
+    for level in (system.min_level - 1, system.depth + 1):
+        with pytest.raises(AmbientRangeError, match="outside"):
+            DyadicCube(system, level, (0,) * system.d)
 
 
 @given(translated_systems(), st.integers(0, 8))

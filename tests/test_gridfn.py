@@ -5,14 +5,15 @@ from hypothesis import strategies as st
 
 from dyadiclab.errors import MeshDepthError
 from dyadiclab.grid import DyadicSystem
-from dyadiclab.gridfn import (GridFunction, analyze, bmo_norm, conditional_expectation,
-                              cube_average, etas, from_bytes, from_callable, from_csv,
-                              haar_coefficient, haar_eval, haar_function, haar_vector,
-                              indicator, level_means, lp_norm, pair, random_grid_function,
-                              synthesize, to_bytes, to_csv, zeros)
+from dyadiclab.gridfn import (GridFunction, _block_means, analyze, bmo_norm,
+                              conditional_expectation, cube_average, etas, from_bytes,
+                              from_callable, from_csv, haar_coefficient, haar_eval,
+                              haar_function, haar_vector, indicator, level_means, lp_norm,
+                              pair, random_grid_function, synthesize, to_bytes, to_csv, zeros)
 from dyadiclab.space import NormedSpace
 
-from oracles import haar_coefficient_by_eval, shifted_projection
+from oracles import (block_means_by_mean, bmo_norm_per_exponent, haar_coefficient_by_eval,
+                     shifted_projection)
 
 SYS4 = DyadicSystem(d=1, m_top=0, depth=4)
 UNIT = SYS4.cube(0, (0,))
@@ -255,10 +256,54 @@ def test_pairing_holder_inequality(seed, p):
 
 
 def test_bmo_examples():
-    assert bmo_norm(from_callable(SYS4, lambda p: np.full(p.shape[:-1], 5.0)), 2.0) \
-        == pytest.approx(0.0)
-    assert bmo_norm(haar_function(UNIT, (1,)), 3.0) == pytest.approx(1.0)
-    assert bmo_norm(indicator(SYS4.cube(1, (0,))), 1.0) == pytest.approx(0.5)
+    assert bmo_norm(from_callable(SYS4, lambda p: np.full(p.shape[:-1], 5.0)), [2.0]) \
+        == pytest.approx([0.0])
+    assert bmo_norm(haar_function(UNIT, (1,)), [3.0]) == pytest.approx([1.0])
+    assert bmo_norm(indicator(SYS4.cube(1, (0,))), [1.0]) == pytest.approx([0.5])
+    assert bmo_norm(indicator(SYS4.cube(1, (0,))), []) == []
+
+
+@st.composite
+def translated_systems(draw, levels_1d=6, levels_2d=3):
+    """Random systems, standard or translated, with d in {1, 2} and m_top in {0, 1, 2}."""
+    d = draw(st.sampled_from([1, 2]))
+    m_top = draw(st.integers(0, 2))
+    depth = draw(st.integers(0, (levels_1d if d == 1 else levels_2d) - m_top))
+    if draw(st.booleans()):
+        return DyadicSystem(d=d, m_top=m_top, depth=depth)
+    return DyadicSystem.random(draw(st.integers(0, 2**20)), d=d, m_top=m_top, depth=depth)
+
+
+BMO_EXPONENTS = [1.0, 1.5, 2.0, 3.0, 7.5, np.inf]
+
+
+@given(translated_systems(), st.sampled_from([1, 3]), st.integers(0, 2**20),
+       st.lists(st.sampled_from(BMO_EXPONENTS), max_size=6))
+def test_bmo_norm_matches_per_exponent_oracle(system, dim, seed, ps):
+    b = random_grid_function(system, seed, NormedSpace(dim, 2.0), label="bmo-symbol")
+    aligned = not any(any(system.shift_cells(level))
+                      for level in range(system.min_level, system.depth + 1))
+    if not aligned:  # both reject the unaligned levels of a translated system
+        with pytest.raises(ValueError, match="not cell-grid aligned"):
+            bmo_norm(b, BMO_EXPONENTS)
+        with pytest.raises(ValueError, match="not cell-grid aligned"):
+            bmo_norm_per_exponent(b, 2.0)
+        return
+    got = bmo_norm(b, BMO_EXPONENTS + ps)
+    assert got == [bmo_norm_per_exponent(b, p) for p in BMO_EXPONENTS + ps]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_block_means_match_ndarray_mean(d, dim):
+    gen = np.random.default_rng(d * 10 + dim)
+    for factor in range(1, 65):
+        arr = gen.standard_normal((factor * 2,) * d + (dim,)) * 10.0**gen.integers(-3, 4)
+        assert np.array_equal(_block_means(arr, d, factor),
+                              block_means_by_mean(arr, d, factor))
+        view = arr[(slice(None),) * (d - 1) + (slice(factor, None),)]  # not contiguous in 2-d
+        assert np.array_equal(_block_means(view, d, factor),
+                              block_means_by_mean(view, d, factor))
 
 
 # -- serialization -----------------------------------------------------------------------

@@ -7,13 +7,14 @@ from dyadiclab.errors import DegenerateInputError, ResourceLimitError
 from dyadiclab.grid import DyadicSystem
 from dyadiclab.gridfn import random_grid_function
 from dyadiclab import rademacher
-from dyadiclab.rademacher import (OperatorFamily, averaging_check, rademacher_pnorm,
-                                  rbound_probe, rbound_witness, sign_patterns, stein_check,
-                                  triangle_check, umd_probe)
+from dyadiclab.rademacher import (OperatorFamily, averaging_check, rbound_probe,
+                                  rbound_witness, sign_patterns, stein_check, triangle_check,
+                                  umd_probe)
 from dyadiclab.rng import substream
 from dyadiclab.space import SCALAR, NormedSpace, umd_beta_scalar
 
-from oracles import brute_rademacher_pnorm, per_assignment_rbound_probe, scalar_family
+from oracles import (brute_rademacher_pnorm, per_assignment_rbound_probe, rademacher_pnorm,
+                     scalar_family)
 
 
 def test_two_equal_scalars_p2():

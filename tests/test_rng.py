@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dyadiclab.grid import DyadicSystem
-from dyadiclab.rng import _keys, _label_int, substream, substreams
+from dyadiclab.rng import _keys, _label_int, array_substreams, substream, substreams
 from dyadiclab.shifts import RandomKernel, ShiftSpec
 
 SEEDS = (0, 7, 2**40, 2**63 - 1)
@@ -85,3 +85,41 @@ def test_level_tables_accepts_a_level_outside_the_range():
     assert np.array_equal(spec.level_tables(0)[2],
                           np.stack([spec.kernel.table(cube, blocks)
                                     for cube in system.cubes_at_level(0)]))
+
+
+int_labels = st.one_of(st.sampled_from([0, 1, -1, 2**32 - 1, 2**32, 2**63 - 1, -(2**63)]),
+                       st.integers(-(2**63), 2**63 - 1))
+
+
+@given(st.sampled_from(SEEDS), st.lists(labels, max_size=3), st.integers(0, 4), st.data())
+def test_array_substreams_draw_what_substream_draws(seed, head, width, data):
+    ints = data.draw(st.lists(st.lists(int_labels, min_size=width, max_size=width),
+                              max_size=6))
+    array = np.array(ints, dtype=np.int64).reshape(len(ints), width)
+    batched = [draws(gen) for gen in array_substreams(seed, tuple(head), array)]
+    assert len(batched) == len(ints)
+    for row, got in zip(ints, batched):
+        want = draws(substream(seed, *head, *row))
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+
+
+@pytest.mark.parametrize("seed", [0, 2**40, 2**63 - 1])
+@pytest.mark.parametrize("d, m_top", [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)])
+def test_level_tables_match_substream_tables(seed, d, m_top):
+    """Each stacked table is the uniform draw of the cube's own stream,
+    `substream(seed, "shift-kernel", level, *corner)`, negative corners included."""
+    system = DyadicSystem.random(seed, d=d, m_top=m_top, depth=(4 if d == 1 else 2) - m_top)
+    cap = 0.75
+    spec = ShiftSpec(0, 0, system, RandomKernel(seed, cap))
+    blocks = spec.blocks_per_axis() ** d
+    corners = []
+    for level in spec.level_range():
+        cubes = list(system.cubes_at_level(level))
+        corners += [m for cube in cubes for m in cube.corner]
+        want = [substream(seed, "shift-kernel", level, *cube.corner)
+                .uniform(-cap, cap, size=(blocks, blocks)) for cube in cubes]
+        start, counts, tables = spec.level_tables(level)
+        assert np.array_equal(tables, np.stack(want))
+        assert start == cubes[0].start_cells()
+        assert counts == tuple(len(r) for r in system.corner_ranges(level))
+    assert min(corners) < 0  # the ambient cube [-2^m_top, 2^m_top) has negative corners

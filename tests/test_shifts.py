@@ -306,6 +306,36 @@ def test_batched_shift_matches_per_cube_oracle_explicit_kernel(system, seed, dim
     assert_matches_per_cube(ShiftSpec(i, j, system, ExplicitKernel(tables), space), f)
 
 
+@pytest.mark.parametrize("space_dim, shape", [(1, (2, 3)), (1, (3, 3)), (1, (2, 2, 1, 1)),
+                                              (2, (2, 2, 2)), (2, (2, 2, 1, 1)),
+                                              (2, (2, 2, 3, 3)), (3, (2, 2, 2, 2))])
+def test_wrong_shaped_explicit_table_names_its_cube(space_dim, shape):
+    system = DyadicSystem.random(1, d=1, m_top=1, depth=3)
+    space = NormedSpace(space_dim, 2.0)
+    probe = ShiftSpec(0, 0, system, RandomKernel(0, 1.0))
+    tables = explicit_tables(probe, np.random.default_rng(0))
+    bad = list(system.cubes_at_level(0))[-1]
+    tables[bad.key()] = np.ones(shape)
+    spec = ShiftSpec(0, 0, system, ExplicitKernel(tables), space)
+    with pytest.raises(ValueError, match=rf"cube \(0, \({bad.corner[0]},\)\) has shape"):
+        apply_shift(spec, random_grid_function(system, 1, space))
+    tables[bad.key()] = np.ones((2, 2))  # the scalar shape is right for any space
+    apply_shift(ShiftSpec(0, 0, system, ExplicitKernel(tables), space),
+                random_grid_function(system, 1, space))
+
+
+def test_missing_explicit_table_names_its_cube():
+    system = DyadicSystem.random(1, d=2, m_top=1, depth=1)
+    probe = ShiftSpec(0, 0, system, RandomKernel(0, 1.0))
+    tables = explicit_tables(probe, np.random.default_rng(0))
+    missing = list(system.cubes_at_level(-1))[0]
+    del tables[missing.key()]
+    spec = ShiftSpec(0, 0, system, ExplicitKernel(tables))
+    corner = ", ".join(map(str, missing.corner))
+    with pytest.raises(ValueError, match=rf"no kernel table for cube \(-1, \({corner}\)\)"):
+        apply_shift(spec, random_grid_function(system, 1))
+
+
 @given(translated_systems(), st.integers(0, 2**20))
 def test_batched_shift_matches_per_cube_oracle_k_levels(system, seed):
     gen = np.random.default_rng(seed)
