@@ -22,12 +22,12 @@ from .errors import InsufficientDataError
 from .grid import (DyadicSystem, GoodnessParams, goodness_position_joint,
                    goodness_probability)
 from .gridfn import (GridFunction, analyze, bmo_norm, indicator, lp_norm,
-                     random_grid_function, synthesize)
+                     random_grid_function, random_grid_functions, synthesize)
 from .rademacher import (EXHAUSTIVE_CAP, OperatorFamily, averaging_check, stein_check,
                          triangle_check)
 from .rng import substream, substreams
 from .shifts import (ParaproductSpec, RandomKernel, ShiftSpec, apply_paraproduct,
-                     apply_shift)
+                     apply_shift, fill_tables)
 from .space import SCALAR, NormedSpace, conjugate_exponent, umd_beta_scalar
 
 
@@ -77,25 +77,25 @@ ANCHOR_SHIFT = ("||S^{ji} f||_p <= 4 (max{i,j}+1) R_p({a}) beta_p(E)^2 ||f||_p "
 
 def run_shift_bound(params: dict, seed: int) -> list:
     sysm = DyadicSystem(d=1, m_top=0, depth=params["depth"])
-    cap = params["ij_cap"]
-    worst = {p: 0.0 for p in params["p_list"]}
-    raw_max = {p: 0.0 for p in params["p_list"]}
-    for i, j in itertools.product(range(cap + 1), repeat=2):
-        for k in range(params["kernels_per_ij"]):
-            kernel_seed = int(substream(seed, "shift-kernel-seed", i, j, k).integers(0, 2**31))
-            spec = ShiftSpec(i, j, sysm, RandomKernel(kernel_seed, 1.0))
-            for m in range(params["inputs_per_kernel"]):
-                f = random_grid_function(sysm, seed, label=f"shift-in-{i}-{j}-{k}-{m}")
-                out = apply_shift(spec, f)
-                for p in params["p_list"]:
-                    den = lp_norm(f, p)
-                    if den == 0.0:
-                        continue
-                    ratio = lp_norm(out, p) / den
-                    bound = 4.0 * (max(i, j) + 1) * umd_beta_scalar(p) ** 2
-                    raw_max[p] = max(raw_max[p], ratio)
-                    worst[p] = max(worst[p], ratio / bound)
-    return [row for p in params["p_list"] for row in (
+    cap, ps, n_in = params["ij_cap"], params["p_list"], params["inputs_per_kernel"]
+    worst, raw_max = dict.fromkeys(ps, 0.0), dict.fromkeys(ps, 0.0)
+    keys = [(i, j, k) for i, j in itertools.product(range(cap + 1), repeat=2)
+            for k in range(params["kernels_per_ij"])]
+    gens = substreams(seed, [("shift-kernel-seed", *key) for key in keys])
+    specs = [ShiftSpec(i, j, sysm, RandomKernel(int(gen.integers(0, 2**31)), 1.0))
+             for (i, j, _), gen in zip(keys, gens)]
+    fill_tables(specs)
+    inputs = random_grid_functions(sysm, seed, [f"shift-in-{i}-{j}-{k}-{m}"
+                                                for i, j, k in keys for m in range(n_in)])
+    for spec, fs in zip(specs, (inputs[n:n + n_in] for n in range(0, len(inputs), n_in))):
+        bounds = [4.0 * (max(spec.i, spec.j) + 1) * umd_beta_scalar(p) ** 2 for p in ps]
+        for f, out in zip(fs, apply_shift(spec, fs)):
+            for p, den, num, bound in zip(ps, lp_norm(f, ps), lp_norm(out, ps), bounds):
+                if den == 0.0:
+                    continue
+                raw_max[p] = max(raw_max[p], num / den)
+                worst[p] = max(worst[p], num / den / bound)
+    return [row for p in ps for row in (
         _check(f"shift-bound/p={p}/normalized", ANCHOR_SHIFT, worst[p], 1.0, seed),
         Check(f"shift-bound/p={p}/max-ratio", ANCHOR_SHIFT, raw_max[p],
               4.0 * (cap + 1) * umd_beta_scalar(p) ** 2, True, seed))]
@@ -106,20 +106,19 @@ ANCHOR_PARA = ("||Pi_b f||_p <= 12 p p' (max{p,p'}-1) ||b||_BMO_p ||f||_p "
 
 
 def run_paraproduct(params: dict, seed: int) -> list:
-    sysm = DyadicSystem(d=1, m_top=0, depth=params["depth"])
-    worst = {p: 0.0 for p in params["p_list"]}
+    sysm, ps = DyadicSystem(d=1, m_top=0, depth=params["depth"]), params["p_list"]
+    worst = dict.fromkeys(ps, 0.0)
     for k in range(params["n_pairs"]):
         b = random_grid_function(sysm, seed, label=f"para-b-{k}")
         f = random_grid_function(sysm, seed, label=f"para-f-{k}")
         out = apply_paraproduct(ParaproductSpec(b), f)
-        for p, bmo in zip(params["p_list"], bmo_norm(b, params["p_list"])):
-            den = lp_norm(f, p)
+        for p, bmo, den, num in zip(ps, bmo_norm(b, ps), lp_norm(f, ps), lp_norm(out, ps)):
             if den == 0.0 or bmo == 0.0:
                 continue
             bound = 12.0 * p * conjugate_exponent(p) * umd_beta_scalar(p) * bmo
-            worst[p] = max(worst[p], lp_norm(out, p) / den / bound)
+            worst[p] = max(worst[p], num / den / bound)
     return [_check(f"paraproduct/p={p}/normalized", ANCHOR_PARA, worst[p], 1.0, seed)
-            for p in params["p_list"]]
+            for p in ps]
 
 
 ANCHOR_CARLESON = "(sum_S <|f|>_S^p mu(S))^{1/p} <= 2 p' ||f||_Lp(mu) for sparse S"

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import MeshDepthError
 from .grid import DyadicCube, DyadicSystem
-from .rng import substream
+from .rng import substream, substreams
 from .space import SCALAR, NormedSpace
 
 
@@ -182,47 +182,56 @@ def haar_eval(cube: DyadicCube, eta, points) -> np.ndarray:
 
 
 def _block_means(arr: np.ndarray, d: int, factor: int) -> np.ndarray:
-    """Means over blocks of `factor` cells per axis; trailing axis kept.
+    """Means over blocks of `factor` cells per axis of values of shape
+    (*stack, *cells, dim): any leading stack axes and the trailing axis kept.
 
     The block sum divided by the cell count, which is what `ndarray.mean`
     computes, without its wrapper.
     """
     if factor == 1:
         return arr
-    split = [x for b in arr.shape[:d] for x in (b // factor, factor)]
-    sums = np.add.reduce(arr.reshape(*split, arr.shape[-1]), axis=tuple(range(1, 2 * d, 2)))
+    lead = arr.ndim - d - 1
+    split = [x for b in arr.shape[lead:-1] for x in (b // factor, factor)]
+    sums = np.add.reduce(arr.reshape(*arr.shape[:lead], *split, arr.shape[-1]),
+                         axis=tuple(range(lead + 1, lead + 2 * d, 2)))
     return sums / factor**d
 
 
 @functools.lru_cache(maxsize=None)
-def _regroup(shape: tuple, d: int, size: int, inverse: bool) -> tuple:
+def _regroup(shape: tuple, d: int, size: int, inverse: bool, lead: int) -> tuple:
     """(first shape, axis order, final shape) of `_blocks` on cells of `shape`, or of
     `_unblocks` back to them; cached, as shifts and sweeps reuse a few shapes."""
-    counts, rest = tuple(c // size for c in shape[:d]), shape[d:]
-    split = sum(((c, size) for c in counts), ()) + rest
-    order = (*range(0, 2 * d, 2), *range(1, 2 * d, 2), *range(2 * d, len(split)))
+    head, rest = shape[:lead], shape[lead + d:]
+    counts = tuple(c // size for c in shape[lead:lead + d])
+    split = head + sum(((c, size) for c in counts), ()) + rest
+    order = (*range(lead), *range(lead, lead + 2 * d, 2), *range(lead + 1, lead + 2 * d, 2),
+             *range(lead + 2 * d, len(split)))
     if inverse:
         return tuple(split[k] for k in order), tuple(map(order.index, range(len(order)))), shape
-    return split, order, counts + (size**d,) + rest
+    return split, order, head + counts + (size**d,) + rest
 
 
-def _blocks(arr: np.ndarray, d: int, size: int) -> np.ndarray:
-    """Cells regrouped per block of `size` cells per axis: shape (blocks per
-    axis)*d + (size**d,) + trailing axes, row-major within a block."""
-    first, order, final = _regroup(arr.shape, d, size, False)
+def _blocks(arr: np.ndarray, d: int, size: int, lead: int = 0) -> np.ndarray:
+    """Cells regrouped per block of `size` cells per axis: shape (stack axes) +
+    (blocks per axis)*d + (size**d,) + trailing axes, row-major within a block,
+    where the `lead` stack axes come before the cells."""
+    first, order, final = _regroup(arr.shape, d, size, False, lead)
     return arr.reshape(first).transpose(order).reshape(final)
 
 
-def _unblocks(blocks: np.ndarray, d: int, size: int) -> np.ndarray:
+def _unblocks(blocks: np.ndarray, d: int, size: int, lead: int = 0) -> np.ndarray:
     """Inverse of `_blocks`."""
-    shape = tuple(c * size for c in blocks.shape[:d]) + blocks.shape[d + 1:]
-    first, order, final = _regroup(shape, d, size, True)
+    shape = (blocks.shape[:lead] + tuple(c * size for c in blocks.shape[lead:lead + d])
+             + blocks.shape[lead + d + 1:])
+    first, order, final = _regroup(shape, d, size, True, lead)
     return blocks.reshape(first).transpose(order).reshape(final)
 
 
 def _expand_blocks(blocks: np.ndarray, d: int, factor: int) -> np.ndarray:
+    """Each block value repeated over `factor` cells per axis, for values of shape
+    (*stack, *blocks, dim) as `_block_means` gives them."""
     out = blocks
-    for ax in range(d):
+    for ax in range(-d - 1, -1):
         out = np.repeat(out, factor, axis=ax)
     return out
 
@@ -339,11 +348,14 @@ def synthesize(hc: HaarCoefficients) -> GridFunction:
 # -- norms and pairings ---------------------------------------------------------
 
 
-def lp_norm(f: GridFunction, p: float) -> float:
+def lp_norm(f: GridFunction, p):
+    """The L^p norm of f (p = inf allowed), or for a list of exponents the list
+    of norms, all from one pass of the pointwise norms."""
     norms = f.space.norm(f.values)
-    if p == np.inf:
-        return float(norms.max())
-    return float((norms**p).sum() * f.system.cell_volume) ** (1.0 / p)
+    out = [float(norms.max()) if q == np.inf
+           else float((norms**q).sum() * f.system.cell_volume) ** (1.0 / q)
+           for q in (p if isinstance(p, (list, tuple)) else [p])]
+    return out if isinstance(p, (list, tuple)) else out[0]
 
 
 def pair(g: GridFunction, f: GridFunction) -> float:
@@ -419,6 +431,17 @@ def random_grid_function(system: DyadicSystem, seed: int, space: NormedSpace = S
             mask[support.cell_slices()] = True
         vals[mask] -= vals[mask].mean(axis=0)
     return GridFunction(system, vals, space)
+
+
+def random_grid_functions(system: DyadicSystem, seed: int, labels: list,
+                          space: NormedSpace = SCALAR) -> list:
+    """`random_grid_function(system, seed, space, label=label)` for each label,
+    without support or centring, keyed in one batch and drawn into one stack."""
+    shape = (system.cells_per_axis,) * system.d + (space.dim,)
+    stack = np.empty((len(labels),) + shape)
+    for row, gen in zip(stack, substreams(seed, [(label,) for label in labels])):
+        gen.standard_normal(out=row)
+    return [GridFunction(system, row, space, True) for row in stack]
 
 
 # -- serialization ---------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import MeshDepthError
 from .grid import DyadicCube, DyadicSystem
 from .gridfn import (GridFunction, _block_means, _blocks, _expand_blocks, _unblocks,
                      conditional_expectation)
-from .rng import array_substreams, substream
+from .rng import _MASK, array_substreams, substream
 from .space import SCALAR, NormedSpace
 
 
@@ -51,7 +51,7 @@ class RandomKernel:
 
     def table(self, cube: DyadicCube, blocks: int, gen=None) -> np.ndarray:
         """The cube's table, drawn from `gen` if given: its stream already keyed,
-        from `streams`.  Without it the stream is keyed here, one cube at a time."""
+        by `fill_tables`.  Without it the stream is keyed here, one cube at a time."""
         if gen is None:
             gen = substream(self.seed, _KERNEL_LABEL, cube.level, *cube.corner)
         if self.matrix_dim == 1:
@@ -62,11 +62,6 @@ class RandomKernel:
         if probe > 0:
             raw *= self.cap / probe
         return raw
-
-    def streams(self, corners: np.ndarray) -> Iterator[np.random.Generator]:
-        """The kernel streams of the cubes whose (level, *corner) are the rows of
-        `corners`, keyed in one batch (see `rng.array_substreams`)."""
-        return array_substreams(self.seed, (_KERNEL_LABEL,), corners)
 
     def witness_probe(self, table: np.ndarray) -> float:
         """Best witness ratio found for the block family of one table."""
@@ -128,40 +123,68 @@ class ShiftSpec:
         cubes, in `cubes_at_level` order; each table is drawn or read only once.
         The first call for a level of `level_range` draws every level of the range."""
         if level not in self._stacks:
-            try:
-                levels = self.level_range()
-            except MeshDepthError:
-                levels = range(0)
-            self._fill(levels if level in levels else (level,))
+            fill_tables([self], level)
         return self._stacks[level]
 
-    def _fill(self, levels):
-        """Draw or read the tables of `levels`, random ones from one batch of streams
-        keyed by one (level, *corner) array.  A given table must be scalar,
-        (blocks, blocks), or for a space of dim n > 1 a matrix one, (blocks, blocks, n, n)."""
-        sysm = self.system
-        blocks = self.blocks_per_axis() ** sysm.d
-        axes = [sysm.corner_ranges(level) for level in levels]
-        if isinstance(self.kernel, RandomKernel):
-            # one shared generator, re-keyed by next(): each table is drawn before the next key
-            gens = self.kernel.streams(np.concatenate(list(map(_level_corners, levels, axes))))
-            draw = lambda cube: self.kernel.table(cube, blocks, next(gens))
+
+def fill_tables(specs, level: Optional[int] = None):
+    """Draw or read the kernel tables each spec of `specs` lacks: those of its whole
+    `level_range`, or of `level` alone when given and outside that range.
+
+    The cubes of a level are listed once per system.  The random tables of all
+    the specs are drawn from one batch of streams, keyed by one
+    (kernel seed, level, *corner) array.  A given table must be scalar,
+    (blocks, blocks), or for a space of dim n > 1 a matrix one, (blocks, blocks, n, n).
+    """
+    geometry = {}  # (system, level) -> (its cubes, cubes per axis, (level, *corner) rows)
+    jobs = []  # (spec, [(level, *geometry) of each level it lacks])
+    for spec in specs:
+        try:
+            levels = spec.level_range()
+        except MeshDepthError:
+            levels = range(0)
+        if level is not None and level not in levels:
+            levels = (level,)
+        todo = []
+        for lv in levels:
+            if lv not in spec._stacks:
+                if (spec.system, lv) not in geometry:
+                    axes = spec.system.corner_ranges(lv)
+                    geometry[spec.system, lv] = (list(spec.system.cubes_at_level(lv)),
+                                                 tuple(map(len, axes)), _level_corners(lv, axes))
+                todo.append((lv, *geometry[spec.system, lv]))
+        jobs.append((spec, todo))
+    # (kernel seed, (level, *corner) rows) per random spec and level, in draw order
+    drawn = [(int(spec.kernel.seed) & _MASK, rows) for spec, todo in jobs
+             if isinstance(spec.kernel, RandomKernel) for *_, rows in todo]
+    if drawn:
+        # one row per table; a system of lower d pads its rows with zeros
+        width, counts = max(rows.shape[1] for _, rows in drawn), [len(r) for _, r in drawn]
+        corners = np.concatenate([np.pad(rows, ((0, 0), (0, width - rows.shape[1])))
+                                  if rows.shape[1] < width else rows for _, rows in drawn])
+        widths = np.repeat([rows.shape[1] for _, rows in drawn], counts)
+        seeds = np.repeat([seed for seed, _ in drawn], counts)
+        # one shared generator, re-keyed by next(): each table is drawn before the next key
+        gens = array_substreams(seeds, (_KERNEL_LABEL,), corners, widths)
+    for spec, todo in jobs:
+        blocks = spec.blocks_per_axis() ** spec.system.d
+        if isinstance(spec.kernel, RandomKernel):
+            draw = lambda cube: spec.kernel.table(cube, blocks, next(gens))
         else:
-            n = self.space.dim
+            n = spec.space.dim
             shapes = {(blocks, blocks)} | ({(blocks, blocks, n, n)} if n > 1 else set())
 
             def draw(cube):
-                table = self.kernel.table(cube, blocks)
+                table = spec.kernel.table(cube, blocks)
                 if table.shape not in shapes:
                     raise ValueError(f"kernel table for cube {cube.key()} has shape "
                                      f"{table.shape}, expected one of {sorted(shapes)}")
                 return table
 
-        for level, ranges in zip(levels, axes):
-            cubes = list(sysm.cubes_at_level(level))
+        for lv, cubes, counts, _ in todo:
             tables = np.stack([draw(cube) for cube in cubes])
             tables.setflags(write=False)
-            self._stacks[level] = (cubes[0].start_cells(), tuple(map(len, ranges)), tables)
+            spec._stacks[lv] = (cubes[0].start_cells(), counts, tables)
 
 
 def _scale_step(arr: np.ndarray, d: int, side: int, g: int, res: int) -> np.ndarray:
@@ -171,33 +194,43 @@ def _scale_step(arr: np.ndarray, d: int, side: int, g: int, res: int) -> np.ndar
     return fine - _expand_blocks(_block_means(arr, d, side >> g), d, 1 << (res - g))
 
 
-def apply_shift(spec: ShiftSpec, f: GridFunction) -> GridFunction:
+def apply_shift(spec: ShiftSpec, f):
     """Sum over cubes K of project(j) . averaging-block(K) . project(i).
 
+    `f` is one GridFunction or a list of them; the result is of the same kind.
+    A list is applied as one stack with a leading axis, and one function as a
+    stack of one row, so every row gets the bits a call on it alone gives.
     The cubes of a level tile one box of cells, so each level is one pass
     over that box: the i-side block means, one batched contraction with the
     level's stacked tables, then the j-side block means of the result.
     """
-    if f.system != spec.system or f.space.dim != spec.space.dim:
+    fs = [f] if isinstance(f, GridFunction) else f
+    if any(g.system != spec.system or g.space.dim != spec.space.dim for g in fs):
         raise ValueError("function does not match the shift's system/space")
     d, n, gap = spec.system.d, spec.space.dim, spec.block_gap
-    b_axis = 1 << gap
-    out = np.zeros_like(f.values)
+    if isinstance(spec.kernel, RandomKernel) and spec.kernel.matrix_dim not in (1, n):
+        raise ValueError(f"kernel matrix_dim {spec.kernel.matrix_dim} does not match "
+                         f"the space dim {n}")
+    b_axis, cells = 1 << gap, (spec.system.cells_per_axis,) * d
+    stack = np.array([g.values for g in fs]).reshape((len(fs), *cells, n))
+    out = np.zeros_like(stack)
     for level in spec.level_range():
         start, counts, tables = spec.level_tables(level)
         size = 1 << (spec.system.depth - level)
         vol = float(2.0**-level) ** d
-        box = tuple(slice(s, s + c * size) for s, c in zip(start, counts))
-        proj_in = _scale_step(f.values[box], d, size, spec.i, gap)
-        integrals = _blocks(proj_in, d, b_axis).reshape(len(tables), -1, n) * (vol / b_axis**d)
+        box = (slice(None),) + tuple(slice(s, s + c * size) for s, c in zip(start, counts))
+        proj_in = _scale_step(stack[box], d, size, spec.i, gap)
+        integrals = (_blocks(proj_in, d, b_axis, 1).reshape(len(fs), len(tables), b_axis**d, n)
+                     * (vol / b_axis**d))
         if tables.ndim == 3:
             averaged = (tables @ integrals) / vol
         else:
-            averaged = np.einsum("koibc,kic->kob", tables, integrals) / vol
-        grid = _unblocks(averaged.reshape(*counts, -1, n), d, b_axis)
+            averaged = np.einsum("koibc,mkic->mkob", tables, integrals) / vol
+        grid = _unblocks(averaged.reshape(len(fs), *counts, b_axis**d, n), d, b_axis, 1)
         proj_out = _scale_step(grid, d, b_axis, spec.j, gap)
         out[box] += _expand_blocks(proj_out, d, size >> gap)
-    return GridFunction(spec.system, out, spec.space)
+    outs = [GridFunction(spec.system, row, spec.space, True) for row in out]
+    return outs[0] if isinstance(f, GridFunction) else outs
 
 
 def adjoint_spec(spec: ShiftSpec) -> ShiftSpec:

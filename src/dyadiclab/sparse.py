@@ -43,18 +43,11 @@ class SparseFamily:
             self.cubes = [self.root]
             self.parents = [None]
             self.children = [[]]
-        self._index = {cube.key(): k for k, cube in enumerate(self.cubes)}
         self._lebesgue = None
         self._owner = None
 
     def __len__(self):
         return len(self.cubes)
-
-    def member_index(self, cube: DyadicCube) -> int:
-        try:
-            return self._index[cube.key()]
-        except KeyError:
-            raise KeyError(f"cube {cube.key()} is not a member of the family")
 
     def add(self, cube: DyadicCube, parent: int) -> int:
         idx = len(self.cubes)
@@ -62,7 +55,6 @@ class SparseFamily:
         self.parents.append(parent)
         self.children.append([])
         self.children[parent].append(idx)
-        self._index[cube.key()] = idx
         self._owner = None
         return idx
 

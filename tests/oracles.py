@@ -269,10 +269,18 @@ def _weighted_haar_projection(family, f, cube):
     return full
 
 
+def member_index(family, cube):
+    """Position of `cube` in the family's member list, found by key."""
+    keys = [member.key() for member in family.cubes]
+    if cube.key() not in keys:
+        raise KeyError(f"cube {cube.key()} is not a member of the family")
+    return keys.index(cube.key())
+
+
 def project_onto_member_haar(family, member, f):
     """`project_onto_member` as the sum of measure-weighted Haar
     projections over the cubes with this minimal member."""
-    idx = family.member_index(member)
+    idx = member_index(family, member)
     child_cubes = [family.cubes[c] for c in family.children[idx]]
     depth = f.system.depth
     out = np.zeros_like(f.values)
@@ -1007,7 +1015,7 @@ def project_onto_member(family, member, f):
     averages on children, f itself on the exceptional set, minus the
     member average everywhere on the member.
     """
-    idx = family.member_index(member)
+    idx = member_index(family, member)
     cube = family.cubes[idx]
     out = np.zeros_like(f.values)
     sl = cube.cell_slices()

@@ -51,11 +51,24 @@ def test_criterion_01_haar_completeness():
                    time_limit=10.0)
 
 
+# shift-bound's measured values at catalog defaults and seed 7, bit for bit: batching
+# the inputs, the kernel keys and the exponents must not move one of them
+SHIFT_BOUND_SEED7 = {
+    "shift-bound/p=1.5/normalized": "0x1.67ff22abdbd4ap-6",
+    "shift-bound/p=1.5/max-ratio": "0x1.67ff22abdbd4ap-2",
+    "shift-bound/p=2.0/normalized": "0x1.72f9297d35a4bp-4",
+    "shift-bound/p=2.0/max-ratio": "0x1.72f9297d35a4bp-2",
+    "shift-bound/p=3.0/normalized": "0x1.99280a7b317abp-6",
+    "shift-bound/p=3.0/max-ratio": "0x1.99280a7b317abp-2",
+}
+
+
 def test_criterion_02_shift_bound():
     checks = run_and_report("criterion 02 shift-bound", "shift-bound",
                             time_limit=300.0)
     # at least 200 kernel draws back the sweep: 16 parameter pairs x 13 draws
     assert 16 * 13 >= 200
+    assert {c.check_id: c.measured.hex() for c in checks} == SHIFT_BOUND_SEED7
 
 
 def test_criterion_03_pythagoras():

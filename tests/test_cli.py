@@ -534,3 +534,20 @@ def test_console_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert len(json.loads(proc.stdout)) == len(EXPERIMENTS)
+
+
+def test_kernel_dim_that_disagrees_with_the_space_exits_2(tmp_path, monkeypatch, capsys):
+    """A drawn kernel of 2 x 2 tables on scalar functions is refused in one line,
+    naming both dims, not by a reshape error from inside numpy."""
+    from dyadiclab import experiments, shifts
+
+    monkeypatch.setattr(experiments, "RandomKernel",
+                        lambda seed, cap: shifts.RandomKernel(seed, cap, matrix_dim=2))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiments": ["shift-bound"], "params": {"shift-bound": {
+        "depth": 3, "ij_cap": 0, "kernels_per_ij": 1, "inputs_per_kernel": 1}}}))
+    status = main(["run", "--config", str(config), "--seed", "1"])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err == ("error: shift-bound: kernel matrix_dim 2 does not match "
+                   "the space dim 1\n")

@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from dyadiclab.errors import MeshDepthError
 from dyadiclab.grid import DyadicSystem
-from dyadiclab.gridfn import (GridFunction, _block_means, analyze, bmo_norm,
+from dyadiclab.gridfn import (GridFunction, _block_means, _blocks, _expand_blocks,
+                              _unblocks, analyze, bmo_norm,
                               conditional_expectation, cube_average, etas, from_bytes,
                               from_callable, from_csv, haar_coefficient, haar_eval,
                               haar_function, haar_vector, indicator, level_means, lp_norm,
-                              pair, random_grid_function, synthesize, to_bytes, to_csv, zeros)
+                              pair, random_grid_function, random_grid_functions, synthesize,
+                              to_bytes, to_csv, zeros)
 from dyadiclab.space import NormedSpace
 
 from oracles import (block_means_by_mean, bmo_norm_per_exponent, haar_coefficient_by_eval,
@@ -304,6 +306,48 @@ def test_block_means_match_ndarray_mean(d, dim):
         view = arr[(slice(None),) * (d - 1) + (slice(factor, None),)]  # not contiguous in 2-d
         assert np.array_equal(_block_means(view, d, factor),
                               block_means_by_mean(view, d, factor))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_kernels_on_a_stack_equal_one_row_at_a_time(d, dim):
+    gen = np.random.default_rng(d * 10 + dim)
+    stack = gen.standard_normal((3,) + (8,) * d + (dim,))
+    view = stack[(slice(None),) * d + (slice(4, None),)]  # a box, not contiguous
+    for arr in (stack, view):
+        for size in (1, 2, 4):
+            means = _block_means(arr, d, size)
+            blocks = _blocks(arr, d, size, 1)
+            assert np.array_equal(_unblocks(blocks, d, size, 1), arr)
+            assert np.array_equal(_expand_blocks(means, d, size),
+                                  np.stack([_expand_blocks(m, d, size) for m in means]))
+            for row, m, b in zip(arr, means, blocks):
+                assert np.array_equal(m, _block_means(row, d, size))
+                assert np.array_equal(b, _blocks(row, d, size))
+
+
+@pytest.mark.parametrize("d, m_top, dim", [(1, 0, 1), (1, 2, 3), (2, 1, 1), (2, 0, 3)])
+def test_batched_inputs_equal_one_draw_per_label(d, m_top, dim):
+    system = DyadicSystem.random(d + m_top, d=d, m_top=m_top, depth=3)
+    space = NormedSpace(dim, 2.0)
+    labels = [f"batch-in-{k}" for k in range(5)] + ["batch-in-0"]
+    got = random_grid_functions(system, 7, labels, space)
+    assert len(got) == len(labels)
+    for label, f in zip(labels, got):
+        want = random_grid_function(system, 7, space, label=label)
+        assert np.array_equal(f.values, want.values) and not f.values.flags.writeable
+        assert f.system == system and f.space == space
+    assert random_grid_functions(system, 7, [], space) == []
+
+
+@pytest.mark.parametrize("d, dim, q", [(1, 1, 2.0), (1, 3, 3.0), (2, 1, np.inf), (2, 3, 1.5)])
+def test_lp_norm_of_an_exponent_list_equals_one_call_per_exponent(d, dim, q):
+    system = DyadicSystem.random(d, d=d, m_top=1, depth=3)
+    f = random_grid_function(system, 3, NormedSpace(dim, q))
+    ps = [1.5, 2.0, 3.0, np.inf]
+    assert lp_norm(f, ps) == [lp_norm(f, p) for p in ps]
+    assert lp_norm(f, tuple(ps)) == lp_norm(f, ps)
+    assert isinstance(lp_norm(f, 2.0), float) and lp_norm(f, []) == []
 
 
 # -- serialization -----------------------------------------------------------------------

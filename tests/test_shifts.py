@@ -7,7 +7,7 @@ from dyadiclab.grid import DyadicSystem
 from dyadiclab.gridfn import (GridFunction, cube_average, from_callable, haar_function,
                               haar_vector, indicator, pair, random_grid_function)
 from dyadiclab.shifts import (ExplicitKernel, ParaproductSpec, RandomKernel, ShiftSpec,
-                              adjoint_spec, apply_paraproduct, apply_shift,
+                              adjoint_spec, apply_paraproduct, apply_shift, fill_tables,
                               shift_spec_from_json, shift_spec_to_json)
 from dyadiclab.space import NormedSpace
 
@@ -412,3 +412,90 @@ def test_table_cache_stays_out_of_eq_hash_and_repr():
     assert shift_spec_to_json(used) == shift_spec_to_json(twin)
     with pytest.raises(ValueError):
         used.level_tables(0)[2][0, 0, 0] = 1.0
+
+
+# -- a stack of inputs against one call per input ------------------------------------
+
+# (kernel kind, space dim): scalar tables on any space, 2 x 2 drawn matrix tables on
+# dim 2, explicit scalar tables on dims 1 and 3 and explicit 3 x 3 ones on dim 3
+KERNEL_KINDS = [("scalar", 1), ("scalar", 3), ("matrix", 2), ("explicit", 1),
+                ("explicit", 3), ("explicit-matrix", 3)]
+
+
+def kernel_of(kind, spec, seed):
+    if kind == "scalar":
+        return RandomKernel(seed, 1.0)
+    if kind == "matrix":
+        return RandomKernel(seed, 0.5, matrix_dim=2, probe_budget=2)
+    gen = np.random.default_rng(seed)
+    return ExplicitKernel(explicit_tables(spec, gen, 3 if kind == "explicit-matrix" else 1))
+
+
+@given(translated_systems(levels_1d=5, levels_2d=3), st.integers(0, 2**20),
+       st.sampled_from(KERNEL_KINDS), st.integers(1, 4))
+@settings(max_examples=40)
+def test_stacked_shift_equals_one_call_per_input(system, seed, kind_dim, m):
+    kind, dim = kind_dim
+    space = NormedSpace(dim, 2.0)
+    fs = [random_grid_function(system, seed, space, label=f"stack-{r}") for r in range(m)]
+    for i, j in fitting_pairs(system, cap=2):
+        probe = ShiftSpec(i, j, system, RandomKernel(0, 1.0))
+        spec = ShiftSpec(i, j, system, kernel_of(kind, probe, seed), space)
+        stacked = apply_shift(spec, fs)
+        assert isinstance(stacked, list) and len(stacked) == m
+        for f, got in zip(fs, stacked):
+            single = apply_shift(spec, f)
+            assert isinstance(single, GridFunction)
+            assert np.array_equal(got.values, single.values)
+            assert got.system == system and got.space == space
+
+
+def test_empty_stack_gives_empty_list():
+    spec = ShiftSpec(1, 0, SYS, RandomKernel(3, 1.0))
+    assert apply_shift(spec, []) == []
+
+
+def test_stack_with_a_foreign_function_is_refused():
+    spec = ShiftSpec(0, 0, SYS, RandomKernel(3, 1.0))
+    other = DyadicSystem(d=1, m_top=0, depth=5)
+    with pytest.raises(ValueError, match="does not match the shift's system/space"):
+        apply_shift(spec, [random_grid_function(SYS, 1), random_grid_function(other, 1)])
+
+
+@pytest.mark.parametrize("matrix_dim, space_dim", [(2, 1), (2, 3), (3, 2)])
+def test_kernel_and_space_dims_that_disagree_are_refused(matrix_dim, space_dim):
+    space = NormedSpace(space_dim, 2.0)
+    spec = ShiftSpec(0, 0, SYS, RandomKernel(1, 0.5, matrix_dim=matrix_dim), space)
+    with pytest.raises(ValueError) as info:
+        apply_shift(spec, random_grid_function(SYS, 2, space))
+    assert str(info.value) == (f"kernel matrix_dim {matrix_dim} does not match "
+                               f"the space dim {space_dim}")
+
+
+def test_run_wide_fill_equals_per_spec_tables():
+    """One fill over specs on different systems, kernels and level ranges draws
+    what each spec's own `level_tables` draws, and skips what a spec holds."""
+    sys_a = DyadicSystem.random(3, d=2, m_top=1, depth=2)
+    sys_b = DyadicSystem.random(4, d=1, m_top=2, depth=3)
+    probe = ShiftSpec(1, 1, sys_b, RandomKernel(0, 1.0))
+
+    def make():
+        return [ShiftSpec(0, 1, sys_a, RandomKernel(11, 1.0)),
+                ShiftSpec(1, 0, sys_a, RandomKernel(2**40 + 5, 0.5)),
+                ShiftSpec(1, 1, sys_b, ExplicitKernel(
+                    explicit_tables(probe, np.random.default_rng(1)))),
+                ShiftSpec(2, 0, sys_b, RandomKernel(11, 1.0), k_levels=(-1, 0)),
+                ShiftSpec(0, 0, sys_b, RandomKernel(-7, 0.5, matrix_dim=2, probe_budget=2),
+                          NormedSpace(2, 2.0)),
+                ShiftSpec(5, 5, sys_b, RandomKernel(1, 1.0))]  # deeper than the mesh
+
+    batch, alone = make(), make()
+    held = batch[1].level_tables(0)[2]  # one spec already holds its tables
+    fill_tables(batch)
+    assert batch[1].level_tables(0)[2] is held
+    for got, want in zip(batch, alone):
+        levels = list(want.level_range()) if want.block_gap <= 5 else []
+        assert sorted(got._stacks) == levels
+        for level in levels:
+            for a, b in zip(got.level_tables(level), want.level_tables(level)):
+                assert np.array_equal(a, b)
