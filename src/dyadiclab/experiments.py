@@ -82,13 +82,14 @@ def run_shift_bound(params: dict, seed: int) -> list:
     keys = [(i, j, k) for i, j in itertools.product(range(cap + 1), repeat=2)
             for k in range(params["kernels_per_ij"])]
     gens = substreams(seed, [("shift-kernel-seed", *key) for key in keys])
-    specs = [ShiftSpec(i, j, sysm, RandomKernel(int(gen.integers(0, 2**31)), 1.0))
-             for (i, j, _), gen in zip(keys, gens)]
-    fill_tables(specs)
+    # each spec and input is drawn when taken and not kept: one spec's are live at a time
+    specs = fill_tables(ShiftSpec(i, j, sysm, RandomKernel(int(gen.integers(0, 2**31)), 1.0))
+                        for (i, j, _), gen in zip(keys, gens))
     inputs = random_grid_functions(sysm, seed, [f"shift-in-{i}-{j}-{k}-{m}"
                                                 for i, j, k in keys for m in range(n_in)])
-    for spec, fs in zip(specs, (inputs[n:n + n_in] for n in range(0, len(inputs), n_in))):
-        bounds = [4.0 * (max(spec.i, spec.j) + 1) * umd_beta_scalar(p) ** 2 for p in ps]
+    for (i, j, _), spec in zip(keys, specs):
+        fs = list(itertools.islice(inputs, n_in))
+        bounds = [4.0 * (max(i, j) + 1) * umd_beta_scalar(p) ** 2 for p in ps]
         for f, out in zip(fs, apply_shift(spec, fs)):
             for p, den, num, bound in zip(ps, lp_norm(f, ps), lp_norm(out, ps), bounds):
                 if den == 0.0:

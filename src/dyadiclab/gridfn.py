@@ -434,14 +434,13 @@ def random_grid_function(system: DyadicSystem, seed: int, space: NormedSpace = S
 
 
 def random_grid_functions(system: DyadicSystem, seed: int, labels: list,
-                          space: NormedSpace = SCALAR) -> list:
-    """`random_grid_function(system, seed, space, label=label)` for each label,
-    without support or centring, keyed in one batch and drawn into one stack."""
+                          space: NormedSpace = SCALAR):
+    """Yield `random_grid_function(system, seed, space, label=label)` for each
+    label, without support or centring: the labels are keyed in one batch, and
+    each function is drawn when it is taken."""
     shape = (system.cells_per_axis,) * system.d + (space.dim,)
-    stack = np.empty((len(labels),) + shape)
-    for row, gen in zip(stack, substreams(seed, [(label,) for label in labels])):
-        gen.standard_normal(out=row)
-    return [GridFunction(system, row, space, True) for row in stack]
+    for gen in substreams(seed, [(label,) for label in labels]):
+        yield GridFunction(system, gen.standard_normal(shape), space, True)
 
 
 # -- serialization ---------------------------------------------------------------

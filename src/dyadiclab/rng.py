@@ -123,8 +123,8 @@ def _pack_keys(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     high = values >> np.uint64(32)
     # low and high word of each int, and which of them SeedSequence keeps
     words = np.stack([values & np.uint64(_MASK32), high], axis=2).reshape(rows, 2 * width)
-    inside = np.arange(width) < lengths[:, None]
-    kept = np.stack([inside, inside & (high != 0)], axis=2).reshape(rows, 2 * width)
+    kept = np.stack([np.arange(width) < lengths[:, None], high != 0],
+                    axis=2).reshape(rows, 2 * width)
     count = kept.sum(axis=1)
     packed = np.zeros((rows, int(count.max(initial=1))), dtype=np.uint32)
     packed[np.nonzero(kept)[0], np.cumsum(kept, axis=1)[kept] - 1] = words[kept]
@@ -142,19 +142,19 @@ def _substream_keys(seed: int, label_rows) -> np.ndarray:
     return _pack_keys(values, lengths)
 
 
-def _array_keys(seed, labels: tuple, ints: np.ndarray, widths=None) -> np.ndarray:
+def _array_keys(seed, labels: tuple, ints: np.ndarray, counts=None) -> np.ndarray:
     """(rows, 2) uint64 Philox keys of `substream(seed, *labels, *row)` for each
     row of the (rows, k) integer array `ints`, masked to 63 bits as arrays.
-    `seed` is one int, or a (rows,) int64 array of one seed per row; row r keys
-    on its first `widths[r]` ints if `widths` is given, else on all k."""
+    With `counts`, `seed` is a list of seeds: the first counts[0] rows key on
+    seed[0], the next counts[1] on seed[1], and so on."""
     ints = np.asarray(ints, dtype=np.int64)
     head = list(map(_label_int, labels))
     values = np.empty((len(ints), 1 + len(head) + ints.shape[1]), dtype=np.uint64)
-    values[:, 0] = np.asarray(seed, np.int64) & _MASK if np.ndim(seed) else int(seed) & _MASK
+    values[:, 0] = (int(seed) & _MASK if counts is None else
+                    np.repeat(np.array([int(s) & _MASK for s in seed], dtype=np.uint64), counts))
     values[:, 1:1 + len(head)] = head
     values[:, 1 + len(head):] = ints & _MASK
-    widths = np.full(len(ints), ints.shape[1]) if widths is None else np.asarray(widths)
-    return _pack_keys(values, 1 + len(head) + widths.astype(np.intp))
+    return _pack_keys(values, np.full(len(ints), values.shape[1], dtype=np.intp))
 
 
 def _rekeyed(keys: np.ndarray):
@@ -182,12 +182,12 @@ def substreams(seed: int, label_rows):
     return _rekeyed(_substream_keys(seed, label_rows))
 
 
-def array_substreams(seed, labels: tuple, ints, widths=None):
+def array_substreams(seed, labels: tuple, ints, counts=None):
     """`substreams` of the rows `(*labels, *row)` for each row of the (rows, k)
     integer array `ints`: the shared labels are hashed once and the integer
     labels are keyed as one array, with no label tuple per row.
 
-    `seed` may be a (rows,) int64 array, and `widths` a (rows,) array of row
-    lengths: row r then draws what `substream(seed[r], *labels, *row[:widths[r]])`
-    draws."""
-    return _rekeyed(_array_keys(seed, labels, ints, widths))
+    With `counts`, `seed` is a list of seeds, one per group of consecutive
+    rows: group g is the next counts[g] rows, and draws what
+    `substream(seed[g], *labels, *row)` draws."""
+    return _rekeyed(_array_keys(seed, labels, ints, counts))

@@ -12,6 +12,7 @@ in the scalar case.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,11 +22,12 @@ from .errors import MeshDepthError
 from .grid import DyadicCube, DyadicSystem
 from .gridfn import (GridFunction, _block_means, _blocks, _expand_blocks, _unblocks,
                      conditional_expectation)
-from .rng import _MASK, array_substreams, substream
+from .rng import array_substreams, substream
 from .space import SCALAR, NormedSpace
 
 
 _KERNEL_LABEL = "shift-kernel"  # a table's stream is keyed (seed, label, level, *corner)
+_KEY_ROWS = 1 << 8  # most tables of several specs keyed in one batch, ~400 B each
 
 
 def _level_corners(level: int, axes) -> np.ndarray:
@@ -123,21 +125,26 @@ class ShiftSpec:
         cubes, in `cubes_at_level` order; each table is drawn or read only once.
         The first call for a level of `level_range` draws every level of the range."""
         if level not in self._stacks:
-            fill_tables([self], level)
+            next(fill_tables([self], level))
         return self._stacks[level]
 
 
 def fill_tables(specs, level: Optional[int] = None):
-    """Draw or read the kernel tables each spec of `specs` lacks: those of its whole
-    `level_range`, or of `level` alone when given and outside that range.
+    """Yield each spec of the iterable `specs`, in order, once it holds the kernel
+    tables it lacked: those of its whole `level_range`, or of `level` alone when
+    given and outside that range.
 
-    The cubes of a level are listed once per system.  The random tables of all
-    the specs are drawn from one batch of streams, keyed by one
-    (kernel seed, level, *corner) array.  A given table must be scalar,
-    (blocks, blocks), or for a space of dim n > 1 a matrix one, (blocks, blocks, n, n).
+    The cubes of a level are listed once per system.  The random tables of
+    consecutive specs on systems of one d are keyed in one batch, by one
+    (kernel seed, level, *corner) array of at most `_KEY_ROWS` rows unless one
+    spec has more, so the key temporaries stay small at any depth.  A spec's
+    tables are drawn when it is yielded and the spec is let go then, so a
+    caller that keeps no spec holds the tables of one spec at a time.  A given
+    table must be scalar, (blocks, blocks), or for a space of dim n > 1 a
+    matrix one, (blocks, blocks, n, n).
     """
     geometry = {}  # (system, level) -> (its cubes, cubes per axis, (level, *corner) rows)
-    jobs = []  # (spec, [(level, *geometry) of each level it lacks])
+    jobs = deque()  # (spec, [(level, *geometry) of each level it lacks], random tables)
     for spec in specs:
         try:
             levels = spec.level_range()
@@ -153,38 +160,46 @@ def fill_tables(specs, level: Optional[int] = None):
                     geometry[spec.system, lv] = (list(spec.system.cubes_at_level(lv)),
                                                  tuple(map(len, axes)), _level_corners(lv, axes))
                 todo.append((lv, *geometry[spec.system, lv]))
-        jobs.append((spec, todo))
-    # (kernel seed, (level, *corner) rows) per random spec and level, in draw order
-    drawn = [(int(spec.kernel.seed) & _MASK, rows) for spec, todo in jobs
-             if isinstance(spec.kernel, RandomKernel) for *_, rows in todo]
-    if drawn:
-        # one row per table; a system of lower d pads its rows with zeros
-        width, counts = max(rows.shape[1] for _, rows in drawn), [len(r) for _, r in drawn]
-        corners = np.concatenate([np.pad(rows, ((0, 0), (0, width - rows.shape[1])))
-                                  if rows.shape[1] < width else rows for _, rows in drawn])
-        widths = np.repeat([rows.shape[1] for _, rows in drawn], counts)
-        seeds = np.repeat([seed for seed, _ in drawn], counts)
+        jobs.append((spec, todo, sum(len(rows) for *_, rows in todo)
+                     if isinstance(spec.kernel, RandomKernel) else 0))
+    while jobs:
+        batch = deque([jobs.popleft()])
+        size, d = batch[0][2], batch[0][0].system.d
+        while jobs and jobs[0][0].system.d == d and size + jobs[0][2] <= _KEY_ROWS:
+            size += jobs[0][2]
+            batch.append(jobs.popleft())
         # one shared generator, re-keyed by next(): each table is drawn before the next key
-        gens = array_substreams(seeds, (_KERNEL_LABEL,), corners, widths)
-    for spec, todo in jobs:
-        blocks = spec.blocks_per_axis() ** spec.system.d
-        if isinstance(spec.kernel, RandomKernel):
-            draw = lambda cube: spec.kernel.table(cube, blocks, next(gens))
-        else:
-            n = spec.space.dim
-            shapes = {(blocks, blocks)} | ({(blocks, blocks, n, n)} if n > 1 else set())
+        drawn = [(spec.kernel.seed, rows) for spec, todo, n in batch if n for *_, rows in todo]
+        gens = array_substreams([seed for seed, _ in drawn], (_KERNEL_LABEL,),
+                                np.concatenate([rows for _, rows in drawn]),
+                                [len(rows) for _, rows in drawn]) if drawn else None
+        while batch:
+            spec, todo, _ = batch.popleft()
+            _draw_tables(spec, todo, gens)
+            yield spec
 
-            def draw(cube):
-                table = spec.kernel.table(cube, blocks)
-                if table.shape not in shapes:
-                    raise ValueError(f"kernel table for cube {cube.key()} has shape "
-                                     f"{table.shape}, expected one of {sorted(shapes)}")
-                return table
 
-        for lv, cubes, counts, _ in todo:
-            tables = np.stack([draw(cube) for cube in cubes])
-            tables.setflags(write=False)
-            spec._stacks[lv] = (cubes[0].start_cells(), counts, tables)
+def _draw_tables(spec: ShiftSpec, todo: list, gens):
+    """Draw or read the tables of the levels `todo` lists for `spec`, random ones
+    from the shared generator `gens`."""
+    blocks = spec.blocks_per_axis() ** spec.system.d
+    if isinstance(spec.kernel, RandomKernel):
+        draw = lambda cube: spec.kernel.table(cube, blocks, next(gens))
+    else:
+        n = spec.space.dim
+        shapes = {(blocks, blocks)} | ({(blocks, blocks, n, n)} if n > 1 else set())
+
+        def draw(cube):
+            table = spec.kernel.table(cube, blocks)
+            if table.shape not in shapes:
+                raise ValueError(f"kernel table for cube {cube.key()} has shape "
+                                 f"{table.shape}, expected one of {sorted(shapes)}")
+            return table
+
+    for lv, cubes, counts, _ in todo:
+        tables = np.stack([draw(cube) for cube in cubes])
+        tables.setflags(write=False)
+        spec._stacks[lv] = (cubes[0].start_cells(), counts, tables)
 
 
 def _scale_step(arr: np.ndarray, d: int, side: int, g: int, res: int) -> np.ndarray:
@@ -204,7 +219,8 @@ def apply_shift(spec: ShiftSpec, f):
     over that box: the i-side block means, one batched contraction with the
     level's stacked tables, then the j-side block means of the result.
     """
-    fs = [f] if isinstance(f, GridFunction) else f
+    single = isinstance(f, GridFunction)
+    fs = [f] if single else f
     if any(g.system != spec.system or g.space.dim != spec.space.dim for g in fs):
         raise ValueError("function does not match the shift's system/space")
     d, n, gap = spec.system.d, spec.space.dim, spec.block_gap
@@ -212,7 +228,9 @@ def apply_shift(spec: ShiftSpec, f):
         raise ValueError(f"kernel matrix_dim {spec.kernel.matrix_dim} does not match "
                          f"the space dim {n}")
     b_axis, cells = 1 << gap, (spec.system.cells_per_axis,) * d
-    stack = np.array([g.values for g in fs]).reshape((len(fs), *cells, n))
+    # a view of one function; a list is copied into one stack
+    stack = f.values[None] if single else np.array([g.values for g in fs]).reshape(
+        (len(fs), *cells, n))
     out = np.zeros_like(stack)
     for level in spec.level_range():
         start, counts, tables = spec.level_tables(level)
@@ -230,7 +248,7 @@ def apply_shift(spec: ShiftSpec, f):
         proj_out = _scale_step(grid, d, b_axis, spec.j, gap)
         out[box] += _expand_blocks(proj_out, d, size >> gap)
     outs = [GridFunction(spec.system, row, spec.space, True) for row in out]
-    return outs[0] if isinstance(f, GridFunction) else outs
+    return outs[0] if single else outs
 
 
 def adjoint_spec(spec: ShiftSpec) -> ShiftSpec:

@@ -331,13 +331,13 @@ def test_batched_inputs_equal_one_draw_per_label(d, m_top, dim):
     system = DyadicSystem.random(d + m_top, d=d, m_top=m_top, depth=3)
     space = NormedSpace(dim, 2.0)
     labels = [f"batch-in-{k}" for k in range(5)] + ["batch-in-0"]
-    got = random_grid_functions(system, 7, labels, space)
+    got = list(random_grid_functions(system, 7, labels, space))
     assert len(got) == len(labels)
     for label, f in zip(labels, got):
         want = random_grid_function(system, 7, space, label=label)
         assert np.array_equal(f.values, want.values) and not f.values.flags.writeable
         assert f.system == system and f.space == space
-    assert random_grid_functions(system, 7, [], space) == []
+    assert list(random_grid_functions(system, 7, [], space)) == []
 
 
 @pytest.mark.parametrize("d, dim, q", [(1, 1, 2.0), (1, 3, 3.0), (2, 1, np.inf), (2, 3, 1.5)])

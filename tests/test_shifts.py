@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyadiclab import shifts
+from dyadiclab.experiments import run_shift_bound
 from dyadiclab.grid import DyadicSystem
 from dyadiclab.gridfn import (GridFunction, cube_average, from_callable, haar_function,
                               haar_vector, indicator, pair, random_grid_function)
@@ -472,9 +476,12 @@ def test_kernel_and_space_dims_that_disagree_are_refused(matrix_dim, space_dim):
                                f"the space dim {space_dim}")
 
 
-def test_run_wide_fill_equals_per_spec_tables():
+@pytest.mark.parametrize("key_rows", [1 << 16, 1, 40])
+def test_run_wide_fill_equals_per_spec_tables(monkeypatch, key_rows):
     """One fill over specs on different systems, kernels and level ranges draws
-    what each spec's own `level_tables` draws, and skips what a spec holds."""
+    what each spec's own `level_tables` draws, and skips what a spec holds,
+    whether the specs are keyed in one batch or in several."""
+    monkeypatch.setattr(shifts, "_KEY_ROWS", key_rows)
     sys_a = DyadicSystem.random(3, d=2, m_top=1, depth=2)
     sys_b = DyadicSystem.random(4, d=1, m_top=2, depth=3)
     probe = ShiftSpec(1, 1, sys_b, RandomKernel(0, 1.0))
@@ -491,7 +498,7 @@ def test_run_wide_fill_equals_per_spec_tables():
 
     batch, alone = make(), make()
     held = batch[1].level_tables(0)[2]  # one spec already holds its tables
-    fill_tables(batch)
+    assert all(got is want for got, want in zip(fill_tables(iter(batch)), batch))
     assert batch[1].level_tables(0)[2] is held
     for got, want in zip(batch, alone):
         levels = list(want.level_range()) if want.block_gap <= 5 else []
@@ -499,3 +506,30 @@ def test_run_wide_fill_equals_per_spec_tables():
         for level in levels:
             for a, b in zip(got.level_tables(level), want.level_tables(level)):
                 assert np.array_equal(a, b)
+
+
+def test_fill_draws_each_spec_when_it_is_yielded():
+    specs = [ShiftSpec(i, 0, SYS, RandomKernel(i, 1.0)) for i in range(3)]
+    filled = fill_tables(specs)
+    assert next(filled) is specs[0] and specs[0]._stacks
+    assert not specs[1]._stacks and not specs[2]._stacks
+    assert list(filled) == specs[1:] and specs[2]._stacks
+
+
+def test_shift_bound_run_holds_one_spec_at_a_time():
+    """A shift-bound run's peak allocation barely grows with its number of specs:
+    one spec's inputs and tables are live at a time, and kernel streams are keyed
+    in batches of at most `_KEY_ROWS` tables."""
+    def peak(kernels):
+        params = {"depth": 9, "ij_cap": 1, "p_list": [2.0], "kernels_per_ij": kernels,
+                  "inputs_per_kernel": 8}
+        tracemalloc.start()
+        try:
+            run_shift_bound(params, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # fills the module caches
+    few, many = peak(2), peak(16)
+    assert many < 1.5 * few
