@@ -3,15 +3,15 @@
 from .grid import (DyadicCube, DyadicSystem, GoodnessParams, goodness_bound,
                    goodness_probability, is_good)
 from .gridfn import (GridFunction, analyze, bmo_norm, cube_average, from_callable,
-                     haar_coefficient, haar_eval, haar_function, indicator, lp_norm,
-                     pair, random_grid_function, synthesize, zeros)
+                     haar_coefficient, indicator, lp_norm, pair, random_grid_function,
+                     synthesize, zeros)
 from .space import SCALAR, NormedSpace, conjugate_exponent, umd_beta_scalar
 
 __all__ = [
     "DyadicCube", "DyadicSystem", "GoodnessParams", "GridFunction", "NormedSpace",
     "SCALAR", "analyze", "bmo_norm", "conjugate_exponent",
     "cube_average", "from_callable", "goodness_bound", "goodness_probability",
-    "haar_coefficient", "haar_eval", "haar_function", "indicator", "is_good",
+    "haar_coefficient", "indicator", "is_good",
     "lp_norm", "pair", "random_grid_function", "synthesize",
     "umd_beta_scalar", "zeros",
 ]

@@ -269,15 +269,13 @@ class GoodnessParams:
     """Boundary exponent, ancestor threshold, and ancestor-chain truncation.
 
     Ancestors at level gap s (side 2^s times the cube's) are inspected for
-    r <= s, truncated by `max_generations` (relative) and/or
-    `max_ancestor_level` (absolute coarsest level), and always by the
+    r <= s, truncated by `max_generations` when given and always by the
     system's own level floor.  A cube with no inspectable ancestors is
     good by vacuity.
     """
 
     gamma: float
     r: int
-    max_ancestor_level: Optional[int] = None
     max_generations: Optional[int] = None
 
     def __post_init__(self):
@@ -288,10 +286,7 @@ class GoodnessParams:
 
 
 def _gap_range(system: DyadicSystem, level: int, params: GoodnessParams) -> range:
-    floor = system.min_level
-    if params.max_ancestor_level is not None:
-        floor = max(floor, params.max_ancestor_level)
-    s_hi = level - floor
+    s_hi = level - system.min_level
     if params.max_generations is not None:
         s_hi = min(s_hi, params.max_generations)
     return range(params.r, s_hi + 1)

@@ -159,25 +159,6 @@ def fill_haar_frame(system: DyadicSystem, blocks) -> np.ndarray:
     return H
 
 
-def haar_function(cube: DyadicCube, eta, space: NormedSpace = SCALAR) -> GridFunction:
-    vec = haar_vector(cube, eta)[..., None] * np.ones(space.dim)
-    return GridFunction(cube.system, vec, space)
-
-
-def haar_eval(cube: DyadicCube, eta, points) -> np.ndarray:
-    """Evaluate h^eta at points, 0 outside the (translated) cube."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    geo = cube.geometry()
-    inside = np.ones(pts.shape[0], dtype=bool)
-    sign = np.ones(pts.shape[0])
-    for ax in range(cube.system.d):
-        t = pts[:, ax] - geo[ax, 0]
-        inside &= (t >= 0) & (t < cube.side)
-        if eta[ax]:
-            sign *= np.where(t < cube.side / 2, 1.0, -1.0)
-    return np.where(inside, sign * cube.volume**-0.5, 0.0)
-
-
 # -- per-cube operations (valid in any system) -------------------------------
 
 
@@ -407,29 +388,16 @@ def random_grid_function(system: DyadicSystem, seed: int, space: NormedSpace = S
     else:
         sl = support.cell_slices()
         vals[sl] = gen.standard_normal(vals[sl].shape)
-    if mean_zero == "per_top":
-        f = GridFunction(system, vals, space)
-        out = np.array(vals)
-        for q in system.top_cubes():
-            sl = q.cell_slices()
-            if support is not None:
-                mask = np.zeros(shape[:-1], dtype=bool)
-                mask[support.cell_slices()] = True
-                submask = mask[sl]
-                if not submask.any():
-                    continue
-                sub = out[sl]
-                sub[submask] -= sub[submask].mean(axis=0)
-                out[sl] = sub
-            else:
-                out[sl] -= cube_average(f, q)
-        vals = out
-    elif mean_zero == "global":
-        mask = np.ones(shape[:-1], dtype=bool)
-        if support is not None:
-            mask[...] = False
-            mask[support.cell_slices()] = True
-        vals[mask] -= vals[mask].mean(axis=0)
+    if mean_zero is not None:
+        # the centred cells, the support's or all, each region centred on its own
+        mask = np.zeros(shape[:-1], dtype=bool)
+        mask[() if support is None else support.cell_slices()] = True
+        regions = ([q.cell_slices() for q in system.top_cubes()] if mean_zero == "per_top"
+                   else [()])
+        for sl in regions:
+            sub, inside = vals[sl], mask[sl]
+            if inside.any():
+                sub[inside] -= sub[inside].mean(axis=0)
     return GridFunction(system, vals, space)
 
 

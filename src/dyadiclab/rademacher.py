@@ -1,4 +1,4 @@
-"""Rademacher averages, R-bound witnesses and probes, and martingale probes.
+"""Rademacher averages, R-bound witnesses and probes, and Stein's inequality.
 
 R-bounds and unconditionality constants are suprema over infinite witness
 sets, so this module certifies them from below: any witness ratio is a
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ResourceLimitError
 from .gridfn import GridFunction, conditional_expectation
-from .rng import substream, substreams
+from .rng import substreams
 from .space import NormedSpace, umd_beta_scalar
 
 EXHAUSTIVE_CAP = 20
@@ -158,39 +158,6 @@ def stein_check(fs: Sequence[GridFunction], levels: Sequence[int], p: float) -> 
     if den == 0.0:
         raise DegenerateInputError("zero input family")
     return SteinResult(num / den, umd_beta_scalar(p))
-
-
-# -- unconditionality probe -------------------------------------------------------
-
-
-def umd_probe(space: NormedSpace, p: float, depth: int, seed: int,
-              martingales: int = 20) -> float:
-    """Lower bound for the martingale-transform constant of the space.
-
-    Samples dyadic (Paley-Walsh) martingales of the given depth and takes
-    the maximal transform ratio over exhaustive sign patterns.
-    """
-    if depth > 10:
-        raise ResourceLimitError("martingale depth capped at 10")
-    n = space.dim
-    npts = 1 << depth
-    patterns = sign_patterns(depth)
-    best = 0.0
-    for m in range(martingales):
-        gen = substream(seed, "umd-martingale", m)
-        diffs = np.zeros((depth, npts, n))
-        for k in range(depth):
-            table = gen.standard_normal((1 << k, n))
-            history = (np.arange(npts) % (1 << k)) if k else np.zeros(npts, dtype=int)
-            diffs[k] = patterns[:, k:k + 1] * table[history]
-        base = space.norm(diffs.sum(axis=0))
-        den = float((base**p).mean() ** (1.0 / p))
-        if den == 0.0:
-            continue
-        combo = np.tensordot(patterns, diffs, axes=(1, 0))
-        nums = (space.norm(combo) ** p).mean(axis=1) ** (1.0 / p)
-        best = max(best, float(nums.max()) / den)
-    return best
 
 
 # -- calculus checks: averaging and triangle inequality ----------------------------

@@ -3,9 +3,8 @@
 A kernel operator is discretized by its values at cell-pair midpoints, so
 the discrete couplings are themselves admissible kernel values and the
 decay estimates for Haar matrix elements apply verbatim to the discrete
-sums.  Diagonal cells are never computed from the kernel; they are a
-free parameter (default zero) visible only through the weak-boundedness
-quantities.
+sums.  Diagonal cells are never computed from the kernel; they are zero,
+so the weak-boundedness quantities see only the off-diagonal couplings.
 
 Conventions for nested Haar pairs follow the paraproduct extraction: for
 I strictly inside J the element pairs T h_I against the coarse factor
@@ -25,21 +24,18 @@ import numpy as np
 from .errors import DegenerateInputError, InsufficientDataError, ResourceLimitError
 from .grid import (DyadicCube, DyadicSystem, GoodnessParams, good_mask, goodness_probability,
                    is_good)
-from .gridfn import (GridFunction, etas, fill_haar_frame, haar_block, haar_coefficient,
-                     haar_frame, haar_vector, pair)
-from .rng import substream
+from .gridfn import (GridFunction, _haar_values, etas, fill_haar_frame, haar_block,
+                     haar_coefficient, haar_frame, haar_vector, pair)
 from .shifts import ParaproductSpec, apply_paraproduct
 # -- kernels -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CzKernel:
-    """A singular kernel with decay/smoothness constants and optional cutoff."""
+    """A singular kernel with its smoothness exponent and an optional cutoff."""
 
     fn: Callable  # (x, y) arrays of shape (..., d) -> values (scalar case)
     alpha: float
-    c0: float
-    c_alpha: float
     cutoff: Optional[float] = None
     name: str = "kernel"
 
@@ -58,7 +54,7 @@ def hilbert_kernel(cutoff: Optional[float] = None) -> CzKernel:
         with np.errstate(divide="ignore"):
             return np.where(diff != 0.0, 1.0 / np.where(diff == 0, 1.0, diff), 0.0)
 
-    return CzKernel(fn, alpha=1.0, c0=1.0, c_alpha=2.0, cutoff=cutoff, name="hilbert")
+    return CzKernel(fn, alpha=1.0, cutoff=cutoff, name="hilbert")
 
 
 def smooth_odd_kernel(width: float = 0.25, cutoff: Optional[float] = 1.0) -> CzKernel:
@@ -68,38 +64,7 @@ def smooth_odd_kernel(width: float = 0.25, cutoff: Optional[float] = 1.0) -> CzK
         diff = (x - y).sum(axis=-1)
         return diff * np.exp(-((diff / width) ** 2)) / width**2
 
-    return CzKernel(fn, alpha=1.0, c0=1.0, c_alpha=4.0, cutoff=cutoff,
-                    name=f"smooth-odd-{width}")
-
-
-def validate_kernel(kernel: CzKernel, d: int, samples: int, seed: int) -> dict:
-    """Sampled decay and smoothness quotients against the stated constants."""
-    gen = substream(seed, "kernel-validate")
-    x = gen.uniform(-1.0, 1.0, size=(samples, d))
-    y = gen.uniform(-1.0, 1.0, size=(samples, d))
-    keep = np.linalg.norm(x - y, axis=-1) > 1e-6
-    if kernel.cutoff is not None:
-        keep &= np.linalg.norm(x - y, axis=-1) <= kernel.cutoff
-    x, y = x[keep], y[keep]
-    dist = np.linalg.norm(x - y, axis=-1)
-    decay = np.abs(kernel(x, y)) * dist**d
-    # admissible perturbations of the first argument
-    step = gen.uniform(0.05, 0.45, size=x.shape[0])[:, None]
-    direction = gen.standard_normal(x.shape)
-    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
-    xp = x + direction * step * dist[:, None]
-    move = np.linalg.norm(x - xp, axis=-1)
-    holder = (np.abs(kernel(x, y) - kernel(xp, y))
-              * (dist / move) ** kernel.alpha * dist**d)
-    if kernel.cutoff is not None:
-        inside = (np.linalg.norm(xp - y, axis=-1) <= kernel.cutoff)
-        holder = holder[inside]
-    return {
-        "max_decay": float(decay.max()),
-        "max_holder": float(holder.max()) if holder.size else 0.0,
-        "decay_ok": bool(decay.max() <= kernel.c0 + 1e-9),
-        "holder_ok": bool(holder.size == 0 or holder.max() <= kernel.c_alpha + 1e-9),
-    }
+    return CzKernel(fn, alpha=1.0, cutoff=cutoff, name=f"smooth-odd-{width}")
 
 
 # -- discretized operator --------------------------------------------------------
@@ -141,11 +106,11 @@ class DiscreteOperator:
 
 
 _ASSEMBLE_BYTE_CAP = 1 << 30
+_ASSEMBLE_ROWS = 64  # kernel rows evaluated per pass over the cell centres
 
 
-def assemble(kernel: CzKernel, system: DyadicSystem, diagonal: float = 0.0,
-             chunk: int = 64) -> DiscreteOperator:
-    """Midpoint-rule discretization; diagonal cells take the free parameter.
+def assemble(kernel: CzKernel, system: DyadicSystem) -> DiscreteOperator:
+    """Midpoint-rule discretization, with zero on the diagonal cells.
 
     Raises ResourceLimitError before allocating when the n_cells^2 float
     matrix would exceed 1 GiB.
@@ -156,11 +121,11 @@ def assemble(kernel: CzKernel, system: DyadicSystem, diagonal: float = 0.0,
                                  f"above the cap {_ASSEMBLE_BYTE_CAP}")
     centers = system.cell_centers().reshape(-1, system.d)
     mat = np.empty((n, n))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, _ASSEMBLE_ROWS):
+        hi = min(lo + _ASSEMBLE_ROWS, n)
         mat[lo:hi] = kernel(centers[lo:hi, None, :], centers[None, :, :])
     mat *= system.cell_volume
-    np.fill_diagonal(mat, diagonal)
+    np.fill_diagonal(mat, 0.0)
     return DiscreteOperator(system, mat)
 
 
@@ -376,12 +341,6 @@ def _diagonal_blocks(T: DiscreteOperator, level: int) -> tuple:
                           view.reshape(split + split))
 
 
-def _haar_pattern(system: DyadicSystem, level: int) -> np.ndarray:
-    """haar_block of any one-dimensional level-`level` cube."""
-    size = 1 << (system.depth - level)
-    return np.repeat((1.0, -1.0), size // 2) * (2.0**-level) ** -0.5
-
-
 def decay_check(T: DiscreteOperator, case: str, i_values: Sequence[int],
                 params: GoodnessParams, alpha: float) -> DecayReport:
     """Per-complexity peak coefficient magnitudes and their fitted decay slope.
@@ -409,14 +368,17 @@ def decay_check(T: DiscreteOperator, case: str, i_values: Sequence[int],
     j = 1 if case in ("far_disjoint", "near_disjoint") else 0
     vol, col_sums = sysm.cell_volume, T._sums[0]
 
+    def haar_at(level: int) -> np.ndarray:  # haar_block of any level-`level` cube
+        return _haar_values(1, level, 1 << (sysm.depth - level), (1,))
+
     @functools.cache
     def level_rows(k: int) -> tuple:
         """The level's cell run and its diagonal blocks contracted with h_K or the h_J."""
         (box,), blocks = _diagonal_blocks(T, k)
         if nested:
-            return box, _haar_pattern(sysm, k) @ blocks
+            return box, haar_at(k) @ blocks
         halves = blocks.reshape(len(blocks), 2, -1, blocks.shape[-1])
-        return box, _haar_pattern(sysm, k + 1) @ halves
+        return box, haar_at(k + 1) @ halves
 
     def peak(k: int, i: int) -> float:
         if case == "equal":
@@ -425,7 +387,7 @@ def decay_check(T: DiscreteOperator, case: str, i_values: Sequence[int],
             return max(abs(matrix_element(T, K, eta, K, eta)) for K in sysm.cubes_at_level(k))
         box, rows = level_rows(k)
         n_runs, side = len(rows) << i, 1 << (sysm.depth - k - i)
-        kv, iv, h_i = 2.0**-k, 2.0**-(k + i), _haar_pattern(sysm, k + i)
+        kv, iv, h_i = 2.0**-k, 2.0**-(k + i), haar_at(k + i)
         elem = vol * (rows.reshape(rows.shape[:-1] + (1 << i, side)) @ h_i)
         # a level's first cube starts less than one side past cell 0, so a
         # cube's index in the level is its start cell over its side

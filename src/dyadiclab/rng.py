@@ -10,7 +10,8 @@ is fixed by the key `SeedSequence(...).generate_state(2, uint64)` and a
 zero counter.  `substreams` computes those keys for many label rows at
 once and re-keys one `Philox`, drawing exactly what `substream` draws;
 `array_substreams` does the same for rows of integer labels held in one
-array.  Both pack their rows into one uint64 array for `_pack_keys`.
+array, with one seed per group of rows.  Both pack their rows into one
+uint64 array for `_pack_keys`.
 `tests/test_rng.py::test_pinned_key` guards the pin: it fails loudly if
 a NumPy release changes its seeding.
 """
@@ -142,16 +143,15 @@ def _substream_keys(seed: int, label_rows) -> np.ndarray:
     return _pack_keys(values, lengths)
 
 
-def _array_keys(seed, labels: tuple, ints: np.ndarray, counts=None) -> np.ndarray:
+def _array_keys(seeds, labels: tuple, ints: np.ndarray, counts) -> np.ndarray:
     """(rows, 2) uint64 Philox keys of `substream(seed, *labels, *row)` for each
-    row of the (rows, k) integer array `ints`, masked to 63 bits as arrays.
-    With `counts`, `seed` is a list of seeds: the first counts[0] rows key on
-    seed[0], the next counts[1] on seed[1], and so on."""
+    row of the (rows, k) integer array `ints`, masked to 63 bits as arrays,
+    where the first counts[0] rows key on seeds[0], the next counts[1] on
+    seeds[1], and so on."""
     ints = np.asarray(ints, dtype=np.int64)
     head = list(map(_label_int, labels))
     values = np.empty((len(ints), 1 + len(head) + ints.shape[1]), dtype=np.uint64)
-    values[:, 0] = (int(seed) & _MASK if counts is None else
-                    np.repeat(np.array([int(s) & _MASK for s in seed], dtype=np.uint64), counts))
+    values[:, 0] = np.repeat(np.array([int(s) & _MASK for s in seeds], dtype=np.uint64), counts)
     values[:, 1:1 + len(head)] = head
     values[:, 1 + len(head):] = ints & _MASK
     return _pack_keys(values, np.full(len(ints), values.shape[1], dtype=np.intp))
@@ -182,12 +182,11 @@ def substreams(seed: int, label_rows):
     return _rekeyed(_substream_keys(seed, label_rows))
 
 
-def array_substreams(seed, labels: tuple, ints, counts=None):
+def array_substreams(seeds, labels: tuple, ints, counts):
     """`substreams` of the rows `(*labels, *row)` for each row of the (rows, k)
     integer array `ints`: the shared labels are hashed once and the integer
     labels are keyed as one array, with no label tuple per row.
 
-    With `counts`, `seed` is a list of seeds, one per group of consecutive
-    rows: group g is the next counts[g] rows, and draws what
-    `substream(seed[g], *labels, *row)` draws."""
-    return _rekeyed(_array_keys(seed, labels, ints, counts))
+    `seeds` holds one seed per group of consecutive rows: group g is the next
+    counts[g] rows, and draws what `substream(seeds[g], *labels, *row)` draws."""
+    return _rekeyed(_array_keys(seeds, labels, ints, counts))

@@ -117,22 +117,26 @@ class ShiftSpec:
         return 1 << self.block_gap
 
     def __post_init__(self):
+        kernel_dim = self.kernel.matrix_dim if isinstance(self.kernel, RandomKernel) else 1
+        if kernel_dim not in (1, self.space.dim):
+            raise ValueError(f"kernel matrix_dim {kernel_dim} does not match "
+                             f"the space dim {self.space.dim}")
         # level -> table stack, filled on first use; not a field, so eq/hash/repr skip it
         object.__setattr__(self, "_stacks", {})
 
     def level_tables(self, level: int) -> tuple:
         """(first cell per axis, cubes per axis, stacked kernel tables) of the level's
         cubes, in `cubes_at_level` order; each table is drawn or read only once.
-        The first call for a level of `level_range` draws every level of the range."""
+        The first call draws every level of `level_range`, and `level` must be one."""
         if level not in self._stacks:
-            next(fill_tables([self], level))
+            next(fill_tables([self]))
         return self._stacks[level]
 
 
-def fill_tables(specs, level: Optional[int] = None):
+def fill_tables(specs):
     """Yield each spec of the iterable `specs`, in order, once it holds the kernel
-    tables it lacked: those of its whole `level_range`, or of `level` alone when
-    given and outside that range.
+    tables of its whole `level_range`; a spec that holds them already, or whose
+    range is empty, is yielded as it is.
 
     The cubes of a level are listed once per system.  The random tables of
     consecutive specs on systems of one d are keyed in one batch, by one
@@ -144,22 +148,19 @@ def fill_tables(specs, level: Optional[int] = None):
     matrix one, (blocks, blocks, n, n).
     """
     geometry = {}  # (system, level) -> (its cubes, cubes per axis, (level, *corner) rows)
-    jobs = deque()  # (spec, [(level, *geometry) of each level it lacks], random tables)
+    jobs = deque()  # (spec, [(level, *geometry) of each level to fill], random tables)
     for spec in specs:
         try:
-            levels = spec.level_range()
+            levels = () if spec._stacks else spec.level_range()
         except MeshDepthError:
-            levels = range(0)
-        if level is not None and level not in levels:
-            levels = (level,)
+            levels = ()
         todo = []
         for lv in levels:
-            if lv not in spec._stacks:
-                if (spec.system, lv) not in geometry:
-                    axes = spec.system.corner_ranges(lv)
-                    geometry[spec.system, lv] = (list(spec.system.cubes_at_level(lv)),
-                                                 tuple(map(len, axes)), _level_corners(lv, axes))
-                todo.append((lv, *geometry[spec.system, lv]))
+            if (spec.system, lv) not in geometry:
+                axes = spec.system.corner_ranges(lv)
+                geometry[spec.system, lv] = (list(spec.system.cubes_at_level(lv)),
+                                             tuple(map(len, axes)), _level_corners(lv, axes))
+            todo.append((lv, *geometry[spec.system, lv]))
         jobs.append((spec, todo, sum(len(rows) for *_, rows in todo)
                      if isinstance(spec.kernel, RandomKernel) else 0))
     while jobs:
@@ -224,9 +225,6 @@ def apply_shift(spec: ShiftSpec, f):
     if any(g.system != spec.system or g.space.dim != spec.space.dim for g in fs):
         raise ValueError("function does not match the shift's system/space")
     d, n, gap = spec.system.d, spec.space.dim, spec.block_gap
-    if isinstance(spec.kernel, RandomKernel) and spec.kernel.matrix_dim not in (1, n):
-        raise ValueError(f"kernel matrix_dim {spec.kernel.matrix_dim} does not match "
-                         f"the space dim {n}")
     b_axis, cells = 1 << gap, (spec.system.cells_per_axis,) * d
     # a view of one function; a list is copied into one stack
     stack = f.values[None] if single else np.array([g.values for g in fs]).reshape(

@@ -13,8 +13,8 @@ from dyadiclab.errors import (AdaptednessError, AmbientRangeError, DegenerateInp
                               MeshDepthError, SparsityError)
 from dyadiclab.grid import DyadicSystem, goodness_probability, is_good
 from dyadiclab.gridfn import (GridFunction, _block_means, _expand_blocks,
-                              conditional_expectation, etas, fill_haar_frame, haar_block,
-                              haar_coefficient, haar_frame, haar_vector, pair)
+                              conditional_expectation, cube_average, etas, fill_haar_frame,
+                              haar_block, haar_coefficient, haar_frame, haar_vector, pair)
 from dyadiclab.rademacher import (OperatorFamily, _power_iteration_vector, sign_average,
                                   sign_patterns)
 from dyadiclab.representation import (AveragingIdentityReport, DecayReport,
@@ -207,6 +207,47 @@ def apply_paraproduct_per_level(spec, f):
     return GridFunction(sysm, out, f.space)
 
 
+# -- random data ----------------------------------------------------------------------
+
+
+def random_grid_function_by_mode(system, seed, space=SCALAR, support=None, mean_zero=None,
+                                 label="grid-function"):
+    """`gridfn.random_grid_function` with one centring branch per mode: per
+    top cube by `cube_average` or a support mask of its own, or globally."""
+    gen = substream(seed, label)
+    shape = (system.cells_per_axis,) * system.d + (space.dim,)
+    vals = np.zeros(shape)
+    if support is None:
+        vals[...] = gen.standard_normal(shape)
+    else:
+        sl = support.cell_slices()
+        vals[sl] = gen.standard_normal(vals[sl].shape)
+    if mean_zero == "per_top":
+        f = GridFunction(system, vals, space)
+        out = np.array(vals)
+        for q in system.top_cubes():
+            sl = q.cell_slices()
+            if support is not None:
+                mask = np.zeros(shape[:-1], dtype=bool)
+                mask[support.cell_slices()] = True
+                submask = mask[sl]
+                if not submask.any():
+                    continue
+                sub = out[sl]
+                sub[submask] -= sub[submask].mean(axis=0)
+                out[sl] = sub
+            else:
+                out[sl] -= cube_average(f, q)
+        vals = out
+    elif mean_zero == "global":
+        mask = np.ones(shape[:-1], dtype=bool)
+        if support is not None:
+            mask[...] = False
+            mask[support.cell_slices()] = True
+        vals[mask] -= vals[mask].mean(axis=0)
+    return GridFunction(system, vals, space)
+
+
 # -- block means and mean oscillation ----------------------------------------------
 
 
@@ -374,10 +415,7 @@ def offset_units(cube, s):
 
 def is_good_by_offsets(cube, params):
     """Goodness from per-gap offset arrays, gap by gap from scratch."""
-    floor = cube.system.min_level
-    if params.max_ancestor_level is not None:
-        floor = max(floor, params.max_ancestor_level)
-    s_hi = cube.level - floor
+    s_hi = cube.level - cube.system.min_level
     if params.max_generations is not None:
         s_hi = min(s_hi, params.max_generations)
     for s in range(params.r, s_hi + 1):

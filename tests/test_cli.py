@@ -280,8 +280,7 @@ def test_flag_value_is_checked_for_every_selected_experiment_before_any_runs(
      "needs factor_level <= min("),
     ({"matrix-decay": {"i_lo": 9, "i_hi": 5}}, "needs i_lo <= i_hi, not i_lo = 9, i_hi = 5"),
     ({"shift-bound": {"depth": 3}}, "needs ij_cap < depth, not ij_cap = 3, depth = 3"),
-    ({"averaging-identity": {"depth": 1, "m_top": 0}},
-     "needs r < depth + m_top, not r = 3, depth = 1, m_top = 0"),
+    ({"averaging-identity": {"m_top": 2}}, "needs m_top >= r, not m_top = 2, r = 3"),
     ({"paraproduct-extraction": {"depth": 0}}, "depth = 0 is outside [1, inf)"),
     ({"goodness": {"cases": [[0.5, 3, 1]]}}, "cases takes [gamma, r] list, not [[0.5, 3, 1]]"),
     ({"goodness": {"cases": [[1.5, 3]]}}, "cases has [1.5, 3], outside (0, 1) x [1, inf)"),

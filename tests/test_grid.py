@@ -117,21 +117,21 @@ def test_levels_partition_in_translated_systems(seed):
 
 def test_boundary_touching_cube_is_bad():
     system = DyadicSystem(d=1, m_top=0, depth=3)
-    params = GoodnessParams(gamma=0.5, r=2, max_ancestor_level=0)
+    params = GoodnessParams(gamma=0.5, r=2)
     assert not is_good(system.cube(3, (0,)), params)
 
 
 def test_goodness_of_central_cube_single_ancestor():
     # distance 3/8 beats (1/8)^(1/2) when only the unit ancestor is inspected
     system = DyadicSystem(d=1, m_top=0, depth=3)
-    params = GoodnessParams(gamma=0.5, r=3, max_ancestor_level=0)
+    params = GoodnessParams(gamma=0.5, r=3)
     assert is_good(system.cube(3, (3,)), params)
 
 
 def test_goodness_fails_at_quarter_position():
     # distance 1/8 does not beat (1/4)^(1/2) * 1/2
     system = DyadicSystem(d=1, m_top=0, depth=3)
-    params = GoodnessParams(gamma=0.5, r=2, max_ancestor_level=0)
+    params = GoodnessParams(gamma=0.5, r=2)
     assert not is_good(system.cube(3, (2,)), params)
 
 
@@ -144,8 +144,8 @@ def test_vacuous_goodness_when_no_ancestor_is_eligible():
 # gamma = 1/2 and 3/4 make the threshold 2^(s(1-gamma)) an integer at even gaps
 # and at gaps divisible by 4, so a cell distance can tie it
 MASK_PARAMS = (GoodnessParams(gamma=0.5, r=2), GoodnessParams(gamma=0.75, r=1),
-               GoodnessParams(gamma=0.4, r=1, max_ancestor_level=0),
-               GoodnessParams(gamma=0.5, r=1, max_ancestor_level=-1, max_generations=4),
+               GoodnessParams(gamma=0.4, r=1),
+               GoodnessParams(gamma=0.5, r=1, max_generations=4),
                GoodnessParams(gamma=0.3, r=2, max_generations=3))
 
 
@@ -163,7 +163,7 @@ def test_good_mask_counts_a_tie_as_bad():
     # at level 4 the gap-4 ancestor is the unit cube, whose threshold is 2^2:
     # corner 4 sits exactly 4 cells from its left edge, corner 5 beyond it
     system = DyadicSystem(d=1, m_top=0, depth=4)
-    params = GoodnessParams(gamma=0.5, r=4, max_ancestor_level=0)
+    params = GoodnessParams(gamma=0.5, r=4)
     mask = good_mask(system, 4, params)
     corners = [cube.corner[0] for cube in system.cubes_at_level(4)]
     assert not mask[corners.index(4)] and mask[corners.index(5)]
@@ -355,15 +355,13 @@ def test_contains_cube_matches_array_oracle(system, pick_seed):
         assert outer.contains_cube(inner) == oracles.contains_cube_array(outer, inner)
 
 
-@given(translated_systems(levels_1d=8, levels_2d=5), st.integers(0, 2**20),
-       st.sampled_from([None, 0]))
-def test_is_good_matches_offset_oracle(system, pick_seed, top):
+@given(translated_systems(levels_1d=8, levels_2d=5), st.integers(0, 2**20))
+def test_is_good_matches_offset_oracle(system, pick_seed):
     cubes = _all_cubes(system)
     cubes = random.Random(pick_seed).sample(cubes, min(len(cubes), 50))
     for gamma, r, generations in itertools.product((0.25, 0.5, 0.9), (1, 3, 4),
                                                    (None, 3)):
-        params = GoodnessParams(gamma=gamma, r=r, max_generations=generations,
-                                max_ancestor_level=top)
+        params = GoodnessParams(gamma=gamma, r=r, max_generations=generations)
         for cube in cubes:
             assert is_good(cube, params) == oracles.is_good_by_offsets(cube, params)
 

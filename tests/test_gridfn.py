@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,14 +10,14 @@ from dyadiclab.grid import DyadicSystem
 from dyadiclab.gridfn import (GridFunction, _block_means, _blocks, _expand_blocks,
                               _unblocks, analyze, bmo_norm,
                               conditional_expectation, cube_average, etas, from_bytes,
-                              from_callable, from_csv, haar_coefficient, haar_eval,
-                              haar_function, haar_vector, indicator, level_means, lp_norm,
+                              from_callable, from_csv, haar_coefficient, haar_vector,
+                              indicator, level_means, lp_norm,
                               pair, random_grid_function, random_grid_functions, synthesize,
                               to_bytes, to_csv, zeros)
 from dyadiclab.space import NormedSpace
 
 from oracles import (block_means_by_mean, bmo_norm_per_exponent, haar_coefficient_by_eval,
-                     shifted_projection)
+                     random_grid_function_by_mode, shifted_projection)
 
 SYS4 = DyadicSystem(d=1, m_top=0, depth=4)
 UNIT = SYS4.cube(0, (0,))
@@ -68,22 +70,9 @@ def test_dual_pairing_holder(seed, q):
 # -- Haar values ------------------------------------------------------------------
 
 
-def test_haar_eval_unit_interval():
-    assert haar_eval(UNIT, (1,), [[0.25]])[0] == 1.0
-    assert haar_eval(UNIT, (1,), [[0.75]])[0] == -1.0
-
-
-def test_haar_eval_half_interval_amplitude():
-    cube = SYS4.cube(1, (0,))
-    assert haar_eval(cube, (1,), [[0.1]])[0] == pytest.approx(np.sqrt(2.0))
-
-
-def test_haar_eval_tensor_product():
-    system = DyadicSystem(d=2, m_top=0, depth=3)
-    cube = system.cube(0, (0, 0))
-    assert haar_eval(cube, (1, 1), [[0.25, 0.75]])[0] == -1.0
-    assert haar_eval(cube, (0, 1), [[0.25, 0.75]])[0] == -1.0
-    assert haar_eval(cube, (1, 1), [[1.25, 0.75]])[0] == 0.0
+def haar_function(cube, eta) -> GridFunction:
+    """The scalar grid function of h^eta on `cube`."""
+    return GridFunction(cube.system, haar_vector(cube, eta)[..., None])
 
 
 def test_haar_l2_normalization_all_levels():
@@ -348,6 +337,26 @@ def test_lp_norm_of_an_exponent_list_equals_one_call_per_exponent(d, dim, q):
     assert lp_norm(f, ps) == [lp_norm(f, p) for p in ps]
     assert lp_norm(f, tuple(ps)) == lp_norm(f, ps)
     assert isinstance(lp_norm(f, 2.0), float) and lp_norm(f, []) == []
+
+
+@pytest.mark.parametrize("mode", [None, "global", "per_top"])
+@pytest.mark.parametrize("d, m_top", [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)])
+def test_centring_equals_one_branch_per_mode(d, m_top, mode):
+    """One loop over centring regions gives, bit for bit, the old branches: per top
+    cube by `cube_average` or by a support mask, or globally, with or without a
+    support, on standard and translated systems."""
+    depth = 3 if d == 1 else 2
+    for system in (DyadicSystem(d=d, m_top=m_top, depth=depth),
+                   DyadicSystem.random(d + m_top, d=d, m_top=m_top, depth=depth)):
+        supports = [None]
+        for level in sorted({system.min_level, system.min_level + 1, system.depth}):
+            cubes = list(system.cubes_at_level(level))
+            supports += cubes[::max(1, len(cubes) // 3)]
+        for support, dim, seed in itertools.product(supports, (1, 3), (0, 5)):
+            space = NormedSpace(dim, 2.0)
+            got = random_grid_function(system, seed, space, support, mode, label="centred")
+            want = random_grid_function_by_mode(system, seed, space, support, mode, "centred")
+            assert np.array_equal(got.values, want.values)
 
 
 # -- serialization -----------------------------------------------------------------------

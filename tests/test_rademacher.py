@@ -8,10 +8,9 @@ from dyadiclab.grid import DyadicSystem
 from dyadiclab.gridfn import random_grid_function
 from dyadiclab import rademacher
 from dyadiclab.rademacher import (OperatorFamily, averaging_check, rbound_probe,
-                                  rbound_witness, sign_patterns, stein_check, triangle_check,
-                                  umd_probe)
+                                  rbound_witness, sign_patterns, stein_check, triangle_check)
 from dyadiclab.rng import substream
-from dyadiclab.space import SCALAR, NormedSpace, umd_beta_scalar
+from dyadiclab.space import NormedSpace, umd_beta_scalar
 
 from oracles import (brute_rademacher_pnorm, per_assignment_rbound_probe, rademacher_pnorm,
                      scalar_family)
@@ -190,22 +189,6 @@ def test_stein_check_rejects_non_scalar_functions():
         stein_check([f], [2], 2.0)
 
 
-# -- unconditionality probe ---------------------------------------------------------------
-
-
-def test_single_difference_ratio_is_one():
-    assert umd_probe(SCALAR, 3.0, 1, seed=0, martingales=5) == pytest.approx(1.0)
-
-
-def test_scalar_probe_p2_is_one():
-    assert umd_probe(SCALAR, 2.0, 6, seed=1, martingales=10) == pytest.approx(1.0)
-
-
-def test_scalar_probe_p4_below_three():
-    probe = umd_probe(SCALAR, 4.0, 7, seed=2, martingales=20)
-    assert 1.0 <= probe <= 3.0 + 1e-9
-
-
 # -- calculus -------------------------------------------------------------------------------
 
 
@@ -243,11 +226,6 @@ def test_triangle_witness_below_probe_sum(seed):
                    gen.standard_normal(dim)) for _ in range(int(gen.integers(1, 4)))]
     res = triangle_check(left, right, assignment, 2.0, probe_budget=25, seed=seed)
     assert res.passed
-
-
-def test_umd_probe_depth_cap():
-    with pytest.raises(ResourceLimitError):
-        umd_probe(SCALAR, 2.0, 11, seed=0)
 
 
 def test_custom_norm_table():

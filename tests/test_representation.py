@@ -18,7 +18,7 @@ from dyadiclab.representation import (DECAY_CASES, DiscreteOperator,
                                       extract_paraproducts, full_pairing_sum,
                                       hilbert_kernel, matrix_element,
                                       pairing_decomposition, raw_pairing,
-                                      smooth_odd_kernel, validate_kernel, wbp_constants)
+                                      smooth_odd_kernel, wbp_constants)
 from dyadiclab.shifts import ExplicitKernel, ShiftSpec, apply_shift
 
 SYS = DyadicSystem(d=1, m_top=0, depth=6)
@@ -26,10 +26,23 @@ N = SYS.n_cells
 
 
 def test_kernel_standard_estimates_sampled():
-    report = validate_kernel(hilbert_kernel(), 1, samples=4000, seed=0)
-    assert report["decay_ok"] and report["holder_ok"]
-    report = validate_kernel(smooth_odd_kernel(0.25, 1.0), 1, samples=4000, seed=1)
-    assert report["decay_ok"]
+    """|K(x, y)| |x - y| <= c0, and |K(x, y) - K(x', y)| |x - y| (|x - y| / |x - x'|)^alpha
+    <= c_alpha for |x - x'| < |x - y| / 2, at sampled points inside the cutoff: the
+    hypotheses the decay rates of matrix-decay rest on."""
+    gen = np.random.default_rng(0)
+    cases = ((hilbert_kernel(), 1.0, 2.0), (smooth_odd_kernel(0.25, 1.0), 1.0, None))
+    for kernel, c0, c_alpha in cases:
+        x, y = gen.uniform(-1.0, 1.0, size=(2, 4000, 1))
+        dist = np.abs(x - y)[:, 0]
+        keep = (dist > 1e-6) & (dist <= (kernel.cutoff or np.inf))
+        x, y, dist = x[keep], y[keep], dist[keep]
+        assert (np.abs(kernel(x, y)) * dist).max() <= c0 + 1e-9
+        step = gen.uniform(0.05, 0.45, size=x.shape) * gen.choice([-1.0, 1.0], size=x.shape)
+        xp = x + step * dist[:, None]
+        inside = np.abs(xp - y)[:, 0] <= (kernel.cutoff or np.inf)
+        holder = (np.abs(kernel(x, y) - kernel(xp, y)) * dist
+                  * (dist / np.abs(x - xp)[:, 0]) ** kernel.alpha)[inside]
+        assert c_alpha is None or holder.max() <= c_alpha + 1e-9
 
 
 def test_zero_operator_elements():
@@ -294,12 +307,14 @@ def test_identity_bit_cap_enforced():
 # -- assembly ----------------------------------------------------------------------------
 
 
-def test_assemble_chunking_does_not_change_the_matrix():
+def test_assemble_chunking_does_not_change_the_matrix(monkeypatch):
     system = DyadicSystem(d=2, m_top=0, depth=3)
     kernel = smooth_odd_kernel(0.25, 1.0)
-    whole = assemble(kernel, system, chunk=system.n_cells)
-    assert np.array_equal(assemble(kernel, system).matrix, whole.matrix)
-    assert np.array_equal(assemble(kernel, system, chunk=7).matrix, whole.matrix)
+    default = assemble(kernel, system).matrix
+    for rows in (system.n_cells, 7):
+        monkeypatch.setattr(representation, "_ASSEMBLE_ROWS", rows)
+        assert np.array_equal(assemble(kernel, system).matrix, default)
+    assert np.diagonal(default).tolist() == [0.0] * system.n_cells
 
 
 def test_assemble_byte_cap_fires_before_allocating():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from dyadiclab.grid import DyadicSystem
 from dyadiclab.rng import _keys, _label_int, array_substreams, substream, substreams
 from dyadiclab.shifts import RandomKernel, ShiftSpec
+from dyadiclab.space import NormedSpace
 
 SEEDS = (0, 7, 2**40, 2**63 - 1)
 
@@ -65,26 +66,13 @@ def test_label_cache_keeps_floats_and_bools_apart():
 def test_level_tables_match_per_cube_draws(seed, d, m_top, matrix_dim):
     system = DyadicSystem.random(seed, d=d, m_top=m_top, depth=3)
     kernel = RandomKernel(seed, 0.5, matrix_dim=matrix_dim, probe_budget=3)
-    spec = ShiftSpec(0, 0, system, kernel)
+    spec = ShiftSpec(0, 0, system, kernel, NormedSpace(matrix_dim, 2.0))
     blocks = spec.blocks_per_axis() ** d
     levels = list(spec.level_range())
     assert levels[0] == -m_top
     for level in reversed(levels):
         want = [kernel.table(cube, blocks) for cube in system.cubes_at_level(level)]
         assert np.array_equal(spec.level_tables(level)[2], np.stack(want))
-
-
-def test_level_tables_accepts_a_level_outside_the_range():
-    system = DyadicSystem.random(2, d=1, m_top=1, depth=4)
-    spec = ShiftSpec(1, 0, system, RandomKernel(5, 1.0), k_levels=(0, 0))
-    outside = system.depth - 1
-    assert outside not in spec.level_range()
-    blocks = spec.blocks_per_axis()
-    want = [spec.kernel.table(cube, blocks) for cube in system.cubes_at_level(outside)]
-    assert np.array_equal(spec.level_tables(outside)[2], np.stack(want))
-    assert np.array_equal(spec.level_tables(0)[2],
-                          np.stack([spec.kernel.table(cube, blocks)
-                                    for cube in system.cubes_at_level(0)]))
 
 
 int_labels = st.one_of(st.sampled_from([0, 1, -1, 2**32 - 1, 2**32, 2**63 - 1, -(2**63)]),
@@ -96,7 +84,7 @@ def test_array_substreams_draw_what_substream_draws(seed, head, width, data):
     ints = data.draw(st.lists(st.lists(int_labels, min_size=width, max_size=width),
                               max_size=6))
     array = np.array(ints, dtype=np.int64).reshape(len(ints), width)
-    batched = [draws(gen) for gen in array_substreams(seed, tuple(head), array)]
+    batched = [draws(gen) for gen in array_substreams([seed], tuple(head), array, [len(ints)])]
     assert len(batched) == len(ints)
     for row, got in zip(ints, batched):
         want = draws(substream(seed, *head, *row))

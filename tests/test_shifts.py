@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from dyadiclab import shifts
 from dyadiclab.experiments import run_shift_bound
 from dyadiclab.grid import DyadicSystem
-from dyadiclab.gridfn import (GridFunction, cube_average, from_callable, haar_function,
-                              haar_vector, indicator, pair, random_grid_function)
+from dyadiclab.gridfn import (GridFunction, cube_average, from_callable, haar_vector,
+                              indicator, pair, random_grid_function)
 from dyadiclab.shifts import (ExplicitKernel, ParaproductSpec, RandomKernel, ShiftSpec,
                               adjoint_spec, apply_paraproduct, apply_shift, fill_tables,
                               shift_spec_from_json, shift_spec_to_json)
@@ -116,7 +116,7 @@ def test_constant_argument_telescopes():
 
 
 def test_haar_symbol_single_term():
-    b = haar_function(UNIT, (1,))
+    b = GridFunction(SYS, haar_vector(UNIT, (1,))[..., None])
     f = indicator(SYS.cube(1, (0,)))
     out = apply_paraproduct(ParaproductSpec(b), f)
     assert np.abs(out.values[..., 0] - 0.5 * haar_vector(UNIT, (1,))).max() < 1e-14
@@ -469,9 +469,8 @@ def test_stack_with_a_foreign_function_is_refused():
 @pytest.mark.parametrize("matrix_dim, space_dim", [(2, 1), (2, 3), (3, 2)])
 def test_kernel_and_space_dims_that_disagree_are_refused(matrix_dim, space_dim):
     space = NormedSpace(space_dim, 2.0)
-    spec = ShiftSpec(0, 0, SYS, RandomKernel(1, 0.5, matrix_dim=matrix_dim), space)
     with pytest.raises(ValueError) as info:
-        apply_shift(spec, random_grid_function(SYS, 2, space))
+        ShiftSpec(0, 0, SYS, RandomKernel(1, 0.5, matrix_dim=matrix_dim), space)
     assert str(info.value) == (f"kernel matrix_dim {matrix_dim} does not match "
                                f"the space dim {space_dim}")
 

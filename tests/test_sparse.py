@@ -9,7 +9,7 @@ from dyadiclab import sparse
 from dyadiclab.errors import AdaptednessError, SparsityError
 from dyadiclab.experiments import _random_adapted_functions
 from dyadiclab.grid import DyadicSystem
-from dyadiclab.gridfn import (GridFunction, haar_function, indicator, lp_norm, pair,
+from dyadiclab.gridfn import (GridFunction, haar_vector, indicator, lp_norm, pair,
                               random_grid_function)
 from dyadiclab.rng import substream, substreams
 from dyadiclab.space import SCALAR, NormedSpace, conjugate_exponent
@@ -38,7 +38,7 @@ def test_constant_function_stops_immediately():
 
 
 def test_unimodular_function_stops_immediately():
-    fam = build_stopping_family(haar_function(ROOT, (1,)), ROOT)
+    fam = build_stopping_family(GridFunction(SYS, haar_vector(ROOT, (1,))[..., None]), ROOT)
     assert len(fam) == 1
 
 
