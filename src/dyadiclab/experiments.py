@@ -22,7 +22,7 @@ from .errors import InsufficientDataError
 from .grid import (DyadicSystem, GoodnessParams, goodness_position_joint,
                    goodness_probability)
 from .gridfn import (GridFunction, analyze, bmo_norm, indicator, lp_norm,
-                     random_grid_function, random_grid_functions, synthesize)
+                     random_grid_function, random_grid_functions, stack_chunks, synthesize)
 from .rademacher import (EXHAUSTIVE_CAP, OperatorFamily, averaging_check, stein_check,
                          triangle_check)
 from .rng import substream, substreams
@@ -60,12 +60,11 @@ def run_haar_completeness(params: dict, seed: int) -> list:
     for d, depth, label in ((1, params["depth_1d"], "1d"), (2, params["depth_2d"], "2d")):
         sysm = DyadicSystem(d=d, m_top=0, depth=depth)
         worst = 0.0
-        for k in range(params["n_funcs"] // 2):
-            for space in (SCALAR, NormedSpace(3, 2.0)):
-                f = random_grid_function(sysm, seed, space,
-                                         label=f"haar-{label}-{k}-{space.dim}")
-                back = synthesize(analyze(f, sysm.min_level))
-                worst = max(worst, float(np.abs(back.values - f.values).max()))
+        for space in (SCALAR, NormedSpace(3, 2.0)):
+            labels = [f"haar-{label}-{k}-{space.dim}" for k in range(params["n_funcs"] // 2)]
+            for fs in stack_chunks(random_grid_functions(sysm, seed, labels, space), sysm):
+                for f, back in zip(fs, synthesize(analyze(fs, sysm.min_level))):
+                    worst = max(worst, float(np.abs(back.values - f.values).max()))
         rows.append(_check(f"haar-completeness/{label}", ANCHOR_HAAR, worst,
                            params["tol"], seed))
     return rows
@@ -109,15 +108,16 @@ ANCHOR_PARA = ("||Pi_b f||_p <= 12 p p' (max{p,p'}-1) ||b||_BMO_p ||f||_p "
 def run_paraproduct(params: dict, seed: int) -> list:
     sysm, ps = DyadicSystem(d=1, m_top=0, depth=params["depth"]), params["p_list"]
     worst = dict.fromkeys(ps, 0.0)
-    for k in range(params["n_pairs"]):
-        b = random_grid_function(sysm, seed, label=f"para-b-{k}")
-        f = random_grid_function(sysm, seed, label=f"para-f-{k}")
-        out = apply_paraproduct(ParaproductSpec(b), f)
-        for p, bmo, den, num in zip(ps, bmo_norm(b, ps), lp_norm(f, ps), lp_norm(out, ps)):
-            if den == 0.0 or bmo == 0.0:
-                continue
-            bound = 12.0 * p * conjugate_exponent(p) * umd_beta_scalar(p) * bmo
-            worst[p] = max(worst[p], num / den / bound)
+    for ks in stack_chunks(range(params["n_pairs"]), sysm):
+        bs = [random_grid_function(sysm, seed, label=f"para-b-{k}") for k in ks]
+        fs = [random_grid_function(sysm, seed, label=f"para-f-{k}") for k in ks]
+        outs = apply_paraproduct([ParaproductSpec(b) for b in bs], fs)
+        for bmos, f, out in zip(bmo_norm(bs, ps), fs, outs):
+            for p, bmo, den, num in zip(ps, bmos, lp_norm(f, ps), lp_norm(out, ps)):
+                if den == 0.0 or bmo == 0.0:
+                    continue
+                bound = 12.0 * p * conjugate_exponent(p) * umd_beta_scalar(p) * bmo
+                worst[p] = max(worst[p], num / den / bound)
     return [_check(f"paraproduct/p={p}/normalized", ANCHOR_PARA, worst[p], 1.0, seed)
             for p in ps]
 

@@ -159,6 +159,33 @@ def fill_haar_frame(system: DyadicSystem, blocks) -> np.ndarray:
     return H
 
 
+_STACK_CELLS = 1 << 18  # most cells of the functions of one caller's stack together
+
+
+def _stack(f) -> tuple:
+    """(whether `f` is one GridFunction, the functions as a list, their values along
+    a leading axis: a view of one, a copy of a nonempty list sharing system and space).
+    Kernels that keep each row's block reductions give it the bits of a lone call."""
+    single = isinstance(f, GridFunction)
+    fs = [f] if single else list(f)
+    if not fs or any((g.system, g.space) != (fs[0].system, fs[0].space) for g in fs):
+        raise ValueError("a list of functions must be nonempty and share one system and space")
+    return single, fs, fs[0].values[None] if single else np.array([g.values for g in fs])
+
+
+def _unstack(single: bool, system: DyadicSystem, space: NormedSpace, rows: np.ndarray):
+    out = [GridFunction(system, row, space, True) for row in rows]
+    return out[0] if single else out
+
+
+def stack_chunks(items, system: DyadicSystem):
+    """Yield `items` in lists of at least one and at most `_STACK_CELLS` cells of
+    `system` in all, which bounds a stack of their functions at any depth and count."""
+    items, rows = iter(items), max(1, _STACK_CELLS // system.n_cells)
+    while chunk := list(itertools.islice(items, rows)):
+        yield chunk
+
+
 # -- per-cube operations (valid in any system) -------------------------------
 
 
@@ -242,25 +269,20 @@ def haar_coefficient(f: GridFunction, cube: DyadicCube, eta) -> np.ndarray:
 # -- aligned per-level operations ---------------------------------------------
 
 
-def _require_aligned(system: DyadicSystem, level: int):
+def _aligned_factor(system: DyadicSystem, level: int) -> int:
+    """Cells per axis of a level-`level` cube; the level must be cell-grid aligned."""
     if any(system.shift_cells(level)):
-        raise ValueError(
-            f"level {level} of this system is not cell-grid aligned; "
-            "use per-cube operations instead"
-        )
+        raise ValueError(f"level {level} of this system is not cell-grid aligned; "
+                         "use per-cube operations instead")
+    return 1 << (system.depth - level)
 
 
-def level_means(f: GridFunction, level: int) -> np.ndarray:
-    """Block means over all level-`level` cubes (aligned systems)."""
-    _require_aligned(f.system, level)
-    factor = 1 << (f.system.depth - level)
-    return _block_means(f.values, f.system.d, factor)
-
-
-def conditional_expectation(f: GridFunction, level: int) -> GridFunction:
-    factor = 1 << (f.system.depth - level)
-    blocks = level_means(f, level)
-    return GridFunction(f.system, _expand_blocks(blocks, f.system.d, factor), f.space)
+def conditional_expectation(f, level: int):
+    """E_level f, of one GridFunction or, row by row, a list of them (see `_stack`)."""
+    single, fs, stack = _stack(f)
+    d, factor = fs[0].system.d, _aligned_factor(fs[0].system, level)
+    means = _expand_blocks(_block_means(stack, d, factor), d, factor)
+    return _unstack(single, fs[0].system, fs[0].space, means)
 
 
 # -- Haar analysis / synthesis -------------------------------------------------
@@ -291,39 +313,51 @@ class HaarCoefficients:
         return arr[start][etas(self.system.d).index(tuple(eta))]
 
 
-def analyze(f: GridFunction, level_lo: int, level_hi: Optional[int] = None) -> HaarCoefficients:
-    """Haar coefficients for cube levels level_lo..level_hi (aligned systems)."""
-    sysm = f.system
+def analyze(f, level_lo: int, level_hi: Optional[int] = None):
+    """Haar coefficients for cube levels level_lo..level_hi (aligned systems), of
+    one GridFunction or, row by row, a list of them (see `_stack`)."""
+    single, fs, stack = _stack(f)
+    sysm = fs[0].system
     if level_hi is None:
         level_hi = sysm.depth - 1
     if not (sysm.min_level <= level_lo <= level_hi <= sysm.depth - 1):
         raise MeshDepthError("analysis range outside the mesh")
     d, signs = sysm.d, _child_signs(sysm.d)
-    means = level_means(f, level_hi + 1)
+    means = _block_means(stack, d, _aligned_factor(sysm, level_hi + 1))
     coeffs = {}
     for level in range(level_hi, level_lo - 1, -1):
-        _require_aligned(sysm, level)
-        kids = _blocks(means, d, 2)
+        _aligned_factor(sysm, level)
+        kids = _blocks(means, d, 2, 1)
         scale = 2.0 ** (-level * d / 2.0) / 2**d  # |I|^{1/2} * 2^{-d}
-        # child by child, every eta at once: (blocks)*d + (eta, component)
+        # child by child, every eta at once: (stack, blocks)*d + (eta, component)
         coeffs[level] = sum(s[:, None] * kids[..., k, None, :]
                             for k, s in enumerate(signs.T)) * scale
         means = _block_means(means, d, 2)
-    return HaarCoefficients(sysm, f.space, level_lo, level_hi, coeffs, means)
+    out = [HaarCoefficients(sysm, fs[0].space, level_lo, level_hi,
+                            {level: layer[r] for level, layer in coeffs.items()}, means[r])
+           for r in range(len(fs))]
+    return out[0] if single else out
 
 
-def synthesize(hc: HaarCoefficients) -> GridFunction:
-    """Exact inverse of analyze: coarse averages plus all Haar layers."""
-    sysm, d, signs = hc.system, hc.system.d, _child_signs(hc.system.d)
-    means = hc.coarse
-    for level in range(hc.level_lo, hc.level_hi + 1):
+def synthesize(hc):
+    """Exact inverse of analyze: coarse averages plus all Haar layers, of one
+    HaarCoefficients or, row by row, a list of them sharing system, space and range."""
+    single = isinstance(hc, HaarCoefficients)
+    hcs = [hc] if single else list(hc)
+    frame = lambda h: (h.system, h.space, h.level_lo, h.level_hi)
+    if not hcs or any(frame(h) != frame(hcs[0]) for h in hcs):
+        raise ValueError("a list of Haar coefficients must be nonempty and of one frame")
+    first, rows = hcs[0], (lambda arrays: arrays[0][None]) if single else np.array
+    sysm, d, signs = first.system, first.system.d, _child_signs(first.system.d)
+    means = rows([h.coarse for h in hcs])
+    for level in range(first.level_lo, first.level_hi + 1):
         scale = 2.0 ** (level * d / 2.0)  # |I|^{-1/2}
-        layer = hc.coeffs[level]
-        # eta by eta, every child at once: (blocks)*d + (child, component)
+        layer = rows([h.coeffs[level] for h in hcs])
+        # eta by eta, every child at once: (stack, blocks)*d + (child, component)
         delta = sum(s[:, None] * layer[..., e, None, :] for e, s in enumerate(signs))
-        means = _unblocks(means[..., None, :] + scale * delta, d, 2)
-    factor = 1 << (sysm.depth - hc.level_hi - 1)
-    return GridFunction(sysm, _expand_blocks(means, d, factor), hc.space)
+        means = _unblocks(means[..., None, :] + scale * delta, d, 2, 1)
+    factor = 1 << (sysm.depth - first.level_hi - 1)
+    return _unstack(single, sysm, first.space, _expand_blocks(means, d, factor))
 
 
 # -- norms and pairings ---------------------------------------------------------
@@ -346,24 +380,23 @@ def pair(g: GridFunction, f: GridFunction) -> float:
     return float((g.values * f.values).sum() * f.system.cell_volume)
 
 
-def bmo_norm(b: GridFunction, ps) -> list:
+def bmo_norm(b, ps) -> list:
     """Supremum over all system cubes of the p-mean oscillation, one value per
-    exponent of the list `ps` (inf allowed).  Each level's deviations from the
-    cube means are computed once, for every exponent."""
-    sysm, d = b.system, b.system.d
-    best = [0.0] * len(ps)
+    exponent of the list `ps` (inf allowed); for a list of functions, one such
+    list per function (see `_stack`).  Each level's deviations from the cube
+    means are computed once, for every exponent."""
+    single, bs, stack = _stack(b)
+    sysm, d = bs[0].system, bs[0].system.d
+    best = [[0.0] * len(ps) for _ in bs]
     for level in range(sysm.min_level, sysm.depth + 1):
-        _require_aligned(sysm, level)
-        factor = 1 << (sysm.depth - level)
-        means = _expand_blocks(_block_means(b.values, d, factor), d, factor)
-        dev = b.space.norm(b.values - means)
+        factor = _aligned_factor(sysm, level)
+        means = _expand_blocks(_block_means(stack, d, factor), d, factor)
+        dev = bs[0].space.norm(stack - means)
         for k, p in enumerate(ps):
-            if p == np.inf:
-                val = float(dev.max())
-            else:
-                val = float(_block_means((dev**p)[..., None], d, factor).max()) ** (1.0 / p)
-            best[k] = max(best[k], val)
-    return best
+            worst = dev if p == np.inf else _block_means((dev**p)[..., None], d, factor)
+            for row, val in zip(best, worst.reshape(len(bs), -1).max(axis=1).tolist()):
+                row[k] = max(row[k], val if p == np.inf else val ** (1.0 / p))
+    return best[0] if single else best
 
 
 # -- random data ---------------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import DegenerateInputError, InsufficientDataError, ResourceLimitEr
 from .grid import (DyadicCube, DyadicSystem, GoodnessParams, good_mask, goodness_probability,
                    is_good)
 from .gridfn import (GridFunction, _haar_values, etas, fill_haar_frame, haar_block,
-                     haar_coefficient, haar_frame, haar_vector, pair)
+                     haar_coefficient, haar_frame, haar_vector, pair, stack_chunks)
 from .shifts import ParaproductSpec, apply_paraproduct
 # -- kernels -------------------------------------------------------------------
 
@@ -258,12 +258,15 @@ def pairing_decomposition(T: DiscreteOperator, pairs: Sequence, level_lo: int,
     dual_spec = ParaproductSpec(GridFunction(sysm, (H @ col_sym).reshape(shape)),
                                 (level_lo, level_hi))
     out = []
-    for g, f in pairs:
-        cf = vol * (H.T @ f.scalar_values().reshape(-1))
-        cg = vol * (H.T @ g.scalar_values().reshape(-1))
-        out.append(PairingDecomposition(
-            raw_pairing(g, T, f), float(cg @ elements @ cf), float(cg @ ext @ cf),
-            pair(g, apply_paraproduct(arg_spec, f)), pair(f, apply_paraproduct(dual_spec, g))))
+    for chunk in stack_chunks(pairs, sysm):
+        gs, fs = [g for g, _ in chunk], [f for _, f in chunk]
+        args = apply_paraproduct([arg_spec] * len(chunk), fs)
+        for g, f, arg, dual in zip(gs, fs, args, apply_paraproduct([dual_spec] * len(chunk), gs)):
+            cf = vol * (H.T @ f.scalar_values().reshape(-1))
+            cg = vol * (H.T @ g.scalar_values().reshape(-1))
+            out.append(PairingDecomposition(
+                raw_pairing(g, T, f), float(cg @ elements @ cf), float(cg @ ext @ cf),
+                pair(g, arg), pair(f, dual)))
     return out
 
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import MeshDepthError
 from .grid import DyadicCube, DyadicSystem
-from .gridfn import (GridFunction, _block_means, _blocks, _expand_blocks, _unblocks,
-                     conditional_expectation)
+from .gridfn import (GridFunction, _block_means, _blocks, _expand_blocks, _stack, _unblocks,
+                     _unstack, conditional_expectation)
 from .rng import array_substreams, substream
 from .space import SCALAR, NormedSpace
 
@@ -271,6 +271,11 @@ class ParaproductSpec:
     levels: Optional[tuple] = None  # inclusive (lo, hi) cube levels
     root: Optional[DyadicCube] = None
 
+    def __post_init__(self):
+        if self.root is not None and self.root.system != self.b.system:
+            raise ValueError(f"root cube of {self.root.system} is not in the symbol's "
+                             f"system {self.b.system}")
+
     def level_range(self) -> range:
         sysm = self.b.system
         lo, hi = sysm.min_level, sysm.depth - 1
@@ -281,41 +286,48 @@ class ParaproductSpec:
         return range(lo, hi + 1)
 
 
-def apply_paraproduct(spec: ParaproductSpec, f: GridFunction) -> GridFunction:
+def apply_paraproduct(spec, f):
     """Sum over cubes Q of (Haar projection of the symbol at Q) times <f>_Q.
 
     Scalar symbols multiply vector values pointwise; matrix symbols (with
     values stored as flattened n*n vectors) act by matrix-vector products.
+    `spec` and `f` are one ParaproductSpec and one GridFunction, or equal-length
+    lists applied pair by pair as stacks (see `gridfn._stack`), whose specs share
+    the symbols' system and space, levels and root; the result is of the same kind.
     """
-    b, sysm = spec.b, spec.b.system
-    if f.system != sysm:
+    single, fs, stack = _stack(f)
+    specs = [spec] if isinstance(spec, ParaproductSpec) else list(spec)
+    if isinstance(spec, ParaproductSpec) != single or len(specs) != len(fs):
+        raise ValueError("give one spec and one function, or two lists of equal length")
+    first, frame = specs[0], lambda s: (s.b.system, s.b.space, s.levels, s.root)
+    if any(frame(s) != frame(first) for s in specs):
+        raise ValueError("the specs of a list must share system, space, levels and root")
+    b, sysm = first.b if single else [s.b for s in specs], first.b.system
+    if fs[0].system != sysm:
         raise ValueError("symbol and argument live on different systems")
-    n = f.space.dim
-    matrix_symbol = b.space.dim == n * n and n > 1
-    if not matrix_symbol and b.space.dim != 1:
+    n = fs[0].space.dim
+    matrix_symbol = first.b.space.dim == n * n and n > 1
+    if not matrix_symbol and first.b.space.dim != 1:
         raise ValueError("symbol must be scalar or act as n x n matrices")
-    mask = None
-    if spec.root is not None:
-        mask = np.zeros(f.values.shape[:-1], dtype=bool)
-        mask[spec.root.cell_slices()] = True
-    out = np.zeros_like(f.values)
-    levels = spec.level_range()
+    inside = np.zeros(stack.shape[1:-1] + (1,), dtype=bool)  # the root's cells, or all
+    inside[() if first.root is None else first.root.cell_slices()] = True
+    out = np.zeros_like(stack)
+    levels = first.level_range()
+    expect = lambda g, level: _stack(conditional_expectation(g, level))[2]
     # each level's finer expectation of the symbol is the next level's coarser one
-    coarse = conditional_expectation(b, levels.start).values if levels else None
+    coarse = expect(b, levels.start) if levels else None
     for level in levels:
-        fine = conditional_expectation(b, level + 1).values
+        fine = expect(b, level + 1)
         proj = fine - coarse
         coarse = fine
-        avg = conditional_expectation(f, level).values
+        avg = expect(f, level)
         if matrix_symbol:
             term = np.einsum("...bc,...c->...b",
                              proj.reshape(proj.shape[:-1] + (n, n)), avg)
         else:
             term = proj * avg
-        if mask is not None:
-            term = np.where(mask[..., None], term, 0.0)
-        out += term
-    return GridFunction(sysm, out, f.space)
+        out += np.where(inside, term, 0.0)
+    return _unstack(single, sysm, fs[0].space, out)
 
 
 # -- serialization -----------------------------------------------------------------

@@ -47,8 +47,9 @@ def run_and_report(criterion: str, name: str, overrides=None, seed: int = 7,
 
 
 def test_criterion_01_haar_completeness():
-    run_and_report("criterion 01 haar-completeness", "haar-completeness",
-                   time_limit=10.0)
+    checks = run_and_report("criterion 01 haar-completeness", "haar-completeness",
+                            time_limit=10.0)
+    assert {c.check_id: c.measured.hex() for c in checks} == HAAR_COMPLETENESS_SEED7
 
 
 # shift-bound's measured values at catalog defaults and seed 7, bit for bit: batching
@@ -60,6 +61,18 @@ SHIFT_BOUND_SEED7 = {
     "shift-bound/p=2.0/max-ratio": "0x1.72f9297d35a4bp-2",
     "shift-bound/p=3.0/normalized": "0x1.99280a7b317abp-6",
     "shift-bound/p=3.0/max-ratio": "0x1.99280a7b317abp-2",
+}
+
+# paraproduct's and haar-completeness's measured values at catalog defaults and seed 7,
+# bit for bit: stacking the pairs and the functions must not move one of them
+PARAPRODUCT_SEED7 = {
+    "paraproduct/p=1.5/normalized": "0x1.8ec00090fa791p-9",
+    "paraproduct/p=2.0/normalized": "0x1.e428c97ed913fp-8",
+    "paraproduct/p=3.0/normalized": "0x1.e07a8abbd7c49p-9",
+}
+HAAR_COMPLETENESS_SEED7 = {
+    "haar-completeness/1d": "0x1.8000000000000p-50",
+    "haar-completeness/2d": "0x1.0000000000000p-50",
 }
 
 
@@ -88,7 +101,8 @@ def test_criterion_05_stopping():
 
 
 def test_criterion_06_paraproduct():
-    run_and_report("criterion 06 paraproduct", "paraproduct")
+    checks = run_and_report("criterion 06 paraproduct", "paraproduct")
+    assert {c.check_id: c.measured.hex() for c in checks} == PARAPRODUCT_SEED7
 
 
 def test_criterion_07_decoupling():

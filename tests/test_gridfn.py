@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import strategies as st
 
 from dyadiclab.errors import MeshDepthError
 from dyadiclab.grid import DyadicSystem
-from dyadiclab.gridfn import (GridFunction, _block_means, _blocks, _expand_blocks,
-                              _unblocks, analyze, bmo_norm,
+from dyadiclab.experiments import run_haar_completeness
+from dyadiclab.gridfn import (_STACK_CELLS, GridFunction, HaarCoefficients, _block_means,
+                              _blocks, _expand_blocks, _unblocks, analyze, bmo_norm,
                               conditional_expectation, cube_average, etas, from_bytes,
                               from_callable, from_csv, haar_coefficient, haar_vector,
-                              indicator, level_means, lp_norm,
+                              indicator, lp_norm,
                               pair, random_grid_function, random_grid_functions, synthesize,
                               to_bytes, to_csv, zeros)
 from dyadiclab.space import NormedSpace
@@ -162,6 +164,87 @@ def test_every_analyzed_coefficient_matches_its_cube(d, m_top):
                                                           abs=1e-12)
 
 
+@pytest.mark.parametrize("d, m_top", [(1, 0), (1, 2), (2, 0), (2, 1)])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_analysis_of_a_list_equals_one_call_per_function(d, m_top, dim):
+    system = DyadicSystem(d=d, m_top=m_top, depth=4 if d == 1 else 3)
+    fs = [random_grid_function(system, 11, NormedSpace(dim, 2.0), label=f"stack-{r}")
+          for r in range(3)]
+    for lo in range(system.min_level, system.depth):
+        for hi in range(lo, system.depth):
+            stacked = analyze(fs, lo, hi)
+            assert isinstance(stacked, list) and len(stacked) == len(fs)
+            for f, got in zip(fs, stacked):
+                want = analyze(f, lo, hi)
+                assert isinstance(want, HaarCoefficients)
+                assert (got.system, got.space, got.level_lo, got.level_hi) == \
+                    (want.system, want.space, want.level_lo, want.level_hi)
+                assert sorted(got.coeffs) == sorted(want.coeffs) == list(range(lo, hi + 1))
+                for level in want.coeffs:
+                    assert np.array_equal(got.coeffs[level], want.coeffs[level])
+                assert np.array_equal(got.coarse, want.coarse)
+            backs = synthesize(stacked)
+            assert isinstance(backs, list) and len(backs) == len(fs)
+            for hc, back in zip(stacked, backs):
+                single = synthesize(hc)
+                assert isinstance(single, GridFunction)
+                assert np.array_equal(back.values, single.values)
+                assert back.system == system and back.space == hc.space
+
+
+@pytest.mark.parametrize("d, m_top", [(1, 0), (1, 2), (2, 1)])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_conditional_expectation_of_a_list_equals_one_call_per_function(d, m_top, dim):
+    system = DyadicSystem(d=d, m_top=m_top, depth=4 if d == 1 else 3)
+    fs = [random_grid_function(system, 12, NormedSpace(dim, 2.0), label=f"stack-{r}")
+          for r in range(4)]
+    for level in range(system.min_level, system.depth + 1):
+        stacked = conditional_expectation(fs, level)
+        assert isinstance(stacked, list) and len(stacked) == len(fs)
+        for f, got in zip(fs, stacked):
+            want = conditional_expectation(f, level)
+            assert np.array_equal(got.values, want.values)
+            assert got.system == system and got.space == f.space
+
+
+def test_lists_that_disagree_are_refused():
+    fs = [random_grid_function(SYS4, 1), random_grid_function(SYS4, 2)]
+    other = random_grid_function(DyadicSystem(d=1, m_top=0, depth=3), 3)
+    vector = random_grid_function(SYS4, 4, NormedSpace(2, 2.0))
+    calls = [lambda g: conditional_expectation(g, 1), lambda g: analyze(g, 0),
+             lambda g: bmo_norm(g, [2.0])]
+    for call in calls:
+        for bad, message in (([], "nonempty"), (fs + [other], "share one system"),
+                             (fs + [vector], "share one system and space")):
+            with pytest.raises(ValueError, match=message) as err:
+                call(bad)
+            assert "\n" not in str(err.value)
+    parts = [analyze(fs[0], 0), analyze(fs[1], 1), analyze(vector, 0)]
+    for bad in ([], parts[:2], [parts[0], parts[2]]):
+        with pytest.raises(ValueError, match="nonempty and of one frame") as err:
+            synthesize(bad)
+        assert "\n" not in str(err.value)
+
+
+def test_haar_completeness_run_stacks_in_bounded_chunks():
+    """A haar-completeness run's peak allocation does not grow with its number of
+    functions: each (d, space)'s functions are stacked in chunks of at most
+    `_STACK_CELLS` cells."""
+    def peak(n_funcs):
+        tracemalloc.start()
+        try:
+            run_haar_completeness({"n_funcs": n_funcs, "depth_1d": 15, "depth_2d": 7,
+                                   "tol": 1e-12}, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert 4 * 2 ** 16 == _STACK_CELLS  # four functions of 2^16 cells fill a chunk
+    peak(2)  # fills the module caches
+    few, many = peak(8), peak(32)
+    assert many < 1.2 * few
+
+
 # -- projections (the per-cube oracle) -------------------------------------------------
 
 
@@ -282,6 +365,21 @@ def test_bmo_norm_matches_per_exponent_oracle(system, dim, seed, ps):
         return
     got = bmo_norm(b, BMO_EXPONENTS + ps)
     assert got == [bmo_norm_per_exponent(b, p) for p in BMO_EXPONENTS + ps]
+
+
+@given(st.sampled_from([1, 2]), st.integers(0, 2), st.sampled_from([1, 3]),
+       st.integers(0, 2**20), st.integers(1, 4),
+       st.lists(st.sampled_from(BMO_EXPONENTS), max_size=6))
+def test_bmo_norm_of_a_list_matches_the_per_exponent_oracle_row_by_row(d, m_top, dim, seed,
+                                                                       m, ps):
+    system = DyadicSystem(d=d, m_top=m_top, depth=(5 if d == 1 else 3) - m_top)
+    bs = [random_grid_function(system, seed, NormedSpace(dim, 2.0), label=f"bmo-{r}")
+          for r in range(m)]
+    got = bmo_norm(bs, BMO_EXPONENTS + ps)
+    assert len(got) == m
+    for b, row in zip(bs, got):
+        assert row == bmo_norm(b, BMO_EXPONENTS + ps)
+        assert row == [bmo_norm_per_exponent(b, p) for p in BMO_EXPONENTS + ps]
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -425,11 +523,12 @@ def test_binary_roundtrip_little_endian():
     assert np.abs(back.values - f.values).max() == 0.0
 
 
-def test_level_means_requires_alignment():
+def test_conditional_expectation_requires_alignment():
     system = DyadicSystem(d=1, m_top=0, depth=3, omega=((0,), (1,), (0,)))
     f = random_grid_function(system, 1)
-    with pytest.raises(ValueError):
-        level_means(f, 1)
+    for g in (f, [f, f]):
+        with pytest.raises(ValueError, match="not cell-grid aligned"):
+            conditional_expectation(g, 1)
     # per-cube operations remain exact on translated systems
     cube = system.cube(1, (0,))
     view = f.values[cube.cell_slices()]

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadiclab import shifts
-from dyadiclab.experiments import run_shift_bound
+from dyadiclab.experiments import run_paraproduct, run_shift_bound
 from dyadiclab.grid import DyadicSystem
-from dyadiclab.gridfn import (GridFunction, cube_average, from_callable, haar_vector,
-                              indicator, pair, random_grid_function)
+from dyadiclab.gridfn import (_STACK_CELLS, GridFunction, cube_average, from_callable,
+                              haar_vector, indicator, pair, random_grid_function)
 from dyadiclab.shifts import (ExplicitKernel, ParaproductSpec, RandomKernel, ShiftSpec,
                               adjoint_spec, apply_paraproduct, apply_shift, fill_tables,
                               shift_spec_from_json, shift_spec_to_json)
@@ -180,6 +180,75 @@ def test_paraproduct_takes_each_symbol_expectation_once(monkeypatch):
     apply_paraproduct(ParaproductSpec(b, levels=(1, 4)), f)
     # the symbol at levels 1..5, each once, and the argument at levels 1..4
     assert len(calls) == 2 * 4 + 1 and sorted(set(calls)) == [1, 2, 3, 4, 5]
+    # a list of three pairs takes each expectation once for its whole stack
+    calls.clear()
+    apply_paraproduct([ParaproductSpec(b, levels=(1, 4))] * 3, [f, b, f])
+    assert len(calls) == 2 * 4 + 1 and sorted(set(calls)) == [1, 2, 3, 4, 5]
+
+
+@given(st.integers(0, 2**20), st.sampled_from([1, 2]), st.integers(0, 2),
+       st.sampled_from(["scalar", "matrix"]), st.booleans(), st.booleans(), st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_stacked_paraproduct_equals_one_call_per_pair(seed, d, m_top, symbol, with_levels,
+                                                      with_root, m):
+    system = DyadicSystem(d=d, m_top=m_top, depth=(4 if d == 1 else 3) - m_top)
+    gen = np.random.default_rng(seed)
+    n = 2 if symbol == "matrix" else 1
+    levels = root = None
+    if with_levels:
+        lo = int(gen.integers(system.min_level, system.depth))
+        levels = (lo, int(gen.integers(lo, system.depth)))
+    if with_root:
+        cubes = list(system.cubes_at_level(int(gen.integers(system.min_level, system.depth))))
+        root = cubes[gen.integers(len(cubes))]
+    specs = [ParaproductSpec(random_grid_function(system, seed, NormedSpace(n * n, 2.0),
+                                                  label=f"stack-b-{r}"), levels, root)
+             for r in range(m)]
+    fs = [random_grid_function(system, seed, NormedSpace(n, 2.0), label=f"stack-f-{r}")
+          for r in range(m)]
+    stacked = apply_paraproduct(specs, fs)
+    assert isinstance(stacked, list) and len(stacked) == m
+    for spec, f, got in zip(specs, fs, stacked):
+        single = apply_paraproduct(spec, f)
+        assert isinstance(single, GridFunction)
+        assert np.array_equal(got.values, single.values)
+        assert got.system == system and got.space == f.space
+
+
+def test_paraproduct_lists_that_disagree_are_refused():
+    b, c, f = (random_grid_function(SYS, seed) for seed in (1, 2, 3))
+    other = DyadicSystem(d=1, m_top=0, depth=5)
+    cases = [
+        (ParaproductSpec(b), [f], "one spec and one function, or two lists of equal length"),
+        ([ParaproductSpec(b)], f, "one spec and one function, or two lists of equal length"),
+        ([ParaproductSpec(b)] * 2, [f], "one spec and one function, or two lists of equal length"),
+        ([], [], "nonempty"),
+        ([ParaproductSpec(b), ParaproductSpec(c, levels=(0, 2))], [f, f],
+         "share system, space, levels and root"),
+        ([ParaproductSpec(b), ParaproductSpec(c, root=UNIT)], [f, f],
+         "share system, space, levels and root"),
+        ([ParaproductSpec(b), ParaproductSpec(random_grid_function(other, 4))], [f, f],
+         "share system, space, levels and root"),
+        ([ParaproductSpec(b)] * 2, [f, random_grid_function(other, 5)], "share one system"),
+        ([ParaproductSpec(b)] * 2, [f, random_grid_function(SYS, 6, NormedSpace(2, 2.0))],
+         "share one system and space"),
+    ]
+    for spec, fs, message in cases:
+        with pytest.raises(ValueError, match=message) as err:
+            apply_paraproduct(spec, fs)
+        assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("root_system, corner", [
+    (DyadicSystem(d=1, m_top=0, depth=6), 3),  # a finer mesh: its cells are not b's
+    (DyadicSystem(d=1, m_top=0, depth=4, omega=((1,), (0,), (1,), (0,))), 1)])  # translated
+def test_paraproduct_root_from_another_system_is_refused(root_system, corner):
+    b = random_grid_function(DyadicSystem(d=1, m_top=0, depth=4), 1)
+    root = root_system.cube(2, (corner,))
+    with pytest.raises(ValueError, match="root cube of") as err:
+        ParaproductSpec(b, root=root)
+    assert str(b.system) in str(err.value) and str(root_system) in str(err.value)
+    assert "\n" not in str(err.value)
 
 
 # -- serialization ---------------------------------------------------------------------
@@ -532,3 +601,20 @@ def test_shift_bound_run_holds_one_spec_at_a_time():
     peak(1)  # fills the module caches
     few, many = peak(2), peak(16)
     assert many < 1.5 * few
+
+
+def test_paraproduct_run_stacks_in_bounded_chunks():
+    """A paraproduct run's peak allocation does not grow with its number of pairs:
+    the pairs are stacked in chunks of at most `gridfn._STACK_CELLS` cells."""
+    def peak(n_pairs):
+        tracemalloc.start()
+        try:
+            run_paraproduct({"depth": 15, "n_pairs": n_pairs, "p_list": [2.0]}, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert 4 * 2 ** 16 == _STACK_CELLS  # four pairs of 2^16 cells fill a chunk
+    peak(1)  # fills the module caches
+    few, many = peak(4), peak(16)
+    assert many < 1.2 * few
