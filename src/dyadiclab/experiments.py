@@ -605,11 +605,11 @@ EXPERIMENTS = {
                    {"depth": _depth(10), "gamma": Param(0.4, "float", "(0, 1)", "gamma"),
                     "r": Param(4, "int", "[1, inf)", "r"), "i_lo": Param(5, range="[0, inf)"),
                     "i_hi": Param(9, range="[0, inf)"),
-                    "bounded_spread": Param(4.0, "float", "[1, inf)")},
+                    "bounded_spread": Param(4.0, "float", "(1, inf)")},  # 1: peaks all equal
                    run_matrix_decay, (("i_lo <= i_hi", lambda i_lo, i_hi: i_lo <= i_hi),)),
         Experiment("paraproduct-extraction", ANCHOR_EXTRACT,
                    {"depth": _depth(6, least=1), "n_pairs": _count(50),
-                    "tol": Param(1e-10, "float", "[0, inf)")},
+                    "tol": Param(1e-10, "float", "(0, inf)")},  # 0 fails on rounding noise
                    run_paraproduct_extraction),
         Experiment("averaging-identity", ANCHOR_AVG,
                    # at depth 1, f and g are multiples of one Haar function and <g, T f>
@@ -617,7 +617,7 @@ EXPERIMENTS = {
                    {"depth": _depth(4, least=2), "m_top": Param(4, range="[0, inf)"),
                     "gamma": Param(0.5, "float", "(0, 1)", "gamma"),
                     "r": Param(3, "int", "[1, inf)", "r"),
-                    "tol": Param(1e-2, "float", "[0, inf)")},
+                    "tol": Param(1e-2, "float", "(0, inf)")},  # 0 fails on rounding noise
                    # the goodness floor, level r - m_top, must be at most the support's level
                    # 0: pairs whose smaller cube is coarser go unsummed (residual 0.02-5.9)
                    run_averaging_identity, (("m_top >= r", lambda m_top, r: m_top >= r),)),

@@ -33,13 +33,27 @@ def etas(d: int) -> list:
     return list(itertools.product((0, 1), repeat=d))[1:]
 
 
-def _eta_sign(eta, child_offset) -> int:
-    return -1 if sum(e * c for e, c in zip(eta, child_offset)) % 2 else 1
+def _eta(eta, d: int) -> tuple:
+    """`eta` as a tuple of ints: it must be d entries, each an integer or boolean 0 or
+    1 (all zero is the normalized indicator), so equal etas share one cache key."""
+    items = eta.tolist() if isinstance(eta, np.ndarray) else eta
+    if isinstance(items, (tuple, list)) and len(items) == d and all(
+            isinstance(e, (int, np.integer, np.bool_)) and e in (0, 1) for e in items):
+        return tuple(map(int, items))
+    raise ValueError(f"eta = {items!r} is not {d} entries of 0 or 1 (d = {d})")
+
+
+@functools.lru_cache(maxsize=None)
+def _sign_row(eta: tuple) -> np.ndarray:
+    """Read-only signs of h^eta on its cube's children, row-major."""
+    row = np.where(np.array(list(itertools.product((0, 1), repeat=len(eta)))) @ eta % 2, -1.0, 1.0)
+    row.setflags(write=False)
+    return row
 
 
 def _child_signs(d: int) -> np.ndarray:
     """Signs of h^eta on the children: rows etas(d), columns children row-major."""
-    return np.array([[_eta_sign(eta, kid) for kid in [(0,) * d, *etas(d)]] for eta in etas(d)])
+    return np.array([_sign_row(eta) for eta in etas(d)])
 
 
 @dataclass(frozen=True)
@@ -101,22 +115,37 @@ def indicator(cube: DyadicCube, space: NormedSpace = SCALAR,
 
 
 def haar_block(cube: DyadicCube, eta) -> np.ndarray:
-    """Values of the L2-normalized h^eta on the cube's own cells, shape (size,)*d."""
+    """Values of the L2-normalized h^eta on the cube's own cells, shape (size,)*d,
+    read-only (see `_haar_values`)."""
     sysm = cube.system
+    eta = _eta(eta, sysm.d)
     if cube.level >= sysm.depth and any(eta):
         raise MeshDepthError("Haar function needs resolvable children")
     return _haar_values(sysm.d, cube.level, cube.size_cells, eta)
 
 
-def _haar_values(d: int, level: int, size: int, eta) -> np.ndarray:
-    """`haar_block` of a level-`level` cube of `size` cells per side."""
+_PATTERN_CELLS = 1 << 12  # most cells of a Haar pattern that `_haar_values` keeps (32 KiB)
+
+
+def _haar_values(d: int, level: int, size: int, eta: tuple) -> np.ndarray:
+    """`haar_block` of a level-`level` cube of `size` cells per side, for an `eta`
+    from `_eta`: read-only, and the same array on every call for a pattern of at most
+    `_PATTERN_CELLS` cells, of which the last 256 used are kept (at most 8 MiB)."""
+    return (_haar_pattern if size**d <= _PATTERN_CELLS
+            else _haar_pattern.__wrapped__)(d, level, size, eta)
+
+
+@functools.lru_cache(maxsize=256)
+def _haar_pattern(d: int, level: int, size: int, eta: tuple) -> np.ndarray:
     sub = np.ones((size,) * d)
     for ax, e in enumerate(eta):
         if e:
             idx = [slice(None)] * d
             idx[ax] = slice(size // 2, None)
             sub[tuple(idx)] *= -1.0
-    return sub * ((2.0**-level) ** d) ** -0.5
+    out = sub * ((2.0**-level) ** d) ** -0.5
+    out.setflags(write=False)
+    return out
 
 
 def haar_vector(cube: DyadicCube, eta) -> np.ndarray:
@@ -250,20 +279,20 @@ def cube_average(f: GridFunction, cube: DyadicCube) -> np.ndarray:
 
 
 def haar_coefficient(f: GridFunction, cube: DyadicCube, eta) -> np.ndarray:
-    """Inner product of f with h^eta on `cube`, by exact cell sums."""
-    d = f.system.d
+    """Inner product of f with h^eta on `cube`, by exact cell sums: sign times mean times
+    volume per child, added to 0.0 in row-major child order.  numpy adds under eight terms
+    in turn, so for d <= 2 this has the bits of a loop over the children; from d = 3 its
+    pairwise sum may round a scalar coefficient differently in the last bit."""
+    d, vol = f.system.d, cube.volume
+    eta = _eta(eta, d)
     view = f.values[cube.cell_slices()]
     if cube.size_cells == 1:
         if any(eta):
             raise MeshDepthError("oscillating Haar function needs children")
-        return view.reshape(f.space.dim) * cube.volume**0.5
-    half = cube.size_cells // 2
-    kid_means = _block_means(view, d, half)
-    coeff = np.zeros(f.space.dim)
-    child_vol = cube.volume / 2**d
-    for offs in itertools.product((0, 1), repeat=d):
-        coeff += _eta_sign(eta, offs) * kid_means[offs] * child_vol
-    return coeff * cube.volume**-0.5
+        return view.reshape(f.space.dim) * vol**0.5
+    kid_means = _block_means(view, d, cube.size_cells // 2).reshape(-1, f.space.dim)
+    terms = _sign_row(eta)[:, None] * kid_means * (vol / 2**d)
+    return np.add.reduce(terms, axis=0, initial=0.0) * vol**-0.5
 
 
 # -- aligned per-level operations ---------------------------------------------
@@ -310,7 +339,7 @@ class HaarCoefficients:
         start = tuple(s // cube.size_cells for s in cube.start_cells())
         if any(s < 0 or s >= blocks for s in start):
             raise KeyError("cube outside the analyzed range")
-        return arr[start][etas(self.system.d).index(tuple(eta))]
+        return arr[start][etas(self.system.d).index(_eta(eta, self.system.d))]
 
 
 def analyze(f, level_lo: int, level_hi: Optional[int] = None):

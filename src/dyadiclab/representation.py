@@ -357,7 +357,8 @@ def decay_check(T: DiscreteOperator, case: str, i_values: Sequence[int],
     the h_J of K's two children (disjoint); each i then contracts K's 2^i
     descendant cell runs with the level-(k+i) Haar pattern, subtracts the
     paraproduct term h_K(I) <1, T h_I> when nested, and keeps the pairs with
-    a good I (`good_mask`) and, when disjoint, I outside J's child of K.
+    a good I (`good_mask`, once per level and call, as k + i recurs) and,
+    when disjoint, I outside J's child of K.
     The equal case stays on `matrix_element`, one call per cube: for an odd
     kernel <h_K, T h_K> vanishes, so its value is rounding noise that any
     other summation order would change.
@@ -373,6 +374,10 @@ def decay_check(T: DiscreteOperator, case: str, i_values: Sequence[int],
 
     def haar_at(level: int) -> np.ndarray:  # haar_block of any level-`level` cube
         return _haar_values(1, level, 1 << (sysm.depth - level), (1,))
+
+    @functools.cache
+    def good_at(level: int) -> np.ndarray:
+        return good_mask(sysm, level, params)
 
     @functools.cache
     def level_rows(k: int) -> tuple:
@@ -394,7 +399,7 @@ def decay_check(T: DiscreteOperator, case: str, i_values: Sequence[int],
         elem = vol * (rows.reshape(rows.shape[:-1] + (1 << i, side)) @ h_i)
         # a level's first cube starts less than one side past cell 0, so a
         # cube's index in the level is its start cell over its side
-        good = good_mask(sysm, k + i, params)[box.start // side:][:n_runs].reshape(-1, 1 << i)
+        good = good_at(k + i)[box.start // side:][:n_runs].reshape(-1, 1 << i)
         pos = np.arange(1 << i)  # I's place in K's run; it lies in child pos >> (i - 1)
         if nested:
             h_k_at_i = np.where(pos >> (i - 1) == 0, kv**-0.5, -kv**-0.5)

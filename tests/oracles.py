@@ -433,6 +433,24 @@ def haar_coefficient_by_eval(f, cube, eta):
         f.system.cell_volume
 
 
+def haar_coefficient_by_child_loop(f, cube, eta):
+    """Coefficient by a loop over the children in row-major order, adding sign times
+    child mean times child volume to a zero vector."""
+    d = f.system.d
+    view = f.values[cube.cell_slices()]
+    if cube.size_cells == 1:
+        if any(eta):
+            raise MeshDepthError("oscillating Haar function needs children")
+        return view.reshape(f.space.dim) * cube.volume**0.5
+    kid_means = _block_means(view, d, cube.size_cells // 2)
+    coeff = np.zeros(f.space.dim)
+    child_vol = cube.volume / 2**d
+    for offs in itertools.product((0, 1), repeat=d):
+        sign = -1 if sum(e * c for e, c in zip(eta, offs)) % 2 else 1
+        coeff += sign * kid_means[offs] * child_vol
+    return coeff * cube.volume**-0.5
+
+
 def children_by_scan(h, level, atom):
     """The next level's atoms inside `atom`, by set inclusion, in level order."""
     cells = set(atom)

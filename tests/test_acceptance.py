@@ -75,6 +75,23 @@ HAAR_COMPLETENESS_SEED7 = {
     "haar-completeness/2d": "0x1.0000000000000p-50",
 }
 
+# matrix-decay's and paraproduct-extraction's measured values at catalog defaults and
+# seed 7, bit for bit: the kept Haar patterns, the coefficient sign rows and the decay
+# scan's per-level goodness masks must not move one of them.  averaging-identity is not
+# pinned: its dense T @ W product rounds differently at one BLAS thread
+MATRIX_DECAY_SEED7 = {
+    "matrix-decay/far_disjoint/slope": "-0x1.e7f54d1b9c8fdp-2",
+    "matrix-decay/deeply_nested/slope": "-0x1.7c15832d06f57p-1",
+    "matrix-decay/near_disjoint/bounded-spread": "0x1.c7f76a7e1e7d0p+0",
+    "matrix-decay/shallowly_nested/bounded-spread": "0x1.675ada3886738p+0",
+    "matrix-decay/equal/vs-wbp-and-decay": "0x1.8000000000000p-53",
+    "matrix-decay/empty-good-set-guard": "0x0.0p+0",
+}
+PARAPRODUCT_EXTRACTION_SEED7 = {
+    "paraproduct-extraction/identity": "0x1.5000000000000p-55",
+    "paraproduct-extraction/raw-equals-pairing": "0x1.8000000000000p-56",
+}
+
 
 def test_criterion_02_shift_bound():
     checks = run_and_report("criterion 02 shift-bound", "shift-bound",
@@ -149,10 +166,12 @@ def test_criterion_11_matrix_decay_feasible_configuration():
               f"stated gamma=1/8, r=3 correctly reported unattainable")
     report("criterion 11 matrix-decay (feasible parameters)",
            not failed and elapsed <= 600.0 and guard.passed, detail)
+    assert {c.check_id: c.measured.hex() for c in checks} == MATRIX_DECAY_SEED7
 
 
 def test_criterion_12_paraproduct_extraction():
-    run_and_report("criterion 12 paraproduct-extraction", "paraproduct-extraction")
+    checks = run_and_report("criterion 12 paraproduct-extraction", "paraproduct-extraction")
+    assert {c.check_id: c.measured.hex() for c in checks} == PARAPRODUCT_EXTRACTION_SEED7
 
 
 def test_criterion_13_averaging_identity():

@@ -9,17 +9,19 @@ from hypothesis import strategies as st
 from dyadiclab.errors import MeshDepthError
 from dyadiclab.grid import DyadicSystem
 from dyadiclab.experiments import run_haar_completeness
-from dyadiclab.gridfn import (_STACK_CELLS, GridFunction, HaarCoefficients, _block_means,
-                              _blocks, _expand_blocks, _unblocks, analyze, bmo_norm,
-                              conditional_expectation, cube_average, etas, from_bytes,
-                              from_callable, from_csv, haar_coefficient, haar_vector,
-                              indicator, lp_norm,
+from dyadiclab.gridfn import (_PATTERN_CELLS, _STACK_CELLS, GridFunction, HaarCoefficients,
+                              _block_means, _blocks, _expand_blocks, _haar_pattern, _unblocks,
+                              analyze, bmo_norm, conditional_expectation, cube_average, etas,
+                              from_bytes, from_callable, from_csv, haar_block,
+                              haar_coefficient, haar_vector, indicator, lp_norm,
                               pair, random_grid_function, random_grid_functions, synthesize,
                               to_bytes, to_csv, zeros)
+from dyadiclab.representation import assemble, hilbert_kernel, matrix_element
 from dyadiclab.space import NormedSpace
 
-from oracles import (block_means_by_mean, bmo_norm_per_exponent, haar_coefficient_by_eval,
-                     random_grid_function_by_mode, shifted_projection)
+from oracles import (block_means_by_mean, bmo_norm_per_exponent, haar_coefficient_by_child_loop,
+                     haar_coefficient_by_eval, random_grid_function_by_mode,
+                     shifted_projection)
 
 SYS4 = DyadicSystem(d=1, m_top=0, depth=4)
 UNIT = SYS4.cube(0, (0,))
@@ -91,6 +93,114 @@ def test_haar_orthonormality_on_mesh():
             hb = haar_function(SYS4.cube(b[0], (b[1],)), (1,))
             expect = 1.0 if a == b else 0.0
             assert pair(ha, hb) == pytest.approx(expect, abs=1e-12)
+
+
+SYS2 = DyadicSystem(d=2, m_top=0, depth=3)
+CUBE2 = SYS2.cube(1, (0, 0))
+
+
+def test_haar_patterns_are_read_only_and_kept_while_small():
+    small, large = SYS4.cube(1, (0,)), DyadicSystem(d=1, m_top=0, depth=13).cube(0, (0,))
+    assert large.size_cells > _PATTERN_CELLS >= small.size_cells
+    for cube in (small, large):
+        block = haar_block(cube, (1,))
+        assert not block.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            block[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            block *= 2.0
+    assert haar_block(small, (1,)) is haar_block(small, [1])
+    assert haar_block(large, (1,)) is not haar_block(large, (1,))
+    assert np.array_equal(haar_block(large, (1,)), haar_block(large, (1,)))
+
+
+def test_haar_patterns_of_a_deep_2d_system_retain_a_bounded_cache():
+    """Every level's patterns of a d=2, depth-11 system (2^22 cells, a level-0 pattern
+    of 32 MiB) keep only those of at most `_PATTERN_CELLS` cells: per level of side s,
+    2^d etas of s^d cells, so at most 8 * 2^d * _PATTERN_CELLS * 2^d / (2^d - 1) bytes
+    of values (171 KiB), plus up to 1 KiB of array header and cache entry for each
+    (about 430 B measured)."""
+    d, system = 2, DyadicSystem(d=2, m_top=0, depth=11)
+    bound = 8 * 2**d * _PATTERN_CELLS * 2**d / (2**d - 1)
+    _haar_pattern.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for level in range(system.depth + 1):
+            cube = system.cube(level, (0, 0))
+            for eta in [(0, 0)] + (etas(d) if level < system.depth else []):
+                assert haar_block(cube, eta).shape == (cube.size_cells,) * d
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    kept = _haar_pattern.cache_info().currsize
+    _haar_pattern.cache_clear()
+    assert kept == 4 * 6 + 1  # levels 5..10 with every eta, level 11's indicator
+    assert retained <= bound + 1024 * kept
+
+
+@pytest.mark.parametrize("eta", [(1,), (2, 0), (1, 1, 1), (0.0, 1.0), "10", 1, None,
+                                 [[1, 0]], np.array([1, 2]), np.array([1.0, 0.0]),
+                                 np.array(1), np.array([[1, 0]]), np.eye(2, dtype=int)])
+def test_malformed_eta_is_refused_in_one_line_everywhere(eta):
+    f = random_grid_function(SYS2, 3)
+    T = assemble(hilbert_kernel(), SYS2)
+    calls = (lambda: haar_block(CUBE2, eta), lambda: haar_vector(CUBE2, eta),
+             lambda: haar_coefficient(f, CUBE2, eta), lambda: analyze(f, 0).get(CUBE2, eta),
+             lambda: matrix_element(T, CUBE2, eta, CUBE2, (1, 0)),
+             lambda: matrix_element(T, CUBE2, (1, 0), CUBE2, eta))
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        message = str(err.value)
+        shown = eta.tolist() if isinstance(eta, np.ndarray) else eta  # an array as a list
+        assert "\n" not in message and repr(shown) in message and "d = 2" in message
+
+
+def test_equal_etas_share_one_pattern_and_one_coefficient():
+    f = random_grid_function(SYS2, 3)
+    forms = [(1, 0), [1, 0], (True, False), np.array([1, 0]), (np.int64(1), np.int64(0)),
+             (np.True_, np.False_)]
+    assert all(haar_block(CUBE2, eta) is haar_block(CUBE2, (1, 0)) for eta in forms)
+    assert all(np.array_equal(haar_coefficient(f, CUBE2, eta),
+                              haar_coefficient(f, CUBE2, (1, 0))) for eta in forms)
+    # h^(1,0) on a cube of 4 x 4 cells and volume 1/4 changes sign along the first axis
+    assert np.array_equal(haar_block(CUBE2, (1, 0)), np.repeat([[2.0], [-2.0]], 2, 0)
+                          * np.ones((4, 4)))
+
+
+def test_zero_eta_is_the_normalized_indicator():
+    f = random_grid_function(SYS2, 3)
+    for level in range(SYS2.depth + 1):
+        cube = SYS2.cube(level, (0, 0))
+        assert np.array_equal(haar_block(cube, (0, 0)),
+                              np.full((cube.size_cells,) * 2, cube.volume**-0.5))
+        assert np.allclose(haar_coefficient(f, cube, (0, 0)),
+                           cube_average(f, cube) * cube.volume**0.5, rtol=1e-13)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("m_top", [0, 1, 2])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_haar_coefficient_equals_the_child_loop_bit_for_bit(d, m_top, dim):
+    """Every cube of every level of two random translated systems, every eta with the
+    zero one: the sign row's sum has the loop's bits."""
+    for seed in (d * 10 + m_top, 100 + dim):
+        system = DyadicSystem.random(seed, d=d, m_top=m_top, depth=(5 if d == 1 else 3))
+        f = random_grid_function(system, seed, NormedSpace(dim, 2.0))
+        for level in range(system.min_level, system.depth + 1):
+            for cube in system.cubes_at_level(level):
+                for eta in itertools.product((0, 1), repeat=d):
+                    if level == system.depth and any(eta):
+                        for coeff in (haar_coefficient, haar_coefficient_by_child_loop):
+                            with pytest.raises(MeshDepthError):
+                                coeff(f, cube, eta)
+                        continue
+                    got = haar_coefficient(f, cube, eta)
+                    want = haar_coefficient_by_child_loop(f, cube, eta)
+                    assert got.shape == want.shape == (dim,)
+                    assert np.array_equal(got, want)
+                    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
 
 
 # -- coefficients and completeness ---------------------------------------------------

@@ -94,13 +94,12 @@ def in_range_values(param):
     return values
 
 
-# gate values no working run meets, each swept at its range's closed end: tol = 0 on a
-# residual gated without slack fails on the rounding noise of an exact identity (1.6e-16
-# and 2.4e-17 here), and a spread bound of 1 asks every complexity's peak to be the same;
-# haar-completeness gates with slack, so its tol = 0 passes
-TIGHTEST_GATES = {("averaging-identity", "tol"), ("paraproduct-extraction", "tol"),
-                  ("matrix-decay", "bounded_spread")}
-UNMET_GATE = pytest.mark.xfail(strict=True, reason="a gate at its tightest in-range value")
+# gate values no working run meets, just outside their open ranges: tol = 0 on a residual
+# gated without slack fails on the rounding noise of an exact identity (1.6e-16 and 2.4e-17
+# at these sizes), and a spread bound of 1 asks every complexity's peak to be the same;
+# haar-completeness gates with slack, so its tol = 0 stays in range and passes
+UNMET_GATES = [("averaging-identity", "tol", 0.0), ("paraproduct-extraction", "tol", 0.0),
+               ("matrix-decay", "bounded_spread", 1.0)]
 
 
 def sweep_cases():
@@ -108,8 +107,7 @@ def sweep_cases():
         yield pytest.param(name, None, None, id=f"{name}-base")
         for key, param in exp.params.items():
             for value in in_range_values(param):
-                yield pytest.param(name, key, value, id=f"{name}-{key}-{value}".replace(" ", ""),
-                                   marks=[UNMET_GATE] if (name, key) in TIGHTEST_GATES else [])
+                yield pytest.param(name, key, value, id=f"{name}-{key}-{value}".replace(" ", ""))
 
 
 @pytest.mark.parametrize("name, key, value", list(sweep_cases()))
@@ -123,3 +121,17 @@ def test_in_range_value_runs_or_is_refused_in_one_line(tmp_path, capsys, name, k
     assert status in ((0,) if key is None else (0, 2)), err  # the base sizes run
     if status == 2:
         assert err.startswith(f"error: {name}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("name, key, value", UNMET_GATES,
+                         ids=[f"{name}-{key}-{value}" for name, key, value in UNMET_GATES])
+def test_gate_value_no_run_meets_is_refused_in_one_line(tmp_path, capsys, name, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiments": [name],
+                                  "params": {name: dict(SWEEP_BASE[name], **{key: value})}}))
+    out = tmp_path / "report.csv"
+    assert main(["run", "--config", str(config), "--seed", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    param_range = EXPERIMENTS[name].params[key].range
+    assert err == f"error: {name}: {key} = {value} is outside {param_range}\n"
+    assert not out.exists()

@@ -6,10 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dyadiclab import representation
+from dyadiclab import gridfn, representation
 from dyadiclab.errors import (AmbientRangeError, DegenerateInputError,
                               InsufficientDataError, ResourceLimitError)
-from dyadiclab.grid import DyadicCube, DyadicSystem, GoodnessParams, is_good
+from dyadiclab.experiments import run_experiment
+from dyadiclab.grid import DyadicCube, DyadicSystem, GoodnessParams, good_mask, is_good
 from dyadiclab.gridfn import (etas, fill_haar_frame, haar_coefficient, haar_frame,
                               haar_vector, pair, random_grid_function)
 from dyadiclab.representation import (DECAY_CASES, DiscreteOperator,
@@ -661,3 +662,49 @@ def test_identity_column_cap_fires_before_any_system_is_built(monkeypatch):
     with pytest.raises(ResourceLimitError, match="above the cap"):
         averaging_identity_residual(T, f, f, config)
     assert built == []
+
+
+@pytest.mark.parametrize("case", ["far_disjoint", "deeply_nested"])
+def test_decay_check_takes_each_levels_goodness_once_per_call(monkeypatch, case):
+    T = assemble(hilbert_kernel(), DyadicSystem(d=1, m_top=0, depth=10))
+    params = GoodnessParams(gamma=0.4, r=4)  # matrix-decay's catalog shape
+    levels = []
+
+    def counting(system, level, goodness):
+        levels.append(level)
+        return good_mask(system, level, goodness)
+
+    monkeypatch.setattr(representation, "good_mask", counting)
+    first = decay_check(T, case, range(5, 10), params, alpha=1.0)
+    once = list(levels)
+    assert once and len(set(once)) == len(once)  # levels k + i recur, masks do not
+    levels.clear()
+    assert decay_check(T, case, range(5, 10), params, alpha=1.0) == first
+    assert levels == once  # made again by the next call: nothing is kept on the system
+
+
+# small shapes of the three experiments that read Haar patterns through the caches
+RERUN_PARAMS = {"matrix-decay": {"depth": 8},
+                "paraproduct-extraction": {"depth": 4, "n_pairs": 3},
+                "averaging-identity": {"depth": 4, "m_top": 3}}
+
+
+def clear_haar_caches():
+    gridfn._haar_pattern.cache_clear()
+    gridfn._sign_row.cache_clear()
+
+
+def report_rows(name):
+    return [(c.check_id, c.measured.hex(), c.bound.hex(), c.passed)
+            for c in run_experiment(name, 5, RERUN_PARAMS[name])]
+
+
+def test_experiments_rerun_in_either_order_give_the_cold_rows():
+    cold = {}
+    for name in RERUN_PARAMS:
+        clear_haar_caches()
+        cold[name] = report_rows(name)
+    clear_haar_caches()
+    for order in (list(RERUN_PARAMS), list(RERUN_PARAMS)[::-1]):
+        for name in order:
+            assert report_rows(name) == cold[name], name
