@@ -247,14 +247,19 @@ class DyadicCube:
         return DyadicCube(sysm, self.level - 1, corner)
 
     def children(self) -> list:
-        sysm = self.system
-        if self.level >= sysm.depth:
+        """The 2^d next-level cubes, built unchecked as `cubes_at_level` builds them:
+        they tile this one, corners 2m + b + (0, 1) starting (0, half) cells in per axis."""
+        if self.level >= self.system.depth:
             raise AmbientRangeError("finest-level cube has no children in the mesh")
-        bits = sysm.bit(self.level + 1)
+        level, half, bits = self.level + 1, self.size_cells >> 1, self.system.bit(self.level + 1)
+        corners = [(2 * m + b, 2 * m + b + 1) for m, b in zip(self.corner, bits)]
+        starts = [(s, s + half) for s in self._start]
         kids = []
-        for offs in itertools.product((0, 1), repeat=sysm.d):
-            corner = tuple(2 * m + b + e for m, b, e in zip(self.corner, bits, offs))
-            kids.append(DyadicCube(sysm, self.level + 1, corner))
+        for corner, start in zip(itertools.product(*corners), itertools.product(*starts)):
+            kid = object.__new__(DyadicCube)
+            kid.__dict__.update(system=self.system, level=level, corner=corner, _start=start,
+                                size_cells=half)
+            kids.append(kid)
         return kids
 
     def key(self) -> tuple:

@@ -28,6 +28,7 @@ from .space import SCALAR, NormedSpace
 
 _KERNEL_LABEL = "shift-kernel"  # a table's stream is keyed (seed, label, level, *corner)
 _KEY_ROWS = 1 << 8  # most tables of several specs keyed in one batch, ~400 B each
+_PROBE_BUDGET = 12  # random assignments per witness probe of a matrix-kernel table
 
 
 def _level_corners(level: int, axes) -> np.ndarray:
@@ -49,7 +50,7 @@ class RandomKernel:
     seed: int
     cap: float = 1.0
     matrix_dim: int = 1
-    probe_budget: int = 12
+    probe_budget: int = _PROBE_BUDGET
 
     def table(self, cube: DyadicCube, blocks: int, gen=None) -> np.ndarray:
         """The cube's table, drawn from `gen` if given: its stream already keyed,
@@ -360,6 +361,8 @@ def shift_spec_to_json(spec: ShiftSpec) -> str:
     if isinstance(spec.kernel, RandomKernel):
         doc["kernel"] = {"seed": spec.kernel.seed, "cap": spec.kernel.cap,
                          "matrix_dim": spec.kernel.matrix_dim}
+        if spec.kernel.probe_budget != _PROBE_BUDGET:  # the default is left out of the text
+            doc["kernel"]["probe_budget"] = spec.kernel.probe_budget
     else:
         doc["kernel"] = {
             "tables": {f"{lvl}:{','.join(map(str, corner))}": np.asarray(t).tolist()
@@ -373,7 +376,8 @@ def shift_spec_from_json(text: str) -> ShiftSpec:
     sysm, space = _frame_from_doc(doc)
     kern_doc = doc["kernel"]
     if "seed" in kern_doc:
-        kernel = RandomKernel(kern_doc["seed"], kern_doc["cap"], kern_doc["matrix_dim"])
+        kernel = RandomKernel(kern_doc["seed"], kern_doc["cap"], kern_doc["matrix_dim"],
+                              kern_doc.get("probe_budget", _PROBE_BUDGET))
     else:
         tables = {}
         for key, tab in kern_doc["tables"].items():

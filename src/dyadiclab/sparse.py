@@ -107,18 +107,12 @@ class SparseFamily:
         return float(dens[self.exceptional_mask(idx)].sum()) * self.root.system.cell_volume
 
     def locate(self, cube: DyadicCube) -> int:
-        """Index of the minimal member containing `cube`."""
+        """Index of the minimal member containing `cube`: its first cell's owner or an ancestor."""
         if not self.cubes[0].contains_cube(cube):
             raise KeyError("cube not contained in the root")
-        best = 0
-        moved = True
-        while moved:
-            moved = False
-            for child in self.children[best]:
-                if self.cubes[child].contains_cube(cube):
-                    best = child
-                    moved = True
-                    break
+        best = int(self.owner()[cube.start_cells()])
+        while self.cubes[best].size_cells < cube.size_cells:
+            best = self.parents[best]
         return best
 
     def is_sparse(self) -> bool:
@@ -165,12 +159,6 @@ def _level_averages(weights: np.ndarray, norms: np.ndarray, root: DyadicCube):
         if np.any(wsum <= 0):
             raise SparsityError("member with zero measure")
         yield level, fsum / wsum
-
-
-def _block(root: DyadicCube, cube: DyadicCube) -> tuple:
-    """Index of `cube` among the blocks of its level in the root's box."""
-    return tuple((s - r) // cube.size_cells
-                 for s, r in zip(cube.start_cells(), root.start_cells()))
 
 
 def build_stopping_family(f: GridFunction, root: DyadicCube,
@@ -239,8 +227,9 @@ def carleson_sum(family: SparseFamily, f: GridFunction, ps: Sequence[float]) -> 
     dens = family.density()
     sums = {level: pair for level, *pair in _level_sums(dens, norms, family.root)}
     terms = []  # (average, measure) per member
+    root_start = family.root.start_cells()
     for cube in family.cubes:
-        block = _block(family.root, cube)
+        block = tuple((s - r) // cube.size_cells for s, r in zip(cube.start_cells(), root_start))
         fsum, wsum = (a[block] for a in sums[cube.level])
         if wsum <= 0:
             raise SparsityError("member with zero measure")
@@ -371,13 +360,15 @@ def stopping_control(family: SparseFamily, f: GridFunction) -> dict:
     averages = dict(_level_averages(family.density(), norms, family.root))
     bases = [family.weighted_average(norms[..., None], cube)[0] for cube in family.cubes]
 
+    root_start, depth = family.root.start_cells(), f.system.depth
     worst_q = 0.0
     stack = [family.root]
     while stack:
         cube = stack.pop()
-        avg = averages[cube.level][_block(family.root, cube)]
+        block = tuple((s - r) // cube.size_cells for s, r in zip(cube.start_cells(), root_start))
+        avg = averages[cube.level][block]
         worst_q = _worse(worst_q, avg, bases[family.locate(cube)])
-        if cube.level < f.system.depth:
+        if cube.level < depth:
             stack.extend(cube.children())
 
     worst_child = 0.0

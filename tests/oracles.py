@@ -1033,23 +1033,44 @@ def carleson_sum_per_cube(family, f, p):
     return CarlesonResult(lhs, fnorm, 2.0 * q, 2.0 ** (1.0 / p) * q)
 
 
+def subcubes(root):
+    """Every cube of the root's system inside `root`, from `cubes_at_level` over the
+    root's cell box, level by level."""
+    box = [(s, s + root.size_cells) for s in root.start_cells()]
+    return standard_cubes(root.system, root.level, root.system.depth, box)
+
+
+def locate_by_scan(family, cube):
+    """`SparseFamily.locate` scanning each member's children from the root down."""
+    if not family.cubes[0].contains_cube(cube):
+        raise KeyError("cube not contained in the root")
+    best = 0
+    moved = True
+    while moved:
+        moved = False
+        for child in family.children[best]:
+            if family.cubes[child].contains_cube(cube):
+                best = child
+                moved = True
+                break
+    return best
+
+
 def stopping_control_per_cube(family, f):
-    """`sparse.stopping_control` taking two slice averages at every subcube of the root."""
+    """`sparse.stopping_control` taking two slice averages at every subcube of the root,
+    the subcubes listed level by level over the root's cell box and each one's member
+    found by `locate_by_scan`."""
     norms = f.space.norm(f.values)[..., None]
 
     worst_q = 0.0
-    stack = [family.root]
-    while stack:
-        cube = stack.pop()
-        member = family.cubes[family.locate(cube)]
+    for cube in subcubes(family.root):
+        member = family.cubes[locate_by_scan(family, cube)]
         base = family.weighted_average(norms, member)[0]
         avg = family.weighted_average(norms, cube)[0]
         if base > 0:
             worst_q = max(worst_q, avg / base)
         elif avg > 0:
             worst_q = np.inf
-        if cube.level < f.system.depth:
-            stack.extend(cube.children())
 
     worst_child = 0.0
     for idx in range(len(family)):

@@ -92,6 +92,36 @@ PARAPRODUCT_EXTRACTION_SEED7 = {
     "paraproduct-extraction/raw-equals-pairing": "0x1.8000000000000p-56",
 }
 
+# stopping's, carleson's and pythagoras's measured values at catalog defaults and seed 7,
+# bit for bit: the owner-array `locate` and the start-cell `children` of the subcube
+# walk must not move one of them
+STOPPING_SEED7 = {
+    "stopping/sparse-exact": "0x0.0p+0",
+    "stopping/average-control": "0x1.fff3fa4a79831p+0",
+    "stopping/child-control": "0x1.e63b149e9c1fdp+1",
+}
+CARLESON_SEED7 = {
+    "carleson/p=1.5/vs-stated": "0x1.a4ed5d8e530a1p-3",
+    "carleson/p=1.5/vs-proof-constant": "0x1.092ae2f22b073p-2",
+    "carleson/p=2.0/vs-stated": "0x1.1cde74d1c227cp-2",
+    "carleson/p=2.0/vs-proof-constant": "0x1.92dd9566419abp-2",
+    "carleson/p=3.0/vs-stated": "0x1.55cea4a03816dp-2",
+    "carleson/p=3.0/vs-proof-constant": "0x1.0f4ae4d201e6ep-1",
+}
+PYTHAGORAS_SEED7 = {
+    "pythagoras/direct/p=1.5": "0x1.e36a9674c0074p-3",
+    "pythagoras/direct/p=2.0": "0x1.7e8034e445c5bp-3",
+    "pythagoras/direct/p=3.0": "0x1.1b2b4c6ef25a5p-3",
+    "pythagoras/reverse_cancellative/p=1.5": "0x1.d68eb31629895p-5",
+    "pythagoras/reverse_cancellative/p=2.0": "0x1.5555555555557p-4",
+    "pythagoras/reverse_cancellative/p=3.0": "0x1.c71c71c71c71cp-4",
+    "pythagoras/reverse_nonneg/p=1.5": "0x1.c2beef0c592f4p-5",
+    "pythagoras/reverse_nonneg/p=2.0": "0x1.51ad15632ffadp-4",
+    "pythagoras/reverse_nonneg/p=3.0": "0x1.c390320a82108p-4",
+    "pythagoras/counterexample/sum-norm": "0x0.0p+0",
+    "pythagoras/counterexample/power-sum": "0x0.0p+0",
+}
+
 
 def test_criterion_02_shift_bound():
     checks = run_and_report("criterion 02 shift-bound", "shift-bound",
@@ -106,15 +136,18 @@ def test_criterion_03_pythagoras():
     ids = {c.check_id for c in checks}
     assert "pythagoras/counterexample/sum-norm" in ids
     assert "pythagoras/counterexample/power-sum" in ids
+    assert {c.check_id: c.measured.hex() for c in checks} == PYTHAGORAS_SEED7
 
 
 def test_criterion_04_carleson():
     checks = run_and_report("criterion 04 carleson", "carleson")
     assert any("vs-proof-constant" in c.check_id for c in checks)
+    assert {c.check_id: c.measured.hex() for c in checks} == CARLESON_SEED7
 
 
 def test_criterion_05_stopping():
-    run_and_report("criterion 05 stopping", "stopping")
+    checks = run_and_report("criterion 05 stopping", "stopping")
+    assert {c.check_id: c.measured.hex() for c in checks} == STOPPING_SEED7
 
 
 def test_criterion_06_paraproduct():

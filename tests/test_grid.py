@@ -290,6 +290,26 @@ def test_cached_geometry_matches_bitwise_oracle(system):
                     oracles.child_corners_by_cells(cube)
 
 
+@given(translated_systems())
+def test_children_equal_constructed_cubes(system):
+    """`children` builds its cubes from the parent's start cell, not through
+    `DyadicCube(...)`: they equal the checked cubes at the oracle's corners, in
+    order, field for field and cell for cell; a finest cube still has none."""
+    for cube in _all_cubes(system):
+        if cube.level == system.depth:
+            with pytest.raises(AmbientRangeError, match="finest-level cube has no children"):
+                cube.children()
+            continue
+        kids = cube.children()
+        want = [DyadicCube(system, cube.level + 1, corner)
+                for corner in oracles.child_corners_by_cells(cube)]
+        assert [vars(kid) for kid in kids] == [vars(w) for w in want]
+        assert kids == want and [hash(k) for k in kids] == [hash(w) for w in want]
+        for kid, w in zip(kids, want):
+            assert kid.start_cells() == w.start_cells() and kid.size_cells == w.size_cells
+            assert kid.cell_slices() == w.cell_slices()
+
+
 @given(translated_systems(), st.data())
 def test_listed_cubes_equal_constructed_cubes(system, data):
     """`cubes_at_level` builds its cubes from start cells, not through

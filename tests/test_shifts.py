@@ -273,6 +273,22 @@ def test_shift_spec_json_roundtrip_explicit_tables():
     assert np.abs(apply_shift(back, f).values - apply_shift(spec, f).values).max() == 0.0
 
 
+@pytest.mark.parametrize("matrix_dim", [1, 2])
+def test_shift_spec_json_keeps_a_probe_budget_other_than_the_default(matrix_dim):
+    """A budget other than the default 12 is written into the kernel document and
+    read back; the default stays out of the text, so older texts read as before."""
+    space = NormedSpace(matrix_dim, 2.0)
+    spec = ShiftSpec(1, 0, SYS, RandomKernel(3, 0.5, matrix_dim, probe_budget=2), space, (0, 1))
+    text = shift_spec_to_json(spec)
+    assert '"probe_budget": 2' in text
+    back = shift_spec_from_json(text)
+    assert back == spec and back.kernel.probe_budget == 2
+    assert shift_spec_to_json(back) == text
+    default = ShiftSpec(1, 0, SYS, RandomKernel(3, 0.5, matrix_dim), space, (0, 1))
+    assert "probe_budget" not in shift_spec_to_json(default)
+    assert shift_spec_from_json(shift_spec_to_json(default)).kernel.probe_budget == 12
+
+
 # JSON text written by the encoders before they shared their system and
 # space helpers; the encoding must not change.
 PINNED_SHIFT_JSON = (

@@ -177,14 +177,17 @@ def _assert_per_exponent(fast, slow):
 def _translated_family(seed, d, m_top, root_pick, weighted, dim=1):
     """A stopping family on a random translated system, with the driver that built it.
 
-    The root is a top cube or one 1 to depth + m_top generations below it; the
-    measure is Lebesgue or a random density; the driver's cube makes nested members.
+    The root is a top cube, one of its children, or one 1 to depth + m_top
+    generations below it; the measure is Lebesgue or a random density; the driver's
+    cube makes nested members.
     """
     gen = substream(seed, "fast-vs-per-cube")
     depth = int(gen.integers(1, 6 if d == 1 else 4))
     sysm = DyadicSystem.random(seed, d=d, m_top=m_top, depth=depth)
     tops = sysm.top_cubes()
     root = tops[int(gen.integers(len(tops)))]
+    if root_pick == "child":
+        root = _descend(root, gen, 1)
     if root_pick == "below":
         root = _descend(root, gen, int(gen.integers(1, depth + m_top + 1)))
     space = SCALAR if dim == 1 else NormedSpace(dim, 2.0)
@@ -197,7 +200,25 @@ def _translated_family(seed, d, m_top, root_pick, weighted, dim=1):
 
 
 FAMILIES = (st.integers(0, 10**6), st.sampled_from([1, 2]), st.integers(0, 2),
-            st.sampled_from(["top", "below"]), st.booleans(), st.sampled_from([1, 2]))
+            st.sampled_from(["top", "child", "below"]), st.booleans(), st.sampled_from([1, 2]))
+
+
+@given(*FAMILIES[:5])
+def test_locate_matches_the_scan_on_every_subcube(seed, d, m_top, root_pick, weighted):
+    """The owner-array `locate` finds the member the children scan finds for every
+    subcube of the root, and refuses every other cube of the system."""
+    fam, _ = _translated_family(seed, d, m_top, root_pick, weighted)
+    sysm, root = fam.root.system, fam.root
+    inside = oracles.subcubes(root)
+    assert len(inside) == sum(1 << (d * g) for g in range(sysm.depth - root.level + 1))
+    for cube in inside:
+        assert fam.locate(cube) == oracles.locate_by_scan(fam, cube)
+    keys = {cube.key() for cube in inside}
+    for level in range(sysm.min_level, sysm.depth + 1):
+        for cube in sysm.cubes_at_level(level):
+            if cube.key() not in keys:
+                with pytest.raises(KeyError, match="not contained in the root"):
+                    fam.locate(cube)
 
 
 @given(*FAMILIES)
