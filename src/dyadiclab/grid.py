@@ -5,7 +5,11 @@ system resolves levels k in [-m_top, depth]; a cube at level k has side
 2^-k.  Random translation is encoded by bits omega_j in {0,1}^d, one per
 scale 2^-j with -m_top < j <= depth; a level-k cube is shifted by
 sum_{j>k} 2^-j omega_j, so translated cubes are always unions of finest
-level cells and all geometry stays exact in integer cell units.
+level cells and all geometry stays exact in integer cell units.  A system
+keeps one integer word per axis, with bit omega_j at place depth - j (the
+unsampled fine scales are zeros): a level-k shift in cells is the word's
+low depth - k bits, and the word shifted right by depth - k holds the bits
+that goodness at level k reads, scale k - t at place t.
 
 Nesting in a translated system is rerandomized across scales: the parent
 of the cube with corner m at level k has corner floor((m - omega_k)/2).
@@ -50,18 +54,18 @@ class DyadicSystem:
             raise ResourceLimitError(f"a mesh of 2^{cells_log2} cells exceeds 2^{MESH_CELL_BITS}")
         if len(self.omega) > self.m_top + self.depth:
             raise ValueError("too many translation bits for the level range")
+        words = [0] * self.d  # per axis, the bit of scale j at place depth - j
         for bits in self.omega:
-            if len(bits) != self.d or any(b not in (0, 1) for b in bits):
+            if len(bits) != self.d:
                 raise ValueError("omega entries must be bits in {0,1}^d")
-        # per-level shift, a prefix sum of the bits from the finest level up (the
-        # bits of level depth - k count 2^k cells, unsampled fine scales none);
-        # a plain attribute, so eq, hash and repr see only the fields
-        shift = (0,) * self.d
-        shifts = [shift] * (self.m_top + self.depth - len(self.omega) + 1)
-        for k, bits in enumerate(reversed(self.omega), start=len(shifts) - 1):
-            shift = tuple(s + (b << k) for s, b in zip(shift, bits))
-            shifts.append(shift)
-        object.__setattr__(self, "_shifts", tuple(reversed(shifts)))
+            for ax, b in enumerate(bits):
+                if b not in (0, 1):
+                    raise ValueError("omega entries must be bits in {0,1}^d")
+                words[ax] = words[ax] << 1 | (1 if b else 0)
+        pad = self.m_top + self.depth - len(self.omega)  # the unsampled fine scales
+        # plain attributes, so eq, hash and repr see only the fields
+        object.__setattr__(self, "_words", tuple(w << pad for w in words))
+        object.__setattr__(self, "_shifts", {})  # `shift_cells` by level
 
     @staticmethod
     def random(seed: int, d: int = 1, m_top: int = 0, depth: int = 8) -> "DyadicSystem":
@@ -103,11 +107,13 @@ class DyadicSystem:
         return (0,) * self.d
 
     def shift_cells(self, level: int) -> tuple:
-        """Translation of level-`level` cubes, in finest-cell units."""
-        if not self.min_level <= level <= self.depth:
-            raise AmbientRangeError(
-                f"level {level} outside [{self.min_level}, {self.depth}]")
-        return self._shifts[level - self.min_level]
+        """Translation of level-`level` cubes, in finest-cell units: the low
+        depth - level bits of each axis word, kept once asked for."""
+        if level not in self._shifts:
+            if not self.min_level <= level <= self.depth:
+                raise AmbientRangeError(f"level {level} outside [{self.min_level}, {self.depth}]")
+            self._shifts[level] = tuple(w & ((1 << (self.depth - level)) - 1) for w in self._words)
+        return self._shifts[level]
 
     def cell_centers(self) -> np.ndarray:
         """Midpoints of all finest cells, shape (cells_per_axis,)*d + (d,)."""
@@ -153,18 +159,13 @@ class DyadicSystem:
         """
         size = 1 << (self.depth - level)
         shift = self.shift_cells(level)
-
-        def ceil_div(a: int, b: int) -> int:
-            return -((-a) // b)
-
         ranges = []
         for ax in range(self.d):
             lo_cell, hi_cell = 0, self.cells_per_axis
             if within is not None:
                 lo_cell, hi_cell = within[ax]
             base = self.origin_cell + shift[ax]  # start cell of corner m is m*size + base
-            m_lo = max(ceil_div(lo_cell - size + 1 - base, size),
-                       ceil_div(0 - base, size))
+            m_lo = max(-((base + size - 1 - lo_cell) // size), -(base // size))  # ceilings
             m_hi = min((hi_cell - 1 - base) // size,
                        (self.cells_per_axis - size - base) // size)
             ranges.append(range(m_lo, m_hi + 1))
@@ -305,15 +306,12 @@ def is_good(cube: DyadicCube, params: GoodnessParams) -> bool:
     1e-12 count as bad.
     """
     sysm = cube.system
-    u = (0,) * sysm.d  # bits of the gaps climbed so far, one word per axis
-    t = 0
+    # bit t of each word is scale level - t: the offsets inside every ancestor
+    above = [w >> (sysm.depth - cube.level) for w in sysm._words]
     for s in _gap_range(sysm, cube.level, params):
-        while t < s:
-            u = tuple(w + (b << t) for w, b in zip(u, sysm.bit(cube.level - t)))
-            t += 1
         mod = 1 << s
         dist_units = min(min(o, mod - 1 - o)
-                         for o in ((m - w) % mod for m, w in zip(cube.corner, u)))
+                         for o in ((m - w) % mod for m, w in zip(cube.corner, above)))
         threshold = 2.0 ** (s * (1.0 - params.gamma))
         if not dist_units > threshold + _GOOD_TIE_TOL:
             return False
@@ -356,8 +354,7 @@ def good_mask(system: DyadicSystem, level: int, params: GoodnessParams) -> np.nd
     gaps = _gap_range(system, level, params)
     axes = np.meshgrid(*system.corner_ranges(level), indexing="ij")
     corners = np.array([axis.ravel() for axis in axes], dtype=np.int64)
-    u = [sum(system.bit(level - t)[ax] << t for t in range(max(gaps, default=0)))
-         for ax in range(system.d)]
+    u = [w >> (system.depth - level) for w in system._words]  # as in `is_good`
     return _good_mask(np.array(u, dtype=np.int64)[:, None], corners, gaps, params.gamma)
 
 
@@ -405,16 +402,14 @@ def goodness_position_joint(d: int, level: int, depth: int, m_top: int,
         raise ResourceLimitError(f"2^{n_bits} bit patterns exceed cap {cap}")
     n_pos = 1 << ((depth - level) * d)
     counts = np.zeros((n_pos, 2), dtype=np.int64)
-    scales = range(level - gens + 1, depth + 1)  # scales j carrying the bits
+    head = ((0,) * d,) * (m_top + level - gens)  # scales -m_top < j <= level - gens
+    bits = list(itertools.product((0, 1), repeat=d))  # every entry omega may hold
     cells = 1 << (depth - level)
-    for pattern in itertools.product(*([range(1 << d)] * len(scales))):
-        omega = [(0,) * d] * (m_top + depth)
-        for j, word in zip(scales, pattern):
-            omega[j + m_top - 1] = tuple((word >> ax) & 1 for ax in range(d))
-        sysm = DyadicSystem(d=d, m_top=m_top, depth=depth, omega=tuple(omega))
+    for pattern in itertools.product(bits, repeat=gens + depth - level):
+        sysm = DyadicSystem(d=d, m_top=m_top, depth=depth, omega=head + pattern)
         cube = sysm.cube(level, (0,) * d)
         pos = 0
         for shift in sysm.shift_cells(level):
-            pos = pos * cells + shift % cells
+            pos = pos * cells + shift
         counts[pos, int(is_good(cube, params))] += 1
     return counts

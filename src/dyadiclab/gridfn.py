@@ -33,9 +33,15 @@ def etas(d: int) -> list:
     return list(itertools.product((0, 1), repeat=d))[1:]
 
 
+_BIT_TUPLES = frozenset(eta for d in (1, 2) for eta in itertools.product((0, 1), repeat=d))
+
+
 def _eta(eta, d: int) -> tuple:
     """`eta` as a tuple of ints: it must be d entries, each an integer or boolean 0 or
     1 (all zero is the normalized indicator), so equal etas share one cache key."""
+    if (type(eta) is tuple and len(eta) == d and eta in _BIT_TUPLES
+            and type(eta[0]) is type(eta[-1]) is int):  # already canonical (d <= 2 entries)
+        return eta
     items = eta.tolist() if isinstance(eta, np.ndarray) else eta
     if isinstance(items, (tuple, list)) and len(items) == d and all(
             isinstance(e, (int, np.integer, np.bool_)) and e in (0, 1) for e in items):

@@ -520,12 +520,11 @@ def _good_counts(base: DyadicSystem, level: int, gp: GoodnessParams, ranges: lis
     d, gens = base.d, gp.max_generations
     counts = np.zeros([len(r) for r in ranges], dtype=np.int64)
     corners = list(itertools.product(*ranges))
-    for word in range(1 << (d * gens)):
-        omega = [(0,) * d] * (base.m_top + base.depth)
-        for t in range(gens):  # the bits of scale level - t
-            omega[level - t + base.m_top - 1] = tuple((word >> (t * d + ax)) & 1
-                                                      for ax in range(d))
-        sysm = DyadicSystem(d=d, m_top=base.m_top, depth=base.depth, omega=tuple(omega))
+    zeros = ((0,) * d,)
+    bits = list(itertools.product((0, 1), repeat=d))
+    for window in itertools.product(bits, repeat=gens):  # scales level - gens < j <= level
+        omega = zeros * (base.m_top + level - gens) + window + zeros * (base.depth - level)
+        sysm = DyadicSystem(d=d, m_top=base.m_top, depth=base.depth, omega=omega)
         counts += np.reshape([is_good(sysm.cube(level, c), gp) for c in corners], counts.shape)
     return counts
 

@@ -426,6 +426,24 @@ def is_good_by_offsets(cube, params):
     return True
 
 
+def goodness_position_joint_by_oracles(d, level, depth, m_top, params):
+    """`grid.goodness_position_joint` pattern by pattern: each pattern's position
+    from `shift_cells_by_bits` and its goodness from `is_good_by_offsets`."""
+    scales = range(level - params.max_generations + 1, depth + 1)
+    cells = 1 << (depth - level)
+    counts = np.zeros((cells**d, 2), dtype=np.int64)
+    for pattern in range(1 << (len(scales) * d)):
+        omega = [(0,) * d] * (m_top + depth)
+        for k, j in enumerate(scales):
+            omega[j + m_top - 1] = tuple((pattern >> (k * d + ax)) & 1 for ax in range(d))
+        system = DyadicSystem(d=d, m_top=m_top, depth=depth, omega=tuple(omega))
+        shift = shift_cells_by_bits(system, level)
+        pos = int(np.ravel_multi_index(tuple(shift), (cells,) * d))
+        good = is_good_by_offsets(system.cube(level, (0,) * d), params)
+        counts[pos, int(good)] += 1
+    return counts
+
+
 def haar_coefficient_by_eval(f, cube, eta):
     """Coefficient via pointwise Haar values, no pyramid."""
     h = haar_vector(cube, eta)

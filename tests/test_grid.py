@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+import re
 
 import numpy as np
 import pytest
@@ -142,11 +143,13 @@ def test_vacuous_goodness_when_no_ancestor_is_eligible():
 
 
 # gamma = 1/2 and 3/4 make the threshold 2^(s(1-gamma)) an integer at even gaps
-# and at gaps divisible by 4, so a cell distance can tie it
+# and at gaps divisible by 4, so a cell distance can tie it; every cube is bad at a
+# gap of 1 or 2, so only r >= 3 makes the flags depend on the ancestors' bits
 MASK_PARAMS = (GoodnessParams(gamma=0.5, r=2), GoodnessParams(gamma=0.75, r=1),
                GoodnessParams(gamma=0.4, r=1),
                GoodnessParams(gamma=0.5, r=1, max_generations=4),
-               GoodnessParams(gamma=0.3, r=2, max_generations=3))
+               GoodnessParams(gamma=0.3, r=2, max_generations=3),
+               GoodnessParams(gamma=0.5, r=3), GoodnessParams(gamma=0.75, r=3, max_generations=4))
 
 
 @given(st.integers(1, 2), st.integers(0, 2), st.integers(0, 6), st.integers(0, 2**20),
@@ -239,6 +242,29 @@ def test_position_goodness_factorization_is_exact():
     assert (joint * total == rows * cols).all()
     # positions are uniform
     assert (rows == rows[0]).all()
+
+
+# (level, depth, max_generations, gamma, r): mixed good and bad cubes, all bad
+# (gap 1 or 2 never leaves room), all good (r above the generations), a depth-0 mesh
+JOINT_SHAPES = [(3, 4, 3, 0.5, 3), (2, 3, 3, 0.75, 3), (1, 2, 1, 0.5, 1), (0, 2, 1, 0.5, 2),
+                (2, 4, 4, 0.5, 3), (0, 0, 2, 0.5, 1)]
+
+
+@pytest.mark.parametrize("m_top", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 2])
+def test_goodness_position_joint_matches_per_pattern_oracles(d, m_top):
+    """Each pattern's position and goodness read without the axis words give
+    the same joint counts, on every shape the system's levels allow."""
+    mixed = 0
+    for level, depth, gens, gamma, r in JOINT_SHAPES:
+        if level - gens < -m_top:
+            continue
+        params = GoodnessParams(gamma=gamma, r=r, max_generations=gens)
+        joint = goodness_position_joint(d, level, depth, m_top, params)
+        want = oracles.goodness_position_joint_by_oracles(d, level, depth, m_top, params)
+        assert joint.dtype == want.dtype and np.array_equal(joint, want), (level, depth, gens)
+        mixed += bool(joint[:, 0].any() and joint[:, 1].any())
+    assert mixed >= 1
 
 
 @st.composite
@@ -362,6 +388,44 @@ def test_shifts_of_a_short_omega_match_bitwise_oracle(system, keep):
         assert short.shift_cells(level) == tuple(int(v) for v in expected)
 
 
+@given(translated_systems(), st.integers(0, 8))
+def test_omega_bits_of_other_types_give_the_same_system(system, keep):
+    """bool, numpy-integer and float bits are accepted as today: the system is
+    equal to the int one, its shifts are the same Python ints, and so are its
+    goodness flags.  A short omega pads the unsampled fine scales with zeros."""
+    omega = system.omega[:keep]
+    base = DyadicSystem(d=system.d, m_top=system.m_top, depth=system.depth, omega=omega)
+    params = GoodnessParams(gamma=0.5, r=3)
+    for cast in (bool, np.int64, float):
+        twin = DyadicSystem(d=system.d, m_top=system.m_top, depth=system.depth,
+                            omega=tuple(tuple(cast(b) for b in bits) for bits in omega))
+        assert twin == base and hash(twin) == hash(base)
+        for level in range(base.min_level, base.depth + 1):
+            shift = twin.shift_cells(level)
+            assert shift == base.shift_cells(level) == tuple(
+                int(v) for v in oracles.shift_cells_by_bits(base, level))
+            assert all(type(v) is int for v in shift)
+            assert np.array_equal(good_mask(twin, level, params),
+                                  good_mask(base, level, params))
+
+
+@pytest.mark.parametrize("d, omega, message", [
+    (1, ((2,),), "omega entries must be bits in {0,1}^d"),
+    (1, ((0,), (-1,)), "omega entries must be bits in {0,1}^d"),
+    (1, ((1,), (0.5,)), "omega entries must be bits in {0,1}^d"),
+    (1, ((0, 1),), "omega entries must be bits in {0,1}^d"),
+    (1, ((0,), ()), "omega entries must be bits in {0,1}^d"),
+    (2, ((0, 1), (1, 2)), "omega entries must be bits in {0,1}^d"),
+    (2, ((0,),), "omega entries must be bits in {0,1}^d"),
+    (2, ((0, 1, 1),), "omega entries must be bits in {0,1}^d"),
+    (1, ((0,),) * 4, "too many translation bits for the level range"),
+    (2, ((0, 2),) * 4, "too many translation bits for the level range"),
+])
+def test_malformed_omega_raises_one_message(d, omega, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DyadicSystem(d=d, m_top=1, depth=2, omega=omega)
+
+
 @given(translated_systems(), st.integers(0, 2**20))
 def test_contains_cube_matches_array_oracle(system, pick_seed):
     cubes = _all_cubes(system)
@@ -390,7 +454,7 @@ def test_cached_geometry_stays_out_of_eq_hash_and_repr():
     system = DyadicSystem.random(3, d=2, m_top=1, depth=3)
     twin = DyadicSystem(d=2, m_top=1, depth=3, omega=system.omega)
     assert system == twin and hash(system) == hash(twin)
-    assert "_shifts" not in repr(system)
+    assert "_words" not in repr(system) and "_shifts" not in repr(system)
     cube = system.cube(1, (0, 0))
     assert cube == twin.cube(1, (0, 0)) and hash(cube) == hash(twin.cube(1, (0, 0)))
     assert "_start" not in repr(cube)
