@@ -5,8 +5,10 @@ project-out(j) . average-block(K) . project-in(i), where the per-cube
 kernel is piecewise constant on the blocks max(i, j) + 1 generations
 below K (the deeper of the two projection scales, so nothing the shift
 can see is lost).  Kernels are either explicit tables or seeded draws
-with a sup-norm cap, so the family's R-bound is capped by construction
-in the scalar case.
+whose R-bound is capped by construction: scalar entries are drawn inside
+the cap, and matrix tables, which act on a Hilbert space where a finite
+family's R-bound is exactly its largest operator norm, are scaled so that
+their largest spectral norm is the cap.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .space import SCALAR, NormedSpace
 
 _KERNEL_LABEL = "shift-kernel"  # a table's stream is keyed (seed, label, level, *corner)
 _KEY_ROWS = 1 << 8  # most tables of several specs keyed in one batch, ~400 B each
-_PROBE_BUDGET = 12  # random assignments per witness probe of a matrix-kernel table
 
 
 def _level_corners(level: int, axes) -> np.ndarray:
@@ -44,13 +45,13 @@ def _level_corners(level: int, axes) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RandomKernel:
-    """Seeded per-cube kernel draws, capped in sup norm (scalar case) or by a
-    witness probe of the drawn block family (matrix case)."""
+    """Seeded per-cube kernel draws, capped in sup norm (scalar case) or scaled so
+    that the largest spectral norm of a table's blocks is the cap (matrix case):
+    on l^2, at p = 2, that norm is the blocks' exact R-bound."""
 
     seed: int
     cap: float = 1.0
     matrix_dim: int = 1
-    probe_budget: int = _PROBE_BUDGET
 
     def table(self, cube: DyadicCube, blocks: int, gen=None) -> np.ndarray:
         """The cube's table, drawn from `gen` if given: its stream already keyed,
@@ -61,20 +62,7 @@ class RandomKernel:
             return gen.uniform(-self.cap, self.cap, size=(blocks, blocks))
         raw = gen.uniform(-1.0, 1.0,
                           size=(blocks, blocks, self.matrix_dim, self.matrix_dim))
-        probe = self.witness_probe(raw)
-        if probe > 0:
-            raw *= self.cap / probe
-        return raw
-
-    def witness_probe(self, table: np.ndarray) -> float:
-        """Best witness ratio found for the block family of one table."""
-        from .rademacher import OperatorFamily, rbound_probe
-
-        family = OperatorFamily(
-            tuple(table.reshape(-1, self.matrix_dim, self.matrix_dim)),
-            NormedSpace(self.matrix_dim, 2.0),
-        )
-        return rbound_probe(family, 2.0, self.probe_budget, self.seed)
+        return raw * (self.cap / np.linalg.norm(raw, 2, axis=(-2, -1)).max())
 
 
 @dataclass(frozen=True)
@@ -336,6 +324,8 @@ def apply_paraproduct(spec, f):
 
 def _frame_to_doc(system: DyadicSystem, space: NormedSpace) -> dict:
     """The system and space blocks shared by the spec encoders."""
+    if space.norm_fn is not None:
+        raise ValueError("custom norms have no JSON encoding")
     return {
         "space": {"dim": space.dim, "q": None if space.q == np.inf else space.q},
         "system": {"d": system.d, "m_top": system.m_top, "depth": system.depth,
@@ -361,8 +351,6 @@ def shift_spec_to_json(spec: ShiftSpec) -> str:
     if isinstance(spec.kernel, RandomKernel):
         doc["kernel"] = {"seed": spec.kernel.seed, "cap": spec.kernel.cap,
                          "matrix_dim": spec.kernel.matrix_dim}
-        if spec.kernel.probe_budget != _PROBE_BUDGET:  # the default is left out of the text
-            doc["kernel"]["probe_budget"] = spec.kernel.probe_budget
     else:
         doc["kernel"] = {
             "tables": {f"{lvl}:{','.join(map(str, corner))}": np.asarray(t).tolist()
@@ -376,8 +364,7 @@ def shift_spec_from_json(text: str) -> ShiftSpec:
     sysm, space = _frame_from_doc(doc)
     kern_doc = doc["kernel"]
     if "seed" in kern_doc:
-        kernel = RandomKernel(kern_doc["seed"], kern_doc["cap"], kern_doc["matrix_dim"],
-                              kern_doc.get("probe_budget", _PROBE_BUDGET))
+        kernel = RandomKernel(kern_doc["seed"], kern_doc["cap"], kern_doc["matrix_dim"])
     else:
         tables = {}
         for key, tab in kern_doc["tables"].items():

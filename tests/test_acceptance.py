@@ -122,6 +122,28 @@ PYTHAGORAS_SEED7 = {
     "pythagoras/counterexample/power-sum": "0x0.0p+0",
 }
 
+# decoupling's, condexp-sum's, rbound-calculus's and stein's measured values at catalog
+# defaults and seed 7, bit for bit; they are the same at one BLAS thread
+DECOUPLING_SEED7 = {
+    "decoupling/two-sided/p=2.0": "0x1.0000000000002p+0",
+    "decoupling/two-sided/p=3.0": "0x1.1bde64382057dp-1",
+    "decoupling/martingale-differences": "0x1.2fb4478cf2738p-45",
+}
+CONDEXP_SUM_SEED7 = {
+    "condexp-sum/p=1.5": "0x1.0000000000001p+0",
+    "condexp-sum/p=2.0": "0x1.0000000000001p+0",
+    "condexp-sum/p=3.0": "0x1.0000000000001p+0",
+}
+RBOUND_CALCULUS_SEED7 = {
+    "rbound-calculus/averaging": "0x1.6020d1a3a8df9p-1",
+    "rbound-calculus/triangle": "0x1.6b8f79a745c4ep-1",
+}
+STEIN_SEED7 = {
+    "stein/p=1.5/normalized": "0x1.0000000000000p-1",
+    "stein/p=2.0/normalized": "0x1.0000000000000p+0",
+    "stein/p=3.0/normalized": "0x1.0000000000000p-1",
+}
+
 
 def test_criterion_02_shift_bound():
     checks = run_and_report("criterion 02 shift-bound", "shift-bound",
@@ -156,16 +178,20 @@ def test_criterion_06_paraproduct():
 
 
 def test_criterion_07_decoupling():
-    run_and_report("criterion 07 decoupling", "decoupling")
+    checks = run_and_report("criterion 07 decoupling", "decoupling")
+    assert {c.check_id: c.measured.hex() for c in checks} == DECOUPLING_SEED7
 
 
 def test_criterion_08_condexp_sum():
-    run_and_report("criterion 08 condexp-sum", "condexp-sum")
+    checks = run_and_report("criterion 08 condexp-sum", "condexp-sum")
+    assert {c.check_id: c.measured.hex() for c in checks} == CONDEXP_SUM_SEED7
 
 
 def test_criterion_09_rbound_calculus_and_stein():
-    run_and_report("criterion 09a rbound-calculus", "rbound-calculus")
-    run_and_report("criterion 09b stein", "stein")
+    checks = run_and_report("criterion 09a rbound-calculus", "rbound-calculus")
+    assert {c.check_id: c.measured.hex() for c in checks} == RBOUND_CALCULUS_SEED7
+    checks = run_and_report("criterion 09b stein", "stein")
+    assert {c.check_id: c.measured.hex() for c in checks} == STEIN_SEED7
 
 
 def test_criterion_10_goodness():

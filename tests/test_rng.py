@@ -65,7 +65,7 @@ def test_label_cache_keeps_floats_and_bools_apart():
 @pytest.mark.parametrize("d, m_top, matrix_dim", [(2, 1, 1), (1, 1, 2), (2, 0, 2), (1, 0, 1)])
 def test_level_tables_match_per_cube_draws(seed, d, m_top, matrix_dim):
     system = DyadicSystem.random(seed, d=d, m_top=m_top, depth=3)
-    kernel = RandomKernel(seed, 0.5, matrix_dim=matrix_dim, probe_budget=3)
+    kernel = RandomKernel(seed, 0.5, matrix_dim=matrix_dim)
     spec = ShiftSpec(0, 0, system, kernel, NormedSpace(matrix_dim, 2.0))
     blocks = spec.blocks_per_axis() ** d
     levels = list(spec.level_range())

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,8 @@ from dyadiclab.gridfn import (_STACK_CELLS, GridFunction, cube_average, from_cal
                               haar_vector, indicator, pair, random_grid_function)
 from dyadiclab.shifts import (ExplicitKernel, ParaproductSpec, RandomKernel, ShiftSpec,
                               adjoint_spec, apply_paraproduct, apply_shift, fill_tables,
-                              shift_spec_from_json, shift_spec_to_json)
+                              paraproduct_spec_to_json, shift_spec_from_json,
+                              shift_spec_to_json)
 from dyadiclab.space import NormedSpace
 
 from oracles import apply_paraproduct_per_level, apply_shift_per_cube, dense_shift_matrix
@@ -83,7 +85,7 @@ def test_matrix_kernel_shift_runs_and_respects_cap():
     out = apply_shift(spec, f)
     assert out.values.shape == f.values.shape
     table = kernel.table(SYS.cube(0, (0,)), 4)
-    assert kernel.witness_probe(table) <= 0.5 + 1e-9
+    assert np.linalg.norm(table, 2, axis=(-2, -1)).max() == pytest.approx(0.5, rel=1e-12)
 
 
 def test_paraproduct_spec_json_roundtrip():
@@ -255,10 +257,15 @@ def test_paraproduct_root_from_another_system_is_refused(root_system, corner):
 
 
 def test_shift_spec_json_roundtrip_random_kernel():
-    spec = ShiftSpec(2, 1, SYS, RandomKernel(5, 1.0), k_levels=(0, 2))
-    back = shift_spec_from_json(shift_spec_to_json(spec))
-    f = random_grid_function(SYS, 13)
-    assert np.abs(apply_shift(back, f).values - apply_shift(spec, f).values).max() == 0.0
+    for matrix_dim in (1, 2):
+        space = NormedSpace(matrix_dim, 2.0)
+        spec = ShiftSpec(2, 1, SYS, RandomKernel(5, 1.0, matrix_dim), space, k_levels=(0, 2))
+        text = shift_spec_to_json(spec)
+        assert sorted(json.loads(text)["kernel"]) == ["cap", "matrix_dim", "seed"]
+        back = shift_spec_from_json(text)
+        assert back == spec and shift_spec_to_json(back) == text
+        f = random_grid_function(SYS, 13, space)
+        assert np.abs(apply_shift(back, f).values - apply_shift(spec, f).values).max() == 0.0
 
 
 def test_shift_spec_json_roundtrip_explicit_tables():
@@ -273,20 +280,15 @@ def test_shift_spec_json_roundtrip_explicit_tables():
     assert np.abs(apply_shift(back, f).values - apply_shift(spec, f).values).max() == 0.0
 
 
-@pytest.mark.parametrize("matrix_dim", [1, 2])
-def test_shift_spec_json_keeps_a_probe_budget_other_than_the_default(matrix_dim):
-    """A budget other than the default 12 is written into the kernel document and
-    read back; the default stays out of the text, so older texts read as before."""
-    space = NormedSpace(matrix_dim, 2.0)
-    spec = ShiftSpec(1, 0, SYS, RandomKernel(3, 0.5, matrix_dim, probe_budget=2), space, (0, 1))
-    text = shift_spec_to_json(spec)
-    assert '"probe_budget": 2' in text
-    back = shift_spec_from_json(text)
-    assert back == spec and back.kernel.probe_budget == 2
-    assert shift_spec_to_json(back) == text
-    default = ShiftSpec(1, 0, SYS, RandomKernel(3, 0.5, matrix_dim), space, (0, 1))
-    assert "probe_budget" not in shift_spec_to_json(default)
-    assert shift_spec_from_json(shift_spec_to_json(default)).kernel.probe_budget == 12
+def test_custom_norm_space_is_refused_by_both_spec_encoders():
+    """The JSON space block holds only dim and q, so a custom norm would come back as l^q."""
+    sup = NormedSpace(2, norm_fn=lambda v: np.abs(v).max(axis=-1))
+    shift = ShiftSpec(1, 0, SYS, RandomKernel(3, 1.0), sup, (0, 1))
+    symbol = random_grid_function(SYS, 1, sup)
+    for encode, spec in ((shift_spec_to_json, shift),
+                         (paraproduct_spec_to_json, ParaproductSpec(symbol))):
+        with pytest.raises(ValueError, match="^custom norms have no JSON encoding$"):
+            encode(spec)
 
 
 # JSON text written by the encoders before they shared their system and
@@ -374,13 +376,27 @@ def test_batched_shift_matches_per_cube_oracle(system, seed):
 
 
 @given(translated_systems(levels_1d=4, levels_2d=2), st.integers(0, 2**20))
-@settings(max_examples=8)
 def test_batched_shift_matches_per_cube_oracle_matrix_kernel(system, seed):
     space = NormedSpace(2, 2.0)
     f = random_grid_function(system, seed, space, label="batched-matrix-f")
     for i, j in fitting_pairs(system, cap=1):
-        kernel = RandomKernel(seed, 0.5, matrix_dim=2, probe_budget=2)
+        kernel = RandomKernel(seed, 0.5, matrix_dim=2)
         assert_matches_per_cube(ShiftSpec(i, j, system, kernel, space), f)
+
+
+@given(translated_systems(levels_1d=4, levels_2d=2), st.integers(0, 2**20),
+       st.sampled_from([2, 3]), st.sampled_from([1e-3, 0.5, 1.0, 7.25]))
+def test_matrix_tables_have_their_cap_as_exact_rbound(system, seed, matrix_dim, cap):
+    """On l^2 a finite family's R-bound is its largest operator norm, so each drawn
+    matrix table's largest spectral norm is its cap."""
+    space = NormedSpace(matrix_dim, 2.0)
+    specs = [ShiftSpec(i, j, system, RandomKernel(seed, cap, matrix_dim), space)
+             for i, j in fitting_pairs(system, cap=1)]
+    for spec in fill_tables(specs):
+        for level in spec.level_range():
+            tables = spec.level_tables(level)[2]
+            norms = np.linalg.norm(tables, 2, axis=(-2, -1)).reshape(len(tables), -1)
+            np.testing.assert_allclose(norms.max(axis=-1), cap, rtol=1e-12, atol=0.0)
 
 
 @given(translated_systems(), st.integers(0, 2**20), st.sampled_from([(1, 1), (2, 1), (2, 2)]))
@@ -454,18 +470,13 @@ def test_adjoint_matches_per_cube_transpose(system, seed):
         assert lhs == pytest.approx(pair(apply_shift(adjoint, g), f), rel=1e-12, abs=1e-12)
 
 
-def test_adjoint_transposes_matrix_tables_without_redrawing(monkeypatch):
+def test_adjoint_transposes_matrix_tables_without_redrawing():
+    """The transposes of the drawn tables; that nothing is redrawn is counted by
+    test_kernel_tables_drawn_once_per_cube_per_spec."""
     space = NormedSpace(2, 2.0)
-    spec = ShiftSpec(1, 0, SYS, RandomKernel(3, 0.5, matrix_dim=2, probe_budget=2), space)
-    probes = []
-    original = RandomKernel.witness_probe
-    monkeypatch.setattr(RandomKernel, "witness_probe",
-                        lambda self, table: probes.append(1) or original(self, table))
-    f = random_grid_function(SYS, 4, space)
-    apply_shift(spec, f)
-    drawn = len(probes)
+    spec = ShiftSpec(1, 0, SYS, RandomKernel(3, 0.5, matrix_dim=2), space)
+    apply_shift(spec, random_grid_function(SYS, 4, space))
     adjoint = adjoint_spec(spec)
-    assert len(probes) == drawn
     cube = SYS.cube(0, (0,))
     table = spec.kernel.table(cube, 4)
     assert np.array_equal(adjoint.kernel.table(cube, 4), table.transpose(1, 0, 3, 2))
@@ -478,17 +489,20 @@ def test_kernel_tables_drawn_once_per_cube_per_spec(monkeypatch):
     monkeypatch.setattr(RandomKernel, "table",
                         lambda self, cube, blocks, *gen: calls.append(cube.key())
                         or original(self, cube, blocks, *gen))
-    spec = ShiftSpec(1, 0, system, RandomKernel(5, 1.0))
-    f = random_grid_function(system, 6)
-    first = apply_shift(spec, f)
-    again = apply_shift(spec, f)
-    adjoint_spec(spec)
-    cubes = [cube.key() for level in spec.level_range()
-             for cube in system.cubes_at_level(level)]
-    assert sorted(calls) == sorted(cubes) and len(set(calls)) == len(calls)
-    assert np.array_equal(first.values, again.values)
-    fresh = apply_shift(ShiftSpec(1, 0, system, RandomKernel(5, 1.0)), f)
-    assert np.array_equal(first.values, fresh.values)
+    for kernel, space in ((RandomKernel(5, 1.0), NormedSpace(1, 2.0)),
+                          (RandomKernel(5, 0.5, matrix_dim=2), NormedSpace(2, 2.0))):
+        calls.clear()
+        spec = ShiftSpec(1, 0, system, kernel, space)
+        f = random_grid_function(system, 6, space)
+        first = apply_shift(spec, f)
+        again = apply_shift(spec, f)
+        adjoint_spec(spec)
+        cubes = [cube.key() for level in spec.level_range()
+                 for cube in system.cubes_at_level(level)]
+        assert sorted(calls) == sorted(cubes) and len(set(calls)) == len(calls)
+        assert np.array_equal(first.values, again.values)
+        fresh = apply_shift(ShiftSpec(1, 0, system, kernel, space), f)
+        assert np.array_equal(first.values, fresh.values)
 
 
 def test_table_cache_stays_out_of_eq_hash_and_repr():
@@ -515,7 +529,7 @@ def kernel_of(kind, spec, seed):
     if kind == "scalar":
         return RandomKernel(seed, 1.0)
     if kind == "matrix":
-        return RandomKernel(seed, 0.5, matrix_dim=2, probe_budget=2)
+        return RandomKernel(seed, 0.5, matrix_dim=2)
     gen = np.random.default_rng(seed)
     return ExplicitKernel(explicit_tables(spec, gen, 3 if kind == "explicit-matrix" else 1))
 
@@ -576,7 +590,7 @@ def test_run_wide_fill_equals_per_spec_tables(monkeypatch, key_rows):
                 ShiftSpec(1, 1, sys_b, ExplicitKernel(
                     explicit_tables(probe, np.random.default_rng(1)))),
                 ShiftSpec(2, 0, sys_b, RandomKernel(11, 1.0), k_levels=(-1, 0)),
-                ShiftSpec(0, 0, sys_b, RandomKernel(-7, 0.5, matrix_dim=2, probe_budget=2),
+                ShiftSpec(0, 0, sys_b, RandomKernel(-7, 0.5, matrix_dim=2),
                           NormedSpace(2, 2.0)),
                 ShiftSpec(5, 5, sys_b, RandomKernel(1, 1.0))]  # deeper than the mesh
 
