@@ -1,10 +1,10 @@
 """Singular kernels on the mesh, Haar matrix elements, and grid averaging.
 
-A kernel operator is discretized by its values at cell-pair midpoints, so
-the discrete couplings are themselves admissible kernel values and the
-decay estimates for Haar matrix elements apply verbatim to the discrete
-sums.  Diagonal cells are never computed from the kernel; they are zero,
-so the weak-boundedness quantities see only the off-diagonal couplings.
+A convolution kernel k(x - y) is discretized by its values at cell-centre
+offsets, so the discrete couplings are themselves admissible kernel values
+and the decay estimates for Haar matrix elements apply verbatim to the
+discrete sums.  Diagonal cells are zero whatever k is at offset 0, so the
+weak-boundedness quantities see only the off-diagonal couplings.
 
 Conventions for nested Haar pairs follow the paraproduct extraction: for
 I strictly inside J the element pairs T h_I against the coarse factor
@@ -32,27 +32,25 @@ from .shifts import ParaproductSpec, apply_paraproduct
 
 @dataclass(frozen=True)
 class CzKernel:
-    """A singular kernel with its smoothness exponent and an optional cutoff."""
+    """A convolution kernel k(x - y) with its smoothness exponent and an optional cutoff."""
 
-    fn: Callable  # (x, y) arrays of shape (..., d) -> values (scalar case)
+    fn: Callable  # offsets z = x - y of shape (..., d) -> values (scalar case)
     alpha: float
     cutoff: Optional[float] = None
     name: str = "kernel"
 
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        vals = np.asarray(self.fn(x, y), dtype=float)
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        vals = np.asarray(self.fn(z), dtype=float)
         if self.cutoff is not None:
-            dist = np.linalg.norm(np.asarray(x) - np.asarray(y), axis=-1)
-            vals = np.where(dist <= self.cutoff, vals, 0.0)
+            vals = np.where(np.linalg.norm(z, axis=-1) <= self.cutoff, vals, 0.0)
         return vals
 
 def hilbert_kernel(cutoff: Optional[float] = None) -> CzKernel:
     """k(x, y) = 1/(x - y) in one dimension."""
 
-    def fn(x, y):
-        diff = x[..., 0] - y[..., 0]
-        with np.errstate(divide="ignore"):
-            return np.where(diff != 0.0, 1.0 / np.where(diff == 0, 1.0, diff), 0.0)
+    def fn(z):
+        diff = z[..., 0]
+        return np.where(diff != 0.0, 1.0 / np.where(diff == 0, 1.0, diff), 0.0)
 
     return CzKernel(fn, alpha=1.0, cutoff=cutoff, name="hilbert")
 
@@ -60,8 +58,8 @@ def hilbert_kernel(cutoff: Optional[float] = None) -> CzKernel:
 def smooth_odd_kernel(width: float = 0.25, cutoff: Optional[float] = 1.0) -> CzKernel:
     """Bounded odd kernel (x-y) exp(-((x-y)/w)^2) / w^2 for identity tests."""
 
-    def fn(x, y):
-        diff = (x - y).sum(axis=-1)
+    def fn(z):
+        diff = z.sum(axis=-1)
         return diff * np.exp(-((diff / width) ** 2)) / width**2
 
     return CzKernel(fn, alpha=1.0, cutoff=cutoff, name=f"smooth-odd-{width}")
@@ -106,25 +104,24 @@ class DiscreteOperator:
 
 
 _ASSEMBLE_BYTE_CAP = 1 << 30
-_ASSEMBLE_ROWS = 64  # kernel rows evaluated per pass over the cell centres
 
 
 def assemble(kernel: CzKernel, system: DyadicSystem) -> DiscreteOperator:
     """Midpoint-rule discretization, with zero on the diagonal cells.
 
-    Raises ResourceLimitError before allocating when the n_cells^2 float
-    matrix would exceed 1 GiB.
+    T[a, b] = vol k(side (a - b)), exactly as cell centres are dyadic, so the
+    kernel is called once, on the (2c - 1)^d offsets of c cells per axis, and
+    T's rows are that table's windows in reverse.  Raises ResourceLimitError
+    before allocating when the n_cells^2 float matrix would exceed 1 GiB.
     """
-    n = system.n_cells
+    n, c, d = system.n_cells, system.cells_per_axis, system.d
     if 8 * n * n > _ASSEMBLE_BYTE_CAP:
         raise ResourceLimitError(f"a {n} x {n} operator needs {8 * n * n} bytes, "
                                  f"above the cap {_ASSEMBLE_BYTE_CAP}")
-    centers = system.cell_centers().reshape(-1, system.d)
-    mat = np.empty((n, n))
-    for lo in range(0, n, _ASSEMBLE_ROWS):
-        hi = min(lo + _ASSEMBLE_ROWS, n)
-        mat[lo:hi] = kernel(centers[lo:hi, None, :], centers[None, :, :])
-    mat *= system.cell_volume
+    axis = 2.0**-system.depth * np.arange(c - 1, -c, -1)  # the window at c - 1 - a is row a
+    table = kernel(np.stack(np.meshgrid(*(axis,) * d, indexing="ij"), axis=-1))
+    windows = np.lib.stride_tricks.sliding_window_view(system.cell_volume * table, (c,) * d)
+    mat = np.ascontiguousarray(windows[(slice(None, None, -1),) * d]).reshape(n, n)
     np.fill_diagonal(mat, 0.0)
     return DiscreteOperator(system, mat)
 

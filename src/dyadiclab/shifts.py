@@ -110,6 +110,8 @@ class ShiftSpec:
         if kernel_dim not in (1, self.space.dim):
             raise ValueError(f"kernel matrix_dim {kernel_dim} does not match "
                              f"the space dim {self.space.dim}")
+        if kernel_dim > 1 and (self.space.q != 2 or self.space.norm_fn is not None):
+            raise ValueError("matrix kernels need an l^2 space, where their cap is the R-bound")
         # level -> table stack, filled on first use; not a field, so eq/hash/repr skip it
         object.__setattr__(self, "_stacks", {})
 

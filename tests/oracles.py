@@ -18,7 +18,7 @@ from dyadiclab.gridfn import (GridFunction, _block_means, _expand_blocks,
 from dyadiclab.rademacher import (OperatorFamily, _power_iteration_vector, sign_average,
                                   sign_patterns)
 from dyadiclab.representation import (AveragingIdentityReport, DecayReport,
-                                      PairingDecomposition, _case_constraints,
+                                      DiscreteOperator, PairingDecomposition, _case_constraints,
                                       _support_box, decay_slope_target,
                                       extract_paraproducts, matrix_element, raw_pairing)
 from dyadiclab.rng import substream
@@ -572,6 +572,22 @@ def decoupled_pnorm_per_choice(family, p):
             acc += prob * float((family.space.norm(signs @ stack) ** p).mean())
         total += acc * h.cell_weights[cell]
     return total ** (1.0 / p)
+
+
+# -- dense operators from one kernel call per cell pair ---------------------------
+
+
+def assemble_per_pair(kernel, system):
+    """The midpoint-rule operator from one kernel call per cell pair, 64 rows of
+    cell centres at a time, scaled by the cell volume, with zero on the diagonal."""
+    n = system.n_cells
+    centers = system.cell_centers().reshape(-1, system.d)
+    mat = np.empty((n, n))
+    for lo in range(0, n, 64):
+        mat[lo:lo + 64] = kernel(centers[lo:lo + 64, None, :] - centers[None, :, :])
+    mat *= system.cell_volume
+    np.fill_diagonal(mat, 0.0)
+    return DiscreteOperator(system, mat)
 
 
 # -- Haar matrix elements from full-length dense vectors ------------------------

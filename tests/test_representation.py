@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,11 +38,11 @@ def test_kernel_standard_estimates_sampled():
         dist = np.abs(x - y)[:, 0]
         keep = (dist > 1e-6) & (dist <= (kernel.cutoff or np.inf))
         x, y, dist = x[keep], y[keep], dist[keep]
-        assert (np.abs(kernel(x, y)) * dist).max() <= c0 + 1e-9
+        assert (np.abs(kernel(x - y)) * dist).max() <= c0 + 1e-9
         step = gen.uniform(0.05, 0.45, size=x.shape) * gen.choice([-1.0, 1.0], size=x.shape)
         xp = x + step * dist[:, None]
         inside = np.abs(xp - y)[:, 0] <= (kernel.cutoff or np.inf)
-        holder = (np.abs(kernel(x, y) - kernel(xp, y)) * dist
+        holder = (np.abs(kernel(x - y) - kernel(xp - y)) * dist
                   * (dist / np.abs(x - xp)[:, 0]) ** kernel.alpha)[inside]
         assert c_alpha is None or holder.max() <= c_alpha + 1e-9
 
@@ -308,21 +309,34 @@ def test_identity_bit_cap_enforced():
 # -- assembly ----------------------------------------------------------------------------
 
 
-def test_assemble_chunking_does_not_change_the_matrix(monkeypatch):
-    system = DyadicSystem(d=2, m_top=0, depth=3)
-    kernel = smooth_odd_kernel(0.25, 1.0)
-    default = assemble(kernel, system).matrix
-    for rows in (system.n_cells, 7):
-        monkeypatch.setattr(representation, "_ASSEMBLE_ROWS", rows)
-        assert np.array_equal(assemble(kernel, system).matrix, default)
-    assert np.diagonal(default).tolist() == [0.0] * system.n_cells
+ASSEMBLE_SYSTEMS = [DyadicSystem(d=1, m_top=0, depth=0), DyadicSystem(d=1, m_top=0, depth=3),
+                    DyadicSystem(d=1, m_top=0, depth=7), DyadicSystem(d=1, m_top=2, depth=1),
+                    DyadicSystem(d=1, m_top=2, depth=4), DyadicSystem(d=1, m_top=4, depth=2),
+                    DyadicSystem(d=2, m_top=0, depth=3), DyadicSystem(d=2, m_top=1, depth=2)]
+
+
+@pytest.mark.parametrize("kernel", [hilbert_kernel(), hilbert_kernel(0.5),
+                                    smooth_odd_kernel(0.25, 1.0), smooth_odd_kernel(0.1, 0.25)],
+                         ids=lambda kernel: f"{kernel.name}-{kernel.cutoff}")
+@pytest.mark.parametrize("system", ASSEMBLE_SYSTEMS, ids=lambda s: f"d{s.d}m{s.m_top}k{s.depth}")
+def test_assemble_equals_per_pair_kernel_calls(kernel, system):
+    """The offset table's strided copy holds, bit for bit, what one kernel call
+    per cell pair gives: cell-centre offsets are exact dyadic numbers."""
+    assert np.array_equal(assemble(kernel, system).matrix,
+                          oracles.assemble_per_pair(kernel, system).matrix)
 
 
 def test_assemble_byte_cap_fires_before_allocating():
-    # 2^14 cells would need a 2 GiB matrix; the cap is checked before any
-    # allocation, so nothing of that size is ever requested
-    with pytest.raises(ResourceLimitError):
-        assemble(hilbert_kernel(), DyadicSystem(d=1, m_top=0, depth=13))
+    # 2^14 cells would need a 2 GiB matrix; the cap is checked before the offset
+    # table or the matrix is built, so nothing of either size is ever requested
+    for system in (DyadicSystem(d=1, m_top=0, depth=13), DyadicSystem(d=2, m_top=0, depth=6)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                assemble(hilbert_kernel(), system)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
 
 def test_operator_matrix_is_read_only():

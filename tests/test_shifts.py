@@ -574,6 +574,18 @@ def test_kernel_and_space_dims_that_disagree_are_refused(matrix_dim, space_dim):
                                f"the space dim {space_dim}")
 
 
+@pytest.mark.parametrize("space", [NormedSpace(2, np.inf), NormedSpace(2, 1.0),
+                                   NormedSpace(2, norm_fn=lambda v: np.abs(v).max(axis=-1))],
+                         ids=["linf", "l1", "custom"])
+def test_matrix_kernels_off_l2_are_refused(space):
+    """A matrix table's largest spectral norm is its R-bound only on l^2; scalar
+    kernels, whose cap is their sup norm, stay allowed on every space."""
+    with pytest.raises(ValueError) as info:
+        ShiftSpec(0, 0, SYS, RandomKernel(1, 0.5, matrix_dim=2), space)
+    assert str(info.value) == "matrix kernels need an l^2 space, where their cap is the R-bound"
+    assert ShiftSpec(0, 0, SYS, RandomKernel(1, 0.5), space).space is space
+
+
 @pytest.mark.parametrize("key_rows", [1 << 16, 1, 40])
 def test_run_wide_fill_equals_per_spec_tables(monkeypatch, key_rows):
     """One fill over specs on different systems, kernels and level ranges draws
