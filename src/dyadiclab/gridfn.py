@@ -9,7 +9,8 @@ support) require the involved levels to be aligned with the cell grid,
 which holds for standard systems at every level.  Per-cube operations
 (averages, Haar coefficients) work in any translated system
 because a translated cube's descendants align with the block grid inside
-its own cell slice.
+its own cell slice, and so does the Haar transform at given cubes, which
+reads their children's sums from one prefix sum per axis.
 """
 
 from __future__ import annotations
@@ -161,37 +162,62 @@ def haar_vector(cube: DyadicCube, eta) -> np.ndarray:
     return arr
 
 
-def haar_frame(system: DyadicSystem, level_lo: int, level_hi: int) -> tuple:
-    """(cols, H): the (cube, eta) pairs of levels level_lo..level_hi, cube-major
-    in level and corner order, and H whose column n is haar_vector(*cols[n])
-    flattened (see `fill_haar_frame`)."""
-    levels = range(level_lo, level_hi + 1)
-    per_level = [list(system.cubes_at_level(level)) for level in levels]
-    cols = [(cube, eta) for cubes in per_level for cube in cubes for eta in etas(system.d)]
-    starts = [np.array([cube.start_cells() for cube in cubes], dtype=np.intp)
-              .reshape(-1, system.d).T for cubes in per_level]
-    return cols, fill_haar_frame(system, list(zip(levels, starts)))
+# -- the Haar transform at given cubes ------------------------------------------
 
 
-def fill_haar_frame(system: DyadicSystem, blocks) -> np.ndarray:
-    """Frame of the Haar vectors of `blocks`, (level, starts) pairs where
-    starts, shape (d, n), holds the first cell per axis of n level-`level`
-    cubes.  Columns are cube-major in block order, etas(d) within a cube.
-    Each block is filled at once, so its cubes may lie in differently
-    translated systems on the same cells."""
-    d, shape = system.d, (system.cells_per_axis,) * system.d
-    eta_list = etas(d)
-    H = np.zeros((system.n_cells, len(eta_list) * sum(starts.shape[1] for _, starts in blocks)))
-    first = 0
-    for level, starts in blocks:
-        size, n = 1 << (system.depth - level), starts.shape[1]
-        offsets = np.indices((size,) * d).reshape(d, 1, -1)             # (d, 1, size^d)
-        cells = np.ravel_multi_index(tuple(starts[:, :, None] + offsets), shape)
-        col = first + len(eta_list) * np.arange(n)[:, None]
-        for k, eta in enumerate(eta_list):
-            H[cells, col + k] = _haar_values(d, level, size, eta).reshape(-1)
-        first += len(eta_list) * n
-    return H
+def _prefix_sums(cells: np.ndarray, d: int) -> np.ndarray:
+    """Sums of a stack of cell arrays (cells on the last d axes) over the boxes [0, i)
+    per axis, shape (..., cells + 1 per axis): a summed-area table at d = 2."""
+    out = np.zeros(cells.shape[:-d] + tuple(c + 1 for c in cells.shape[-d:]))
+    out[(Ellipsis,) + (slice(1, None),) * d] = cells
+    for ax in range(-d, 0):
+        np.cumsum(out, axis=ax, out=out)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _corner_weights(d: int) -> tuple:
+    """Read-only (corners, weights): the 3^d corners of a cube's children in half sides
+    per axis, shape (d, 3^d), and h^eta's weights on the prefix sums there, rows etas(d):
+    per axis -1, 0, 1 (the sum) for an eta bit 0, -1, 2, -1 (lower less upper half) for 1."""
+    corners = np.array(list(itertools.product(range(3), repeat=d))).T
+    axis = np.array([(-1.0, 0.0, 1.0), (-1.0, 2.0, -1.0)])
+    weights = np.array([np.prod([axis[b, corners[ax]] for ax, b in enumerate(eta)], axis=0)
+                        for eta in etas(d)])
+    corners.setflags(write=False)
+    weights.setflags(write=False)
+    return corners, weights
+
+
+def _haar_analysis(sums: np.ndarray, level: int, depth: int, starts: np.ndarray) -> np.ndarray:
+    """The Haar transform: cell sums of a stack of cell arrays times h^eta of the n
+    level-`level` cubes, of any translation, whose first cells are `starts`, shape
+    (d, n); shape (..., n, etas(d)).  `sums` are the stack's `_prefix_sums`, or a view
+    of some of their stack entries."""
+    d = starts.shape[0]
+    corners, weights = _corner_weights(d)
+    at = tuple(starts[:, :, None] + (corners << (depth - level - 1))[:, None])
+    taken = sums.reshape(sums.shape[:-d] + (-1,))[..., np.ravel_multi_index(at, sums.shape[-d:])]
+    return np.einsum("...nc,ec->...ne", taken, weights) * 2.0 ** (level * d / 2.0)
+
+
+def _haar_synthesis(coeffs: np.ndarray, level: int, depth: int, starts: np.ndarray,
+                    rows: np.ndarray, shape: tuple) -> np.ndarray:
+    """Adjoint of `_haar_analysis`: the sums of coefficients, shape (n, etas(d)), times
+    the h^eta of their cubes, cube k added into row rows[k] of a stack of `shape`,
+    (rows, *cells).  The adjoint of a prefix sum is a suffix sum, and a cube's corner
+    weights add up to 0 along each axis, so one running sum per axis gives it with its
+    sign reversed."""
+    d = starts.shape[0]
+    corners, weights = _corner_weights(d)
+    values = np.einsum("ne,ec->nc", coeffs, weights) * ((-1) ** d * 2.0 ** (level * d / 2.0))
+    edges = (shape[0],) + tuple(c + 1 for c in shape[1:])
+    at = (rows[:, None],) + tuple(starts[:, :, None] + (corners << (depth - level - 1))[:, None])
+    out = np.bincount(np.ravel_multi_index(at, edges).reshape(-1), values.reshape(-1),
+                      int(np.prod(edges))).reshape(edges)
+    for ax in range(1, d + 1):
+        np.cumsum(out, axis=ax, out=out)
+    return out[(slice(None),) + (slice(-1),) * d]
 
 
 _STACK_CELLS = 1 << 18  # most cells of the functions of one caller's stack together

@@ -24,8 +24,9 @@ import numpy as np
 from .errors import DegenerateInputError, InsufficientDataError, ResourceLimitError
 from .grid import (DyadicCube, DyadicSystem, GoodnessParams, good_mask, goodness_probability,
                    is_good)
-from .gridfn import (GridFunction, _haar_values, etas, fill_haar_frame, haar_block,
-                     haar_coefficient, haar_frame, haar_vector, pair, stack_chunks)
+from .gridfn import (GridFunction, _haar_analysis, _haar_synthesis, _haar_values,
+                     _prefix_sums, etas, haar_block, haar_coefficient, haar_vector, pair,
+                     stack_chunks)
 from .shifts import ParaproductSpec, apply_paraproduct
 # -- kernels -------------------------------------------------------------------
 
@@ -162,6 +163,28 @@ def matrix_element(T: DiscreteOperator, J: DyadicCube, etaJ,
 # -- paraproduct extraction ----------------------------------------------------------
 
 
+def _range_columns(system: DyadicSystem, level_lo: int, level_hi: int) -> list:
+    """Per level of the range, (level, corners, starts): its cubes in `cubes_at_level`
+    order, as corner tuples and as first cells per axis, shape (d, n)."""
+    out = []
+    for level in range(level_lo, level_hi + 1):
+        corners = list(itertools.product(*system.corner_ranges(level)))
+        base = system.origin_cell + np.array(system.shift_cells(level))
+        starts = (np.reshape(corners, (-1, system.d)).T << (system.depth - level)) + base[:, None]
+        out.append((level, corners, starts))
+    return out
+
+
+def _range_analysis(cells: np.ndarray, system: DyadicSystem, columns: list) -> np.ndarray:
+    """The Haar transform of a stack of flattened cell arrays, shape (..., n_cells), at
+    the cubes of `columns`: shape (..., columns), cube-major, etas(d) within a cube."""
+    sums = _prefix_sums(cells.reshape(cells.shape[:-1] + (system.cells_per_axis,) * system.d),
+                        system.d)
+    return np.concatenate([_haar_analysis(sums, level, system.depth, starts)
+                           .reshape(cells.shape[:-1] + (-1,)) for level, _, starts in columns],
+                          axis=-1)
+
+
 def extract_paraproducts(T: DiscreteOperator, level_lo: int, level_hi: int) -> tuple:
     """Coefficient tables of the two extracted paraproduct symbols.
 
@@ -169,13 +192,14 @@ def extract_paraproducts(T: DiscreteOperator, level_lo: int, level_hi: int) -> t
     holding <1, T* h_Q> (the symbol tested against the argument's
     averages) and <1, T h_I> (its dual-side partner).
     """
-    vol = T.system.cell_volume
+    sysm = T.system
     col_sums, row_sums = T._sums
-    cols, H = haar_frame(T.system, level_lo, level_hi)
-    keys = [cube.key() + (eta,) for cube, eta in cols]
-    toward_argument = dict(zip(keys, (vol * (row_sums.reshape(-1) @ H)).tolist()))
-    toward_dual = dict(zip(keys, (vol * (col_sums.reshape(-1) @ H)).tolist()))
-    return toward_argument, toward_dual
+    columns = _range_columns(sysm, level_lo, level_hi)
+    keys = [(level, corner, eta) for level, corners, _ in columns
+            for corner in corners for eta in etas(sysm.d)]
+    tables = sysm.cell_volume * _range_analysis(np.array([row_sums, col_sums]).reshape(2, -1),
+                                                sysm, columns)
+    return tuple(dict(zip(keys, table)) for table in tables.tolist())
 
 
 @dataclass(frozen=True)
@@ -196,71 +220,90 @@ def pairing_decomposition(T: DiscreteOperator, pairs: Sequence, level_lo: int,
     """Raw double Haar sum against its extracted form plus paraproduct terms,
     one PairingDecomposition per (g, f) in `pairs`, in order.
 
-    The operator-only work is done once per call: the Haar frame, the
-    matrix of elements, the two symbol tables and their grid functions,
-    and the ancestor nest of the extracted convention.  Each pair then
-    takes its coefficients and sums exactly as a one-pair call would.
+    The operator-only work is done once per call: the matrix of elements
+    vol H^T T H (the Haar transform of T's columns, then of their rows), the
+    two symbol tables and their grid functions (the transform's adjoint), and
+    the ancestor nest of the extracted convention.  Each pair then takes its
+    coefficients and sums exactly as a one-pair call would.
     Standard systems only, or any system whose level_lo is cell-aligned (so
     every finer level is too); a translated level_lo raises ValueError.
-    Raises ResourceLimitError, before building anything, when the two
-    frames and the two element matrices would pass the assembly byte cap.
+    Raises ResourceLimitError, before building anything, when the prefix sums,
+    T* H, the elements and their extracted copy, and one level's corner
+    gathers would pass the assembly byte cap.
     """
     sysm = T.system
     if any(sysm.shift_cells(level_lo)):
         raise ValueError(f"level {level_lo} of this system is translated; "
                          "pairing_decomposition needs cell-aligned levels")
-    # the frame and T.matrix @ H, n_cells x n_cols each, and the elements and
-    # their extracted copy, n_cols x n_cols each; cubes counted from corner ranges
-    n_cubes = sum(int(np.prod([len(r) for r in sysm.corner_ranges(level)]))
-                  for level in range(level_lo, level_hi + 1))
-    n_cells, n_cols = sysm.n_cells, len(etas(sysm.d)) * n_cubes
-    n_bytes = 8 * (2 * n_cells * n_cols + 2 * n_cols * n_cols)
+    d, n_eta, n_cells = sysm.d, (1 << sysm.d) - 1, sysm.n_cells
+    # cubes counted from corner ranges: the prefix sums of T's columns and of
+    # T* H's rows, T* H and the elements in level pieces and joined, the elements'
+    # extracted copy, and one level's gathers at its cubes' 3^d corners
+    n_cubes = [int(np.prod([len(r) for r in sysm.corner_ranges(level)]))
+               for level in range(level_lo, level_hi + 1)]
+    n_cols = n_eta * sum(n_cubes)
+    n_bytes = 8 * ((n_cells + n_cols) * ((sysm.cells_per_axis + 1)**d + 2 * n_cols)
+                   + n_cols * n_cols + 3**d * max(n_cubes) * max(n_cells, n_cols))
     if n_bytes > _ASSEMBLE_BYTE_CAP:
         raise ResourceLimitError(f"{n_cols} Haar columns of {n_cells} cells need {n_bytes} "
                                  f"bytes, above the cap {_ASSEMBLE_BYTE_CAP}")
     if not pairs:
         return []
-    vol = sysm.cell_volume
-    cols, H = haar_frame(sysm, level_lo, level_hi)
-    elements = vol * (H.T @ (T.matrix @ H))
+    vol, shape = sysm.cell_volume, (sysm.cells_per_axis,) * d
+    columns = _range_columns(sysm, level_lo, level_hi)
+    TsH = _range_analysis(T.matrix.T, sysm, columns)               # (T* h_J)(y)
+    elements = vol * _range_analysis(TsH.T, sysm, columns)         # <h_J, T h_I> at [J, I]
 
     toward_argument, toward_dual = extract_paraproducts(T, level_lo, level_hi)
-    keys = [cube.key() + (eta,) for cube, eta in cols]
-    col_sym = np.array([toward_dual[key] for key in keys])        # <1, T h_I>
-    row_sym = np.array([toward_argument[key] for key in keys])    # <h_I, T 1>
-    # for every strict ancestor J of I in the range, the pair (outer, inner)
-    # = (J, I) and vals = h_J(I), the value of h_J at I's first cell
-    index = {key: n for n, key in enumerate(keys)}
-    firsts = np.ravel_multi_index(np.array([cube.start_cells() for cube, _ in cols]).T,
-                                  (sysm.cells_per_axis,) * sysm.d)
+    col_sym = np.array(list(toward_dual.values()))        # <1, T h_I>, in column order
+    row_sym = np.array(list(toward_argument.values()))    # <h_I, T 1>
+    # for every strict ancestor J of a cube I in the range, the pair (outer, inner)
+    # = (J, I) and vals = h_J(I), the value of each h_J at I's first cell
+    cubes = [cube for level, _, _ in columns for cube in sysm.cubes_at_level(level)]
+    index = {cube.key(): k for k, cube in enumerate(cubes)}
     outer, inner = [], []
-    for nI, (I, _) in enumerate(cols):
+    for k, I in enumerate(cubes):
         anc = I
         while anc.level > level_lo:
             anc = anc.parent()
-            for eta in etas(sysm.d):
-                outer.append(index[anc.key() + (eta,)])
-                inner.append(nI)
-    vals = H[firsts[inner], outer]
-    # the inner cube on the argument side changes the coarse dual factor,
-    # on the dual side the coarse argument factor
+            outer.append(index[anc.key()])
+            inner.append(k)
+    outer, inner = np.array(outer, dtype=np.intp), np.array(inner, dtype=np.intp)
+    starts = np.concatenate([first for _, _, first in columns], axis=1)
+    levels = np.repeat([level for level, _, _ in columns], n_cubes)[outer]
+    vals = np.empty((len(outer), n_eta))
+    for level, _, _ in columns:
+        at = levels == level
+        offsets = tuple(starts[:, inner[at]] - starts[:, outer[at]])
+        vals[at] = np.stack([_haar_values(d, level, 1 << (sysm.depth - level), eta)[offsets]
+                             for eta in etas(d)], axis=-1)
+    # each eta of J against each of I: the inner cube on the argument side
+    # changes the coarse dual factor, on the dual side the coarse argument factor
+    outer = n_eta * outer[:, None, None] + np.arange(n_eta)[:, None]
+    inner = n_eta * inner[:, None, None] + np.arange(n_eta)
     ext = elements.copy()
-    ext[outer, inner] -= vals * col_sym[inner]
-    ext[inner, outer] -= vals * row_sym[inner]
+    ext[outer, inner] -= vals[:, :, None] * col_sym[inner]
+    ext[inner, outer] -= vals[:, :, None] * row_sym[inner]
 
-    # the symbols whose Haar coefficients in the range are the two tables
-    shape = (sysm.cells_per_axis,) * sysm.d + (1,)
-    arg_spec = ParaproductSpec(GridFunction(sysm, (H @ row_sym).reshape(shape)),
-                               (level_lo, level_hi))
-    dual_spec = ParaproductSpec(GridFunction(sysm, (H @ col_sym).reshape(shape)),
-                                (level_lo, level_hi))
+    def symbol(coeffs: np.ndarray) -> ParaproductSpec:
+        """The paraproduct of the symbol with these Haar coefficients in the range."""
+        parts = np.split(coeffs.reshape(-1, n_eta), np.cumsum(n_cubes)[:-1])
+        b = sum(_haar_synthesis(part, level, sysm.depth, first, np.zeros(len(part), np.intp),
+                                (1,) + shape)[0]
+                for part, (level, _, first) in zip(parts, columns))
+        return ParaproductSpec(GridFunction(sysm, b[..., None]), (level_lo, level_hi))
+
+    arg_spec, dual_spec = symbol(row_sym), symbol(col_sym)
     out = []
     for chunk in stack_chunks(pairs, sysm):
         gs, fs = [g for g, _ in chunk], [f for _, f in chunk]
+        coeffs = vol * _range_analysis(
+            np.array([h.scalar_values() for h in fs + gs]).reshape(2 * len(chunk), -1),
+            sysm, columns)
         args = apply_paraproduct([arg_spec] * len(chunk), fs)
-        for g, f, arg, dual in zip(gs, fs, args, apply_paraproduct([dual_spec] * len(chunk), gs)):
-            cf = vol * (H.T @ f.scalar_values().reshape(-1))
-            cg = vol * (H.T @ g.scalar_values().reshape(-1))
+        duals = apply_paraproduct([dual_spec] * len(chunk), gs)
+        for k, (g, f, arg, dual) in enumerate(zip(gs, fs, args, duals)):
+            cf, cg = coeffs[k], coeffs[len(chunk) + k]
             out.append(PairingDecomposition(
                 raw_pairing(g, T, f), float(cg @ elements @ cf), float(cg @ ext @ cf),
                 pair(g, arg), pair(f, dual)))
@@ -272,11 +315,14 @@ def full_pairing_sum(T: DiscreteOperator, g: GridFunction, f: GridFunction,
     """Unrestricted double Haar sum over the given cube levels.
 
     Built cube by cube from haar_vector and haar_coefficient, independently
-    of the frames above, as a cross-check of the pairing.  The coefficients
-    are summed against the Haar vectors before T applies, so no matrix of
-    elements is formed.
+    of the Haar transform above, as a cross-check of the pairing.  The
+    coefficients are summed against the Haar vectors before T applies, so no
+    matrix of elements is formed.  Scalar functions only: a vector-valued f
+    or g raises ValueError.
     """
     sysm = T.system
+    for h in (f, g):
+        h.scalar_values()
     cols = [(cube, eta) for level in range(level_lo, level_hi + 1)
             for cube in sysm.cubes_at_level(level) for eta in etas(sysm.d)]
     H = np.stack([haar_vector(cube, eta).reshape(-1) for cube, eta in cols], axis=1)
@@ -494,20 +540,6 @@ def _support_box(f: GridFunction) -> list:
             for axis in idx]
 
 
-def _corner_bounds(system: DyadicSystem, level: int, box) -> tuple:
-    """(lo, hi), each of shape (d, 2^(depth - level)): along each axis and for
-    each translation s of the level by 0 <= s < 2^(depth - level) cells, the
-    first and last corner of the level's cubes meeting the cell box, by
-    `corner_ranges`' formula; hi < lo where no cube meets it."""
-    size = 1 << (system.depth - level)
-    base = system.origin_cell + np.arange(size)
-    lo_cell, hi_cell = np.array(box).T[..., None]
-    lo = np.maximum(-((base + size - 1 - lo_cell) // size), -(base // size))
-    hi = np.minimum((hi_cell - 1 - base) // size,
-                    (system.cells_per_axis - size - base) // size)
-    return lo, hi
-
-
 def _good_counts(base: DyadicSystem, level: int, gp: GoodnessParams, ranges: list) -> np.ndarray:
     """For each level-`level` cube of the per-axis corner ranges, how many of
     the 2^(d max_generations) patterns of its goodness window (the bits at
@@ -524,6 +556,45 @@ def _good_counts(base: DyadicSystem, level: int, gp: GoodnessParams, ranges: lis
         sysm = DyadicSystem(d=d, m_top=base.m_top, depth=base.depth, omega=omega)
         counts += np.reshape([is_good(sysm.cube(level, c), gp) for c in corners], counts.shape)
     return counts
+
+
+_GATHER_CELLS = 1 << 13  # most cube-cell pairs of M h that `_companion_sums` holds at once
+
+
+def _companion_sums(matrix: np.ndarray, vals: np.ndarray, coeffs: Sequence, blocks: list,
+                    system: DyadicSystem, inclusive: bool) -> list:
+    """Per level of `blocks`, (level, starts, region) from the finest on, and per cube
+    and eta: vol <vals - chain, M h> on the region, M h by the Haar transform of the
+    matrix's rows, `_GATHER_CELLS` cube-cell pairs at a time.  A cube's chain sums the
+    `coeffs` times h over the finer levels' blocks of its shift s mod their side, and
+    over block s when `inclusive`.  The chains are a cell array per shift, split per
+    axis as (s // half, s % half): the finer chain at s % half plus the block's adjoint."""
+    d, depth, cells = system.d, system.depth, (system.cells_per_axis,) * system.d
+    sums = _prefix_sums(matrix.reshape((system.n_cells,) + cells), d)
+    sums = sums.reshape(cells + sums.shape[1:])  # by the matrix row's cell
+    out, prev = [], blocks[0][2]
+    chain = np.zeros((1, 1) * d + tuple(r.stop - r.start for r in prev))
+    for (level, starts, region), coef in zip(blocks, coeffs):
+        size, half = 1 << (depth - level), 1 << (depth - level - 1)
+        shape = tuple(r.stop - r.start for r in region)
+        shifts = (starts - system.origin_cell) % size
+        finer = np.pad(chain.reshape((half,) * d + chain.shape[2 * d:]), [(0, 0)] * d
+                       + [(p.start - r.start, r.stop - p.stop) for p, r in zip(prev, region)])
+        chain = _haar_synthesis(coef, level, depth, starts - [[r.start] for r in region],
+                                np.ravel_multi_index(shifts, (size,) * d),
+                                (size**d,) + shape).reshape((2, half) * d + shape)
+        chain += finer.reshape((1, half) * d + shape)
+        source, at = ((chain, [x for s in shifts for x in divmod(s, half)]) if inclusive
+                      else (finer, list(shifts % half)))
+        step, parts = max(1, _GATHER_CELLS // int(np.prod(shape))), []
+        for first in range(0, len(coef), step):
+            rest = vals[region] - source[tuple(a[first:first + step] for a in at)]
+            mh = _haar_analysis(sums[region], level, depth, starts[:, first:first + step])
+            parts.append(np.einsum("kx,xke->ke", rest.reshape(len(rest), -1),
+                                   mh.reshape((-1,) + mh.shape[d:])))
+        out.append(system.cell_volume * np.concatenate(parts))
+        prev = region
+    return out
 
 
 def averaging_identity_residual(T: DiscreteOperator, g: GridFunction,
@@ -544,11 +615,15 @@ def averaging_identity_residual(T: DiscreteOperator, g: GridFunction,
 
     The average is taken over blocks, not grids.  A block is a level and
     its shift s; s fixes every finer level's shift (s mod that level's
-    side), so both companion sums of a block's columns depend on the block
+    side), so both companion sums of a block's cubes depend on the block
     alone, and the block lies in a share 2^(-d (depth - level)) of the
-    grids.  A column's goodness depends only on its window bits, coarser
+    grids.  A cube's goodness depends only on its window bits, coarser
     than s, so it enters as the share of window patterns that make its
     cube good.
+
+    Each level works on the cells within one side of the support box, the
+    only cells its cubes meeting the box cover, with the Haar transform and
+    its adjoint (see `_companion_sums`); no matrix-matrix product is formed.
     """
     base = T.system
     gp = config.goodness
@@ -561,83 +636,57 @@ def averaging_identity_residual(T: DiscreteOperator, g: GridFunction,
         raise ResourceLimitError(f"{n_bits} translation bits exceed the exhaustive "
                                  f"cap {config.exhaustive_bit_cap}")
 
-    d, vol, n_eta = base.d, base.cell_volume, (1 << base.d) - 1
-    levels = range(base.min_level, base.depth)
+    d, vol, n_eta, depth = base.d, base.cell_volume, (1 << base.d) - 1, base.depth
     floor = base.min_level + gens
-    box = [(min(a[0], b[0]), max(a[1], b[1]))
-           for a, b in zip(_support_box(f), _support_box(g))]
-    bounds = [_corner_bounds(base, level, box) for level in levels]
-    # a block has the product over axes of its corner counts; over all
-    # shifts, that sums to the product of the per-axis sums
-    n_cubes = [int(np.prod(np.maximum(hi - lo + 1, 0).sum(axis=1))) for lo, hi in bounds]
-    n_cols = n_eta * sum(n_cubes)
-    # W and T W, up to 16 vectors per column, a chain pair per level on the stack
-    n_bytes = 8 * (n_cols * (2 * base.n_cells + 16) + 2 * base.n_cells * (len(levels) + 2))
+    box = np.array([(min(a[0], b[0]), max(a[1], b[1]))
+                    for a, b in zip(_support_box(f), _support_box(g))])
+    # per level, finest first: its side and per axis the first and last start cell
+    # of its cubes meeting the box (over all shifts, every cell from a side before it)
+    spans = []
+    for level in range(depth - 1, base.min_level - 1, -1):
+        size = 1 << (depth - level)
+        spans.append((level, size, np.maximum(box[:, 0] - size + 1, 0),
+                      np.minimum(box[:, 1] - 1, base.cells_per_axis - size)))
+    n_cols = n_eta * sum(int(np.prod(hi - lo + 1)) for _, _, lo, hi in spans)
+    # the prefix sums of T's rows or columns, and per level its chains (the finer
+    # level's, their copy on its cells and its own) and one chunk of T h or T* h
+    # with its gathers at 3^d corners and its cubes' rest values
+    n_bytes = 8 * (base.n_cells * (base.cells_per_axis + 1)**d + max(
+        3 * size**d * int(np.prod(hi - lo + size + 1))
+        + (3**d + n_eta + 2) * max(_GATHER_CELLS, int(np.prod(hi - lo + size)))
+        for _, size, lo, hi in spans))
     if n_bytes > _ASSEMBLE_BYTE_CAP:
         raise ResourceLimitError(
             f"{n_cols} Haar columns of {base.n_cells} cells "
             f"need {n_bytes} bytes, above the cap {_ASSEMBLE_BYTE_CAP}")
 
-    # the columns level by level, blocks in row-major shift order, cubes in
-    # row-major corner order, etas within a cube
-    starts, good, block_cols, first = [], np.zeros(n_cols), {}, 0
-    for level, (lo, hi) in zip(levels, bounds):
-        size, level_first = 1 << (base.depth - level), first
-        lo, hi = lo.tolist(), hi.tolist()
-        corners, shifts = [], []
-        for s in itertools.product(range(size), repeat=d):
-            block = list(itertools.product(*(range(lo[ax][t], hi[ax][t] + 1)
-                                             for ax, t in enumerate(s))))
-            block_cols[level, s] = slice(first, first + n_eta * len(block))
-            first += n_eta * len(block)
-            corners += block
-            shifts += [s] * len(block)
-        corners = np.array(corners, dtype=np.intp).reshape(-1, d)
-        shifts = np.array(shifts, dtype=np.intp).reshape(-1, d)
-        starts.append((level, (corners * size + base.origin_cell + shifts).T))
-        if level >= floor and len(corners):
-            low = corners.min(axis=0)
-            ranges = [range(a, b + 1) for a, b in zip(low, corners.max(axis=0))]
-            counts = _good_counts(base, level, gp, ranges)[tuple((corners - low).T)]
-            good[level_first:first] = np.repeat(counts, n_eta)
-
     lhs = raw_pairing(g, T, f)
-    f_flat = f.scalar_values().reshape(-1)
-    g_flat = g.scalar_values().reshape(-1)
-    W = fill_haar_frame(base, starts)
-    TW = T.matrix @ W
-    cf, cg = vol * (W.T @ f_flat), vol * (W.T @ g_flat)
-    pair_f = vol * (g_flat @ TW)                # <g, T h_I> per column
-    pair_g = vol * (W.T @ (T.matrix @ f_flat))  # <h_J, T f> per column
+    f_vals, g_vals = f.scalar_values(), g.scalar_values()
+    blocks = [(level, np.indices(hi - lo + 1).reshape(d, -1) + lo[:, None],
+               tuple(slice(a, b + size) for a, b in zip(lo, hi))) for level, size, lo, hi in spans]
+    fg_sums = _prefix_sums(np.array([f_vals, g_vals]), d)
+    cf, cg = zip(*(vol * _haar_analysis(fg_sums, level, depth, starts)
+                   for level, starts, _ in blocks))
+    # <g - its strictly finer chain, T h_I> and <f - its chain to I's level, T* h_J>
+    side_f = _companion_sums(T.matrix, g_vals, cg, blocks, base, inclusive=False)
+    side_g = _companion_sums(T.matrix.T, f_vals, cf, blocks, base, inclusive=True)
 
-    # From the finest level to the coarsest: block (level, s) is the finer
-    # chain of the 2^d blocks (level - 1, s + t 2^(depth - level)), t in
-    # {0, 1}^d.  An entry carries its strictly finer chain's sum of cg h_J
-    # and its own and finer chain's sum of cf T h_I, as cell vectors.
-    dot_f, dot_g = np.empty(n_cols), np.empty(n_cols)
-    zero = np.zeros(base.n_cells)
-    stack = [(level, s, zero, zero) for level in levels[-1:]  # the finest, if any
-             for s in itertools.product(range(2), repeat=d)]
-    while stack:
-        level, s, chain_g, chain_tf = stack.pop()
-        cols = block_cols[level, s]
-        w, tw = W[:, cols], TW[:, cols]
-        chain_tf = chain_tf + tw @ cf[cols]
-        dot_f[cols] = chain_g @ tw
-        dot_g[cols] = chain_tf @ w
-        if level > base.min_level:
-            chain_g = chain_g + w @ cg[cols]
-            side = 1 << (base.depth - level)
-            stack += [(level - 1, tuple(a + b * side for a, b in zip(s, t)), chain_g, chain_tf)
-                      for t in itertools.product((0, 1), repeat=d)]
+    sides, good = [], []
+    for (level, starts, _), f_coef, f_side, g_coef, g_side in zip(blocks, cf, side_f, cg, side_g):
+        shift = depth - level
+        # each cube's companion sums, weighted by its block's share of the grids
+        sides.append((f_coef * f_side + g_coef * g_side).reshape(-1) / (1 << d * shift))
+        corners = (starts - base.origin_cell) >> shift
+        low, high = corners.min(axis=1), corners.max(axis=1)
+        counts = (_good_counts(base, level, gp, [range(*r) for r in zip(low, high + 1)])[
+            tuple(corners - low[:, None])] if level >= floor else np.zeros(corners.shape[1]))
+        good.append(np.repeat(counts, n_eta))
 
-    # each column's companion sums, weighted by its block's share of the grids
-    weight = np.repeat([2.0 ** (-d * (base.depth - level)) for level in levels],
-                       [n_eta * n for n in n_cubes])
-    sides = weight * (cf * (pair_f - vol * dot_f) + cg * (pair_g - vol * dot_g))
+    n_coarse = sum(len(side) for (level, _, _), side in zip(blocks, sides) if level < floor)
+    sides, good = np.concatenate(sides[::-1]), np.concatenate(good[::-1])
     total = float(sides.sum())
-    coarse = float(sides[:n_eta * sum(n_cubes[:floor - base.min_level])].sum())
-    goodsum = float(sides @ good) / (1 << (d * gens))
+    coarse = float(sides[:n_coarse].sum())
+    goodsum = float((sides * good).sum()) / (1 << (d * gens))
     return AveragingIdentityReport(lhs=lhs, rhs=goodsum / pi.value, pi_good=pi.value,
                                    n_samples=1 << n_bits, top_scale_defect=lhs - total,
                                    coarse_share=coarse, full_sum_mean=total)

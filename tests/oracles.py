@@ -13,14 +13,14 @@ from dyadiclab.errors import (AdaptednessError, AmbientRangeError, DegenerateInp
                               MeshDepthError, SparsityError)
 from dyadiclab.grid import DyadicSystem, goodness_probability, is_good
 from dyadiclab.gridfn import (GridFunction, _block_means, _expand_blocks,
-                              conditional_expectation, cube_average, etas, fill_haar_frame,
-                              haar_block, haar_coefficient, haar_frame, haar_vector, pair)
+                              conditional_expectation, cube_average, etas, haar_block,
+                              haar_coefficient, haar_vector, pair)
 from dyadiclab.rademacher import (OperatorFamily, _power_iteration_vector, sign_average,
                                   sign_patterns)
 from dyadiclab.representation import (AveragingIdentityReport, DecayReport,
                                       DiscreteOperator, PairingDecomposition, _case_constraints,
-                                      _support_box, decay_slope_target,
-                                      extract_paraproducts, matrix_element, raw_pairing)
+                                      _support_box, decay_slope_target, matrix_element,
+                                      raw_pairing)
 from dyadiclab.rng import substream
 from dyadiclab.shifts import ParaproductSpec, apply_paraproduct
 from dyadiclab.space import SCALAR, NormedSpace, conjugate_exponent
@@ -693,30 +693,24 @@ def pairing_decomposition_dense(T, g, f, level_lo, level_hi):
                                 para_arg, para_dual)
 
 
-def synthesize_symbol(system, table, level_lo, level_hi):
-    """Grid function whose Haar coefficients in the range equal the table,
-    from its own per-level Haar frame."""
-    cols, H = haar_frame(system, level_lo, level_hi)
-    coeffs = np.array([table.get(cube.key() + (eta,), 0.0) for cube, eta in cols])
-    vals = (H @ coeffs).reshape((system.cells_per_axis,) * system.d)
-    return GridFunction(system, vals[..., None])
-
-
 def pairing_decomposition_per_pair(T, g, f, level_lo, level_hi):
     """`representation.pairing_decomposition` for one (g, f), redoing the
-    frame, the elements, the symbol tables and the ancestor nest."""
+    frame (cube by cube from haar_vector), the elements, the symbol tables and
+    the ancestor nest."""
     sysm = T.system
     if any(sysm.shift_cells(level_lo)):
         raise ValueError(f"level {level_lo} of this system is translated; "
                          "pairing_decomposition needs cell-aligned levels")
     vol = sysm.cell_volume
-    cols, H = haar_frame(sysm, level_lo, level_hi)
+    cols = [(cube, eta) for cube in standard_cubes(sysm, level_lo, level_hi)
+            for eta in etas(sysm.d)]
+    H = np.stack([flat_haar(cube, eta) for cube, eta in cols], axis=1)
     cf = vol * (H.T @ f.scalar_values().reshape(-1))
     cg = vol * (H.T @ g.scalar_values().reshape(-1))
     elements = vol * (H.T @ (T.matrix @ H))
     raw_sum = float(cg @ elements @ cf)
 
-    toward_argument, toward_dual = extract_paraproducts(T, level_lo, level_hi)
+    toward_argument, toward_dual = extract_paraproducts_dense(T, level_lo, level_hi)
     keys = [cube.key() + (eta,) for cube, eta in cols]
     col_sym = np.array([toward_dual[key] for key in keys])
     row_sym = np.array([toward_argument[key] for key in keys])
@@ -737,8 +731,8 @@ def pairing_decomposition_per_pair(T, g, f, level_lo, level_hi):
     ext[inner, outer] -= vals * row_sym[inner]
     extracted_sum = float(cg @ ext @ cf)
 
-    b_arg = synthesize_symbol(sysm, toward_argument, level_lo, level_hi)
-    b_dual = synthesize_symbol(sysm, toward_dual, level_lo, level_hi)
+    b_arg = synthesize_symbol_dense(sysm, toward_argument, level_lo, level_hi)
+    b_dual = synthesize_symbol_dense(sysm, toward_dual, level_lo, level_hi)
     levels = (level_lo, level_hi)
     para_arg = pair(g, apply_paraproduct_per_level(ParaproductSpec(b_arg, levels), f))
     para_dual = pair(f, apply_paraproduct_per_level(ParaproductSpec(b_dual, levels), g))
@@ -973,9 +967,8 @@ def averaging_identity_per_grid(T, g, f, config):
     vol = base.cell_volume
     f_flat = f.scalar_values().reshape(-1)
     g_flat = g.scalar_values().reshape(-1)
-    W = fill_haar_frame(base, [
-        (level, np.array([cube.start_cells() for cube in cubes], dtype=np.intp)
-         .reshape(-1, base.d).T) for level, cubes in blocks])
+    W = np.array([flat_haar(cube, eta) for _, cubes in blocks for cube in cubes
+                  for eta in etas(base.d)]).reshape(-1, base.n_cells).T
     TW = T.matrix @ W
     col_level = np.array(col_level)
     cf_all, cg_all = vol * (W.T @ f_flat), vol * (W.T @ g_flat)

@@ -88,8 +88,15 @@ MATRIX_DECAY_SEED7 = {
     "matrix-decay/empty-good-set-guard": "0x0.0p+0",
 }
 PARAPRODUCT_EXTRACTION_SEED7 = {
-    "paraproduct-extraction/identity": "0x1.5000000000000p-55",
-    "paraproduct-extraction/raw-equals-pairing": "0x1.8000000000000p-56",
+    "paraproduct-extraction/identity": "0x1.8000000000000p-56",
+    "paraproduct-extraction/raw-equals-pairing": "0x1.6000000000000p-55",
+}
+
+AVERAGING_IDENTITY_SEED7 = {
+    "averaging-identity/relative-residual": "0x1.8181d4fd7d301p-51",
+    "averaging-identity/full-sum-sanity": "0x1.4000000000000p-56",
+    "averaging-identity/truncation-remainder": "0x1.1b4033528a39bp-58",
+    "averaging-identity/pi-good": "0x1.0000000000000p-2",
 }
 
 # stopping's, carleson's and pythagoras's measured values at catalog defaults and seed 7,
@@ -238,6 +245,7 @@ def test_criterion_13_averaging_identity():
     by_id = {c.check_id: c for c in checks}
     assert by_id["averaging-identity/relative-residual"].measured <= 1e-2
     assert by_id["averaging-identity/full-sum-sanity"].measured <= 1e-10
+    assert {c.check_id: c.measured.hex() for c in checks} == AVERAGING_IDENTITY_SEED7
 
 
 def test_criterion_14_determinism(tmp_path):

@@ -1,4 +1,8 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,8 +16,8 @@ from dyadiclab.errors import (AmbientRangeError, DegenerateInputError,
                               InsufficientDataError, ResourceLimitError)
 from dyadiclab.experiments import run_experiment
 from dyadiclab.grid import DyadicCube, DyadicSystem, GoodnessParams, good_mask, is_good
-from dyadiclab.gridfn import (etas, fill_haar_frame, haar_coefficient, haar_frame,
-                              haar_vector, pair, random_grid_function)
+from dyadiclab.gridfn import (_haar_analysis, _haar_synthesis, _prefix_sums, etas,
+                              haar_coefficient, haar_vector, pair, random_grid_function)
 from dyadiclab.representation import (DECAY_CASES, DiscreteOperator,
                                       RepresentationConfig, assemble,
                                       averaging_identity_residual, decay_check,
@@ -22,6 +26,7 @@ from dyadiclab.representation import (DECAY_CASES, DiscreteOperator,
                                       pairing_decomposition, raw_pairing,
                                       smooth_odd_kernel, wbp_constants)
 from dyadiclab.shifts import ExplicitKernel, ShiftSpec, apply_shift
+from dyadiclab.space import NormedSpace
 
 SYS = DyadicSystem(d=1, m_top=0, depth=6)
 N = SYS.n_cells
@@ -138,7 +143,7 @@ def test_pairing_decomposition_identity(seed):
 def test_symbol_synthesis_matches_table():
     T = assemble(smooth_odd_kernel(0.25, 1.0), SYS)
     toward_argument, _ = extract_paraproducts(T, 0, 3)
-    b = oracles.synthesize_symbol(SYS, toward_argument, 0, 3)
+    b = oracles.synthesize_symbol_dense(SYS, toward_argument, 0, 3)
     for level in range(0, 4):
         for cube in SYS.cubes_at_level(level):
             key = cube.key() + ((1,),)
@@ -278,6 +283,17 @@ def test_full_sum_sanity_on_the_standard_grid():
     assert total == pytest.approx(raw_pairing(g, T, f), abs=1e-10)
 
 
+def test_full_sum_refuses_vector_valued_functions():
+    # it takes the first component's coefficients, so it would pair only those
+    system = DyadicSystem(d=1, m_top=0, depth=4)
+    T = assemble(smooth_odd_kernel(0.25, 1.0), system)
+    vector = random_grid_function(system, 0, space=NormedSpace(2, 2.0), label="fps-v")
+    scalar = random_grid_function(system, 0, label="fps-s")
+    for g, f in ((vector, vector), (scalar, vector), (vector, scalar)):
+        with pytest.raises(ValueError, match="not a scalar-valued function"):
+            full_pairing_sum(T, g, f, system.min_level, system.depth - 1)
+
+
 def test_identity_residual_small():
     system, T, f, g = make_identity_setup(2)
     gp = GoodnessParams(gamma=0.5, r=3, max_generations=3)
@@ -402,30 +418,36 @@ def test_matrix_element_matches_dense_oracle(system, seed):
 
 @given(translated_systems(), st.integers(0, 2**20), st.booleans())
 @settings(max_examples=30, deadline=None)
-def test_haar_frame_matches_per_cube_vectors(system, seed, boxed):
+def test_haar_transform_matches_per_cube_vectors(system, seed, boxed):
+    """The transform at every level's cubes of two translated systems on the same cells,
+    meeting a cell box or all of them, against `haar_coefficient`, and its adjoint, each
+    cube into a drawn stack row, against sums of `haar_vector`s."""
     gen = np.random.default_rng(seed)
-    lo, hi = random_levels(system, gen)
+    other = DyadicSystem.random(seed + 1, d=system.d, m_top=system.m_top, depth=system.depth)
     within = None
-    if boxed:  # the frame of the cubes meeting a cell box, as the averaging identity uses
+    if boxed:  # the cubes meeting a cell box, as the averaging identity uses
         within = [tuple(sorted(int(x) for x in gen.integers(0, system.cells_per_axis + 1,
                                                             size=2)))
                   for _ in range(system.d)]
-        blocks = [list(system.cubes_at_level(level, within=within))
-                  for level in range(lo, hi + 1)]
-        cols = [(cube, eta) for cubes in blocks for cube in cubes for eta in etas(system.d)]
-        H = fill_haar_frame(system, [
-            (level, np.array([cube.start_cells() for cube in cubes], dtype=np.intp)
-             .reshape(-1, system.d).T)
-            for level, cubes in zip(range(lo, hi + 1), blocks)])
-    else:
-        cols, H = haar_frame(system, lo, hi)
-    assert cols == [(cube, eta) for cube in oracles.standard_cubes(system, lo, hi, within)
-                    for eta in etas(system.d)]
     f = random_grid_function(system, seed, label="frame-f")
-    coeffs = system.cell_volume * (H.T @ f.scalar_values().reshape(-1))
-    for n, (cube, eta) in enumerate(cols):
-        assert np.array_equal(H[:, n], haar_vector(cube, eta).reshape(-1))
-        assert coeffs[n] == pytest.approx(haar_coefficient(f, cube, eta)[0], abs=1e-12)
+    sums = _prefix_sums(f.scalar_values()[None], system.d)
+    shape = (2,) + (system.cells_per_axis,) * system.d
+    for level in range(system.min_level, system.depth):
+        cubes = [cube for sysm in (system, other) for cube in sysm.cubes_at_level(level, within)]
+        starts = np.array([cube.start_cells() for cube in cubes], dtype=np.intp)
+        starts = starts.reshape(-1, system.d).T
+        coeffs = system.cell_volume * _haar_analysis(sums, level, system.depth, starts)[0]
+        assert coeffs.shape == (len(cubes), len(etas(system.d)))
+        drawn = gen.standard_normal(coeffs.shape)
+        rows = gen.integers(0, 2, size=len(cubes))
+        got = _haar_synthesis(drawn, level, system.depth, starts, rows, shape)
+        want = np.zeros(shape)
+        for k, cube in enumerate(cubes):
+            for e, eta in enumerate(etas(system.d)):
+                assert coeffs[k, e] == pytest.approx(haar_coefficient(f, cube, eta)[0],
+                                                     abs=1e-12)
+                want[rows[k]] += drawn[k, e] * haar_vector(cube, eta)
+        assert np.allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
 
 
 @given(translated_systems(), st.integers(0, 2**20))
@@ -439,9 +461,6 @@ def test_symbol_tables_match_dense_oracle(system, seed):
     for table, expect in zip(got, want):
         assert list(table) == list(expect)
         assert np.allclose(list(table.values()), list(expect.values()),
-                           rtol=1e-12, atol=1e-12)
-        assert np.allclose(oracles.synthesize_symbol(system, table, lo, hi).values,
-                           oracles.synthesize_symbol_dense(system, expect, lo, hi).values,
                            rtol=1e-12, atol=1e-12)
 
 
@@ -511,9 +530,13 @@ def test_batched_pairs_match_one_call_per_pair(case, n_pairs, seed):
     got = pairing_decomposition(T, pairs, lo, hi)
     assert len(got) == n_pairs
     for res, (g, f) in zip(got, pairs):
+        # the bits of a one-pair call, and the per-pair oracle up to rounding
+        [alone] = pairing_decomposition(T, [(g, f)], lo, hi)
         want = oracles.pairing_decomposition_per_pair(T, g, f, lo, hi)
         for field in dataclasses.fields(res):
-            assert getattr(res, field.name) == getattr(want, field.name), field.name
+            assert getattr(res, field.name) == getattr(alone, field.name), field.name
+            assert getattr(res, field.name) == pytest.approx(getattr(want, field.name),
+                                                             rel=1e-9, abs=1e-9), field.name
 
 
 def count_calls(monkeypatch, counts, owner, name):
@@ -533,14 +556,13 @@ def test_operator_work_is_done_once_per_call(monkeypatch, n_pairs):
     pairs = [(random_grid_function(system, k, label="count-g"),
               random_grid_function(system, k, label="count-f")) for k in range(n_pairs)]
     counts = {}
-    for name in ("extract_paraproducts", "haar_frame"):
-        count_calls(monkeypatch, counts, representation, name)
+    count_calls(monkeypatch, counts, representation, "extract_paraproducts")
     count_calls(monkeypatch, counts, DyadicCube, "parent")
     assert len(pairing_decomposition(T, pairs, lo, hi)) == n_pairs
     # one walk: every cube of the range climbs once to level lo
     walk = sum(len(list(system.cubes_at_level(level))) * (level - lo)
                for level in range(lo, hi + 1))
-    assert counts == {"extract_paraproducts": 1, "haar_frame": 2, "parent": walk}
+    assert counts == {"extract_paraproducts": 1, "parent": walk}
 
 
 def test_no_pairs_give_no_results():
@@ -549,20 +571,33 @@ def test_no_pairs_give_no_results():
 
 
 def test_pairing_byte_cap_fires_before_any_frame(monkeypatch):
-    # 32 cells and 30 Haar columns: the operator's 8 * 32^2 bytes pass the
-    # cap, the frames' and elements' 8 * (2*32*30 + 2*30^2) do not
+    # 32 cells and 30 Haar columns: the operator's 8 * 32^2 bytes pass the cap;
+    # the 33-entry prefix sums of T's 32 columns and of T* H's 30 rows, T* H and
+    # the elements in level pieces and joined, the extracted copy and the gathers
+    # at the 16 finest cubes' 3 corners do not
+    n_bytes = 8 * ((32 + 30) * (33 + 2 * 30) + 30 * 30 + 3 * 16 * 32)
     system = DyadicSystem(d=1, m_top=0, depth=4)
     T = assemble(smooth_odd_kernel(0.25, 1.0), system)
     f = random_grid_function(system, 0)
-    monkeypatch.setattr(representation, "_ASSEMBLE_BYTE_CAP", 8 * (2 * 32 * 30 + 2 * 30 * 30) - 1)
+    monkeypatch.setattr(representation, "_ASSEMBLE_BYTE_CAP", n_bytes - 1)
     counts = {}
-    for name in ("extract_paraproducts", "haar_frame"):
-        count_calls(monkeypatch, counts, representation, name)
-    with pytest.raises(ResourceLimitError, match="30 Haar columns of 32 cells"):
+    count_calls(monkeypatch, counts, representation, "extract_paraproducts")
+    with pytest.raises(ResourceLimitError, match=f"30 Haar columns of 32 cells need {n_bytes}"):
         pairing_decomposition(T, [(f, f)], 0, 3)
     assert counts == {}
-    monkeypatch.setattr(representation, "_ASSEMBLE_BYTE_CAP", 8 * (2 * 32 * 30 + 2 * 30 * 30))
+    monkeypatch.setattr(representation, "_ASSEMBLE_BYTE_CAP", n_bytes)
     assert len(pairing_decomposition(T, [(f, f)], 0, 3)) == 1
+    # at the real cap, the gigabytes of an 8192-cell operator's transform are
+    # refused before any of them is requested
+    monkeypatch.undo()
+    T, f, _ = identity_cap_case()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="above the cap"):
+            pairing_decomposition(T, [(f, f)], 0, T.system.depth - 1)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 DECAY_PARAMS = (GoodnessParams(gamma=0.9, r=3), GoodnessParams(gamma=0.4, r=4),
@@ -643,8 +678,8 @@ def test_averaging_identity_matches_per_grid_oracle(shape, kind, seed):
 
 
 def identity_cap_case():
-    # a zero-stride matrix stands in for 8192^2 floats; the Haar columns of
-    # the 4096 grids' blocks would need gigabytes
+    # a zero-stride matrix stands in for 8192^2 floats; the prefix sums of its
+    # rows and the coarsest level's chains would need more than a gigabyte
     system = DyadicSystem(d=1, m_top=0, depth=12)
     T = DiscreteOperator(system, np.broadcast_to(0.0, (system.n_cells,) * 2))
     f = random_grid_function(system, 0, mean_zero="global")
@@ -655,8 +690,13 @@ def identity_cap_case():
 
 def test_identity_column_cap_fires_before_allocating():
     T, f, config = identity_cap_case()
-    with pytest.raises(ResourceLimitError, match="above the cap"):
-        averaging_identity_residual(T, f, f, config)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="above the cap"):
+            averaging_identity_residual(T, f, f, config)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_identity_column_cap_fires_before_any_system_is_built(monkeypatch):
@@ -676,6 +716,36 @@ def test_identity_column_cap_fires_before_any_system_is_built(monkeypatch):
     with pytest.raises(ResourceLimitError, match="above the cap"):
         averaging_identity_residual(T, f, f, config)
     assert built == []
+
+
+# the averaging identity at the catalog's shape and seed, its report fields printed as hex
+THREAD_CHILD = """
+import dataclasses, json
+from dyadiclab.grid import DyadicSystem, GoodnessParams
+from dyadiclab.gridfn import random_grid_function
+from dyadiclab.representation import (RepresentationConfig, assemble,
+                                      averaging_identity_residual, smooth_odd_kernel)
+system = DyadicSystem(d=1, m_top=4, depth=4)
+sup = system.cube(0, (0,))
+f, g = (random_grid_function(system, 7, support=sup, mean_zero="global", label=label)
+        for label in ("avg-f", "avg-g"))
+config = RepresentationConfig(goodness=GoodnessParams(gamma=0.5, r=3, max_generations=3))
+T = assemble(smooth_odd_kernel(0.25, 1.0), system)
+report = averaging_identity_residual(T, g, f, config)
+print(json.dumps({key: float(value).hex() for key, value in dataclasses.asdict(report).items()}))
+"""
+
+
+def test_averaging_identity_is_independent_of_the_blas_thread_count():
+    def run(threads):
+        proc = subprocess.run([sys.executable, "-c", THREAD_CHILD], capture_output=True,
+                              text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=str(threads)))
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    one = run(1)
+    assert len(one) == len(dataclasses.fields(representation.AveragingIdentityReport))
+    assert run(2) == one
 
 
 @pytest.mark.parametrize("case", ["far_disjoint", "deeply_nested"])
