@@ -16,7 +16,6 @@ reads their children's sums from one prefix sum per axis.
 from __future__ import annotations
 
 import functools
-import io
 import itertools
 from dataclasses import InitVar, dataclass
 from typing import Optional
@@ -503,54 +502,3 @@ def random_grid_functions(system: DyadicSystem, seed: int, labels: list,
     shape = (system.cells_per_axis,) * system.d + (space.dim,)
     for gen in substreams(seed, [(label,) for label in labels]):
         yield GridFunction(system, gen.standard_normal(shape), space, True)
-
-
-# -- serialization ---------------------------------------------------------------
-
-
-def to_csv(f: GridFunction) -> str:
-    """CSV rows of (cell index d-tuple, value components)."""
-    out = io.StringIO()
-    d, n = f.system.d, f.space.dim
-    idx_cols = ",".join(f"i{ax}" for ax in range(d))
-    val_cols = ",".join(f"v{k}" for k in range(n))
-    out.write(f"{idx_cols},{val_cols}\n")
-    flat = f.values.reshape(-1, n)
-    for idx, row in zip(np.ndindex(*f.values.shape[:d]), flat):
-        out.write(",".join(str(i) for i in idx))
-        out.write(",")
-        out.write(",".join(repr(float(v)) for v in row))
-        out.write("\n")
-    return out.getvalue()
-
-
-def from_csv(system: DyadicSystem, text: str, space: NormedSpace = SCALAR) -> GridFunction:
-    """Inverse of `to_csv`; every cell must appear exactly once."""
-    d, n, cells = system.d, space.dim, system.cells_per_axis
-    vals = np.zeros((cells,) * d + (n,))
-    seen = np.zeros((cells,) * d, dtype=bool)
-    for row, ln in enumerate(filter(None, text.strip().splitlines()[1:]), start=1):
-        parts = ln.split(",")
-        if len(parts) != d + n:
-            raise ValueError(f"csv row {row}: {len(parts)} columns, expected {d + n}")
-        idx = tuple(int(x) for x in parts[:d])
-        if not all(0 <= i < cells for i in idx):
-            raise ValueError(f"csv row {row}: cell {idx} outside [0, {cells})")
-        if seen[idx]:
-            raise ValueError(f"csv row {row}: cell {idx} given twice")
-        seen[idx] = True
-        vals[idx] = [float(x) for x in parts[d:]]
-    if not seen.all():
-        raise ValueError(f"csv gives {int(seen.sum())} of {seen.size} cells")
-    return GridFunction(system, vals, space)
-
-
-def to_bytes(f: GridFunction) -> bytes:
-    """Flat little-endian float64 values in C order, cells then components."""
-    return np.ascontiguousarray(f.values, dtype="<f8").tobytes()
-
-
-def from_bytes(system: DyadicSystem, raw: bytes, space: NormedSpace = SCALAR) -> GridFunction:
-    shape = (system.cells_per_axis,) * system.d + (space.dim,)
-    vals = np.frombuffer(raw, dtype="<f8").reshape(shape)
-    return GridFunction(system, vals.copy(), space)

@@ -13,7 +13,6 @@ their largest spectral norm is the cap.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -319,83 +318,3 @@ def apply_paraproduct(spec, f):
             term = proj * avg
         out += np.where(inside, term, 0.0)
     return _unstack(single, sysm, fs[0].space, out)
-
-
-# -- serialization -----------------------------------------------------------------
-
-
-def _frame_to_doc(system: DyadicSystem, space: NormedSpace) -> dict:
-    """The system and space blocks shared by the spec encoders."""
-    if space.norm_fn is not None:
-        raise ValueError("custom norms have no JSON encoding")
-    return {
-        "space": {"dim": space.dim, "q": None if space.q == np.inf else space.q},
-        "system": {"d": system.d, "m_top": system.m_top, "depth": system.depth,
-                   "omega": [list(bits) for bits in system.omega]},
-    }
-
-
-def _frame_from_doc(doc: dict) -> tuple:
-    """(system, space) from the blocks written by `_frame_to_doc`."""
-    sys_doc, q = doc["system"], doc["space"]["q"]
-    system = DyadicSystem(d=sys_doc["d"], m_top=sys_doc["m_top"], depth=sys_doc["depth"],
-                          omega=tuple(tuple(bits) for bits in sys_doc["omega"]))
-    return system, NormedSpace(doc["space"]["dim"], np.inf if q is None else q)
-
-
-def shift_spec_to_json(spec: ShiftSpec) -> str:
-    doc = {
-        "i": spec.i,
-        "j": spec.j,
-        "levels": list(spec.k_levels) if spec.k_levels else None,
-        **_frame_to_doc(spec.system, spec.space),
-    }
-    if isinstance(spec.kernel, RandomKernel):
-        doc["kernel"] = {"seed": spec.kernel.seed, "cap": spec.kernel.cap,
-                         "matrix_dim": spec.kernel.matrix_dim}
-    else:
-        doc["kernel"] = {
-            "tables": {f"{lvl}:{','.join(map(str, corner))}": np.asarray(t).tolist()
-                       for (lvl, corner), t in spec.kernel.tables.items()}
-        }
-    return json.dumps(doc, sort_keys=True)
-
-
-def shift_spec_from_json(text: str) -> ShiftSpec:
-    doc = json.loads(text)
-    sysm, space = _frame_from_doc(doc)
-    kern_doc = doc["kernel"]
-    if "seed" in kern_doc:
-        kernel = RandomKernel(kern_doc["seed"], kern_doc["cap"], kern_doc["matrix_dim"])
-    else:
-        tables = {}
-        for key, tab in kern_doc["tables"].items():
-            lvl, corner = key.split(":")
-            tables[(int(lvl), tuple(int(c) for c in corner.split(",")))] = np.asarray(tab)
-        kernel = ExplicitKernel(tables)
-    levels = tuple(doc["levels"]) if doc["levels"] else None
-    return ShiftSpec(doc["i"], doc["j"], sysm, kernel, space, levels)
-
-
-def paraproduct_spec_to_json(spec: ParaproductSpec) -> str:
-    b = spec.b
-    doc = {
-        "levels": list(spec.levels) if spec.levels else None,
-        "root": list(spec.root.key()[1]) + [spec.root.level] if spec.root else None,
-        "symbol": b.values.reshape(-1).tolist(),
-        **_frame_to_doc(b.system, b.space),
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def paraproduct_spec_from_json(text: str) -> ParaproductSpec:
-    doc = json.loads(text)
-    sysm, space = _frame_from_doc(doc)
-    shape = (sysm.cells_per_axis,) * sysm.d + (space.dim,)
-    b = GridFunction(sysm, np.asarray(doc["symbol"]).reshape(shape), space)
-    root = None
-    if doc["root"] is not None:
-        *corner, level = doc["root"]
-        root = sysm.cube(level, tuple(corner))
-    levels = tuple(doc["levels"]) if doc["levels"] else None
-    return ParaproductSpec(b, levels, root)

@@ -12,10 +12,9 @@ from dyadiclab.experiments import run_haar_completeness
 from dyadiclab.gridfn import (_PATTERN_CELLS, _STACK_CELLS, GridFunction, HaarCoefficients,
                               _block_means, _blocks, _expand_blocks, _haar_pattern, _unblocks,
                               analyze, bmo_norm, conditional_expectation, cube_average, etas,
-                              from_bytes, from_callable, from_csv, haar_block,
-                              haar_coefficient, haar_vector, indicator, lp_norm,
-                              pair, random_grid_function, random_grid_functions, synthesize,
-                              to_bytes, to_csv, zeros)
+                              from_callable, haar_block, haar_coefficient, haar_vector,
+                              indicator, lp_norm, pair, random_grid_function,
+                              random_grid_functions, synthesize, zeros)
 from dyadiclab.representation import assemble, hilbert_kernel, matrix_element
 from dyadiclab.space import NormedSpace
 
@@ -567,70 +566,12 @@ def test_centring_equals_one_branch_per_mode(d, m_top, mode):
             assert np.array_equal(got.values, want.values)
 
 
-# -- serialization -----------------------------------------------------------------------
+# -- argument checks and two-dimensional etas ----------------------------------------------
 
 
 def test_unknown_mean_zero_is_rejected():
     with pytest.raises(ValueError, match="mean_zero"):
         random_grid_function(SYS4, 0, mean_zero="pertop")
-
-
-def test_csv_roundtrip():
-    f = random_grid_function(SYS4, 8, NormedSpace(2, 2.0))
-    back = from_csv(SYS4, to_csv(f), NormedSpace(2, 2.0))
-    assert np.abs(back.values - f.values).max() == 0.0
-
-
-def _csv_lines(f):
-    return to_csv(f).strip().splitlines()
-
-
-def test_csv_rejects_missing_rows():
-    lines = _csv_lines(random_grid_function(SYS4, 8))
-    with pytest.raises(ValueError, match="gives 31 of 32 cells"):
-        from_csv(SYS4, "\n".join(lines[:5] + lines[6:]))
-
-
-def test_csv_rejects_duplicate_rows():
-    lines = _csv_lines(random_grid_function(SYS4, 8))
-    with pytest.raises(ValueError, match="cell \\(3,\\) given twice"):
-        from_csv(SYS4, "\n".join(lines + [lines[4]]))
-
-
-def test_csv_rejects_negative_and_out_of_range_indices():
-    lines = _csv_lines(random_grid_function(SYS4, 8))
-    for bad in ("-1", "32"):
-        edited = lines[:1] + [bad + lines[1][1:]] + lines[2:]
-        with pytest.raises(ValueError, match="outside"):
-            from_csv(SYS4, "\n".join(edited))
-
-
-def test_csv_rejects_wrong_column_count():
-    two = NormedSpace(2, 2.0)
-    text = to_csv(random_grid_function(SYS4, 8, two))
-    with pytest.raises(ValueError, match="3 columns, expected 2"):
-        from_csv(SYS4, text)
-    with pytest.raises(ValueError, match="2 columns, expected 3"):
-        from_csv(SYS4, to_csv(random_grid_function(SYS4, 8)), two)
-
-
-def test_csv_errors_are_one_line():
-    system = DyadicSystem(d=2, m_top=0, depth=1)
-    lines = _csv_lines(random_grid_function(system, 3))
-    for text in ("\n".join(lines[:-1]), "\n".join(lines + [lines[2]]),
-                 "\n".join(lines[:1] + ["0,-1,0.5"] + lines[2:])):
-        with pytest.raises(ValueError) as info:
-            from_csv(system, text)
-        assert "\n" not in str(info.value)
-
-
-def test_binary_roundtrip_little_endian():
-    f = random_grid_function(SYS4, 8)
-    raw = to_bytes(f)
-    assert len(raw) == SYS4.cells_per_axis * 8
-    assert np.frombuffer(raw, dtype="<f8")[0] == f.values.reshape(-1)[0]
-    back = from_bytes(SYS4, raw)
-    assert np.abs(back.values - f.values).max() == 0.0
 
 
 def test_conditional_expectation_requires_alignment():

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -12,9 +11,7 @@ from dyadiclab.grid import DyadicSystem
 from dyadiclab.gridfn import (_STACK_CELLS, GridFunction, cube_average, from_callable,
                               haar_vector, indicator, pair, random_grid_function)
 from dyadiclab.shifts import (ExplicitKernel, ParaproductSpec, RandomKernel, ShiftSpec,
-                              adjoint_spec, apply_paraproduct, apply_shift, fill_tables,
-                              paraproduct_spec_to_json, shift_spec_from_json,
-                              shift_spec_to_json)
+                              adjoint_spec, apply_paraproduct, apply_shift, fill_tables)
 from dyadiclab.space import NormedSpace
 
 from oracles import apply_paraproduct_per_level, apply_shift_per_cube, dense_shift_matrix
@@ -38,6 +35,17 @@ def test_unit_kernel_zero_parameter_shift_vanishes():
     spec = ShiftSpec(0, 0, SYS, ExplicitKernel(tables))
     f = random_grid_function(SYS, 2)
     assert np.abs(apply_shift(spec, f).values).max() < 1e-14
+
+
+def test_explicit_kernel_of_drawn_tables_applies_the_same_shift():
+    for matrix_dim in (1, 2):
+        space = NormedSpace(matrix_dim, 2.0)
+        drawn = ShiftSpec(0, 1, SYS, RandomKernel(6, 1.0, matrix_dim), space, k_levels=(0, 1))
+        tables = {cube.key(): drawn.kernel.table(cube, drawn.blocks_per_axis())
+                  for level in drawn.level_range() for cube in SYS.cubes_at_level(level)}
+        spec = ShiftSpec(0, 1, SYS, ExplicitKernel(tables), space, k_levels=(0, 1))
+        f = random_grid_function(SYS, 14, space)
+        assert np.array_equal(apply_shift(spec, f).values, apply_shift(drawn, f).values)
 
 
 @given(st.integers(0, 10**6), st.integers(0, 2), st.integers(0, 2))
@@ -86,17 +94,6 @@ def test_matrix_kernel_shift_runs_and_respects_cap():
     assert out.values.shape == f.values.shape
     table = kernel.table(SYS.cube(0, (0,)), 4)
     assert np.linalg.norm(table, 2, axis=(-2, -1)).max() == pytest.approx(0.5, rel=1e-12)
-
-
-def test_paraproduct_spec_json_roundtrip():
-    from dyadiclab.shifts import paraproduct_spec_from_json, paraproduct_spec_to_json
-
-    b = random_grid_function(SYS, 21)
-    spec = ParaproductSpec(b, levels=(0, 4), root=UNIT)
-    back = paraproduct_spec_from_json(paraproduct_spec_to_json(spec))
-    f = random_grid_function(SYS, 22)
-    assert np.abs(apply_paraproduct(back, f).values
-                  - apply_paraproduct(spec, f).values).max() == 0.0
 
 
 # -- paraproducts -----------------------------------------------------------------------
@@ -251,86 +248,6 @@ def test_paraproduct_root_from_another_system_is_refused(root_system, corner):
         ParaproductSpec(b, root=root)
     assert str(b.system) in str(err.value) and str(root_system) in str(err.value)
     assert "\n" not in str(err.value)
-
-
-# -- serialization ---------------------------------------------------------------------
-
-
-def test_shift_spec_json_roundtrip_random_kernel():
-    for matrix_dim in (1, 2):
-        space = NormedSpace(matrix_dim, 2.0)
-        spec = ShiftSpec(2, 1, SYS, RandomKernel(5, 1.0, matrix_dim), space, k_levels=(0, 2))
-        text = shift_spec_to_json(spec)
-        assert sorted(json.loads(text)["kernel"]) == ["cap", "matrix_dim", "seed"]
-        back = shift_spec_from_json(text)
-        assert back == spec and shift_spec_to_json(back) == text
-        f = random_grid_function(SYS, 13, space)
-        assert np.abs(apply_shift(back, f).values - apply_shift(spec, f).values).max() == 0.0
-
-
-def test_shift_spec_json_roundtrip_explicit_tables():
-    probe = ShiftSpec(0, 1, SYS, RandomKernel(6, 1.0), k_levels=(0, 1))
-    tables = {}
-    for level in probe.level_range():
-        for cube in SYS.cubes_at_level(level):
-            tables[cube.key()] = probe.kernel.table(cube, probe.blocks_per_axis())
-    spec = ShiftSpec(0, 1, SYS, ExplicitKernel(tables), k_levels=(0, 1))
-    back = shift_spec_from_json(shift_spec_to_json(spec))
-    f = random_grid_function(SYS, 14)
-    assert np.abs(apply_shift(back, f).values - apply_shift(spec, f).values).max() == 0.0
-
-
-def test_custom_norm_space_is_refused_by_both_spec_encoders():
-    """The JSON space block holds only dim and q, so a custom norm would come back as l^q."""
-    sup = NormedSpace(2, norm_fn=lambda v: np.abs(v).max(axis=-1))
-    shift = ShiftSpec(1, 0, SYS, RandomKernel(3, 1.0), sup, (0, 1))
-    symbol = random_grid_function(SYS, 1, sup)
-    for encode, spec in ((shift_spec_to_json, shift),
-                         (paraproduct_spec_to_json, ParaproductSpec(symbol))):
-        with pytest.raises(ValueError, match="^custom norms have no JSON encoding$"):
-            encode(spec)
-
-
-# JSON text written by the encoders before they shared their system and
-# space helpers; the encoding must not change.
-PINNED_SHIFT_JSON = (
-    '{"i": 1, "j": 0, "kernel": {"cap": 1.0, "matrix_dim": 1, "seed": 5}, '
-    '"levels": [0, 0], "space": {"dim": 2, "q": null}, '
-    '"system": {"d": 1, "depth": 1, "m_top": 1, "omega": [[1], [0]]}}',
-    '{"i": 0, "j": 0, "kernel": {"tables": {"0:0,0": [[0.5]]}}, "levels": null, '
-    '"space": {"dim": 1, "q": 2.0}, '
-    '"system": {"d": 2, "depth": 1, "m_top": 0, "omega": [[0, 1]]}}',
-)
-PINNED_PARAPRODUCT_JSON = (
-    '{"levels": [0, 0], "root": [-1, 0], "space": {"dim": 1, "q": 2.0}, '
-    '"symbol": [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75], '
-    '"system": {"d": 1, "depth": 1, "m_top": 1, "omega": [[1], [0]]}}',
-    '{"levels": null, "root": null, "space": {"dim": 2, "q": 1.5}, '
-    '"symbol": [1.0, -2.0, 0.5, 3.0], '
-    '"system": {"d": 1, "depth": 0, "m_top": 0, "omega": []}}',
-)
-
-
-def test_spec_json_text_is_pinned():
-    from dyadiclab.shifts import paraproduct_spec_from_json, paraproduct_spec_to_json
-
-    translated = DyadicSystem(d=1, m_top=1, depth=1, omega=((1,), (0,)))
-    shifts = (
-        ShiftSpec(1, 0, translated, RandomKernel(5, 1.0), NormedSpace(2, np.inf), (0, 0)),
-        ShiftSpec(0, 0, DyadicSystem(d=2, m_top=0, depth=1, omega=((0, 1),)),
-                  ExplicitKernel({(0, (0, 0)): np.array([[0.5]])}), NormedSpace(1, 2.0)),
-    )
-    for spec, text in zip(shifts, PINNED_SHIFT_JSON):
-        assert shift_spec_to_json(spec) == text
-        assert shift_spec_to_json(shift_spec_from_json(text)) == text
-    symbol = GridFunction(translated, np.arange(8.0).reshape(8, 1) / 4)
-    vector_symbol = GridFunction(DyadicSystem(d=1, m_top=0, depth=0),
-                                 np.array([[1.0, -2.0], [0.5, 3.0]]), NormedSpace(2, 1.5))
-    paraproducts = (ParaproductSpec(symbol, (0, 0), translated.cube(0, (-1,))),
-                    ParaproductSpec(vector_symbol))
-    for spec, text in zip(paraproducts, PINNED_PARAPRODUCT_JSON):
-        assert paraproduct_spec_to_json(spec) == text
-        assert paraproduct_spec_to_json(paraproduct_spec_from_json(text)) == text
 
 
 # -- level-batched shift against the per-cube oracle ---------------------------------
@@ -512,7 +429,6 @@ def test_table_cache_stays_out_of_eq_hash_and_repr():
     twin = ShiftSpec(2, 1, system, RandomKernel(5, 1.0), k_levels=(0, 1))
     assert used == twin and hash(used) == hash(twin)
     assert repr(used) == repr(twin) and "_stacks" not in repr(used)
-    assert shift_spec_to_json(used) == shift_spec_to_json(twin)
     with pytest.raises(ValueError):
         used.level_tables(0)[2][0, 0, 0] = 1.0
 

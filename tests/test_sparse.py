@@ -466,6 +466,24 @@ def test_carleson_rejects_non_sparse_family():
         carleson_sum(fam, indicator(ROOT), [2.0])
 
 
+def test_member_keeping_exactly_half_its_cells_is_sparse():
+    system = DyadicSystem(d=1, m_top=0, depth=2)
+    fam = SparseFamily(system.cube(0, (0,)))
+    fam.add(system.cube(1, (0,)), 0)  # one 2-cell child of the 4-cell root
+    assert fam.is_sparse()
+
+
+def test_member_keeping_exactly_half_its_weighted_measure_is_sparse():
+    system = DyadicSystem(d=1, m_top=0, depth=2)
+    root = system.cube(0, (0,))
+    weights = np.ones(system.cells_per_axis)
+    weights[root.cell_slices()] = [1.0, 3.0, 2.0, 2.0]  # quarter cells: root measure 2
+    fam = SparseFamily(root, weights=weights)
+    fam.add(system.cube(1, (0,)), 0)  # the child holds measure 1
+    assert fam.exceptional_measure(0) == 0.5 * fam.measure(fam.root) == 1.0
+    assert fam.is_sparse()
+
+
 @given(st.integers(0, 10**6), st.sampled_from([1.5, 2.0, 3.0]))
 def test_carleson_bound_on_random_families(seed, p):
     fam, driver = random_family(seed)
@@ -590,6 +608,15 @@ def test_counterexample_reproduces_exactly():
     for mode in ("reverse_cancellative", "reverse_nonneg"):
         with pytest.raises(AdaptednessError):
             pythagoras_check(fam, fs, [2.0], mode)
+
+
+def test_member_integral_of_one_millionth_is_not_cancellative():
+    system = DyadicSystem(d=1, m_top=0, depth=2)
+    root = system.cube(0, (0,))
+    fam = SparseFamily(root)
+    f = GridFunction(system, 1e-6 * indicator(root).values, SCALAR)  # integral 1e-6
+    with pytest.raises(AdaptednessError, match="member 0: nonzero integral"):
+        pythagoras_check(fam, [f], [2.0], "reverse_cancellative")
 
 
 def test_adaptedness_is_enforced():
