@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Mutation checks: each listed defect must make its named tests fail.
+
+Usage:
+    python3 scripts/mutants.py
+
+For each entry of MUTANTS the script copies the whole checkout (the tests
+read files outside `src/` and `tests/`, such as `perfbench/workloads.py`)
+into a temporary directory, replaces the entry's old text, which must occur
+exactly once in its file, with the new text, and runs pytest on the entry's
+tests against the copy.  A mutant is killed when pytest reports failed tests
+(exit 1); the named tests must first pass on an unmutated copy.  Exit status:
+0 every mutant killed, 1 some mutant survived, 2 the list is stale (an old
+text not found exactly once, or a named test that does not pass unmutated).
+EQUIVALENT lists the mutants left out, each with the reason no test can
+kill it.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", ".benchmarks",
+                                 "__pycache__", "out", ".work", "reports")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str     # relative to the checkout
+    old: str
+    new: str
+    tests: tuple  # pytest node ids, relative to the checkout, that must fail
+
+
+SPARSE = "src/dyadiclab/sparse.py"
+TEST_SPARSE = "tests/test_sparse.py::"
+
+MUTANTS = (
+    Mutant("sparse-lebesgue-half-boundary", SPARSE,
+           "if 2 * kept < self.cell_count(self.cubes[idx]):",
+           "if 2 * kept <= self.cell_count(self.cubes[idx]):",
+           (TEST_SPARSE + "test_member_keeping_exactly_half_its_cells_is_sparse",)),
+    Mutant("sparse-weighted-half-boundary", SPARSE,
+           "< 0.5 * self.measure(self.cubes[idx]) - _EXACT_TOL:",
+           "< 0.5 * self.measure(self.cubes[idx]) + _EXACT_TOL:",
+           (TEST_SPARSE + "test_member_keeping_exactly_half_its_weighted_measure_is_sparse",)),
+    Mutant("sparse-cancellative-integral-tolerance", SPARSE,
+           "* family.root.system.cell_volume > 1e-9",
+           "* family.root.system.cell_volume > 1e-3",
+           (TEST_SPARSE + "test_member_integral_of_one_millionth_is_not_cancellative",)),
+    Mutant("sparse-stack-root-labels-all-zero", SPARSE,
+           "labels = np.arange(n).reshape((n,) + (1,) * sysm.d)",
+           "labels = np.zeros((n,) + (1,) * sysm.d, dtype=np.intp)",
+           (TEST_SPARSE + "test_sweep_matches_per_cube_build",)),
+    Mutant("sparse-stack-new-labels-off-by-one", SPARSE,
+           "labels[new] = np.arange(len(bases), len(bases) + len(hits))",
+           "labels[new] = np.arange(len(bases) + 1, len(bases) + len(hits) + 1)",
+           (TEST_SPARSE + "test_sweep_matches_per_cube_build",)),
+    Mutant("sparse-carleson-stack-first-row-only", SPARSE,
+           "fsum, wsum = (a[(row, *block)] for a in sums[cube.level])",
+           "fsum, wsum = (a[(0, *block)] for a in sums[cube.level])",
+           (TEST_SPARSE + "test_carleson_list_form_equals_per_family_calls",)),
+)
+
+# Mutants that no test can kill because the program behaves the same.
+EQUIVALENT = (
+    (Mutant("grid-good-mask-distance-non-strict", "src/dyadiclab/grid.py",
+            "good &= dist > 2.0 ** (s * (1.0 - gamma)) + _GOOD_TIE_TOL",
+            "good &= dist >= 2.0 ** (s * (1.0 - gamma)) + _GOOD_TIE_TOL", ()),
+     "the integer distance is compared with 2^(s(1-gamma)) + 1e-12, which is not an "
+     "integer for the gaps and gammas of any mesh the lab builds, so `>` and `>=` agree"),
+    (Mutant("sparse-sweep-sort-by-walk-key-only", SPARSE,
+            "for _, label, level, block, parent in sorted(members):",
+            "for _, label, level, block, parent in sorted(members, key=lambda m: m[0]):", ()),
+     "walk keys are distinct within a family, so sorting never compares past the key"),
+)
+
+
+def apply(mutant: Mutant, tree: str) -> bool:
+    """Write the mutant into the copy at `tree`; False if its old text is not
+    found exactly once."""
+    path = os.path.join(tree, mutant.path)
+    with open(path) as stream:
+        text = stream.read()
+    if text.count(mutant.old) != 1:
+        return False
+    with open(path, "w") as stream:
+        stream.write(text.replace(mutant.old, mutant.new))
+    return True
+
+
+def run(mutant, tests) -> int:
+    """pytest's exit status on `tests` in a fresh copy of the checkout with
+    `mutant` applied (none if None), or None if its old text is stale."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
+        tree = os.path.join(scratch, "tree")
+        shutil.copytree(ROOT, tree, ignore=IGNORED)
+        if mutant is not None and not apply(mutant, tree):
+            return None
+        env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+        return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p",
+                               "no:cacheprovider", *tests], cwd=tree, env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    tests = sorted({test for m in MUTANTS for test in m.tests})
+    if run(None, tests) != 0:
+        print(f"STALE    the named tests do not all pass unmutated: {' '.join(tests)}")
+        return 2
+    status = 0
+    for mutant in MUTANTS:
+        code = run(mutant, mutant.tests)
+        if code is None:
+            print(f"STALE    {mutant.name}: old text not found exactly once in {mutant.path}")
+            return 2
+        if code == 1:
+            print(f"killed   {mutant.name}")
+        else:
+            print(f"SURVIVED {mutant.name} (pytest exit {code})")
+            status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -132,14 +132,15 @@ def run_carleson(params: dict, seed: int) -> list:
     worst = {p: 0.0 for p in p_list}
     worst_proof = {p: 0.0 for p in p_list}
     n_weighted = int(params["n_funcs"] * params["weighted_share"])
-    for k in range(params["n_funcs"]):
-        f = random_grid_function(sysm, seed, support=root, label=f"carleson-f-{k}")
-        weights = None
-        if k < n_weighted:
-            gen = substream(seed, "carleson-weights", k)
-            weights = np.exp(gen.uniform(-1.0, 1.0, size=(sysm.cells_per_axis,)))
-        fam = sparse.build_stopping_family(f, root, weights=weights)
-        for p, res in zip(p_list, sparse.carleson_sum(fam, f, p_list)):
+    fs = [random_grid_function(sysm, seed, support=root, label=f"carleson-f-{k}")
+          for k in range(params["n_funcs"])]
+    weights = [None] * len(fs)
+    for k in range(n_weighted):
+        gen = substream(seed, "carleson-weights", k)
+        weights[k] = np.exp(gen.uniform(-1.0, 1.0, size=(sysm.cells_per_axis,)))
+    families = sparse.build_stopping_family(fs, root, weights=weights)
+    for results in sparse.carleson_sum(families, fs, p_list):
+        for p, res in zip(p_list, results):
             if res.fnorm == 0.0:
                 continue
             worst[p] = max(worst[p], res.ratio / res.stated_bound)
@@ -181,9 +182,9 @@ def run_pythagoras(params: dict, seed: int) -> list:
     modes = ("direct", "reverse_cancellative", "reverse_nonneg")
     p_list = params["p_list"]
     worst = {(mode, p): 0.0 for mode in modes for p in p_list}
-    families = [sparse.build_stopping_family(
-        random_grid_function(sysm, seed, support=root, label=f"pyth-driver-{k}"), root)
-        for k in range(params["n_families"])]
+    families = sparse.build_stopping_family(
+        [random_grid_function(sysm, seed, support=root, label=f"pyth-driver-{k}")
+         for k in range(params["n_families"])], root)
     gens = substreams(seed, [("pyth-member", f"{k}-{mode}", idx)
                              for k, family in enumerate(families) for mode in modes
                              for idx in range(len(family))])
@@ -221,9 +222,9 @@ def run_stopping(params: dict, seed: int) -> list:
     root = sysm.cube(0, (0,))
     all_sparse = True
     worst_q = worst_child = 0.0
-    for k in range(params["n_funcs"]):
-        f = random_grid_function(sysm, seed, support=root, label=f"stopping-f-{k}")
-        fam = sparse.build_stopping_family(f, root)
+    fs = [random_grid_function(sysm, seed, support=root, label=f"stopping-f-{k}")
+          for k in range(params["n_funcs"])]
+    for f, fam in zip(fs, sparse.build_stopping_family(fs, root)):
         all_sparse &= fam.is_sparse()
         ctrl = sparse.stopping_control(fam, f)
         worst_q = max(worst_q, ctrl["max_q_over_member"])

@@ -158,14 +158,17 @@ def _array_keys(seeds, labels: tuple, ints: np.ndarray, counts) -> np.ndarray:
 
 
 def _rekeyed(keys: np.ndarray):
-    """One Philox generator, re-keyed to each key in turn and yielded."""
+    """One Philox generator, re-keyed to each key in turn and yielded.
+
+    The state holds Python ints, which the setter reads faster than numpy
+    scalars: the key as a list, the zero counter and buffer as tuples."""
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bits)
-    zero = np.zeros(4, dtype=np.uint64)
+    zero = (0, 0, 0, 0)
     inner = {"counter": zero, "key": None}
     state = {"bit_generator": "Philox", "state": inner, "buffer": zero, "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    for key in keys:
+    for key in keys.tolist():
         inner["key"] = key
         bits.state = state
         yield gen

@@ -10,6 +10,7 @@ outside its stopping children.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import AdaptednessError, SparsityError
 from .grid import DyadicCube
-from .gridfn import GridFunction, _blocks
+from .gridfn import GridFunction, _blocks, _stack, stack_chunks
 from .space import conjugate_exponent
 
 _EXACT_TOL = 1e-12
@@ -142,14 +143,17 @@ class SparseFamily:
 
 def _level_sums(weights: np.ndarray, norms: np.ndarray, root: DyadicCube):
     """Yield (level, block sums of `weights * norms`, block sums of `weights`) in
-    the root's box from the root's level down.  Each level sums its blocks' own
-    cells in row-major order along one axis, so a block's quotient has
-    `SparseFamily.weighted_average`'s bits."""
-    w = weights[root.cell_slices()]
-    wf = w * norms[root.cell_slices()]
+    the root's box from the root's level down, for arrays of any leading stack
+    axes before the system's cells.  Each level sums its blocks' own cells in
+    row-major order along one axis, so a block's quotient has
+    `SparseFamily.weighted_average`'s bits in every row of a stack."""
+    box = (Ellipsis, *root.cell_slices())
+    w = weights[box]
+    wf = w * norms[box]
+    d, lead = root.system.d, w.ndim - root.system.d
     for level in range(root.level, root.system.depth + 1):
         size = 1 << (root.system.depth - level)
-        yield (level, *(_blocks(a, w.ndim, size).sum(-1) for a in (wf, w)))
+        yield (level, *(_blocks(a, d, size, lead).sum(-1) for a in (wf, w)))
 
 
 def _level_averages(weights: np.ndarray, norms: np.ndarray, root: DyadicCube):
@@ -161,35 +165,70 @@ def _level_averages(weights: np.ndarray, norms: np.ndarray, root: DyadicCube):
         yield level, fsum / wsum
 
 
-def build_stopping_family(f: GridFunction, root: DyadicCube,
-                          threshold_factor: float = 2.0,
-                          weights: Optional[np.ndarray] = None) -> SparseFamily:
+def _stacked(pairs: list) -> tuple:
+    """(families, pointwise norms, densities) of the (family, function) `pairs`,
+    the arrays stacked along a leading axis."""
+    families, fs = zip(*pairs)
+    norms = fs[0].space.norm(_stack(list(fs))[2])
+    return families, norms, np.stack([fam.density() for fam in families])
+
+
+def build_stopping_family(f, root: DyadicCube, threshold_factor: float = 2.0,
+                          weights=None):
     """Iterated maximal subcubes with |f|-average above factor times the parent's,
     found in one sweep from the root's level down in which each cube inherits
-    the label of the minimal member strictly containing it."""
-    family = SparseFamily(root, weights=weights)
-    sysm = root.system
-    levels = _level_averages(family.density(), f.space.norm(f.values), root)
-    bases = next(levels)[1].reshape(1)
-    labels = np.zeros((1,) * sysm.d, dtype=np.intp)
-    found = []  # (walk key, label, level, block, parent label) per member below the root
+    the label of the minimal member strictly containing it.
+
+    `f` is one GridFunction, giving one SparseFamily, or a list of functions
+    sharing a system and space, giving one family each; `weights` is then None
+    or one density-or-None per function.  A list is swept as stacks of at most
+    `gridfn._STACK_CELLS` cells, each level's threshold test taken once per stack.
+    """
+    single = isinstance(f, GridFunction)
+    if single:
+        fs, ws = [f], [weights]
+    else:
+        fs = list(f)
+        ws = [None] * len(fs) if weights is None else list(weights)
+    if len(ws) != len(fs):
+        raise ValueError("one density or None per function required")
+    families = [SparseFamily(root, weights=w) for w in ws]
+    for chunk in stack_chunks(zip(families, fs), root.system):
+        _sweep(chunk, threshold_factor)
+    return families[0] if single else families
+
+
+def _sweep(pairs: list, threshold_factor: float):
+    """Add each family's members, in depth-first order, from one sweep of the
+    stack of the (family, function) `pairs`.  Labels are numbered across the
+    stack, root i taking label i."""
+    families, norms, dens = _stacked(pairs)
+    root = families[0].root
+    sysm, n = root.system, len(families)
+    levels = _level_averages(dens, norms, root)
+    bases = next(levels)[1].reshape(n)
+    labels = np.arange(n).reshape((n,) + (1,) * sysm.d)
+    found = [[] for _ in range(n)]  # (walk key, label, level, block, parent label) per member
     for level, avg in levels:
-        for ax in range(sysm.d):
+        for ax in range(1, sysm.d + 1):
             labels = labels.repeat(2, axis=ax)
         new = avg > threshold_factor * bases[labels]
-        for block, parent in zip(np.argwhere(new).tolist(), labels[new].tolist()):
+        hits = np.argwhere(new).tolist()
+        for label, (row, *block), parent in zip(itertools.count(len(bases)), hits,
+                                                labels[new].tolist()):
             # ancestor blocks, negated, sort as a depth-first walk taking children last to first
             key = tuple(tuple(-(i >> b) for i in block) for b in reversed(range(level - root.level)))
-            found.append((key, len(found) + 1, level, block, parent))
-        labels[new] = np.arange(len(bases), len(found) + 1)
+            found[row].append((key, label, level, block, parent))
+        labels[new] = np.arange(len(bases), len(bases) + len(hits))
         bases = np.concatenate([bases, avg[new]])
-    index = {0: 0}
-    for _, label, level, block, parent in sorted(found):
-        size = 1 << (sysm.depth - level)
-        corner = [b + (s - sysm.origin_cell - t) // size
-                  for b, s, t in zip(block, root.start_cells(), sysm.shift_cells(level))]
-        index[label] = family.add(sysm.cube(level, corner), index[parent])
-    return family
+    index = dict.fromkeys(range(n), 0)
+    start = [s - sysm.origin_cell for s in root.start_cells()]
+    for family, members in zip(families, found):
+        for _, label, level, block, parent in sorted(members):
+            size = 1 << (sysm.depth - level)
+            corner = [b + (s - t) // size
+                      for b, s, t in zip(block, start, sysm.shift_cells(level))]
+            index[label] = family.add(sysm.cube(level, corner), index[parent])
 
 
 @dataclass(frozen=True)
@@ -213,37 +252,56 @@ def _exponents(ps) -> list:
     return ps
 
 
-def carleson_sum(family: SparseFamily, f: GridFunction, ps: Sequence[float]) -> list:
+def carleson_sum(family, f, ps: Sequence[float]) -> list:
     """Embedding sum (sum_S <|f|>_S^p mu(S))^(1/p) against the L^p(mu) norm,
     one `CarlesonResult` per exponent of `ps`.
 
-    Sparsity, the level sweep and each member's average and measure are
-    taken once; each exponent then sums its terms in member order.
+    `family` and `f` are one SparseFamily and its function, or lists of
+    families sharing a root and of one function each, giving one list of
+    results per family.  Sparsity is checked for every family first; the
+    level sums come from one sweep per stack of at most `gridfn._STACK_CELLS`
+    cells, each member's average and measure are taken once, and each
+    exponent then sums its terms in member order.
     """
     ps = _exponents(ps)
-    if not family.is_sparse():
+    single = isinstance(family, SparseFamily)
+    families, fs = ([family], [f]) if single else (list(family), list(f))
+    if len(fs) != len(families) or any(fam.root != families[0].root for fam in families):
+        raise ValueError("one function per family, and families sharing a root, required")
+    if not all(fam.is_sparse() for fam in families):
         raise SparsityError("the Carleson embedding requires a sparse family")
-    norms = f.space.norm(f.values)
-    dens = family.density()
-    sums = {level: pair for level, *pair in _level_sums(dens, norms, family.root)}
-    terms = []  # (average, measure) per member
-    root_start = family.root.start_cells()
-    for cube in family.cubes:
-        block = tuple((s - r) // cube.size_cells for s, r in zip(cube.start_cells(), root_start))
-        fsum, wsum = (a[block] for a in sums[cube.level])
-        if wsum <= 0:
-            raise SparsityError("member with zero measure")
-        terms.append((fsum / wsum, family.measure(cube)))
-    results = []
-    for p in ps:
-        total = 0.0
-        for avg, mu in terms:
-            total += avg ** p * mu
-        fnorm = float(((norms ** p) * dens).sum() * f.system.cell_volume) ** (1.0 / p)
-        q = conjugate_exponent(p)
-        results.append(CarlesonResult(total ** (1.0 / p), fnorm,
-                                      2.0 * q, 2.0 ** (1.0 / p) * q))
-    return results
+    out = []
+    for chunk in stack_chunks(zip(families, fs), families[0].root.system):
+        out += _carleson_stack(chunk, ps)
+    return out[0] if single else out
+
+
+def _carleson_stack(pairs: list, ps: list) -> list:
+    """`carleson_sum`'s results for each (family, function) of `pairs`, from one
+    sweep of their stack."""
+    families, norms, dens = _stacked(pairs)
+    root, root_start = families[0].root, families[0].root.start_cells()
+    sums = {level: pair for level, *pair in _level_sums(dens, norms, root)}
+    out = []
+    for row, family in enumerate(families):
+        terms = []  # (average, measure) per member
+        for cube in family.cubes:
+            block = tuple((s - r) // cube.size_cells for s, r in zip(cube.start_cells(), root_start))
+            fsum, wsum = (a[(row, *block)] for a in sums[cube.level])
+            if wsum <= 0:
+                raise SparsityError("member with zero measure")
+            terms.append((fsum / wsum, family.measure(cube)))
+        results = []
+        for p in ps:
+            total = 0.0
+            for avg, mu in terms:
+                total += avg ** p * mu
+            fnorm = float(((norms[row] ** p) * dens[row]).sum() * root.system.cell_volume)
+            q = conjugate_exponent(p)
+            results.append(CarlesonResult(total ** (1.0 / p), fnorm ** (1.0 / p),
+                                          2.0 * q, 2.0 ** (1.0 / p) * q))
+        out.append(results)
+    return out
 
 
 def _lp_norms_weighted(family: SparseFamily, norms: np.ndarray, p: float) -> list:

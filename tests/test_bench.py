@@ -1,0 +1,89 @@
+"""scripts/bench.py on canned `perfbench/run.py` output; no benchmark is run."""
+
+import json
+
+from test_params import ROOT, load
+
+bench = load("scripts/bench.py", "shipped_bench")
+
+MACHINE = ("nproc=2 python=3.11.7 numpy=2.4.6 blas=scipy-openblas 0.3.31.188.0 "
+           "blas_threads=1 thread_env={'OPENBLAS_NUM_THREADS': '1'}")
+RESULT = {"correct": True, "attempted": 27, "failed": 0,
+          "metrics": {"wall_s": {"value": 0.0791, "unit": "s"},
+                      "cpu_s": {"value": 0.0785, "unit": "s"},
+                      "setup_s": {"value": 0.27, "unit": "s"},
+                      "peak_rss_mb": {"value": 44.7, "unit": "MiB"}}}
+CANNED = "\n".join([
+    f"# machine: {MACHINE}",
+    "# workload=stopping-sparse seed=1 scale=full trace=0 passes=90 setups=5",
+    "# wall_s = 0.0791 s  (quartiles 0.078 .. 0.081, n=90; measured 0.09 s)",
+    "# fail_ratio = 0 ratio  (0 of 27 items failed)",
+    json.dumps(RESULT),
+]) + "\n"
+
+
+def test_parse_run_reads_the_last_json_line_and_the_machine_line():
+    run = bench.parse_run(CANNED, 0)
+    assert run == {"exit": 0, "correct": True, "machine": MACHINE,
+                   "metrics": {"wall_s": 0.0791, "cpu_s": 0.0785, "setup_s": 0.27,
+                               "peak_rss_mb": 44.7}}
+
+
+def test_parse_run_keeps_a_failing_verdict_and_its_exit_code():
+    failing = CANNED.replace('"correct": true', '"correct": false')
+    run = bench.parse_run(failing, 1)
+    assert (run["exit"], run["correct"]) == (1, False)
+
+
+def test_a_run_without_a_json_line_has_no_metrics():
+    crashed = f"# machine: {MACHINE}\nerror: worker crashed\n"
+    assert bench.parse_run(crashed, 4) == {"exit": 4, "correct": None, "metrics": {},
+                                           "machine": MACHINE}
+
+
+def test_medians_are_taken_per_workload_and_metric():
+    runs = [{"workload": w, "seed": s, "exit": 0, "correct": True,
+             "metrics": {"wall_s": v, "cpu_s": 2 * v}}
+            for w, s, v in (("a", 1, 1.0), ("b", 1, 10.0), ("a", 2, 3.0), ("a", 3, 2.0))]
+    assert bench.medians(runs) == {"a": {"wall_s": 2.0, "cpu_s": 4.0},
+                                   "b": {"wall_s": 10.0, "cpu_s": 20.0}}
+
+
+def test_record_moves_the_machine_line_out_of_the_runs(monkeypatch):
+    monkeypatch.setattr(bench, "git_state", lambda tree: {"head": "abc", "dirty": False})
+    runs = [{"workload": "a", "seed": 1, **bench.parse_run(CANNED, 0)}]
+    rec = bench.record(str(ROOT), runs)
+    assert rec["machine"] == MACHINE and rec["head"] == "abc"
+    assert "machine" not in rec["runs"][0] and "machine" in runs[0]
+    assert rec["medians"] == {"a": runs[0]["metrics"]}
+    assert rec["src_lines"] == sum(len(p.read_text().splitlines())
+                                   for p in (ROOT / "src" / "dyadiclab").glob("*.py"))
+
+
+def test_main_interleaves_checkouts_and_writes_one_record_each(monkeypatch, tmp_path):
+    order = []
+
+    def fake_run(tree, workload, seed, seconds):
+        order.append((seed, workload, tree))
+        return {"workload": workload, "seed": seed, **bench.parse_run(CANNED, 0)}
+
+    monkeypatch.setattr(bench, "run_once", fake_run)
+    monkeypatch.setattr(bench, "git_state", lambda tree: {"head": tree, "dirty": False})
+    out, old, new = (str(tmp_path / name) for name in ("bench.json", "old", "new"))
+    status = bench.main(["--out", out, "--tree", f"old={old}", "--tree", f"new={new}"])
+    assert status == 0
+    assert order == [(s, w, tree) for s in (1, 2, 3) for w in bench.WORKLOADS
+                     for tree in (old, new)]
+    with open(out) as stream:
+        doc = json.load(stream)
+    assert list(doc["checkouts"]) == ["old", "new"]
+    assert [run["seed"] for run in doc["checkouts"]["new"]["runs"]] == [1] * 4 + [2] * 4 + [3] * 4
+    assert list(doc["checkouts"]["new"]["medians"]) == list(bench.WORKLOADS)
+    assert doc["checkouts"]["old"]["head"] == old
+
+
+def test_a_failing_run_makes_the_exit_status_one(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench, "run_once", lambda tree, workload, seed, seconds: {
+        "workload": workload, "seed": seed, **bench.parse_run(CANNED, 1)})
+    monkeypatch.setattr(bench, "git_state", lambda tree: {"head": None, "dirty": None})
+    assert bench.main(["--out", str(tmp_path / "b.json")]) == 1

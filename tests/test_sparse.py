@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dyadiclab import sparse
+from dyadiclab import gridfn, sparse
 from dyadiclab.errors import AdaptednessError, SparsityError
 from dyadiclab.experiments import _random_adapted_functions
 from dyadiclab.grid import DyadicSystem
@@ -100,10 +100,10 @@ def _descend(cube, gen, generations):
     return cube
 
 
-@given(st.integers(0, 10**6), st.sampled_from([1, 2]), st.integers(0, 2),
-       st.sampled_from(["top", "child"]), st.sampled_from([1.5, 2.0, 3.0]),
-       st.sampled_from(["lebesgue", "random", "zero-region"]))
-def test_sweep_matches_per_cube_build(seed, d, m_top, root_pick, factor, weight_mode):
+def _driver_stack(seed, d, m_top, root_pick, weight_modes, dim=1):
+    """A random translated system, a top cube or one of its children as root, and one
+    driver function with its density (None for Lebesgue) per entry of `weight_modes`;
+    a "zero-region" density vanishes on one subcube of the root."""
     gen = substream(seed, "sweep-vs-per-cube")
     depth = int(gen.integers(1, 6 if d == 1 else 4))
     sysm = DyadicSystem.random(seed, d=d, m_top=m_top, depth=depth)
@@ -111,24 +111,114 @@ def test_sweep_matches_per_cube_build(seed, d, m_top, root_pick, factor, weight_
     root = tops[int(gen.integers(len(tops)))]
     if root_pick == "child":
         root = _descend(root, gen, 1)
-    f = random_grid_function(sysm, seed, support=root, label="sweep-driver")
-    if gen.integers(2):  # heavier tails give nested members
-        f = GridFunction(sysm, f.values**3, SCALAR)
-    weights = None
-    if weight_mode != "lebesgue":
-        weights = np.exp(gen.uniform(-2.0, 2.0, size=(sysm.cells_per_axis,) * d))
-    if weight_mode == "zero-region":
-        weights[_descend(root, gen, int(gen.integers(0, depth - root.level + 1))).cell_slices()] = 0.0
-        for build in (build_stopping_family, build_stopping_family_per_cube):
-            with pytest.raises(SparsityError, match="zero measure"):
-                build(f, root, factor, weights)
-        return
-    fam = build_stopping_family(f, root, factor, weights)
-    ref = build_stopping_family_per_cube(f, root, factor, weights)
+    space = SCALAR if dim == 1 else NormedSpace(dim, 2.0)
+    fs, weights = [], []
+    for k, mode in enumerate(weight_modes):
+        f = random_grid_function(sysm, seed, space, support=root, label=f"sweep-driver-{k}")
+        if gen.integers(2):  # heavier tails give nested members
+            f = GridFunction(sysm, f.values**3, space)
+        w = None
+        if mode != "lebesgue":
+            w = np.exp(gen.uniform(-2.0, 2.0, size=(sysm.cells_per_axis,) * d))
+        if mode == "zero-region":
+            w[_descend(root, gen, int(gen.integers(0, depth - root.level + 1))).cell_slices()] = 0.0
+        fs.append(f)
+        weights.append(w)
+    return root, fs, weights
+
+
+def _assert_same_family(fam, ref):
     assert [c.key() for c in fam.cubes] == [c.key() for c in ref.cubes]
     assert fam.parents == ref.parents
     assert fam.children == ref.children
     assert fam.export_records() == ref.export_records()
+
+
+@given(st.integers(0, 10**6), st.sampled_from([1, 2]), st.integers(0, 2),
+       st.sampled_from(["top", "child"]), st.sampled_from([1.5, 2.0, 3.0]),
+       st.lists(st.sampled_from(["lebesgue", "random"]), min_size=1, max_size=5),
+       st.none() | st.integers(0, 4))
+def test_sweep_matches_per_cube_build(seed, d, m_top, root_pick, factor, weight_modes,
+                                      zero_at):
+    """A list of drivers, each with its own measure, is swept as one stack; each family
+    equals the per-cube build.  One density with a zero-measure subcube (the one at
+    `zero_at`, if the list is that long) fails the stack."""
+    if zero_at is not None and zero_at < len(weight_modes):
+        weight_modes[zero_at] = "zero-region"
+    root, fs, weights = _driver_stack(seed, d, m_top, root_pick, weight_modes)
+    if "zero-region" in weight_modes:
+        with pytest.raises(SparsityError, match="zero measure"):
+            build_stopping_family(fs, root, factor, weights)
+        for f, w, mode in zip(fs, weights, weight_modes):
+            if mode == "zero-region":
+                for build in (build_stopping_family, build_stopping_family_per_cube):
+                    with pytest.raises(SparsityError, match="zero measure"):
+                        build(f, root, factor, w)
+        return
+    families = build_stopping_family(fs, root, factor, weights)
+    assert len(families) == len(fs)
+    for fam, f, w in zip(families, fs, weights):
+        _assert_same_family(fam, build_stopping_family_per_cube(f, root, factor, w))
+    _assert_same_family(build_stopping_family(fs[-1], root, factor, weights[-1]), families[-1])
+
+
+def _spy_stacks(monkeypatch, cells):
+    """Set `gridfn._STACK_CELLS` to `cells` and record the number of cells of every
+    stack of densities that `sparse._level_sums` sweeps."""
+    monkeypatch.setattr(gridfn, "_STACK_CELLS", cells)
+    sizes, level_sums = [], sparse._level_sums
+
+    def spy(weights, norms, root):
+        sizes.append(weights.size)
+        return level_sums(weights, norms, root)
+
+    monkeypatch.setattr(sparse, "_level_sums", spy)
+    return sizes
+
+
+@given(st.integers(0, 10**6), st.sampled_from([1, 2]), st.integers(0, 2),
+       st.sampled_from(["top", "child"]), st.lists(st.sampled_from(["lebesgue", "random"]),
+                                                  min_size=3, max_size=7))
+def test_stacks_are_swept_in_chunks_of_at_most_stack_cells(seed, d, m_top, root_pick,
+                                                           weight_modes):
+    """With room for two functions per stack, a list is swept in several stacks, none
+    over `_STACK_CELLS` cells, and gives the families and Carleson sums of one stack."""
+    root, fs, weights = _driver_stack(seed, d, m_top, root_pick, weight_modes)
+    families = build_stopping_family(fs, root, weights=weights)
+    sums = carleson_sum(families, fs, PS)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        cells = 2 * root.system.n_cells
+        sizes = _spy_stacks(monkeypatch, cells)
+        chunked = build_stopping_family(fs, root, weights=weights)
+        assert len(sizes) == -(-len(fs) // 2) and max(sizes) <= cells
+        assert carleson_sum(chunked, fs, PS) == sums
+        assert len(sizes) == 2 * -(-len(fs) // 2) and max(sizes) <= cells
+    for fam, ref in zip(chunked, families):
+        _assert_same_family(fam, ref)
+
+
+@given(st.integers(0, 10**6), st.sampled_from([1, 2]), st.integers(0, 2),
+       st.sampled_from(["top", "child"]), st.lists(st.sampled_from(["lebesgue", "random"]),
+                                                  min_size=1, max_size=5),
+       st.sampled_from([1, 2]))
+def test_carleson_list_form_equals_per_family_calls(seed, d, m_top, root_pick, weight_modes,
+                                                    dim):
+    root, fs, weights = _driver_stack(seed, d, m_top, root_pick, weight_modes, dim)
+    families = build_stopping_family(fs, root, weights=weights)
+    assert carleson_sum(families, fs, PS) == [carleson_sum(fam, f, PS)
+                                              for fam, f in zip(families, fs)]
+
+
+def test_list_forms_reject_mismatched_arguments():
+    fs = [random_grid_function(SYS, k, support=ROOT, label="mismatch") for k in range(2)]
+    with pytest.raises(ValueError, match="one density or None per function"):
+        build_stopping_family(fs, ROOT, weights=[None])
+    families = build_stopping_family(fs, ROOT)
+    with pytest.raises(ValueError, match="one function per family"):
+        carleson_sum(families, fs[:1], PS)
+    other = build_stopping_family(fs[0], SYS.cube(1, (0,)))
+    with pytest.raises(ValueError, match="sharing a root"):
+        carleson_sum([families[0], other], fs, PS)
 
 
 @pytest.mark.parametrize("d, m_top, depth", [(1, 1, 4), (2, 1, 3)])
