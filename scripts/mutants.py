@@ -65,6 +65,26 @@ MUTANTS = (
            "fsum, wsum = (a[(row, *block)] for a in sums[cube.level])",
            "fsum, wsum = (a[(0, *block)] for a in sums[cube.level])",
            (TEST_SPARSE + "test_carleson_list_form_equals_per_family_calls",)),
+    Mutant("sparse-stopping-threshold-non-strict", SPARSE,
+           "new = avg > 2.0 * bases[labels]",
+           "new = avg >= 2.0 * bases[labels]",
+           (TEST_SPARSE + "test_quarter_indicator_family",)),
+    Mutant("grid-good-mask-extra-bit", "src/dyadiclab/grid.py",
+           "u = [w >> (system.depth - level) for w in system._words]",
+           "u = [w >> (system.depth - level + 1) for w in system._words]",
+           ("tests/test_grid.py::test_good_mask_matches_is_good_per_cube",)),
+    Mutant("shifts-matrix-scale-mean-norm", "src/dyadiclab/shifts.py",
+           "np.linalg.norm(raw, 2, axis=(-2, -1)).max()",
+           "np.linalg.norm(raw, 2, axis=(-2, -1)).mean()",
+           ("tests/test_shifts.py::test_matrix_kernel_shift_runs_and_respects_cap",)),
+    Mutant("representation-exclusive-chain-full-side", "src/dyadiclab/representation.py",
+           "else (finer, list(shifts % half)))",
+           "else (finer, list(shifts % size)))",
+           ("tests/test_representation.py::test_zero_operator_identity",)),
+    Mutant("rademacher-zero-step-power-iteration", "src/dyadiclab/rademacher.py",
+           "def _power_iteration_vector(op: np.ndarray, gen, iters: int = 12)",
+           "def _power_iteration_vector(op: np.ndarray, gen, iters: int = 0)",
+           ("tests/test_rademacher.py::test_probe_of_single_matrix_reaches_operator_norm",)),
 )
 
 # Mutants that no test can kill because the program behaves the same.

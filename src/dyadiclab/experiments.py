@@ -467,8 +467,7 @@ def run_averaging_identity(params: dict, seed: int) -> list:
     g = random_grid_function(sysm, seed, support=sup, mean_zero="global", label="avg-g")
     gp = GoodnessParams(gamma=params["gamma"], r=params["r"],
                         max_generations=params["r"])
-    cfg = rep.RepresentationConfig(goodness=gp)
-    report = rep.averaging_identity_residual(T, g, f, cfg)
+    report = rep.averaging_identity_residual(T, g, f, gp)
     sanity = abs(rep.full_pairing_sum(T, g, f, sysm.min_level, sysm.depth - 1)
                  - report.lhs)
     remainder = abs(report.top_scale_defect) + abs(report.coarse_share)

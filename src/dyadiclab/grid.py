@@ -33,6 +33,8 @@ from .rng import substream
 
 _GOOD_TIE_TOL = 1e-12
 MESH_CELL_BITS = 24  # a system has at most 2^24 finest cells
+_PROBABILITY_PATTERNS = 1 << 22  # most bit patterns `goodness_probability` enumerates
+_JOINT_PATTERNS = 1 << 20  # most bit patterns `goodness_position_joint` enumerates
 
 
 @dataclass(frozen=True)
@@ -129,16 +131,14 @@ class DyadicSystem:
     def top_cubes(self) -> list:
         return list(self.cubes_at_level(self.min_level))
 
-    def cubes_at_level(self, level: int, within=None) -> Iterator["DyadicCube"]:
+    def cubes_at_level(self, level: int) -> Iterator["DyadicCube"]:
         """All level-`level` cubes inside the ambient cube, corners in row-major order.
 
-        `within` optionally restricts to cubes meeting a cell box, given as
-        per-axis (lo, hi) cell index pairs.  The corners come from
-        `corner_ranges`, so they are in range by construction: each cube is
-        built from its start cells, m * size + origin_cell + shift, without the
-        checks of `DyadicCube(...)`.
+        The corners come from `corner_ranges`, so they are in range by
+        construction: each cube is built from its start cells,
+        m * size + origin_cell + shift, without the checks of `DyadicCube(...)`.
         """
-        ranges = self.corner_ranges(level, within)
+        ranges = self.corner_ranges(level)
         size = 1 << (self.depth - level)
         bases = [self.origin_cell + s for s in self.shift_cells(level)]
         starts = [range(r.start * size + base, r.stop * size + base, size)
@@ -151,25 +151,15 @@ class DyadicSystem:
                                  size_cells=size)
             yield cube
 
-    def corner_ranges(self, level: int, within=None) -> list:
+    def corner_ranges(self, level: int) -> list:
         """Per-axis corner ranges of the cubes that `cubes_at_level` lists.
 
         The cubes of one axis range are consecutive, so they tile one cell
-        run: corner m starts at cell m * size + origin_cell + shift.
+        run: corner m starts at cell m * size + base, base = origin_cell + shift.
         """
         size = 1 << (self.depth - level)
-        shift = self.shift_cells(level)
-        ranges = []
-        for ax in range(self.d):
-            lo_cell, hi_cell = 0, self.cells_per_axis
-            if within is not None:
-                lo_cell, hi_cell = within[ax]
-            base = self.origin_cell + shift[ax]  # start cell of corner m is m*size + base
-            m_lo = max(-((base + size - 1 - lo_cell) // size), -(base // size))  # ceilings
-            m_hi = min((hi_cell - 1 - base) // size,
-                       (self.cells_per_axis - size - base) // size)
-            ranges.append(range(m_lo, m_hi + 1))
-        return ranges
+        bases = [self.origin_cell + s for s in self.shift_cells(level)]
+        return [range(-(base // size), (self.cells_per_axis - base) // size) for base in bases]
 
 
 @dataclass(frozen=True)
@@ -223,12 +213,6 @@ class DyadicCube:
             object.__setattr__(self, "_slices", tuple(slice(s, s + self.size_cells)
                                                       for s in self._start))
             return self._slices
-
-    def geometry(self) -> np.ndarray:
-        """Translated intervals per axis, shape (d, 2), exact dyadic floats."""
-        cell = 2.0**-self.system.depth
-        lo = -(2.0**self.system.m_top) + np.asarray(self._start, dtype=np.int64) * cell
-        return np.stack([lo, lo + self.side], axis=-1)
 
     def contains_cube(self, other: "DyadicCube") -> bool:
         grow = self.size_cells - other.size_cells
@@ -359,8 +343,7 @@ def good_mask(system: DyadicSystem, level: int, params: GoodnessParams) -> np.nd
 
 
 def goodness_probability(max_gap: int, params: GoodnessParams, d: int = 1,
-                         base_corner: Optional[Sequence[int]] = None,
-                         cap: int = 1 << 22) -> GoodnessProbability:
+                         base_corner: Optional[Sequence[int]] = None) -> GoodnessProbability:
     """Exact goodness probability over the bits of gaps r..max_gap.
 
     Enumerates all 2^(max_gap*d) relevant translation-bit patterns; the
@@ -370,9 +353,9 @@ def goodness_probability(max_gap: int, params: GoodnessParams, d: int = 1,
     if max_gap < params.r:
         raise ValueError("max_gap must be at least the ancestor threshold r")
     n_bits = max_gap * d
-    if 2**n_bits > cap:
+    if 2**n_bits > _PROBABILITY_PATTERNS:
         raise ResourceLimitError(
-            f"enumeration of 2^{n_bits} bit patterns exceeds cap {cap}"
+            f"enumeration of 2^{n_bits} bit patterns exceeds cap {_PROBABILITY_PATTERNS}"
         )
     corner = np.array(base_corner if base_corner is not None else (0,) * d, dtype=np.int64)
     axes = [np.arange(1 << max_gap, dtype=np.int64)] * d
@@ -383,7 +366,7 @@ def goodness_probability(max_gap: int, params: GoodnessParams, d: int = 1,
 
 
 def goodness_position_joint(d: int, level: int, depth: int, m_top: int,
-                            params: GoodnessParams, cap: int = 1 << 20) -> np.ndarray:
+                            params: GoodnessParams) -> np.ndarray:
     """Joint counts of (translated position, goodness) by full bit enumeration.
 
     Builds a real system for every pattern of the bits at scales
@@ -398,8 +381,8 @@ def goodness_position_joint(d: int, level: int, depth: int, m_top: int,
     if level - gens < -m_top:
         raise ValueError("system too shallow for the requested generations")
     n_bits = (gens + depth - level) * d
-    if 2**n_bits > cap:
-        raise ResourceLimitError(f"2^{n_bits} bit patterns exceed cap {cap}")
+    if 2**n_bits > _JOINT_PATTERNS:
+        raise ResourceLimitError(f"2^{n_bits} bit patterns exceed cap {_JOINT_PATTERNS}")
     n_pos = 1 << ((depth - level) * d)
     counts = np.zeros((n_pos, 2), dtype=np.int64)
     head = ((0,) * d,) * (m_top + level - gens)  # scales -m_top < j <= level - gens

@@ -112,11 +112,9 @@ def from_callable(system: DyadicSystem, fn, space: NormedSpace = SCALAR) -> Grid
     return GridFunction(system, vals, space)
 
 
-def indicator(cube: DyadicCube, space: NormedSpace = SCALAR,
-              value: Optional[np.ndarray] = None) -> GridFunction:
+def indicator(cube: DyadicCube, space: NormedSpace = SCALAR) -> GridFunction:
     f = np.zeros((cube.system.cells_per_axis,) * cube.system.d + (space.dim,))
-    vec = np.ones(space.dim) if value is None else np.asarray(value, dtype=float)
-    f[cube.cell_slices()] = vec
+    f[cube.cell_slices()] = 1.0
     return GridFunction(cube.system, f, space)
 
 
@@ -363,14 +361,6 @@ class HaarCoefficients:
     level_hi: int
     coeffs: dict
     coarse: np.ndarray
-
-    def get(self, cube: DyadicCube, eta) -> np.ndarray:
-        arr = self.coeffs[cube.level]
-        blocks = arr.shape[0]
-        start = tuple(s // cube.size_cells for s in cube.start_cells())
-        if any(s < 0 or s >= blocks for s in start):
-            raise KeyError("cube outside the analyzed range")
-        return arr[start][etas(self.system.d).index(_eta(eta, self.system.d))]
 
 
 def analyze(f, level_lo: int, level_hi: Optional[int] = None):

@@ -168,10 +168,6 @@ class CalculusCheck:
     witness: float
     probe: float
 
-    @property
-    def passed(self) -> bool:
-        return self.witness <= self.probe * (1.0 + 1e-9) + 1e-12
-
 
 def averaging_check(pointwise: Sequence[np.ndarray], weights: Sequence[np.ndarray],
                     measure: np.ndarray, assignment, p: float,

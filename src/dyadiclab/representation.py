@@ -38,7 +38,6 @@ class CzKernel:
     fn: Callable  # offsets z = x - y of shape (..., d) -> values (scalar case)
     alpha: float
     cutoff: Optional[float] = None
-    name: str = "kernel"
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.fn(z), dtype=float)
@@ -53,7 +52,7 @@ def hilbert_kernel(cutoff: Optional[float] = None) -> CzKernel:
         diff = z[..., 0]
         return np.where(diff != 0.0, 1.0 / np.where(diff == 0, 1.0, diff), 0.0)
 
-    return CzKernel(fn, alpha=1.0, cutoff=cutoff, name="hilbert")
+    return CzKernel(fn, alpha=1.0, cutoff=cutoff)
 
 
 def smooth_odd_kernel(width: float = 0.25, cutoff: Optional[float] = 1.0) -> CzKernel:
@@ -63,7 +62,7 @@ def smooth_odd_kernel(width: float = 0.25, cutoff: Optional[float] = 1.0) -> CzK
         diff = z.sum(axis=-1)
         return diff * np.exp(-((diff / width) ** 2)) / width**2
 
-    return CzKernel(fn, alpha=1.0, cutoff=cutoff, name=f"smooth-odd-{width}")
+    return CzKernel(fn, alpha=1.0, cutoff=cutoff)
 
 
 # -- discretized operator --------------------------------------------------------
@@ -135,29 +134,10 @@ def raw_pairing(g: GridFunction, T: DiscreteOperator, f: GridFunction) -> float:
 
 
 def matrix_element(T: DiscreteOperator, J: DyadicCube, etaJ,
-                   I: DyadicCube, etaI, convention: str = "raw") -> float:
-    """Haar matrix element <h_J, T h_I>, raw or with paraproducts extracted.
-
-    Reads only the two cubes' cell slices of T.  For nested pairs the
-    extracted element is the raw one less the paraproduct term:
-    h_J(I) <1, T h_I> when J strictly contains I, h_I(J) <h_J, T 1> when
-    I strictly contains J.
-    """
-    if convention not in ("raw", "paraproduct_extracted"):
-        raise ValueError(f"unknown convention {convention!r}")
-    vol = T.system.cell_volume
+                   I: DyadicCube, etaI) -> float:
+    """Raw Haar matrix element <h_J, T h_I>, from the two cubes' cell slices of T."""
     hJ, hI = haar_block(J, etaJ), haar_block(I, etaI)
-    raw = vol * float(hJ.reshape(-1) @ T.block(J, I) @ hI.reshape(-1))
-    if convention == "raw":
-        return raw
-    col_sums, row_sums = T._sums
-    if J.level < I.level and J.contains_cube(I):
-        hJ_at_I = hJ[tuple(np.subtract(I.start_cells(), J.start_cells()))]
-        return raw - float(hJ_at_I) * vol * float((col_sums[I.cell_slices()] * hI).sum())
-    if I.level < J.level and I.contains_cube(J):
-        hI_at_J = hI[tuple(np.subtract(J.start_cells(), I.start_cells()))]
-        return raw - float(hI_at_J) * vol * float((row_sums[J.cell_slices()] * hJ).sum())
-    return raw
+    return T.system.cell_volume * float(hJ.reshape(-1) @ T.block(J, I) @ hI.reshape(-1))
 
 
 # -- paraproduct extraction ----------------------------------------------------------
@@ -346,12 +326,6 @@ class DecayReport:
     slope: Optional[float]
     slope_target: Optional[float]
 
-    @property
-    def passed(self) -> bool:
-        if self.slope_target is None:
-            return all(np.isfinite(self.magnitudes))
-        return self.slope is not None and self.slope <= self.slope_target
-
 
 def _case_constraints(case: str, r: int, i: int) -> bool:
     if case in ("far_disjoint", "deeply_nested"):
@@ -496,24 +470,6 @@ def wbp_constants(T: DiscreteOperator) -> dict:
 
 
 @dataclass(frozen=True)
-class RepresentationConfig:
-    """Goodness data and the cap on enumerated translation bits.
-
-    The averaging identity covers all 2^n translated grids, n the
-    (m_top + depth) * d translation bits, as 2^n coarsest-level blocks, and
-    raises ResourceLimitError when n exceeds `exhaustive_bit_cap`.
-    """
-
-    goodness: GoodnessParams
-    exhaustive_bit_cap: int = 20
-
-    def __post_init__(self):
-        if self.goodness.max_generations is None:
-            raise ValueError("translated-grid averaging needs a relative "
-                             "ancestor truncation (max_generations)")
-
-
-@dataclass(frozen=True)
 class AveragingIdentityReport:
     lhs: float
     rhs: float
@@ -598,9 +554,11 @@ def _companion_sums(matrix: np.ndarray, vals: np.ndarray, coeffs: Sequence, bloc
 
 
 def averaging_identity_residual(T: DiscreteOperator, g: GridFunction,
-                                f: GridFunction, config: RepresentationConfig
+                                f: GridFunction, gp: GoodnessParams
                                 ) -> AveragingIdentityReport:
-    """Grid-averaged good-pair sums against the plain pairing.
+    """Grid-averaged good-pair sums against the plain pairing, over all 2^n
+    translated grids, n the (m_top + depth) * d translation bits; `gp` must set
+    `max_generations`.
 
     For each translation, every cube deep enough to carry a full
     goodness bit window contributes, when good, its Haar coefficient times
@@ -626,15 +584,14 @@ def averaging_identity_residual(T: DiscreteOperator, g: GridFunction,
     its adjoint (see `_companion_sums`); no matrix-matrix product is formed.
     """
     base = T.system
-    gp = config.goodness
     gens = gp.max_generations
+    if gens is None:
+        raise ValueError("translated-grid averaging needs a relative "
+                         "ancestor truncation (max_generations)")
     pi = goodness_probability(gens, gp, base.d)
     if pi.good_count == 0:
         raise DegenerateInputError("goodness probability vanishes; cannot normalize")
     n_bits = (base.m_top + base.depth) * base.d
-    if n_bits > config.exhaustive_bit_cap:
-        raise ResourceLimitError(f"{n_bits} translation bits exceed the exhaustive "
-                                 f"cap {config.exhaustive_bit_cap}")
 
     d, vol, n_eta, depth = base.d, base.cell_volume, (1 << base.d) - 1, base.depth
     floor = base.min_level + gens

@@ -23,7 +23,7 @@ from .errors import MeshDepthError
 from .grid import DyadicCube, DyadicSystem
 from .gridfn import (GridFunction, _block_means, _blocks, _expand_blocks, _stack, _unblocks,
                      _unstack, conditional_expectation)
-from .rng import array_substreams, substream
+from .rng import array_substreams
 from .space import SCALAR, NormedSpace
 
 
@@ -52,11 +52,9 @@ class RandomKernel:
     cap: float = 1.0
     matrix_dim: int = 1
 
-    def table(self, cube: DyadicCube, blocks: int, gen=None) -> np.ndarray:
-        """The cube's table, drawn from `gen` if given: its stream already keyed,
-        by `fill_tables`.  Without it the stream is keyed here, one cube at a time."""
-        if gen is None:
-            gen = substream(self.seed, _KERNEL_LABEL, cube.level, *cube.corner)
+    def table(self, cube: DyadicCube, blocks: int, gen) -> np.ndarray:
+        """The cube's table, drawn from `gen`: its stream already keyed, by `fill_tables`,
+        as (seed, `_KERNEL_LABEL`, level, *corner)."""
         if self.matrix_dim == 1:
             return gen.uniform(-self.cap, self.cap, size=(blocks, blocks))
         raw = gen.uniform(-1.0, 1.0,
@@ -86,7 +84,6 @@ class ShiftSpec:
     system: DyadicSystem
     kernel: object
     space: NormedSpace = SCALAR
-    k_levels: Optional[tuple] = None  # inclusive (lo, hi) for the K sum
 
     @property
     def block_gap(self) -> int:
@@ -95,8 +92,6 @@ class ShiftSpec:
     def level_range(self) -> range:
         lo = self.system.min_level
         hi = self.system.depth - self.block_gap
-        if self.k_levels is not None:
-            lo, hi = max(lo, self.k_levels[0]), min(hi, self.k_levels[1])
         if hi < lo:
             raise MeshDepthError("shift complexity exceeds the mesh depth")
         return range(lo, hi + 1)
@@ -109,7 +104,7 @@ class ShiftSpec:
         if kernel_dim not in (1, self.space.dim):
             raise ValueError(f"kernel matrix_dim {kernel_dim} does not match "
                              f"the space dim {self.space.dim}")
-        if kernel_dim > 1 and (self.space.q != 2 or self.space.norm_fn is not None):
+        if kernel_dim > 1 and self.space.q != 2:
             raise ValueError("matrix kernels need an l^2 space, where their cap is the R-bound")
         # level -> table stack, filled on first use; not a field, so eq/hash/repr skip it
         object.__setattr__(self, "_stacks", {})
@@ -203,22 +198,17 @@ def _scale_step(arr: np.ndarray, d: int, side: int, g: int, res: int) -> np.ndar
 def apply_shift(spec: ShiftSpec, f):
     """Sum over cubes K of project(j) . averaging-block(K) . project(i).
 
-    `f` is one GridFunction or a list of them; the result is of the same kind.
-    A list is applied as one stack with a leading axis, and one function as a
-    stack of one row, so every row gets the bits a call on it alone gives.
+    `f` is one GridFunction or a list of them, applied as one stack (see
+    `gridfn._stack`); the result is of the same kind.
     The cubes of a level tile one box of cells, so each level is one pass
     over that box: the i-side block means, one batched contraction with the
     level's stacked tables, then the j-side block means of the result.
     """
-    single = isinstance(f, GridFunction)
-    fs = [f] if single else f
-    if any(g.system != spec.system or g.space.dim != spec.space.dim for g in fs):
+    single, fs, stack = _stack(f)
+    if fs[0].system != spec.system or fs[0].space.dim != spec.space.dim:
         raise ValueError("function does not match the shift's system/space")
     d, n, gap = spec.system.d, spec.space.dim, spec.block_gap
-    b_axis, cells = 1 << gap, (spec.system.cells_per_axis,) * d
-    # a view of one function; a list is copied into one stack
-    stack = f.values[None] if single else np.array([g.values for g in fs]).reshape(
-        (len(fs), *cells, n))
+    b_axis = 1 << gap
     out = np.zeros_like(stack)
     for level in spec.level_range():
         start, counts, tables = spec.level_tables(level)
@@ -235,8 +225,7 @@ def apply_shift(spec: ShiftSpec, f):
         grid = _unblocks(averaged.reshape(len(fs), *counts, b_axis**d, n), d, b_axis, 1)
         proj_out = _scale_step(grid, d, b_axis, spec.j, gap)
         out[box] += _expand_blocks(proj_out, d, size >> gap)
-    outs = [GridFunction(spec.system, row, spec.space, True) for row in out]
-    return outs[0] if single else outs
+    return _unstack(single, spec.system, spec.space, out)
 
 
 def adjoint_spec(spec: ShiftSpec) -> ShiftSpec:
@@ -246,8 +235,7 @@ def adjoint_spec(spec: ShiftSpec) -> ShiftSpec:
         stack = spec.level_tables(level)[2]
         flipped = np.ascontiguousarray(stack.transpose(0, 2, 1, *range(stack.ndim - 1, 2, -1)))
         tables.update(zip((c.key() for c in spec.system.cubes_at_level(level)), flipped))
-    return ShiftSpec(spec.j, spec.i, spec.system, ExplicitKernel(tables),
-                     spec.space, spec.k_levels)
+    return ShiftSpec(spec.j, spec.i, spec.system, ExplicitKernel(tables), spec.space)
 
 
 # -- paraproducts -----------------------------------------------------------------
@@ -259,20 +247,12 @@ class ParaproductSpec:
 
     b: GridFunction
     levels: Optional[tuple] = None  # inclusive (lo, hi) cube levels
-    root: Optional[DyadicCube] = None
-
-    def __post_init__(self):
-        if self.root is not None and self.root.system != self.b.system:
-            raise ValueError(f"root cube of {self.root.system} is not in the symbol's "
-                             f"system {self.b.system}")
 
     def level_range(self) -> range:
         sysm = self.b.system
         lo, hi = sysm.min_level, sysm.depth - 1
         if self.levels is not None:
             lo, hi = max(lo, self.levels[0]), min(hi, self.levels[1])
-        if self.root is not None:
-            lo = max(lo, self.root.level)
         return range(lo, hi + 1)
 
 
@@ -283,15 +263,15 @@ def apply_paraproduct(spec, f):
     values stored as flattened n*n vectors) act by matrix-vector products.
     `spec` and `f` are one ParaproductSpec and one GridFunction, or equal-length
     lists applied pair by pair as stacks (see `gridfn._stack`), whose specs share
-    the symbols' system and space, levels and root; the result is of the same kind.
+    the symbols' system and space and levels; the result is of the same kind.
     """
     single, fs, stack = _stack(f)
     specs = [spec] if isinstance(spec, ParaproductSpec) else list(spec)
     if isinstance(spec, ParaproductSpec) != single or len(specs) != len(fs):
         raise ValueError("give one spec and one function, or two lists of equal length")
-    first, frame = specs[0], lambda s: (s.b.system, s.b.space, s.levels, s.root)
+    first, frame = specs[0], lambda s: (s.b.system, s.b.space, s.levels)
     if any(frame(s) != frame(first) for s in specs):
-        raise ValueError("the specs of a list must share system, space, levels and root")
+        raise ValueError("the specs of a list must share system, space and levels")
     b, sysm = first.b if single else [s.b for s in specs], first.b.system
     if fs[0].system != sysm:
         raise ValueError("symbol and argument live on different systems")
@@ -299,8 +279,6 @@ def apply_paraproduct(spec, f):
     matrix_symbol = first.b.space.dim == n * n and n > 1
     if not matrix_symbol and first.b.space.dim != 1:
         raise ValueError("symbol must be scalar or act as n x n matrices")
-    inside = np.zeros(stack.shape[1:-1] + (1,), dtype=bool)  # the root's cells, or all
-    inside[() if first.root is None else first.root.cell_slices()] = True
     out = np.zeros_like(stack)
     levels = first.level_range()
     expect = lambda g, level: _stack(conditional_expectation(g, level))[2]
@@ -316,5 +294,5 @@ def apply_paraproduct(spec, f):
                              proj.reshape(proj.shape[:-1] + (n, n)), avg)
         else:
             term = proj * avg
-        out += np.where(inside, term, 0.0)
+        out += term
     return _unstack(single, sysm, fs[0].space, out)

@@ -1,14 +1,12 @@
 """Finite-dimensional normed value spaces.
 
-A value space is R^dim with an l^q norm (1 <= q <= inf) or a custom norm
-callable for small dimensions.  The dual of l^q is l^{q'} with the usual
-conjugate exponent; pairings are plain dot products.
+A value space is R^dim with an l^q norm (1 <= q <= inf).  The dual of l^q
+is l^{q'} with the usual conjugate exponent; pairings are plain dot products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,16 +26,15 @@ def umd_beta_scalar(p: float) -> float:
 
 @dataclass(frozen=True)
 class NormedSpace:
-    """R^dim with an l^q norm, or a user-supplied norm for small dim."""
+    """R^dim with an l^q norm."""
 
     dim: int
     q: float = 2.0
-    norm_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        if self.norm_fn is None and not (1 <= self.q):
+        if not (1 <= self.q):
             raise ValueError("q must be in [1, inf]")
 
     def norm(self, v: np.ndarray) -> np.ndarray:
@@ -45,8 +42,6 @@ class NormedSpace:
         v = np.asarray(v, dtype=float)
         if v.shape[-1] != self.dim:
             raise ValueError(f"expected trailing dimension {self.dim}")
-        if self.norm_fn is not None:
-            return np.asarray(self.norm_fn(v), dtype=float)
         a = np.abs(v)
         if self.q == np.inf:
             return a.max(axis=-1)
@@ -55,11 +50,6 @@ class NormedSpace:
         if self.q == 2:
             return np.sqrt((a * a).sum(axis=-1))
         return (a**self.q).sum(axis=-1) ** (1.0 / self.q)
-
-    def dual(self) -> "NormedSpace":
-        if self.norm_fn is not None:
-            raise ValueError("custom norms carry no automatic dual")
-        return NormedSpace(self.dim, conjugate_exponent(self.q))
 
 
 SCALAR = NormedSpace(1, 2.0)

@@ -3,8 +3,8 @@
 A stopping family below a root cube is built by repeatedly collecting the
 maximal subcubes whose average of |f| exceeds a threshold factor times
 the parent generation's average.  Measures are nonnegative per-cell
-densities (default all ones, i.e. Lebesgue); with the default factor 2
-the construction is sparse: each member keeps at least half its measure
+densities (default all ones, i.e. Lebesgue); with factor 2 the
+construction is sparse: each member keeps at least half its measure
 outside its stopping children.
 """
 
@@ -173,9 +173,8 @@ def _stacked(pairs: list) -> tuple:
     return families, norms, np.stack([fam.density() for fam in families])
 
 
-def build_stopping_family(f, root: DyadicCube, threshold_factor: float = 2.0,
-                          weights=None):
-    """Iterated maximal subcubes with |f|-average above factor times the parent's,
+def build_stopping_family(f, root: DyadicCube, weights=None):
+    """Iterated maximal subcubes with |f|-average above twice the parent's,
     found in one sweep from the root's level down in which each cube inherits
     the label of the minimal member strictly containing it.
 
@@ -194,11 +193,11 @@ def build_stopping_family(f, root: DyadicCube, threshold_factor: float = 2.0,
         raise ValueError("one density or None per function required")
     families = [SparseFamily(root, weights=w) for w in ws]
     for chunk in stack_chunks(zip(families, fs), root.system):
-        _sweep(chunk, threshold_factor)
+        _sweep(chunk)
     return families[0] if single else families
 
 
-def _sweep(pairs: list, threshold_factor: float):
+def _sweep(pairs: list):
     """Add each family's members, in depth-first order, from one sweep of the
     stack of the (family, function) `pairs`.  Labels are numbered across the
     stack, root i taking label i."""
@@ -212,7 +211,7 @@ def _sweep(pairs: list, threshold_factor: float):
     for level, avg in levels:
         for ax in range(1, sysm.d + 1):
             labels = labels.repeat(2, axis=ax)
-        new = avg > threshold_factor * bases[labels]
+        new = avg > 2.0 * bases[labels]
         hits = np.argwhere(new).tolist()
         for label, (row, *block), parent in zip(itertools.count(len(bases)), hits,
                                                 labels[new].tolist()):

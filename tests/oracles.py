@@ -19,10 +19,9 @@ from dyadiclab.rademacher import (OperatorFamily, _power_iteration_vector, sign_
                                   sign_patterns)
 from dyadiclab.representation import (AveragingIdentityReport, DecayReport,
                                       DiscreteOperator, PairingDecomposition, _case_constraints,
-                                      _support_box, decay_slope_target, matrix_element,
-                                      raw_pairing)
+                                      _support_box, decay_slope_target, raw_pairing)
 from dyadiclab.rng import substream
-from dyadiclab.shifts import ParaproductSpec, apply_paraproduct
+from dyadiclab.shifts import _KERNEL_LABEL, ParaproductSpec, RandomKernel, apply_paraproduct
 from dyadiclab.space import SCALAR, NormedSpace, conjugate_exponent
 from dyadiclab.sparse import _EXACT_TOL, CarlesonResult, PythagorasResult, SparseFamily
 
@@ -125,6 +124,15 @@ def dense_averaging_matrix(cube, table, block_level, system):
     return matrix
 
 
+def kernel_table(kernel, cube, blocks):
+    """The cube's table; a random kernel's drawn from a stream keyed for this
+    cube alone, as (seed, `_KERNEL_LABEL`, level, *corner)."""
+    if isinstance(kernel, RandomKernel):
+        return kernel.table(cube, blocks, substream(kernel.seed, _KERNEL_LABEL, cube.level,
+                                                    *cube.corner))
+    return kernel.table(cube, blocks)
+
+
 def dense_shift_matrix(spec):
     """Dense matrix of a one-dimensional dyadic shift, by composing factors."""
     system = spec.system
@@ -134,7 +142,7 @@ def dense_shift_matrix(spec):
         for cube in system.cubes_at_level(level):
             proj_in = dense_projection_matrix(cube, spec.i, n)
             proj_out = dense_projection_matrix(cube, spec.j, n)
-            table = spec.kernel.table(cube, spec.blocks_per_axis())
+            table = kernel_table(spec.kernel, cube, spec.blocks_per_axis())
             avg = dense_averaging_matrix(cube, table, cube.level + spec.block_gap,
                                          system)
             total += proj_out @ avg @ proj_in
@@ -154,7 +162,7 @@ def _shift_term_blocks(spec, cube, f_view):
         return _expand_blocks(arr, d, 1 << (gap - g))
 
     proj_in = blocks_at(means_at(spec.i + 1), spec.i + 1) - blocks_at(means_at(spec.i), spec.i)
-    table = spec.kernel.table(cube, b_axis**d)
+    table = kernel_table(spec.kernel, cube, b_axis**d)
     integrals = proj_in.reshape(-1, n) * (cube.volume / b_axis**d)
     if table.ndim == 2:
         averaged = (table @ integrals) / cube.volume
@@ -187,10 +195,6 @@ def apply_paraproduct_per_level(spec, f):
     b, sysm = spec.b, spec.b.system
     n = f.space.dim
     matrix_symbol = b.space.dim == n * n and n > 1
-    mask = None
-    if spec.root is not None:
-        mask = np.zeros(f.values.shape[:-1], dtype=bool)
-        mask[spec.root.cell_slices()] = True
     out = np.zeros_like(f.values)
     for level in spec.level_range():
         proj = (conditional_expectation(b, level + 1).values
@@ -201,8 +205,6 @@ def apply_paraproduct_per_level(spec, f):
                              proj.reshape(proj.shape[:-1] + (n, n)), avg)
         else:
             term = proj * avg
-        if mask is not None:
-            term = np.where(mask[..., None], term, 0.0)
         out += term
     return GridFunction(sysm, out, f.space)
 
@@ -359,6 +361,21 @@ def shift_cells_by_bits(system, level):
     for j in range(level + 1, system.depth + 1):
         shift += (1 << (system.depth - j)) * np.asarray(system.bit(j), dtype=np.int64)
     return shift
+
+
+def interval(cube):
+    """Translated interval of the cube per axis, shape (d, 2), exact dyadic floats."""
+    cell = 2.0**-cube.system.depth
+    lo = -(2.0**cube.system.m_top) + np.asarray(cube.start_cells(), dtype=np.int64) * cell
+    return np.stack([lo, lo + cube.side], axis=-1)
+
+
+def cubes_meeting(system, level, box):
+    """The level's cubes, in `cubes_at_level` order, that meet a cell box given as
+    per-axis (lo, hi) cell index pairs."""
+    return [cube for cube in system.cubes_at_level(level)
+            if all(s < hi and s + cube.size_cells > lo
+                   for s, (lo, hi) in zip(cube.start_cells(), box))]
 
 
 def start_cells_array(system, level, corner):
@@ -628,9 +645,11 @@ def matrix_element_dense(T, J, etaJ, I, etaI, convention="raw"):
 # -- paraproduct extraction by stacked Haar vectors ------------------------------
 
 
-def standard_cubes(system, level_lo, level_hi, within=None):
+def standard_cubes(system, level_lo, level_hi, box=None):
+    """The cubes of the levels, those meeting the cell `box` if given."""
     return [cube for level in range(level_lo, level_hi + 1)
-            for cube in system.cubes_at_level(level, within=within)]
+            for cube in (system.cubes_at_level(level) if box is None
+                         else cubes_meeting(system, level, box))]
 
 
 def extract_paraproducts_dense(T, level_lo, level_hi):
@@ -785,8 +804,8 @@ def shift_coefficients(T, K, i, j, params):
                 continue
             for etaI in etas(sysm.d):
                 for etaJ in etas(sysm.d):
-                    elem = matrix_element(T, J, etaJ, I, etaI,
-                                          convention="paraproduct_extracted")
+                    elem = matrix_element_dense(T, J, etaJ, I, etaI,
+                                                "paraproduct_extracted")
                     if elem == 0.0:
                         continue
                     outer = np.outer(block_values(J, etaJ), block_values(I, etaI))
@@ -875,11 +894,10 @@ def wbp_constants_per_cube(T):
 # -- averaging identity, one Haar coefficient per column per grid ------------------
 
 
-def averaging_identity_dense(T, g, f, config):
+def averaging_identity_dense(T, g, f, gp):
     """Grid average with per-column Haar vectors and coefficients, one dense
     frame per translated grid, over every translation-bit pattern."""
     base = T.system
-    gp = config.goodness
     pi = goodness_probability(gp.max_generations, gp, base.d)
     lhs = raw_pairing(g, T, f)
     floor = base.min_level + gp.max_generations
@@ -923,13 +941,12 @@ def averaging_identity_dense(T, g, f, config):
                                    coarse_share=coarse / n, full_sum_mean=total_sum / n)
 
 
-def averaging_identity_per_grid(T, g, f, config):
+def averaging_identity_per_grid(T, g, f, gp):
     """`representation.averaging_identity_residual` grid by grid: one system
     per translation-bit pattern, its cubes walked level by level, goodness
     memoized on a cube's level, corner and window bits, and one elements
     product per grid over the frame columns of that grid's blocks."""
     base = T.system
-    gp = config.goodness
     gens = gp.max_generations
     pi = goodness_probability(gens, gp, base.d)
     level_hi = base.depth - 1
@@ -949,7 +966,7 @@ def averaging_identity_per_grid(T, g, f, config):
         for level in range(sysm.min_level, level_hi + 1):
             key = (level, sysm.shift_cells(level))
             if key not in columns:
-                blocks.append((level, list(sysm.cubes_at_level(level, within=box))))
+                blocks.append((level, cubes_meeting(sysm, level, box)))
                 columns[key] = (len(col_level), [cube.corner for cube in blocks[-1][1]])
                 col_level += [level] * (n_eta * len(blocks[-1][1]))
             first, corners = columns[key]

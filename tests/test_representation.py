@@ -18,8 +18,7 @@ from dyadiclab.experiments import run_experiment
 from dyadiclab.grid import DyadicCube, DyadicSystem, GoodnessParams, good_mask, is_good
 from dyadiclab.gridfn import (_haar_analysis, _haar_synthesis, _prefix_sums, etas,
                               haar_coefficient, haar_vector, pair, random_grid_function)
-from dyadiclab.representation import (DECAY_CASES, DiscreteOperator,
-                                      RepresentationConfig, assemble,
+from dyadiclab.representation import (DECAY_CASES, DiscreteOperator, assemble,
                                       averaging_identity_residual, decay_check,
                                       extract_paraproducts, full_pairing_sum,
                                       hilbert_kernel, matrix_element,
@@ -56,7 +55,6 @@ def test_zero_operator_elements():
     T = DiscreteOperator(SYS, np.zeros((N, N)))
     J, I = SYS.cube(1, (1,)), SYS.cube(2, (1,))
     assert matrix_element(T, J, (1,), I, (1,)) == 0.0
-    assert matrix_element(T, J, (1,), I, (1,), "paraproduct_extracted") == 0.0
 
 
 def test_identity_operator_orthonormality():
@@ -85,7 +83,7 @@ def test_extracted_convention_drops_the_host_child():
     J = SYS.cube(0, (0,))
     I = SYS.cube(3, (1,))
     raw = matrix_element(T, J, (1,), I, (1,))
-    ext = matrix_element(T, J, (1,), I, (1,), "paraproduct_extracted")
+    ext = oracles.matrix_element_dense(T, J, (1,), I, (1,), "paraproduct_extracted")
     # difference equals the host-child value times the column integral
     col = float(SYS.cell_volume * T.matrix.sum(axis=0) @ haar_vector(I, (1,)))
     host_value = 1.0  # h_J on the left child of the unit cube
@@ -122,7 +120,7 @@ def test_cutoff_kernel_interior_column_sums_vanish():
     worst = 0.0
     for (level, corner, eta), value in toward_dual.items():
         cube = SYS.cube(level, corner)
-        geo = cube.geometry()[0]
+        geo = oracles.interval(cube)[0]
         if geo[0] > -1.0 + 0.3 and geo[1] < 1.0 - 0.3:
             worst = max(worst, abs(value))
     assert worst < 1e-12
@@ -159,11 +157,12 @@ PERMISSIVE = GoodnessParams(gamma=0.4, r=1, max_generations=2)
 
 def coefficient_shift(T, K, i, j, params):
     """The (i, j) shift whose only nonzero table is K's, from `oracles.shift_coefficients`."""
-    blocks = (1 << (max(i, j) + 1)) ** T.system.d
-    tables = {cube.key(): np.zeros((blocks, blocks))
-              for cube in T.system.cubes_at_level(K.level)}
+    sysm, gap = T.system, max(i, j) + 1
+    tables = {cube.key(): np.zeros((1 << gap * sysm.d,) * 2)
+              for level in range(sysm.min_level, sysm.depth - gap + 1)
+              for cube in sysm.cubes_at_level(level)}
     tables[K.key()] = oracles.shift_coefficients(T, K, i, j, params)
-    return ShiftSpec(i, j, T.system, ExplicitKernel(tables), k_levels=(K.level, K.level))
+    return ShiftSpec(i, j, sysm, ExplicitKernel(tables))
 
 
 @given(st.integers(0, 10**6), st.sampled_from([(0, 0), (1, 0), (2, 1), (1, 2)]))
@@ -189,7 +188,7 @@ def test_shift_coefficients_reproduce_partial_pairing(seed, ij):
                 continue
             if oracles.common_ancestor(I, J).key() != K.key():
                 continue
-            elem = matrix_element(T, J, (1,), I, (1,), "paraproduct_extracted")
+            elem = oracles.matrix_element_dense(T, J, (1,), I, (1,), "paraproduct_extracted")
             total += (haar_coefficient(g, J, (1,))[0] * elem
                       * haar_coefficient(f, I, (1,))[0])
     assert lhs == pytest.approx(total, abs=1e-10)
@@ -216,9 +215,9 @@ def test_decay_slopes_on_feasible_configuration():
     T = assemble(hilbert_kernel(), system)
     params = GoodnessParams(gamma=0.4, r=4)
     far = decay_check(T, "far_disjoint", range(5, 9), params, alpha=1.0)
-    assert far.passed
+    assert far.slope <= far.slope_target
     nested = decay_check(T, "deeply_nested", range(5, 9), params, alpha=1.0)
-    assert nested.passed
+    assert nested.slope <= nested.slope_target
     assert nested.slope_target == pytest.approx(-0.5)
 
 
@@ -273,7 +272,7 @@ def test_zero_operator_identity():
     f = random_grid_function(system, 0, support=system.cube(0, (0,)),
                              mean_zero="global")
     gp = GoodnessParams(gamma=0.5, r=3, max_generations=3)
-    report = averaging_identity_residual(T, f, f, RepresentationConfig(goodness=gp))
+    report = averaging_identity_residual(T, f, f, gp)
     assert report.lhs == 0.0 and report.rhs == 0.0
 
 
@@ -297,7 +296,7 @@ def test_full_sum_refuses_vector_valued_functions():
 def test_identity_residual_small():
     system, T, f, g = make_identity_setup(2)
     gp = GoodnessParams(gamma=0.5, r=3, max_generations=3)
-    report = averaging_identity_residual(T, g, f, RepresentationConfig(goodness=gp))
+    report = averaging_identity_residual(T, g, f, gp)
     assert report.pi_good == pytest.approx(0.25)
     assert report.relative_residual < 1e-2
     # exact independence: the residual IS the reported truncation remainder
@@ -309,17 +308,13 @@ def test_degenerate_goodness_rejected():
     system, T, f, g = make_identity_setup(3)
     gp = GoodnessParams(gamma=0.125, r=3, max_generations=3)  # no good cubes
     with pytest.raises(DegenerateInputError):
-        averaging_identity_residual(T, g, f, RepresentationConfig(goodness=gp))
+        averaging_identity_residual(T, g, f, gp)
 
 
-def test_identity_bit_cap_enforced():
-    from dyadiclab.errors import ResourceLimitError
-
+def test_identity_needs_a_relative_ancestor_truncation():
     system, T, f, g = make_identity_setup(5)
-    gp = GoodnessParams(gamma=0.5, r=3, max_generations=3)
-    cfg = RepresentationConfig(goodness=gp, exhaustive_bit_cap=4)
-    with pytest.raises(ResourceLimitError):
-        averaging_identity_residual(T, g, f, cfg)
+    with pytest.raises(ValueError, match="max_generations"):
+        averaging_identity_residual(T, g, f, GoodnessParams(gamma=0.5, r=3))
 
 
 # -- assembly ----------------------------------------------------------------------------
@@ -333,7 +328,8 @@ ASSEMBLE_SYSTEMS = [DyadicSystem(d=1, m_top=0, depth=0), DyadicSystem(d=1, m_top
 
 @pytest.mark.parametrize("kernel", [hilbert_kernel(), hilbert_kernel(0.5),
                                     smooth_odd_kernel(0.25, 1.0), smooth_odd_kernel(0.1, 0.25)],
-                         ids=lambda kernel: f"{kernel.name}-{kernel.cutoff}")
+                         ids=["hilbert-None", "hilbert-0.5", "smooth-odd-0.25-1.0",
+                              "smooth-odd-0.1-0.25"])
 @pytest.mark.parametrize("system", ASSEMBLE_SYSTEMS, ids=lambda s: f"d{s.d}m{s.m_top}k{s.depth}")
 def test_assemble_equals_per_pair_kernel_calls(kernel, system):
     """The offset table's strided copy holds, bit for bit, what one kernel call
@@ -410,10 +406,9 @@ def test_matrix_element_matches_dense_oracle(system, seed):
                 pass
         etaJ, etaI = (signs[k] for k in gen.integers(len(signs), size=2))
         for A, etaA, B, etaB in ((J, etaJ, I, etaI), (I, etaI, J, etaJ)):
-            for convention in ("raw", "paraproduct_extracted"):
-                want = oracles.matrix_element_dense(T, A, etaA, B, etaB, convention)
-                got = matrix_element(T, A, etaA, B, etaB, convention)
-                assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+            want = oracles.matrix_element_dense(T, A, etaA, B, etaB)
+            got = matrix_element(T, A, etaA, B, etaB)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 @given(translated_systems(), st.integers(0, 2**20), st.booleans())
@@ -424,16 +419,17 @@ def test_haar_transform_matches_per_cube_vectors(system, seed, boxed):
     cube into a drawn stack row, against sums of `haar_vector`s."""
     gen = np.random.default_rng(seed)
     other = DyadicSystem.random(seed + 1, d=system.d, m_top=system.m_top, depth=system.depth)
-    within = None
+    box = None
     if boxed:  # the cubes meeting a cell box, as the averaging identity uses
-        within = [tuple(sorted(int(x) for x in gen.integers(0, system.cells_per_axis + 1,
+        box = [tuple(sorted(int(x) for x in gen.integers(0, system.cells_per_axis + 1,
                                                             size=2)))
                   for _ in range(system.d)]
     f = random_grid_function(system, seed, label="frame-f")
     sums = _prefix_sums(f.scalar_values()[None], system.d)
     shape = (2,) + (system.cells_per_axis,) * system.d
     for level in range(system.min_level, system.depth):
-        cubes = [cube for sysm in (system, other) for cube in sysm.cubes_at_level(level, within)]
+        cubes = [cube for sysm in (system, other)
+                 for cube in oracles.standard_cubes(sysm, level, level, box)]
         starts = np.array([cube.start_cells() for cube in cubes], dtype=np.intp)
         starts = starts.reshape(-1, system.d).T
         coeffs = system.cell_volume * _haar_analysis(sums, level, system.depth, starts)[0]
@@ -635,9 +631,9 @@ def random_identity_case(d, m_top, depth, seed):
     return T, f, g
 
 
-def assert_identity_matches_oracle(T, g, f, config):
-    got = averaging_identity_residual(T, g, f, config)
-    want = oracles.averaging_identity_dense(T, g, f, config)
+def assert_identity_matches_oracle(T, g, f, gp):
+    got = averaging_identity_residual(T, g, f, gp)
+    want = oracles.averaging_identity_dense(T, g, f, gp)
     for field in dataclasses.fields(got):
         assert getattr(got, field.name) == pytest.approx(getattr(want, field.name),
                                                          rel=1e-9, abs=1e-9)
@@ -653,9 +649,7 @@ def assert_identity_matches_oracle(T, g, f, config):
 @settings(max_examples=14, deadline=None)
 def test_averaging_identity_matches_dense_oracle(shape, seed):
     T, f, g = random_identity_case(*shape, seed)
-    config = RepresentationConfig(goodness=GoodnessParams(gamma=0.5, r=3,
-                                                          max_generations=3))
-    assert_identity_matches_oracle(T, g, f, config)
+    assert_identity_matches_oracle(T, g, f, GoodnessParams(gamma=0.5, r=3, max_generations=3))
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 3), (1, 2, 3), (1, 3, 2), (1, 4, 4), (1, 5, 4),
@@ -668,10 +662,9 @@ def test_averaging_identity_matches_per_grid_oracle(shape, kind, seed):
     T, f, g = random_identity_case(*shape, seed)
     if kind == "smooth":
         T = assemble(smooth_odd_kernel(0.25, 1.0), T.system)
-    config = RepresentationConfig(goodness=GoodnessParams(gamma=0.5, r=3,
-                                                          max_generations=3))
-    got = averaging_identity_residual(T, g, f, config)
-    want = oracles.averaging_identity_per_grid(T, g, f, config)
+    gp = GoodnessParams(gamma=0.5, r=3, max_generations=3)
+    got = averaging_identity_residual(T, g, f, gp)
+    want = oracles.averaging_identity_per_grid(T, g, f, gp)
     for field in dataclasses.fields(got):
         assert getattr(got, field.name) == pytest.approx(getattr(want, field.name), rel=0,
                                                          abs=1e-12 * abs(want.lhs))
@@ -683,17 +676,15 @@ def identity_cap_case():
     system = DyadicSystem(d=1, m_top=0, depth=12)
     T = DiscreteOperator(system, np.broadcast_to(0.0, (system.n_cells,) * 2))
     f = random_grid_function(system, 0, mean_zero="global")
-    config = RepresentationConfig(goodness=GoodnessParams(gamma=0.5, r=3,
-                                                          max_generations=3))
-    return T, f, config
+    return T, f, GoodnessParams(gamma=0.5, r=3, max_generations=3)
 
 
 def test_identity_column_cap_fires_before_allocating():
-    T, f, config = identity_cap_case()
+    T, f, gp = identity_cap_case()
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="above the cap"):
-            averaging_identity_residual(T, f, f, config)
+            averaging_identity_residual(T, f, f, gp)
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
@@ -702,7 +693,7 @@ def test_identity_column_cap_fires_before_allocating():
 def test_identity_column_cap_fires_before_any_system_is_built(monkeypatch):
     # the columns are counted from per-axis corner ranges, so no system or
     # cube, of a grid or of a goodness window, is built before the cap fires
-    T, f, config = identity_cap_case()
+    T, f, gp = identity_cap_case()
     built = []
 
     def counting(init):
@@ -714,7 +705,7 @@ def test_identity_column_cap_fires_before_any_system_is_built(monkeypatch):
     for cls in (DyadicSystem, DyadicCube):
         monkeypatch.setattr(cls, "__post_init__", counting(cls.__post_init__))
     with pytest.raises(ResourceLimitError, match="above the cap"):
-        averaging_identity_residual(T, f, f, config)
+        averaging_identity_residual(T, f, f, gp)
     assert built == []
 
 
@@ -723,15 +714,14 @@ THREAD_CHILD = """
 import dataclasses, json
 from dyadiclab.grid import DyadicSystem, GoodnessParams
 from dyadiclab.gridfn import random_grid_function
-from dyadiclab.representation import (RepresentationConfig, assemble,
-                                      averaging_identity_residual, smooth_odd_kernel)
+from dyadiclab.representation import assemble, averaging_identity_residual, smooth_odd_kernel
 system = DyadicSystem(d=1, m_top=4, depth=4)
 sup = system.cube(0, (0,))
 f, g = (random_grid_function(system, 7, support=sup, mean_zero="global", label=label)
         for label in ("avg-f", "avg-g"))
-config = RepresentationConfig(goodness=GoodnessParams(gamma=0.5, r=3, max_generations=3))
+gp = GoodnessParams(gamma=0.5, r=3, max_generations=3)
 T = assemble(smooth_odd_kernel(0.25, 1.0), system)
-report = averaging_identity_residual(T, g, f, config)
+report = averaging_identity_residual(T, g, f, gp)
 print(json.dumps({key: float(value).hex() for key, value in dataclasses.asdict(report).items()}))
 """
 

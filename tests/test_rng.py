@@ -8,6 +8,8 @@ from dyadiclab.rng import _keys, _label_int, array_substreams, substream, substr
 from dyadiclab.shifts import RandomKernel, ShiftSpec
 from dyadiclab.space import NormedSpace
 
+from oracles import kernel_table
+
 SEEDS = (0, 7, 2**40, 2**63 - 1)
 
 labels = st.one_of(
@@ -71,7 +73,7 @@ def test_level_tables_match_per_cube_draws(seed, d, m_top, matrix_dim):
     levels = list(spec.level_range())
     assert levels[0] == -m_top
     for level in reversed(levels):
-        want = [kernel.table(cube, blocks) for cube in system.cubes_at_level(level)]
+        want = [kernel_table(kernel, cube, blocks) for cube in system.cubes_at_level(level)]
         assert np.array_equal(spec.level_tables(level)[2], np.stack(want))
 
 

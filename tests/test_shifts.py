@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from dyadiclab import shifts
 from dyadiclab.experiments import run_paraproduct, run_shift_bound
 from dyadiclab.grid import DyadicSystem
-from dyadiclab.gridfn import (_STACK_CELLS, GridFunction, cube_average, from_callable,
-                              haar_vector, indicator, pair, random_grid_function)
+from dyadiclab.gridfn import (_STACK_CELLS, GridFunction, conditional_expectation,
+                              from_callable, haar_vector, indicator, pair,
+                              random_grid_function)
 from dyadiclab.shifts import (ExplicitKernel, ParaproductSpec, RandomKernel, ShiftSpec,
                               adjoint_spec, apply_paraproduct, apply_shift, fill_tables)
 from dyadiclab.space import NormedSpace
 
-from oracles import apply_paraproduct_per_level, apply_shift_per_cube, dense_shift_matrix
+from oracles import (apply_paraproduct_per_level, apply_shift_per_cube, dense_shift_matrix,
+                     kernel_table)
 
 SYS = DyadicSystem(d=1, m_top=0, depth=6)
 UNIT = SYS.cube(0, (0,))
@@ -40,10 +42,10 @@ def test_unit_kernel_zero_parameter_shift_vanishes():
 def test_explicit_kernel_of_drawn_tables_applies_the_same_shift():
     for matrix_dim in (1, 2):
         space = NormedSpace(matrix_dim, 2.0)
-        drawn = ShiftSpec(0, 1, SYS, RandomKernel(6, 1.0, matrix_dim), space, k_levels=(0, 1))
-        tables = {cube.key(): drawn.kernel.table(cube, drawn.blocks_per_axis())
+        drawn = ShiftSpec(0, 1, SYS, RandomKernel(6, 1.0, matrix_dim), space)
+        tables = {cube.key(): kernel_table(drawn.kernel, cube, drawn.blocks_per_axis())
                   for level in drawn.level_range() for cube in SYS.cubes_at_level(level)}
-        spec = ShiftSpec(0, 1, SYS, ExplicitKernel(tables), space, k_levels=(0, 1))
+        spec = ShiftSpec(0, 1, SYS, ExplicitKernel(tables), space)
         f = random_grid_function(SYS, 14, space)
         assert np.array_equal(apply_shift(spec, f).values, apply_shift(drawn, f).values)
 
@@ -58,7 +60,12 @@ def test_shift_matches_dense_composition_oracle(seed, i, j):
 
 
 def test_single_cube_shift_against_three_factor_composition():
-    spec = ShiftSpec(0, 1, SYS, RandomKernel(17, 1.0), k_levels=(0, 0))
+    """One level's drawn tables, zero tables on the other levels."""
+    kernel = RandomKernel(17, 1.0)
+    probe = ShiftSpec(0, 1, SYS, kernel)
+    tables = {cube.key(): kernel_table(kernel, cube, 4) if level == 0 else np.zeros((4, 4))
+              for level in probe.level_range() for cube in SYS.cubes_at_level(level)}
+    spec = ShiftSpec(0, 1, SYS, ExplicitKernel(tables))
     f = random_grid_function(SYS, 3)
     dense = dense_shift_matrix(spec)
     assert np.abs(apply_shift(spec, f).values[..., 0]
@@ -92,7 +99,7 @@ def test_matrix_kernel_shift_runs_and_respects_cap():
     f = random_grid_function(SYS, 5, space)
     out = apply_shift(spec, f)
     assert out.values.shape == f.values.shape
-    table = kernel.table(SYS.cube(0, (0,)), 4)
+    table = kernel_table(kernel, SYS.cube(0, (0,)), 4)
     assert np.linalg.norm(table, 2, axis=(-2, -1)).max() == pytest.approx(0.5, rel=1e-12)
 
 
@@ -107,10 +114,10 @@ def test_constant_symbol_gives_zero():
 
 def test_constant_argument_telescopes():
     b = random_grid_function(SYS, 7)
-    spec = ParaproductSpec(b, root=UNIT)
+    spec = ParaproductSpec(b)
     f = from_callable(SYS, lambda p: np.full(p.shape[:-1], 3.0))
     out = apply_paraproduct(spec, f)
-    expected = 3.0 * (b.values - cube_average(b, UNIT)) * indicator(UNIT).values
+    expected = 3.0 * (b.values - conditional_expectation(b, 0).values)
     assert np.abs(out.values - expected).max() < 1e-13
 
 
@@ -142,10 +149,9 @@ def test_matrix_symbol_acts_on_vectors():
 
 
 @given(st.integers(0, 2**20), st.sampled_from([1, 2]), st.integers(0, 2),
-       st.sampled_from(["scalar", "matrix"]), st.booleans(), st.booleans())
+       st.sampled_from(["scalar", "matrix"]), st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_paraproduct_matches_per_level_expectations(seed, d, m_top, symbol, with_levels,
-                                                     with_root):
+def test_paraproduct_matches_per_level_expectations(seed, d, m_top, symbol, with_levels):
     system = DyadicSystem(d=d, m_top=m_top, depth=(4 if d == 1 else 3) - m_top)
     gen = np.random.default_rng(seed)
     n = 2 if symbol == "matrix" else 1
@@ -155,12 +161,7 @@ def test_paraproduct_matches_per_level_expectations(seed, d, m_top, symbol, with
     if with_levels:
         lo = int(gen.integers(system.min_level, system.depth))
         levels = (lo, int(gen.integers(lo - 1, system.depth)))  # hi < lo: no level
-    root = None
-    if with_root:
-        level = int(gen.integers(system.min_level, system.depth + 1))
-        cubes = list(system.cubes_at_level(level))
-        root = cubes[gen.integers(len(cubes))]
-    spec = ParaproductSpec(b, levels, root)
+    spec = ParaproductSpec(b, levels)
     assert np.array_equal(apply_paraproduct(spec, f).values,
                           apply_paraproduct_per_level(spec, f).values)
 
@@ -186,22 +187,18 @@ def test_paraproduct_takes_each_symbol_expectation_once(monkeypatch):
 
 
 @given(st.integers(0, 2**20), st.sampled_from([1, 2]), st.integers(0, 2),
-       st.sampled_from(["scalar", "matrix"]), st.booleans(), st.booleans(), st.integers(1, 4))
+       st.sampled_from(["scalar", "matrix"]), st.booleans(), st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
-def test_stacked_paraproduct_equals_one_call_per_pair(seed, d, m_top, symbol, with_levels,
-                                                      with_root, m):
+def test_stacked_paraproduct_equals_one_call_per_pair(seed, d, m_top, symbol, with_levels, m):
     system = DyadicSystem(d=d, m_top=m_top, depth=(4 if d == 1 else 3) - m_top)
     gen = np.random.default_rng(seed)
     n = 2 if symbol == "matrix" else 1
-    levels = root = None
+    levels = None
     if with_levels:
         lo = int(gen.integers(system.min_level, system.depth))
         levels = (lo, int(gen.integers(lo, system.depth)))
-    if with_root:
-        cubes = list(system.cubes_at_level(int(gen.integers(system.min_level, system.depth))))
-        root = cubes[gen.integers(len(cubes))]
     specs = [ParaproductSpec(random_grid_function(system, seed, NormedSpace(n * n, 2.0),
-                                                  label=f"stack-b-{r}"), levels, root)
+                                                  label=f"stack-b-{r}"), levels)
              for r in range(m)]
     fs = [random_grid_function(system, seed, NormedSpace(n, 2.0), label=f"stack-f-{r}")
           for r in range(m)]
@@ -223,11 +220,9 @@ def test_paraproduct_lists_that_disagree_are_refused():
         ([ParaproductSpec(b)] * 2, [f], "one spec and one function, or two lists of equal length"),
         ([], [], "nonempty"),
         ([ParaproductSpec(b), ParaproductSpec(c, levels=(0, 2))], [f, f],
-         "share system, space, levels and root"),
-        ([ParaproductSpec(b), ParaproductSpec(c, root=UNIT)], [f, f],
-         "share system, space, levels and root"),
+         "share system, space and levels"),
         ([ParaproductSpec(b), ParaproductSpec(random_grid_function(other, 4))], [f, f],
-         "share system, space, levels and root"),
+         "share system, space and levels"),
         ([ParaproductSpec(b)] * 2, [f, random_grid_function(other, 5)], "share one system"),
         ([ParaproductSpec(b)] * 2, [f, random_grid_function(SYS, 6, NormedSpace(2, 2.0))],
          "share one system and space"),
@@ -236,18 +231,6 @@ def test_paraproduct_lists_that_disagree_are_refused():
         with pytest.raises(ValueError, match=message) as err:
             apply_paraproduct(spec, fs)
         assert "\n" not in str(err.value)
-
-
-@pytest.mark.parametrize("root_system, corner", [
-    (DyadicSystem(d=1, m_top=0, depth=6), 3),  # a finer mesh: its cells are not b's
-    (DyadicSystem(d=1, m_top=0, depth=4, omega=((1,), (0,), (1,), (0,))), 1)])  # translated
-def test_paraproduct_root_from_another_system_is_refused(root_system, corner):
-    b = random_grid_function(DyadicSystem(d=1, m_top=0, depth=4), 1)
-    root = root_system.cube(2, (corner,))
-    with pytest.raises(ValueError, match="root cube of") as err:
-        ParaproductSpec(b, root=root)
-    assert str(b.system) in str(err.value) and str(root_system) in str(err.value)
-    assert "\n" not in str(err.value)
 
 
 # -- level-batched shift against the per-cube oracle ---------------------------------
@@ -360,14 +343,19 @@ def test_missing_explicit_table_names_its_cube():
 
 @given(translated_systems(), st.integers(0, 2**20))
 def test_batched_shift_matches_per_cube_oracle_k_levels(system, seed):
+    """A window of K levels: drawn tables on levels lo..hi, zero tables elsewhere."""
     gen = np.random.default_rng(seed)
     f = random_grid_function(system, seed, label="batched-levels-f")
     for i, j in fitting_pairs(system):
-        full = ShiftSpec(i, j, system, RandomKernel(seed, 1.0)).level_range()
+        probe = ShiftSpec(i, j, system, RandomKernel(seed, 1.0))
+        full = probe.level_range()
         lo = int(gen.integers(full.start, full.stop))
         hi = int(gen.integers(lo, full.stop))
-        assert_matches_per_cube(
-            ShiftSpec(i, j, system, RandomKernel(seed, 1.0), k_levels=(lo, hi)), f)
+        blocks = probe.blocks_per_axis() ** system.d
+        tables = {cube.key(): kernel_table(probe.kernel, cube, blocks) if lo <= level <= hi
+                  else np.zeros((blocks, blocks))
+                  for level in full for cube in system.cubes_at_level(level)}
+        assert_matches_per_cube(ShiftSpec(i, j, system, ExplicitKernel(tables)), f)
 
 
 @given(translated_systems(), st.integers(0, 2**20))
@@ -377,11 +365,11 @@ def test_adjoint_matches_per_cube_transpose(system, seed):
     for i, j in fitting_pairs(system, cap=2):
         spec = ShiftSpec(i, j, system, RandomKernel(seed, 1.0))
         blocks = spec.blocks_per_axis() ** system.d
-        by_hand = ExplicitKernel({cube.key(): spec.kernel.table(cube, blocks).T
+        by_hand = ExplicitKernel({cube.key(): kernel_table(spec.kernel, cube, blocks).T
                                   for level in spec.level_range()
                                   for cube in system.cubes_at_level(level)})
         adjoint = adjoint_spec(spec)
-        assert (adjoint.i, adjoint.j, adjoint.k_levels) == (j, i, None)
+        assert (adjoint.i, adjoint.j) == (j, i)
         assert_matches_per_cube(adjoint, g, ShiftSpec(j, i, system, by_hand))
         lhs = pair(g, apply_shift(spec, f))
         assert lhs == pytest.approx(pair(apply_shift(adjoint, g), f), rel=1e-12, abs=1e-12)
@@ -395,7 +383,7 @@ def test_adjoint_transposes_matrix_tables_without_redrawing():
     apply_shift(spec, random_grid_function(SYS, 4, space))
     adjoint = adjoint_spec(spec)
     cube = SYS.cube(0, (0,))
-    table = spec.kernel.table(cube, 4)
+    table = kernel_table(spec.kernel, cube, 4)
     assert np.array_equal(adjoint.kernel.table(cube, 4), table.transpose(1, 0, 3, 2))
 
 
@@ -404,8 +392,8 @@ def test_kernel_tables_drawn_once_per_cube_per_spec(monkeypatch):
     calls = []
     original = RandomKernel.table
     monkeypatch.setattr(RandomKernel, "table",
-                        lambda self, cube, blocks, *gen: calls.append(cube.key())
-                        or original(self, cube, blocks, *gen))
+                        lambda self, cube, blocks, gen: calls.append(cube.key())
+                        or original(self, cube, blocks, gen))
     for kernel, space in ((RandomKernel(5, 1.0), NormedSpace(1, 2.0)),
                           (RandomKernel(5, 0.5, matrix_dim=2), NormedSpace(2, 2.0))):
         calls.clear()
@@ -424,9 +412,9 @@ def test_kernel_tables_drawn_once_per_cube_per_spec(monkeypatch):
 
 def test_table_cache_stays_out_of_eq_hash_and_repr():
     system = DyadicSystem.random(2, d=1, m_top=1, depth=4)
-    used = ShiftSpec(2, 1, system, RandomKernel(5, 1.0), k_levels=(0, 1))
+    used = ShiftSpec(2, 1, system, RandomKernel(5, 1.0))
     apply_shift(used, random_grid_function(system, 7))
-    twin = ShiftSpec(2, 1, system, RandomKernel(5, 1.0), k_levels=(0, 1))
+    twin = ShiftSpec(2, 1, system, RandomKernel(5, 1.0))
     assert used == twin and hash(used) == hash(twin)
     assert repr(used) == repr(twin) and "_stacks" not in repr(used)
     with pytest.raises(ValueError):
@@ -469,16 +457,19 @@ def test_stacked_shift_equals_one_call_per_input(system, seed, kind_dim, m):
             assert got.system == system and got.space == space
 
 
-def test_empty_stack_gives_empty_list():
+def test_empty_stack_is_refused():
     spec = ShiftSpec(1, 0, SYS, RandomKernel(3, 1.0))
-    assert apply_shift(spec, []) == []
+    with pytest.raises(ValueError, match="nonempty"):
+        apply_shift(spec, [])
 
 
 def test_stack_with_a_foreign_function_is_refused():
     spec = ShiftSpec(0, 0, SYS, RandomKernel(3, 1.0))
     other = DyadicSystem(d=1, m_top=0, depth=5)
-    with pytest.raises(ValueError, match="does not match the shift's system/space"):
+    with pytest.raises(ValueError, match="share one system and space"):
         apply_shift(spec, [random_grid_function(SYS, 1), random_grid_function(other, 1)])
+    with pytest.raises(ValueError, match="does not match the shift's system/space"):
+        apply_shift(spec, [random_grid_function(other, 1)])
 
 
 @pytest.mark.parametrize("matrix_dim, space_dim", [(2, 1), (2, 3), (3, 2)])
@@ -490,9 +481,8 @@ def test_kernel_and_space_dims_that_disagree_are_refused(matrix_dim, space_dim):
                                f"the space dim {space_dim}")
 
 
-@pytest.mark.parametrize("space", [NormedSpace(2, np.inf), NormedSpace(2, 1.0),
-                                   NormedSpace(2, norm_fn=lambda v: np.abs(v).max(axis=-1))],
-                         ids=["linf", "l1", "custom"])
+@pytest.mark.parametrize("space", [NormedSpace(2, np.inf), NormedSpace(2, 1.0)],
+                         ids=["linf", "l1"])
 def test_matrix_kernels_off_l2_are_refused(space):
     """A matrix table's largest spectral norm is its R-bound only on l^2; scalar
     kernels, whose cap is their sup norm, stay allowed on every space."""
@@ -517,7 +507,7 @@ def test_run_wide_fill_equals_per_spec_tables(monkeypatch, key_rows):
                 ShiftSpec(1, 0, sys_a, RandomKernel(2**40 + 5, 0.5)),
                 ShiftSpec(1, 1, sys_b, ExplicitKernel(
                     explicit_tables(probe, np.random.default_rng(1)))),
-                ShiftSpec(2, 0, sys_b, RandomKernel(11, 1.0), k_levels=(-1, 0)),
+                ShiftSpec(2, 0, sys_b, RandomKernel(11, 1.0)),
                 ShiftSpec(0, 0, sys_b, RandomKernel(-7, 0.5, matrix_dim=2),
                           NormedSpace(2, 2.0)),
                 ShiftSpec(5, 5, sys_b, RandomKernel(1, 1.0))]  # deeper than the mesh

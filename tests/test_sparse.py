@@ -82,14 +82,6 @@ def test_stopping_controls(seed):
     assert ctrl["max_child_over_parent"] <= 2.0 * 2**SYS.d + 1e-12
 
 
-def test_threshold_factor_changes_the_tree():
-    f = indicator(SYS.cube(2, (0,)))
-    fam3 = build_stopping_family(f, ROOT, threshold_factor=3.0)
-    assert [c.key() for c in fam3.cubes] == [(0, (0,)), (2, (0,))]
-    fam5 = build_stopping_family(f, ROOT, threshold_factor=5.0)
-    assert len(fam5) == 1  # no subcube average exceeds five times 1/4
-
-
 # -- the level sweep against the per-cube build -----------------------------------------
 
 
@@ -135,11 +127,10 @@ def _assert_same_family(fam, ref):
 
 
 @given(st.integers(0, 10**6), st.sampled_from([1, 2]), st.integers(0, 2),
-       st.sampled_from(["top", "child"]), st.sampled_from([1.5, 2.0, 3.0]),
+       st.sampled_from(["top", "child"]),
        st.lists(st.sampled_from(["lebesgue", "random"]), min_size=1, max_size=5),
        st.none() | st.integers(0, 4))
-def test_sweep_matches_per_cube_build(seed, d, m_top, root_pick, factor, weight_modes,
-                                      zero_at):
+def test_sweep_matches_per_cube_build(seed, d, m_top, root_pick, weight_modes, zero_at):
     """A list of drivers, each with its own measure, is swept as one stack; each family
     equals the per-cube build.  One density with a zero-measure subcube (the one at
     `zero_at`, if the list is that long) fails the stack."""
@@ -148,18 +139,18 @@ def test_sweep_matches_per_cube_build(seed, d, m_top, root_pick, factor, weight_
     root, fs, weights = _driver_stack(seed, d, m_top, root_pick, weight_modes)
     if "zero-region" in weight_modes:
         with pytest.raises(SparsityError, match="zero measure"):
-            build_stopping_family(fs, root, factor, weights)
+            build_stopping_family(fs, root, weights)
         for f, w, mode in zip(fs, weights, weight_modes):
             if mode == "zero-region":
                 for build in (build_stopping_family, build_stopping_family_per_cube):
                     with pytest.raises(SparsityError, match="zero measure"):
-                        build(f, root, factor, w)
+                        build(f, root, weights=w)
         return
-    families = build_stopping_family(fs, root, factor, weights)
+    families = build_stopping_family(fs, root, weights)
     assert len(families) == len(fs)
     for fam, f, w in zip(families, fs, weights):
-        _assert_same_family(fam, build_stopping_family_per_cube(f, root, factor, w))
-    _assert_same_family(build_stopping_family(fs[-1], root, factor, weights[-1]), families[-1])
+        _assert_same_family(fam, build_stopping_family_per_cube(f, root, weights=w))
+    _assert_same_family(build_stopping_family(fs[-1], root, weights[-1]), families[-1])
 
 
 def _spy_stacks(monkeypatch, cells):
@@ -233,7 +224,7 @@ def test_sweep_averages_are_weighted_averages_bit_for_bit(d, m_top, depth):
         for root in sysm.cubes_at_level(level):
             box = [(s, s + root.size_cells) for s in root.start_cells()]
             for sub_level, avg in _level_averages(weights, norms, root):
-                cubes = list(sysm.cubes_at_level(sub_level, within=box))
+                cubes = oracles.cubes_meeting(sysm, sub_level, box)
                 assert len(cubes) == avg.size
                 for cube in cubes:
                     block = tuple((c - s) // cube.size_cells
