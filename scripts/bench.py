@@ -8,26 +8,40 @@ Each checkout's own `perfbench/run.py` runs untraced for 8 s on every
 workload at seeds 1, 2 and 3; runs are interleaved (per seed, per workload,
 one run per checkout in turn) so the machine's drift falls alike on each.
 The last JSON line of each run gives its metrics and `correct`; the exit
-code is kept beside them.  Exit status: 0 if every run exited 0, else 1.  Per checkout the file records git HEAD (and whether the tree
+code is kept beside them.  Then each checkout's `scripts/run_reports.py`
+runs the full catalog once at seed 7 and its defaults, the checkouts in
+turn, bracketed by `perfbench/calibrate.py`'s kernel: the record keeps the
+run's wall time and each experiment's `timing_ms` from its JSON summary,
+measured and in reference seconds.  Exit status: 0 if every run exited 0,
+else 1.  Per checkout the file records git HEAD (and whether the tree
 differs from it), the line count of `src/dyadiclab/*.py`, the machine line
 that `run.py` prints (Python, numpy, BLAS and its thread count), every run
 and the median of each metric per workload.  Without `--tree` the checkout
 holding this script is measured under the label "HEAD".  Nothing under
-`perfbench/` is changed.
+`perfbench/` is changed; its calibration module is only imported.
 """
 
 import argparse
 import glob
+import importlib.util
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_calibrate", os.path.join(ROOT, "perfbench", "calibrate.py"))
+calibrate = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(calibrate)
+
 WORKLOADS = ("shift-sweep", "stopping-sparse", "haar-representation", "translated-2d")
 SEEDS = (1, 2, 3)
 SECONDS = 8.0
+CATALOG_SEED = 7
 
 
 def parse_run(stdout: str, exit_code: int) -> dict:
@@ -72,6 +86,40 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return {"workload": workload, "seed": seed, **parse_run(done.stdout, done.returncode)}
 
 
+def parse_summary(text: str) -> dict:
+    """Each experiment's `timing_ms` from the catalog's JSON summary."""
+    return {name: int(ms) for name, ms in json.loads(text)["timing_ms"].items()}
+
+
+def catalog_record(exit_code: int, wall_s: float, factor: float, summary) -> dict:
+    """One catalog run: exit code, wall time and per-experiment `timing_ms`, measured
+    and times `factor`, the calibration's reference seconds per measured second.
+    A run that wrote no summary (`summary` None) has no timings."""
+    timing = {} if summary is None else parse_summary(summary)
+    return {"exit": exit_code, "wall_s": wall_s, "wall_ref_s": wall_s * factor,
+            "reference_factor": factor, "timing_ms": timing,
+            "timing_ref_ms": {name: ms * factor for name, ms in timing.items()}}
+
+
+def run_catalog(tree: str) -> dict:
+    """The checkout's full catalog at seed 7 and its defaults, bracketed by the
+    calibration kernel."""
+    with tempfile.TemporaryDirectory(prefix="bench-catalog-") as out:
+        before = calibrate.seconds()
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, os.path.join(tree, "scripts", "run_reports.py"),
+                               "--seed", str(CATALOG_SEED), "--out", out],
+                              cwd=tree, capture_output=True, text=True)
+        wall_s = time.perf_counter() - start
+        factor = calibrate.to_reference(before, calibrate.seconds())
+        try:
+            with open(os.path.join(out, "catalog.json")) as stream:
+                summary = stream.read()
+        except OSError:  # the run stopped before writing its summary
+            summary = None
+    return catalog_record(done.returncode, wall_s, factor, summary)
+
+
 def medians(runs: list) -> dict:
     """Per workload, the median over its runs of each metric."""
     out = {}
@@ -85,11 +133,11 @@ def medians(runs: list) -> dict:
     return out
 
 
-def record(tree: str, runs: list) -> dict:
+def record(tree: str, runs: list, catalog=None) -> dict:
     machine = next((run["machine"] for run in runs if run["machine"]), None)
     runs = [{key: value for key, value in run.items() if key != "machine"} for run in runs]
     return {**git_state(tree), "src_lines": src_lines(tree), "machine": machine,
-            "medians": medians(runs), "runs": runs}
+            "medians": medians(runs), "runs": runs, "catalog": catalog}
 
 
 def main(argv=None) -> int:
@@ -107,12 +155,19 @@ def main(argv=None) -> int:
                 runs[label].append(run)
                 print(f"{label} {workload} seed={seed} exit={run['exit']} "
                       f"wall_s={run['metrics'].get('wall_s')}", flush=True)
-    doc = {"seeds": SEEDS, "seconds": SECONDS,
-           "checkouts": {label: record(tree, runs[label]) for label, tree in trees.items()}}
+    catalogs = {}
+    for label, tree in trees.items():
+        catalogs[label] = run_catalog(tree)
+        print(f"{label} catalog seed={CATALOG_SEED} exit={catalogs[label]['exit']} "
+              f"wall_ref_s={catalogs[label]['wall_ref_s']:.3f}", flush=True)
+    doc = {"seeds": SEEDS, "seconds": SECONDS, "catalog_seed": CATALOG_SEED,
+           "checkouts": {label: record(tree, runs[label], catalogs[label])
+                         for label, tree in trees.items()}}
     with open(args.out, "w") as stream:
         json.dump(doc, stream, indent=1)
         stream.write("\n")
     failed = [run for label in runs for run in runs[label] if run["exit"] != 0]
+    failed += [label for label, catalog in catalogs.items() if catalog["exit"] != 0]
     return 1 if failed else 0
 
 

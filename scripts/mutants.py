@@ -39,6 +39,8 @@ class Mutant:
 
 SPARSE = "src/dyadiclab/sparse.py"
 TEST_SPARSE = "tests/test_sparse.py::"
+GRIDFN = "src/dyadiclab/gridfn.py"
+TEST_GRIDFN = "tests/test_gridfn.py::"
 
 MUTANTS = (
     Mutant("sparse-lebesgue-half-boundary", SPARSE,
@@ -69,6 +71,22 @@ MUTANTS = (
            "new = avg > 2.0 * bases[labels]",
            "new = avg >= 2.0 * bases[labels]",
            (TEST_SPARSE + "test_quarter_indicator_family",)),
+    Mutant("gridfn-analysis-last-eta-sign-flipped", GRIDFN,
+           "for row, eta_layer in zip(signs, layer):",
+           "for row, eta_layer in zip(np.vstack([signs[:-1], -signs[-1:]]), layer):",
+           (TEST_GRIDFN + "test_every_analyzed_coefficient_matches_its_cube",)),
+    Mutant("gridfn-analysis-first-two-children-swapped", GRIDFN,
+           "kids = [means[at].copy() for at in _CHILDREN[d]]",
+           "kids = [means[at].copy() for at in _CHILDREN[d][1::-1] + _CHILDREN[d][2:]]",
+           (TEST_GRIDFN + "test_analysis_and_synthesis_equal_the_block_oracles_bit_for_bit",)),
+    Mutant("gridfn-synthesis-scale-times-two-to-the-d", GRIDFN,
+           "np.empty(means.shape), 2.0 ** (level * d / 2.0)",
+           "np.empty(means.shape), 2.0 ** (level * d / 2.0) * 2**d",
+           (TEST_GRIDFN + "test_completeness_two_dimensional",)),
+    Mutant("gridfn-analysis-means-summed-in-turn", GRIDFN,
+           "pairs = d == 2 and means.shape[1] == 1 and means.shape[-1] > 2",
+           "pairs = False",
+           (TEST_GRIDFN + "test_analysis_and_synthesis_equal_the_block_oracles_bit_for_bit",)),
     Mutant("grid-good-mask-extra-bit", "src/dyadiclab/grid.py",
            "u = [w >> (system.depth - level) for w in system._words]",
            "u = [w >> (system.depth - level + 1) for w in system._words]",

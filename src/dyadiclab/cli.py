@@ -11,6 +11,7 @@ found before any experiment runs where the parameter table of
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -169,6 +170,7 @@ def _list(args) -> int:
     return 0
 
 
+@functools.cache  # one per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dyadiclab",
                      description="Quantitative checks for dyadic operator inequalities")

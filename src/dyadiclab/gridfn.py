@@ -57,9 +57,8 @@ def _sign_row(eta: tuple) -> np.ndarray:
     return row
 
 
-def _child_signs(d: int) -> np.ndarray:
-    """Signs of h^eta on the children: rows etas(d), columns children row-major."""
-    return np.array([_sign_row(eta) for eta in etas(d)])
+# per d, the signs of h^eta on a cube's children: rows etas(d), columns children row-major
+_SIGNS = {d: np.array([_sign_row(eta) for eta in etas(d)]) for d in (1, 2)}
 
 
 @dataclass(frozen=True)
@@ -363,6 +362,20 @@ class HaarCoefficients:
     coarse: np.ndarray
 
 
+# per d, the index of each block's children, row-major, in a stack (stack, dim, *cells)
+_CHILDREN = {d: [(Ellipsis, *(slice(b, None, 2) for b in bits))
+                 for bits in itertools.product((0, 1), repeat=d)] for d in (1, 2)}
+
+
+def _signed_sum(terms, signs, out: np.ndarray) -> np.ndarray:
+    """sum_k signs[k] * terms[k] added in turn into `out`: as a sign of +-1 multiplies
+    exactly, these are the bits of `sum(s * t for s, t in zip(signs, terms))`."""
+    (np.positive if signs[0] > 0 else np.negative)(terms[0], out=out)
+    for s, t in zip(signs[1:], terms[1:]):
+        (np.add if s > 0 else np.subtract)(out, t, out=out)
+    return out
+
+
 def analyze(f, level_lo: int, level_hi: Optional[int] = None):
     """Haar coefficients for cube levels level_lo..level_hi (aligned systems), of
     one GridFunction or, row by row, a list of them (see `_stack`)."""
@@ -372,20 +385,26 @@ def analyze(f, level_lo: int, level_hi: Optional[int] = None):
         level_hi = sysm.depth - 1
     if not (sysm.min_level <= level_lo <= level_hi <= sysm.depth - 1):
         raise MeshDepthError("analysis range outside the mesh")
-    d, signs = sysm.d, _child_signs(sysm.d)
-    means = _block_means(stack, d, _aligned_factor(sysm, level_hi + 1))
+    d, signs = sysm.d, _SIGNS[sysm.d]
+    # component-major, (stack, dim, *cells), so a block's children are strided views
+    means = np.moveaxis(_block_means(stack, d, _aligned_factor(sysm, level_hi + 1)), -1, 1)
     coeffs = {}
     for level in range(level_hi, level_lo - 1, -1):
         _aligned_factor(sysm, level)
-        kids = _blocks(means, d, 2, 1)
-        scale = 2.0 ** (-level * d / 2.0) / 2**d  # |I|^{1/2} * 2^{-d}
-        # child by child, every eta at once: (stack, blocks)*d + (eta, component)
-        coeffs[level] = sum(s[:, None] * kids[..., k, None, :]
-                            for k, s in enumerate(signs.T)) * scale
-        means = _block_means(means, d, 2)
+        kids = [means[at].copy() for at in _CHILDREN[d]]  # read strided once only
+        layer = np.empty((len(signs),) + kids[0].shape)  # (eta, stack, dim, *blocks)
+        for row, eta_layer in zip(signs, layer):
+            _signed_sum(kids, row, eta_layer)
+        coeffs[level] = np.multiply(np.moveaxis(layer, (0, 2), (-2, -1)),
+                                    2.0 ** (-level * d / 2.0) / 2**d, order="C")  # |I|^{1/2} 2^-d
+        # `_block_means`'s bits: its reduce adds a scalar stack's children in pairs
+        # when there is more than one block per axis, else in turn
+        pairs = d == 2 and means.shape[1] == 1 and means.shape[-1] > 2
+        means = functools.reduce(np.add, [kids[0] + kids[1], kids[2] + kids[3]] if pairs
+                                 else kids) / 2**d
     out = [HaarCoefficients(sysm, fs[0].space, level_lo, level_hi,
-                            {level: layer[r] for level, layer in coeffs.items()}, means[r])
-           for r in range(len(fs))]
+                            {level: layer[r] for level, layer in coeffs.items()}, coarse)
+           for r, coarse in enumerate(np.moveaxis(means, 1, -1))]
     return out[0] if single else out
 
 
@@ -398,16 +417,20 @@ def synthesize(hc):
     if not hcs or any(frame(h) != frame(hcs[0]) for h in hcs):
         raise ValueError("a list of Haar coefficients must be nonempty and of one frame")
     first, rows = hcs[0], (lambda arrays: arrays[0][None]) if single else np.array
-    sysm, d, signs = first.system, first.system.d, _child_signs(first.system.d)
-    means = rows([h.coarse for h in hcs])
+    sysm, d, signs = first.system, first.system.d, _SIGNS[first.system.d]
+    means = np.moveaxis(rows([h.coarse for h in hcs]), -1, 1)  # (stack, dim, *blocks)
     for level in range(first.level_lo, first.level_hi + 1):
-        scale = 2.0 ** (level * d / 2.0)  # |I|^{-1/2}
-        layer = rows([h.coeffs[level] for h in hcs])
-        # eta by eta, every child at once: (stack, blocks)*d + (child, component)
-        delta = sum(s[:, None] * layer[..., e, None, :] for e, s in enumerate(signs))
-        means = _unblocks(means[..., None, :] + scale * delta, d, 2, 1)
-    factor = 1 << (sysm.depth - first.level_hi - 1)
-    return _unstack(single, sysm, first.space, _expand_blocks(means, d, factor))
+        layer = np.ascontiguousarray(np.moveaxis(rows([h.coeffs[level] for h in hcs]),
+                                                 (-2, -1), (0, 2)))  # (eta, stack, dim, ...)
+        out = np.empty(means.shape[:2] + tuple(2 * c for c in means.shape[2:]))
+        delta, scale = np.empty(means.shape), 2.0 ** (level * d / 2.0)  # |I|^{-1/2}
+        for at, col in zip(_CHILDREN[d], signs.T):  # each child: mean + scale * signed sum
+            np.multiply(_signed_sum(layer, col, delta), scale, out=delta)
+            np.add(means, delta, out=out[at])
+        means = out
+    factor, values = 1 << (sysm.depth - first.level_hi - 1), np.moveaxis(means, 1, -1)
+    return _unstack(single, sysm, first.space,
+                    _expand_blocks(values, d, factor) if factor > 1 else values.copy())
 
 
 # -- norms and pairings ---------------------------------------------------------

@@ -12,7 +12,8 @@ import numpy as np
 from dyadiclab.errors import (AdaptednessError, AmbientRangeError, DegenerateInputError,
                               MeshDepthError, SparsityError)
 from dyadiclab.grid import DyadicSystem, goodness_probability, is_good
-from dyadiclab.gridfn import (GridFunction, _block_means, _expand_blocks,
+from dyadiclab.gridfn import (GridFunction, HaarCoefficients, _aligned_factor, _block_means,
+                              _blocks, _expand_blocks, _stack, _unblocks, _unstack,
                               conditional_expectation, cube_average, etas, haar_block,
                               haar_coefficient, haar_vector, pair)
 from dyadiclab.rademacher import (OperatorFamily, _power_iteration_vector, sign_average,
@@ -259,6 +260,60 @@ def block_means_by_mean(arr, d, factor):
         return arr
     split = [x for b in arr.shape[:d] for x in (b // factor, factor)]
     return arr.reshape(*split, arr.shape[-1]).mean(axis=tuple(range(1, 2 * d, 2)))
+
+
+def child_signs(d):
+    """Signs of h^eta on a cube's children: rows etas(d), columns children row-major,
+    where h^eta is -1 on a child whose bits meet eta an odd number of times."""
+    kids = list(itertools.product((0, 1), repeat=d))
+    return np.array([[(-1.0) ** np.dot(eta, kid) for kid in kids] for eta in etas(d)])
+
+
+def analyze_by_blocks(f, level_lo, level_hi=None):
+    """`gridfn.analyze` on cells regrouped per block: each level's children are
+    moved next to the component axis, and every eta's coefficients are the sum
+    over the children of the sign times the child, broadcast over etas."""
+    single, fs, stack = _stack(f)
+    sysm = fs[0].system
+    if level_hi is None:
+        level_hi = sysm.depth - 1
+    if not (sysm.min_level <= level_lo <= level_hi <= sysm.depth - 1):
+        raise MeshDepthError("analysis range outside the mesh")
+    d, signs = sysm.d, child_signs(sysm.d)
+    means = _block_means(stack, d, _aligned_factor(sysm, level_hi + 1))
+    coeffs = {}
+    for level in range(level_hi, level_lo - 1, -1):
+        _aligned_factor(sysm, level)
+        kids = _blocks(means, d, 2, 1)
+        scale = 2.0 ** (-level * d / 2.0) / 2**d
+        coeffs[level] = sum(s[:, None] * kids[..., k, None, :]
+                            for k, s in enumerate(signs.T)) * scale
+        means = _block_means(means, d, 2)
+    out = [HaarCoefficients(sysm, fs[0].space, level_lo, level_hi,
+                            {level: layer[r] for level, layer in coeffs.items()}, means[r])
+           for r in range(len(fs))]
+    return out[0] if single else out
+
+
+def synthesize_by_blocks(hc):
+    """`gridfn.synthesize` on cells regrouped per block: each level's children are
+    the mean plus the scale times the sum over etas of the sign times the layer,
+    broadcast over children, then moved back to their cells."""
+    single = isinstance(hc, HaarCoefficients)
+    hcs = [hc] if single else list(hc)
+    frame = lambda h: (h.system, h.space, h.level_lo, h.level_hi)
+    if not hcs or any(frame(h) != frame(hcs[0]) for h in hcs):
+        raise ValueError("a list of Haar coefficients must be nonempty and of one frame")
+    first, rows = hcs[0], (lambda arrays: arrays[0][None]) if single else np.array
+    sysm, d, signs = first.system, first.system.d, child_signs(first.system.d)
+    means = rows([h.coarse for h in hcs])
+    for level in range(first.level_lo, first.level_hi + 1):
+        scale = 2.0 ** (level * d / 2.0)
+        layer = rows([h.coeffs[level] for h in hcs])
+        delta = sum(s[:, None] * layer[..., e, None, :] for e, s in enumerate(signs))
+        means = _unblocks(means[..., None, :] + scale * delta, d, 2, 1)
+    factor = 1 << (sysm.depth - first.level_hi - 1)
+    return _unstack(single, sysm, first.space, _expand_blocks(means, d, factor))
 
 
 def bmo_norm_per_exponent(b, p):

@@ -1,6 +1,10 @@
 """scripts/bench.py on canned `perfbench/run.py` output; no benchmark is run."""
 
 import json
+import os
+import subprocess
+
+import pytest
 
 from test_params import ROOT, load
 
@@ -60,6 +64,62 @@ def test_record_moves_the_machine_line_out_of_the_runs(monkeypatch):
                                    for p in (ROOT / "src" / "dyadiclab").glob("*.py"))
 
 
+SUMMARY = json.dumps({"all_passed": True, "seed": 7,
+                      "experiments": {"goodness": {"checks": 3, "failed": []},
+                                      "stopping": {"checks": 2, "failed": []}},
+                      "timing_ms": {"goodness": 256, "stopping": 141}}, indent=2)
+
+
+def test_parse_summary_reads_each_experiments_timing():
+    assert bench.parse_summary(SUMMARY) == {"goodness": 256, "stopping": 141}
+
+
+def test_catalog_record_converts_to_reference_seconds():
+    rec = bench.catalog_record(0, 3.0, 0.5, SUMMARY)
+    assert rec == {"exit": 0, "wall_s": 3.0, "wall_ref_s": 1.5, "reference_factor": 0.5,
+                   "timing_ms": {"goodness": 256, "stopping": 141},
+                   "timing_ref_ms": {"goodness": 128.0, "stopping": 70.5}}
+    crashed = bench.catalog_record(2, 0.4, 0.5, None)
+    assert (crashed["exit"], crashed["timing_ms"], crashed["timing_ref_ms"]) == (2, {}, {})
+
+
+@pytest.mark.parametrize("writes_summary", [True, False])
+def test_run_catalog_brackets_the_run_with_the_calibration_kernel(monkeypatch, writes_summary):
+    """A stand-in for the catalog run: no experiment runs."""
+    events, probes = [], iter([0.08, 0.10])
+
+    def fake_catalog(cmd, cwd, capture_output, text):
+        events.append(("catalog", cmd[1:], cwd))
+        if writes_summary:
+            with open(os.path.join(cmd[cmd.index("--out") + 1], "catalog.json"), "w") as out:
+                out.write(SUMMARY)
+        return subprocess.CompletedProcess(cmd, 0 if writes_summary else 2)
+
+    def fake_probe():
+        events.append("probe")
+        return next(probes)
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_catalog)
+    monkeypatch.setattr(bench.calibrate, "seconds", fake_probe)
+    rec = bench.run_catalog("/some/tree")
+    assert [e if e == "probe" else e[0] for e in events] == ["probe", "catalog", "probe"]
+    script, *args = events[1][1]
+    assert script == os.path.join("/some/tree", "scripts", "run_reports.py")
+    assert args[:2] == ["--seed", "7"] and events[1][2] == "/some/tree"
+    factor = bench.calibrate.REFERENCE_S / 0.09  # over the mean of the two probes
+    assert rec["reference_factor"] == pytest.approx(factor)
+    assert rec["wall_ref_s"] == pytest.approx(rec["wall_s"] * factor)
+    assert rec["exit"] == (0 if writes_summary else 2)
+    assert rec["timing_ms"] == ({"goodness": 256, "stopping": 141} if writes_summary else {})
+
+
+def fake_catalog_run(order, exit_code=0):
+    def run(tree):
+        order.append(("catalog", tree))
+        return bench.catalog_record(exit_code, 3.0, 0.5, SUMMARY)
+    return run
+
+
 def test_main_interleaves_checkouts_and_writes_one_record_each(monkeypatch, tmp_path):
     order = []
 
@@ -68,22 +128,35 @@ def test_main_interleaves_checkouts_and_writes_one_record_each(monkeypatch, tmp_
         return {"workload": workload, "seed": seed, **bench.parse_run(CANNED, 0)}
 
     monkeypatch.setattr(bench, "run_once", fake_run)
+    monkeypatch.setattr(bench, "run_catalog", fake_catalog_run(order))
     monkeypatch.setattr(bench, "git_state", lambda tree: {"head": tree, "dirty": False})
     out, old, new = (str(tmp_path / name) for name in ("bench.json", "old", "new"))
     status = bench.main(["--out", out, "--tree", f"old={old}", "--tree", f"new={new}"])
     assert status == 0
     assert order == [(s, w, tree) for s in (1, 2, 3) for w in bench.WORKLOADS
-                     for tree in (old, new)]
+                     for tree in (old, new)] + [("catalog", old), ("catalog", new)]
     with open(out) as stream:
         doc = json.load(stream)
     assert list(doc["checkouts"]) == ["old", "new"]
     assert [run["seed"] for run in doc["checkouts"]["new"]["runs"]] == [1] * 4 + [2] * 4 + [3] * 4
     assert list(doc["checkouts"]["new"]["medians"]) == list(bench.WORKLOADS)
     assert doc["checkouts"]["old"]["head"] == old
+    assert doc["catalog_seed"] == 7
+    assert doc["checkouts"]["new"]["catalog"]["timing_ref_ms"] == {"goodness": 128.0,
+                                                                   "stopping": 70.5}
 
 
 def test_a_failing_run_makes_the_exit_status_one(monkeypatch, tmp_path):
     monkeypatch.setattr(bench, "run_once", lambda tree, workload, seed, seconds: {
         "workload": workload, "seed": seed, **bench.parse_run(CANNED, 1)})
+    monkeypatch.setattr(bench, "run_catalog", fake_catalog_run([]))
+    monkeypatch.setattr(bench, "git_state", lambda tree: {"head": None, "dirty": None})
+    assert bench.main(["--out", str(tmp_path / "b.json")]) == 1
+
+
+def test_a_failing_catalog_makes_the_exit_status_one(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench, "run_once", lambda tree, workload, seed, seconds: {
+        "workload": workload, "seed": seed, **bench.parse_run(CANNED, 0)})
+    monkeypatch.setattr(bench, "run_catalog", fake_catalog_run([], exit_code=1))
     monkeypatch.setattr(bench, "git_state", lambda tree: {"head": None, "dirty": None})
     assert bench.main(["--out", str(tmp_path / "b.json")]) == 1

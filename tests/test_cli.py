@@ -384,6 +384,31 @@ def test_single_p_flag_sets_a_scalar_exponent(recorded_runs):
     assert recorded_runs["stein"] == {"p_list": [3.0]}
 
 
+def test_the_parser_is_built_once_and_calls_share_no_list_state(recorded_runs):
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["run", "--experiment", "stein", "--p", "3"]) == 0
+    first = recorded_runs.pop("stein")
+    assert first == {"p_list": [3.0]}
+    first["p_list"].append(99.0)  # a caller's change to one call's list reaches no later call
+    assert main(["run", "--experiment", "stein"]) == 0
+    assert recorded_runs.pop("stein") == {}
+    assert main(["run", "--experiment", "stein", "--p", "2", "--p", "4"]) == 0
+    assert recorded_runs.pop("stein") == {"p_list": [2.0, 4.0]}
+    assert main(["run", "--experiment", "stein", "--experiment", "rbound-calculus"]) == 0
+    assert recorded_runs == {"stein": {}, "rbound-calculus": {}}
+
+
+def test_usage_error_after_a_good_call_still_exits_two_in_one_line(capsys, recorded_runs):
+    assert main(["run", "--experiment", "stein", "--p", "3"]) == 0
+    capsys.readouterr()
+    assert main(["run", "--experiment", "stein", "--p", "three"]) == 2
+    assert_one_error_line(capsys, "error: argument --p: invalid float value")
+    assert main(["run", "--no-such-flag"]) == 2
+    assert_one_error_line(capsys)
+    assert main(["run", "--experiment", "stein", "--p", "2"]) == 0
+    assert recorded_runs["stein"] == {"p_list": [2.0]}
+
+
 def test_repeated_p_flag_with_a_scalar_exponent_is_usage_error(capsys, no_experiment_runs):
     assert main(["run", "--experiment", "stein", "--experiment", "rbound-calculus",
                  "--p", "2", "--p", "3"]) == 2

@@ -18,9 +18,9 @@ from dyadiclab.gridfn import (_PATTERN_CELLS, _STACK_CELLS, GridFunction, HaarCo
 from dyadiclab.representation import assemble, hilbert_kernel, matrix_element
 from dyadiclab.space import NormedSpace, conjugate_exponent
 
-from oracles import (block_means_by_mean, bmo_norm_per_exponent, haar_coefficient_by_child_loop,
-                     haar_coefficient_by_eval, random_grid_function_by_mode,
-                     shifted_projection)
+from oracles import (analyze_by_blocks, block_means_by_mean, bmo_norm_per_exponent,
+                     haar_coefficient_by_child_loop, haar_coefficient_by_eval,
+                     random_grid_function_by_mode, shifted_projection, synthesize_by_blocks)
 
 SYS4 = DyadicSystem(d=1, m_top=0, depth=4)
 UNIT = SYS4.cube(0, (0,))
@@ -307,6 +307,53 @@ def test_analysis_of_a_list_equals_one_call_per_function(d, m_top, dim):
                 assert isinstance(single, GridFunction)
                 assert np.array_equal(back.values, single.values)
                 assert back.system == system and back.space == hc.space
+
+
+def _outcome(call, *args):
+    """A call's result, or its error's type and message."""
+    try:
+        return call(*args)
+    except (ValueError, MeshDepthError) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.sampled_from([1, 2]), st.integers(0, 2), st.sampled_from([1, 3]), st.integers(1, 4),
+       st.integers(1, 3), st.integers(0, 2**20), st.booleans())
+def test_analysis_and_synthesis_equal_the_block_oracles_bit_for_bit(d, m_top, dim, depth, rows,
+                                                                     seed, translated):
+    """The butterflies against `analyze_by_blocks` and `synthesize_by_blocks`, the
+    transpose-and-broadcast bodies they replace, on every (level_lo, level_hi), one
+    function and a list, values spread over twelve decades.  `np.array_equal` calls
+    -0.0 and 0.0 equal; those are the only bits allowed to differ."""
+    depth = min(depth, 3) if d == 2 else depth
+    system = (DyadicSystem.random(seed, d=d, m_top=m_top, depth=depth) if translated
+              else DyadicSystem(d=d, m_top=m_top, depth=depth))
+    gen = np.random.default_rng(seed)
+    shape = (rows,) + (system.cells_per_axis,) * d + (dim,)
+    values = gen.standard_normal(shape) * 10.0 ** gen.integers(-6, 7, shape)
+    fs = [GridFunction(system, v, NormedSpace(dim, 2.0)) for v in values]
+    for lo in range(system.min_level, system.depth):
+        for hi in range(lo, system.depth):
+            for arg in (fs[0], fs):
+                got, want = _outcome(analyze, arg, lo, hi), _outcome(analyze_by_blocks, arg, lo, hi)
+                if isinstance(want, tuple):  # an unaligned level of a translated system
+                    assert got == want and translated
+                    continue
+                assert type(got) is type(want)
+                for g, w in zip(got if isinstance(got, list) else [got],
+                                want if isinstance(want, list) else [want]):
+                    assert sorted(g.coeffs) == sorted(w.coeffs) == list(range(lo, hi + 1))
+                    for level in w.coeffs:
+                        assert g.coeffs[level].shape == w.coeffs[level].shape
+                        assert np.array_equal(g.coeffs[level], w.coeffs[level])
+                    assert g.coarse.shape == w.coarse.shape
+                    assert np.array_equal(g.coarse, w.coarse)
+                back, ref = synthesize(got), synthesize_by_blocks(got)
+                assert type(back) is type(ref)
+                for b, r in zip(back if isinstance(back, list) else [back],
+                                ref if isinstance(ref, list) else [ref]):
+                    assert b.values.flags.c_contiguous
+                    assert np.array_equal(b.values, r.values)
 
 
 @pytest.mark.parametrize("d, m_top", [(1, 0), (1, 2), (2, 1)])
