@@ -87,6 +87,14 @@ MUTANTS = (
            "pairs = d == 2 and means.shape[1] == 1 and means.shape[-1] > 2",
            "pairs = False",
            (TEST_GRIDFN + "test_analysis_and_synthesis_equal_the_block_oracles_bit_for_bit",)),
+    Mutant("gridfn-bmo-skips-two-finest-levels", GRIDFN,
+           "for level in range(sysm.min_level, sysm.depth):",
+           "for level in range(sysm.min_level, sysm.depth - 1):",
+           (TEST_GRIDFN + "test_bmo_norm_matches_per_exponent_oracle",)),
+    Mutant("decoupling-hierarchy-levels-filled-right-to-left", "src/dyadiclab/decoupling.py",
+           "levels[node_depth].append(cells)",
+           "levels[node_depth].insert(0, cells)",
+           ("tests/test_decoupling.py::test_random_hierarchy_equals_the_tree_oracle",)),
     Mutant("grid-good-mask-extra-bit", "src/dyadiclab/grid.py",
            "u = [w >> (system.depth - level) for w in system._words]",
            "u = [w >> (system.depth - level + 1) for w in system._words]",

@@ -4,7 +4,7 @@ from .grid import (DyadicCube, DyadicSystem, GoodnessParams, goodness_bound,
                    goodness_probability, is_good)
 from .gridfn import (GridFunction, analyze, bmo_norm, cube_average, from_callable,
                      haar_coefficient, indicator, lp_norm, pair, random_grid_function,
-                     synthesize, zeros)
+                     synthesize)
 from .space import SCALAR, NormedSpace, conjugate_exponent, umd_beta_scalar
 
 __all__ = [
@@ -13,5 +13,5 @@ __all__ = [
     "cube_average", "from_callable", "goodness_bound", "goodness_probability",
     "haar_coefficient", "indicator", "is_good",
     "lp_norm", "pair", "random_grid_function", "synthesize",
-    "umd_beta_scalar", "zeros",
+    "umd_beta_scalar",
 ]

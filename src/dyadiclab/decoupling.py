@@ -109,37 +109,25 @@ def random_hierarchy(seed: int, depth: int = 3, max_children: int = 4) -> AtomHi
                          f"not {depth} and {max_children}")
     gen = substream(seed, "atom-hierarchy")
     leaf_counter = itertools.count()
+    levels = [[] for _ in range(depth + 1)]
 
-    def split(node_depth: int, choices: int) -> list:
+    # each atom's cells join its level after its children's, so levels fill left to right
+    def split(node_depth: int, choices: int) -> tuple:
         if node_depth == depth:
-            return [next(leaf_counter)]
-        k = int(gen.integers(1, max_children + 1))
-        if choices * k > _CHAIN_CAP:
-            raise ResourceLimitError(f"a root-to-leaf product of child counts passes "
-                                     f"the chain cap {_CHAIN_CAP}")
-        return [split(node_depth + 1, choices * k) for _ in range(k)]
+            cells = (next(leaf_counter),)
+        else:
+            k = int(gen.integers(1, max_children + 1))
+            if choices * k > _CHAIN_CAP:
+                raise ResourceLimitError(f"a root-to-leaf product of child counts passes "
+                                         f"the chain cap {_CHAIN_CAP}")
+            cells = tuple(c for _ in range(k) for c in split(node_depth + 1, choices * k))
+        levels[node_depth].append(cells)
+        return cells
 
-    tree = split(0, 1)
-
-    def flatten(node) -> tuple:
-        if isinstance(node, int):
-            return (node,)
-        return tuple(c for kid in node for c in flatten(kid))
-
-    levels = []
-    frontier = [tree]
-    for _ in range(depth + 1):
-        levels.append(tuple(flatten(node) for node in frontier))
-        nxt = []
-        for node in frontier:
-            if isinstance(node, int):
-                nxt.append(node)
-            else:
-                nxt.extend(node)
-        frontier = nxt
+    split(0, 1)
     n_cells = next(leaf_counter)
     weights = np.exp(gen.uniform(-1.0, 1.0, size=n_cells))
-    return AtomHierarchy(weights, tuple(levels))
+    return AtomHierarchy(weights, tuple(map(tuple, levels)))
 
 
 @dataclass(frozen=True)

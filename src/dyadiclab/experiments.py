@@ -23,8 +23,7 @@ from .grid import (DyadicSystem, GoodnessParams, goodness_position_joint,
                    goodness_probability)
 from .gridfn import (GridFunction, analyze, bmo_norm, indicator, lp_norm,
                      random_grid_function, random_grid_functions, stack_chunks, synthesize)
-from .rademacher import (EXHAUSTIVE_CAP, OperatorFamily, averaging_check, stein_check,
-                         triangle_check)
+from .rademacher import OperatorFamily, averaging_check, stein_check, triangle_check
 from .rng import substream, substreams
 from .shifts import (ParaproductSpec, RandomKernel, ShiftSpec, apply_paraproduct,
                      apply_shift, fill_tables)
@@ -573,14 +572,17 @@ EXPERIMENTS = {
                    run_pythagoras),
         Experiment("stopping", ANCHOR_STOP, {"depth": _depth(7), "n_funcs": _count(100)},
                    run_stopping),
-        # one child per atom, or no atom below the root, leaves every table zero;
-        # a cell's chain holds `depth` atoms, and each needs its own sign
+        # one child per atom, or no atom below the root, leaves every table zero. A chain
+        # of `depth` atoms, each with <= max_children choices and a sign, stays within the
+        # work cap, so no cap fires in a run (a huge depth is cut to 13, as 2^13 > cap)
         Experiment("decoupling", ANCHOR_DECOUPLE,
-                   {"n_families": _count(50),
-                    "depth": Param(3, "int", f"[1, {EXHAUSTIVE_CAP}]", "depth"),
+                   {"n_families": _count(50), "depth": _depth(3, least=1),
                     "max_children": _count(4, least=2), "mds_tests": _count(20),
                     "p_list": Param([2.0, 3.0], "exponent list", "(1, inf)", "p")},
-                   run_decoupling),
+                   run_decoupling,
+                   ((f"(2 * max_children) ** depth <= {dec._CELL_WORK_CAP}",
+                     lambda depth, max_children:
+                         (2 * max_children) ** min(depth, 13) <= dec._CELL_WORK_CAP),)),
         Experiment("condexp-sum", ANCHOR_CONDEXP, {"n_configs": _count(100), "p_list": P_LIST},
                    run_condexp_sum),
         Experiment("stein", ANCHOR_STEIN,

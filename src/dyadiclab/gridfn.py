@@ -63,7 +63,7 @@ _SIGNS = {d: np.array([_sign_row(eta) for eta in etas(d)]) for d in (1, 2)}
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Read-only values: a caller's array is copied, an arithmetic result's kept."""
+    """Read-only values: a caller's array is copied, an array made here is kept."""
 
     system: DyadicSystem
     values: np.ndarray  # shape (cells,)*d + (space.dim,)
@@ -78,28 +78,10 @@ class GridFunction:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
-    # -- algebra -------------------------------------------------------------
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        return GridFunction(self.system, self.values + other.values, self.space, True)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        return GridFunction(self.system, self.values - other.values, self.space, True)
-
-    def __mul__(self, scalar: float) -> "GridFunction":
-        return GridFunction(self.system, self.values * scalar, self.space, True)
-
-    __rmul__ = __mul__
-
     def scalar_values(self) -> np.ndarray:
         if self.space.dim != 1:
             raise ValueError("not a scalar-valued function")
         return self.values[..., 0]
-
-
-def zeros(system: DyadicSystem, space: NormedSpace = SCALAR) -> GridFunction:
-    shape = (system.cells_per_axis,) * system.d + (space.dim,)
-    return GridFunction(system, np.zeros(shape), space)
 
 
 def from_callable(system: DyadicSystem, fn, space: NormedSpace = SCALAR) -> GridFunction:
@@ -294,7 +276,9 @@ def _unblocks(blocks: np.ndarray, d: int, size: int, lead: int = 0) -> np.ndarra
 
 def _expand_blocks(blocks: np.ndarray, d: int, factor: int) -> np.ndarray:
     """Each block value repeated over `factor` cells per axis, for values of shape
-    (*stack, *blocks, dim) as `_block_means` gives them."""
+    (*stack, *blocks, dim) as `_block_means` gives them; at factor 1 the input itself."""
+    if factor == 1:
+        return blocks
     out = blocks
     for ax in range(-d - 1, -1):
         out = np.repeat(out, factor, axis=ax)
@@ -457,11 +441,12 @@ def bmo_norm(b, ps) -> list:
     """Supremum over all system cubes of the p-mean oscillation, one value per
     exponent of the list `ps` (inf allowed); for a list of functions, one such
     list per function (see `_stack`).  Each level's deviations from the cube
-    means are computed once, for every exponent."""
+    means are computed once, for every exponent; the finest level, where every
+    deviation is 0, is skipped."""
     single, bs, stack = _stack(b)
     sysm, d = bs[0].system, bs[0].system.d
     best = [[0.0] * len(ps) for _ in bs]
-    for level in range(sysm.min_level, sysm.depth + 1):
+    for level in range(sysm.min_level, sysm.depth):
         factor = _aligned_factor(sysm, level)
         means = _expand_blocks(_block_means(stack, d, factor), d, factor)
         dev = bs[0].space.norm(stack - means)

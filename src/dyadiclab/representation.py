@@ -320,7 +320,6 @@ DECAY_CASES = ("far_disjoint", "near_disjoint", "equal", "deeply_nested",
 
 @dataclass(frozen=True)
 class DecayReport:
-    case: str
     i_values: tuple
     magnitudes: tuple        # max over K of sup |a| per i
     slope: Optional[float]
@@ -447,7 +446,7 @@ def decay_check(T: DiscreteOperator, case: str, i_values: Sequence[int],
     if not used_i:
         raise InsufficientDataError(f"case {case}: no usable complexities")
     slope = float(np.polyfit(used_i, np.log2(mags), 1)[0]) if len(used_i) >= 3 else None
-    return DecayReport(case, tuple(used_i), tuple(mags), slope, slope_target)
+    return DecayReport(tuple(used_i), tuple(mags), slope, slope_target)
 
 
 # -- weak boundedness -------------------------------------------------------------------
@@ -474,10 +473,8 @@ class AveragingIdentityReport:
     lhs: float
     rhs: float
     pi_good: float
-    n_samples: int
     top_scale_defect: float   # mean pairing of the two top-scale remainders
     coarse_share: float       # mean contribution of pairs with a too-coarse smaller cube
-    full_sum_mean: float
 
     @property
     def residual(self) -> float:
@@ -591,7 +588,6 @@ def averaging_identity_residual(T: DiscreteOperator, g: GridFunction,
     pi = goodness_probability(gens, gp, base.d)
     if pi.good_count == 0:
         raise DegenerateInputError("goodness probability vanishes; cannot normalize")
-    n_bits = (base.m_top + base.depth) * base.d
 
     d, vol, n_eta, depth = base.d, base.cell_volume, (1 << base.d) - 1, base.depth
     floor = base.min_level + gens
@@ -645,5 +641,4 @@ def averaging_identity_residual(T: DiscreteOperator, g: GridFunction,
     coarse = float(sides[:n_coarse].sum())
     goodsum = float((sides * good).sum()) / (1 << (d * gens))
     return AveragingIdentityReport(lhs=lhs, rhs=goodsum / pi.value, pi_good=pi.value,
-                                   n_samples=1 << n_bits, top_scale_defect=lhs - total,
-                                   coarse_share=coarse, full_sum_mean=total)
+                                   top_scale_defect=lhs - total, coarse_share=coarse)

@@ -9,8 +9,10 @@ import itertools
 
 import numpy as np
 
+from dyadiclab import decoupling
+from dyadiclab.decoupling import AtomHierarchy
 from dyadiclab.errors import (AdaptednessError, AmbientRangeError, DegenerateInputError,
-                              MeshDepthError, SparsityError)
+                              MeshDepthError, ResourceLimitError, SparsityError)
 from dyadiclab.grid import DyadicSystem, goodness_probability, is_good
 from dyadiclab.gridfn import (GridFunction, HaarCoefficients, _aligned_factor, _block_means,
                               _blocks, _expand_blocks, _stack, _unblocks, _unstack,
@@ -541,6 +543,47 @@ def haar_coefficient_by_child_loop(f, cube, eta):
     return coeff * cube.volume**-0.5
 
 
+def random_hierarchy_by_tree(seed, depth=3, max_children=4):
+    """`decoupling.random_hierarchy` drawing a nested-list tree first, then reading
+    each level off a frontier walk that flattens every node to its cells."""
+    if depth < 0 or max_children < 1:
+        raise ValueError(f"a hierarchy needs depth >= 0 and max_children >= 1, "
+                         f"not {depth} and {max_children}")
+    gen = substream(seed, "atom-hierarchy")
+    leaf_counter = itertools.count()
+
+    def split(node_depth, choices):
+        if node_depth == depth:
+            return [next(leaf_counter)]
+        k = int(gen.integers(1, max_children + 1))
+        if choices * k > decoupling._CHAIN_CAP:
+            raise ResourceLimitError(f"a root-to-leaf product of child counts passes "
+                                     f"the chain cap {decoupling._CHAIN_CAP}")
+        return [split(node_depth + 1, choices * k) for _ in range(k)]
+
+    tree = split(0, 1)
+
+    def flatten(node):
+        if isinstance(node, int):
+            return (node,)
+        return tuple(c for kid in node for c in flatten(kid))
+
+    levels = []
+    frontier = [tree]
+    for _ in range(depth + 1):
+        levels.append(tuple(flatten(node) for node in frontier))
+        nxt = []
+        for node in frontier:
+            if isinstance(node, int):
+                nxt.append(node)
+            else:
+                nxt.extend(node)
+        frontier = nxt
+    n_cells = next(leaf_counter)
+    weights = np.exp(gen.uniform(-1.0, 1.0, size=n_cells))
+    return AtomHierarchy(weights, tuple(levels))
+
+
 def children_by_scan(h, level, atom):
     """The next level's atoms inside `atom`, by set inclusion, in level order."""
     cells = set(atom)
@@ -931,7 +974,7 @@ def decay_check_dense(T, case, i_values, params, alpha):
         raise ValueError("too few usable complexities")
     slope = (float(np.polyfit(used_i, np.log2(mags), 1)[0])
              if len(used_i) >= 3 else None)
-    return DecayReport(case, tuple(used_i), tuple(mags), slope, target)
+    return DecayReport(tuple(used_i), tuple(mags), slope, target)
 
 
 def wbp_constants_per_cube(T):
@@ -992,8 +1035,8 @@ def averaging_identity_dense(T, g, f, gp):
         coarse += float(side_f[~eligible].sum() + side_g[~eligible].sum())
     n = len(patterns)
     return AveragingIdentityReport(lhs=lhs, rhs=goodsum / n / pi.value, pi_good=pi.value,
-                                   n_samples=n, top_scale_defect=lhs - total_sum / n,
-                                   coarse_share=coarse / n, full_sum_mean=total_sum / n)
+                                   top_scale_defect=lhs - total_sum / n,
+                                   coarse_share=coarse / n)
 
 
 def averaging_identity_per_grid(T, g, f, gp):
@@ -1063,8 +1106,8 @@ def averaging_identity_per_grid(T, g, f, gp):
 
     n = len(patterns)
     return AveragingIdentityReport(lhs=lhs, rhs=goodsum / n / pi.value, pi_good=pi.value,
-                                   n_samples=n, top_scale_defect=lhs - total_sum / n,
-                                   coarse_share=coarse / n, full_sum_mean=total_sum / n)
+                                   top_scale_defect=lhs - total_sum / n,
+                                   coarse_share=coarse / n)
 
 
 def build_stopping_family_per_cube(f, root, threshold_factor=2.0, weights=None):
@@ -1226,10 +1269,10 @@ def pythagoras_check_per_member(family, fs, p, mode="direct"):
         for idx, f in enumerate(fs):
             if f.space.dim != 1 or np.any(f.values < -_EXACT_TOL):
                 raise AdaptednessError(f"member {idx}: not scalar nonnegative")
-    total = fs[0]
+    total = fs[0].values
     for f in fs[1:]:
-        total = total + f
-    sum_norm = _lp_norm_weighted(family, total, p)
+        total = total + f.values
+    sum_norm = _lp_norm_weighted(family, GridFunction(family.root.system, total, fs[0].space), p)
     powers = sum(_lp_norm_weighted(family, f, p) ** p for f in fs)
     return PythagorasResult(sum_norm, powers ** (1.0 / p), 3.0 * p, 6.0 * conjugate_exponent(p))
 

@@ -8,7 +8,8 @@ import pytest
 
 from dyadiclab import cli
 from dyadiclab.cli import main
-from dyadiclab.experiments import EXPERIMENTS, KINDS, Check
+from dyadiclab.errors import ResourceLimitError
+from dyadiclab.experiments import EXPERIMENTS, KINDS, Check, resolve_params, run_decoupling
 
 FAST_CONFIG = {
     "experiments": ["goodness", "condexp-sum", "pythagoras"],
@@ -238,24 +239,48 @@ def test_mesh_over_the_cell_cap_is_one_line_usage_error(tmp_path, capsys):
     assert_one_error_line(capsys, "error: haar-completeness: a mesh of 2^34 cells exceeds ")
 
 
+@pytest.mark.parametrize("depth, max_children", [
+    (5, 4), (7, 2), (9, 4), (13, 4), (16, 4), (20, 4), (21, 2), (10**18, 2)])
+def test_decoupling_past_the_cell_work_rule_fails_before_any_run(
+        tmp_path, capsys, no_experiment_runs, depth, max_children):
+    assert run_with_params(tmp_path, {"decoupling": {"depth": depth,
+                                                     "max_children": max_children}}) == 2
+    assert_one_error_line(capsys, "error: decoupling: needs (2 * max_children) ** depth "
+                                  f"<= 4096, not depth = {depth}, max_children = "
+                                  f"{max_children}\n")
+
+
+@pytest.mark.parametrize("depth, max_children", [(4, 4), (6, 2), (1, 2048)])
+def test_decoupling_at_the_cell_work_rule_is_admitted(depth, max_children):
+    params = resolve_params("decoupling", {"depth": depth, "max_children": max_children})
+    assert (params["depth"], params["max_children"]) == (depth, max_children)
+
+
+def decoupling_params(depth):
+    return {**{key: param.default for key, param in EXPERIMENTS["decoupling"].params.items()},
+            "depth": depth}
+
+
 @pytest.mark.parametrize("depth", [13, 16, 20])
-def test_deep_decoupling_stops_at_the_chain_cap_within_seconds(capsys, depth):
-    # the sign cap admits these depths, but some chain of the first hierarchy
-    # drawn has more child-choice tuples than the exact evaluation allows
+def test_deep_decoupling_stops_at_the_chain_cap_within_seconds(depth):
+    # the parameter rule refuses these depths before a run; the runner itself
+    # stops while drawing the first hierarchy, as some chain has more
+    # child-choice tuples than the exact evaluation allows
     start = time.perf_counter()
-    assert main(["run", "--experiment", "decoupling", "--depth", str(depth)]) == 2
+    with pytest.raises(ResourceLimitError, match="^a root-to-leaf product of child counts "
+                                                 "passes the chain cap "):
+        run_decoupling(decoupling_params(depth), 0)
     assert time.perf_counter() - start < 5.0
-    assert_one_error_line(capsys, "error: decoupling: a root-to-leaf product of child counts "
-                                  "passes the chain cap ")
 
 
-def test_decoupling_past_the_cell_work_cap_stops_within_seconds(capsys):
-    # depth 9 passes the chain and sign caps, but a cell's choices times signs
-    # pass the work cap, which is checked before any cell is evaluated
+def test_decoupling_past_the_cell_work_cap_stops_within_seconds():
+    # the parameter rule refuses depth 9 before a run; in the runner, depth 9
+    # passes the chain and sign caps, but a cell's choices times signs pass the
+    # work cap, which is checked before any cell is evaluated
     start = time.perf_counter()
-    assert main(["run", "--experiment", "decoupling", "--depth", "9"]) == 2
+    with pytest.raises(ResourceLimitError, match="^a chain of 9 atoms and "):
+        run_decoupling(decoupling_params(9), 0)
     assert time.perf_counter() - start < 5.0
-    assert_one_error_line(capsys, "error: decoupling: a chain of 9 atoms and ")
 
 
 def test_flag_value_is_checked_for_every_selected_experiment_before_any_runs(
@@ -270,7 +295,7 @@ def test_flag_value_is_checked_for_every_selected_experiment_before_any_runs(
     ({"carleson": {"weighted_share": 2.0}}, "weighted_share = 2.0 is outside [0, 1]"),
     ({"carleson": {"weighted_share": -1.0}}, "weighted_share = -1.0 is outside [0, 1]"),
     ({"haar-completeness": {"tol": -1.0}}, "tol = -1.0 is outside [0, inf)"),
-    ({"decoupling": {"depth": -2}}, "depth = -2 is outside [1, 20]"),
+    ({"decoupling": {"depth": -2}}, "depth = -2 is outside [1, inf)"),
     ({"decoupling": {"max_children": 0}}, "max_children = 0 measures nothing"),
     ({"stein": {"max_levels": 0}}, "max_levels = 0 measures nothing"),
     ({"goodness": {"factor_level": 9}},

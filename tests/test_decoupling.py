@@ -17,7 +17,7 @@ from dyadiclab.space import SCALAR, NormedSpace, umd_beta_scalar
 
 from oracles import (active_atoms_by_scan, chain_through_by_scan, check_mds_per_stream,
                      decoupled_pnorm_full_product, decoupled_pnorm_per_choice,
-                     recovery_violation)
+                     random_hierarchy_by_tree, recovery_violation)
 
 TWO = AtomHierarchy(np.array([1.0, 1.0]), (((0, 1),), ((0,), (1,))))
 
@@ -272,6 +272,22 @@ def test_hierarchy_draw_stops_at_the_chain_cap(seed, depth, max_children, cap):
             capped = random_hierarchy(seed, depth=depth, max_children=max_children)
             assert capped.levels == uncapped.levels
             assert np.array_equal(capped.cell_weights, uncapped.cell_weights)
+
+
+@given(st.integers(0, 10**6), st.integers(0, 4), st.integers(1, 4), st.integers(1, 300))
+def test_random_hierarchy_equals_the_tree_oracle(seed, depth, max_children, cap):
+    # the same draws in the same order: the same levels and weights, or the same
+    # chain-cap error (the caps up to 300 fire on some draws and not on others)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decoupling, "_CHAIN_CAP", cap)
+        outcomes = []
+        for build in (random_hierarchy, random_hierarchy_by_tree):
+            try:
+                h = build(seed, depth=depth, max_children=max_children)
+                outcomes.append((h.levels, h.cell_weights.tolist()))
+            except ResourceLimitError as err:
+                outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_long_single_child_chain_hits_the_sign_cap():

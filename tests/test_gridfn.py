@@ -14,7 +14,7 @@ from dyadiclab.gridfn import (_PATTERN_CELLS, _STACK_CELLS, GridFunction, HaarCo
                               analyze, bmo_norm, conditional_expectation, cube_average, etas,
                               from_callable, haar_block, haar_coefficient, haar_vector,
                               indicator, lp_norm, pair, random_grid_function,
-                              random_grid_functions, synthesize, zeros)
+                              random_grid_functions, synthesize)
 from dyadiclab.representation import assemble, hilbert_kernel, matrix_element
 from dyadiclab.space import NormedSpace, conjugate_exponent
 
@@ -36,17 +36,6 @@ def test_caller_array_is_copied_once_and_frozen():
     assert f.values[0, 0] == 0.0 and not f.values.flags.writeable
     assert arr.flags.writeable
     assert GridFunction(SYS4, arr.astype(int)).values.dtype == float
-
-
-def test_arithmetic_results_are_read_only_and_own_their_values():
-    a = random_grid_function(SYS4, 1, space=NormedSpace(2, 2.0))
-    b = random_grid_function(SYS4, 2, space=NormedSpace(2, 2.0))
-    for result, want in ((a + b, a.values + b.values), (a - b, a.values - b.values),
-                         (a * 2.5, 2.5 * a.values), (3.0 * b, 3.0 * b.values)):
-        assert np.array_equal(result.values, want)
-        assert result.space == a.space and not result.values.flags.writeable
-        assert not np.shares_memory(result.values, a.values)
-        assert not np.shares_memory(result.values, b.values)
 
 
 # -- value space axioms --------------------------------------------------------
@@ -459,13 +448,13 @@ def test_projection_telescoping_under_root(seed):
     system = DyadicSystem(d=1, m_top=0, depth=5)
     root = system.cube(1, (0,))
     f = random_grid_function(system, seed, support=root)
-    total = zeros(system)
+    total = np.zeros_like(f.values)
     for level in range(root.level, system.depth):
         for cube in system.cubes_at_level(level):
             if root.contains_cube(cube):
-                total = total + shifted_projection(f, cube, 0)
+                total = total + shifted_projection(f, cube, 0).values
     expected = f.values - cube_average(f, root) * indicator(root).values
-    assert np.abs(total.values - expected).max() < 1e-12
+    assert np.abs(total - expected).max() < 1e-12
 
 
 def test_too_deep_projection_raises():

@@ -77,7 +77,7 @@ def test_shift_linearity(seed):
     spec = ShiftSpec(1, 1, SYS, RandomKernel(seed, 1.0))
     f = random_grid_function(SYS, seed, label="lin-f")
     g = random_grid_function(SYS, seed, label="lin-g")
-    lhs = apply_shift(spec, f + 2.0 * g).values
+    lhs = apply_shift(spec, GridFunction(SYS, f.values + 2.0 * g.values)).values
     rhs = apply_shift(spec, f).values + 2.0 * apply_shift(spec, g).values
     assert np.abs(lhs - rhs).max() < 1e-12
 
@@ -133,7 +133,8 @@ def test_paraproduct_bilinearity(seed):
     b = random_grid_function(SYS, seed, label="bilin-b")
     c = random_grid_function(SYS, seed, label="bilin-c")
     f = random_grid_function(SYS, seed, label="bilin-f")
-    lhs = apply_paraproduct(ParaproductSpec(b + 0.5 * c), f).values
+    lhs = apply_paraproduct(ParaproductSpec(GridFunction(SYS, b.values + 0.5 * c.values)),
+                            f).values
     rhs = (apply_paraproduct(ParaproductSpec(b), f).values
            + 0.5 * apply_paraproduct(ParaproductSpec(c), f).values)
     assert np.abs(lhs - rhs).max() < 1e-12
