@@ -12,11 +12,14 @@ code is kept beside them.  Then each checkout's `scripts/run_reports.py`
 runs the full catalog once at seed 7 and its defaults, the checkouts in
 turn, bracketed by `perfbench/calibrate.py`'s kernel: the record keeps the
 run's wall time and each experiment's `timing_ms` from its JSON summary,
-measured and in reference seconds.  Exit status: 0 if every run exited 0,
-else 1.  Per checkout the file records git HEAD (and whether the tree
-differs from it), the line count of `src/dyadiclab/*.py`, the machine line
-that `run.py` prints (Python, numpy, BLAS and its thread count), every run
-and the median of each metric per workload.  Without `--tree` the checkout
+measured and in reference seconds.  Last, each checkout's `run.py` runs
+traced (`--trace 1`) once per workload at seed 0 for 4 s, the checkouts in
+turn: the record keeps each run's exit code, `correct` and every per-layer
+`*.calls` count.  Exit status: 0 if every run exited 0, else 1.  Per
+checkout the file records git HEAD (and whether the tree differs from it),
+the line count of `src/dyadiclab/*.py`, the machine line that `run.py`
+prints (Python, numpy, BLAS and its thread count), every run and the median
+of each metric per workload.  Without `--tree` the checkout
 holding this script is measured under the label "HEAD".  Nothing under
 `perfbench/` is changed; its calibration module is only imported.
 """
@@ -42,6 +45,7 @@ WORKLOADS = ("shift-sweep", "stopping-sparse", "haar-representation", "translate
 SEEDS = (1, 2, 3)
 SECONDS = 8.0
 CATALOG_SEED = 7
+TRACE_SEED, TRACE_SECONDS = 0, 4.0
 
 
 def parse_run(stdout: str, exit_code: int) -> dict:
@@ -84,6 +88,22 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
                            "--seconds", str(seconds), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True)
     return {"workload": workload, "seed": seed, **parse_run(done.stdout, done.returncode)}
+
+
+def traced_record(stdout: str, exit_code: int) -> dict:
+    """Exit code, `correct` and the per-layer call counts of one traced `run.py` output."""
+    run = parse_run(stdout, exit_code)
+    return {"exit": run["exit"], "correct": run["correct"],
+            "calls": {name: value for name, value in run["metrics"].items()
+                      if name.endswith(".calls")}}
+
+
+def run_traced(tree: str, workload: str) -> dict:
+    done = subprocess.run([sys.executable, os.path.join(tree, "perfbench", "run.py"),
+                           "--workload", workload, "--seed", str(TRACE_SEED),
+                           "--seconds", str(TRACE_SECONDS), "--trace", "1"],
+                          cwd=tree, capture_output=True, text=True)
+    return traced_record(done.stdout, done.returncode)
 
 
 def parse_summary(text: str) -> dict:
@@ -133,11 +153,11 @@ def medians(runs: list) -> dict:
     return out
 
 
-def record(tree: str, runs: list, catalog=None) -> dict:
+def record(tree: str, runs: list, catalog=None, traced=None) -> dict:
     machine = next((run["machine"] for run in runs if run["machine"]), None)
     runs = [{key: value for key, value in run.items() if key != "machine"} for run in runs]
     return {**git_state(tree), "src_lines": src_lines(tree), "machine": machine,
-            "medians": medians(runs), "runs": runs, "catalog": catalog}
+            "medians": medians(runs), "runs": runs, "catalog": catalog, "traced": traced}
 
 
 def main(argv=None) -> int:
@@ -160,14 +180,22 @@ def main(argv=None) -> int:
         catalogs[label] = run_catalog(tree)
         print(f"{label} catalog seed={CATALOG_SEED} exit={catalogs[label]['exit']} "
               f"wall_ref_s={catalogs[label]['wall_ref_s']:.3f}", flush=True)
+    traced = {label: {} for label in trees}
+    for workload in WORKLOADS:
+        for label, tree in trees.items():
+            traced[label][workload] = run_traced(tree, workload)
+            print(f"{label} {workload} traced seed={TRACE_SEED} "
+                  f"exit={traced[label][workload]['exit']}", flush=True)
     doc = {"seeds": SEEDS, "seconds": SECONDS, "catalog_seed": CATALOG_SEED,
-           "checkouts": {label: record(tree, runs[label], catalogs[label])
+           "trace_seed": TRACE_SEED, "trace_seconds": TRACE_SECONDS,
+           "checkouts": {label: record(tree, runs[label], catalogs[label], traced[label])
                          for label, tree in trees.items()}}
     with open(args.out, "w") as stream:
         json.dump(doc, stream, indent=1)
         stream.write("\n")
     failed = [run for label in runs for run in runs[label] if run["exit"] != 0]
     failed += [label for label, catalog in catalogs.items() if catalog["exit"] != 0]
+    failed += [run for label in traced for run in traced[label].values() if run["exit"] != 0]
     return 1 if failed else 0
 
 

@@ -41,6 +41,8 @@ SPARSE = "src/dyadiclab/sparse.py"
 TEST_SPARSE = "tests/test_sparse.py::"
 GRIDFN = "src/dyadiclab/gridfn.py"
 TEST_GRIDFN = "tests/test_gridfn.py::"
+REPRESENTATION = "src/dyadiclab/representation.py"
+TEST_REPRESENTATION = "tests/test_representation.py::"
 
 MUTANTS = (
     Mutant("sparse-lebesgue-half-boundary", SPARSE,
@@ -91,6 +93,19 @@ MUTANTS = (
            "for level in range(sysm.min_level, sysm.depth):",
            "for level in range(sysm.min_level, sysm.depth - 1):",
            (TEST_GRIDFN + "test_bmo_norm_matches_per_exponent_oracle",)),
+    Mutant("gridfn-list-coefficient-sign-row-reversed", GRIDFN,
+           "terms = _sign_row(eta)[:, None] * kid_means",
+           "terms = _sign_row(eta)[::-1, None] * kid_means",
+           (TEST_GRIDFN + "test_haar_list_forms_equal_the_per_cube_oracles_bit_for_bit",)),
+    Mutant("representation-list-element-h-i-at-j-level", REPRESENTATION,
+           "haar_block(Is[0], etaI).reshape(-1)",
+           "haar_block(Js[0], etaI).reshape(-1)",
+           (TEST_REPRESENTATION
+            + "test_matrix_element_list_form_equals_per_cube_oracle_bit_for_bit",)),
+    Mutant("representation-full-sum-frame-etas-reversed", REPRESENTATION,
+           "H[:, cols] = haar_vector(cubes, eta)",
+           "H[:, cols] = haar_vector(cubes, etas(sysm.d)[-1 - e])",
+           (TEST_REPRESENTATION + "test_full_pairing_sum_equals_the_per_cube_sum_bit_for_bit",)),
     Mutant("decoupling-hierarchy-levels-filled-right-to-left", "src/dyadiclab/decoupling.py",
            "levels[node_depth].append(cells)",
            "levels[node_depth].insert(0, cells)",
@@ -103,10 +118,10 @@ MUTANTS = (
            "np.linalg.norm(raw, 2, axis=(-2, -1)).max()",
            "np.linalg.norm(raw, 2, axis=(-2, -1)).mean()",
            ("tests/test_shifts.py::test_matrix_kernel_shift_runs_and_respects_cap",)),
-    Mutant("representation-exclusive-chain-full-side", "src/dyadiclab/representation.py",
+    Mutant("representation-exclusive-chain-full-side", REPRESENTATION,
            "else (finer, list(shifts % half)))",
            "else (finer, list(shifts % size)))",
-           ("tests/test_representation.py::test_zero_operator_identity",)),
+           (TEST_REPRESENTATION + "test_zero_operator_identity",)),
     Mutant("rademacher-zero-step-power-iteration", "src/dyadiclab/rademacher.py",
            "def _power_iteration_vector(op: np.ndarray, gen, iters: int = 12)",
            "def _power_iteration_vector(op: np.ndarray, gen, iters: int = 0)",

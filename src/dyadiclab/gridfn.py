@@ -133,11 +133,29 @@ def _haar_pattern(d: int, level: int, size: int, eta: tuple) -> np.ndarray:
     return out
 
 
-def haar_vector(cube: DyadicCube, eta) -> np.ndarray:
-    """Cell array of the L2-normalized Haar function h^eta on `cube`."""
-    arr = np.zeros((cube.system.cells_per_axis,) * cube.system.d)
-    arr[cube.cell_slices()] = haar_block(cube, eta)
-    return arr
+def _cube_cells(cubes) -> tuple:
+    """(whether `cubes` is one DyadicCube, the cubes as a list, their cells' flat indices,
+    shape (cubes, size**d), row-major in a cube) of one cube or a nonempty list of one
+    level of one system, from the corners in integer arithmetic."""
+    single = isinstance(cubes, DyadicCube)
+    cs = [cubes] if single else list(cubes)
+    if not cs or any((c.system, c.level) != (cs[0].system, cs[0].level) for c in cs):
+        raise ValueError("a list of cubes must be nonempty and of one level of one system")
+    sysm, level = cs[0].system, cs[0].level
+    base = sysm.origin_cell + np.array(sysm.shift_cells(level))
+    starts = (np.array([c.corner for c in cs]).T << (sysm.depth - level)) + base[:, None]
+    offsets = np.indices((cs[0].size_cells,) * sysm.d).reshape(sysm.d, 1, -1)
+    return single, cs, np.ravel_multi_index(tuple(starts[:, :, None] + offsets),
+                                            (sysm.cells_per_axis,) * sysm.d)
+
+
+def haar_vector(cubes, eta) -> np.ndarray:
+    """Cell array of the L2-normalized Haar function h^eta on a cube, or for a list of
+    cubes of one level (see `_cube_cells`) their cell arrays along a leading axis."""
+    single, cs, cells = _cube_cells(cubes)
+    arr = np.zeros((len(cs),) + (cs[0].system.cells_per_axis,) * cs[0].system.d)
+    np.put_along_axis(arr.reshape(len(cs), -1), cells, haar_block(cs[0], eta).reshape(1, -1), 1)
+    return arr[0] if single else arr
 
 
 # -- the Haar transform at given cubes ------------------------------------------
@@ -290,21 +308,24 @@ def cube_average(f: GridFunction, cube: DyadicCube) -> np.ndarray:
     return view.reshape(-1, f.space.dim).mean(axis=0)
 
 
-def haar_coefficient(f: GridFunction, cube: DyadicCube, eta) -> np.ndarray:
-    """Inner product of f with h^eta on `cube`, by exact cell sums: sign times mean times
-    volume per child, added to 0.0 in row-major child order.  numpy adds under eight terms
-    in turn, so for d <= 2 this has the bits of a loop over the children; from d = 3 its
-    pairwise sum may round a scalar coefficient differently in the last bit."""
-    d, vol = f.system.d, cube.volume
+def haar_coefficient(f: GridFunction, cubes, eta) -> np.ndarray:
+    """Inner product of f with h^eta on a cube, shape (dim,), or one row per cube of a
+    list of one level (see `_cube_cells`), from their cells gathered as one stack: sign
+    times mean times volume per child, added to 0.0 in row-major child order.  numpy adds
+    under eight terms in turn, so each row has the bits of a loop over the children."""
+    single, cs, cells = _cube_cells(cubes)
+    d, dim, size, vol = f.system.d, f.space.dim, cs[0].size_cells, cs[0].volume
     eta = _eta(eta, d)
-    view = f.values[cube.cell_slices()]
-    if cube.size_cells == 1:
+    view = f.values.reshape(-1, dim)[cells]  # (cubes, cells of a cube, dim)
+    if size == 1:
         if any(eta):
             raise MeshDepthError("oscillating Haar function needs children")
-        return view.reshape(f.space.dim) * vol**0.5
-    kid_means = _block_means(view, d, cube.size_cells // 2).reshape(-1, f.space.dim)
-    terms = _sign_row(eta)[:, None] * kid_means * (vol / 2**d)
-    return np.add.reduce(terms, axis=0, initial=0.0) * vol**-0.5
+        out = view[:, 0] * vol**0.5
+    else:
+        kid_means = _block_means(view.reshape((len(cs),) + (size,) * d + (dim,)), d, size // 2)
+        terms = _sign_row(eta)[:, None] * kid_means.reshape(len(cs), -1, dim) * (vol / 2**d)
+        out = np.add.reduce(terms, axis=1, initial=0.0) * vol**-0.5
+    return out[0] if single else out
 
 
 # -- aligned per-level operations ---------------------------------------------
@@ -400,12 +421,14 @@ def synthesize(hc):
     frame = lambda h: (h.system, h.space, h.level_lo, h.level_hi)
     if not hcs or any(frame(h) != frame(hcs[0]) for h in hcs):
         raise ValueError("a list of Haar coefficients must be nonempty and of one frame")
-    first, rows = hcs[0], (lambda arrays: arrays[0][None]) if single else np.array
+    first = hcs[0]
     sysm, d, signs = first.system, first.system.d, _SIGNS[first.system.d]
-    means = np.moveaxis(rows([h.coarse for h in hcs]), -1, 1)  # (stack, dim, *blocks)
+    means = np.moveaxis(np.array([h.coarse for h in hcs]), -1, 1)  # (stack, dim, *blocks)
+    rows = (1, *range(3, 3 + d), 0, 2)  # a layer's axes as (stack, *blocks, eta, dim)
     for level in range(first.level_lo, first.level_hi + 1):
-        layer = np.ascontiguousarray(np.moveaxis(rows([h.coeffs[level] for h in hcs]),
-                                                 (-2, -1), (0, 2)))  # (eta, stack, dim, ...)
+        shape = first.coeffs[level].shape  # (*blocks, eta, dim)
+        layer = np.empty((shape[-2], len(hcs), shape[-1]) + shape[:-2])  # (eta, stack, dim, ...)
+        np.stack([h.coeffs[level] for h in hcs], out=layer.transpose(rows))  # one copy a row
         out = np.empty(means.shape[:2] + tuple(2 * c for c in means.shape[2:]))
         delta, scale = np.empty(means.shape), 2.0 ** (level * d / 2.0)  # |I|^{-1/2}
         for at, col in zip(_CHILDREN[d], signs.T):  # each child: mean + scale * signed sum

@@ -22,9 +22,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, InsufficientDataError, ResourceLimitError
-from .grid import (DyadicCube, DyadicSystem, GoodnessParams, good_mask, goodness_probability,
-                   is_good)
-from .gridfn import (GridFunction, _haar_analysis, _haar_synthesis, _haar_values,
+from .grid import DyadicSystem, GoodnessParams, good_mask, goodness_probability, is_good
+from .gridfn import (GridFunction, _cube_cells, _haar_analysis, _haar_synthesis, _haar_values,
                      _prefix_sums, etas, haar_block, haar_coefficient, haar_vector, pair,
                      stack_chunks)
 from .shifts import ParaproductSpec, apply_paraproduct
@@ -96,12 +95,6 @@ class DiscreteOperator:
         out = self.matrix @ flat
         return GridFunction(self.system, out.reshape(f.values.shape), f.space)
 
-    def block(self, rows: DyadicCube, cols: DyadicCube) -> np.ndarray:
-        """Couplings from the cells of `cols` to the cells of `rows`, as a matrix."""
-        c, d = self.system.cells_per_axis, self.system.d
-        view = self.matrix.reshape((c,) * 2 * d)[rows.cell_slices() + cols.cell_slices()]
-        return view.reshape(rows.size_cells**d, cols.size_cells**d)
-
 
 _ASSEMBLE_BYTE_CAP = 1 << 30
 
@@ -133,11 +126,28 @@ def raw_pairing(g: GridFunction, T: DiscreteOperator, f: GridFunction) -> float:
 # -- Haar matrix elements ----------------------------------------------------------
 
 
-def matrix_element(T: DiscreteOperator, J: DyadicCube, etaJ,
-                   I: DyadicCube, etaI) -> float:
-    """Raw Haar matrix element <h_J, T h_I>, from the two cubes' cell slices of T."""
-    hJ, hI = haar_block(J, etaJ), haar_block(I, etaI)
-    return T.system.cell_volume * float(hJ.reshape(-1) @ T.block(J, I) @ hI.reshape(-1))
+def matrix_element(T: DiscreteOperator, J, etaJ, I, etaI):
+    """Raw Haar matrix element <h_J, T h_I>, or their array for equal-length lists of
+    cubes, J of one level and I of one level (see `_cube_cells`): h_J @ block, then its
+    dot with h_I, on T's blocks as one stack, gathered (ResourceLimitError past the byte
+    cap) or, for every cube of a 1-d level against itself in order, `_diagonal_blocks`'
+    view.  Pairs of one level have the bits of lone calls on strided blocks; at two
+    levels the last bits may differ."""
+    single, Js, rows = _cube_cells(J)
+    _, Is, cols = _cube_cells(I)
+    if len(Js) != len(Is):
+        raise ValueError(f"{len(Js)} cubes J against {len(Is)} cubes I")
+    hJ, hI = haar_block(Js[0], etaJ).reshape(-1), haar_block(Is[0], etaI).reshape(-1)
+    (box, *_), view = _diagonal_blocks(T, Js[0].level)
+    whole = (T.system.d == 1 and np.array_equal(rows, cols)
+             and np.array_equal(rows.reshape(-1), np.arange(box.start, box.stop)))
+    if not whole and 8 * rows.size * cols.shape[1] > _ASSEMBLE_BYTE_CAP:
+        raise ResourceLimitError(f"{len(Js)} gathered blocks need {8 * rows.size * cols.shape[1]}"
+                                 f" bytes, above the cap {_ASSEMBLE_BYTE_CAP}")
+    blocks = view if whole else T.matrix[rows[:, :, None], cols[:, None, :]]
+    # a BLAS dot per row, as in a lone call; `(hJ @ blocks) @ hI` would be one gemv
+    out = T.system.cell_volume * ((hJ @ blocks)[:, None, :] @ hI[:, None])[:, 0, 0]
+    return float(out[0]) if single else out
 
 
 # -- paraproduct extraction ----------------------------------------------------------
@@ -294,20 +304,24 @@ def full_pairing_sum(T: DiscreteOperator, g: GridFunction, f: GridFunction,
                      level_lo: int, level_hi: int) -> float:
     """Unrestricted double Haar sum over the given cube levels.
 
-    Built cube by cube from haar_vector and haar_coefficient, independently
-    of the Haar transform above, as a cross-check of the pairing.  The
-    coefficients are summed against the Haar vectors before T applies, so no
-    matrix of elements is formed.  Scalar functions only: a vector-valued f
-    or g raises ValueError.
+    Built one level at a time from the list forms of haar_vector and
+    haar_coefficient, independently of the Haar transform above, as a cross-check
+    of the pairing; H has a column per cube and eta, cube-major.  The coefficients
+    are summed against the Haar vectors before T applies, so no matrix of elements
+    is formed.  Scalar functions only: a vector-valued f or g raises ValueError.
     """
-    sysm = T.system
+    sysm, n_eta = T.system, (1 << T.system.d) - 1
     for h in (f, g):
         h.scalar_values()
-    cols = [(cube, eta) for level in range(level_lo, level_hi + 1)
-            for cube in sysm.cubes_at_level(level) for eta in etas(sysm.d)]
-    H = np.stack([haar_vector(cube, eta).reshape(-1) for cube, eta in cols], axis=1)
-    cf = np.array([haar_coefficient(f, cube, eta)[0] for cube, eta in cols])
-    cg = np.array([haar_coefficient(g, cube, eta)[0] for cube, eta in cols])
+    levels = [list(sysm.cubes_at_level(level)) for level in range(level_lo, level_hi + 1)]
+    H = np.empty((sysm.n_cells, n_eta * sum(map(len, levels))))
+    cf, cg, at = np.empty(H.shape[1]), np.empty(H.shape[1]), 0
+    for cubes in levels:
+        for e, eta in enumerate(etas(sysm.d)):
+            cols = slice(at + e, at + n_eta * len(cubes), n_eta)
+            H[:, cols] = haar_vector(cubes, eta).reshape(len(cubes), -1).T
+            cf[cols], cg[cols] = (haar_coefficient(h, cubes, eta)[:, 0] for h in (f, g))
+        at += n_eta * len(cubes)
     return sysm.cell_volume * float((H @ cg) @ (T.matrix @ (H @ cf)))
 
 
@@ -375,9 +389,10 @@ def decay_check(T: DiscreteOperator, case: str, i_values: Sequence[int],
     paraproduct term h_K(I) <1, T h_I> when nested, and keeps the pairs with
     a good I (`good_mask`, once per level and call, as k + i recurs) and,
     when disjoint, I outside J's child of K.
-    The equal case stays on `matrix_element`, one call per cube: for an odd
-    kernel <h_K, T h_K> vanishes, so its value is rounding noise that any
-    other summation order would change.
+    The equal case makes one list call of `matrix_element` per level, on the
+    level's diagonal blocks: for an odd kernel <h_K, T h_K> vanishes, so its
+    value is rounding noise that any other summation order would change, and
+    each element keeps the bits of a lone call.
     """
     sysm = T.system
     if sysm.d != 1:
@@ -407,8 +422,8 @@ def decay_check(T: DiscreteOperator, case: str, i_values: Sequence[int],
     def peak(k: int, i: int) -> float:
         if case == "equal":
             # |K| * vol_K^{-1} cancels in one dimension
-            eta = (1,)
-            return max(abs(matrix_element(T, K, eta, K, eta)) for K in sysm.cubes_at_level(k))
+            cubes = list(sysm.cubes_at_level(k))
+            return float(np.abs(matrix_element(T, cubes, (1,), cubes, (1,))).max())
         box, rows = level_rows(k)
         n_runs, side = len(rows) << i, 1 << (sysm.depth - k - i)
         kv, iv, h_i = 2.0**-k, 2.0**-(k + i), haar_at(k + i)

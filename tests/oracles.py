@@ -15,9 +15,9 @@ from dyadiclab.errors import (AdaptednessError, AmbientRangeError, DegenerateInp
                               MeshDepthError, ResourceLimitError, SparsityError)
 from dyadiclab.grid import DyadicSystem, goodness_probability, is_good
 from dyadiclab.gridfn import (GridFunction, HaarCoefficients, _aligned_factor, _block_means,
-                              _blocks, _expand_blocks, _stack, _unblocks, _unstack,
-                              conditional_expectation, cube_average, etas, haar_block,
-                              haar_coefficient, haar_vector, pair)
+                              _blocks, _eta, _expand_blocks, _sign_row, _stack, _unblocks,
+                              _unstack, conditional_expectation, cube_average, etas,
+                              haar_block, haar_coefficient, haar_vector, pair)
 from dyadiclab.rademacher import (OperatorFamily, _power_iteration_vector, sign_average,
                                   sign_patterns)
 from dyadiclab.representation import (AveragingIdentityReport, DecayReport,
@@ -518,6 +518,28 @@ def goodness_position_joint_by_oracles(d, level, depth, m_top, params):
     return counts
 
 
+def haar_vector_per_cube(cube, eta):
+    """`gridfn.haar_vector` of one cube: its Haar block written into its cell slice."""
+    arr = np.zeros((cube.system.cells_per_axis,) * cube.system.d)
+    arr[cube.cell_slices()] = haar_block(cube, eta)
+    return arr
+
+
+def haar_coefficient_per_cube(f, cube, eta):
+    """`gridfn.haar_coefficient` of one cube, on its cell slice: sign times child mean
+    times child volume, added to 0.0 in row-major child order."""
+    d, vol = f.system.d, cube.volume
+    eta = _eta(eta, d)
+    view = f.values[cube.cell_slices()]
+    if cube.size_cells == 1:
+        if any(eta):
+            raise MeshDepthError("oscillating Haar function needs children")
+        return view.reshape(f.space.dim) * vol**0.5
+    kid_means = _block_means(view, d, cube.size_cells // 2).reshape(-1, f.space.dim)
+    terms = _sign_row(eta)[:, None] * kid_means * (vol / 2**d)
+    return np.add.reduce(terms, axis=0, initial=0.0) * vol**-0.5
+
+
 def haar_coefficient_by_eval(f, cube, eta):
     """Coefficient via pointwise Haar values, no pyramid."""
     h = haar_vector(cube, eta)
@@ -738,6 +760,29 @@ def matrix_element_dense(T, J, etaJ, I, etaI, convention="raw"):
         right = nested_left_vector(I, etaI, J)
         return float(vol * flat_haar(J, etaJ) @ (T.matrix @ right))
     return float(vol * flat_haar(J, etaJ) @ (T.matrix @ flat_haar(I, etaI)))
+
+
+def matrix_element_per_cube(T, J, etaJ, I, etaI):
+    """`representation.matrix_element` of one pair, from the two cubes' cell slices of T."""
+    c, d = T.system.cells_per_axis, T.system.d
+    block = T.matrix.reshape((c,) * 2 * d)[J.cell_slices() + I.cell_slices()]
+    block = block.reshape(J.size_cells**d, I.size_cells**d)
+    hJ, hI = haar_block(J, etaJ), haar_block(I, etaI)
+    return T.system.cell_volume * float(hJ.reshape(-1) @ block @ hI.reshape(-1))
+
+
+def full_pairing_sum_per_cube(T, g, f, level_lo, level_hi):
+    """`representation.full_pairing_sum` with its frame and coefficients built cube by
+    cube from the per-cube oracles."""
+    sysm = T.system
+    for h in (f, g):
+        h.scalar_values()
+    cols = [(cube, eta) for level in range(level_lo, level_hi + 1)
+            for cube in sysm.cubes_at_level(level) for eta in etas(sysm.d)]
+    H = np.stack([haar_vector_per_cube(cube, eta).reshape(-1) for cube, eta in cols], axis=1)
+    cf = np.array([haar_coefficient_per_cube(f, cube, eta)[0] for cube, eta in cols])
+    cg = np.array([haar_coefficient_per_cube(g, cube, eta)[0] for cube, eta in cols])
+    return sysm.cell_volume * float((H @ cg) @ (T.matrix @ (H @ cf)))
 
 
 # -- paraproduct extraction by stacked Haar vectors ------------------------------

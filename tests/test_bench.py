@@ -113,6 +113,55 @@ def test_run_catalog_brackets_the_run_with_the_calibration_kernel(monkeypatch, w
     assert rec["timing_ms"] == ({"goodness": 256, "stopping": 141} if writes_summary else {})
 
 
+TRACED = {"correct": True, "attempted": 48, "failed": 0,
+          "metrics": {"wall_s": {"value": 0.0942, "unit": "s"},
+                      "representation.matrix_element.calls": {"value": 9, "unit": "count"},
+                      "representation.matrix_element.self_s": {"value": 0.002, "unit": "s"},
+                      "gridfn.haar_vector.calls": {"value": 8, "unit": "count"},
+                      "grid.is_good.good_ratio": {"value": 0.5, "unit": "ratio"}}}
+CANNED_TRACED = "\n".join([
+    f"# machine: {MACHINE}",
+    "# workload=haar-representation seed=0 scale=full trace=1 passes=30 setups=5",
+    "# representation.matrix_element.calls = 9 count",
+    json.dumps(TRACED),
+]) + "\n"
+CALLS = {"representation.matrix_element.calls": 9, "gridfn.haar_vector.calls": 8}
+
+
+def test_traced_record_keeps_the_call_counts_and_the_exit_code():
+    assert bench.traced_record(CANNED_TRACED, 0) == {"exit": 0, "correct": True,
+                                                     "calls": CALLS}
+    zero_calls = bench.traced_record(CANNED_TRACED.replace('"correct": true',
+                                                           '"correct": false'), 3)
+    assert zero_calls == {"exit": 3, "correct": False, "calls": CALLS}
+    assert bench.traced_record("error: worker crashed\n", 4) == {"exit": 4, "correct": None,
+                                                                 "calls": {}}
+
+
+def test_run_traced_runs_the_checkouts_run_py_traced_at_seed_zero(monkeypatch):
+    """A stand-in for the traced run: no workload runs."""
+    seen = []
+
+    def fake_run(cmd, cwd, capture_output, text):
+        seen.append((cmd[1:], cwd))
+        return subprocess.CompletedProcess(cmd, 0, stdout=CANNED_TRACED)
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    rec = bench.run_traced("/some/tree", "haar-representation")
+    [(args, cwd)] = seen
+    assert args == [os.path.join("/some/tree", "perfbench", "run.py"), "--workload",
+                    "haar-representation", "--seed", "0", "--seconds", "4.0", "--trace", "1"]
+    assert cwd == "/some/tree"
+    assert rec == {"exit": 0, "correct": True, "calls": CALLS}
+
+
+def fake_traced_run(order, exit_code=0):
+    def run(tree, workload):
+        order.append(("traced", workload, tree))
+        return bench.traced_record(CANNED_TRACED, exit_code)
+    return run
+
+
 def fake_catalog_run(order, exit_code=0):
     def run(tree):
         order.append(("catalog", tree))
@@ -129,12 +178,14 @@ def test_main_interleaves_checkouts_and_writes_one_record_each(monkeypatch, tmp_
 
     monkeypatch.setattr(bench, "run_once", fake_run)
     monkeypatch.setattr(bench, "run_catalog", fake_catalog_run(order))
+    monkeypatch.setattr(bench, "run_traced", fake_traced_run(order))
     monkeypatch.setattr(bench, "git_state", lambda tree: {"head": tree, "dirty": False})
     out, old, new = (str(tmp_path / name) for name in ("bench.json", "old", "new"))
     status = bench.main(["--out", out, "--tree", f"old={old}", "--tree", f"new={new}"])
     assert status == 0
     assert order == [(s, w, tree) for s in (1, 2, 3) for w in bench.WORKLOADS
-                     for tree in (old, new)] + [("catalog", old), ("catalog", new)]
+                     for tree in (old, new)] + [("catalog", old), ("catalog", new)] + [
+                         ("traced", w, tree) for w in bench.WORKLOADS for tree in (old, new)]
     with open(out) as stream:
         doc = json.load(stream)
     assert list(doc["checkouts"]) == ["old", "new"]
@@ -144,12 +195,16 @@ def test_main_interleaves_checkouts_and_writes_one_record_each(monkeypatch, tmp_
     assert doc["catalog_seed"] == 7
     assert doc["checkouts"]["new"]["catalog"]["timing_ref_ms"] == {"goodness": 128.0,
                                                                    "stopping": 70.5}
+    assert (doc["trace_seed"], doc["trace_seconds"]) == (0, 4.0)
+    assert doc["checkouts"]["old"]["traced"] == {
+        w: {"exit": 0, "correct": True, "calls": CALLS} for w in bench.WORKLOADS}
 
 
 def test_a_failing_run_makes_the_exit_status_one(monkeypatch, tmp_path):
     monkeypatch.setattr(bench, "run_once", lambda tree, workload, seed, seconds: {
         "workload": workload, "seed": seed, **bench.parse_run(CANNED, 1)})
     monkeypatch.setattr(bench, "run_catalog", fake_catalog_run([]))
+    monkeypatch.setattr(bench, "run_traced", fake_traced_run([]))
     monkeypatch.setattr(bench, "git_state", lambda tree: {"head": None, "dirty": None})
     assert bench.main(["--out", str(tmp_path / "b.json")]) == 1
 
@@ -158,5 +213,15 @@ def test_a_failing_catalog_makes_the_exit_status_one(monkeypatch, tmp_path):
     monkeypatch.setattr(bench, "run_once", lambda tree, workload, seed, seconds: {
         "workload": workload, "seed": seed, **bench.parse_run(CANNED, 0)})
     monkeypatch.setattr(bench, "run_catalog", fake_catalog_run([], exit_code=1))
+    monkeypatch.setattr(bench, "run_traced", fake_traced_run([]))
+    monkeypatch.setattr(bench, "git_state", lambda tree: {"head": None, "dirty": None})
+    assert bench.main(["--out", str(tmp_path / "b.json")]) == 1
+
+
+def test_a_traced_run_left_with_zero_calls_makes_the_exit_status_one(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench, "run_once", lambda tree, workload, seed, seconds: {
+        "workload": workload, "seed": seed, **bench.parse_run(CANNED, 0)})
+    monkeypatch.setattr(bench, "run_catalog", fake_catalog_run([]))
+    monkeypatch.setattr(bench, "run_traced", fake_traced_run([], exit_code=3))
     monkeypatch.setattr(bench, "git_state", lambda tree: {"head": None, "dirty": None})
     assert bench.main(["--out", str(tmp_path / "b.json")]) == 1

@@ -20,6 +20,7 @@ from dyadiclab.space import NormedSpace, conjugate_exponent
 
 from oracles import (analyze_by_blocks, block_means_by_mean, bmo_norm_per_exponent,
                      haar_coefficient_by_child_loop, haar_coefficient_by_eval,
+                     haar_coefficient_per_cube, haar_vector_per_cube,
                      random_grid_function_by_mode, shifted_projection, synthesize_by_blocks)
 
 SYS4 = DyadicSystem(d=1, m_top=0, depth=4)
@@ -190,6 +191,63 @@ def test_haar_coefficient_equals_the_child_loop_bit_for_bit(d, m_top, dim):
                     assert got.shape == want.shape == (dim,)
                     assert np.array_equal(got, want)
                     assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("m_top", [0, 1, 2])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_haar_list_forms_equal_the_per_cube_oracles_bit_for_bit(d, m_top, dim):
+    """Every level of a standard and a random translated system, every eta with the zero
+    one, as the whole level in order and as every other cube in reverse: each row of the
+    list forms has the bits of the per-cube bodies and of a lone call."""
+    depth = 5 if d == 1 else 3
+    for system in (DyadicSystem(d=d, m_top=m_top, depth=depth),
+                   DyadicSystem.random(10 * d + m_top + dim, d=d, m_top=m_top, depth=depth)):
+        f = random_grid_function(system, m_top + dim, NormedSpace(dim, 2.0))
+        for level in range(system.min_level, system.depth + 1):
+            level_cubes = list(system.cubes_at_level(level))
+            for cubes in (level_cubes, level_cubes[::-2]):
+                for eta in itertools.product((0, 1), repeat=d):
+                    if level == system.depth and any(eta):
+                        continue  # refused, see the next test
+                    vectors, coeffs = haar_vector(cubes, eta), haar_coefficient(f, cubes, eta)
+                    assert vectors.shape == (len(cubes),) + (system.cells_per_axis,) * d
+                    assert coeffs.shape == (len(cubes), dim)
+                    for k, cube in enumerate(cubes):
+                        assert np.array_equal(vectors[k], haar_vector_per_cube(cube, eta))
+                        want = haar_coefficient_per_cube(f, cube, eta).tobytes()
+                        assert coeffs[k].tobytes() == want
+                        assert haar_coefficient(f, cube, eta).tobytes() == want
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_list_forms_refuse_an_oscillating_eta_at_the_finest_level(d):
+    system = DyadicSystem.random(5, d=d, m_top=1, depth=2)
+    f = random_grid_function(system, 5)
+    T = assemble(hilbert_kernel(), system)
+    cubes = list(system.cubes_at_level(system.depth))
+    eta, zero = (1,) + (0,) * (d - 1), (0,) * d
+    for form in (cubes, cubes[1:3], cubes[0]):
+        for call in (lambda: haar_vector(form, eta), lambda: haar_coefficient(f, form, eta),
+                     lambda: matrix_element(T, form, eta, form, zero),
+                     lambda: matrix_element(T, form, zero, form, eta)):
+            with pytest.raises(MeshDepthError, match="children"):
+                call()
+    assert haar_coefficient(f, cubes, zero).shape == (len(cubes), 1)
+
+
+def test_list_forms_refuse_mixed_levels_and_empty_lists():
+    f = random_grid_function(SYS4, 1)
+    T = assemble(hilbert_kernel(), SYS4)
+    mixed = [UNIT, SYS4.cube(1, (0,))]
+    for call in (lambda: haar_vector(mixed, (1,)), lambda: haar_coefficient(f, [], (1,)),
+                 lambda: matrix_element(T, mixed, (1,), mixed, (1,)),
+                 lambda: matrix_element(T, [UNIT], (1,), [], (1,)),
+                 lambda: haar_vector([UNIT, DyadicSystem(depth=5).cube(0, (0,))], (1,))):
+        with pytest.raises(ValueError, match="one level of one system"):
+            call()
+    with pytest.raises(ValueError, match="2 cubes J against 1 cubes I"):
+        matrix_element(T, mixed[:1] * 2, (1,), mixed[:1], (1,))
 
 
 # -- coefficients and completeness ---------------------------------------------------

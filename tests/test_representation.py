@@ -411,6 +411,91 @@ def test_matrix_element_matches_dense_oracle(system, seed):
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
+def list_systems(d, m_top):
+    """A standard and a random translated system of at most 256 cells per axis in one
+    dimension and 32 in two."""
+    depth = 5 if d == 1 else 3 - m_top // 2
+    return (DyadicSystem(d=d, m_top=m_top, depth=depth),
+            DyadicSystem.random(7 * d + m_top, d=d, m_top=m_top, depth=depth))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("m_top", [0, 1, 2])
+def test_matrix_element_list_form_equals_per_cube_oracle_bit_for_bit(d, m_top):
+    """Same-level pairs of every level: the whole level against itself (the diagonal
+    view in one dimension), all but its first cube against themselves, and the level
+    against a permutation of itself; each element has the oracle's bits and a lone
+    call's.  Pairs of two levels agree to the last bits."""
+    signs = etas(d) + [(0,) * d]
+    for system in list_systems(d, m_top):
+        gen = np.random.default_rng(d + m_top)
+        T = random_operator(system, gen)
+        for level in range(system.min_level, system.depth):
+            cubes = list(system.cubes_at_level(level))
+            shuffled = [cubes[k] for k in gen.permutation(len(cubes))]
+            for Js, Is in ((cubes, cubes), (cubes[1:] or cubes,) * 2, (cubes, shuffled)):
+                for etaJ, etaI in zip(signs, signs[1:] + signs[:1]):
+                    got = matrix_element(T, Js, etaJ, Is, etaI)
+                    assert got.shape == (len(Js),)
+                    want = [oracles.matrix_element_per_cube(T, J, etaJ, I, etaI)
+                            for J, I in zip(Js, Is)]
+                    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+                    assert matrix_element(T, Js[-1], etaJ, Is[-1], etaI).hex() == want[-1].hex()
+            finer = list(system.cubes_at_level(int(gen.integers(level + 1, system.depth + 1))))
+            Is = [finer[k] for k in gen.integers(len(finer), size=len(cubes))]
+            got = matrix_element(T, cubes, signs[0], Is, signs[-1])
+            want = [oracles.matrix_element_per_cube(T, J, signs[0], I, signs[-1])
+                    for J, I in zip(cubes, Is)]
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_gathered_blocks_past_the_byte_cap_are_refused_before_gathering(monkeypatch):
+    """A list of level-0 pairs gathers 2 x 64 x 64 floats (64 KiB) past a 32 KiB cap; the
+    level's diagonal is a view of T and is not refused."""
+    system = DyadicSystem(d=1, depth=6)
+    T = assemble(hilbert_kernel(), system)
+    cubes = list(system.cubes_at_level(0))
+    want = matrix_element(T, cubes, (1,), cubes, (1,))
+    monkeypatch.setattr(representation, "_ASSEMBLE_BYTE_CAP", 1 << 15)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="2 gathered blocks need 65536 bytes"):
+            matrix_element(T, cubes[::-1], (1,), cubes[::-1], (1,))
+        assert tracemalloc.get_traced_memory()[1] < 1 << 15
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(matrix_element(T, cubes, (1,), cubes, (1,)), want)
+
+
+@pytest.mark.parametrize("d, m_top, depth", [(1, 0, 5), (1, 1, 4), (1, 2, 3), (2, 0, 3),
+                                             (2, 1, 2), (2, 2, 1)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_full_pairing_sum_equals_the_per_cube_sum_bit_for_bit(d, m_top, depth, seed):
+    """Random translated systems, a random operator and an assembled kernel, the full
+    level range and a random one."""
+    system = DyadicSystem.random(100 * seed + 10 * d + m_top, d=d, m_top=m_top, depth=depth)
+    gen = np.random.default_rng(seed)
+    g, f = (random_grid_function(system, seed, label=label) for label in ("fps-g", "fps-f"))
+    for T in (random_operator(system, gen), assemble(smooth_odd_kernel(0.25, 1.0), system)):
+        for lo, hi in ((system.min_level, system.depth - 1), random_levels(system, gen)):
+            got = full_pairing_sum(T, g, f, lo, hi)
+            assert got.hex() == oracles.full_pairing_sum_per_cube(T, g, f, lo, hi).hex()
+
+
+@pytest.mark.parametrize("system", [DyadicSystem(d=1, depth=6), DyadicSystem(d=1, depth=9),
+                                    DyadicSystem.random(3, d=1, m_top=2, depth=5)],
+                         ids=["k6", "k9", "random-m2k5"])
+def test_equal_case_peak_is_the_per_cube_maximum_bit_for_bit(system):
+    """The odd kernel's <h_K, T h_K> is rounding noise, so any other summation order
+    would move it."""
+    T = assemble(hilbert_kernel(), system)
+    report = decay_check(T, "equal", [0], GoodnessParams(gamma=0.4, r=4), 1.0)
+    want = max(abs(oracles.matrix_element_per_cube(T, K, (1,), K, (1,)))
+               for level in range(system.min_level, system.depth)
+               for K in system.cubes_at_level(level))
+    assert report.magnitudes[0].hex() == want.hex()
+
+
 @given(translated_systems(), st.integers(0, 2**20), st.booleans())
 @settings(max_examples=30, deadline=None)
 def test_haar_transform_matches_per_cube_vectors(system, seed, boxed):
