@@ -9,19 +9,21 @@ workload at seeds 1, 2 and 3; runs are interleaved (per seed, per workload,
 one run per checkout in turn) so the machine's drift falls alike on each.
 The last JSON line of each run gives its metrics and `correct`; the exit
 code is kept beside them.  Then each checkout's `scripts/run_reports.py`
-runs the full catalog once at seed 7 and its defaults, the checkouts in
-turn, bracketed by `perfbench/calibrate.py`'s kernel: the record keeps the
-run's wall time and each experiment's `timing_ms` from its JSON summary,
-measured and in reference seconds.  Last, each checkout's `run.py` runs
-traced (`--trace 1`) once per workload at seed 0 for 4 s, the checkouts in
-turn: the record keeps each run's exit code, `correct` and every per-layer
-`*.calls` count.  Exit status: 0 if every run exited 0, else 1.  Per
-checkout the file records git HEAD (and whether the tree differs from it),
-the line count of `src/dyadiclab/*.py`, the machine line that `run.py`
-prints (Python, numpy, BLAS and its thread count), every run and the median
-of each metric per workload.  Without `--tree` the checkout
-holding this script is measured under the label "HEAD".  Nothing under
-`perfbench/` is changed; its calibration module is only imported.
+runs the full catalog at seed 7 and its defaults `CATALOG_RUNS` times, one
+run per checkout in turn, each run bracketed by `perfbench/calibrate.py`'s
+kernel: the record keeps every run's wall time, its factor to reference
+seconds and each experiment's `timing_ms` from its JSON summary, and their
+medians, with `wall_ref_s` the median wall time times the median factor.
+Last, each checkout's `run.py` runs traced (`--trace 1`) once per workload
+at seed 0 for 4 s, the checkouts in turn: the record keeps each run's exit
+code, `correct` and every per-layer `*.calls` count.  Exit status: 0 if
+every run exited 0, else 1.  Per checkout the file records git HEAD (and
+whether the tree differs from it), the line count of `src/dyadiclab/*.py`,
+the machine line that `run.py` prints (Python, numpy, BLAS and its thread
+count), every run and the median of each metric per workload.  Without
+`--tree` the checkout holding this script is measured under the label
+"HEAD".  Nothing under `perfbench/` is changed; its calibration module is
+only imported.
 """
 
 import argparse
@@ -45,6 +47,7 @@ WORKLOADS = ("shift-sweep", "stopping-sparse", "haar-representation", "translate
 SEEDS = (1, 2, 3)
 SECONDS = 8.0
 CATALOG_SEED = 7
+CATALOG_RUNS = 3  # one probe pair's factor alone can reverse which checkout is faster
 TRACE_SEED, TRACE_SECONDS = 0, 4.0
 
 
@@ -111,14 +114,28 @@ def parse_summary(text: str) -> dict:
     return {name: int(ms) for name, ms in json.loads(text)["timing_ms"].items()}
 
 
-def catalog_record(exit_code: int, wall_s: float, factor: float, summary) -> dict:
-    """One catalog run: exit code, wall time and per-experiment `timing_ms`, measured
-    and times `factor`, the calibration's reference seconds per measured second.
-    A run that wrote no summary (`summary` None) has no timings."""
+def catalog_run(exit_code: int, wall_s: float, factor: float, summary) -> dict:
+    """One catalog run: exit code, wall time, its product with `factor` (the
+    calibration's reference seconds per measured second) and per-experiment
+    `timing_ms`.  A run that wrote no summary (`summary` None) has no timings."""
     timing = {} if summary is None else parse_summary(summary)
     return {"exit": exit_code, "wall_s": wall_s, "wall_ref_s": wall_s * factor,
-            "reference_factor": factor, "timing_ms": timing,
-            "timing_ref_ms": {name: ms * factor for name, ms in timing.items()}}
+            "reference_factor": factor, "timing_ms": timing}
+
+
+def catalog_record(runs: list) -> dict:
+    """A checkout's catalog runs and their medians: the first nonzero exit code (else
+    0), wall time, factor, each experiment's `timing_ms` over the runs that have it,
+    and `wall_ref_s`, the median wall time times the median factor."""
+    wall_s = statistics.median(run["wall_s"] for run in runs)
+    factor = statistics.median(run["reference_factor"] for run in runs)
+    names = dict.fromkeys(name for run in runs for name in run["timing_ms"])
+    return {"exit": next((run["exit"] for run in runs if run["exit"]), 0),
+            "wall_s": wall_s, "wall_ref_s": wall_s * factor, "reference_factor": factor,
+            "timing_ms": {name: statistics.median(run["timing_ms"][name] for run in runs
+                                                  if name in run["timing_ms"])
+                          for name in names},
+            "runs": runs}
 
 
 def run_catalog(tree: str) -> dict:
@@ -137,7 +154,7 @@ def run_catalog(tree: str) -> dict:
                 summary = stream.read()
         except OSError:  # the run stopped before writing its summary
             summary = None
-    return catalog_record(done.returncode, wall_s, factor, summary)
+    return catalog_run(done.returncode, wall_s, factor, summary)
 
 
 def medians(runs: list) -> dict:
@@ -175,11 +192,14 @@ def main(argv=None) -> int:
                 runs[label].append(run)
                 print(f"{label} {workload} seed={seed} exit={run['exit']} "
                       f"wall_s={run['metrics'].get('wall_s')}", flush=True)
-    catalogs = {}
-    for label, tree in trees.items():
-        catalogs[label] = run_catalog(tree)
-        print(f"{label} catalog seed={CATALOG_SEED} exit={catalogs[label]['exit']} "
-              f"wall_ref_s={catalogs[label]['wall_ref_s']:.3f}", flush=True)
+    catalogs = {label: [] for label in trees}
+    for _ in range(CATALOG_RUNS):
+        for label, tree in trees.items():
+            run = run_catalog(tree)
+            catalogs[label].append(run)
+            print(f"{label} catalog seed={CATALOG_SEED} exit={run['exit']} "
+                  f"wall_s={run['wall_s']:.3f} factor={run['reference_factor']:.3f}", flush=True)
+    catalogs = {label: catalog_record(runs) for label, runs in catalogs.items()}
     traced = {label: {} for label in trees}
     for workload in WORKLOADS:
         for label, tree in trees.items():
@@ -187,6 +207,7 @@ def main(argv=None) -> int:
             print(f"{label} {workload} traced seed={TRACE_SEED} "
                   f"exit={traced[label][workload]['exit']}", flush=True)
     doc = {"seeds": SEEDS, "seconds": SECONDS, "catalog_seed": CATALOG_SEED,
+           "catalog_runs": CATALOG_RUNS,
            "trace_seed": TRACE_SEED, "trace_seconds": TRACE_SECONDS,
            "checkouts": {label: record(tree, runs[label], catalogs[label], traced[label])
                          for label, tree in trees.items()}}

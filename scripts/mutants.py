@@ -114,6 +114,19 @@ MUTANTS = (
            "u = [w >> (system.depth - level) for w in system._words]",
            "u = [w >> (system.depth - level + 1) for w in system._words]",
            ("tests/test_grid.py::test_good_mask_matches_is_good_per_cube",)),
+    Mutant("grid-level-cubes-axes-reversed", "src/dyadiclab/grid.py",
+           "return tuple(out.reshape(2, self.d, -1))",
+           "return tuple(out.reshape(2, self.d, -1)[:, ::-1])",
+           ("tests/test_grid.py::test_level_cubes_match_cubes_at_level",
+            "tests/test_grid.py::test_good_mask_matches_is_good_per_cube")),
+    Mutant("grid-level-cubes-starts-unshifted", "src/dyadiclab/grid.py",
+           "(self.d - 1 - ax), self.origin_cell + s",
+           "(self.d - 1 - ax), self.origin_cell",
+           ("tests/test_grid.py::test_level_cubes_match_cubes_at_level",)),
+    Mutant("cli-anchor-of-first-experiment", "src/dyadiclab/cli.py",
+           "EXPERIMENTS[name].anchor",
+           "EXPERIMENTS[names[0]].anchor",
+           ("tests/test_catalog_reference.py::test_fast_catalog_matches_reference",)),
     Mutant("shifts-matrix-scale-mean-norm", "src/dyadiclab/shifts.py",
            "np.linalg.norm(raw, 2, axis=(-2, -1)).max()",
            "np.linalg.norm(raw, 2, axis=(-2, -1)).mean()",

@@ -1,7 +1,8 @@
 """Command-line experiment runner with machine-readable reports.
 
 Reports carry one CSV row per check (check_id, anchor, measured, bound,
-pass, seed, runtime_ms) plus a JSON summary.  Identical configuration and
+pass, seed, runtime_ms), the anchor its experiment's and the seed the
+run's, plus a JSON summary.  Identical configuration and
 seed reproduce every column byte for byte except runtime_ms, which is
 wall time.  Exit status: 0 all checks pass, 1 a check failed, 2 bad usage,
 found before any experiment runs where the parameter table of
@@ -84,10 +85,10 @@ def _flag_overrides(args, names: list) -> dict:
     return overrides
 
 
-def _format_row(check, runtime_ms: int) -> str:
-    anchor = check.anchor.replace('"', "'")
+def _format_row(check, anchor: str, seed: int, runtime_ms: int) -> str:
+    anchor = anchor.replace('"', "'")
     return (f'{check.check_id},"{anchor}",{check.measured!r},{check.bound!r},'
-            f"{str(check.passed).lower()},{check.seed},{runtime_ms}")
+            f"{str(check.passed).lower()},{seed},{runtime_ms}")
 
 
 def _run(args) -> int:
@@ -120,6 +121,8 @@ def _run(args) -> int:
         except ValueError as exc:
             raise UsageError(f"{name}: {exc}")
     out_csv = args.out or config.get("out_csv")
+    if "out_json" in config and not out_csv:
+        raise UsageError("config out_json needs a CSV report path: out_csv or --out")
     out_json = out_csv and (config.get("out_json") or os.path.splitext(out_csv)[0] + ".json")
     for path in filter(None, (out_csv, out_json)):
         if not os.path.isdir(os.path.dirname(path) or "."):
@@ -127,7 +130,7 @@ def _run(args) -> int:
         if os.path.isdir(path):
             raise UsageError(f"report path {path} is a directory")
 
-    rows = []  # (check, runtime_ms)
+    rows = []  # (check, anchor, seed, runtime_ms)
     summary = {"seed": seed, "experiments": {}, "timing_ms": {}}
     for name in names:
         start = time.perf_counter()
@@ -139,9 +142,9 @@ def _run(args) -> int:
         summary["experiments"][name] = {"checks": len(checks),
                                         "failed": [c.check_id for c in checks if not c.passed]}
         summary["timing_ms"][name] = elapsed_ms
-        rows += [(check, elapsed_ms) for check in checks]
+        rows += [(check, EXPERIMENTS[name].anchor, seed, elapsed_ms) for check in checks]
     rows.sort(key=lambda row: row[0].check_id)
-    summary["all_passed"] = all(check.passed for check, _ in rows)
+    summary["all_passed"] = all(check.passed for check, *_ in rows)
 
     csv_text = CSV_HEADER + "\n" + "".join(_format_row(*row) + "\n" for row in rows)
     if out_csv:
@@ -152,7 +155,7 @@ def _run(args) -> int:
             stream.write("\n")
     else:
         sys.stdout.write(csv_text)
-    for check, _ in rows:
+    for check, *_ in rows:
         if not check.passed:
             sys.stderr.write(f"FAIL {check.check_id}\n")
     return 0 if summary["all_passed"] else 1

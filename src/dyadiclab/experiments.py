@@ -1,10 +1,10 @@
 """Seeded experiment runners behind the command-line interface.
 
 Each experiment checks one quantitative statement at desk scale and
-returns rows of (check id, anchor, measured, bound, pass).  Anchors quote
-the inequality under test so reports stay audit-traceable.  All
-randomness flows through substreams of the run seed, so reports are
-reproducible bit for bit.
+returns rows of (check id, measured, bound, pass); the report adds the
+experiment's anchor, which quotes the inequality under test so reports
+stay audit-traceable, and the run seed.  All randomness flows through
+substreams of the run seed, so reports are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -32,20 +32,19 @@ from .space import SCALAR, NormedSpace, conjugate_exponent, umd_beta_scalar
 
 @dataclass(frozen=True)
 class Check:
+    """What a runner measured: the report adds the experiment's anchor and the run seed."""
     check_id: str
-    anchor: str
     measured: float
     bound: float
     passed: bool
-    seed: int
 
 
-def _check(check_id, anchor, measured, bound, seed, *, at_most=True, slack=1e-9):
+def _check(check_id, measured, bound, *, at_most=True, slack=1e-9):
     """A pass/fail row; `at_most` picks the comparison direction."""
     measured = float(measured)
     bound = float(bound)
     ok = measured <= bound + slack if at_most else measured >= bound - slack
-    return Check(check_id, anchor, measured, bound, ok, seed)
+    return Check(check_id, measured, bound, ok)
 
 
 # -- individual experiments ---------------------------------------------------------
@@ -64,8 +63,7 @@ def run_haar_completeness(params: dict, seed: int) -> list:
             for fs in stack_chunks(random_grid_functions(sysm, seed, labels, space), sysm):
                 for f, back in zip(fs, synthesize(analyze(fs, sysm.min_level))):
                     worst = max(worst, float(np.abs(back.values - f.values).max()))
-        rows.append(_check(f"haar-completeness/{label}", ANCHOR_HAAR, worst,
-                           params["tol"], seed))
+        rows.append(_check(f"haar-completeness/{label}", worst, params["tol"]))
     return rows
 
 
@@ -95,9 +93,9 @@ def run_shift_bound(params: dict, seed: int) -> list:
                 raw_max[p] = max(raw_max[p], num / den)
                 worst[p] = max(worst[p], num / den / bound)
     return [row for p in ps for row in (
-        _check(f"shift-bound/p={p}/normalized", ANCHOR_SHIFT, worst[p], 1.0, seed),
-        Check(f"shift-bound/p={p}/max-ratio", ANCHOR_SHIFT, raw_max[p],
-              4.0 * (cap + 1) * umd_beta_scalar(p) ** 2, True, seed))]
+        _check(f"shift-bound/p={p}/normalized", worst[p], 1.0),
+        Check(f"shift-bound/p={p}/max-ratio", raw_max[p],
+              4.0 * (cap + 1) * umd_beta_scalar(p) ** 2, True))]
 
 
 ANCHOR_PARA = ("||Pi_b f||_p <= 12 p p' (max{p,p'}-1) ||b||_BMO_p ||f||_p "
@@ -117,8 +115,7 @@ def run_paraproduct(params: dict, seed: int) -> list:
                     continue
                 bound = 12.0 * p * conjugate_exponent(p) * umd_beta_scalar(p) * bmo
                 worst[p] = max(worst[p], num / den / bound)
-    return [_check(f"paraproduct/p={p}/normalized", ANCHOR_PARA, worst[p], 1.0, seed)
-            for p in ps]
+    return [_check(f"paraproduct/p={p}/normalized", worst[p], 1.0) for p in ps]
 
 
 ANCHOR_CARLESON = "(sum_S <|f|>_S^p mu(S))^{1/p} <= 2 p' ||f||_Lp(mu) for sparse S"
@@ -145,9 +142,8 @@ def run_carleson(params: dict, seed: int) -> list:
             worst[p] = max(worst[p], res.ratio / res.stated_bound)
             worst_proof[p] = max(worst_proof[p], res.ratio / res.proof_bound)
     return [row for p in p_list for row in (
-        _check(f"carleson/p={p}/vs-stated", ANCHOR_CARLESON, worst[p], 1.0, seed),
-        _check(f"carleson/p={p}/vs-proof-constant", ANCHOR_CARLESON, worst_proof[p], 1.0,
-               seed))]
+        _check(f"carleson/p={p}/vs-stated", worst[p], 1.0),
+        _check(f"carleson/p={p}/vs-proof-constant", worst_proof[p], 1.0))]
 
 
 ANCHOR_PYTH = ("||sum f_S||_p <= 3p (sum ||f_S||_p^p)^{1/p}; reverse <= 6p' given "
@@ -195,7 +191,7 @@ def run_pythagoras(params: dict, seed: int) -> list:
                     worst[mode, p] = max(worst[mode, p], res.direct_ratio / res.direct_bound)
                 elif mode != "direct" and res.sum_norm > 0:
                     worst[mode, p] = max(worst[mode, p], res.reverse_ratio / res.reverse_bound)
-    rows = [_check(f"pythagoras/{mode}/p={p}", ANCHOR_PYTH, val, 1.0, seed)
+    rows = [_check(f"pythagoras/{mode}/p={p}", val, 1.0)
             for (mode, p), val in sorted(worst.items())]
 
     # the sharp counterexample: equal and opposite halves kill the sum
@@ -205,10 +201,9 @@ def run_pythagoras(params: dict, seed: int) -> list:
     f_root = indicator(half)
     f_half = GridFunction(sysm, -indicator(half).values, SCALAR)
     res, = sparse.pythagoras_check(family, [f_root, f_half], [2.0], "direct")
-    rows.append(_check("pythagoras/counterexample/sum-norm", ANCHOR_PYTH,
-                       res.sum_norm, 0.0, seed, slack=0.0))
-    rows.append(_check("pythagoras/counterexample/power-sum", ANCHOR_PYTH,
-                       abs(res.power_sum_root**2 - 1.0), 0.0, seed, slack=1e-12))
+    rows.append(_check("pythagoras/counterexample/sum-norm", res.sum_norm, 0.0, slack=0.0))
+    rows.append(_check("pythagoras/counterexample/power-sum",
+                       abs(res.power_sum_root**2 - 1.0), 0.0, slack=1e-12))
     return rows
 
 
@@ -229,11 +224,9 @@ def run_stopping(params: dict, seed: int) -> list:
         worst_q = max(worst_q, ctrl["max_q_over_member"])
         worst_child = max(worst_child, ctrl["max_child_over_parent"])
     return [
-        _check("stopping/sparse-exact", ANCHOR_STOP, 0.0 if all_sparse else 1.0,
-               0.0, seed, slack=0.0),
-        _check("stopping/average-control", ANCHOR_STOP, worst_q, 2.0, seed, slack=1e-12),
-        _check("stopping/child-control", ANCHOR_STOP, worst_child,
-               2.0 * 2**sysm.d, seed, slack=1e-12),
+        _check("stopping/sparse-exact", 0.0 if all_sparse else 1.0, 0.0, slack=0.0),
+        _check("stopping/average-control", worst_q, 2.0, slack=1e-12),
+        _check("stopping/child-control", worst_child, 2.0 * 2**sysm.d, slack=1e-12),
     ]
 
 
@@ -259,10 +252,8 @@ def run_decoupling(params: dict, seed: int) -> list:
             worst[p] = max(worst[p], ratio)
         uv = dec.construct_uv(family)
         worst_mds = max(worst_mds, dec.check_mds(uv, params["mds_tests"], fam_seed))
-    rows = [_check(f"decoupling/two-sided/p={p}", ANCHOR_DECOUPLE, worst[p], 1.0, seed)
-            for p in params["p_list"]]
-    rows.append(_check("decoupling/martingale-differences", ANCHOR_DECOUPLE,
-                       worst_mds, 1e-12, seed, slack=0.0))
+    rows = [_check(f"decoupling/two-sided/p={p}", worst[p], 1.0) for p in params["p_list"]]
+    rows.append(_check("decoupling/martingale-differences", worst_mds, 1e-12, slack=0.0))
     return rows
 
 
@@ -287,8 +278,7 @@ def run_condexp_sum(params: dict, seed: int) -> list:
             parts.append(blocks)
         for p in params["p_list"]:
             worst[p] = max(worst[p], dec.condexp_sum_check(factors, fs, parts, p))
-    return [_check(f"condexp-sum/p={p}", ANCHOR_CONDEXP, worst[p], 1.0, seed)
-            for p in params["p_list"]]
+    return [_check(f"condexp-sum/p={p}", worst[p], 1.0) for p in params["p_list"]]
 
 
 ANCHOR_STEIN = "R-bound of conditional expectations onto dyadic levels <= beta_p"
@@ -305,8 +295,7 @@ def run_stein(params: dict, seed: int) -> list:
         for p in params["p_list"]:
             res = stein_check(fs, levels, p)
             worst[p] = max(worst[p], res.ratio / res.bound)
-    return [_check(f"stein/p={p}/normalized", ANCHOR_STEIN, worst[p], 1.0, seed)
-            for p in params["p_list"]]
+    return [_check(f"stein/p={p}/normalized", worst[p], 1.0) for p in params["p_list"]]
 
 
 ANCHOR_RCALC = ("R(averaged family) <= sup ||lambda||_1 R(pointwise family); "
@@ -347,8 +336,8 @@ def run_rbound_calculus(params: dict, seed: int) -> list:
         if tri.probe > 0:
             worst_tri = max(worst_tri, tri.witness / tri.probe)
     return [
-        _check("rbound-calculus/averaging", ANCHOR_RCALC, worst_avg, 1.0, seed),
-        _check("rbound-calculus/triangle", ANCHOR_RCALC, worst_tri, 1.0, seed),
+        _check("rbound-calculus/averaging", worst_avg, 1.0),
+        _check("rbound-calculus/triangle", worst_tri, 1.0),
     ]
 
 
@@ -365,26 +354,23 @@ def run_goodness(params: dict, seed: int) -> list:
         bound = res.analytic_bound
         case = f"gamma={gamma}/r={r}"
         if bound > 0:
-            rows.append(_check(f"goodness/{case}/probability", ANCHOR_GOOD,
-                               res.value, bound, seed, at_most=False, slack=0.0))
+            rows.append(_check(f"goodness/{case}/probability", res.value, bound,
+                               at_most=False, slack=0.0))
         else:
             ok = 0.0 <= res.value <= 1.0
-            rows.append(Check(f"goodness/{case}/vacuous-bound", ANCHOR_GOOD,
-                              res.value, 1.0, ok, seed))
+            rows.append(Check(f"goodness/{case}/vacuous-bound", res.value, 1.0, ok))
         spread = 0.0
         for corner in (3, -5, 17):
             alt = goodness_probability(max_gap, gp, 1, base_corner=(corner,))
             spread = max(spread, abs(alt.value - res.value))
-        rows.append(_check(f"goodness/{case}/base-independence", ANCHOR_GOOD,
-                           spread, 0.0, seed, slack=0.0))
+        rows.append(_check(f"goodness/{case}/base-independence", spread, 0.0, slack=0.0))
         gens, level = min(max_gap, r + 1), params["factor_level"]
         joint = goodness_position_joint(
             1, level, params["factor_depth"], m_top=gens - level,
             params=GoodnessParams(gamma=gamma, r=r, max_generations=gens))
         gap = np.abs(joint * joint.sum() - joint.sum(axis=1, keepdims=True)
                      * joint.sum(axis=0, keepdims=True)).max()
-        rows.append(_check(f"goodness/{case}/factorization", ANCHOR_GOOD,
-                           float(gap), 0.0, seed, slack=0.0))
+        rows.append(_check(f"goodness/{case}/factorization", float(gap), 0.0, slack=0.0))
     return rows
 
 
@@ -401,17 +387,15 @@ def run_matrix_decay(params: dict, seed: int) -> list:
     rows = []
     for case in ("far_disjoint", "deeply_nested"):
         report = rep.decay_check(T, case, range(params["i_lo"], params["i_hi"] + 1), gp, alpha)
-        rows.append(_check(f"matrix-decay/{case}/slope", ANCHOR_DECAY,
-                           report.slope, report.slope_target, seed))
+        rows.append(_check(f"matrix-decay/{case}/slope", report.slope, report.slope_target))
     for case in ("near_disjoint", "shallowly_nested"):
         report = rep.decay_check(T, case, range(1, params["r"] + 1), gp, alpha)
         spread = max(report.magnitudes) / min(report.magnitudes)
-        rows.append(_check(f"matrix-decay/{case}/bounded-spread", ANCHOR_DECAY,
-                           spread, params["bounded_spread"], seed))
+        rows.append(_check(f"matrix-decay/{case}/bounded-spread", spread, params["bounded_spread"]))
     eq = rep.decay_check(T, "equal", [0], gp, alpha)
     wbp = rep.wbp_constants(T)["max"]
-    rows.append(_check("matrix-decay/equal/vs-wbp-and-decay", ANCHOR_DECAY,
-                       max(eq.magnitudes), 4.0 * (wbp + 1.0), seed))
+    rows.append(_check("matrix-decay/equal/vs-wbp-and-decay", max(eq.magnitudes),
+                       4.0 * (wbp + 1.0)))
     # the steep-exponent configuration admits no good cube at threshold 3:
     # the implementation must report it as unusable rather than fit zeros
     empty = GoodnessParams(gamma=0.125, r=3)
@@ -420,8 +404,7 @@ def run_matrix_decay(params: dict, seed: int) -> list:
         guard = 1.0
     except InsufficientDataError:
         guard = 0.0
-    rows.append(_check("matrix-decay/empty-good-set-guard", ANCHOR_DECAY,
-                       guard, 0.0, seed, slack=0.0))
+    rows.append(_check("matrix-decay/empty-good-set-guard", guard, 0.0, slack=0.0))
     return rows
 
 
@@ -446,10 +429,8 @@ def run_paraproduct_extraction(params: dict, seed: int) -> list:
         worst = max(worst, res.identity_residual)
         worst_raw = max(worst_raw, abs(res.raw_sum - res.lhs))
     return [
-        _check("paraproduct-extraction/identity", ANCHOR_EXTRACT, worst,
-               params["tol"], seed, slack=0.0),
-        _check("paraproduct-extraction/raw-equals-pairing", ANCHOR_EXTRACT,
-               worst_raw, params["tol"], seed, slack=0.0),
+        _check("paraproduct-extraction/identity", worst, params["tol"], slack=0.0),
+        _check("paraproduct-extraction/raw-equals-pairing", worst_raw, params["tol"], slack=0.0),
     ]
 
 
@@ -471,14 +452,12 @@ def run_averaging_identity(params: dict, seed: int) -> list:
                  - report.lhs)
     remainder = abs(report.top_scale_defect) + abs(report.coarse_share)
     return [
-        _check("averaging-identity/relative-residual", ANCHOR_AVG,
-               report.relative_residual, params["tol"], seed, slack=0.0),
-        _check("averaging-identity/full-sum-sanity", ANCHOR_AVG, sanity,
-               1e-10, seed, slack=0.0),
-        Check("averaging-identity/truncation-remainder", ANCHOR_AVG,
-              remainder, params["tol"] * max(abs(report.lhs), 1e-300), True, seed),
-        Check("averaging-identity/pi-good", ANCHOR_AVG, report.pi_good, 0.0,
-              report.pi_good > 0, seed),
+        _check("averaging-identity/relative-residual", report.relative_residual,
+               params["tol"], slack=0.0),
+        _check("averaging-identity/full-sum-sanity", sanity, 1e-10, slack=0.0),
+        Check("averaging-identity/truncation-remainder", remainder,
+              params["tol"] * max(abs(report.lhs), 1e-300), True),
+        Check("averaging-identity/pi-good", report.pi_good, 0.0, report.pi_good > 0),
     ]
 
 

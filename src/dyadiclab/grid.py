@@ -161,6 +161,19 @@ class DyadicSystem:
         bases = [self.origin_cell + s for s in self.shift_cells(level)]
         return [range(-(base // size), (self.cells_per_axis - base) // size) for base in bases]
 
+    def level_cubes(self, level: int) -> tuple:
+        """(corners, starts) of the cubes `cubes_at_level` lists, in its order: two
+        int64 arrays of shape (d, n), the corners and the first cells per axis."""
+        size = 1 << (self.depth - level)
+        ranges = self.corner_ranges(level)  # which keeps `shift_cells(level)` in `_shifts`
+        out = np.empty((2, self.d) + tuple(map(len, ranges)), dtype=np.int64)
+        for ax, (r, s) in enumerate(zip(ranges, self._shifts[level])):
+            # each axis's corners and first cells, broadcast over the later axes
+            shape, base = (-1,) + (1,) * (self.d - 1 - ax), self.origin_cell + s
+            out[0, ax] = np.arange(r.start, r.stop).reshape(shape)
+            out[1, ax] = np.arange(r.start * size + base, r.stop * size + base, size).reshape(shape)
+        return tuple(out.reshape(2, self.d, -1))
+
 
 @dataclass(frozen=True)
 class DyadicCube:
@@ -336,8 +349,7 @@ def good_mask(system: DyadicSystem, level: int, params: GoodnessParams) -> np.nd
     axis, tested against every corner at once, gives the same flags.
     """
     gaps = _gap_range(system, level, params)
-    axes = np.meshgrid(*system.corner_ranges(level), indexing="ij")
-    corners = np.array([axis.ravel() for axis in axes], dtype=np.int64)
+    corners, _ = system.level_cubes(level)
     u = [w >> (system.depth - level) for w in system._words]  # as in `is_good`
     return _good_mask(np.array(u, dtype=np.int64)[:, None], corners, gaps, params.gamma)
 

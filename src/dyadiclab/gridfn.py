@@ -136,14 +136,13 @@ def _haar_pattern(d: int, level: int, size: int, eta: tuple) -> np.ndarray:
 def _cube_cells(cubes) -> tuple:
     """(whether `cubes` is one DyadicCube, the cubes as a list, their cells' flat indices,
     shape (cubes, size**d), row-major in a cube) of one cube or a nonempty list of one
-    level of one system, from the corners in integer arithmetic."""
+    level of one system, from each cube's first cells."""
     single = isinstance(cubes, DyadicCube)
     cs = [cubes] if single else list(cubes)
     if not cs or any((c.system, c.level) != (cs[0].system, cs[0].level) for c in cs):
         raise ValueError("a list of cubes must be nonempty and of one level of one system")
-    sysm, level = cs[0].system, cs[0].level
-    base = sysm.origin_cell + np.array(sysm.shift_cells(level))
-    starts = (np.array([c.corner for c in cs]).T << (sysm.depth - level)) + base[:, None]
+    sysm = cs[0].system
+    starts = np.array([c._start for c in cs]).T
     offsets = np.indices((cs[0].size_cells,) * sysm.d).reshape(sysm.d, 1, -1)
     return single, cs, np.ravel_multi_index(tuple(starts[:, :, None] + offsets),
                                             (sysm.cells_per_axis,) * sysm.d)

@@ -155,14 +155,8 @@ def matrix_element(T: DiscreteOperator, J, etaJ, I, etaI):
 
 def _range_columns(system: DyadicSystem, level_lo: int, level_hi: int) -> list:
     """Per level of the range, (level, corners, starts): its cubes in `cubes_at_level`
-    order, as corner tuples and as first cells per axis, shape (d, n)."""
-    out = []
-    for level in range(level_lo, level_hi + 1):
-        corners = list(itertools.product(*system.corner_ranges(level)))
-        base = system.origin_cell + np.array(system.shift_cells(level))
-        starts = (np.reshape(corners, (-1, system.d)).T << (system.depth - level)) + base[:, None]
-        out.append((level, corners, starts))
-    return out
+    order, as corners and as first cells per axis, each of shape (d, n)."""
+    return [(level, *system.level_cubes(level)) for level in range(level_lo, level_hi + 1)]
 
 
 def _range_analysis(cells: np.ndarray, system: DyadicSystem, columns: list) -> np.ndarray:
@@ -185,8 +179,8 @@ def extract_paraproducts(T: DiscreteOperator, level_lo: int, level_hi: int) -> t
     sysm = T.system
     col_sums, row_sums = T._sums
     columns = _range_columns(sysm, level_lo, level_hi)
-    keys = [(level, corner, eta) for level, corners, _ in columns
-            for corner in corners for eta in etas(sysm.d)]
+    keys = [(level, tuple(corner), eta) for level, corners, _ in columns
+            for corner in corners.T.tolist() for eta in etas(sysm.d)]
     tables = sysm.cell_volume * _range_analysis(np.array([row_sums, col_sums]).reshape(2, -1),
                                                 sysm, columns)
     return tuple(dict(zip(keys, table)) for table in tables.tolist())
@@ -365,8 +359,8 @@ def _diagonal_blocks(T: DiscreteOperator, level: int) -> tuple:
     sysm = T.system
     size = 1 << (sysm.depth - level)
     ranges = sysm.corner_ranges(level)
-    box = tuple(slice(r.start * size + sysm.origin_cell + s, r.stop * size + sysm.origin_cell + s)
-                for r, s in zip(ranges, sysm.shift_cells(level)))
+    first = sysm.level_cubes(level)[1][:, 0].tolist()
+    box = tuple(slice(s, s + len(r) * size) for r, s in zip(ranges, first))
     split = sum(((len(r), size) for r in ranges), ())
     view = T.matrix.reshape((sysm.cells_per_axis,) * 2 * sysm.d)[box + box]
     d = sysm.d  # one cube index (a, b) and one cell index per axis, rows then columns

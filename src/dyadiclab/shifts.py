@@ -31,17 +31,6 @@ _KERNEL_LABEL = "shift-kernel"  # a table's stream is keyed (seed, label, level,
 _KEY_ROWS = 1 << 8  # most tables of several specs keyed in one batch, ~400 B each
 
 
-def _level_corners(level: int, axes) -> np.ndarray:
-    """(level, *corner) rows of the cubes whose per-axis corner ranges are `axes`,
-    in `cubes_at_level` order (row-major)."""
-    d = len(axes)
-    rows = np.empty(tuple(map(len, axes)) + (1 + d,), dtype=np.int64)
-    rows[..., 0] = level
-    for ax, r in enumerate(axes):  # each axis's corners, broadcast over the later axes
-        rows[..., 1 + ax] = np.arange(r.start, r.stop).reshape((-1,) + (1,) * (d - 1 - ax))
-    return rows.reshape(-1, 1 + d)
-
-
 @dataclass(frozen=True)
 class RandomKernel:
     """Seeded per-cube kernel draws, capped in sup norm (scalar case) or scaled so
@@ -142,9 +131,11 @@ def fill_tables(specs):
         todo = []
         for lv in levels:
             if (spec.system, lv) not in geometry:
-                axes = spec.system.corner_ranges(lv)
-                geometry[spec.system, lv] = (list(spec.system.cubes_at_level(lv)),
-                                             tuple(map(len, axes)), _level_corners(lv, axes))
+                corners, _ = spec.system.level_cubes(lv)
+                rows = np.full((corners.shape[1], 1 + len(corners)), lv, dtype=np.int64)
+                rows[:, 1:] = corners.T
+                counts = tuple((corners[:, -1] - corners[:, 0] + 1).tolist())  # row-major
+                geometry[spec.system, lv] = (list(spec.system.cubes_at_level(lv)), counts, rows)
             todo.append((lv, *geometry[spec.system, lv]))
         jobs.append((spec, todo, sum(len(rows) for *_, rows in todo)
                      if isinstance(spec.kernel, RandomKernel) else 0))

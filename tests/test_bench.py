@@ -75,12 +75,25 @@ def test_parse_summary_reads_each_experiments_timing():
 
 
 def test_catalog_record_converts_to_reference_seconds():
-    rec = bench.catalog_record(0, 3.0, 0.5, SUMMARY)
-    assert rec == {"exit": 0, "wall_s": 3.0, "wall_ref_s": 1.5, "reference_factor": 0.5,
-                   "timing_ms": {"goodness": 256, "stopping": 141},
-                   "timing_ref_ms": {"goodness": 128.0, "stopping": 70.5}}
-    crashed = bench.catalog_record(2, 0.4, 0.5, None)
-    assert (crashed["exit"], crashed["timing_ms"], crashed["timing_ref_ms"]) == (2, {}, {})
+    run = bench.catalog_run(0, 3.0, 0.5, SUMMARY)
+    assert run == {"exit": 0, "wall_s": 3.0, "wall_ref_s": 1.5, "reference_factor": 0.5,
+                   "timing_ms": {"goodness": 256, "stopping": 141}}
+    crashed = bench.catalog_run(2, 0.4, 0.5, None)
+    assert (crashed["exit"], crashed["timing_ms"]) == (2, {})
+
+
+def test_catalog_record_takes_the_medians_of_its_runs():
+    """wall_ref_s is the median wall time times the median factor (3.5 here), not the
+    median of the runs' own products (3.0)."""
+    slower = SUMMARY.replace("256", "300").replace("141", "100")
+    runs = [bench.catalog_run(0, 2.0, 1.5, SUMMARY), bench.catalog_run(0, 3.0, 1.0, slower),
+            bench.catalog_run(0, 2.5, 1.4, SUMMARY)]
+    rec = bench.catalog_record(runs)
+    assert rec == {"exit": 0, "wall_s": 2.5, "wall_ref_s": 2.5 * 1.4, "reference_factor": 1.4,
+                   "timing_ms": {"goodness": 256, "stopping": 141}, "runs": runs}
+    crashed = bench.catalog_record([bench.catalog_run(0, 2.0, 1.0, SUMMARY),
+                                    bench.catalog_run(2, 0.4, 1.0, None)])
+    assert crashed["exit"] == 2 and crashed["timing_ms"] == {"goodness": 256, "stopping": 141}
 
 
 @pytest.mark.parametrize("writes_summary", [True, False])
@@ -165,7 +178,7 @@ def fake_traced_run(order, exit_code=0):
 def fake_catalog_run(order, exit_code=0):
     def run(tree):
         order.append(("catalog", tree))
-        return bench.catalog_record(exit_code, 3.0, 0.5, SUMMARY)
+        return bench.catalog_run(exit_code, 3.0, 0.5, SUMMARY)
     return run
 
 
@@ -184,7 +197,7 @@ def test_main_interleaves_checkouts_and_writes_one_record_each(monkeypatch, tmp_
     status = bench.main(["--out", out, "--tree", f"old={old}", "--tree", f"new={new}"])
     assert status == 0
     assert order == [(s, w, tree) for s in (1, 2, 3) for w in bench.WORKLOADS
-                     for tree in (old, new)] + [("catalog", old), ("catalog", new)] + [
+                     for tree in (old, new)] + [("catalog", old), ("catalog", new)] * 3 + [
                          ("traced", w, tree) for w in bench.WORKLOADS for tree in (old, new)]
     with open(out) as stream:
         doc = json.load(stream)
@@ -192,9 +205,10 @@ def test_main_interleaves_checkouts_and_writes_one_record_each(monkeypatch, tmp_
     assert [run["seed"] for run in doc["checkouts"]["new"]["runs"]] == [1] * 4 + [2] * 4 + [3] * 4
     assert list(doc["checkouts"]["new"]["medians"]) == list(bench.WORKLOADS)
     assert doc["checkouts"]["old"]["head"] == old
-    assert doc["catalog_seed"] == 7
-    assert doc["checkouts"]["new"]["catalog"]["timing_ref_ms"] == {"goodness": 128.0,
-                                                                   "stopping": 70.5}
+    assert (doc["catalog_seed"], doc["catalog_runs"]) == (7, 3)
+    catalog = doc["checkouts"]["new"]["catalog"]
+    assert len(catalog["runs"]) == 3 and catalog["wall_ref_s"] == 1.5
+    assert catalog["timing_ms"] == {"goodness": 256, "stopping": 141}
     assert (doc["trace_seed"], doc["trace_seconds"]) == (0, 4.0)
     assert doc["checkouts"]["old"]["traced"] == {
         w: {"exit": 0, "correct": True, "calls": CALLS} for w in bench.WORKLOADS}

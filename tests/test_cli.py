@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -150,7 +151,7 @@ def test_seed_outside_63_bits_is_usage_error(tmp_path, monkeypatch, capsys,
 @pytest.mark.parametrize("seed", [0, 2**63 - 1])
 def test_seeds_at_the_ends_of_the_range_run(monkeypatch, capsys, seed):
     monkeypatch.setattr(cli, "run_experiment", lambda name, seed, overrides: [
-        Check("goodness/forced", "anchor", 0.0, 1.0, True, seed)])
+        Check("goodness/forced", 0.0, 1.0, True)])
     assert main(["run", "--experiment", "goodness", "--seed", str(seed)]) == 0
     assert f",true,{seed}," in capsys.readouterr().out
 
@@ -177,6 +178,16 @@ def test_missing_report_directory_fails_before_running(tmp_path, capsys,
     assert main(argv) == 2
     assert_one_error_line(capsys)
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_config_json_path_without_csv_path_fails_before_running(tmp_path, capsys,
+                                                                no_experiment_runs):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"experiments": ["goodness"],
+                                  "out_json": str(tmp_path / "s.json")}))
+    assert main(["run", "--config", str(config)]) == 2
+    assert_one_error_line(capsys, "error: config out_json needs a CSV report path")
+    assert not (tmp_path / "s.json").exists()
 
 
 @pytest.mark.parametrize("which", ["csv", "json"])
@@ -480,7 +491,7 @@ def test_every_selected_experiment_is_checked_before_any_runs(tmp_path, capsys,
 
 def test_failed_check_still_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_experiment", lambda name, seed, overrides: [
-        Check("goodness/forced", "anchor", 2.0, 1.0, False, seed)])
+        Check("goodness/forced", 2.0, 1.0, False)])
     assert main(["run", "--experiment", "goodness"]) == 1
     assert capsys.readouterr().err == "FAIL goodness/forced\n"
 
@@ -534,6 +545,10 @@ def test_run_writes_report_and_summary(tmp_path):
     ids = [line.split(",", 1)[0] for line in lines[1:]]
     assert ids == sorted(ids)
     assert any(name.startswith("pythagoras/counterexample") for name in ids)
+    for row in csv.DictReader(lines):
+        experiment = EXPERIMENTS[row["check_id"].split("/")[0]]
+        assert row["anchor"] == experiment.anchor.replace('"', "'")
+        assert row["seed"] == "11"
     summary = json.loads((tmp_path / "report.json").read_text())
     assert summary["all_passed"] is True
     assert summary["seed"] == 11

@@ -162,6 +162,22 @@ def test_good_mask_matches_is_good_per_cube(d, m_top, depth, seed, params):
         assert mask.tolist() == [is_good(cube, params) for cube in system.cubes_at_level(level)]
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("m_top", [0, 1, 2])
+@pytest.mark.parametrize("seed", [None, 3, 17])
+def test_level_cubes_match_cubes_at_level(d, m_top, seed):
+    depth = 4 if d == 1 else 3
+    system = (DyadicSystem(d=d, m_top=m_top, depth=depth) if seed is None
+              else DyadicSystem.random(seed, d=d, m_top=m_top, depth=depth))
+    for level in range(system.min_level, system.depth + 1):
+        corners, starts = system.level_cubes(level)
+        cubes = list(system.cubes_at_level(level))
+        assert corners.dtype == starts.dtype == np.int64
+        assert corners.shape == starts.shape == (d, len(cubes))
+        assert corners.T.tolist() == [list(cube.corner) for cube in cubes]
+        assert starts.T.tolist() == [list(cube.start_cells()) for cube in cubes]
+
+
 def test_good_mask_counts_a_tie_as_bad():
     # at level 4 the gap-4 ancestor is the unit cube, whose threshold is 2^2:
     # corner 4 sits exactly 4 cells from its left edge, corner 5 beyond it
