@@ -14,6 +14,9 @@ run per checkout in turn, each run bracketed by `perfbench/calibrate.py`'s
 kernel: the record keeps every run's wall time, its factor to reference
 seconds and each experiment's `timing_ms` from its JSON summary, and their
 medians, with `wall_ref_s` the median wall time times the median factor.
+As many catalog runs again, interleaved with those, set `ONE_THREAD` (one
+BLAS and OpenMP thread) in the child's environment; they are recorded the
+same way under `catalog_one_thread`, next to the default-thread `catalog`.
 Last, each checkout's `run.py` runs traced (`--trace 1`) once per workload
 at seed 0 for 4 s, the checkouts in turn: the record keeps each run's exit
 code, `correct` and every per-layer `*.calls` count.  Exit status: 0 if
@@ -48,6 +51,8 @@ SEEDS = (1, 2, 3)
 SECONDS = 8.0
 CATALOG_SEED = 7
 CATALOG_RUNS = 3  # one probe pair's factor alone can reverse which checkout is faster
+ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                     "MKL_NUM_THREADS")}
 TRACE_SEED, TRACE_SECONDS = 0, 4.0
 
 
@@ -138,15 +143,15 @@ def catalog_record(runs: list) -> dict:
             "runs": runs}
 
 
-def run_catalog(tree: str) -> dict:
+def run_catalog(tree: str, env=None) -> dict:
     """The checkout's full catalog at seed 7 and its defaults, bracketed by the
-    calibration kernel."""
+    calibration kernel; `env` is the child's environment (None: this one's)."""
     with tempfile.TemporaryDirectory(prefix="bench-catalog-") as out:
         before = calibrate.seconds()
         start = time.perf_counter()
         done = subprocess.run([sys.executable, os.path.join(tree, "scripts", "run_reports.py"),
                                "--seed", str(CATALOG_SEED), "--out", out],
-                              cwd=tree, capture_output=True, text=True)
+                              cwd=tree, capture_output=True, text=True, env=env)
         wall_s = time.perf_counter() - start
         factor = calibrate.to_reference(before, calibrate.seconds())
         try:
@@ -170,11 +175,12 @@ def medians(runs: list) -> dict:
     return out
 
 
-def record(tree: str, runs: list, catalog=None, traced=None) -> dict:
+def record(tree: str, runs: list, catalog=None, traced=None, catalog_one_thread=None) -> dict:
     machine = next((run["machine"] for run in runs if run["machine"]), None)
     runs = [{key: value for key, value in run.items() if key != "machine"} for run in runs]
     return {**git_state(tree), "src_lines": src_lines(tree), "machine": machine,
-            "medians": medians(runs), "runs": runs, "catalog": catalog, "traced": traced}
+            "medians": medians(runs), "runs": runs, "catalog": catalog,
+            "catalog_one_thread": catalog_one_thread, "traced": traced}
 
 
 def main(argv=None) -> int:
@@ -192,14 +198,16 @@ def main(argv=None) -> int:
                 runs[label].append(run)
                 print(f"{label} {workload} seed={seed} exit={run['exit']} "
                       f"wall_s={run['metrics'].get('wall_s')}", flush=True)
-    catalogs = {label: [] for label in trees}
+    samples = {(label, threads): [] for threads in ("default", "one") for label in trees}
     for _ in range(CATALOG_RUNS):
-        for label, tree in trees.items():
-            run = run_catalog(tree)
-            catalogs[label].append(run)
-            print(f"{label} catalog seed={CATALOG_SEED} exit={run['exit']} "
-                  f"wall_s={run['wall_s']:.3f} factor={run['reference_factor']:.3f}", flush=True)
-    catalogs = {label: catalog_record(runs) for label, runs in catalogs.items()}
+        for threads, env in (("default", None), ("one", {**os.environ, **ONE_THREAD})):
+            for label, tree in trees.items():
+                run = run_catalog(tree, env)
+                samples[label, threads].append(run)
+                print(f"{label} catalog seed={CATALOG_SEED} threads={threads} "
+                      f"exit={run['exit']} wall_s={run['wall_s']:.3f} "
+                      f"factor={run['reference_factor']:.3f}", flush=True)
+    samples = {key: catalog_record(runs) for key, runs in samples.items()}
     traced = {label: {} for label in trees}
     for workload in WORKLOADS:
         for label, tree in trees.items():
@@ -207,15 +215,16 @@ def main(argv=None) -> int:
             print(f"{label} {workload} traced seed={TRACE_SEED} "
                   f"exit={traced[label][workload]['exit']}", flush=True)
     doc = {"seeds": SEEDS, "seconds": SECONDS, "catalog_seed": CATALOG_SEED,
-           "catalog_runs": CATALOG_RUNS,
+           "catalog_runs": CATALOG_RUNS, "one_thread_env": ONE_THREAD,
            "trace_seed": TRACE_SEED, "trace_seconds": TRACE_SECONDS,
-           "checkouts": {label: record(tree, runs[label], catalogs[label], traced[label])
+           "checkouts": {label: record(tree, runs[label], samples[label, "default"],
+                                       traced[label], samples[label, "one"])
                          for label, tree in trees.items()}}
     with open(args.out, "w") as stream:
         json.dump(doc, stream, indent=1)
         stream.write("\n")
     failed = [run for label in runs for run in runs[label] if run["exit"] != 0]
-    failed += [label for label, catalog in catalogs.items() if catalog["exit"] != 0]
+    failed += [key for key, catalog in samples.items() if catalog["exit"] != 0]
     failed += [run for label in traced for run in traced[label].values() if run["exit"] != 0]
     return 1 if failed else 0
 

@@ -43,6 +43,8 @@ GRIDFN = "src/dyadiclab/gridfn.py"
 TEST_GRIDFN = "tests/test_gridfn.py::"
 REPRESENTATION = "src/dyadiclab/representation.py"
 TEST_REPRESENTATION = "tests/test_representation.py::"
+EXPERIMENTS = "src/dyadiclab/experiments.py"
+TEST_EXPERIMENTS = "tests/test_experiments.py::"
 
 MUTANTS = (
     Mutant("sparse-lebesgue-half-boundary", SPARSE,
@@ -139,6 +141,14 @@ MUTANTS = (
            "def _power_iteration_vector(op: np.ndarray, gen, iters: int = 12)",
            "def _power_iteration_vector(op: np.ndarray, gen, iters: int = 0)",
            ("tests/test_rademacher.py::test_probe_of_single_matrix_reaches_operator_norm",)),
+    Mutant("experiments-worst-keeps-the-last-maximum", EXPERIMENTS,
+           "if x > self.get(key, (0.0,))[0]:",
+           "if x >= self.get(key, (0.0,))[0]:",
+           (TEST_EXPERIMENTS + "test_stein_rows_name_their_first_identity_configuration",)),
+    Mutant("experiments-worst-keeps-the-old-label", EXPERIMENTS,
+           "self[key] = x, label",
+           "self[key] = x, self.get(key, (0.0, None))[1]",
+           (TEST_EXPERIMENTS + "test_the_first_of_equal_maxima_keeps_its_label",)),
 )
 
 # Mutants that no test can kill because the program behaves the same.

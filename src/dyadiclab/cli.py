@@ -113,11 +113,11 @@ def _run(args) -> int:
         if name in names[:k]:
             raise UsageError(f"experiment {name!r} is selected twice")
     overrides = _flag_overrides(args, names)
-    params = config.get("params", {})
+    params, resolved = config.get("params", {}), {}
     for name in dict.fromkeys([*names, *params]):  # config params of unselected ones too
         overrides[name] = {**params.get(name, {}), **overrides.get(name, {})}
         try:
-            resolve_params(name, overrides[name])
+            resolved[name] = resolve_params(name, overrides[name])
         except ValueError as exc:
             raise UsageError(f"{name}: {exc}")
     out_csv = args.out or config.get("out_csv")
@@ -139,8 +139,10 @@ def _run(args) -> int:
         except (ValueError, ResourceLimitError, InsufficientDataError) as exc:  # library rejects
             raise UsageError(f"{name}: {exc}")
         elapsed_ms = int(round((time.perf_counter() - start) * 1000))
-        summary["experiments"][name] = {"checks": len(checks),
-                                        "failed": [c.check_id for c in checks if not c.passed]}
+        summary["experiments"][name] = {
+            "checks": len(checks), "failed": [c.check_id for c in checks if not c.passed],
+            "params": resolved[name],
+            "worst_at": {c.check_id: c.worst_at for c in checks if c.worst_at is not None}}
         summary["timing_ms"][name] = elapsed_ms
         rows += [(check, EXPERIMENTS[name].anchor, seed, elapsed_ms) for check in checks]
     rows.sort(key=lambda row: row[0].check_id)

@@ -37,14 +37,28 @@ class Check:
     measured: float
     bound: float
     passed: bool
+    worst_at: object = None  # the label of the input that set a running maximum; not in the CSV
 
 
-def _check(check_id, measured, bound, *, at_most=True, slack=1e-9):
+def _check(check_id, measured, bound, *, at_most=True, slack=1e-9, worst_at=None):
     """A pass/fail row; `at_most` picks the comparison direction."""
     measured = float(measured)
     bound = float(bound)
     ok = measured <= bound + slack if at_most else measured >= bound - slack
-    return Check(check_id, measured, bound, ok)
+    return Check(check_id, measured, bound, ok, worst_at)
+
+
+class _Worst(dict):
+    """Per row key, the running maximum from 0.0 and the label of the input that first set
+    it: `x > best`, as in `max(best, x)`, keeps the earlier of a tie and skips NaN."""
+
+    def add(self, key, x, label):
+        if x > self.get(key, (0.0,))[0]:
+            self[key] = x, label
+
+    def check(self, check_id, key, bound, **kw):
+        x, label = self.get(key, (0.0, None))
+        return _check(check_id, x, bound, worst_at=label, **kw)
 
 
 # -- individual experiments ---------------------------------------------------------
@@ -57,13 +71,14 @@ def run_haar_completeness(params: dict, seed: int) -> list:
     rows = []
     for d, depth, label in ((1, params["depth_1d"], "1d"), (2, params["depth_2d"], "2d")):
         sysm = DyadicSystem(d=d, m_top=0, depth=depth)
-        worst = 0.0
+        worst = _Worst()
         for space in (SCALAR, NormedSpace(3, 2.0)):
             labels = [f"haar-{label}-{k}-{space.dim}" for k in range(params["n_funcs"] // 2)]
+            names = iter(labels)
             for fs in stack_chunks(random_grid_functions(sysm, seed, labels, space), sysm):
-                for f, back in zip(fs, synthesize(analyze(fs, sysm.min_level))):
-                    worst = max(worst, float(np.abs(back.values - f.values).max()))
-        rows.append(_check(f"haar-completeness/{label}", worst, params["tol"]))
+                for f, back, name in zip(fs, synthesize(analyze(fs, sysm.min_level)), names):
+                    worst.add(label, float(np.abs(back.values - f.values).max()), name)
+        rows.append(worst.check(f"haar-completeness/{label}", label, params["tol"]))
     return rows
 
 
@@ -74,7 +89,7 @@ ANCHOR_SHIFT = ("||S^{ji} f||_p <= 4 (max{i,j}+1) R_p({a}) beta_p(E)^2 ||f||_p "
 def run_shift_bound(params: dict, seed: int) -> list:
     sysm = DyadicSystem(d=1, m_top=0, depth=params["depth"])
     cap, ps, n_in = params["ij_cap"], params["p_list"], params["inputs_per_kernel"]
-    worst, raw_max = dict.fromkeys(ps, 0.0), dict.fromkeys(ps, 0.0)
+    worst = _Worst()
     keys = [(i, j, k) for i, j in itertools.product(range(cap + 1), repeat=2)
             for k in range(params["kernels_per_ij"])]
     gens = substreams(seed, [("shift-kernel-seed", *key) for key in keys])
@@ -83,19 +98,20 @@ def run_shift_bound(params: dict, seed: int) -> list:
                         for (i, j, _), gen in zip(keys, gens))
     inputs = random_grid_functions(sysm, seed, [f"shift-in-{i}-{j}-{k}-{m}"
                                                 for i, j, k in keys for m in range(n_in)])
-    for (i, j, _), spec in zip(keys, specs):
+    for (i, j, k), spec in zip(keys, specs):
         fs = list(itertools.islice(inputs, n_in))
         bounds = [4.0 * (max(i, j) + 1) * umd_beta_scalar(p) ** 2 for p in ps]
-        for f, out in zip(fs, apply_shift(spec, fs)):
+        for m, (f, out) in enumerate(zip(fs, apply_shift(spec, fs))):
+            name = f"shift-in-{i}-{j}-{k}-{m}"
             for p, den, num, bound in zip(ps, lp_norm(f, ps), lp_norm(out, ps), bounds):
                 if den == 0.0:
                     continue
-                raw_max[p] = max(raw_max[p], num / den)
-                worst[p] = max(worst[p], num / den / bound)
+                worst.add(("raw", p), num / den, name)
+                worst.add(p, num / den / bound, name)
     return [row for p in ps for row in (
-        _check(f"shift-bound/p={p}/normalized", worst[p], 1.0),
-        Check(f"shift-bound/p={p}/max-ratio", raw_max[p],
-              4.0 * (cap + 1) * umd_beta_scalar(p) ** 2, True))]
+        worst.check(f"shift-bound/p={p}/normalized", p, 1.0),
+        worst.check(f"shift-bound/p={p}/max-ratio", ("raw", p),  # a reading, never a failure
+                    4.0 * (cap + 1) * umd_beta_scalar(p) ** 2, slack=np.inf))]
 
 
 ANCHOR_PARA = ("||Pi_b f||_p <= 12 p p' (max{p,p'}-1) ||b||_BMO_p ||f||_p "
@@ -104,18 +120,18 @@ ANCHOR_PARA = ("||Pi_b f||_p <= 12 p p' (max{p,p'}-1) ||b||_BMO_p ||f||_p "
 
 def run_paraproduct(params: dict, seed: int) -> list:
     sysm, ps = DyadicSystem(d=1, m_top=0, depth=params["depth"]), params["p_list"]
-    worst = dict.fromkeys(ps, 0.0)
+    worst = _Worst()
     for ks in stack_chunks(range(params["n_pairs"]), sysm):
         bs = [random_grid_function(sysm, seed, label=f"para-b-{k}") for k in ks]
         fs = [random_grid_function(sysm, seed, label=f"para-f-{k}") for k in ks]
         outs = apply_paraproduct([ParaproductSpec(b) for b in bs], fs)
-        for bmos, f, out in zip(bmo_norm(bs, ps), fs, outs):
+        for k, bmos, f, out in zip(ks, bmo_norm(bs, ps), fs, outs):
             for p, bmo, den, num in zip(ps, bmos, lp_norm(f, ps), lp_norm(out, ps)):
                 if den == 0.0 or bmo == 0.0:
                     continue
                 bound = 12.0 * p * conjugate_exponent(p) * umd_beta_scalar(p) * bmo
-                worst[p] = max(worst[p], num / den / bound)
-    return [_check(f"paraproduct/p={p}/normalized", worst[p], 1.0) for p in ps]
+                worst.add(p, num / den / bound, k)
+    return [worst.check(f"paraproduct/p={p}/normalized", p, 1.0) for p in ps]
 
 
 ANCHOR_CARLESON = "(sum_S <|f|>_S^p mu(S))^{1/p} <= 2 p' ||f||_Lp(mu) for sparse S"
@@ -125,8 +141,7 @@ def run_carleson(params: dict, seed: int) -> list:
     sysm = DyadicSystem(d=1, m_top=0, depth=params["depth"])
     root = sysm.cube(0, (0,))
     p_list = params["p_list"]
-    worst = {p: 0.0 for p in p_list}
-    worst_proof = {p: 0.0 for p in p_list}
+    worst = _Worst()
     n_weighted = int(params["n_funcs"] * params["weighted_share"])
     fs = [random_grid_function(sysm, seed, support=root, label=f"carleson-f-{k}")
           for k in range(params["n_funcs"])]
@@ -135,15 +150,15 @@ def run_carleson(params: dict, seed: int) -> list:
         gen = substream(seed, "carleson-weights", k)
         weights[k] = np.exp(gen.uniform(-1.0, 1.0, size=(sysm.cells_per_axis,)))
     families = sparse.build_stopping_family(fs, root, weights=weights)
-    for results in sparse.carleson_sum(families, fs, p_list):
+    for k, results in enumerate(sparse.carleson_sum(families, fs, p_list)):
         for p, res in zip(p_list, results):
             if res.fnorm == 0.0:
                 continue
-            worst[p] = max(worst[p], res.ratio / res.stated_bound)
-            worst_proof[p] = max(worst_proof[p], res.ratio / res.proof_bound)
+            worst.add(p, res.ratio / res.stated_bound, k)
+            worst.add(("proof", p), res.ratio / res.proof_bound, k)
     return [row for p in p_list for row in (
-        _check(f"carleson/p={p}/vs-stated", worst[p], 1.0),
-        _check(f"carleson/p={p}/vs-proof-constant", worst_proof[p], 1.0))]
+        worst.check(f"carleson/p={p}/vs-stated", p, 1.0),
+        worst.check(f"carleson/p={p}/vs-proof-constant", ("proof", p), 1.0))]
 
 
 ANCHOR_PYTH = ("||sum f_S||_p <= 3p (sum ||f_S||_p^p)^{1/p}; reverse <= 6p' given "
@@ -176,23 +191,23 @@ def run_pythagoras(params: dict, seed: int) -> list:
     root = sysm.cube(0, (0,))
     modes = ("direct", "reverse_cancellative", "reverse_nonneg")
     p_list = params["p_list"]
-    worst = {(mode, p): 0.0 for mode in modes for p in p_list}
+    worst = _Worst()
     families = sparse.build_stopping_family(
         [random_grid_function(sysm, seed, support=root, label=f"pyth-driver-{k}")
          for k in range(params["n_families"])], root)
     gens = substreams(seed, [("pyth-member", f"{k}-{mode}", idx)
                              for k, family in enumerate(families) for mode in modes
                              for idx in range(len(family))])
-    for family in families:
+    for k, family in enumerate(families):
         for mode in modes:
             fs = _random_adapted_functions(family, gens, mode)
             for p, res in zip(p_list, sparse.pythagoras_check(family, fs, p_list, mode)):
                 if mode == "direct" and res.power_sum_root > 0:
-                    worst[mode, p] = max(worst[mode, p], res.direct_ratio / res.direct_bound)
+                    worst.add((mode, p), res.direct_ratio / res.direct_bound, k)
                 elif mode != "direct" and res.sum_norm > 0:
-                    worst[mode, p] = max(worst[mode, p], res.reverse_ratio / res.reverse_bound)
-    rows = [_check(f"pythagoras/{mode}/p={p}", val, 1.0)
-            for (mode, p), val in sorted(worst.items())]
+                    worst.add((mode, p), res.reverse_ratio / res.reverse_bound, k)
+    rows = [worst.check(f"pythagoras/{mode}/p={p}", (mode, p), 1.0)
+            for mode, p in sorted(set(itertools.product(modes, p_list)))]
 
     # the sharp counterexample: equal and opposite halves kill the sum
     half = sysm.cube(1, (0,))
@@ -214,20 +229,17 @@ ANCHOR_STOP = ("mu(E(S)) >= mu(S)/2; <|f|>_Q <= 2 <|f|>_{pi(Q)}; "
 def run_stopping(params: dict, seed: int) -> list:
     sysm = DyadicSystem(d=1, m_top=0, depth=params["depth"])
     root = sysm.cube(0, (0,))
-    all_sparse = True
-    worst_q = worst_child = 0.0
+    worst = _Worst()
     fs = [random_grid_function(sysm, seed, support=root, label=f"stopping-f-{k}")
           for k in range(params["n_funcs"])]
-    for f, fam in zip(fs, sparse.build_stopping_family(fs, root)):
-        all_sparse &= fam.is_sparse()
+    for k, (f, fam) in enumerate(zip(fs, sparse.build_stopping_family(fs, root))):
+        worst.add("sparse", 0.0 if fam.is_sparse() else 1.0, k)
         ctrl = sparse.stopping_control(fam, f)
-        worst_q = max(worst_q, ctrl["max_q_over_member"])
-        worst_child = max(worst_child, ctrl["max_child_over_parent"])
-    return [
-        _check("stopping/sparse-exact", 0.0 if all_sparse else 1.0, 0.0, slack=0.0),
-        _check("stopping/average-control", worst_q, 2.0, slack=1e-12),
-        _check("stopping/child-control", worst_child, 2.0 * 2**sysm.d, slack=1e-12),
-    ]
+        worst.add("q", ctrl["max_q_over_member"], k)
+        worst.add("child", ctrl["max_child_over_parent"], k)
+    return [worst.check("stopping/sparse-exact", "sparse", 0.0, slack=0.0),
+            worst.check("stopping/average-control", "q", 2.0, slack=1e-12),
+            worst.check("stopping/child-control", "child", 2.0 * 2**sysm.d, slack=1e-12)]
 
 
 ANCHOR_DECOUPLE = ("beta^{-1} (E||sum eps 1_K f_K(y_K)||_p^p)^{1/p} <= ||sum f_K||_p "
@@ -235,8 +247,7 @@ ANCHOR_DECOUPLE = ("beta^{-1} (E||sum eps 1_K f_K(y_K)||_p^p)^{1/p} <= ||sum f_K
 
 
 def run_decoupling(params: dict, seed: int) -> list:
-    worst = {p: 0.0 for p in params["p_list"]}
-    worst_mds = 0.0
+    worst = _Worst()
     for k in range(params["n_families"]):
         fam_seed = int(substream(seed, "decouple-family", k).integers(0, 2**31))
         hierarchy = dec.random_hierarchy(fam_seed, depth=params["depth"],
@@ -249,11 +260,11 @@ def run_decoupling(params: dict, seed: int) -> list:
                 continue
             beta = umd_beta_scalar(p)
             ratio = max(plain / (beta * decoupled), decoupled / (beta * plain))
-            worst[p] = max(worst[p], ratio)
+            worst.add(p, ratio, k)
         uv = dec.construct_uv(family)
-        worst_mds = max(worst_mds, dec.check_mds(uv, params["mds_tests"], fam_seed))
-    rows = [_check(f"decoupling/two-sided/p={p}", worst[p], 1.0) for p in params["p_list"]]
-    rows.append(_check("decoupling/martingale-differences", worst_mds, 1e-12, slack=0.0))
+        worst.add("mds", dec.check_mds(uv, params["mds_tests"], fam_seed), k)
+    rows = [worst.check(f"decoupling/two-sided/p={p}", p, 1.0) for p in params["p_list"]]
+    rows.append(worst.check("decoupling/martingale-differences", "mds", 1e-12, slack=0.0))
     return rows
 
 
@@ -261,7 +272,7 @@ ANCHOR_CONDEXP = "||sum_n E[f_n | G_n]||_p <= ||sum_n f_n||_p on product spaces"
 
 
 def run_condexp_sum(params: dict, seed: int) -> list:
-    worst = {p: 0.0 for p in params["p_list"]}
+    worst = _Worst()
     for k in range(params["n_configs"]):
         gen = substream(seed, "condexp-config", k)
         n = int(gen.integers(2, 4))
@@ -277,8 +288,8 @@ def run_condexp_sum(params: dict, seed: int) -> list:
                 pool = pool[take:]
             parts.append(blocks)
         for p in params["p_list"]:
-            worst[p] = max(worst[p], dec.condexp_sum_check(factors, fs, parts, p))
-    return [_check(f"condexp-sum/p={p}", worst[p], 1.0) for p in params["p_list"]]
+            worst.add(p, dec.condexp_sum_check(factors, fs, parts, p), k)
+    return [worst.check(f"condexp-sum/p={p}", p, 1.0) for p in params["p_list"]]
 
 
 ANCHOR_STEIN = "R-bound of conditional expectations onto dyadic levels <= beta_p"
@@ -286,7 +297,7 @@ ANCHOR_STEIN = "R-bound of conditional expectations onto dyadic levels <= beta_p
 
 def run_stein(params: dict, seed: int) -> list:
     sysm = DyadicSystem(d=1, m_top=0, depth=params["depth"])
-    worst = {p: 0.0 for p in params["p_list"]}
+    worst = _Worst()
     for k in range(params["n_configs"]):
         gen = substream(seed, "stein-config", k)
         n = int(gen.integers(1, params["max_levels"] + 1))
@@ -294,8 +305,8 @@ def run_stein(params: dict, seed: int) -> list:
         fs = [random_grid_function(sysm, seed, label=f"stein-{k}-{m}") for m in range(n)]
         for p in params["p_list"]:
             res = stein_check(fs, levels, p)
-            worst[p] = max(worst[p], res.ratio / res.bound)
-    return [_check(f"stein/p={p}/normalized", worst[p], 1.0) for p in params["p_list"]]
+            worst.add(p, res.ratio / res.bound, k)
+    return [worst.check(f"stein/p={p}/normalized", p, 1.0) for p in params["p_list"]]
 
 
 ANCHOR_RCALC = ("R(averaged family) <= sup ||lambda||_1 R(pointwise family); "
@@ -304,7 +315,7 @@ ANCHOR_RCALC = ("R(averaged family) <= sup ||lambda||_1 R(pointwise family); "
 
 def run_rbound_calculus(params: dict, seed: int) -> list:
     p = params["p"]
-    worst_avg = worst_tri = 0.0
+    worst = _Worst()
     for k in range(params["n_configs"]):
         gen = substream(seed, "rcalc-config", k)
         dim = int(gen.integers(2, 4))
@@ -325,7 +336,7 @@ def run_rbound_calculus(params: dict, seed: int) -> list:
         res = averaging_check(pointwise, weights, measure, assignment, p, space,
                               probe_budget=params["probe_budget"], seed=seed + k)
         if res.probe > 0:
-            worst_avg = max(worst_avg, res.witness / res.probe)
+            worst.add("avg", res.witness / res.probe, k)
 
         left = OperatorFamily(tuple(gen.standard_normal((dim, dim)) for _ in range(n_ops)), space)
         right = OperatorFamily(tuple(gen.standard_normal((dim, dim)) for _ in range(n_ops)), space)
@@ -334,11 +345,9 @@ def run_rbound_calculus(params: dict, seed: int) -> list:
         tri = triangle_check(left, right, tri_assign, p,
                              probe_budget=params["probe_budget"], seed=seed + k)
         if tri.probe > 0:
-            worst_tri = max(worst_tri, tri.witness / tri.probe)
-    return [
-        _check("rbound-calculus/averaging", worst_avg, 1.0),
-        _check("rbound-calculus/triangle", worst_tri, 1.0),
-    ]
+            worst.add("tri", tri.witness / tri.probe, k)
+    return [worst.check("rbound-calculus/averaging", "avg", 1.0),
+            worst.check("rbound-calculus/triangle", "tri", 1.0)]
 
 
 ANCHOR_GOOD = ("pi_good >= 1 - (8d/gamma) 2^{-r gamma} when positive; position and "
@@ -359,11 +368,11 @@ def run_goodness(params: dict, seed: int) -> list:
         else:
             ok = 0.0 <= res.value <= 1.0
             rows.append(Check(f"goodness/{case}/vacuous-bound", res.value, 1.0, ok))
-        spread = 0.0
+        worst = _Worst()
         for corner in (3, -5, 17):
             alt = goodness_probability(max_gap, gp, 1, base_corner=(corner,))
-            spread = max(spread, abs(alt.value - res.value))
-        rows.append(_check(f"goodness/{case}/base-independence", spread, 0.0, slack=0.0))
+            worst.add(case, abs(alt.value - res.value), corner)
+        rows.append(worst.check(f"goodness/{case}/base-independence", case, 0.0, slack=0.0))
         gens, level = min(max_gap, r + 1), params["factor_level"]
         joint = goodness_position_joint(
             1, level, params["factor_depth"], m_top=gens - level,
@@ -424,13 +433,13 @@ def run_paraproduct_extraction(params: dict, seed: int) -> list:
         g = random_grid_function(sysm, seed, support=sup, mean_zero="per_top",
                                  label=f"extract-g-{k}")
         pairs.append((g, f))
-    worst = worst_raw = 0.0
-    for res in rep.pairing_decomposition(T, pairs, sysm.min_level, sysm.depth - 1):
-        worst = max(worst, res.identity_residual)
-        worst_raw = max(worst_raw, abs(res.raw_sum - res.lhs))
+    worst = _Worst()
+    for k, res in enumerate(rep.pairing_decomposition(T, pairs, sysm.min_level, sysm.depth - 1)):
+        worst.add("identity", res.identity_residual, k)
+        worst.add("raw", abs(res.raw_sum - res.lhs), k)
     return [
-        _check("paraproduct-extraction/identity", worst, params["tol"], slack=0.0),
-        _check("paraproduct-extraction/raw-equals-pairing", worst_raw, params["tol"], slack=0.0),
+        worst.check("paraproduct-extraction/identity", "identity", params["tol"], slack=0.0),
+        worst.check("paraproduct-extraction/raw-equals-pairing", "raw", params["tol"], slack=0.0),
     ]
 
 

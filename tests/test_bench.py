@@ -101,8 +101,8 @@ def test_run_catalog_brackets_the_run_with_the_calibration_kernel(monkeypatch, w
     """A stand-in for the catalog run: no experiment runs."""
     events, probes = [], iter([0.08, 0.10])
 
-    def fake_catalog(cmd, cwd, capture_output, text):
-        events.append(("catalog", cmd[1:], cwd))
+    def fake_catalog(cmd, cwd, capture_output, text, env):
+        events.append(("catalog", cmd[1:], cwd, env))
         if writes_summary:
             with open(os.path.join(cmd[cmd.index("--out") + 1], "catalog.json"), "w") as out:
                 out.write(SUMMARY)
@@ -119,11 +119,28 @@ def test_run_catalog_brackets_the_run_with_the_calibration_kernel(monkeypatch, w
     script, *args = events[1][1]
     assert script == os.path.join("/some/tree", "scripts", "run_reports.py")
     assert args[:2] == ["--seed", "7"] and events[1][2] == "/some/tree"
+    assert events[1][3] is None  # the child inherits this environment
     factor = bench.calibrate.REFERENCE_S / 0.09  # over the mean of the two probes
     assert rec["reference_factor"] == pytest.approx(factor)
     assert rec["wall_ref_s"] == pytest.approx(rec["wall_s"] * factor)
     assert rec["exit"] == (0 if writes_summary else 2)
     assert rec["timing_ms"] == ({"goodness": 256, "stopping": 141} if writes_summary else {})
+
+
+def test_run_catalog_hands_the_child_the_environment_it_is_given(monkeypatch):
+    seen = []
+
+    def fake_catalog(cmd, cwd, capture_output, text, env):
+        seen.append(env)
+        return subprocess.CompletedProcess(cmd, 2)
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_catalog)
+    monkeypatch.setattr(bench.calibrate, "seconds", lambda: 0.09)
+    env = {"PATH": "/bin", **bench.ONE_THREAD}
+    assert bench.run_catalog("/some/tree", env)["exit"] == 2
+    assert seen == [env]
+    assert bench.ONE_THREAD == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                                "MKL_NUM_THREADS": "1"}
 
 
 TRACED = {"correct": True, "attempted": 48, "failed": 0,
@@ -175,9 +192,13 @@ def fake_traced_run(order, exit_code=0):
     return run
 
 
-def fake_catalog_run(order, exit_code=0):
-    def run(tree):
-        order.append(("catalog", tree))
+def fake_catalog_run(order, exit_code=0, one_thread_exit_code=0, one_thread_wall_s=2.0):
+    """Default-thread runs take 3.0 s, one-thread runs `one_thread_wall_s`."""
+    def run(tree, env=None):
+        one = env is not None and all(env.get(k) == "1" for k in bench.ONE_THREAD)
+        order.append(("catalog", tree, "one" if one else "default"))
+        if one:
+            return bench.catalog_run(one_thread_exit_code, one_thread_wall_s, 0.5, SUMMARY)
         return bench.catalog_run(exit_code, 3.0, 0.5, SUMMARY)
     return run
 
@@ -197,7 +218,9 @@ def test_main_interleaves_checkouts_and_writes_one_record_each(monkeypatch, tmp_
     status = bench.main(["--out", out, "--tree", f"old={old}", "--tree", f"new={new}"])
     assert status == 0
     assert order == [(s, w, tree) for s in (1, 2, 3) for w in bench.WORKLOADS
-                     for tree in (old, new)] + [("catalog", old), ("catalog", new)] * 3 + [
+                     for tree in (old, new)] + [
+                         ("catalog", tree, threads) for threads in ("default", "one")
+                         for tree in (old, new)] * 3 + [
                          ("traced", w, tree) for w in bench.WORKLOADS for tree in (old, new)]
     with open(out) as stream:
         doc = json.load(stream)
@@ -206,9 +229,13 @@ def test_main_interleaves_checkouts_and_writes_one_record_each(monkeypatch, tmp_
     assert list(doc["checkouts"]["new"]["medians"]) == list(bench.WORKLOADS)
     assert doc["checkouts"]["old"]["head"] == old
     assert (doc["catalog_seed"], doc["catalog_runs"]) == (7, 3)
+    assert doc["one_thread_env"] == bench.ONE_THREAD
     catalog = doc["checkouts"]["new"]["catalog"]
     assert len(catalog["runs"]) == 3 and catalog["wall_ref_s"] == 1.5
     assert catalog["timing_ms"] == {"goodness": 256, "stopping": 141}
+    one_thread = doc["checkouts"]["new"]["catalog_one_thread"]
+    assert len(one_thread["runs"]) == 3 and one_thread["wall_ref_s"] == 1.0
+    assert one_thread["timing_ms"] == {"goodness": 256, "stopping": 141}
     assert (doc["trace_seed"], doc["trace_seconds"]) == (0, 4.0)
     assert doc["checkouts"]["old"]["traced"] == {
         w: {"exit": 0, "correct": True, "calls": CALLS} for w in bench.WORKLOADS}
@@ -227,6 +254,15 @@ def test_a_failing_catalog_makes_the_exit_status_one(monkeypatch, tmp_path):
     monkeypatch.setattr(bench, "run_once", lambda tree, workload, seed, seconds: {
         "workload": workload, "seed": seed, **bench.parse_run(CANNED, 0)})
     monkeypatch.setattr(bench, "run_catalog", fake_catalog_run([], exit_code=1))
+    monkeypatch.setattr(bench, "run_traced", fake_traced_run([]))
+    monkeypatch.setattr(bench, "git_state", lambda tree: {"head": None, "dirty": None})
+    assert bench.main(["--out", str(tmp_path / "b.json")]) == 1
+
+
+def test_a_failing_one_thread_catalog_makes_the_exit_status_one(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench, "run_once", lambda tree, workload, seed, seconds: {
+        "workload": workload, "seed": seed, **bench.parse_run(CANNED, 0)})
+    monkeypatch.setattr(bench, "run_catalog", fake_catalog_run([], one_thread_exit_code=1))
     monkeypatch.setattr(bench, "run_traced", fake_traced_run([]))
     monkeypatch.setattr(bench, "git_state", lambda tree: {"head": None, "dirty": None})
     assert bench.main(["--out", str(tmp_path / "b.json")]) == 1

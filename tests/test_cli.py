@@ -10,7 +10,8 @@ import pytest
 from dyadiclab import cli
 from dyadiclab.cli import main
 from dyadiclab.errors import ResourceLimitError
-from dyadiclab.experiments import EXPERIMENTS, KINDS, Check, resolve_params, run_decoupling
+from dyadiclab.experiments import (EXPERIMENTS, KINDS, Check, resolve_params, run_decoupling,
+                                   run_experiment)
 
 FAST_CONFIG = {
     "experiments": ["goodness", "condexp-sum", "pythagoras"],
@@ -552,6 +553,29 @@ def test_run_writes_report_and_summary(tmp_path):
     summary = json.loads((tmp_path / "report.json").read_text())
     assert summary["all_passed"] is True
     assert summary["seed"] == 11
+
+
+def test_summary_gives_resolved_parameters_and_the_input_behind_each_row(tmp_path):
+    """`params` is what the experiment ran with, flags and config merged; `worst_at`
+    names, per row kept as a running maximum, the input that set it."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(FAST_CONFIG))
+    out = tmp_path / "report.csv"
+    assert main(["run", "--config", str(config), "--out", str(out), "--depth", "4"]) == 0
+    summary = json.loads((tmp_path / "report.json").read_text())
+    overrides = {"goodness": {}, "condexp-sum": {"n_configs": 10},
+                 "pythagoras": {"n_families": 5, "depth": 4}}
+    for name, given in overrides.items():
+        entry = summary["experiments"][name]
+        assert entry["params"] == resolve_params(name, given)
+        assert entry["worst_at"] == {c.check_id: c.worst_at for c in run_experiment(
+            name, 11, given) if c.worst_at is not None}
+    assert summary["experiments"]["goodness"]["worst_at"] == {}  # every spread reads 0.0
+    assert set(summary["experiments"]["condexp-sum"]["worst_at"].values()) <= set(range(10))
+    pythagoras = summary["experiments"]["pythagoras"]["worst_at"]
+    assert sorted(pythagoras) == sorted(f"pythagoras/{mode}/p={p}" for p in (1.5, 2.0, 3.0)
+                                        for mode in ("direct", "reverse_cancellative",
+                                                     "reverse_nonneg"))
 
 
 def test_reports_are_deterministic(tmp_path):
