@@ -17,10 +17,14 @@ medians, with `wall_ref_s` the median wall time times the median factor.
 As many catalog runs again, interleaved with those, set `ONE_THREAD` (one
 BLAS and OpenMP thread) in the child's environment; they are recorded the
 same way under `catalog_one_thread`, next to the default-thread `catalog`.
-Last, each checkout's `run.py` runs traced (`--trace 1`) once per workload
+Then each checkout's `run.py` runs traced (`--trace 1`) once per workload
 at seed 0 for 4 s, the checkouts in turn: the record keeps each run's exit
-code, `correct` and every per-layer `*.calls` count.  Exit status: 0 if
-every run exited 0, else 1.  Per checkout the file records git HEAD (and
+code, `correct` and every per-layer `*.calls` count.  Last, each checkout's
+tier-1 suite (`python -m pytest -q --continue-on-collection-errors` with its
+own `src` on PYTHONPATH) runs once, the checkouts in turn: the record keeps
+its exit code, wall time and the counts of its summary line (passed, failed
+and xfailed always, other outcomes when pytest reports them).  Exit status:
+0 if every run exited 0, else 1.  Per checkout the file records git HEAD (and
 whether the tree differs from it), the line count of `src/dyadiclab/*.py`,
 the machine line that `run.py` prints (Python, numpy, BLAS and its thread
 count), every run and the median of each metric per workload.  Without
@@ -34,6 +38,7 @@ import glob
 import importlib.util
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -50,7 +55,7 @@ WORKLOADS = ("shift-sweep", "stopping-sparse", "haar-representation", "translate
 SEEDS = (1, 2, 3)
 SECONDS = 8.0
 CATALOG_SEED = 7
-CATALOG_RUNS = 3  # one probe pair's factor alone can reverse which checkout is faster
+CATALOG_RUNS = 5  # three samples of one tree spread by up to a third
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS")}
 TRACE_SEED, TRACE_SECONDS = 0, 4.0
@@ -114,6 +119,31 @@ def run_traced(tree: str, workload: str) -> dict:
     return traced_record(done.stdout, done.returncode)
 
 
+def tier1_record(stdout: str, exit_code: int, wall_s: float) -> dict:
+    """Exit code, wall time and outcome counts of one `pytest -q` run, read from its
+    last summary line ("12 failed, 943 passed, 1 xfailed in 98.1s"); passed, failed
+    and xfailed are 0 when absent.  A run without that line has only zeros."""
+    counts = {"passed": 0, "failed": 0, "xfailed": 0}
+    for line in reversed(stdout.splitlines()):
+        found = re.fullmatch(r"=*\s*((?:\d+ \w+(?:, )?)+) in [\d.]+s.*", line.strip())
+        if found:
+            counts.update((kind, int(n)) for n, kind in re.findall(r"(\d+) (\w+)",
+                                                                   found.group(1)))
+            break
+    return {"exit": exit_code, "wall_s": wall_s, **counts}
+
+
+def run_tier1(tree: str) -> dict:
+    """The checkout's tier-1 suite, with its own `src` first on the module path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(tree, "src"), os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--continue-on-collection-errors"],
+                          cwd=tree, capture_output=True, text=True, env=env)
+    return tier1_record(done.stdout, done.returncode, time.perf_counter() - start)
+
+
 def parse_summary(text: str) -> dict:
     """Each experiment's `timing_ms` from the catalog's JSON summary."""
     return {name: int(ms) for name, ms in json.loads(text)["timing_ms"].items()}
@@ -175,12 +205,13 @@ def medians(runs: list) -> dict:
     return out
 
 
-def record(tree: str, runs: list, catalog=None, traced=None, catalog_one_thread=None) -> dict:
+def record(tree: str, runs: list, catalog=None, traced=None, catalog_one_thread=None,
+           tier1=None) -> dict:
     machine = next((run["machine"] for run in runs if run["machine"]), None)
     runs = [{key: value for key, value in run.items() if key != "machine"} for run in runs]
     return {**git_state(tree), "src_lines": src_lines(tree), "machine": machine,
             "medians": medians(runs), "runs": runs, "catalog": catalog,
-            "catalog_one_thread": catalog_one_thread, "traced": traced}
+            "catalog_one_thread": catalog_one_thread, "traced": traced, "tier1": tier1}
 
 
 def main(argv=None) -> int:
@@ -214,11 +245,17 @@ def main(argv=None) -> int:
             traced[label][workload] = run_traced(tree, workload)
             print(f"{label} {workload} traced seed={TRACE_SEED} "
                   f"exit={traced[label][workload]['exit']}", flush=True)
+    tier1 = {}
+    for label, tree in trees.items():
+        tier1[label] = run_tier1(tree)
+        print(f"{label} tier-1 exit={tier1[label]['exit']} "
+              f"wall_s={tier1[label]['wall_s']:.1f} passed={tier1[label]['passed']} "
+              f"failed={tier1[label]['failed']} xfailed={tier1[label]['xfailed']}", flush=True)
     doc = {"seeds": SEEDS, "seconds": SECONDS, "catalog_seed": CATALOG_SEED,
            "catalog_runs": CATALOG_RUNS, "one_thread_env": ONE_THREAD,
            "trace_seed": TRACE_SEED, "trace_seconds": TRACE_SECONDS,
            "checkouts": {label: record(tree, runs[label], samples[label, "default"],
-                                       traced[label], samples[label, "one"])
+                                       traced[label], samples[label, "one"], tier1[label])
                          for label, tree in trees.items()}}
     with open(args.out, "w") as stream:
         json.dump(doc, stream, indent=1)
@@ -226,6 +263,7 @@ def main(argv=None) -> int:
     failed = [run for label in runs for run in runs[label] if run["exit"] != 0]
     failed += [key for key, catalog in samples.items() if catalog["exit"] != 0]
     failed += [run for label in traced for run in traced[label].values() if run["exit"] != 0]
+    failed += [label for label, run in tier1.items() if run["exit"] != 0]
     return 1 if failed else 0
 
 

@@ -48,13 +48,22 @@ TEST_EXPERIMENTS = "tests/test_experiments.py::"
 
 MUTANTS = (
     Mutant("sparse-lebesgue-half-boundary", SPARSE,
-           "if 2 * kept < self.cell_count(self.cubes[idx]):",
-           "if 2 * kept <= self.cell_count(self.cubes[idx]):",
-           (TEST_SPARSE + "test_member_keeping_exactly_half_its_cells_is_sparse",)),
+           "kept * vol >= 0.5 * whole * vol - _EXACT_TOL",
+           "kept * vol > 0.5 * whole * vol - _EXACT_TOL",
+           (TEST_SPARSE + "test_exact_half_is_sparse_without_the_tolerance",)),
     Mutant("sparse-weighted-half-boundary", SPARSE,
-           "< 0.5 * self.measure(self.cubes[idx]) - _EXACT_TOL:",
-           "< 0.5 * self.measure(self.cubes[idx]) + _EXACT_TOL:",
+           "kept * vol >= 0.5 * whole * vol - _EXACT_TOL",
+           "kept * vol >= 0.5 * whole * vol + _EXACT_TOL",
            (TEST_SPARSE + "test_member_keeping_exactly_half_its_weighted_measure_is_sparse",)),
+    Mutant("sparse-whole-without-the-childrens-whole", SPARSE,
+           "whole[self.parents[idx]] += whole[idx]",
+           "whole[self.parents[idx]] += kept[idx]",
+           (TEST_SPARSE + "test_hand_built_families_decide_as_the_two_branch_rule",)),
+    Mutant("sparse-sweep-start-off-by-one-block", SPARSE,
+           "start = tuple(r + b * size for b, r in zip(block, root_start))",
+           "start = tuple(r + (b + 1) * size for b, r in zip(block, root_start))",
+           (TEST_SPARSE + "test_swept_members_equal_their_checked_cubes",
+            TEST_SPARSE + "test_sweep_matches_per_cube_build")),
     Mutant("sparse-cancellative-integral-tolerance", SPARSE,
            "* family.root.system.cell_volume > 1e-9",
            "* family.root.system.cell_volume > 1e-3",
@@ -112,6 +121,10 @@ MUTANTS = (
            "levels[node_depth].append(cells)",
            "levels[node_depth].insert(0, cells)",
            ("tests/test_decoupling.py::test_random_hierarchy_equals_the_tree_oracle",)),
+    Mutant("decoupling-work-cap-non-strict", "src/dyadiclab/decoupling.py",
+           "if choices << len(chain) > _CELL_WORK_CAP:",
+           "if choices << len(chain) >= _CELL_WORK_CAP:",
+           ("tests/test_decoupling.py::test_a_chain_whose_work_equals_the_cap_is_evaluated",)),
     Mutant("grid-good-mask-extra-bit", "src/dyadiclab/grid.py",
            "u = [w >> (system.depth - level) for w in system._words]",
            "u = [w >> (system.depth - level + 1) for w in system._words]",

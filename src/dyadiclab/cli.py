@@ -93,13 +93,7 @@ def _format_row(check, anchor: str, seed: int, runtime_ms: int) -> str:
 
 def _run(args) -> int:
     config = _load_config(args.config)
-    seed = config.get("seed") if args.seed is None else args.seed
-    if seed is None:
-        try:
-            seed = int(os.environ.get("DYADICLAB_SEED", "0"))
-        except ValueError:
-            raise UsageError(f"DYADICLAB_SEED must be an integer, "
-                             f"not {os.environ['DYADICLAB_SEED']!r}")
+    seed = config.get("seed", 0) if args.seed is None else args.seed
     if not 0 <= seed < 2**63:  # the random streams key on 63 bits of the seed
         raise UsageError(f"seed {seed} is outside [0, 2^63)")
     names = list(args.experiment or config.get("experiments", []))

@@ -25,12 +25,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AdaptednessError, ResourceLimitError
-from .rademacher import EXHAUSTIVE_CAP, sign_average
+from .rademacher import sign_average
 from .rng import substream, substreams
 from .space import SCALAR, NormedSpace
 
 _TOL = 1e-12
-# the most child-choice tuples one ground cell's chain may take
+# the most child-choice tuples one root-to-leaf chain of a drawn hierarchy may take
 _CHAIN_CAP = 1_000_000
 # the most child-choice tuples times sign patterns one cell may take: 8^4, the
 # largest a depth-4 hierarchy with at most 4 children per atom can reach
@@ -102,7 +102,7 @@ def random_hierarchy(seed: int, depth: int = 3, max_children: int = 4) -> AtomHi
     """Seeded hierarchy: the root splits recursively into 1..max_children parts.
 
     Raises ResourceLimitError, while the tree is drawn, once one root-to-leaf
-    product of child counts passes the chain cap that `decoupled_pnorm` enforces.
+    product of child counts passes the chain cap.
     """
     if depth < 0 or max_children < 1:
         raise ValueError(f"a hierarchy needs depth >= 0 and max_children >= 1, "
@@ -237,8 +237,9 @@ def decoupled_pnorm(family: AdaptedFamily, p: float) -> float:
     Only the chain of atoms through a ground cell enters the integrand, and
     cells with the same atom at the last active level share it, so the
     expectation is exact per chain.  A chain costs its child-choice tuples
-    times 2^(chain length) sign patterns; every chain is checked against the
-    caps on both, and on their product, before any is evaluated in one batch.
+    times 2^(chain length) sign patterns; every chain is checked against
+    `_CELL_WORK_CAP` on that product, which also keeps its length within the
+    sign enumeration cap, before any is evaluated in one batch.
     """
     h = family.hierarchy
     last = h._chains[-1] if h._chains else np.zeros(0, dtype=np.intp)
@@ -246,11 +247,6 @@ def decoupled_pnorm(family: AdaptedFamily, p: float) -> float:
     chains = {int(last[cell]): h.chain_through(cell) for cell in np.sort(firsts)}
     for chain in chains.values():
         choices = math.prod(len(kids) for (_, _, kids, _) in chain)
-        if choices > _CHAIN_CAP:
-            raise ResourceLimitError("chain product exceeds the exhaustive cap")
-        if len(chain) > EXHAUSTIVE_CAP:
-            raise ResourceLimitError(f"exhaustive signs capped at {EXHAUSTIVE_CAP}, "
-                                     f"got {len(chain)}")
         if choices << len(chain) > _CELL_WORK_CAP:
             raise ResourceLimitError(f"a chain of {len(chain)} atoms and {choices} child "
                                      f"choices passes the cell work cap {_CELL_WORK_CAP}")

@@ -135,21 +135,16 @@ class DyadicSystem:
         """All level-`level` cubes inside the ambient cube, corners in row-major order.
 
         The corners come from `corner_ranges`, so they are in range by
-        construction: each cube is built from its start cells,
-        m * size + origin_cell + shift, without the checks of `DyadicCube(...)`.
+        construction: each cube is built by `_in_range_cube` from its start
+        cells, m * size + origin_cell + shift.
         """
         ranges = self.corner_ranges(level)
         size = 1 << (self.depth - level)
         bases = [self.origin_cell + s for s in self.shift_cells(level)]
         starts = [range(r.start * size + base, r.stop * size + base, size)
                   for r, base in zip(ranges, bases)]
-        new = object.__new__
         for corner, start in zip(itertools.product(*ranges), itertools.product(*starts)):
-            cube = new(DyadicCube)
-            # the fields and the geometry `__post_init__` would set
-            cube.__dict__.update(system=self, level=level, corner=corner, _start=start,
-                                 size_cells=size)
-            yield cube
+            yield _in_range_cube(self, level, corner, start, size)
 
     def corner_ranges(self, level: int) -> list:
         """Per-axis corner ranges of the cubes that `cubes_at_level` lists.
@@ -245,23 +240,26 @@ class DyadicCube:
         return DyadicCube(sysm, self.level - 1, corner)
 
     def children(self) -> list:
-        """The 2^d next-level cubes, built unchecked as `cubes_at_level` builds them:
-        they tile this one, corners 2m + b + (0, 1) starting (0, half) cells in per axis."""
+        """The 2^d next-level cubes, built by `_in_range_cube`: they tile this one,
+        corners 2m + b + (0, 1) starting (0, half) cells in per axis."""
         if self.level >= self.system.depth:
             raise AmbientRangeError("finest-level cube has no children in the mesh")
         level, half, bits = self.level + 1, self.size_cells >> 1, self.system.bit(self.level + 1)
         corners = [(2 * m + b, 2 * m + b + 1) for m, b in zip(self.corner, bits)]
         starts = [(s, s + half) for s in self._start]
-        kids = []
-        for corner, start in zip(itertools.product(*corners), itertools.product(*starts)):
-            kid = object.__new__(DyadicCube)
-            kid.__dict__.update(system=self.system, level=level, corner=corner, _start=start,
-                                size_cells=half)
-            kids.append(kid)
-        return kids
+        return [_in_range_cube(self.system, level, corner, start, half)
+                for corner, start in zip(itertools.product(*corners), itertools.product(*starts))]
 
     def key(self) -> tuple:
         return (self.level, self.corner)
+
+
+def _in_range_cube(system, level: int, corner: tuple, start: tuple, size: int) -> DyadicCube:
+    """The cube's fields and the geometry `__post_init__` would set (first cells `start`,
+    side `size` cells), without its checks: the caller keeps the cube in range."""
+    cube = object.__new__(DyadicCube)
+    cube.__dict__.update(system=system, level=level, corner=corner, _start=start, size_cells=size)
+    return cube
 
 
 # -- goodness ---------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import AdaptednessError, SparsityError
-from .grid import DyadicCube
+from .grid import DyadicCube, _in_range_cube
 from .gridfn import GridFunction, _blocks, _stack, stack_chunks
 from .space import conjugate_exponent
 
@@ -73,9 +73,6 @@ class SparseFamily:
     def measure(self, cube: DyadicCube) -> float:
         return float(self.density()[cube.cell_slices()].sum()) * self.root.system.cell_volume
 
-    def cell_count(self, cube: DyadicCube) -> int:
-        return cube.size_cells ** self.root.system.d
-
     def weighted_average(self, values: np.ndarray, cube: DyadicCube) -> np.ndarray:
         """Measure-weighted average of a cell array over a cube."""
         w = self.density()[cube.cell_slices()].reshape(-1)
@@ -99,14 +96,6 @@ class SparseFamily:
             self._owner.flags.writeable = False
         return self._owner
 
-    def exceptional_mask(self, idx: int) -> np.ndarray:
-        """Cells of member `idx` outside all of its stopping children."""
-        return self.owner() == idx
-
-    def exceptional_measure(self, idx: int) -> float:
-        dens = self.density()
-        return float(dens[self.exceptional_mask(idx)].sum()) * self.root.system.cell_volume
-
     def locate(self, cube: DyadicCube) -> int:
         """Index of the minimal member containing `cube`: its first cell's owner or an ancestor."""
         if not self.cubes[0].contains_cube(cube):
@@ -117,20 +106,17 @@ class SparseFamily:
         return best
 
     def is_sparse(self) -> bool:
-        """Whether every member keeps half of its measure outside children."""
-        if self.weights is None:
-            # Lebesgue: exact in integer cell counts
-            for idx in range(len(self)):
-                kept = self.cell_count(self.cubes[idx]) - sum(
-                    self.cell_count(self.cubes[c]) for c in self.children[idx]
-                )
-                if 2 * kept < self.cell_count(self.cubes[idx]):
-                    return False
-            return True
-        for idx in range(len(self)):
-            if self.exceptional_measure(idx) < 0.5 * self.measure(self.cubes[idx]) - _EXACT_TOL:
-                return False
-        return True
+        """Whether every member keeps half of its measure outside its children: the
+        density of its own cells against its whole measure, which adds its children's in
+        one reverse pass (a parent precedes them).  Under Lebesgue measure both are cell
+        counts, so a failing member misses by half a cell, at least 2^-24 > tolerance."""
+        kept = np.bincount(self.owner().reshape(-1) + 1, weights=self.density().reshape(-1),
+                           minlength=len(self) + 1)[1:]  # bin 0 holds the cells off the root
+        whole = kept.copy()
+        for idx in range(len(self) - 1, 0, -1):
+            whole[self.parents[idx]] += whole[idx]
+        vol = self.root.system.cell_volume
+        return bool(np.all(kept * vol >= 0.5 * whole * vol - _EXACT_TOL))
 
     def export_records(self) -> str:
         """Newline-delimited records: level, corner components, parent index."""
@@ -221,13 +207,15 @@ def _sweep(pairs: list):
         labels[new] = np.arange(len(bases), len(bases) + len(hits))
         bases = np.concatenate([bases, avg[new]])
     index = dict.fromkeys(range(n), 0)
-    start = [s - sysm.origin_cell for s in root.start_cells()]
+    root_start = root.start_cells()
     for family, members in zip(families, found):
         for _, label, level, block, parent in sorted(members):
             size = 1 << (sysm.depth - level)
-            corner = [b + (s - t) // size
-                      for b, s, t in zip(block, start, sysm.shift_cells(level))]
-            index[label] = family.add(sysm.cube(level, corner), index[parent])
+            start = tuple(r + b * size for b, r in zip(block, root_start))
+            corner = tuple((s - sysm.origin_cell - t) // size
+                           for s, t in zip(start, sysm.shift_cells(level)))
+            index[label] = family.add(_in_range_cube(sysm, level, corner, start, size),
+                                      index[parent])
 
 
 @dataclass(frozen=True)

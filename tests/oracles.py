@@ -1179,13 +1179,32 @@ def build_stopping_family_per_cube(f, root, threshold_factor=2.0, weights=None):
 
 
 def exceptional_mask_per_cube(family, idx):
-    """`SparseFamily.exceptional_mask` painting the member, then clearing each child."""
+    """`family.owner() == idx` painting the member, then clearing each child."""
     sysm = family.root.system
     mask = np.zeros((sysm.cells_per_axis,) * sysm.d, dtype=bool)
     mask[family.cubes[idx].cell_slices()] = True
     for child in family.children[idx]:
         mask[family.cubes[child].cell_slices()] = False
     return mask
+
+
+def is_sparse_two_branch(family):
+    """`SparseFamily.is_sparse` with one rule per measure: under Lebesgue measure, in
+    integer cell counts of each member and its children; under a density, each
+    member's exceptional measure against half its measure, less `_EXACT_TOL`."""
+    sysm = family.root.system
+    if family.weights is None:
+        for idx, cube in enumerate(family.cubes):
+            kept = cube.size_cells ** sysm.d - sum(family.cubes[c].size_cells ** sysm.d
+                                                   for c in family.children[idx])
+            if 2 * kept < cube.size_cells ** sysm.d:
+                return False
+        return True
+    for idx, cube in enumerate(family.cubes):
+        kept = float(family.density()[exceptional_mask_per_cube(family, idx)].sum())
+        if kept * sysm.cell_volume < 0.5 * family.measure(cube) - _EXACT_TOL:
+            return False
+    return True
 
 
 def validate_adapted_per_cube(family, fs):

@@ -185,6 +185,65 @@ def test_run_traced_runs_the_checkouts_run_py_traced_at_seed_zero(monkeypatch):
     assert rec == {"exit": 0, "correct": True, "calls": CALLS}
 
 
+PYTEST_PASSING = "\n".join([
+    "........................................................................ [  7%]",
+    "..............x......................................................... [100%]",
+    "955 passed, 1 xfailed in 97.12s (0:01:37)",
+]) + "\n"
+PYTEST_FAILING = "\n".join([
+    "....F...x................................................................ [100%]",
+    "=================================== FAILURES ===================================",
+    "_____________________________ test_seed_is_zero ______________________________",
+    "E   assert 1 == 0",
+    "=========================== short test summary info ============================",
+    "FAILED tests/test_cli.py::test_seed_is_zero - assert 1 == 0",
+    "12 failed, 943 passed, 1 xfailed, 2 warnings, 1 error in 101.50s (0:01:41)",
+]) + "\n"
+
+
+def test_tier1_record_reads_the_summary_line():
+    assert bench.tier1_record(PYTEST_PASSING, 0, 98.0) == {
+        "exit": 0, "wall_s": 98.0, "passed": 955, "failed": 0, "xfailed": 1}
+    assert bench.tier1_record(PYTEST_FAILING, 1, 102.0) == {
+        "exit": 1, "wall_s": 102.0, "passed": 943, "failed": 12, "xfailed": 1,
+        "warnings": 2, "error": 1}
+    assert bench.tier1_record("==== 3 passed in 0.12s ====\n", 0, 1.0)["passed"] == 3
+
+
+def test_a_tier1_run_without_a_summary_line_counts_nothing():
+    crashed = "ImportError while loading conftest '/some/tree/tests/conftest.py'.\n"
+    assert bench.tier1_record(crashed, 4, 0.5) == {"exit": 4, "wall_s": 0.5, "passed": 0,
+                                                   "failed": 0, "xfailed": 0}
+
+
+def test_run_tier1_runs_the_checkouts_suite_on_its_own_src(monkeypatch):
+    """A stand-in for the suite: no test runs."""
+    seen = []
+
+    def fake_pytest(cmd, cwd, capture_output, text, env):
+        seen.append((cmd, cwd, env))
+        return subprocess.CompletedProcess(cmd, 0, stdout=PYTEST_PASSING)
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_pytest)
+    monkeypatch.setenv("PYTHONPATH", "/elsewhere")
+    rec = bench.run_tier1("/some/tree")
+    [(cmd, cwd, env)] = seen
+    assert cmd[1:] == ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+                       "--continue-on-collection-errors"]
+    assert cwd == "/some/tree"
+    assert env["PYTHONPATH"] == os.pathsep.join([os.path.join("/some/tree", "src"),
+                                                 "/elsewhere"])
+    assert (rec["exit"], rec["passed"], rec["failed"], rec["xfailed"]) == (0, 955, 0, 1)
+    assert rec["wall_s"] >= 0.0
+
+
+def fake_tier1_run(order, exit_code=0):
+    def run(tree):
+        order.append(("tier1", tree))
+        return bench.tier1_record(PYTEST_PASSING, exit_code, 98.0)
+    return run
+
+
 def fake_traced_run(order, exit_code=0):
     def run(tree, workload):
         order.append(("traced", workload, tree))
@@ -213,6 +272,7 @@ def test_main_interleaves_checkouts_and_writes_one_record_each(monkeypatch, tmp_
     monkeypatch.setattr(bench, "run_once", fake_run)
     monkeypatch.setattr(bench, "run_catalog", fake_catalog_run(order))
     monkeypatch.setattr(bench, "run_traced", fake_traced_run(order))
+    monkeypatch.setattr(bench, "run_tier1", fake_tier1_run(order))
     monkeypatch.setattr(bench, "git_state", lambda tree: {"head": tree, "dirty": False})
     out, old, new = (str(tmp_path / name) for name in ("bench.json", "old", "new"))
     status = bench.main(["--out", out, "--tree", f"old={old}", "--tree", f"new={new}"])
@@ -220,25 +280,28 @@ def test_main_interleaves_checkouts_and_writes_one_record_each(monkeypatch, tmp_
     assert order == [(s, w, tree) for s in (1, 2, 3) for w in bench.WORKLOADS
                      for tree in (old, new)] + [
                          ("catalog", tree, threads) for threads in ("default", "one")
-                         for tree in (old, new)] * 3 + [
-                         ("traced", w, tree) for w in bench.WORKLOADS for tree in (old, new)]
+                         for tree in (old, new)] * 5 + [
+                         ("traced", w, tree) for w in bench.WORKLOADS for tree in (old, new)] + [
+                         ("tier1", tree) for tree in (old, new)]
     with open(out) as stream:
         doc = json.load(stream)
     assert list(doc["checkouts"]) == ["old", "new"]
     assert [run["seed"] for run in doc["checkouts"]["new"]["runs"]] == [1] * 4 + [2] * 4 + [3] * 4
     assert list(doc["checkouts"]["new"]["medians"]) == list(bench.WORKLOADS)
     assert doc["checkouts"]["old"]["head"] == old
-    assert (doc["catalog_seed"], doc["catalog_runs"]) == (7, 3)
+    assert (doc["catalog_seed"], doc["catalog_runs"]) == (7, 5)
     assert doc["one_thread_env"] == bench.ONE_THREAD
     catalog = doc["checkouts"]["new"]["catalog"]
-    assert len(catalog["runs"]) == 3 and catalog["wall_ref_s"] == 1.5
+    assert len(catalog["runs"]) == 5 and catalog["wall_ref_s"] == 1.5
     assert catalog["timing_ms"] == {"goodness": 256, "stopping": 141}
     one_thread = doc["checkouts"]["new"]["catalog_one_thread"]
-    assert len(one_thread["runs"]) == 3 and one_thread["wall_ref_s"] == 1.0
+    assert len(one_thread["runs"]) == 5 and one_thread["wall_ref_s"] == 1.0
     assert one_thread["timing_ms"] == {"goodness": 256, "stopping": 141}
     assert (doc["trace_seed"], doc["trace_seconds"]) == (0, 4.0)
     assert doc["checkouts"]["old"]["traced"] == {
         w: {"exit": 0, "correct": True, "calls": CALLS} for w in bench.WORKLOADS}
+    assert doc["checkouts"]["new"]["tier1"] == {"exit": 0, "wall_s": 98.0, "passed": 955,
+                                                "failed": 0, "xfailed": 1}
 
 
 def test_a_failing_run_makes_the_exit_status_one(monkeypatch, tmp_path):
@@ -246,6 +309,7 @@ def test_a_failing_run_makes_the_exit_status_one(monkeypatch, tmp_path):
         "workload": workload, "seed": seed, **bench.parse_run(CANNED, 1)})
     monkeypatch.setattr(bench, "run_catalog", fake_catalog_run([]))
     monkeypatch.setattr(bench, "run_traced", fake_traced_run([]))
+    monkeypatch.setattr(bench, "run_tier1", fake_tier1_run([]))
     monkeypatch.setattr(bench, "git_state", lambda tree: {"head": None, "dirty": None})
     assert bench.main(["--out", str(tmp_path / "b.json")]) == 1
 
@@ -255,6 +319,7 @@ def test_a_failing_catalog_makes_the_exit_status_one(monkeypatch, tmp_path):
         "workload": workload, "seed": seed, **bench.parse_run(CANNED, 0)})
     monkeypatch.setattr(bench, "run_catalog", fake_catalog_run([], exit_code=1))
     monkeypatch.setattr(bench, "run_traced", fake_traced_run([]))
+    monkeypatch.setattr(bench, "run_tier1", fake_tier1_run([]))
     monkeypatch.setattr(bench, "git_state", lambda tree: {"head": None, "dirty": None})
     assert bench.main(["--out", str(tmp_path / "b.json")]) == 1
 
@@ -264,6 +329,7 @@ def test_a_failing_one_thread_catalog_makes_the_exit_status_one(monkeypatch, tmp
         "workload": workload, "seed": seed, **bench.parse_run(CANNED, 0)})
     monkeypatch.setattr(bench, "run_catalog", fake_catalog_run([], one_thread_exit_code=1))
     monkeypatch.setattr(bench, "run_traced", fake_traced_run([]))
+    monkeypatch.setattr(bench, "run_tier1", fake_tier1_run([]))
     monkeypatch.setattr(bench, "git_state", lambda tree: {"head": None, "dirty": None})
     assert bench.main(["--out", str(tmp_path / "b.json")]) == 1
 
@@ -273,5 +339,16 @@ def test_a_traced_run_left_with_zero_calls_makes_the_exit_status_one(monkeypatch
         "workload": workload, "seed": seed, **bench.parse_run(CANNED, 0)})
     monkeypatch.setattr(bench, "run_catalog", fake_catalog_run([]))
     monkeypatch.setattr(bench, "run_traced", fake_traced_run([], exit_code=3))
+    monkeypatch.setattr(bench, "run_tier1", fake_tier1_run([]))
+    monkeypatch.setattr(bench, "git_state", lambda tree: {"head": None, "dirty": None})
+    assert bench.main(["--out", str(tmp_path / "b.json")]) == 1
+
+
+def test_a_failing_tier1_suite_makes_the_exit_status_one(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench, "run_once", lambda tree, workload, seed, seconds: {
+        "workload": workload, "seed": seed, **bench.parse_run(CANNED, 0)})
+    monkeypatch.setattr(bench, "run_catalog", fake_catalog_run([]))
+    monkeypatch.setattr(bench, "run_traced", fake_traced_run([]))
+    monkeypatch.setattr(bench, "run_tier1", fake_tier1_run([], exit_code=1))
     monkeypatch.setattr(bench, "git_state", lambda tree: {"head": None, "dirty": None})
     assert bench.main(["--out", str(tmp_path / "b.json")]) == 1

@@ -125,26 +125,18 @@ def test_mistyped_config_key_is_one_line_usage_error(tmp_path, capsys, no_experi
     assert_one_error_line(capsys, "error: config ")
 
 
-def test_bad_seed_environment_is_usage_error(monkeypatch, capsys, no_experiment_runs):
-    monkeypatch.setenv("DYADICLAB_SEED", "abc")
-    assert main(["run", "--experiment", "goodness"]) == 2
-    assert_one_error_line(capsys, "error: DYADICLAB_SEED ")
-
-
-@pytest.mark.parametrize("source", ["flag", "config", "environment"])
+@pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("seed", [-1, 2**63, 10**23])
-def test_seed_outside_63_bits_is_usage_error(tmp_path, monkeypatch, capsys,
-                                             no_experiment_runs, source, seed):
+def test_seed_outside_63_bits_is_usage_error(tmp_path, capsys, no_experiment_runs, source,
+                                             seed):
     """The streams key on 63 bits of the seed, so -1 and 2^63 - 1 used to draw alike."""
     argv = ["run", "--experiment", "goodness"]
     if source == "flag":
         argv += ["--seed", str(seed)]
-    elif source == "config":
+    else:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"seed": seed}))
         argv += ["--config", str(config)]
-    else:
-        monkeypatch.setenv("DYADICLAB_SEED", str(seed))
     assert main(argv) == 2
     assert_one_error_line(capsys, f"error: seed {seed} is outside [0, 2^63)")
 
@@ -594,11 +586,18 @@ def test_reports_are_deterministic(tmp_path):
     assert summaries[0] == summaries[1]
 
 
-def test_seed_environment_default(tmp_path, monkeypatch, capsys):
+def test_run_without_a_seed_uses_seed_zero(tmp_path, monkeypatch, capsys):
+    """No --seed and no config seed: the seed is 0, whatever the environment holds."""
     monkeypatch.setenv("DYADICLAB_SEED", "99")
-    assert main(["run", "--experiment", "condexp-sum"]) in (0, 1)
-    out = capsys.readouterr().out
-    assert ",99," in out
+    seeds = []
+    monkeypatch.setattr(cli, "run_experiment", lambda name, seed, overrides: (
+        seeds.append(seed) or [Check("goodness/forced", 0.0, 1.0, True)]))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"experiments": ["goodness"]}))
+    assert main(["run", "--config", str(config)]) == 0
+    assert main(["run", "--experiment", "goodness"]) == 0
+    assert seeds == [0, 0]
+    assert capsys.readouterr().out.count(",true,0,") == 2
 
 
 def test_flag_overrides_reach_experiments(tmp_path):

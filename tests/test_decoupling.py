@@ -232,12 +232,11 @@ def test_random_products_are_contractive(seed, p):
     assert ratio <= 1.0 + 1e-12
 
 
-def test_exhaustive_cap_on_chain_products(monkeypatch):
-    hierarchy = random_hierarchy(1, depth=3, max_children=4)
-    fam = random_adapted_family(hierarchy, 1)
-    monkeypatch.setattr(decoupling, "_CHAIN_CAP", 1)
-    with pytest.raises(ResourceLimitError):
-        decoupled_pnorm(fam, 2.0)
+def refuse_evaluation(monkeypatch):
+    def evaluated(*args):
+        raise AssertionError("a chain was evaluated before the cap was checked")
+
+    monkeypatch.setattr(decoupling, "sign_average", evaluated)
 
 
 def test_cell_work_cap_fires_before_any_cell_is_evaluated(monkeypatch):
@@ -245,13 +244,17 @@ def test_cell_work_cap_fires_before_any_cell_is_evaluated(monkeypatch):
     fam = random_adapted_family(hierarchy, 1)
     choices = largest_chain_product(hierarchy)
     monkeypatch.setattr(decoupling, "_CELL_WORK_CAP", (choices << 3) - 1)  # 3 atoms a chain
-
-    def evaluated(*args):
-        raise AssertionError("a chain was evaluated before the caps were checked")
-
-    monkeypatch.setattr(decoupling, "sign_average", evaluated)
+    refuse_evaluation(monkeypatch)
     with pytest.raises(ResourceLimitError, match=f"3 atoms and {choices} child choices"):
         decoupled_pnorm(fam, 2.0)
+
+
+def test_a_chain_whose_work_equals_the_cap_is_evaluated(monkeypatch):
+    hierarchy = random_hierarchy(1, depth=3, max_children=4)
+    fam = random_adapted_family(hierarchy, 1)
+    expected = decoupled_pnorm(fam, 2.0)
+    monkeypatch.setattr(decoupling, "_CELL_WORK_CAP", largest_chain_product(hierarchy) << 3)
+    assert decoupled_pnorm(fam, 2.0) == expected
 
 
 def largest_chain_product(h):
@@ -290,12 +293,14 @@ def test_random_hierarchy_equals_the_tree_oracle(seed, depth, max_children, cap)
     assert outcomes[0] == outcomes[1]
 
 
-def test_long_single_child_chain_hits_the_sign_cap():
-    # every child count is 1, so the chain product stays within _CHAIN_CAP, but
-    # 2^21 sign patterns exceed the enumeration cap
+def test_long_single_child_chain_hits_the_sign_cap(monkeypatch):
+    # every child count is 1, but 2^21 sign patterns pass the cell work cap, as they
+    # pass the sign enumeration cap of 20 atoms
     hierarchy = random_hierarchy(0, depth=21, max_children=1)
     fam = random_adapted_family(hierarchy, 0)
-    with pytest.raises(ResourceLimitError, match="capped at 20"):
+    refuse_evaluation(monkeypatch)
+    with pytest.raises(ResourceLimitError, match="21 atoms and 1 child choices passes the "
+                                                 "cell work cap 4096"):
         decoupled_pnorm(fam, 2.0)
 
 
@@ -364,8 +369,10 @@ def test_probability_space_rejects_non_finite_weights(weights):
         FiniteProbSpace(np.array(weights))
 
 
-def test_chain_product_cap_does_not_wrap():
+def test_chain_product_cap_does_not_wrap(monkeypatch):
     # cell 0's chain has 17 atoms of 16 children: 16**17 wraps to 0 in int64
     fam = random_adapted_family(long_chain_hierarchy(), 0)
-    with pytest.raises(ResourceLimitError, match="chain product"):
+    refuse_evaluation(monkeypatch)
+    with pytest.raises(ResourceLimitError, match=f"17 atoms and {16**17} child choices passes "
+                                                 f"the cell work cap"):
         decoupled_pnorm(fam, 2.0)

@@ -54,9 +54,8 @@ def test_built_families_are_sparse_exactly(seed):
     fam, _ = random_family(seed)
     assert fam.is_sparse()
     for idx in range(len(fam)):
-        kept = fam.cell_count(fam.cubes[idx]) - sum(
-            fam.cell_count(fam.cubes[c]) for c in fam.children[idx])
-        assert 2 * kept >= fam.cell_count(fam.cubes[idx])
+        kept = int((fam.owner() == idx).sum())
+        assert 2 * kept >= fam.cubes[idx].size_cells ** SYS.d
 
 
 @given(st.integers(0, 10**6))
@@ -319,8 +318,51 @@ def test_carleson_sum_matches_per_cube_averages(seed, d, m_top, root_pick, weigh
 def test_exceptional_masks_match_per_cube_painting(seed, d, m_top, root_pick, weighted, dim):
     fam, _ = _translated_family(seed, d, m_top, root_pick, weighted, dim)
     for idx in range(len(fam)):
-        assert np.array_equal(fam.exceptional_mask(idx),
-                              oracles.exceptional_mask_per_cube(fam, idx))
+        assert np.array_equal(fam.owner() == idx, oracles.exceptional_mask_per_cube(fam, idx))
+
+
+@given(*FAMILIES[:5])
+def test_swept_members_equal_their_checked_cubes(seed, d, m_top, root_pick, weighted):
+    """The sweep builds each member without `DyadicCube`'s checks; each equals the
+    checked cube at its level and corner, with its first cells and side, and lies in
+    its parent member."""
+    fam, _ = _translated_family(seed, d, m_top, root_pick, weighted)
+    sysm = fam.root.system
+    for cube, parent in zip(fam.cubes[1:], fam.parents[1:]):
+        checked = sysm.cube(cube.level, cube.corner)
+        assert cube == checked
+        assert (cube.start_cells(), cube.size_cells) == (checked.start_cells(),
+                                                         checked.size_cells)
+        assert fam.cubes[parent].contains_cube(cube)
+
+
+def _random_subcube_family(root, weights, gen):
+    """A family of random subcubes of `root`: each child of a member, with chance 1/2,
+    brings itself or a random descendant in as a child member."""
+    fam = SparseFamily(root, weights=weights)
+    stack = [0]
+    while stack:
+        idx = stack.pop()
+        cube = fam.cubes[idx]
+        if cube.level < cube.system.depth:
+            for kid in cube.children():
+                if gen.integers(2):
+                    below = int(gen.integers(0, cube.system.depth - kid.level + 1))
+                    stack.append(fam.add(_descend(kid, gen, below), idx))
+    return fam
+
+
+@given(*FAMILIES[:5])
+def test_is_sparse_matches_the_two_branch_rule(seed, d, m_top, root_pick, weighted):
+    """The one rule decides as the integer rule under Lebesgue measure and the
+    exceptional-measure rule under a density, on a stopping family and on families of
+    random subcubes of its root, sparse or not."""
+    fam, _ = _translated_family(seed, d, m_top, root_pick, weighted)
+    assert fam.is_sparse() and oracles.is_sparse_two_branch(fam)
+    gen = substream(seed, "random-subcube-family")
+    for _ in range(4):
+        other = _random_subcube_family(fam.root, fam.weights, gen)
+        assert other.is_sparse() == oracles.is_sparse_two_branch(other)
 
 
 def _adapted(fam, space, gen, mode):
@@ -502,16 +544,15 @@ def test_validate_adapted_rejects_mixed_value_spaces():
 
 def test_add_after_a_cached_owner_array_updates_exceptional_masks():
     fam = SparseFamily(ROOT)
-    assert np.array_equal(fam.exceptional_mask(0), indicator(ROOT).values[:, 0] == 1.0)
+    assert np.array_equal(fam.owner() == 0, indicator(ROOT).values[:, 0] == 1.0)
     owner = fam.owner()
     assert not owner.flags.writeable and fam.owner() is owner
     for cube, parent in ((SYS.cube(1, (1,)), 0), (SYS.cube(3, (4,)), 1), (SYS.cube(2, (0,)), 0)):
         fam.add(cube, parent)
         assert (fam.owner()[cube.cell_slices()] == len(fam) - 1).all()
         for idx in range(len(fam)):
-            assert np.array_equal(fam.exceptional_mask(idx),
-                                  oracles.exceptional_mask_per_cube(fam, idx))
-    assert fam.exceptional_mask(1).sum() == 32 - 8
+            assert np.array_equal(fam.owner() == idx, oracles.exceptional_mask_per_cube(fam, idx))
+    assert (fam.owner() == 1).sum() == 32 - 8
 
 
 # -- Carleson -------------------------------------------------------------------------
@@ -561,8 +602,50 @@ def test_member_keeping_exactly_half_its_weighted_measure_is_sparse():
     weights[root.cell_slices()] = [1.0, 3.0, 2.0, 2.0]  # quarter cells: root measure 2
     fam = SparseFamily(root, weights=weights)
     fam.add(system.cube(1, (0,)), 0)  # the child holds measure 1
-    assert fam.exceptional_measure(0) == 0.5 * fam.measure(fam.root) == 1.0
+    kept = float(weights[fam.owner() == 0].sum()) * system.cell_volume
+    assert kept == 0.5 * fam.measure(fam.root) == 1.0
     assert fam.is_sparse()
+
+
+def test_exact_half_is_sparse_without_the_tolerance(monkeypatch):
+    """The rule is kept >= half of whole: with no tolerance, exactly half still counts."""
+    monkeypatch.setattr(sparse, "_EXACT_TOL", 0.0)
+    test_member_keeping_exactly_half_its_cells_is_sparse()
+    test_member_keeping_exactly_half_its_weighted_measure_is_sparse()
+
+
+def _hand_built(weights, members):
+    """A family below the root of a depth-3 line of 8 root cells, `members` its
+    (level, corner, parent) in order, `weights` None or the root cells' density."""
+    system = DyadicSystem(d=1, m_top=0, depth=3)
+    root = system.cube(0, (0,))
+    density = None
+    if weights is not None:
+        density = np.ones(system.cells_per_axis)
+        density[root.cell_slices()] = weights
+    fam = SparseFamily(root, weights=density)
+    for level, corner, parent in members:
+        fam.add(system.cube(level, (corner,)), parent)
+    return fam
+
+
+SLIVER = 1e-9  # a density step far above the tolerance and far below a cell's measure
+
+
+@pytest.mark.parametrize("weights, members, sparse_", [
+    (None, [(1, 0, 0), (3, 4, 0)], False),  # the root keeps 3 of its 8 cells
+    (None, [(2, 0, 0), (2, 2, 0)], True),  # the root keeps 4 of 8
+    (None, [(1, 0, 0), (2, 0, 1)], True),  # 4 of 8, and the child 2 of 4
+    (None, [(1, 0, 0), (2, 0, 1), (3, 4, 0)], False),  # 3 of 8: 4 + 1 below, not 2 + 1
+    (None, [(2, 0, 0), (3, 0, 1), (2, 2, 0), (3, 4, 2), (3, 5, 2)], False),  # 0 of 2
+    ([1.0] * 7 + [1.0 + 8 * SLIVER], [(1, 1, 0)], False),  # short by SLIVER / 2
+    ([1.0] * 7 + [1.0 + SLIVER / 1000], [(1, 1, 0)], True),  # short within the tolerance
+    ([1.0 + 8 * SLIVER] + [1.0] * 7, [(1, 1, 0)], True),
+    ([3.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0], [(1, 1, 0), (3, 4, 1)], False),  # 6 of 14
+])
+def test_hand_built_families_decide_as_the_two_branch_rule(weights, members, sparse_):
+    fam = _hand_built(weights, members)
+    assert fam.is_sparse() == oracles.is_sparse_two_branch(fam) == sparse_
 
 
 @given(st.integers(0, 10**6), st.sampled_from([1.5, 2.0, 3.0]))
@@ -653,7 +736,7 @@ def make_adapted(fam, seed, mode):
     for idx in range(len(fam)):
         gen = substream(seed, "adapted", idx)
         vals = np.zeros((SYS.cells_per_axis, 1))
-        mask = fam.exceptional_mask(idx)
+        mask = fam.owner() == idx
         vals[mask] = gen.standard_normal((int(mask.sum()), 1))
         for child in fam.children[idx]:
             vals[fam.cubes[child].cell_slices()] = gen.standard_normal()
