@@ -142,6 +142,16 @@ MUTANTS = (
            "EXPERIMENTS[name].anchor",
            "EXPERIMENTS[names[0]].anchor",
            ("tests/test_catalog_reference.py::test_fast_catalog_matches_reference",)),
+    Mutant("cli-report-rewritten-in-place", "src/dyadiclab/cli.py",
+           """        if os.path.isfile(path) and not os.path.islink(path):
+            os.remove(path)
+        with open(path, "w") as stream:""",
+           """        with open(path, "w") as stream:""",
+           ("tests/test_cli.py::test_reports_are_written_as_new_files",)),
+    Mutant("cli-report-removes-what-is-not-a-file", "src/dyadiclab/cli.py",
+           "if os.path.isfile(path) and not os.path.islink(path):",
+           "if os.path.lexists(path):",
+           ("tests/test_cli.py::test_symlink_and_fifo_reports_are_written_through",)),
     Mutant("shifts-matrix-scale-mean-norm", "src/dyadiclab/shifts.py",
            "np.linalg.norm(raw, 2, axis=(-2, -1)).max()",
            "np.linalg.norm(raw, 2, axis=(-2, -1)).mean()",

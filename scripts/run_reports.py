@@ -5,8 +5,8 @@ Usage:
     python3 scripts/run_reports.py [--seed N] [--out DIR] [--fast]
 
 --fast shrinks trial counts for a quick smoke run; without it the
-defaults reproduce the acceptance-scale sweeps (3.4-4.4 s of wall time at seed 7
-on 2 vCPUs with Python 3.11 and numpy 2.4).  After the run it prints each
+defaults reproduce the acceptance-scale sweeps (0.97-1.02 s of wall time at
+seed 7 on 2 vCPUs with Python 3.11 and numpy 2.4).  After the run it prints each
 experiment's wall time (`timing_ms` of the JSON summary).
 """
 

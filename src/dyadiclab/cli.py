@@ -6,7 +6,8 @@ run's, plus a JSON summary.  Identical configuration and
 seed reproduce every column byte for byte except runtime_ms, which is
 wall time.  Exit status: 0 all checks pass, 1 a check failed, 2 bad usage,
 found before any experiment runs where the parameter table of
-`experiments` can tell, else when the library rejects a value.
+`experiments` can tell, else when the library rejects a value or a report
+cannot be written.
 """
 
 from __future__ import annotations
@@ -91,6 +92,19 @@ def _format_row(check, anchor: str, seed: int, runtime_ms: int) -> str:
             f"{str(check.passed).lower()},{seed},{runtime_ms}")
 
 
+def _write_new(path: str, text: str) -> None:
+    """Writes `text` to `path`, as a new file where a regular file is already there (ext4
+    flushes a file truncated in place to disk when it is closed, a new one it does not).
+    A symlink, device or FIFO at `path` is written through, not removed."""
+    try:
+        if os.path.isfile(path) and not os.path.islink(path):
+            os.remove(path)
+        with open(path, "w") as stream:
+            stream.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write report {path}: {exc}")
+
+
 def _run(args) -> int:
     config = _load_config(args.config)
     seed = config.get("seed", 0) if args.seed is None else args.seed
@@ -144,11 +158,8 @@ def _run(args) -> int:
 
     csv_text = CSV_HEADER + "\n" + "".join(_format_row(*row) + "\n" for row in rows)
     if out_csv:
-        with open(out_csv, "w") as stream:
-            stream.write(csv_text)
-        with open(out_json, "w") as stream:
-            json.dump(summary, stream, indent=2, sort_keys=True)
-            stream.write("\n")
+        _write_new(out_csv, csv_text)
+        _write_new(out_json, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write(csv_text)
     for check, *_ in rows:

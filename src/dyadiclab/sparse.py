@@ -40,6 +40,7 @@ class SparseFamily:
             w = np.asarray(self.weights)
             if w.shape != shape or not np.all((0 <= w) & (w < np.inf)):
                 raise ValueError(f"weights must be finite, nonnegative and of shape {shape}")
+            self.weights = w
         if not self.cubes:
             self.cubes = [self.root]
             self.parents = [None]

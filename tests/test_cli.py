@@ -1,6 +1,9 @@
+import builtins
 import csv
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 import time
@@ -584,6 +587,74 @@ def test_reports_are_deterministic(tmp_path):
         summaries.append(json.dumps(doc, sort_keys=True))
     assert texts[0] == texts[1]
     assert summaries[0] == summaries[1]
+
+
+def _forced_check(monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", lambda name, seed, overrides: [
+        Check("goodness/forced", 0.0, 1.0, True)])
+
+
+def test_reports_are_written_as_new_files(tmp_path, monkeypatch):
+    """A rerun removes the old report and summary and creates new ones, so a hard link
+    to an old one keeps its bytes."""
+    _forced_check(monkeypatch)
+    out = tmp_path / "report.csv"
+    argv = ["run", "--experiment", "goodness", "--out", str(out)]
+    assert main([*argv, "--seed", "1"]) == 0
+    first = {name: (tmp_path / f"report.{name}").read_bytes() for name in ("csv", "json")}
+    for name in first:
+        os.link(tmp_path / f"report.{name}", tmp_path / f"keep.{name}")
+    assert main([*argv, "--seed", "2"]) == 0
+    for name in first:
+        assert (tmp_path / f"keep.{name}").read_bytes() == first[name]
+    assert ",true,2," in out.read_text()
+    assert json.loads((tmp_path / "report.json").read_text())["seed"] == 2
+
+
+def test_symlink_and_fifo_reports_are_written_through(tmp_path, monkeypatch):
+    """Only a regular file at a report path is removed: a symlink there is followed and
+    stays, and a FIFO (like a device such as /dev/null) is opened and written to."""
+    _forced_check(monkeypatch)
+    argv = ["run", "--experiment", "goodness", "--seed", "4"]
+    for name in ("csv", "json"):
+        (tmp_path / f"target.{name}").write_text("old\n")
+        (tmp_path / f"link.{name}").symlink_to(tmp_path / f"target.{name}")
+    assert main([*argv, "--out", str(tmp_path / "link.csv")]) == 0
+    for name in ("csv", "json"):
+        assert (tmp_path / f"link.{name}").is_symlink()
+    assert ",true,4," in (tmp_path / "target.csv").read_text()
+    assert json.loads((tmp_path / "target.json").read_text())["seed"] == 4
+
+    readers = {}
+    for name in ("csv", "json"):
+        os.mkfifo(tmp_path / f"pipe.{name}")
+        readers[name] = os.open(tmp_path / f"pipe.{name}", os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main([*argv, "--out", str(tmp_path / "pipe.csv")]) == 0
+        received = {name: os.read(fd, 1 << 16).decode() for name, fd in readers.items()}
+    finally:
+        for fd in readers.values():
+            os.close(fd)
+    for name in ("csv", "json"):
+        assert stat.S_ISFIFO(os.lstat(tmp_path / f"pipe.{name}").st_mode)
+    assert ",true,4," in received["csv"]
+    assert json.loads(received["json"])["seed"] == 4
+
+
+@pytest.mark.parametrize("which", ["csv", "json"])
+def test_report_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys, which):
+    _forced_check(monkeypatch)
+    target = str(tmp_path / f"report.{which}")
+    real_open = open
+
+    def refuse(path, *args, **kwargs):
+        if path == target:
+            raise PermissionError(13, "Permission denied", path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", refuse)
+    assert main(["run", "--experiment", "goodness", "--out", str(tmp_path / "report.csv")]) == 2
+    assert_one_error_line(capsys, f"error: cannot write report {target}: ")
 
 
 def test_run_without_a_seed_uses_seed_zero(tmp_path, monkeypatch, capsys):

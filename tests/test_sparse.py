@@ -822,6 +822,26 @@ def test_lebesgue_density_is_built_once_and_read_only():
     assert SparseFamily(ROOT, weights=weights).density() is weights
 
 
+def test_list_density_decides_as_the_same_array():
+    """The density is kept as the array that was checked, so a list works as well."""
+    system = DyadicSystem(d=1, m_top=0, depth=3)
+    root = system.cube(0, (0,))
+    density = [1.0, 3.0, 2.0, 2.0, 0.5, 1.5, 1.0, 4.0] * (system.cells_per_axis // 8)
+    values = np.arange(2.0 * system.cells_per_axis).reshape(-1, 2)
+    families = []
+    for weights in (density, np.array(density)):
+        fam = SparseFamily(root, weights=weights)
+        fam.add(system.cube(1, (0,)), 0)
+        fam.add(system.cube(3, (6,)), 0)
+        families.append(fam)
+    listed, arrayed = families
+    assert listed.is_sparse() == arrayed.is_sparse()
+    for cube in listed.cubes:
+        assert listed.measure(cube) == arrayed.measure(cube)
+        assert np.array_equal(listed.weighted_average(values, cube),
+                              arrayed.weighted_average(values, cube))
+
+
 @pytest.mark.parametrize("make_weights", [
     lambda c: np.ones(c),
     lambda c: np.ones((c, c + 1)),
